@@ -11,43 +11,27 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from . import sweeps
 from . import verify as verify_suite
-from .classical import classical_smooth
-from .entropy import no_universal_quantifier_demo, sandwich_bound, theorem1_check
-from .errors import (
-    InvalidExtension,
-    NotClassicalLimit,
-    RetrosmoothError,
-    ScenarioError,
-    ZeroProbabilityRecord,
-)
-from .linalg import entropy_vn, fidelity, purity, trace_norm
-from .retrodiction import PRIOR_KINDS, generalized_smooth
+from .entropy import no_universal_quantifier_demo, theorem1_check
+from .errors import NotClassicalLimit, RetrosmoothError, ScenarioError
+from .linalg import trace_norm
+from .retrodiction import PRIOR_KINDS
 from .sampling import random_density, random_extension, random_povm
 from .scenario import (
     Scenario,
     demo_scenario,
     dumps_17,
     fmt17,
-    matrix_from_json,
     read_trajectories,
-    state_to_json,
     write_trajectories,
 )
-from .smoothers import build_custom, build_prior
-from .trajectory import enumerate_records, filter as filter_state, retrofilter, sample_record
-
-_PROB_FLOOR = 1e-12
-
-
-def _render(record) -> str:
-    return "-".join(record)
+from .smoothers import build_custom
+from .trajectory import sample_record
 
 
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
@@ -64,37 +48,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return fmt17(value)
     return str(value)
-
-
-def _future_table(instrument, rho0, steps, t, cap):
-    table: dict[tuple, list] = defaultdict(list)
-    for rec, p in enumerate_records(instrument, rho0, steps, cap):
-        table[rec[:t]].append((rec[t:], p))
-    return dict(sorted(table.items()))
-
-
-def _prior_for(scenario: Scenario, built, kind: str, past, rho0):
-    if kind == "custom":
-        if not scenario.custom_prior:
-            raise ScenarioError("custom_prior: required when prior kind 'custom' is requested")
-        matrix = matrix_from_json(scenario.custom_prior.get("matrix"), "custom_prior.matrix")
-        dim_a = int(scenario.custom_prior.get("dim_a", 1))
-        prior = build_custom(matrix, (built.dim, dim_a))
-        rho_f, _ = filter_state(built.instrument, rho0, past)
-        gap = prior.consistency_gap(rho_f)
-        if gap > 1e-9:
-            raise InvalidExtension(
-                f"custom prior marginal deviates from the filtered state by {gap:.3e}"
-            )
-        return prior
-    return build_prior(
-        kind,
-        rho0=rho0,
-        alice_past=past,
-        instrument=built.instrument,
-        joint=built.joint,
-        cap=scenario.cap(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -121,59 +74,6 @@ def cmd_simulate(scenario: Scenario, n_trajectories: int, out_dir: Path) -> Path
 # smooth
 
 
-def _smooth_one(scenario, built, rho0, kind, past, futures, complete: bool):
-    """Smoothed states for one (prior kind, past record) work item.
-
-    ``complete`` marks that ``futures`` covers every future record, in which
-    case the probability-weighted average is compared to the filtered state.
-    """
-    out = {"p_past": 0.0, "rows": [], "avg_residual": None, "states": {}, "error": None}
-    if complete:
-        out["p_past"] = sum(p for _, p in futures)
-    else:
-        try:
-            _, lp = filter_state(built.instrument, rho0, past)
-            out["p_past"] = float(np.exp(lp))
-        except ZeroProbabilityRecord:
-            out["p_past"] = 0.0
-    if out["p_past"] <= _PROB_FLOOR:
-        out["error"] = "zero-probability past record"
-        return out
-    rho_f, _ = filter_state(built.instrument, rho0, past)
-    try:
-        prior = _prior_for(scenario, built, kind, past, rho0)
-    except (RetrosmoothError, ScenarioError) as exc:
-        out["error"] = str(exc)
-        return out
-    avg = np.zeros((built.dim, built.dim), dtype=complex)
-    for fut, p in futures:
-        row = {
-            "scenario": scenario.name,
-            "prior": kind,
-            "past": _render(past),
-            "future": _render(fut),
-            "probability": p,
-            "status": "ok",
-        }
-        try:
-            rho_s = generalized_smooth(prior, retrofilter(built.instrument, fut))
-        except ZeroProbabilityRecord:
-            row["status"] = "zero-probability"
-            out["rows"].append(row)
-            continue
-        avg += (p / out["p_past"]) * rho_s
-        row.update(
-            purity=purity(rho_s),
-            entropy=entropy_vn(rho_s),
-            fidelity_to_filtered=fidelity(rho_s, rho_f),
-        )
-        out["rows"].append(row)
-        out["states"][_render(fut)] = state_to_json(rho_s)
-    if complete:
-        out["avg_residual"] = trace_norm(avg - rho_f)
-    return out
-
-
 def cmd_smooth(
     scenario: Scenario,
     out_dir: Path,
@@ -181,7 +81,6 @@ def cmd_smooth(
     enumerate_futures: bool = False,
     record_path: Path | None = None,
     prior_kinds: tuple[str, ...] | None = None,
-    jobs: int = 1,
 ) -> dict:
     """Smoothed states per prior kind, with averaging residuals when enumerating.
 
@@ -195,46 +94,24 @@ def cmd_smooth(
     built = scenario.build()
     rho0 = scenario.rho0(built.dim)
     kinds = prior_kinds or scenario.prior_kinds
-    t = scenario.smoothing_index
 
     if enumerate_futures:
-        table = _future_table(built.instrument, rho0, scenario.steps, t, scenario.cap())
+        table = sweeps.future_table(scenario, built, rho0)
     else:
         _, file_records = read_trajectories(record_path)
-        seen: dict[tuple, dict] = {}
-        for rec in file_records:
-            alice = tuple(a for a, _ in rec)
+        records = [tuple(a for a, _ in rec) for rec in file_records]
+        for alice in records:
             if len(alice) != scenario.steps:
                 raise ScenarioError(
                     f"record of length {len(alice)} does not match steps={scenario.steps}"
                 )
-            if alice in seen:
-                continue
-            try:
-                _, lp = filter_state(built.instrument, rho0, alice)
-                seen[alice] = float(np.exp(lp))
-            except ZeroProbabilityRecord:
-                seen[alice] = 0.0
-        table = {}
-        for alice in sorted(seen):
-            table.setdefault(alice[:t], []).append((alice[t:], seen[alice]))
-
-    items = [(kind, past) for kind in kinds for past in table]
-
-    def worker(item):
-        kind, past = item
-        return _smooth_one(scenario, built, rho0, kind, past, table[past], enumerate_futures)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(worker, items))
-    else:
-        outputs = [worker(item) for item in items]
+        table = sweeps.record_table(scenario, built, rho0, records)
 
     rows, doc_priors = [], {}
-    for (kind, past), out in zip(items, outputs):
+    averages = sweeps.future_averages(scenario, built, rho0, table, kinds, complete=enumerate_futures)
+    for kind, past, out in averages:
         entry = doc_priors.setdefault(kind, {})
-        key = _render(past)
+        key = sweeps.render(past)
         if out["error"] is not None:
             rows.append(
                 {
@@ -258,7 +135,7 @@ def cmd_smooth(
     summary = {
         "scenario": scenario.name,
         "seed": scenario.seed,
-        "time_index": t,
+        "time_index": scenario.smoothing_index,
         "steps": scenario.steps,
         "mode": "enumerate" if enumerate_futures else "records",
         "priors": doc_priors,
@@ -320,53 +197,7 @@ def _prior_gap(a: dict, b: dict) -> float:
 # entropy scan
 
 
-def _entropy_scenario_rows(scenario: Scenario) -> list[dict]:
-    built = scenario.build()
-    rho0 = scenario.rho0(built.dim)
-    t = scenario.smoothing_index
-    table = _future_table(built.instrument, rho0, scenario.steps, t, scenario.cap())
-    rows = []
-    for kind in scenario.prior_kinds:
-        for past, futs in table.items():
-            p_past = sum(p for _, p in futs)
-            if p_past <= _PROB_FLOOR:
-                continue
-            rho_f, _ = filter_state(built.instrument, rho0, past)
-            try:
-                prior = _prior_for(scenario, built, kind, past, rho0)
-            except (RetrosmoothError, ScenarioError) as exc:
-                rows.append(
-                    {"kind": "prior", "id": kind, "record": _render(past), "detail": str(exc)}
-                )
-                continue
-            probs, entropies = [], []
-            for fut, p in futs:
-                probs.append(p / p_past)
-                if p / p_past <= 1e-14:
-                    entropies.append(0.0)
-                    continue
-                entropies.append(
-                    entropy_vn(generalized_smooth(prior, retrofilter(built.instrument, fut)))
-                )
-            s_bar = float(np.dot(probs, entropies))
-            bound = sandwich_bound(rho_f, probs, s_bar)
-            rows.append(
-                {
-                    "kind": "prior",
-                    "id": kind,
-                    "record": _render(past),
-                    "avg_entropy": s_bar,
-                    "lower": bound.lower,
-                    "upper": bound.upper,
-                    "lower_margin": s_bar - bound.lower,
-                    "upper_margin": bound.upper - s_bar,
-                    "within_bounds": bound.holds,
-                }
-            )
-    return rows
-
-
-def _theorem1_rows(scenario: Scenario | None, seed: int, jobs: int = 1) -> list[dict]:
+def _theorem1_rows(scenario: Scenario | None, seed: int) -> list[dict]:
     cfg = (scenario.raw.get("theorem1") if scenario else None) or {}
     n = int(cfg.get("n_extensions", 200))
     dims_q = [int(d) for d in cfg.get("dim_q", [2, 3])]
@@ -374,7 +205,7 @@ def _theorem1_rows(scenario: Scenario | None, seed: int, jobs: int = 1) -> list[
     effect_counts = [int(d) for d in cfg.get("n_effects", [2, 3, 4])]
 
     def one(i: int) -> dict:
-        # one generator per extension, so workers draw identical streams
+        # one generator per extension, so each row depends only on (seed, i)
         rng = np.random.default_rng([seed, i])
         d_q = dims_q[int(rng.integers(0, len(dims_q)))]
         d_a = dims_a[int(rng.integers(0, len(dims_a)))]
@@ -394,9 +225,6 @@ def _theorem1_rows(scenario: Scenario | None, seed: int, jobs: int = 1) -> list[
             "within_bounds": report.ordering_holds,
         }
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, range(n)))
     return [one(i) for i in range(n)]
 
 
@@ -437,16 +265,18 @@ def cmd_entropy_scan(
     theorem1: bool = False,
     demo_svb: bool = False,
     seed: int | None = None,
-    jobs: int = 1,
 ) -> list[dict]:
     """Average-entropy rows: per-prior sandwich bounds, extension sweeps, qubit demo."""
     if scenario is None and not (theorem1 or demo_svb):
         raise ScenarioError("entropy-scan: needs a scenario, --theorem1, or --demo-svb")
     rows: list[dict] = []
     if scenario is not None:
-        rows.extend(_entropy_scenario_rows(scenario))
+        built = scenario.build()
+        rho0 = scenario.rho0(built.dim)
+        table = sweeps.future_table(scenario, built, rho0)
+        rows.extend(sweeps.entropy_rows(scenario, built, rho0, table))
     if theorem1:
-        rows.extend(_theorem1_rows(scenario, seed if seed is not None else 0, jobs))
+        rows.extend(_theorem1_rows(scenario, seed if seed is not None else 0))
     if demo_svb:
         rows.extend(_svb_rows())
     name = scenario.name if scenario is not None else "builtin"
@@ -482,33 +312,8 @@ def cmd_classical_limit(scenario: Scenario, out_dir: Path, tol: float = 1e-9) ->
     record-register-free priors; reports the worst absolute deviation of the
     smoothed diagonals.
     """
-    built = scenario.build()
-    if built.classical is None:
-        raise NotClassicalLimit(
-            "scenario is not classical: classical-limit needs system.type == 'classical'"
-        )
-    rho0 = scenario.rho0(built.dim)
-    prior0 = np.diag(rho0).real
     kinds = [k for k in ("pf", "gw-variant") if k in scenario.prior_kinds] or ["pf"]
-    worst = {kind: 0.0 for kind in kinds}
-    n_records = 0
-    for rec, p in enumerate_records(built.instrument, rho0, scenario.steps, scenario.cap()):
-        if p <= _PROB_FLOOR:
-            continue
-        n_records += 1
-        for t in range(scenario.steps + 1):
-            ps = classical_smooth(built.classical, prior0, rec[:t], rec[t:])
-            for kind in kinds:
-                prior = build_prior(
-                    kind,
-                    rho0=rho0,
-                    alice_past=rec[:t],
-                    instrument=built.instrument,
-                    joint=built.joint,
-                    cap=scenario.cap(),
-                )
-                rho_s = generalized_smooth(prior, retrofilter(built.instrument, rec[t:]))
-                worst[kind] = max(worst[kind], float(np.abs(np.diag(rho_s).real - ps).max()))
+    worst, n_records = sweeps.classical_deviation(scenario, kinds)
     report = {
         "scenario": scenario.name,
         "steps": scenario.steps,
@@ -573,13 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true", help="enumerate all records")
     p.add_argument("--record", help="trajectory file to smooth")
     p.add_argument("--prior", help="comma-separated prior kinds (default: scenario)")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
 
     p = sub.add_parser("entropy-scan", help="average-entropy bounds and sweeps")
     _add_common(p, scenario_required=False)
     p.add_argument("--theorem1", action="store_true", help="random-extension bound sweep")
     p.add_argument("--demo-svb", action="store_true", help="include the qubit reversal demo")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the sweep")
 
     p = sub.add_parser("classical-limit", help="compare against forward-backward smoothing")
     _add_common(p)
@@ -606,7 +409,6 @@ def main(argv=None) -> int:
                 theorem1=args.theorem1,
                 demo_svb=args.demo_svb,
                 seed=seed,
-                jobs=args.jobs,
             )
             return 0
 
@@ -627,7 +429,6 @@ def main(argv=None) -> int:
                 enumerate_futures=args.enumerate,
                 record_path=Path(args.record) if args.record else None,
                 prior_kinds=kinds,
-                jobs=args.jobs,
             )
             return 0
         if args.command == "classical-limit":

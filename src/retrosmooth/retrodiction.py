@@ -28,7 +28,7 @@ the number of record branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class FilteredGlobalState:
     dim_a1: int = 1
     block_labels: tuple[tuple, ...] = ((),)
     kind: str = "custom"
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
@@ -249,12 +248,11 @@ def _sandwich_marginal(prior: FilteredGlobalState, x) -> np.ndarray:
     return out
 
 
-def generalized_smooth(prior: FilteredGlobalState, effect) -> np.ndarray:
-    """Smoothed system state from a filtered global state and a retrofiltered effect.
+def _effect_and_norm(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, float]:
+    """Validated effect and its normalizer ``Tr[rho_F E_R]``.
 
-    Computes ``Tr_A[sqrt(P) (E_R (x) I_A) sqrt(P)] / Tr[rho_F E_R]``.  The
-    output is PSD with unit trace whenever the record has nonvanishing
-    probability; otherwise :class:`ZeroProbabilityRecord` is raised.
+    Raises :class:`InvalidFactorization` for an effect of the wrong dimension
+    and :class:`ZeroProbabilityRecord` when the normalizer vanishes.
     """
     e = as_effect(effect)
     if e.shape[0] != prior.dim_q:
@@ -262,6 +260,17 @@ def generalized_smooth(prior: FilteredGlobalState, effect) -> np.ndarray:
     norm = float((prior.marginal() @ e).trace().real)
     if norm <= _NORMALIZER_FLOOR:
         raise ZeroProbabilityRecord(f"record probability {norm:.3e} vanishes")
+    return e, norm
+
+
+def generalized_smooth(prior: FilteredGlobalState, effect) -> np.ndarray:
+    """Smoothed system state from a filtered global state and a retrofiltered effect.
+
+    Computes ``Tr_A[sqrt(P) (E_R (x) I_A) sqrt(P)] / Tr[rho_F E_R]``.  The
+    output is PSD with unit trace whenever the record has nonvanishing
+    probability; otherwise :class:`ZeroProbabilityRecord` is raised.
+    """
+    e, norm = _effect_and_norm(prior, effect)
     return hermitian_part(_sandwich_marginal(prior, e)) / norm
 
 
@@ -272,12 +281,7 @@ def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:
     trace; tracing out the auxiliary of the result recovers the smoothed
     system state.
     """
-    e = as_effect(effect)
-    if e.shape[0] != prior.dim_q:
-        raise InvalidFactorization("effect dimension does not match the system")
-    norm = float((prior.marginal() @ e).trace().real)
-    if norm <= _NORMALIZER_FLOOR:
-        raise ZeroProbabilityRecord(f"record probability {norm:.3e} vanishes")
+    e, norm = _effect_and_norm(prior, effect)
     lifted = tensor(e, np.eye(prior.dim_a1))
     blocks = []
     for b in prior.blocks:
@@ -289,7 +293,6 @@ def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:
         dim_a1=prior.dim_a1,
         block_labels=prior.block_labels,
         kind=prior.kind,
-        metadata={**prior.metadata, "smoothed": True},
     )
 
 
@@ -305,10 +308,7 @@ def bob_posterior(prior: FilteredGlobalState, effect) -> np.ndarray:
         raise MissingClassicalRegister(
             f"prior kind {prior.kind!r} carries no classical record register"
         )
-    e = as_effect(effect)
-    norm = float((prior.marginal() @ e).trace().real)
-    if norm <= _NORMALIZER_FLOOR:
-        raise ZeroProbabilityRecord(f"record probability {norm:.3e} vanishes")
+    e, norm = _effect_and_norm(prior, effect)
     lifted = tensor(e, np.eye(prior.dim_a1))
     probs = np.array([max((b @ lifted).trace().real, 0.0) for b in prior.blocks])
     return probs / norm

@@ -175,11 +175,15 @@ def _build_system(spec: dict) -> BuiltSystem:
             where = f"system.jump_operators[{i}]"
             if not isinstance(ch, dict) or "matrix" not in ch:
                 raise ScenarioError(f"{where}: expected an object with a 'matrix'")
+            detection = ch.get("detection", "jump")
+            if detection != "jump":
+                raise ScenarioError(
+                    f"{where}.detection: {detection!r} not supported; only 'jump' unravelings"
+                )
             channels.append(
                 JumpChannel(
                     operator=matrix_from_json(ch["matrix"], where),
                     efficiency=float(ch.get("efficiency", 1.0)),
-                    detection=str(ch.get("detection", "jump")),
                 )
             )
         if "dt" not in spec:
@@ -244,7 +248,6 @@ class Scenario:
     enumeration_cap: int = DEFAULT_CAP
     n_trajectories: int = 100
     custom_prior: dict | None = None
-    out_dir: str | None = None
     raw: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -288,7 +291,6 @@ class Scenario:
             enumeration_cap=cap,
             n_trajectories=int(doc.get("n_trajectories", 100)),
             custom_prior=doc.get("custom_prior"),
-            out_dir=doc.get("out_dir"),
             raw=doc,
         )
 

@@ -116,15 +116,6 @@ def enumerate_bob_branches(
     return _bob_branches(joint, as_density(rho0, "rho0"), alice_past, 1, cap)
 
 
-def _prune(branches, prune_tol: float):
-    total = sum(b.weight for b in branches)
-    if prune_tol <= 0.0:
-        return branches, 0.0, total
-    kept = [b for b in branches if b.weight >= prune_tol * total]
-    dropped = total - sum(b.weight for b in kept)
-    return kept, dropped, total
-
-
 def build_pf(rho_f) -> FilteredGlobalState:
     """Trivial extension: the filtered state with a one-dimensional auxiliary."""
     rho = as_density(rho_f, "rho_f")
@@ -170,22 +161,19 @@ def build_gw(
     rho0,
     alice_past,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    prune_tol: float = 0.0,
 ) -> FilteredGlobalState:
     """Purified initial state with a classical register over bob records.
 
     Each register branch holds the joint-record conditioned pure state of the
     system and the purifying ancilla; branch weights are normalized by the
-    probability of the alice record.  ``prune_tol`` optionally drops branches
-    below that fraction of the total weight (the dropped mass is reported in
-    the metadata; keep it at zero for exact results).
+    probability of the alice record.
     """
     rho = as_density(rho0, "rho0")
     psi = purify(rho)
     rank = psi.size // rho.shape[0]
     initial = np.outer(psi, psi.conj())
     branches = _bob_branches(joint, initial, alice_past, rank, cap)
-    return _register_state(branches, rho.shape[0], rank, "gw", prune_tol)
+    return _register_state(branches, rho.shape[0], rank, "gw")
 
 
 def build_gw_variant(
@@ -193,27 +181,23 @@ def build_gw_variant(
     rho0,
     alice_past,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    prune_tol: float = 0.0,
 ) -> FilteredGlobalState:
     """Classical register over bob records, initial state taken as a proper mixture."""
     branches = enumerate_bob_branches(joint, rho0, alice_past, cap)
     dim_q = np.asarray(rho0).shape[0]
-    return _register_state(branches, dim_q, 1, "gw-variant", prune_tol)
+    return _register_state(branches, dim_q, 1, "gw-variant")
 
 
-def _register_state(branches, dim_q, dim_a1, kind, prune_tol) -> FilteredGlobalState:
-    kept, dropped, total = _prune(branches, prune_tol)
+def _register_state(branches, dim_q, dim_a1, kind) -> FilteredGlobalState:
+    total = sum(b.weight for b in branches)
     if total <= _WEIGHT_FLOOR:
         raise ZeroProbabilityRecord("record impossible under the joint instrument")
-    scale = total - dropped
-    metadata = {"dropped_mass": dropped / total if dropped else 0.0}
     return FilteredGlobalState(
-        blocks=tuple(b.operator / scale for b in kept),
+        blocks=tuple(b.operator / total for b in branches),
         dim_q=dim_q,
         dim_a1=dim_a1,
-        block_labels=tuple(b.bob_record for b in kept),
+        block_labels=tuple(b.bob_record for b in branches),
         kind=kind,
-        metadata=metadata,
     )
 
 
@@ -238,7 +222,6 @@ def build_prior(
     instrument: Instrument,
     joint: JointInstrument | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    prune_tol: float = 0.0,
 ) -> FilteredGlobalState:
     """Dispatch a prior build from shared scenario ingredients."""
     if kind in ("pf", "clhs"):
@@ -250,7 +233,7 @@ def build_prior(
         if joint is None:
             raise InvalidFactorization(f"prior kind {kind!r} needs a joint instrument")
         builder = build_gw if kind == "gw" else build_gw_variant
-        return builder(joint, rho0, alice_past, cap=cap, prune_tol=prune_tol)
+        return builder(joint, rho0, alice_past, cap=cap)
     raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
 
 
@@ -274,7 +257,6 @@ def extend_ancilla(prior: FilteredGlobalState, isometry) -> FilteredGlobalState:
         dim_a1=v.shape[0],
         block_labels=prior.block_labels,
         kind=prior.kind,
-        metadata=dict(prior.metadata),
     )
 
 

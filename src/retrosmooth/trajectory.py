@@ -196,11 +196,14 @@ class MeasurementRecord:
 
 @dataclass(frozen=True, eq=False)
 class JumpChannel:
-    """A Lindblad jump channel with a detection efficiency in ``[0, 1]``."""
+    """A Lindblad jump channel with a detection efficiency in ``[0, 1]``.
+
+    Detection is always jump-like: a detected jump is one outcome, and no
+    jump or an undetected one is the other.
+    """
 
     operator: np.ndarray
     efficiency: float = 1.0
-    detection: str = "jump"
 
     def __post_init__(self):
         object.__setattr__(self, "operator", _frozen(as_square(self.operator, "jump operator")))
@@ -208,10 +211,6 @@ class JumpChannel:
         if not 0.0 <= eta <= 1.0:
             raise InvalidMatrix(f"efficiency {eta} outside [0, 1]")
         object.__setattr__(self, "efficiency", eta)
-        if self.detection != "jump":
-            raise InvalidMatrix(
-                f"detection {self.detection!r} not supported; only jump-like unravelings"
-            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,34 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampling
-from .classical import classical_smooth
+from . import sampling, sweeps
 from .entropy import (
     ExtensionScenario,
     lambda_apply,
     lambda_choi,
     lambda_map,
     no_universal_quantifier_demo,
-    sandwich_bound,
     smoothed_outcome_states,
     support_basis,
     theorem1_check,
 )
 from .errors import ZeroProbabilityRecord
-from .linalg import entropy_vn, partial_trace, psd_sqrt, purify, trace_norm
+from .linalg import partial_trace, psd_sqrt, purify, trace_norm
 from .retrodiction import bob_posterior, generalized_smooth
 from .scenario import Scenario, classical_demo_scenario, demo_scenario
 from .smoothers import branch_mixture_smooth, build_custom, build_prior
-from .trajectory import (
-    Instrument,
-    alice_marginal,
-    enumerate_records,
-    filter as filter_state,
-    retrofilter,
-)
+from .trajectory import Instrument, alice_marginal, enumerate_records, retrofilter
 
 PRIOR_CYCLE = ("pf", "gw", "gw-variant", "pf-variant", "clhs")
-_PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,11 +47,16 @@ class CheckResult:
         return f"{status}  {self.name}  residual={self.residual:.3e}  tol={self.tolerance:.0e}{extra}"
 
 
-def _future_table(instrument, rho0, steps, t, cap):
-    table = defaultdict(list)
-    for rec, p in enumerate_records(instrument, rho0, steps, cap):
-        table[rec[:t]].append((rec[t:], p))
-    return table
+def _setup(scenario: Scenario | None):
+    """The scenario (demo by default), its built system, initial state and future table."""
+    sc = scenario or demo_scenario()
+    built = sc.build()
+    rho0 = sc.rho0(built.dim)
+    return sc, built, rho0, sweeps.future_table(sc, built, rho0)
+
+
+def _prior_errors(errors: list[str]) -> str:
+    return f"  prior errors={len(errors)} (first: {errors[0]})" if errors else ""
 
 
 def check_linalg(seed: int = 0) -> CheckResult:
@@ -145,29 +141,24 @@ def check_smoothed_physicality(seed: int = 2, n: int = 60) -> CheckResult:
 
 
 def check_filter_averaging(scenario: Scenario | None = None) -> CheckResult:
-    """Future-averaged smoothed states must reproduce the filtered state."""
-    sc = scenario or demo_scenario()
-    built = sc.build()
-    rho0 = sc.rho0(built.dim)
-    t = sc.smoothing_index
-    table = _future_table(built.instrument, rho0, sc.steps, t, sc.cap())
-    worst = 0.0
-    for kind in sc.prior_kinds:
-        for past, futs in table.items():
-            p_past = sum(p for _, p in futs)
-            if p_past <= _PROB_FLOOR:
-                continue
-            rho_f, _ = filter_state(built.instrument, rho0, past)
-            prior = build_prior(
-                kind, rho0=rho0, alice_past=past, instrument=built.instrument, joint=built.joint
-            )
-            avg = np.zeros((built.dim, built.dim), dtype=complex)
-            for fut, p in futs:
-                if p <= 1e-14:
-                    continue
-                avg += (p / p_past) * generalized_smooth(prior, retrofilter(built.instrument, fut))
-            worst = max(worst, trace_norm(avg - rho_f))
-    return CheckResult("filter-averaging", worst <= 1e-8, worst, 1e-8, f"scenario={sc.name}")
+    """Future-averaged smoothed states must reproduce the filtered state.
+
+    A prior that cannot be built for a possible past fails the check.
+    """
+    sc, built, rho0, table = _setup(scenario)
+    worst, errors = 0.0, []
+    for kind, past, out in sweeps.future_averages(
+        sc, built, rho0, table, sc.prior_kinds, complete=True
+    ):
+        if out["error"] == sweeps.ZERO_PAST:
+            continue
+        if out["error"] is not None:
+            errors.append(f"{kind}@{sweeps.render(past)}: {out['error']}")
+            continue
+        worst = max(worst, out["avg_residual"])
+    passed = worst <= 1e-8 and not errors
+    detail = f"scenario={sc.name}{_prior_errors(errors)}"
+    return CheckResult("filter-averaging", passed, worst, 1e-8, detail)
 
 
 def check_classical_limit(steps: int = 4) -> CheckResult:
@@ -175,45 +166,23 @@ def check_classical_limit(steps: int = 4) -> CheckResult:
     worst = 0.0
     for n_states in (2, 3):
         sc = classical_demo_scenario(n_states, steps=steps)
-        built = sc.build()
-        model = built.classical
-        rho0 = sc.rho0(built.dim)
-        prior0 = np.diag(rho0).real
-        for rec, p in enumerate_records(built.instrument, rho0, steps, sc.cap()):
-            if p <= _PROB_FLOOR:
-                continue
-            for t in range(steps + 1):
-                ps = classical_smooth(model, prior0, rec[:t], rec[t:])
-                for kind in ("pf", "gw-variant"):
-                    prior = build_prior(
-                        kind,
-                        rho0=rho0,
-                        alice_past=rec[:t],
-                        instrument=built.instrument,
-                        joint=built.joint,
-                    )
-                    rho_s = generalized_smooth(prior, retrofilter(built.instrument, rec[t:]))
-                    worst = max(worst, float(np.abs(np.diag(rho_s).real - ps).max()))
+        deviation, _ = sweeps.classical_deviation(sc, ("pf", "gw-variant"))
+        worst = max(worst, *deviation.values())
     return CheckResult("classical-limit", worst <= 1e-9, worst, 1e-9, f"steps={steps}")
 
 
 def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
     """Register-based smoothing must equal the explicit true-state mixture."""
-    sc = scenario or demo_scenario()
-    built = sc.build()
-    rho0 = sc.rho0(built.dim)
-    t = sc.smoothing_index
-    table = _future_table(built.instrument, rho0, sc.steps, t, sc.cap())
+    sc, built, rho0, table = _setup(scenario)
     worst = 0.0
     for past, futs in table.items():
-        if sum(p for _, p in futs) <= _PROB_FLOOR:
+        futs = [(fut, p) for fut, p in futs if p > 1e-12]
+        if not futs:
             continue
         prior = build_prior(
             "gw", rho0=rho0, alice_past=past, instrument=built.instrument, joint=built.joint
         )
         for fut, p in futs:
-            if p <= 1e-12:
-                continue
             effect = retrofilter(built.instrument, fut)
             got = generalized_smooth(prior, effect)
             ref = branch_mixture_smooth(built.joint, rho0, past, effect)
@@ -223,13 +192,11 @@ def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
 
 def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
     """Record-register posterior must match exhaustive joint-record enumeration."""
-    sc = scenario or demo_scenario()
-    built = sc.build()
-    rho0 = sc.rho0(built.dim)
+    sc, built, rho0, table = _setup(scenario)
     t = sc.smoothing_index
     joint_table = enumerate_records(built.joint, rho0, sc.steps, sc.cap())
     worst = 0.0
-    for past, futs in _future_table(built.instrument, rho0, sc.steps, t, sc.cap()).items():
+    for past, futs in table.items():
         for fut, p in futs:
             if p <= 1e-9:
                 continue
@@ -250,41 +217,24 @@ def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
 
 
 def check_entropy_sandwich(scenario: Scenario | None = None) -> CheckResult:
-    """Average entropy must sit between S(rho_F) - H(futures) and S(rho_F)."""
-    sc = scenario or demo_scenario()
-    built = sc.build()
-    rho0 = sc.rho0(built.dim)
-    t = sc.smoothing_index
-    table = _future_table(built.instrument, rho0, sc.steps, t, sc.cap())
+    """Average entropy must sit between S(rho_F) - H(futures) and S(rho_F).
+
+    A prior that cannot be built for a possible past fails the check.
+    """
+    sc, built, rho0, table = _setup(scenario)
     worst = 0.0
     clhs_gap = 0.0
-    for kind in sc.prior_kinds:
-        for past, futs in table.items():
-            p_past = sum(p for _, p in futs)
-            if p_past <= _PROB_FLOOR:
-                continue
-            rho_f, _ = filter_state(built.instrument, rho0, past)
-            prior = build_prior(
-                kind, rho0=rho0, alice_past=past, instrument=built.instrument, joint=built.joint
-            )
-            probs, entropies = [], []
-            for fut, p in futs:
-                probs.append(p / p_past)
-                if p / p_past <= 1e-14:
-                    entropies.append(0.0)
-                    continue
-                entropies.append(
-                    entropy_vn(generalized_smooth(prior, retrofilter(built.instrument, fut)))
-                )
-            s_bar = float(np.dot(probs, entropies))
-            bound = sandwich_bound(rho_f, probs, s_bar)
-            worst = max(worst, max(bound.lower - s_bar, s_bar - bound.upper, 0.0))
-            if kind == "clhs":
-                clhs_gap = max(clhs_gap, abs(s_bar - bound.upper))
-    passed = worst <= 1e-9 and clhs_gap <= 1e-10
-    return CheckResult(
-        "entropy-sandwich", passed, max(worst, clhs_gap), 1e-9, f"clhs-saturation={clhs_gap:.1e}"
-    )
+    errors = []
+    for row in sweeps.entropy_rows(sc, built, rho0, table):
+        if "avg_entropy" not in row:
+            errors.append(f"{row['id']}@{row['record']}: {row['detail']}")
+            continue
+        worst = max(worst, max(-row["lower_margin"], -row["upper_margin"], 0.0))
+        if row["id"] == "clhs":
+            clhs_gap = max(clhs_gap, abs(row["upper_margin"]))
+    passed = worst <= 1e-9 and clhs_gap <= 1e-10 and not errors
+    detail = f"clhs-saturation={clhs_gap:.1e}{_prior_errors(errors)}"
+    return CheckResult("entropy-sandwich", passed, max(worst, clhs_gap), 1e-9, detail)
 
 
 def check_theorem1(seed: int = 3, n: int = 60) -> CheckResult:

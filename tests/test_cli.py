@@ -98,13 +98,13 @@ class TestSmooth:
         rows = read_csv(tmp_path / "driven-damped-qubit_smooth.csv")
         assert rows and all(r["status"] == "ok" for r in rows)
 
-    def test_jobs_do_not_change_output(self, tmp_path):
+    def test_enumerate_is_byte_stable(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        cmd_smooth(demo_scenario(), tmp_path / "a", enumerate_futures=True, jobs=1)
-        cmd_smooth(demo_scenario(), tmp_path / "b", enumerate_futures=True, jobs=4)
-        name = "driven-damped-qubit_smooth.csv"
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        cmd_smooth(demo_scenario(), tmp_path / "a", enumerate_futures=True)
+        cmd_smooth(demo_scenario(), tmp_path / "b", enumerate_futures=True)
+        for name in ("driven-damped-qubit_smooth.csv", "driven-damped-qubit_smooth.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_requires_exactly_one_mode(self, tmp_path):
         with pytest.raises(ScenarioError):
@@ -237,6 +237,14 @@ class TestVerifySuite:
         assert result.residual > 1e-4
         assert "injected-defect" in result.name
 
+    def test_prior_error_fails_sweep_checks(self):
+        # 'custom' without a custom_prior section cannot be built for any past
+        sc = demo_scenario()
+        sc.prior_kinds = ("pf", "custom")
+        for result in (verify.check_filter_averaging(sc), verify.check_entropy_sandwich(sc)):
+            assert not result.passed, result.name
+            assert "prior errors" in result.detail
+
 
 class TestMainEntry:
     def test_verify_exit_zero(self, capsys):
@@ -252,6 +260,20 @@ class TestMainEntry:
         p = tmp_path / "bad.json"
         p.write_text('{"steps": "many"}')
         assert main(["smooth", "--scenario", str(p), "--enumerate", "--out", str(tmp_path)]) == 2
+
+    def test_unsupported_detection_is_config_error(self, tmp_path, capsys):
+        doc = demo_scenario().raw
+        doc["system"]["jump_operators"][0]["detection"] = "homodyne"
+        p = tmp_path / "homodyne.json"
+        p.write_text(json.dumps(doc))
+        assert main(["smooth", "--scenario", str(p), "--enumerate", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "detection" in err and len(err.strip().splitlines()) == 1
+
+    def test_jobs_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["smooth", "--scenario", "demo", "--enumerate", "--jobs", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_classical_limit_on_quantum_scenario_is_config_error(self, tmp_path):
         code = main(

@@ -273,7 +273,7 @@ class TestSmoothedGlobal:
         # dense evaluation has no support between different register values
         joint, inst, rho0 = demo_pieces()
         past, fut = ("0", "0"), ("1", "0")
-        prior = build_gw(joint, rho0, past, prune_tol=0.0)
+        prior = build_gw(joint, rho0, past)
         effect = retrofilter(inst, fut)
         out = smoothed_global(prior, effect)
         dense_prior = prior.to_dense()
@@ -303,6 +303,12 @@ class TestBobPosterior:
     def test_requires_register(self):
         with pytest.raises(MissingClassicalRegister):
             bob_posterior(build_pf(np.eye(2) / 2), np.eye(2))
+
+    def test_effect_dimension_mismatch(self):
+        joint, inst, rho0 = demo_pieces()
+        prior = build_gw(joint, rho0, ("0",))
+        with pytest.raises(InvalidFactorization):
+            bob_posterior(prior, np.eye(3))
 
     def test_matches_joint_enumeration(self):
         from collections import defaultdict

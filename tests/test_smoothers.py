@@ -225,14 +225,3 @@ class TestAveraging:
                     avg += (p / p_past) * generalized_smooth(prior, retrofilter(inst, fut))
                 assert trace_norm(avg - rho_f) <= 1e-8, kind
 
-
-class TestPruning:
-    def test_prune_reports_dropped_mass(self):
-        joint, inst, rho0 = demo()
-        past = ("0", "0", "0")
-        exact = build_gw_variant(joint, rho0, past)
-        pruned = build_gw_variant(joint, rho0, past, prune_tol=1e-3)
-        assert pruned.metadata["dropped_mass"] > 0.0
-        assert pruned.dim_a2 < exact.dim_a2
-        total = sum(float(b.trace().real) for b in pruned.blocks)
-        assert abs(total - 1.0) <= 1e-10
