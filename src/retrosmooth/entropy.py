@@ -40,7 +40,6 @@ from .linalg import (
     entropy_vn,
     herm_eig,
     hermitian_part,
-    psd_sqrt,
     support_inv_sqrt,
     tensor,
 )
@@ -151,13 +150,9 @@ def lambda_map(extension: FilteredGlobalState, gamma) -> ChannelRep:
     _require_marginal(extension, g)
     w = support_inv_sqrt(g)
     d_q, d_a1 = extension.dim_q, extension.dim_a1
-    kraus: list[np.ndarray] = []
-    for block in extension.blocks:
-        root = psd_sqrt(block).reshape(d_q, d_a1, d_q, d_a1)
-        for a in range(d_a1):
-            for b in range(d_a1):
-                kraus.append(root[:, a, :, b] @ w)
-    return ChannelRep(tuple(kraus))
+    # G_ab of block u is roots[u, :, a, :, b]; Kraus operators in (u, a, b) order
+    roots = extension.roots.reshape(-1, d_q, d_a1, d_q, d_a1).transpose(0, 2, 4, 1, 3)
+    return ChannelRep(tuple((roots @ w).reshape(-1, d_q, d_q)))
 
 
 def support_basis(gamma) -> np.ndarray:

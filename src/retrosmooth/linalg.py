@@ -26,13 +26,13 @@ RANK_TOL = 1e-10
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose (of each matrix, for a stack)."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Return ``(m + m†)/2``."""
-    return (m + m.conj().T) / 2
+    """Return ``(m + m†)/2`` (of each matrix, for a stack)."""
+    return (m + dag(m)) / 2
 
 
 def as_square(m, name: str = "matrix") -> np.ndarray:
@@ -49,7 +49,24 @@ def as_hermitian(m, name: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndar
     """Validate Hermiticity within ``tol`` (relative) and return the symmetrized matrix."""
     a = as_square(m, name)
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if np.abs(a - a.conj().T).max(initial=0.0) > tol * scale:
+    if np.abs(a - dag(a)).max(initial=0.0) > tol * scale:
+        raise InvalidMatrix(f"{name} is not Hermitian within {tol:g}")
+    return hermitian_part(a)
+
+
+def as_hermitian_stack(m, name: str = "stack", tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Validate a stack ``(n, d, d)`` of Hermitian matrices in one pass; return it symmetrized.
+
+    Entries must be finite, and each matrix is held to :func:`as_hermitian`'s
+    test relative to its own scale.
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise InvalidMatrix(f"{name} must be a stack of square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a.view(float))):
+        raise InvalidMatrix(f"{name} has non-finite entries")
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+    if np.any(np.abs(a - dag(a)).max(axis=(1, 2), initial=0.0) > tol * scale):
         raise InvalidMatrix(f"{name} is not Hermitian within {tol:g}")
     return hermitian_part(a)
 
@@ -57,7 +74,7 @@ def as_hermitian(m, name: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndar
 def as_density(m, name: str = "state") -> np.ndarray:
     """Validate a density operator: Hermitian, eigenvalues >= -1e-10, unit trace."""
     a = as_hermitian(m, name)
-    tr = a.trace().real
+    tr = float(a.trace().real)
     if abs(tr - 1.0) > PSD_CLAMP:
         raise InvalidMatrix(f"{name} has trace {tr!r}, expected 1")
     w = np.linalg.eigvalsh(a)
@@ -77,7 +94,7 @@ def as_effect(m, name: str = "effect") -> np.ndarray:
 
 
 def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack ``(n, d, d)``.
 
     Returns ``(w, v)`` with eigenvalues ``w`` in descending order and
     eigenvectors as columns of the unitary ``v``, so ``m = v @ diag(w) @ v†``.
@@ -85,34 +102,34 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     non-negligible magnitude is real and positive, making the output
     deterministic (away from degeneracies).
     """
-    a = as_hermitian(m)
+    a = as_hermitian_stack(m) if np.ndim(m) == 3 else as_hermitian(m)
     w, v = np.linalg.eigh(a)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        j = idx[0] if idx.size else 0
-        phase = col[j] / abs(col[j]) if abs(col[j]) > 0 else 1.0
-        v[:, k] = col / phase
-    return w, v
+    w = w[..., ::-1].copy()
+    v = v[..., ::-1].copy()
+    # divide each column by the phase of its first component above 1e-12 in
+    # magnitude; a unit column always has one of at least d**-0.5
+    lead = (np.abs(v) > 1e-12).argmax(axis=-2)
+    *stack, cols = np.indices(lead.shape, sparse=True)
+    c = v[(*stack, lead, cols)]
+    return w, v / (c / np.abs(c))[..., None, :]
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
+    """Principal square root of a PSD Hermitian matrix, or of each matrix in a stack.
 
     Eigenvalues in ``[-PSD_HARD, 0]`` are clamped to zero; anything more
-    negative raises :class:`NotPSD`.  Eigenvalues below ``1e-14`` of the
-    largest are zeroed as well: they are representation noise on rank
-    deficient inputs and the square root would amplify them to ``~1e-7``.
+    negative raises :class:`NotPSD`.  Eigenvalues at or below ``1e-14`` of the
+    matrix's largest one are zeroed as well: they are representation noise on
+    rank deficient inputs and the square root would amplify them to ``~1e-7``.
+    A zero matrix has the zero root.
     """
     w, v = herm_eig(m)
-    if w.size and w[-1] < -PSD_HARD:
-        raise NotPSD(f"eigenvalue {w[-1]:g} below -{PSD_HARD:g}")
-    top = float(w[0]) if w.size else 0.0
+    if w.size and w.min() < -PSD_HARD:
+        raise NotPSD(f"eigenvalue {w.min():g} below -{PSD_HARD:g}")
+    top = w[..., :1]
     w = np.where(w > 1e-14 * top, w, 0.0)
     s = np.sqrt(np.clip(w, 0.0, None))
-    return hermitian_part((v * s) @ dag(v))
+    return hermitian_part((v * s[..., None, :]) @ dag(v))
 
 
 def support_inv_sqrt(m) -> np.ndarray:

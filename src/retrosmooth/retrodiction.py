@@ -23,12 +23,17 @@ smoothing time) and ``rho_F = Tr_A[P]`` the ordinary filtered state.
 Filtered global states are stored as a block-diagonal family over an
 optional classical record register, since the square root of a
 block-diagonal matrix factorizes blockwise; this keeps the cost linear in
-the number of record branches.
+the number of record branches.  The blocks are one stacked array, and their
+square roots are taken once per prior, in one batched eigendecomposition,
+and reused for every future: each smoothing update is then a stacked
+sandwich ``sqrt(P_u) (E_R (x) I_A1) sqrt(P_u)`` followed by one partial
+trace over ``A1`` and the register.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +49,9 @@ from .errors import (
 from .linalg import (
     as_density,
     as_effect,
-    as_hermitian,
+    as_hermitian_stack,
     dag,
     hermitian_part,
-    partial_trace,
     psd_sqrt,
     support_inv_sqrt,
     support_projector,
@@ -113,14 +117,21 @@ class ChannelRep:
 class FilteredGlobalState:
     """Joint state of the system and the auxiliary reference the agent credits.
 
+    ``blocks`` is a read-only stack ``(n, D, D)`` with ``D = dim_q * dim_a1``:
     ``blocks[u]`` lives on ``Q (x) A1`` and is the branch tied to value ``u``
     of a classical record register ``A2`` (basis states labelled by
     ``block_labels``); the full state is the block-diagonal sum over the
     register, on ``Q (x) A1 (x) A2``.  Priors without a record register are a
     single block with the empty label.  Block traces must sum to one.
+
+    Any sequence of equal-shape matrices is accepted for ``blocks`` and
+    validated in one pass: finite entries, each block Hermitian within
+    ``1e-9`` of its own scale, traces summing to one within ``1e-8``.
+    ``roots`` is the aligned stack of the blocks' square roots, computed on
+    first use and then reused by every smoothing update of this prior.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
     dim_q: int
     dim_a1: int = 1
     block_labels: tuple[tuple, ...] = ((),)
@@ -131,23 +142,31 @@ class FilteredGlobalState:
             raise InvalidMatrix(f"unknown prior kind {self.kind!r}")
         if len(self.blocks) != len(self.block_labels):
             raise InvalidMatrix("one label per block required")
-        if not self.blocks:
+        if not len(self.blocks):
             raise InvalidMatrix("at least one block required")
         d = self.dim_q * self.dim_a1
-        mats = []
-        total = 0.0
-        for b in self.blocks:
-            m = as_hermitian(b, "global-state block", tol=1e-9)
-            if m.shape != (d, d):
-                raise InvalidFactorization(
-                    f"block of shape {m.shape} does not match dims ({self.dim_q}, {self.dim_a1})"
-                )
-            total += float(m.trace().real)
-            mats.append(m)
+        try:
+            stack = np.asarray(self.blocks, dtype=complex)
+        except ValueError:
+            raise InvalidFactorization("blocks do not share one shape") from None
+        if stack.shape[1:] != (d, d):
+            raise InvalidFactorization(
+                f"blocks of shape {stack.shape[1:]} do not match dims ({self.dim_q}, {self.dim_a1})"
+            )
+        stack = as_hermitian_stack(stack, "global-state block", tol=1e-9)
+        total = float(np.trace(stack, axis1=1, axis2=2).real.sum())
         if abs(total - 1.0) > 1e-8:
             raise InvalidMatrix(f"block traces sum to {total!r}, expected 1")
-        object.__setattr__(self, "blocks", tuple(mats))
+        stack.flags.writeable = False
+        object.__setattr__(self, "blocks", stack)
         object.__setattr__(self, "block_labels", tuple(tuple(l) for l in self.block_labels))
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """``psd_sqrt`` of every block, as a read-only stack aligned with ``blocks``."""
+        roots = psd_sqrt(self.blocks)
+        roots.flags.writeable = False
+        return roots
 
     @property
     def dim_a2(self) -> int:
@@ -163,27 +182,24 @@ class FilteredGlobalState:
 
     def marginal(self) -> np.ndarray:
         """Reduced state on the system, ``Tr_A`` of the global state."""
-        out = np.zeros((self.dim_q, self.dim_q), dtype=complex)
-        for b in self.blocks:
-            out += partial_trace(b, (self.dim_q, self.dim_a1), "Q")
-        return hermitian_part(out)
+        return hermitian_part(_trace_out_a(self, self.blocks))
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full matrix on ``Q (x) A1 (x) A2`` (register last)."""
         dq, da1, da2 = self.dim_q, self.dim_a1, self.dim_a2
+        r = self.blocks.reshape(da2, dq, da1, dq, da1)
         n = dq * da1 * da2
-        out = np.zeros((n, n), dtype=complex)
-        for u, b in enumerate(self.blocks):
-            r = b.reshape(dq, da1, dq, da1)
-            for i in range(dq):
-                for a in range(da1):
-                    row = (i * da1 + a) * da2 + u
-                    out[row, u::da2] = r[i, a].reshape(-1)
-        return out
+        return np.einsum("uiajb,uv->iaujbv", r, np.eye(da2)).reshape(n, n)
 
     def consistency_gap(self, rho_f) -> float:
         """Max-entry deviation of the marginal from a reference filtered state."""
         return float(np.abs(self.marginal() - np.asarray(rho_f, dtype=complex)).max())
+
+
+def _trace_out_a(prior: FilteredGlobalState, stack: np.ndarray) -> np.ndarray:
+    """``Tr_A`` of the block-diagonal operator whose register blocks are ``stack``."""
+    r = stack.reshape(len(stack), prior.dim_q, prior.dim_a1, prior.dim_q, prior.dim_a1)
+    return np.einsum("uiaja->uij", r).sum(axis=0)
 
 
 def _pull_back_evidence(channel: ChannelRep, gamma: np.ndarray, sigma) -> np.ndarray:
@@ -236,16 +252,17 @@ def extended_petz(channel: ChannelRep, prior: FilteredGlobalState, sigma) -> np.
 
 
 def _sandwich_marginal(prior: FilteredGlobalState, x) -> np.ndarray:
-    """``Tr_A[ sqrt(P) (x (x) I_A) sqrt(P) ]`` computed blockwise.
+    """``Tr_A[ sqrt(P) (x (x) I_A) sqrt(P) ]`` over the stacked block roots.
 
     Linear in ``x`` (no symmetrization), so it is safe on matrix units.
     """
-    lifted = tensor(x, np.eye(prior.dim_a1))
-    out = np.zeros((prior.dim_q, prior.dim_q), dtype=complex)
-    for b in prior.blocks:
-        root = psd_sqrt(b)
-        out += partial_trace(root @ lifted @ root, (prior.dim_q, prior.dim_a1), "Q")
-    return out
+    return _trace_out_a(prior, _sandwich(prior, x))
+
+
+def _sandwich(prior: FilteredGlobalState, x) -> np.ndarray:
+    """``sqrt(P_u) (x (x) I_A1) sqrt(P_u)`` for every block ``u``, as a stack."""
+    roots = prior.roots
+    return roots @ tensor(x, np.eye(prior.dim_a1)) @ roots
 
 
 def _effect_and_norm(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, float]:
@@ -282,13 +299,8 @@ def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:
     system state.
     """
     e, norm = _effect_and_norm(prior, effect)
-    lifted = tensor(e, np.eye(prior.dim_a1))
-    blocks = []
-    for b in prior.blocks:
-        root = psd_sqrt(b)
-        blocks.append(hermitian_part(root @ lifted @ root) / norm)
     return FilteredGlobalState(
-        blocks=tuple(blocks),
+        blocks=_sandwich(prior, e) / norm,
         dim_q=prior.dim_q,
         dim_a1=prior.dim_a1,
         block_labels=prior.block_labels,
@@ -310,8 +322,8 @@ def bob_posterior(prior: FilteredGlobalState, effect) -> np.ndarray:
         )
     e, norm = _effect_and_norm(prior, effect)
     lifted = tensor(e, np.eye(prior.dim_a1))
-    probs = np.array([max((b @ lifted).trace().real, 0.0) for b in prior.blocks])
-    return probs / norm
+    probs = np.trace(prior.blocks @ lifted, axis1=1, axis2=2).real
+    return np.clip(probs, 0.0, None) / norm
 
 
 def counterfactual_prob(rho_s, povm) -> np.ndarray:

@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .classical import ClassicalModel
-from .errors import ScenarioError
+from .errors import InvalidMatrix, NotPSD, ScenarioError
+from .linalg import as_density
 from .retrodiction import PRIOR_KINDS
 from .trajectory import (
     ConditionalOp,
@@ -219,6 +220,8 @@ def _build_system(spec: dict) -> BuiltSystem:
         inst = Instrument(ops)
         return BuiltSystem(inst, None, None, inst.dim)
     if kind == "classical":
+        if not isinstance(spec.get("likelihood"), dict):
+            raise ScenarioError("system.likelihood: expected an object keyed by outcome")
         try:
             transition = np.asarray(spec["transition"], dtype=float)
             likelihood = {str(y): np.asarray(v, dtype=float) for y, v in spec["likelihood"].items()}
@@ -254,20 +257,16 @@ class Scenario:
     def from_dict(cls, doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
             raise ScenarioError("scenario: expected a JSON object")
-        try:
-            steps = int(doc["steps"])
-        except (KeyError, TypeError, ValueError):
-            raise ScenarioError("steps: required integer") from None
-        if steps < 0:
-            raise ScenarioError(f"steps: must be nonnegative, got {steps}")
-        t = doc.get("smoothing_time_index", steps)
-        try:
-            t = int(t)
-        except (TypeError, ValueError):
-            raise ScenarioError("smoothing_time_index: must be an integer") from None
-        if not 0 <= t <= steps:
+        if "steps" not in doc:
+            raise ScenarioError("steps: required integer")
+        steps = _integer(doc, "steps", None, minimum=0)
+        t = _integer(doc, "smoothing_time_index", steps, minimum=0)
+        if t > steps:
             raise ScenarioError(f"smoothing_time_index: {t} outside [0, {steps}]")
-        kinds = tuple(str(k) for k in doc.get("prior_kinds", ["pf"]))
+        kinds = doc.get("prior_kinds", ["pf"])
+        if not isinstance(kinds, list):
+            raise ScenarioError(f"prior_kinds: expected a list of kind names, got {kinds!r}")
+        kinds = tuple(str(k) for k in kinds)
         for k in kinds:
             if k not in PRIOR_KINDS:
                 raise ScenarioError(f"prior_kinds: unknown kind {k!r} (choose from {PRIOR_KINDS})")
@@ -275,11 +274,6 @@ class Scenario:
             raise ScenarioError("system: required")
         if "rho0" not in doc:
             raise ScenarioError("rho0: required")
-        cap = doc.get("enumeration_cap", DEFAULT_CAP)
-        try:
-            cap = int(cap)
-        except (TypeError, ValueError):
-            raise ScenarioError("enumeration_cap: must be an integer") from None
         return cls(
             name=str(doc.get("name", "scenario")),
             system_spec=doc["system"],
@@ -287,9 +281,9 @@ class Scenario:
             steps=steps,
             smoothing_index=t,
             prior_kinds=kinds,
-            seed=int(doc.get("seed", 0)),
-            enumeration_cap=cap,
-            n_trajectories=int(doc.get("n_trajectories", 100)),
+            seed=_integer(doc, "seed", 0),
+            enumeration_cap=_integer(doc, "enumeration_cap", DEFAULT_CAP, minimum=1),
+            n_trajectories=_integer(doc, "n_trajectories", 100, minimum=0),
             custom_prior=doc.get("custom_prior"),
             raw=doc,
         )
@@ -309,27 +303,44 @@ class Scenario:
         return _build_system(self.system_spec)
 
     def rho0(self, dim: int) -> np.ndarray:
+        """The initial state for a system of dimension ``dim``, validated as a density operator."""
         spec = self.rho0_spec
         if isinstance(spec, str):
             return named_state(spec, dim)
         if isinstance(spec, list):
-            probs = np.asarray(spec, dtype=float)
+            try:
+                probs = np.asarray(spec, dtype=float)
+            except (TypeError, ValueError):
+                raise ScenarioError("rho0: probability vector must hold numbers") from None
             if probs.ndim != 1 or probs.shape[0] != dim:
                 raise ScenarioError(f"rho0: probability vector must have length {dim}")
-            return np.diag(probs).astype(complex)
-        rho = matrix_from_json(spec, "rho0")
-        if rho.shape != (dim, dim):
-            raise ScenarioError(f"rho0: shape {rho.shape} does not match system dim {dim}")
-        return rho
+            rho = np.diag(probs).astype(complex)
+        else:
+            rho = matrix_from_json(spec, "rho0")
+            if rho.shape != (dim, dim):
+                raise ScenarioError(f"rho0: shape {rho.shape} does not match system dim {dim}")
+        try:
+            return as_density(rho, "rho0")
+        except (InvalidMatrix, NotPSD) as exc:
+            raise ScenarioError(str(exc)) from None
 
     def cap(self) -> int:
         env = os.environ.get(ENV_CAP)
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise ScenarioError(f"{ENV_CAP}: expected an integer, got {env!r}") from None
-        return self.enumeration_cap
+        if env is None:
+            return self.enumeration_cap
+        return _integer({ENV_CAP: env}, ENV_CAP, None, minimum=1)
+
+
+def _integer(doc: dict, key: str, default, minimum: int | None = None) -> int:
+    """``doc[key]`` (or ``default``) as an integer of at least ``minimum``."""
+    value = doc.get(key, default)
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{key}: expected an integer, got {value!r}") from None
+    if minimum is not None and n < minimum:
+        raise ScenarioError(f"{key}: must be at least {minimum}, got {n}")
+    return n
 
 
 def demo_scenario(seed: int = 7) -> Scenario:

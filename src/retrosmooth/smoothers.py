@@ -64,12 +64,16 @@ def _bob_branches(
     alice_past,
     dim_extra: int,
     cap: int,
-) -> list[TrueStateBranch]:
+) -> tuple[list[tuple[str, ...]], np.ndarray]:
     """Propagate every compatible bob record alongside a fixed alice record.
 
     ``initial`` lives on the system tensored with ``dim_extra`` ancilla
-    dimensions; joint Kraus operators act on the system factor only.  Output
-    is ordered lexicographically in the bob record.
+    dimensions; joint Kraus operators act on the system factor only.  The
+    branches advance together, one stacked conjugation per step, and a
+    branch whose operator is exactly zero is dropped together with its
+    subtree.  Returns the surviving bob records in lexicographic order and
+    the stack of their (symmetrized, unnormalized) operators.  The cap
+    applies to the number of records before any is dropped.
     """
     alice_past = tuple(alice_past)
     options = [joint.bob_options(y) for y in alice_past]
@@ -83,26 +87,17 @@ def _bob_branches(
         raise EnumerationTooLarge(f"{n_branches} bob branches exceed the cap of {cap}")
 
     eye = np.eye(dim_extra)
-    step_ops = [
-        [
-            (u, joint.op((y, u)).kraus[0] if dim_extra == 1 else tensor(joint.op((y, u)).kraus[0], eye))
-            for u in opts
-        ]
-        for y, opts in zip(alice_past, options)
-    ]
-    branches: list[TrueStateBranch] = []
-
-    def descend(step: int, record: tuple[str, ...], sigma: np.ndarray) -> None:
-        if step == len(alice_past):
-            branches.append(
-                TrueStateBranch(record, hermitian_part(sigma), max(float(sigma.trace().real), 0.0))
-            )
-            return
-        for u, m in step_ops[step]:
-            descend(step + 1, record + (u,), m @ sigma @ dag(m))
-
-    descend(0, (), np.asarray(initial, dtype=complex))
-    return branches
+    records: list[tuple[str, ...]] = [()]
+    sigma = np.asarray(initial, dtype=complex)[None]
+    for y, opts in zip(alice_past, options):
+        ops = np.stack([tensor(joint.op((y, u)).kraus[0], eye) for u in opts])
+        # branch-major, option-minor: the lexicographic order of the records
+        nxt = (ops @ sigma[:, None] @ dag(ops)).reshape(-1, *sigma.shape[1:])
+        keep = nxt.any(axis=(1, 2))
+        records = [r + (u,) for r in records for u in opts]
+        records = [r for r, k in zip(records, keep) if k]
+        sigma = nxt[keep]
+    return records, hermitian_part(sigma)
 
 
 def enumerate_bob_branches(
@@ -112,8 +107,14 @@ def enumerate_bob_branches(
 
     Branch weights sum to the probability of the alice record, and dividing a
     branch by its weight gives the state conditioned on both records.
+    Branches with an exactly zero operator are left out.
     """
-    return _bob_branches(joint, as_density(rho0, "rho0"), alice_past, 1, cap)
+    records, ops = _bob_branches(joint, as_density(rho0, "rho0"), alice_past, 1, cap)
+    return [TrueStateBranch(r, op, w) for r, op, w in zip(records, ops, _weights(ops))]
+
+
+def _weights(ops: np.ndarray) -> list[float]:
+    return [max(float(t), 0.0) for t in np.trace(ops, axis1=1, axis2=2).real]
 
 
 def build_pf(rho_f) -> FilteredGlobalState:
@@ -172,8 +173,8 @@ def build_gw(
     psi = purify(rho)
     rank = psi.size // rho.shape[0]
     initial = np.outer(psi, psi.conj())
-    branches = _bob_branches(joint, initial, alice_past, rank, cap)
-    return _register_state(branches, rho.shape[0], rank, "gw")
+    records, ops = _bob_branches(joint, initial, alice_past, rank, cap)
+    return _register_state(records, ops, rho.shape[0], rank, "gw")
 
 
 def build_gw_variant(
@@ -183,20 +184,19 @@ def build_gw_variant(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> FilteredGlobalState:
     """Classical register over bob records, initial state taken as a proper mixture."""
-    branches = enumerate_bob_branches(joint, rho0, alice_past, cap)
-    dim_q = np.asarray(rho0).shape[0]
-    return _register_state(branches, dim_q, 1, "gw-variant")
+    records, ops = _bob_branches(joint, as_density(rho0, "rho0"), alice_past, 1, cap)
+    return _register_state(records, ops, np.asarray(rho0).shape[0], 1, "gw-variant")
 
 
-def _register_state(branches, dim_q, dim_a1, kind) -> FilteredGlobalState:
-    total = sum(b.weight for b in branches)
+def _register_state(records, ops, dim_q, dim_a1, kind) -> FilteredGlobalState:
+    total = sum(_weights(ops))
     if total <= _WEIGHT_FLOOR:
         raise ZeroProbabilityRecord("record impossible under the joint instrument")
     return FilteredGlobalState(
-        blocks=tuple(b.operator / total for b in branches),
+        blocks=ops / total,
         dim_q=dim_q,
         dim_a1=dim_a1,
-        block_labels=tuple(b.bob_record for b in branches),
+        block_labels=tuple(records),
         kind=kind,
     )
 
@@ -252,7 +252,7 @@ def extend_ancilla(prior: FilteredGlobalState, isometry) -> FilteredGlobalState:
         raise InvalidFactorization("map is not an isometry")
     lift = tensor(np.eye(prior.dim_q), v)
     return FilteredGlobalState(
-        blocks=tuple(hermitian_part(lift @ b @ dag(lift)) for b in prior.blocks),
+        blocks=lift @ prior.blocks @ dag(lift),
         dim_q=prior.dim_q,
         dim_a1=v.shape[0],
         block_labels=prior.block_labels,

@@ -14,6 +14,9 @@ tolerances.  One floor decides which past records count as impossible.
   sandwich.
 * :func:`classical_deviation` compares quantum smoothing of a classical chain
   with forward-backward smoothing over every record and split time.
+
+Within one sweep the retrofiltered effect of each distinct future is
+computed once and shared by every prior kind and past.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ def _probability(instrument, rho0, record) -> float:
     return float(np.exp(log_prob))
 
 
-def _prior_for(scenario, built, kind: str, past, rho0):
+def prior_for(scenario, built, kind: str, past, rho0):
+    """The prior of one kind for one past, built under the scenario's enumeration cap."""
     if kind == "custom":
         if not scenario.custom_prior:
             raise ScenarioError("custom_prior: required when prior kind 'custom' is requested")
@@ -110,12 +114,29 @@ def future_averages(scenario, built, rho0, table, kinds, *, complete: bool):
     ``avg_residual`` is the trace norm between the probability-weighted
     average of the smoothed states and the filtered state.
     """
+    effects = _Effects(built.instrument)
     for kind in kinds:
         for past, futures in table.items():
-            yield kind, past, _average_one(scenario, built, rho0, kind, past, futures, complete)
+            yield kind, past, _average_one(scenario, built, rho0, kind, past, futures, complete, effects)
 
 
-def _average_one(scenario, built, rho0, kind, past, futures, complete):
+class _Effects(dict):
+    """Retrofiltered effects keyed by future record, each computed on first use.
+
+    One instance serves a whole sweep, so every prior kind and past shares
+    the effect of a future.
+    """
+
+    def __init__(self, instrument):
+        super().__init__()
+        self.instrument = instrument
+
+    def __missing__(self, future):
+        effect = self[future] = retrofilter(self.instrument, future)
+        return effect
+
+
+def _average_one(scenario, built, rho0, kind, past, futures, complete, effects):
     out = {"p_past": 0.0, "rows": [], "avg_residual": None, "states": {}, "error": None}
     if complete:
         out["p_past"] = sum(p for _, p in futures)
@@ -126,7 +147,7 @@ def _average_one(scenario, built, rho0, kind, past, futures, complete):
         return out
     rho_f, _ = filter_state(built.instrument, rho0, past)
     try:
-        prior = _prior_for(scenario, built, kind, past, rho0)
+        prior = prior_for(scenario, built, kind, past, rho0)
     except RetrosmoothError as exc:
         out["error"] = str(exc)
         return out
@@ -141,7 +162,7 @@ def _average_one(scenario, built, rho0, kind, past, futures, complete):
             "status": "ok",
         }
         try:
-            rho_s = generalized_smooth(prior, retrofilter(built.instrument, fut))
+            rho_s = generalized_smooth(prior, effects[fut])
         except ZeroProbabilityRecord:
             row["status"] = "zero-probability"
             out["rows"].append(row)
@@ -166,6 +187,7 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
     gives a row with a ``detail`` message and no ``avg_entropy``.
     """
     rows = []
+    effects = _Effects(built.instrument)
     for kind in scenario.prior_kinds:
         for past, futs in table.items():
             p_past = sum(p for _, p in futs)
@@ -173,7 +195,7 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
                 continue
             rho_f, _ = filter_state(built.instrument, rho0, past)
             try:
-                prior = _prior_for(scenario, built, kind, past, rho0)
+                prior = prior_for(scenario, built, kind, past, rho0)
             except RetrosmoothError as exc:
                 rows.append({"kind": "prior", "id": kind, "record": render(past), "detail": str(exc)})
                 continue
@@ -183,9 +205,7 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
                 if p / p_past <= 1e-14:
                     entropies.append(0.0)
                     continue
-                entropies.append(
-                    entropy_vn(generalized_smooth(prior, retrofilter(built.instrument, fut)))
-                )
+                entropies.append(entropy_vn(generalized_smooth(prior, effects[fut])))
             s_bar = float(np.dot(probs, entropies))
             bound = sandwich_bound(rho_f, probs, s_bar)
             rows.append(
@@ -207,7 +227,9 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
 def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     """Worst ``|diag(rho_S) - classical|`` per prior kind, and the records compared.
 
-    Covers every record above the probability floor and every split time.
+    Covers every record above the probability floor and every split time;
+    each (kind, past) prior is built once and serves every record sharing
+    that past.
     """
     built = scenario.build()
     if built.classical is None:
@@ -217,22 +239,19 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     rho0 = scenario.rho0(built.dim)
     prior0 = np.diag(rho0).real
     worst = {kind: 0.0 for kind in kinds}
+    effects = _Effects(built.instrument)
+    priors = {}
     n_records = 0
     for rec, p in enumerate_records(built.instrument, rho0, scenario.steps, scenario.cap()):
         if p <= _PROB_FLOOR:
             continue
         n_records += 1
         for t in range(scenario.steps + 1):
-            ps = classical_smooth(built.classical, prior0, rec[:t], rec[t:])
+            past = rec[:t]
+            ps = classical_smooth(built.classical, prior0, past, rec[t:])
             for kind in kinds:
-                prior = build_prior(
-                    kind,
-                    rho0=rho0,
-                    alice_past=rec[:t],
-                    instrument=built.instrument,
-                    joint=built.joint,
-                    cap=scenario.cap(),
-                )
-                rho_s = generalized_smooth(prior, retrofilter(built.instrument, rec[t:]))
+                if (kind, past) not in priors:
+                    priors[kind, past] = prior_for(scenario, built, kind, past, rho0)
+                rho_s = generalized_smooth(priors[kind, past], effects[rec[t:]])
                 worst[kind] = max(worst[kind], float(np.abs(np.diag(rho_s).real - ps).max()))
     return worst, n_records

@@ -23,7 +23,7 @@ from .entropy import (
     support_basis,
     theorem1_check,
 )
-from .errors import ZeroProbabilityRecord
+from .errors import EnumerationTooLarge, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import partial_trace, psd_sqrt, purify, trace_norm
 from .retrodiction import bob_posterior, generalized_smooth
 from .scenario import Scenario, classical_demo_scenario, demo_scenario
@@ -171,49 +171,75 @@ def check_classical_limit(steps: int = 4) -> CheckResult:
     return CheckResult("classical-limit", worst <= 1e-9, worst, 1e-9, f"steps={steps}")
 
 
+def _gw_prior(sc, built, rho0, past, errors: list[str]):
+    """The ``gw`` prior of a past as the sweeps build it; a failed build goes to ``errors``."""
+    try:
+        return sweeps.prior_for(sc, built, "gw", past, rho0)
+    except RetrosmoothError as exc:
+        errors.append(f"gw@{sweeps.render(past)}: {exc}")
+        return None
+
+
 def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
-    """Register-based smoothing must equal the explicit true-state mixture."""
+    """Register-based smoothing must equal the explicit true-state mixture.
+
+    A prior that cannot be built for a possible past fails the check.
+    """
     sc, built, rho0, table = _setup(scenario)
-    worst = 0.0
+    worst, errors = 0.0, []
     for past, futs in table.items():
         futs = [(fut, p) for fut, p in futs if p > 1e-12]
         if not futs:
             continue
-        prior = build_prior(
-            "gw", rho0=rho0, alice_past=past, instrument=built.instrument, joint=built.joint
-        )
+        prior = _gw_prior(sc, built, rho0, past, errors)
+        if prior is None:
+            continue
         for fut, p in futs:
             effect = retrofilter(built.instrument, fut)
             got = generalized_smooth(prior, effect)
-            ref = branch_mixture_smooth(built.joint, rho0, past, effect)
+            ref = branch_mixture_smooth(built.joint, rho0, past, effect, cap=sc.cap())
             worst = max(worst, trace_norm(got - ref))
-    return CheckResult("trajectory-mixture-equivalence", worst <= 1e-8, worst, 1e-8)
+    passed = worst <= 1e-8 and not errors
+    return CheckResult(
+        "trajectory-mixture-equivalence", passed, worst, 1e-8, _prior_errors(errors).strip()
+    )
 
 
 def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
-    """Record-register posterior must match exhaustive joint-record enumeration."""
+    """Record-register posterior must match exhaustive joint-record enumeration.
+
+    A prior that cannot be built for a possible past, or a joint-record
+    table beyond the enumeration cap, fails the check.
+    """
+    name = "record-register-posterior"
     sc, built, rho0, table = _setup(scenario)
     t = sc.smoothing_index
-    joint_table = enumerate_records(built.joint, rho0, sc.steps, sc.cap())
-    worst = 0.0
+    try:
+        joint_table = enumerate_records(built.joint, rho0, sc.steps, sc.cap())
+    except EnumerationTooLarge as exc:
+        return CheckResult(name, False, 0.0, 1e-9, f"joint records: {exc}")
+    # per alice record: its probability and the mass of each bob past
+    den: dict[tuple, float] = defaultdict(float)
+    num: dict[tuple, dict] = defaultdict(lambda: defaultdict(float))
+    for jrec, jp in joint_table:
+        alice = tuple(a for a, _ in jrec)
+        den[alice] += jp
+        num[alice][tuple(u for _, u in jrec)[:t]] += jp
+    worst, errors = 0.0, []
     for past, futs in table.items():
+        futs = [(fut, p) for fut, p in futs if p > 1e-9]
+        if not futs:
+            continue
+        prior = _gw_prior(sc, built, rho0, past, errors)
+        if prior is None:
+            continue
         for fut, p in futs:
-            if p <= 1e-9:
-                continue
-            prior = build_prior(
-                "gw", rho0=rho0, alice_past=past, instrument=built.instrument, joint=built.joint
-            )
             probs = bob_posterior(prior, retrofilter(built.instrument, fut))
-            num = defaultdict(float)
-            den = 0.0
-            for jrec, jp in joint_table:
-                if tuple(a for a, _ in jrec) != past + fut:
-                    continue
-                den += jp
-                num[tuple(u for _, u in jrec)[:t]] += jp
-            expected = np.array([num[lbl] / den for lbl in prior.block_labels])
+            rec = past + fut
+            expected = np.array([num[rec][lbl] / den[rec] for lbl in prior.block_labels])
             worst = max(worst, float(np.abs(probs - expected).max()))
-    return CheckResult("record-register-posterior", worst <= 1e-9, worst, 1e-9)
+    passed = worst <= 1e-9 and not errors
+    return CheckResult(name, passed, worst, 1e-9, _prior_errors(errors).strip())
 
 
 def check_entropy_sandwich(scenario: Scenario | None = None) -> CheckResult:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +238,15 @@ class TestVerifySuite:
         assert result.residual > 1e-4
         assert "injected-defect" in result.name
 
+    def test_gw_checks_fail_beyond_cap(self, monkeypatch):
+        # the 4 alice records fit the cap; 16 bob branches per past and 64 joint records do not
+        monkeypatch.setenv("RETROSMOOTH_CAP", "4")
+        sc = classical_demo_scenario(2, steps=2)
+        mixture = verify.check_branch_mixture(sc)
+        assert not mixture.passed and "prior errors=4" in mixture.detail
+        posterior = verify.check_bob_posterior(sc)
+        assert not posterior.passed and "exceed the cap of 4" in posterior.detail
+
     def test_prior_error_fails_sweep_checks(self):
         # 'custom' without a custom_prior section cannot be built for any past
         sc = demo_scenario()
@@ -246,7 +256,50 @@ class TestVerifySuite:
             assert "prior errors" in result.detail
 
 
+def _demo_doc(**overrides) -> dict:
+    doc = json.loads(json.dumps(demo_scenario().raw))
+    doc.update(overrides)
+    return doc
+
+
+def _classical_doc_with_list_likelihood() -> dict:
+    doc = json.loads(Path("scenarios/classical-2state.json").read_text())
+    doc["system"]["likelihood"] = [[0.8, 0.3], [0.2, 0.7]]
+    return doc
+
+
+def _rho0(real) -> dict:
+    return {"real": real, "imag": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+# case -> (scenario document, a fragment the error line must hold)
+MALFORMED_SCENARIOS = {
+    "seed-not-integer": (lambda: _demo_doc(seed="x"), "seed:"),
+    "n-trajectories-not-integer": (lambda: _demo_doc(n_trajectories="x"), "n_trajectories:"),
+    "likelihood-as-list": (_classical_doc_with_list_likelihood, "system.likelihood:"),
+    "rho0-trace-1.8": (lambda: _demo_doc(rho0=_rho0([[0.9, 0.0], [0.0, 0.9]])), "trace 1.8,"),
+    "rho0-negative-eigenvalue": (
+        lambda: _demo_doc(rho0=_rho0([[2.0, 0.0], [0.0, -1.0]])),
+        "eigenvalue -1 ",
+    ),
+    "prior-kinds-as-string": (lambda: _demo_doc(prior_kinds="pf"), "expected a list"),
+    "negative-enumeration-cap": (lambda: _demo_doc(enumeration_cap=-5), "enumeration_cap:"),
+}
+
+
 class TestMainEntry:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+    def test_malformed_value_is_one_line_config_error(self, tmp_path, capsys, case):
+        path = tmp_path / "bad.json"
+        doc, fragment = MALFORMED_SCENARIOS[case]
+        path.write_text(json.dumps(doc()))
+        code = main(["smooth", "--scenario", str(path), "--enumerate", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and fragment in lines[0], err
+
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--seed", "3"]) == 0
         out = capsys.readouterr().out

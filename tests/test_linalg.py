@@ -4,6 +4,8 @@ import pytest
 from retrosmooth import sampling
 from retrosmooth.errors import InvalidDistribution, InvalidFactorization, InvalidMatrix, NotPSD
 from retrosmooth.linalg import (
+    PSD_HARD,
+    as_hermitian_stack,
     entropy_shannon,
     entropy_vn,
     fidelity,
@@ -85,6 +87,59 @@ class TestPsdSqrt:
     def test_not_psd(self):
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -0.5]))
+
+
+def _rank_deficient_stack(rng, d, n):
+    """Random PSD blocks of assorted scale; some of rank one or two with eigenvalues
+    near 1e-17 of the largest in the null directions, one exactly zero."""
+    blocks = []
+    for i in range(n):
+        w = rng.uniform(0.1, 1.0, size=d) * rng.uniform(1e-6, 3.0)
+        if i % 3 == 1:
+            w[1:] = w[0] * rng.uniform(-3e-17, 3e-17, size=d - 1)
+        if i % 3 == 2:
+            w[2:] = w[0] * rng.uniform(0.0, 3e-17, size=d - 2)
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        blocks.append(hermitian_part((u * w) @ u.conj().T))
+    blocks.append(np.zeros((d, d), dtype=complex))
+    return np.stack(blocks)
+
+
+class TestStackedPsdSqrt:
+    """A stack goes through the same square-root rule as one matrix at a time."""
+
+    def test_matches_per_block(self):
+        rng = np.random.default_rng(17)
+        for d in (2, 3, 4, 8):
+            stack = _rank_deficient_stack(rng, d, 12)
+            roots = psd_sqrt(stack)
+            assert roots.shape == stack.shape
+            for block, root in zip(stack, roots):
+                assert np.abs(root - psd_sqrt(block)).max() <= 1e-14
+            np.testing.assert_array_equal(roots[-1], 0.0)
+
+    def test_relative_cutoff_kept(self):
+        # an eigenvalue 1e-17 of the largest is zeroed, not rooted to ~3e-9
+        stack = np.stack([np.diag([1.0, 1e-17]), np.diag([4.0, 1.0])]).astype(complex)
+        np.testing.assert_array_equal(psd_sqrt(stack)[0], np.diag([1.0, 0.0]))
+        np.testing.assert_allclose(psd_sqrt(stack)[1], np.diag([2.0, 1.0]), atol=1e-15)
+
+    def test_not_psd(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -2 * PSD_HARD])]).astype(complex)
+        with pytest.raises(NotPSD):
+            psd_sqrt(stack)
+        psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -0.5 * PSD_HARD])]))
+
+    def test_stack_validation(self):
+        with pytest.raises(InvalidMatrix):
+            as_hermitian_stack(np.zeros((2, 2, 3)))
+        with pytest.raises(InvalidMatrix):
+            as_hermitian_stack(np.stack([np.eye(2), [[np.inf, 0], [0, 1]]]))
+        with pytest.raises(InvalidMatrix):
+            as_hermitian_stack(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+        # each block is held to its own scale: 1e-12 of a block of size 1e3 passes
+        big = np.array([[1e3, 1e-10], [0.0, 1e3]])
+        as_hermitian_stack(np.stack([np.eye(2), big]))
 
 
 class TestSupportInvSqrt:

@@ -5,6 +5,7 @@ from retrosmooth import sampling
 from retrosmooth.errors import (
     EvidenceOutsideSupport,
     InvalidFactorization,
+    InvalidMatrix,
     InvalidPOVM,
     MissingClassicalRegister,
     ZeroProbabilityRecord,
@@ -183,6 +184,55 @@ class TestExtendedPetz:
         channel = identity_channel(3)
         with pytest.raises(InvalidFactorization):
             extended_petz(channel, build_pf(np.eye(2) / 2), np.eye(3) / 3)
+
+
+class TestFilteredGlobalState:
+    """The stacked blocks are validated in one pass at the old tolerances."""
+
+    @staticmethod
+    def make(blocks, dim_a1=1):
+        labels = tuple((str(i),) for i in range(len(blocks)))
+        return FilteredGlobalState(
+            blocks=blocks, dim_q=2, dim_a1=dim_a1, block_labels=labels, kind="gw-variant"
+        )
+
+    def test_blocks_become_read_only_stack(self):
+        prior = self.make((0.25 * np.eye(2), 0.5 * G))
+        assert prior.blocks.shape == (2, 2, 2) and len(prior.blocks) == 2
+        with pytest.raises(ValueError):
+            prior.blocks[0, 0, 0] = 1.0
+
+    def test_rejects_non_hermitian_block(self):
+        with pytest.raises(InvalidMatrix, match="Hermitian"):
+            self.make((0.25 * np.eye(2), np.array([[0.25, 1e-6], [0.0, 0.25]])))
+        # within 1e-9 of the block's own scale is tolerated and symmetrized
+        prior = self.make((0.25 * np.eye(2), np.array([[0.25, 1e-10], [0.0, 0.25]])))
+        assert prior.blocks[1, 0, 1] == prior.blocks[1, 1, 0] == 5e-11
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(InvalidFactorization):
+            self.make((np.eye(3) / 3,))
+        with pytest.raises(InvalidFactorization):
+            self.make((0.5 * np.eye(2), np.eye(4) / 8))
+        with pytest.raises(InvalidFactorization):
+            self.make((0.5 * np.eye(2),), dim_a1=2)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            self.make((0.5 * np.eye(2), np.array([[np.nan, 0.0], [0.0, 0.5]])))
+
+    def test_rejects_traces_not_summing_to_one(self):
+        with pytest.raises(InvalidMatrix, match=r"sum to 1\.1"):
+            self.make((0.25 * np.eye(2), 0.6 * G))
+
+    def test_roots_align_with_blocks(self):
+        rng = np.random.default_rng(9)
+        blocks = [0.3 * sampling.random_density(2, rng), np.zeros((2, 2)), 0.7 * G]
+        prior = self.make(tuple(blocks))
+        assert prior.roots is prior.roots
+        for block, root in zip(prior.blocks, prior.roots):
+            np.testing.assert_array_equal(root, psd_sqrt(block))
+        np.testing.assert_array_equal(prior.roots[1], 0.0)
 
 
 def demo_pieces():

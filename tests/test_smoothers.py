@@ -1,9 +1,13 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from retrosmooth.errors import EnumerationTooLarge, InvalidFactorization, ZeroProbabilityRecord
 from retrosmooth.linalg import psd_sqrt, purity, trace_norm
 from retrosmooth.retrodiction import generalized_smooth
+from retrosmooth.scenario import Scenario
 from retrosmooth.smoothers import (
     branch_mixture_smooth,
     build_clhs,
@@ -27,6 +31,7 @@ from retrosmooth.trajectory import (
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 ALL_KINDS = ("pf", "gw", "gw-variant", "pf-variant", "clhs")
+CLASSICAL = Path(__file__).resolve().parent.parent / "scenarios" / "classical-2state.json"
 
 
 def demo(eta=0.5, rho0=None):
@@ -68,6 +73,56 @@ class TestBranches:
         joint, _, rho0 = demo()
         with pytest.raises(EnumerationTooLarge):
             enumerate_bob_branches(joint, rho0, ("0",) * 10, cap=100)
+
+    def test_cap_counts_zero_branches(self):
+        # under sigma-minus most long bob records are impossible, but the cap
+        # still counts every record the options allow
+        joint, _, rho0 = demo()
+        assert len(enumerate_bob_branches(joint, rho0, ("0",) * 6, cap=64)) < 64
+        with pytest.raises(EnumerationTooLarge):
+            enumerate_bob_branches(joint, rho0, ("0",) * 6, cap=63)
+
+
+def loop_branches(joint, rho0, past):
+    """Every bob record the options allow, each propagated on its own (the reference)."""
+    out = []
+    for bob in itertools.product(*(joint.bob_options(y) for y in past)):
+        sigma = np.asarray(rho0, dtype=complex)
+        for y, u in zip(past, bob):
+            k = joint.op((y, u)).kraus[0]
+            sigma = k @ sigma @ k.conj().T
+        out.append((bob, sigma))
+    return out
+
+
+class TestBranchesClassicalChain:
+    """On a classical chain bob's record is the state path, so most records are impossible."""
+
+    @pytest.mark.parametrize(
+        "past, n_nonzero",
+        [((), 1), (("0", "1", "1"), 16), (("0",) * 5, 64), (("1", "0", "1", "1", "0"), 64)],
+    )
+    def test_only_nonzero_branches_in_order(self, past, n_nonzero):
+        sc = Scenario.from_file(CLASSICAL)
+        built = sc.build()
+        rho0 = sc.rho0(built.dim)
+        branches = enumerate_bob_branches(built.joint, rho0, past)
+        reference = [(bob, op) for bob, op in loop_branches(built.joint, rho0, past) if op.any()]
+        # counts of nonzero branches before branches were dropped during the descent
+        assert len(branches) == len(reference) == n_nonzero
+        assert [b.bob_record for b in branches] == [bob for bob, _ in reference]
+        for b, (_, op) in zip(branches, reference):
+            assert b.operator.any() and b.weight > 0.0
+            assert np.abs(b.operator - op).max() <= 1e-15
+        _, log_prob = filter_state(built.instrument, rho0, past)
+        assert abs(sum(b.weight for b in branches) - np.exp(log_prob)) <= 1e-12
+
+    def test_impossible_past_has_no_branches(self):
+        joint, _, rho0 = demo(eta=1.0, rho0=np.diag([1.0, 0.0]).astype(complex))
+        # a detected jump from the ground state with no drive time is impossible
+        assert enumerate_bob_branches(joint, rho0, ("1",)) == []
+        with pytest.raises(ZeroProbabilityRecord):
+            build_gw_variant(joint, rho0, ("1",))
 
 
 class TestStructure:
