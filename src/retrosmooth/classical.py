@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDistribution, InvalidMatrix, UnknownOutcome, ZeroProbabilityRecord
+from .linalg import WEIGHT_FLOOR
 
 _STOCHASTIC_TOL = 1e-12
-_WEIGHT_FLOOR = 1e-14
 
 
 def as_distribution(p, name: str = "distribution") -> np.ndarray:
@@ -102,7 +102,7 @@ def classical_filter(model, prior, record) -> tuple[np.ndarray, float]:
     for y in record:
         v = conditional_map(model, y) @ p
         w = v.sum()
-        if w <= _WEIGHT_FLOOR:
+        if w <= WEIGHT_FLOOR:
             raise ZeroProbabilityRecord(f"record has zero probability at outcome {y!r}")
         p = v / w
         loglik += float(np.log(w))
@@ -126,7 +126,7 @@ def classical_smooth(model, prior, past, future) -> np.ndarray:
     e_r = classical_retrofilter(model, future)
     s = p_f * e_r
     z = s.sum()
-    if z <= _WEIGHT_FLOOR:
+    if z <= WEIGHT_FLOOR:
         raise ZeroProbabilityRecord("combined record has zero probability")
     return s / z
 

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import InvalidExtension, InvalidPOVM
 from .linalg import (
     RANK_TOL,
+    WEIGHT_FLOOR,
     as_density,
     as_effect,
     entropy_shannon,
@@ -46,7 +47,6 @@ from .linalg import (
 from .retrodiction import ChannelRep, FilteredGlobalState, _sandwich_marginal
 from .smoothers import build_custom
 
-_PROB_FLOOR = 1e-14
 _MARGINAL_TOL = 1e-9
 _POVM_TOL = 1e-9
 
@@ -88,7 +88,7 @@ def smoothed_outcome_states(scenario: ExtensionScenario) -> list[np.ndarray | No
     probs = outcome_probs(scenario)
     states: list[np.ndarray | None] = []
     for e, p in zip(scenario.effects, probs):
-        if p <= _PROB_FLOOR:
+        if p <= WEIGHT_FLOOR:
             states.append(None)
             continue
         states.append(hermitian_part(_sandwich_marginal(scenario.extension, e)) / p)

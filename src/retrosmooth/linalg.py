@@ -10,7 +10,10 @@ Conventions fixed project-wide:
 * entropies are in nats,
 * eigenvalues in ``[-PSD_CLAMP, 0]`` are treated as round-off zeros,
 * the support of a PSD matrix is the span of eigenvectors with eigenvalue
-  above ``RANK_TOL`` times the largest one.
+  above ``RANK_TOL`` times the largest one,
+* a probability or trace weight at or below ``WEIGHT_FLOOR`` counts as zero:
+  a record step, a branch total or a smoothing normalizer that small makes
+  the record impossible, and an outcome that small gets no updated state.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ HERMITIAN_TOL = 1e-12
 PSD_CLAMP = 1e-10
 PSD_HARD = 1e-6
 RANK_TOL = 1e-10
+WEIGHT_FLOOR = 1e-14
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -166,25 +170,25 @@ def tensor(a, b) -> np.ndarray:
 
 
 def partial_trace(m, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Partial trace of an operator on a bipartite space.
+    """Partial trace of an operator on a bipartite space, or of each operator in a stack.
 
     Parameters
     ----------
-    m : array on the product space, with the first factor slowest.
-    dims : ``(d_q, d_a)`` dimensions of the two factors.
+    m : array ``(..., D, D)`` on the product space, with the first factor slowest.
+    dims : ``(d_q, d_a)`` dimensions of the two factors, ``d_q * d_a = D``.
     keep : ``"Q"`` to trace out the second factor, ``"A"`` for the first.
     """
     d_q, d_a = int(dims[0]), int(dims[1])
     a = np.asarray(m, dtype=complex)
-    if d_q <= 0 or d_a <= 0 or a.shape != (d_q * d_a, d_q * d_a):
+    if d_q <= 0 or d_a <= 0 or a.ndim < 2 or a.shape[-2:] != (d_q * d_a, d_q * d_a):
         raise InvalidFactorization(
             f"matrix of shape {a.shape} does not factor as ({d_q}, {d_a})"
         )
-    r = a.reshape(d_q, d_a, d_q, d_a)
+    r = a.reshape(*a.shape[:-2], d_q, d_a, d_q, d_a)
     if keep == "Q":
-        return np.einsum("iaja->ij", r)
+        return np.einsum("...iaja->...ij", r)
     if keep == "A":
-        return np.einsum("iaib->ab", r)
+        return np.einsum("...iaib->...ab", r)
     raise InvalidFactorization(f"keep must be 'Q' or 'A', got {keep!r}")
 
 

@@ -47,11 +47,13 @@ from .errors import (
     ZeroProbabilityRecord,
 )
 from .linalg import (
+    WEIGHT_FLOOR,
     as_density,
     as_effect,
     as_hermitian_stack,
     dag,
     hermitian_part,
+    partial_trace,
     psd_sqrt,
     support_inv_sqrt,
     support_projector,
@@ -59,7 +61,6 @@ from .linalg import (
 )
 from .trajectory import DEFAULT_ENUMERATION_CAP
 
-_NORMALIZER_FLOOR = 1e-14
 _LEAKAGE_TOL = 1e-8
 
 PRIOR_KINDS = ("pf", "gw", "gw-variant", "pf-variant", "clhs", "custom")
@@ -198,8 +199,7 @@ class FilteredGlobalState:
 
 def _trace_out_a(prior: FilteredGlobalState, stack: np.ndarray) -> np.ndarray:
     """``Tr_A`` of the block-diagonal operator whose register blocks are ``stack``."""
-    r = stack.reshape(len(stack), prior.dim_q, prior.dim_a1, prior.dim_q, prior.dim_a1)
-    return np.einsum("uiaja->uij", r).sum(axis=0)
+    return partial_trace(stack, (prior.dim_q, prior.dim_a1), "Q").sum(axis=0)
 
 
 def _pull_back_evidence(channel: ChannelRep, gamma: np.ndarray, sigma) -> np.ndarray:
@@ -275,7 +275,7 @@ def _effect_and_norm(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, fl
     if e.shape[0] != prior.dim_q:
         raise InvalidFactorization("effect dimension does not match the system")
     norm = float((prior.marginal() @ e).trace().real)
-    if norm <= _NORMALIZER_FLOOR:
+    if norm <= WEIGHT_FLOOR:
         raise ZeroProbabilityRecord(f"record probability {norm:.3e} vanishes")
     return e, norm
 

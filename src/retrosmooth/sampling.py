@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dag, hermitian_part, psd_sqrt, support_inv_sqrt, tensor
+from .linalg import dag, hermitian_part, partial_trace, psd_sqrt, support_inv_sqrt, tensor
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,7 +110,7 @@ def random_extension(
     psi = random_pure_state(d_q * dim_a * d_r, rng)
     block = psi.reshape(d_q * dim_a, d_r)
     joint = hermitian_part(block @ dag(block))
-    marginal = np.einsum("iaja->ij", joint.reshape(d_q, dim_a, d_q, dim_a))
+    marginal = partial_trace(joint, (d_q, dim_a), "Q")
     corr = tensor(psd_sqrt(gamma) @ support_inv_sqrt(marginal), np.eye(dim_a))
     out = hermitian_part(corr @ joint @ dag(corr))
     return out / out.trace().real

@@ -23,6 +23,9 @@ smoothing time:
     global pure state, so smoothing never updates the system marginal.
 ``custom``
     Any explicit extension with the right marginal (used for bound sweeps).
+
+``gw``, ``gw-variant`` and ``pf-variant`` propagate through
+:func:`~retrosmooth.trajectory.walk`.
 """
 
 from __future__ import annotations
@@ -32,21 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EnumerationTooLarge,
     InvalidFactorization,
     UnknownOutcome,
     ZeroProbabilityRecord,
 )
-from .linalg import as_density, dag, hermitian_part, purify, tensor
+from .linalg import WEIGHT_FLOOR, as_density, dag, hermitian_part, purify, tensor
 from .retrodiction import FilteredGlobalState
 from .trajectory import (
     DEFAULT_ENUMERATION_CAP,
     Instrument,
     JointInstrument,
     filter as filter_state,
+    walk,
 )
-
-_WEIGHT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,39 +66,20 @@ def _bob_branches(
     dim_extra: int,
     cap: int,
 ) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """Propagate every compatible bob record alongside a fixed alice record.
+    """Every bob record compatible with a fixed alice record, through :func:`walk`.
 
-    ``initial`` lives on the system tensored with ``dim_extra`` ancilla
-    dimensions; joint Kraus operators act on the system factor only.  The
-    branches advance together, one stacked conjugation per step, and a
-    branch whose operator is exactly zero is dropped together with its
-    subtree.  Returns the surviving bob records in lexicographic order and
-    the stack of their (symmetrized, unnormalized) operators.  The cap
-    applies to the number of records before any is dropped.
+    Returns the bob records of the surviving (not exactly zero) branches in
+    lexicographic order and the stack of their operators; the cap counts the
+    records before any is dropped.
     """
-    alice_past = tuple(alice_past)
-    options = [joint.bob_options(y) for y in alice_past]
-    for y, opt in zip(alice_past, options):
-        if not opt:
+    label_sets = []
+    for y in alice_past:
+        options = joint.bob_options(y)
+        if not options:
             raise UnknownOutcome(f"outcome {y!r} not in the joint instrument's alphabet")
-    n_branches = 1
-    for opt in options:
-        n_branches *= len(opt)
-    if n_branches > cap:
-        raise EnumerationTooLarge(f"{n_branches} bob branches exceed the cap of {cap}")
-
-    eye = np.eye(dim_extra)
-    records: list[tuple[str, ...]] = [()]
-    sigma = np.asarray(initial, dtype=complex)[None]
-    for y, opts in zip(alice_past, options):
-        ops = np.stack([tensor(joint.op((y, u)).kraus[0], eye) for u in opts])
-        # branch-major, option-minor: the lexicographic order of the records
-        nxt = (ops @ sigma[:, None] @ dag(ops)).reshape(-1, *sigma.shape[1:])
-        keep = nxt.any(axis=(1, 2))
-        records = [r + (u,) for r in records for u in opts]
-        records = [r for r, k in zip(records, keep) if k]
-        sigma = nxt[keep]
-    return records, hermitian_part(sigma)
+        label_sets.append([(y, u) for u in options])
+    records, ops = walk(joint, initial, label_sets, dim_extra=dim_extra, cap=cap)
+    return [tuple(u for _, u in r) for r in records], ops
 
 
 def enumerate_bob_branches(
@@ -141,20 +123,9 @@ def build_pf_variant(instrument: Instrument, rho0, alice_past) -> FilteredGlobal
     rho = as_density(rho0, "rho0")
     psi = purify(rho)
     rank = psi.size // rho.shape[0]
-    sigma = np.outer(psi, psi.conj())
-    for y in alice_past:
-        op = instrument.op(y).extend(rank) if rank > 1 else instrument.op(y)
-        sigma = sum(k @ sigma @ dag(k) for k in op.kraus)
-    weight = float(sigma.trace().real)
-    if weight <= _WEIGHT_FLOOR:
-        raise ZeroProbabilityRecord("record impossible under the instrument")
-    return FilteredGlobalState(
-        blocks=(hermitian_part(sigma) / weight,),
-        dim_q=rho.shape[0],
-        dim_a1=rank,
-        block_labels=((),),
-        kind="pf-variant",
-    )
+    initial = np.outer(psi, psi.conj())
+    _, ops = walk(instrument, initial, [[y] for y in alice_past], dim_extra=rank)
+    return _register_state([()], ops, rho.shape[0], rank, "pf-variant")
 
 
 def build_gw(
@@ -190,8 +161,8 @@ def build_gw_variant(
 
 def _register_state(records, ops, dim_q, dim_a1, kind) -> FilteredGlobalState:
     total = sum(_weights(ops))
-    if total <= _WEIGHT_FLOOR:
-        raise ZeroProbabilityRecord("record impossible under the joint instrument")
+    if total <= WEIGHT_FLOOR:
+        raise ZeroProbabilityRecord("record impossible under the instrument")
     return FilteredGlobalState(
         blocks=ops / total,
         dim_q=dim_q,
@@ -275,9 +246,9 @@ def branch_mixture_smooth(
     states = []
     for b in branches:
         joint_weights.append(max(float((b.operator @ e).trace().real), 0.0))
-        states.append(b.operator / b.weight if b.weight > _WEIGHT_FLOOR else None)
+        states.append(b.operator / b.weight if b.weight > WEIGHT_FLOOR else None)
     total = sum(joint_weights)
-    if total <= _WEIGHT_FLOOR:
+    if total <= WEIGHT_FLOOR:
         raise ZeroProbabilityRecord("full record has vanishing probability")
     dim = np.asarray(rho0).shape[0]
     out = np.zeros((dim, dim), dtype=complex)

@@ -15,8 +15,8 @@ tolerances.  One floor decides which past records count as impossible.
 * :func:`classical_deviation` compares quantum smoothing of a classical chain
   with forward-backward smoothing over every record and split time.
 
-Within one sweep the retrofiltered effect of each distinct future is
-computed once and shared by every prior kind and past.
+Within one sweep each distinct future is retrofiltered once and each
+distinct past filtered once, shared by every prior kind.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     ScenarioError,
     ZeroProbabilityRecord,
 )
-from .linalg import entropy_vn, fidelity, purity, trace_norm
+from .linalg import WEIGHT_FLOOR, entropy_vn, fidelity, purity, trace_norm
 from .retrodiction import generalized_smooth
 from .scenario import matrix_from_json, state_to_json
 from .smoothers import build_custom, build_prior
@@ -61,22 +61,11 @@ def future_table(scenario, built, rho0) -> dict[tuple, list[tuple[tuple, float]]
 def record_table(scenario, built, rho0, records) -> dict[tuple, list[tuple[tuple, float]]]:
     """Distinct observed records, grouped and sorted like :func:`future_table`."""
     t = scenario.smoothing_index
-    probs = {}
-    for rec in records:
-        if rec not in probs:
-            probs[rec] = _probability(built.instrument, rho0, rec)
+    memo = _Memo(built.instrument, rho0)
     table: dict[tuple, list] = {}
-    for rec in sorted(probs):
-        table.setdefault(rec[:t], []).append((rec[t:], probs[rec]))
+    for rec in sorted(set(records)):
+        table.setdefault(rec[:t], []).append((rec[t:], memo["past", rec][1]))
     return table
-
-
-def _probability(instrument, rho0, record) -> float:
-    try:
-        _, log_prob = filter_state(instrument, rho0, record)
-    except ZeroProbabilityRecord:
-        return 0.0
-    return float(np.exp(log_prob))
 
 
 def prior_for(scenario, built, kind: str, past, rho0):
@@ -114,38 +103,47 @@ def future_averages(scenario, built, rho0, table, kinds, *, complete: bool):
     ``avg_residual`` is the trace norm between the probability-weighted
     average of the smoothed states and the filtered state.
     """
-    effects = _Effects(built.instrument)
+    memo = _Memo(built.instrument, rho0)
     for kind in kinds:
         for past, futures in table.items():
-            yield kind, past, _average_one(scenario, built, rho0, kind, past, futures, complete, effects)
+            yield kind, past, _average_one(scenario, built, rho0, kind, past, futures, complete, memo)
 
 
-class _Effects(dict):
-    """Retrofiltered effects keyed by future record, each computed on first use.
+class _Memo(dict):
+    """What one sweep derives from a record, each computed on first use.
 
-    One instance serves a whole sweep, so every prior kind and past shares
-    the effect of a future.
+    ``memo["future", future]`` is the retrofiltered effect of a future and
+    ``memo["past", past]`` is ``(rho_F, probability)`` of a past from one
+    :func:`filter` call, ``(None, 0.0)`` when filtering finds it impossible.
+    One instance serves a whole sweep, so every prior kind shares them.
     """
 
-    def __init__(self, instrument):
+    def __init__(self, instrument, rho0):
         super().__init__()
         self.instrument = instrument
+        self.rho0 = rho0
 
-    def __missing__(self, future):
-        effect = self[future] = retrofilter(self.instrument, future)
-        return effect
+    def __missing__(self, key):
+        role, record = key
+        if role == "future":
+            value = retrofilter(self.instrument, record)
+        else:
+            try:
+                rho_f, log_prob = filter_state(self.instrument, self.rho0, record)
+                value = (rho_f, float(np.exp(log_prob)))
+            except ZeroProbabilityRecord:
+                value = (None, 0.0)
+        self[key] = value
+        return value
 
 
-def _average_one(scenario, built, rho0, kind, past, futures, complete, effects):
-    out = {"p_past": 0.0, "rows": [], "avg_residual": None, "states": {}, "error": None}
-    if complete:
-        out["p_past"] = sum(p for _, p in futures)
-    else:
-        out["p_past"] = _probability(built.instrument, rho0, past)
+def _average_one(scenario, built, rho0, kind, past, futures, complete, memo):
+    p_past = sum(p for _, p in futures) if complete else memo["past", past][1]
+    out = {"p_past": p_past, "rows": [], "avg_residual": None, "states": {}, "error": None}
     if out["p_past"] <= _PROB_FLOOR:
         out["error"] = ZERO_PAST
         return out
-    rho_f, _ = filter_state(built.instrument, rho0, past)
+    rho_f = memo["past", past][0]
     try:
         prior = prior_for(scenario, built, kind, past, rho0)
     except RetrosmoothError as exc:
@@ -162,7 +160,7 @@ def _average_one(scenario, built, rho0, kind, past, futures, complete, effects):
             "status": "ok",
         }
         try:
-            rho_s = generalized_smooth(prior, effects[fut])
+            rho_s = generalized_smooth(prior, memo["future", fut])
         except ZeroProbabilityRecord:
             row["status"] = "zero-probability"
             out["rows"].append(row)
@@ -187,13 +185,13 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
     gives a row with a ``detail`` message and no ``avg_entropy``.
     """
     rows = []
-    effects = _Effects(built.instrument)
+    memo = _Memo(built.instrument, rho0)
     for kind in scenario.prior_kinds:
         for past, futs in table.items():
             p_past = sum(p for _, p in futs)
             if p_past <= _PROB_FLOOR:
                 continue
-            rho_f, _ = filter_state(built.instrument, rho0, past)
+            rho_f = memo["past", past][0]
             try:
                 prior = prior_for(scenario, built, kind, past, rho0)
             except RetrosmoothError as exc:
@@ -202,10 +200,10 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
             probs, entropies = [], []
             for fut, p in futs:
                 probs.append(p / p_past)
-                if p / p_past <= 1e-14:
+                if p / p_past <= WEIGHT_FLOOR:
                     entropies.append(0.0)
                     continue
-                entropies.append(entropy_vn(generalized_smooth(prior, effects[fut])))
+                entropies.append(entropy_vn(generalized_smooth(prior, memo["future", fut])))
             s_bar = float(np.dot(probs, entropies))
             bound = sandwich_bound(rho_f, probs, s_bar)
             rows.append(
@@ -239,7 +237,7 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     rho0 = scenario.rho0(built.dim)
     prior0 = np.diag(rho0).real
     worst = {kind: 0.0 for kind in kinds}
-    effects = _Effects(built.instrument)
+    memo = _Memo(built.instrument, rho0)
     priors = {}
     n_records = 0
     for rec, p in enumerate_records(built.instrument, rho0, scenario.steps, scenario.cap()):
@@ -252,6 +250,6 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
             for kind in kinds:
                 if (kind, past) not in priors:
                     priors[kind, past] = prior_for(scenario, built, kind, past, rho0)
-                rho_s = generalized_smooth(priors[kind, past], effects[rec[t:]])
+                rho_s = generalized_smooth(priors[kind, past], memo["future", rec[t:]])
                 worst[kind] = max(worst[kind], float(np.abs(np.diag(rho_s).real - ps).max()))
     return worst, n_records

@@ -9,11 +9,15 @@ hypothetical second observer.
 
 Filtering propagates a state forward through the conditional maps with
 per-step normalization; retrofiltering propagates the identity backwards
-through the adjoints, producing an (unnormalized) effect.
+through the adjoints, producing an (unnormalized) effect.  :func:`walk`
+propagates a set of records at once, unnormalized, for record enumeration
+and for the prior builders of :mod:`retrosmooth.smoothers`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
@@ -26,13 +30,12 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityRecord,
 )
-from .linalg import as_density, as_square, dag, hermitian_part, psd_sqrt, tensor
+from .linalg import WEIGHT_FLOOR, as_density, as_square, dag, hermitian_part, psd_sqrt, tensor
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
 _SUBNORMAL_TOL = 1e-10
 _COMPLETENESS_TOL = 1e-9
-_WEIGHT_FLOOR = 1e-14
 
 
 def _frozen(m) -> np.ndarray:
@@ -64,22 +67,6 @@ class ConditionalOp:
     def dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def extend(self, dim_extra: int) -> "ConditionalOp":
-        """Tensor every Kraus operator with an identity on a trailing factor."""
-        eye = np.eye(int(dim_extra))
-        return ConditionalOp(tuple(tensor(k, eye) for k in self.kraus))
-
-
-def _check_completeness(ops: Mapping[Hashable, ConditionalOp], what: str) -> None:
-    dims = {op.dim for op in ops.values()}
-    if len(dims) != 1:
-        raise InvalidMatrix(f"{what} mixes dimensions {sorted(dims)}")
-    dim = dims.pop()
-    total = sum(dag(k) @ k for op in ops.values() for k in op.kraus)
-    defect = np.abs(np.linalg.eigvalsh(hermitian_part(total - np.eye(dim)))).max()
-    if defect > _COMPLETENESS_TOL:
-        raise InvalidMatrix(f"{what} completeness defect {defect:.3e} exceeds {_COMPLETENESS_TOL:g}")
-
 
 class Instrument:
     """Outcome-indexed family of conditional operations summing to a channel.
@@ -89,15 +76,31 @@ class Instrument:
     (useful only for testing defective inputs).
     """
 
-    def __init__(self, ops: Mapping[str, ConditionalOp], *, check: bool = True):
-        self.ops: dict[str, ConditionalOp] = {str(y): op for y, op in ops.items()}
+    _what = "instrument"
+
+    def __init__(self, ops: Mapping[Hashable, ConditionalOp], *, check: bool = True):
+        self.ops: dict = {self._label(y): op for y, op in ops.items()}
         if not self.ops:
-            raise InvalidMatrix("instrument needs at least one outcome")
+            raise InvalidMatrix(f"{self._what} needs at least one outcome")
         if check:
-            _check_completeness(self.ops, "instrument")
+            self._check()
+
+    @staticmethod
+    def _label(y) -> Hashable:
+        return str(y)
+
+    def _check(self) -> None:
+        dims = {op.dim for op in self.ops.values()}
+        if len(dims) != 1:
+            raise InvalidMatrix(f"{self._what} mixes dimensions {sorted(dims)}")
+        defect = self.completeness_defect()
+        if defect > _COMPLETENESS_TOL:
+            raise InvalidMatrix(
+                f"{self._what} completeness defect {defect:.3e} exceeds {_COMPLETENESS_TOL:g}"
+            )
 
     @property
-    def outcome_labels(self) -> tuple[str, ...]:
+    def outcome_labels(self) -> tuple:
         return tuple(self.ops)
 
     @property
@@ -115,7 +118,7 @@ class Instrument:
         return float(np.abs(np.linalg.eigvalsh(hermitian_part(total - np.eye(self.dim)))).max())
 
 
-class JointInstrument:
+class JointInstrument(Instrument):
     """Instrument over a joint ``(alice, bob)`` outcome alphabet.
 
     Each conditional operation must have exactly one Kraus operator, so that
@@ -124,45 +127,29 @@ class JointInstrument:
     observer's own instrument; see :func:`alice_marginal`.
     """
 
-    def __init__(self, ops: Mapping[tuple[str, str], ConditionalOp], *, check: bool = True):
-        self.ops: dict[tuple[str, str], ConditionalOp] = {
-            (str(y), str(u)): op for (y, u), op in ops.items()
-        }
-        if not self.ops:
-            raise InvalidMatrix("joint instrument needs at least one outcome pair")
-        if check:
-            for label, op in self.ops.items():
-                if len(op.kraus) != 1:
-                    raise InvalidMatrix(f"joint outcome {label!r} must have Kraus rank one")
-            _check_completeness(self.ops, "joint instrument")
+    _what = "joint instrument"
 
-    @property
-    def outcome_labels(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self.ops)
+    def __init__(self, ops: Mapping[tuple[str, str], ConditionalOp]):
+        super().__init__(ops)
+
+    @staticmethod
+    def _label(label) -> tuple[str, str]:
+        y, u = label
+        return (str(y), str(u))
+
+    def _check(self) -> None:
+        for label, op in self.ops.items():
+            if len(op.kraus) != 1:
+                raise InvalidMatrix(f"joint outcome {label!r} must have Kraus rank one")
+        super()._check()
 
     @property
     def alice_labels(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for y, _ in self.ops:
-            seen.setdefault(y, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(y for y, _ in self.ops))
 
     @property
     def bob_labels(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for _, u in self.ops:
-            seen.setdefault(u, None)
-        return tuple(seen)
-
-    @property
-    def dim(self) -> int:
-        return next(iter(self.ops.values())).dim
-
-    def op(self, label) -> ConditionalOp:
-        try:
-            return self.ops[label]
-        except KeyError:
-            raise UnknownOutcome(f"outcome {label!r} not in joint alphabet") from None
+        return tuple(dict.fromkeys(u for _, u in self.ops))
 
     def bob_options(self, y: str) -> tuple[str, ...]:
         """Bob labels compatible with a given alice outcome, in sorted order."""
@@ -319,7 +306,7 @@ def filter(instrument, rho0, record) -> tuple[np.ndarray, float]:
     log_prob = 0.0
     for y in record:
         out, w = apply_conditional(instrument.op(y), rho)
-        if w <= _WEIGHT_FLOOR:
+        if w <= WEIGHT_FLOOR:
             raise ZeroProbabilityRecord(f"record impossible at outcome {y!r}")
         rho = hermitian_part(out / w)
         log_prob += float(np.log(w))
@@ -343,37 +330,76 @@ def retrofilter(instrument, record) -> np.ndarray:
     return effect
 
 
+def walk(
+    instrument,
+    initial,
+    label_sets,
+    *,
+    dim_extra: int = 1,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[list[tuple], np.ndarray]:
+    """Propagate every record whose step ``i`` takes a label from ``label_sets[i]``.
+
+    ``initial`` lives on the system tensored with ``dim_extra`` ancilla
+    dimensions.  Branches advance breadth-first, one stacked conjugation per
+    step and Kraus position, summing a label's Kraus terms in Kraus order as
+    :func:`apply_conditional` does; an exactly zero branch is dropped with its
+    subtree.  Returns the surviving records in lexicographic order and the
+    stack of their symmetrized, unnormalized operators.  ``cap`` bounds the
+    number of records counted before any is dropped (:class:`EnumerationTooLarge`).
+    """
+    label_sets = [tuple(labels) for labels in label_sets]
+    n_records = math.prod(map(len, label_sets))
+    if n_records > cap:
+        raise EnumerationTooLarge(f"{n_records} records exceed the cap of {cap}")
+    kraus_stacks: dict[tuple, list] = {}
+    records, sigma = [()], np.asarray(initial, dtype=complex)[None]
+    for labels in label_sets:
+        if labels not in kraus_stacks:
+            kraus_stacks[labels] = _kraus_stack(instrument, labels, np.eye(int(dim_extra)))
+        (_, ops, ops_dag), *rest = kraus_stacks[labels]
+        out = ops @ sigma[:, None] @ ops_dag
+        for idx, ops, ops_dag in rest:
+            out[:, idx] += ops @ sigma[:, None] @ ops_dag
+        # branch-major, label-minor: the lexicographic order of the records
+        out = out.reshape(-1, *sigma.shape[1:])
+        keep = out.any(axis=(1, 2))
+        records = list(itertools.compress((r + (y,) for r in records for y in labels), keep))
+        sigma = out[keep]
+    return records, hermitian_part(sigma)
+
+
+def _kraus_stack(instrument, labels: tuple, eye: np.ndarray) -> list:
+    """The Kraus operators of ``labels`` by Kraus position, lifted to the ancilla.
+
+    Entry ``j`` is ``(label indices, operators, adjoints)`` over the labels
+    with a ``j``-th Kraus operator; entry 0 covers every label.
+    """
+    kraus = [instrument.op(y).kraus for y in labels]
+    positions = []
+    for j in range(max(map(len, kraus))):
+        idx = [i for i, ks in enumerate(kraus) if len(ks) > j]
+        ops = np.stack([tensor(kraus[i][j], eye) for i in idx])
+        positions.append((idx, ops, dag(ops)))
+    return positions
+
+
 def enumerate_records(
     instrument, rho0, steps: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[tuple[tuple, float]]:
     """All records of the given length with their probabilities.
 
-    Output is in depth-first (lexicographic in the instrument's label order)
-    order and includes zero-probability records; probabilities sum to one.
-    Raises :class:`EnumerationTooLarge` when ``|alphabet| ** steps`` exceeds
-    ``cap``.
+    Output is lexicographic in the instrument's label order and includes
+    zero-probability records; probabilities sum to one.  Raises
+    :class:`EnumerationTooLarge` when ``|alphabet| ** steps`` exceeds ``cap``.
     """
     steps = int(steps)
     labels = instrument.outcome_labels
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if len(labels) ** steps > cap:
-        raise EnumerationTooLarge(
-            f"{len(labels)} ** {steps} records exceed the cap of {cap}"
-        )
-    rho = as_density(rho0, "rho0")
-    results: list[tuple[tuple, float]] = []
-
-    def descend(prefix: tuple, sigma: np.ndarray, remaining: int) -> None:
-        if remaining == 0:
-            results.append((prefix, max(float(sigma.trace().real), 0.0)))
-            return
-        for y in labels:
-            out, _ = apply_conditional(instrument.op(y), sigma)
-            descend(prefix + (y,), out, remaining - 1)
-
-    descend((), rho, steps)
-    return results
+    records, ops = walk(instrument, as_density(rho0, "rho0"), [labels] * steps, cap=cap)
+    probs = {r: max(float(op.trace().real), 0.0) for r, op in zip(records, ops)}
+    return [(r, probs.get(r, 0.0)) for r in itertools.product(labels, repeat=steps)]
 
 
 def sample_record(instrument, rho0, steps: int, rng) -> tuple[tuple, list[np.ndarray]]:
@@ -397,7 +423,7 @@ def sample_record(instrument, rho0, steps: int, rng) -> tuple[tuple, list[np.nda
         probs = np.clip(probs, 0.0, None)
         probs = probs / probs.sum()
         k = int(gen.choice(len(labels), p=probs))
-        if weights[k] <= _WEIGHT_FLOOR:
+        if weights[k] <= WEIGHT_FLOOR:
             raise ZeroProbabilityRecord("sampled a zero-weight outcome; model is degenerate")
         rho = hermitian_part(outs[k] / weights[k])
         record.append(labels[k])

@@ -188,7 +188,7 @@ def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
     sc, built, rho0, table = _setup(scenario)
     worst, errors = 0.0, []
     for past, futs in table.items():
-        futs = [(fut, p) for fut, p in futs if p > 1e-12]
+        futs = [(fut, p) for fut, p in futs if p > sweeps._PROB_FLOOR]
         if not futs:
             continue
         prior = _gw_prior(sc, built, rho0, past, errors)

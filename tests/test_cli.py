@@ -99,6 +99,35 @@ class TestSmooth:
         rows = read_csv(tmp_path / "driven-damped-qubit_smooth.csv")
         assert rows and all(r["status"] == "ok" for r in rows)
 
+    def test_record_mode_filters_each_past_once(self, tmp_path, monkeypatch):
+        from collections import Counter
+
+        from retrosmooth import smoothers, sweeps, trajectory
+
+        sc = Scenario.from_dict({**demo_scenario().raw, "steps": 40, "smoothing_time_index": 20})
+        path = cmd_simulate(sc, 40, tmp_path)
+        records = [tuple(a for a, _ in rec) for rec in read_trajectories(path)[1]]
+        calls = {"sweeps": Counter(), "smoothers": Counter()}
+
+        def counting(where):
+            def wrapped(instrument, rho0, record):
+                calls[where][tuple(record)] += 1
+                return trajectory.filter(instrument, rho0, record)
+
+            return wrapped
+
+        monkeypatch.setattr(sweeps, "filter_state", counting("sweeps"))
+        monkeypatch.setattr(smoothers, "filter_state", counting("smoothers"))
+        cmd_smooth(sc, tmp_path, record_path=path, prior_kinds=("pf", "gw", "clhs"))
+        t = sc.smoothing_index
+        pasts = {rec[:t] for rec in records}
+        assert 1 < len(pasts) < len(records)
+        # one call per distinct past and per distinct record, shared by every prior kind
+        assert set(calls["sweeps"]) == pasts | set(records)
+        assert set(calls["sweeps"].values()) == {1}
+        # build_prior filters once per past for each of pf and clhs
+        assert calls["smoothers"] == Counter({past: 2 for past in pasts})
+
     def test_enumerate_is_byte_stable(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

@@ -210,6 +210,20 @@ class TestPartialTraceTensor:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidFactorization):
             partial_trace(np.eye(6), (2, 2), "Q")
+        with pytest.raises(InvalidFactorization):
+            partial_trace(np.ones(6), (2, 3), "Q")
+
+    @pytest.mark.parametrize("keep", ["Q", "A"])
+    def test_stack_matches_per_matrix(self, keep):
+        rng = np.random.default_rng(12)
+        stack = np.array(
+            [[sampling.random_density(6, rng) for _ in range(3)] for _ in range(2)]
+        )
+        got = partial_trace(stack, (2, 3), keep)
+        assert got.shape == ((2, 3, 2, 2) if keep == "Q" else (2, 3, 3, 3))
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(got[i, j], partial_trace(stack[i, j], (2, 3), keep))
 
 
 class TestPurify:

@@ -172,6 +172,24 @@ class TestStructure:
         assert prior.dim_a2 == 1
         assert abs(purity(prior.blocks[0]) - 1.0) <= 1e-10
 
+    def test_pf_variant_matches_kron_loop(self):
+        from retrosmooth.linalg import dag, hermitian_part, purify, tensor
+
+        joint, inst, rho0 = demo(rho0=np.diag([0.7, 0.3]).astype(complex))
+        past = ("0", "1", "0", "0")
+        psi = purify(rho0)
+        rank = psi.size // 2
+        assert rank == 2
+        sigma = np.outer(psi, psi.conj())
+        for y in past:
+            lifted = [tensor(k, np.eye(rank)) for k in inst.op(y).kraus]
+            sigma = sum(k @ sigma @ dag(k) for k in lifted)
+        prior = build_pf_variant(inst, rho0, past)
+        assert prior.dim_a1 == rank and prior.block_labels == ((),)
+        np.testing.assert_array_equal(
+            prior.blocks[0], hermitian_part(sigma) / float(sigma.trace().real)
+        )
+
     def test_empty_record_pf_variant_is_purification(self):
         from retrosmooth.linalg import purify
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from retrosmooth.errors import (
     ZeroProbabilityRecord,
 )
 from retrosmooth.linalg import dag, hermitian_part
+from retrosmooth.scenario import Scenario
 from retrosmooth.trajectory import (
     ConditionalOp,
     Instrument,
@@ -30,6 +33,7 @@ from retrosmooth.trajectory import (
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # lowering |1> -> |0>
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 G = np.diag([1.0, 0.0]).astype(complex)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 E = np.diag([0.0, 1.0]).astype(complex)
 
 
@@ -50,10 +54,6 @@ class TestConditionalOp:
     def test_subnormalization_enforced(self):
         with pytest.raises(InvalidMatrix):
             ConditionalOp((np.eye(2) * 1.1,))
-
-    def test_extend(self):
-        op = ConditionalOp((SM,)).extend(3)
-        assert op.kraus[0].shape == (6, 6)
 
 
 class TestInstruments:
@@ -209,6 +209,38 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(EnumerationTooLarge):
             enumerate_records(projective_z(), np.eye(2) / 2, 10, cap=100)
+
+    @staticmethod
+    def recursive_records(instrument, rho0, steps):
+        """Depth-first reference: every record, one conditional operation at a time."""
+        out = []
+
+        def descend(prefix, sigma, remaining):
+            if remaining == 0:
+                out.append((prefix, max(float(sigma.trace().real), 0.0)))
+                return
+            for y in instrument.outcome_labels:
+                nxt, _ = apply_conditional(instrument.op(y), sigma)
+                descend(prefix + (y,), nxt, remaining - 1)
+
+        descend((), np.asarray(rho0, dtype=complex), steps)
+        return out
+
+    @pytest.mark.parametrize("which, has_zero", [("classical-3state", False), ("demo-joint", True)])
+    def test_matches_recursive_reference(self, which, has_zero):
+        if which == "demo-joint":
+            inst, rho0, steps = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05)), np.eye(2) / 2, 5
+        else:
+            sc = Scenario.from_file(SCENARIOS / "classical-3state.json")
+            built = sc.build()
+            inst, rho0, steps = built.instrument, sc.rho0(built.dim), sc.steps
+        got = enumerate_records(inst, rho0, steps)
+        ref = self.recursive_records(inst, rho0, steps)
+        assert [r for r, _ in got] == [r for r, _ in ref]
+        # bitwise equal probabilities, zero records included
+        assert np.array([p for _, p in got]).tobytes() == np.array([p for _, p in ref]).tobytes()
+        # two consecutive jumps under sigma-minus are exactly impossible
+        assert any(p == 0.0 for _, p in got) == has_zero
 
 
 class TestSample:
