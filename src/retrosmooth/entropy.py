@@ -84,24 +84,28 @@ def outcome_probs(scenario: ExtensionScenario) -> np.ndarray:
 
 
 def smoothed_outcome_states(scenario: ExtensionScenario) -> list[np.ndarray | None]:
-    """Per-outcome updated states; outcomes of negligible probability give ``None``."""
+    """Per-outcome updated states; outcomes of negligible probability give ``None``.
+
+    Every outcome above the floor is updated in one stacked sandwich.
+    """
     probs = outcome_probs(scenario)
-    states: list[np.ndarray | None] = []
-    for e, p in zip(scenario.effects, probs):
-        if p <= WEIGHT_FLOOR:
-            states.append(None)
-            continue
-        states.append(hermitian_part(_sandwich_marginal(scenario.extension, e)) / p)
-    return states
+    live = probs > WEIGHT_FLOOR
+    effects = np.stack(scenario.effects)[live]
+    updated = iter(
+        hermitian_part(_sandwich_marginal(scenario.extension, effects)) / probs[live][:, None, None]
+    )
+    return [next(updated) if keep else None for keep in live]
 
 
 def avg_entropy(scenario: ExtensionScenario) -> float:
     """Probability-weighted average von Neumann entropy of the updated states (nats)."""
     probs = outcome_probs(scenario)
+    states = smoothed_outcome_states(scenario)
+    entropies = iter(entropy_vn(np.stack([rho for rho in states if rho is not None])).tolist())
     total = 0.0
-    for p, rho in zip(probs, smoothed_outcome_states(scenario)):
+    for p, rho in zip(probs, states):
         if rho is not None:
-            total += float(p) * entropy_vn(rho)
+            total += float(p) * next(entropies)
     return total
 
 

@@ -27,7 +27,8 @@ the number of record branches.  The blocks are one stacked array, and their
 square roots are taken once per prior, in one batched eigendecomposition,
 and reused for every future: each smoothing update is then a stacked
 sandwich ``sqrt(P_u) (E_R (x) I_A1) sqrt(P_u)`` followed by one partial
-trace over ``A1`` and the register.
+trace over ``A1`` and the register.  Since the update is linear in ``E_R``,
+every future of one past is smoothed in one call on a stack of effects.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .linalg import (
     as_density,
     as_effect,
     as_hermitian_stack,
+    as_square,
     dag,
     hermitian_part,
     partial_trace,
@@ -129,7 +131,8 @@ class FilteredGlobalState:
     validated in one pass: finite entries, each block Hermitian within
     ``1e-9`` of its own scale, traces summing to one within ``1e-8``.
     ``roots`` is the aligned stack of the blocks' square roots, computed on
-    first use and then reused by every smoothing update of this prior.
+    first use and then reused by every smoothing update of this prior; the
+    marginal is likewise taken once.
     """
 
     blocks: np.ndarray
@@ -182,8 +185,14 @@ class FilteredGlobalState:
         return (self.dim_q, self.dim_a)
 
     def marginal(self) -> np.ndarray:
-        """Reduced state on the system, ``Tr_A`` of the global state."""
-        return hermitian_part(_trace_out_a(self, self.blocks))
+        """Reduced state on the system, ``Tr_A`` of the global state (read-only)."""
+        return self._marginal
+
+    @cached_property
+    def _marginal(self) -> np.ndarray:
+        marginal = hermitian_part(_trace_out_a(self, self.blocks))
+        marginal.flags.writeable = False
+        return marginal
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full matrix on ``Q (x) A1 (x) A2`` (register last)."""
@@ -198,8 +207,11 @@ class FilteredGlobalState:
 
 
 def _trace_out_a(prior: FilteredGlobalState, stack: np.ndarray) -> np.ndarray:
-    """``Tr_A`` of the block-diagonal operator whose register blocks are ``stack``."""
-    return partial_trace(stack, (prior.dim_q, prior.dim_a1), "Q").sum(axis=0)
+    """``Tr_A`` of the block-diagonal operator whose register blocks are ``stack``.
+
+    ``stack`` is ``(n, D, D)``, or ``(k, n, D, D)`` for ``k`` such operators.
+    """
+    return partial_trace(stack, (prior.dim_q, prior.dim_a1), "Q").sum(axis=-3)
 
 
 def _pull_back_evidence(channel: ChannelRep, gamma: np.ndarray, sigma) -> np.ndarray:
@@ -254,41 +266,67 @@ def extended_petz(channel: ChannelRep, prior: FilteredGlobalState, sigma) -> np.
 def _sandwich_marginal(prior: FilteredGlobalState, x) -> np.ndarray:
     """``Tr_A[ sqrt(P) (x (x) I_A) sqrt(P) ]`` over the stacked block roots.
 
-    Linear in ``x`` (no symmetrization), so it is safe on matrix units.
+    ``x`` is one operator or a stack ``(k, d, d)`` of them.  Linear in ``x``
+    (no symmetrization), so it is safe on matrix units.
     """
     return _trace_out_a(prior, _sandwich(prior, x))
 
 
 def _sandwich(prior: FilteredGlobalState, x) -> np.ndarray:
-    """``sqrt(P_u) (x (x) I_A1) sqrt(P_u)`` for every block ``u``, as a stack."""
+    """``sqrt(P_u) (x (x) I_A1) sqrt(P_u)`` for every block ``u``, as a stack.
+
+    For a stack ``x`` of ``k`` operators the result is ``(k, n, D, D)``.
+    """
     roots = prior.roots
-    return roots @ tensor(x, np.eye(prior.dim_a1)) @ roots
+    lifted = tensor(x, np.eye(prior.dim_a1))
+    if lifted.ndim == 3:
+        lifted = lifted[:, None]
+    return roots @ lifted @ roots
+
+
+def _effects_and_norms(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, np.ndarray]:
+    """Validated effects as a stack ``(k, d, d)`` and their normalizers ``Tr[rho_F E_R]``.
+
+    One effect is a stack of one.  Raises :class:`InvalidFactorization` for
+    effects of the wrong dimension.
+    """
+    e = as_effect(effect)
+    if e.shape[-1] != prior.dim_q:
+        raise InvalidFactorization("effect dimension does not match the system")
+    stack = e if e.ndim == 3 else e[None]
+    return stack, np.trace(prior.marginal() @ stack, axis1=1, axis2=2).real
 
 
 def _effect_and_norm(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, float]:
-    """Validated effect and its normalizer ``Tr[rho_F E_R]``.
-
-    Raises :class:`InvalidFactorization` for an effect of the wrong dimension
-    and :class:`ZeroProbabilityRecord` when the normalizer vanishes.
-    """
-    e = as_effect(effect)
-    if e.shape[0] != prior.dim_q:
-        raise InvalidFactorization("effect dimension does not match the system")
-    norm = float((prior.marginal() @ e).trace().real)
-    if norm <= WEIGHT_FLOOR:
-        raise ZeroProbabilityRecord(f"record probability {norm:.3e} vanishes")
-    return e, norm
+    """One validated effect and its normalizer; :class:`ZeroProbabilityRecord` if it vanishes."""
+    stack, norms = _effects_and_norms(prior, as_square(effect, "effect"))
+    if norms[0] <= WEIGHT_FLOOR:
+        raise ZeroProbabilityRecord(f"record probability {norms[0]:.3e} vanishes")
+    return stack[0], float(norms[0])
 
 
-def generalized_smooth(prior: FilteredGlobalState, effect) -> np.ndarray:
+def generalized_smooth(prior: FilteredGlobalState, effect):
     """Smoothed system state from a filtered global state and a retrofiltered effect.
 
     Computes ``Tr_A[sqrt(P) (E_R (x) I_A) sqrt(P)] / Tr[rho_F E_R]``.  The
     output is PSD with unit trace whenever the record has nonvanishing
     probability; otherwise :class:`ZeroProbabilityRecord` is raised.
+
+    A stack ``(k, d, d)`` of effects is validated and smoothed in one pass
+    and returns ``(states, possible)``: ``possible[j]`` is false where the
+    normalizer of effect ``j`` is at or below ``WEIGHT_FLOOR``, and
+    ``states[j]`` is then NaN instead of raising.  Each state has the bits of
+    the single-effect call.
     """
-    e, norm = _effect_and_norm(prior, effect)
-    return hermitian_part(_sandwich_marginal(prior, e)) / norm
+    single = np.ndim(effect) != 3
+    stack, norms = _effects_and_norms(prior, effect)
+    possible = norms > WEIGHT_FLOOR
+    if single and not possible[0]:
+        raise ZeroProbabilityRecord(f"record probability {norms[0]:.3e} vanishes")
+    states = np.full(stack.shape, np.nan, dtype=complex)
+    sandwiched = _sandwich_marginal(prior, stack[possible])
+    states[possible] = hermitian_part(sandwiched) / norms[possible][:, None, None]
+    return states[0] if single else (states, possible)
 
 
 def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:

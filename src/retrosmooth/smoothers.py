@@ -193,10 +193,17 @@ def build_prior(
     instrument: Instrument,
     joint: JointInstrument | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
+    rho_f=None,
 ) -> FilteredGlobalState:
-    """Dispatch a prior build from shared scenario ingredients."""
+    """Dispatch a prior build from shared scenario ingredients.
+
+    ``pf`` and ``clhs`` start from the filtered state of ``alice_past``: the
+    given ``rho_f``, or one :func:`~retrosmooth.trajectory.filter` call when
+    it is ``None``.
+    """
     if kind in ("pf", "clhs"):
-        rho_f, _ = filter_state(instrument, rho0, alice_past)
+        if rho_f is None:
+            rho_f, _ = filter_state(instrument, rho0, alice_past)
         return build_pf(rho_f) if kind == "pf" else build_clhs(rho_f)
     if kind == "pf-variant":
         return build_pf_variant(instrument, rho0, alice_past)

@@ -16,7 +16,9 @@ tolerances.  One floor decides which past records count as impossible.
   with forward-backward smoothing over every record and split time.
 
 Within one sweep each distinct future is retrofiltered once and each
-distinct past filtered once, shared by every prior kind.
+distinct past filtered once, shared by every prior kind and by the prior
+builds that need the filtered state; every future of a (prior kind, past)
+pair is smoothed in one stacked call, and its metrics taken over the stack.
 """
 
 from __future__ import annotations
@@ -68,15 +70,21 @@ def record_table(scenario, built, rho0, records) -> dict[tuple, list[tuple[tuple
     return table
 
 
-def prior_for(scenario, built, kind: str, past, rho0):
-    """The prior of one kind for one past, built under the scenario's enumeration cap."""
+def prior_for(scenario, built, kind: str, past, rho0, rho_f=None):
+    """The prior of one kind for one past, built under the scenario's enumeration cap.
+
+    ``rho_f``, the past's filtered state when the caller already holds it,
+    spares the ``pf``/``clhs`` builds and the ``custom`` check a second
+    :func:`filter` call; ``None`` filters the past here.
+    """
     if kind == "custom":
         if not scenario.custom_prior:
             raise ScenarioError("custom_prior: required when prior kind 'custom' is requested")
         matrix = matrix_from_json(scenario.custom_prior.get("matrix"), "custom_prior.matrix")
         dim_a = int(scenario.custom_prior.get("dim_a", 1))
         prior = build_custom(matrix, (built.dim, dim_a))
-        rho_f, _ = filter_state(built.instrument, rho0, past)
+        if rho_f is None:
+            rho_f, _ = filter_state(built.instrument, rho0, past)
         gap = prior.consistency_gap(rho_f)
         if gap > 1e-9:
             raise InvalidExtension(
@@ -90,6 +98,7 @@ def prior_for(scenario, built, kind: str, past, rho0):
         instrument=built.instrument,
         joint=built.joint,
         cap=scenario.cap(),
+        rho_f=rho_f,
     )
 
 
@@ -123,6 +132,10 @@ class _Memo(dict):
         self.instrument = instrument
         self.rho0 = rho0
 
+    def effects(self, futures) -> np.ndarray:
+        """The retrofiltered effects of some futures, as one stack ``(k, d, d)``."""
+        return np.stack([self["future", fut] for fut in futures])
+
     def __missing__(self, key):
         role, record = key
         if role == "future":
@@ -145,12 +158,20 @@ def _average_one(scenario, built, rho0, kind, past, futures, complete, memo):
         return out
     rho_f = memo["past", past][0]
     try:
-        prior = prior_for(scenario, built, kind, past, rho0)
+        prior = prior_for(scenario, built, kind, past, rho0, rho_f)
     except RetrosmoothError as exc:
         out["error"] = str(exc)
         return out
+    states, possible = generalized_smooth(prior, memo.effects(fut for fut, _ in futures))
+    smoothed = states[possible]
+    metrics = zip(
+        smoothed,
+        purity(smoothed).tolist(),
+        entropy_vn(smoothed).tolist(),
+        fidelity(smoothed, rho_f).tolist(),
+    )
     avg = np.zeros((built.dim, built.dim), dtype=complex)
-    for fut, p in futures:
+    for (fut, p), ok in zip(futures, possible):
         row = {
             "scenario": scenario.name,
             "prior": kind,
@@ -159,18 +180,12 @@ def _average_one(scenario, built, rho0, kind, past, futures, complete, memo):
             "probability": p,
             "status": "ok",
         }
-        try:
-            rho_s = generalized_smooth(prior, memo["future", fut])
-        except ZeroProbabilityRecord:
+        if not ok:
             row["status"] = "zero-probability"
             out["rows"].append(row)
             continue
+        rho_s, row["purity"], row["entropy"], row["fidelity_to_filtered"] = next(metrics)
         avg += (p / out["p_past"]) * rho_s
-        row.update(
-            purity=purity(rho_s),
-            entropy=entropy_vn(rho_s),
-            fidelity_to_filtered=fidelity(rho_s, rho_f),
-        )
         out["rows"].append(row)
         out["states"][render(fut)] = state_to_json(rho_s)
     if complete:
@@ -193,17 +208,22 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
                 continue
             rho_f = memo["past", past][0]
             try:
-                prior = prior_for(scenario, built, kind, past, rho0)
+                prior = prior_for(scenario, built, kind, past, rho0, rho_f)
             except RetrosmoothError as exc:
                 rows.append({"kind": "prior", "id": kind, "record": render(past), "detail": str(exc)})
                 continue
-            probs, entropies = [], []
-            for fut, p in futs:
-                probs.append(p / p_past)
-                if p / p_past <= WEIGHT_FLOOR:
-                    entropies.append(0.0)
-                    continue
-                entropies.append(entropy_vn(generalized_smooth(prior, memo["future", fut])))
+            probs = [p / p_past for _, p in futs]
+            # a future at or below the floor adds entropy 0.0 without smoothing
+            live = [j for j, q in enumerate(probs) if q > WEIGHT_FLOOR]
+            entropies = [0.0] * len(futs)
+            if live:
+                states, possible = generalized_smooth(prior, memo.effects(futs[j][0] for j in live))
+                if not possible.all():
+                    raise ZeroProbabilityRecord(
+                        f"a future of {render(past)!r} has vanishing probability"
+                    )
+                for j, s in zip(live, entropy_vn(states).tolist()):
+                    entropies[j] = s
             s_bar = float(np.dot(probs, entropies))
             bound = sandwich_bound(rho_f, probs, s_bar)
             rows.append(
@@ -249,7 +269,8 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
             ps = classical_smooth(built.classical, prior0, past, rec[t:])
             for kind in kinds:
                 if (kind, past) not in priors:
-                    priors[kind, past] = prior_for(scenario, built, kind, past, rho0)
+                    rho_f = memo["past", past][0]
+                    priors[kind, past] = prior_for(scenario, built, kind, past, rho0, rho_f)
                 rho_s = generalized_smooth(priors[kind, past], memo["future", rec[t:]])
                 worst[kind] = max(worst[kind], float(np.abs(np.diag(rho_s).real - ps).max()))
     return worst, n_records

@@ -186,18 +186,22 @@ def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
     A prior that cannot be built for a possible past fails the check.
     """
     sc, built, rho0, table = _setup(scenario)
+    memo = sweeps._Memo(built.instrument, rho0)
     worst, errors = 0.0, []
     for past, futs in table.items():
-        futs = [(fut, p) for fut, p in futs if p > sweeps._PROB_FLOOR]
+        futs = [fut for fut, p in futs if p > sweeps._PROB_FLOOR]
         if not futs:
             continue
         prior = _gw_prior(sc, built, rho0, past, errors)
         if prior is None:
             continue
-        for fut, p in futs:
-            effect = retrofilter(built.instrument, fut)
-            got = generalized_smooth(prior, effect)
-            ref = branch_mixture_smooth(built.joint, rho0, past, effect, cap=sc.cap())
+        states, possible = generalized_smooth(prior, memo.effects(futs))
+        if not possible.all():
+            raise ZeroProbabilityRecord(
+                f"a future of {sweeps.render(past)!r} has vanishing probability"
+            )
+        for fut, got in zip(futs, states):
+            ref = branch_mixture_smooth(built.joint, rho0, past, memo["future", fut], cap=sc.cap())
             worst = max(worst, trace_norm(got - ref))
     passed = worst <= 1e-8 and not errors
     return CheckResult(
@@ -225,6 +229,7 @@ def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
         alice = tuple(a for a, _ in jrec)
         den[alice] += jp
         num[alice][tuple(u for _, u in jrec)[:t]] += jp
+    memo = sweeps._Memo(built.instrument, rho0)
     worst, errors = 0.0, []
     for past, futs in table.items():
         futs = [(fut, p) for fut, p in futs if p > 1e-9]
@@ -234,7 +239,7 @@ def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
         if prior is None:
             continue
         for fut, p in futs:
-            probs = bob_posterior(prior, retrofilter(built.instrument, fut))
+            probs = bob_posterior(prior, memo["future", fut])
             rec = past + fut
             expected = np.array([num[rec][lbl] / den[rec] for lbl in prior.block_labels])
             worst = max(worst, float(np.abs(probs - expected).max()))

@@ -125,8 +125,8 @@ class TestSmooth:
         # one call per distinct past and per distinct record, shared by every prior kind
         assert set(calls["sweeps"]) == pasts | set(records)
         assert set(calls["sweeps"].values()) == {1}
-        # build_prior filters once per past for each of pf and clhs
-        assert calls["smoothers"] == Counter({past: 2 for past in pasts})
+        # pf and clhs are built from the sweep's filtered state, not filtered again
+        assert calls["smoothers"] == Counter()
 
     def test_enumerate_is_byte_stable(self, tmp_path):
         (tmp_path / "a").mkdir()

@@ -16,7 +16,7 @@ from retrosmooth.entropy import (
     theorem1_check,
 )
 from retrosmooth.errors import InvalidExtension, InvalidPOVM
-from retrosmooth.linalg import entropy_vn, partial_trace, tensor, trace_norm
+from retrosmooth.linalg import entropy_vn, hermitian_part, partial_trace, tensor, trace_norm
 from retrosmooth.smoothers import build_custom
 
 LN2 = float(np.log(2.0))
@@ -106,6 +106,26 @@ class TestSmoothedOutcomeStates:
                 p * st for p, st in zip(probs, smoothed_outcome_states(s)) if st is not None
             )
             assert np.abs(total - s.gamma).max() <= 1e-9
+
+    def test_stacked_update_matches_per_effect_loop(self):
+        # one sandwich over every outcome gives each outcome's own bits
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            s = random_scenario(rng)
+            probs = outcome_probs(s)
+            for e, p, st in zip(s.effects, probs, smoothed_outcome_states(s)):
+                lifted = tensor(e, np.eye(s.extension.dim_a1))
+                sandwich = s.extension.roots @ lifted @ s.extension.roots
+                dims = (s.extension.dim_q, s.extension.dim_a1)
+                expected = hermitian_part(partial_trace(sandwich, dims, "Q").sum(axis=0)) / p
+                np.testing.assert_array_equal(st, expected)
+
+    def test_negligible_outcome_gives_none(self):
+        s = scenario(np.diag([1.0, 0.0]), np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2), Z_POVM)
+        first, second = smoothed_outcome_states(s)
+        np.testing.assert_allclose(first, np.diag([1.0, 0.0]), atol=1e-15)
+        assert second is None
+        assert avg_entropy(s) == 0.0
 
 
 class TestAvgEntropy:

@@ -8,9 +8,11 @@ from retrosmooth.errors import (
     InvalidMatrix,
     InvalidPOVM,
     MissingClassicalRegister,
+    NotPSD,
     ZeroProbabilityRecord,
 )
 from retrosmooth.linalg import (
+    WEIGHT_FLOOR,
     hermitian_part,
     partial_trace,
     psd_sqrt,
@@ -225,6 +227,12 @@ class TestFilteredGlobalState:
         with pytest.raises(InvalidMatrix, match=r"sum to 1\.1"):
             self.make((0.25 * np.eye(2), 0.6 * G))
 
+    def test_marginal_taken_once_and_read_only(self):
+        prior = self.make((0.25 * np.eye(2), 0.5 * G))
+        assert prior.marginal() is prior.marginal()
+        assert not prior.marginal().flags.writeable
+        np.testing.assert_allclose(prior.marginal(), 0.25 * np.eye(2) + 0.5 * G, atol=1e-15)
+
     def test_roots_align_with_blocks(self):
         rng = np.random.default_rng(9)
         blocks = [0.3 * sampling.random_density(2, rng), np.zeros((2, 2)), 0.7 * G]
@@ -298,6 +306,84 @@ class TestGeneralizedSmooth:
             generalized_smooth(prior, effect),
             atol=1e-9,
         )
+
+
+def per_effect_smooth(prior, effect):
+    """One effect at a time, by the formula's own operations: ``None`` if impossible."""
+    e = hermitian_part(np.asarray(effect, dtype=complex))
+    norm = float((prior.marginal() @ e).trace().real)
+    if norm <= WEIGHT_FLOOR:
+        return None
+    lifted = tensor(e, np.eye(prior.dim_a1))
+    stack = prior.roots @ lifted @ prior.roots
+    return hermitian_part(partial_trace(stack, (prior.dim_q, prior.dim_a1), "Q").sum(axis=0)) / norm
+
+
+class TestStackedSmooth:
+    """A stack of effects is smoothed bit for bit as one effect at a time."""
+
+    @staticmethod
+    def futures_effects(inst, steps):
+        futures = [tuple(f"{i:0{steps}b}") for i in range(2**steps)]
+        return np.stack([retrofilter(inst, fut) for fut in futures])
+
+    def assert_matches_loop(self, prior, effects):
+        states, possible = generalized_smooth(prior, effects)
+        assert states.shape == effects.shape and possible.shape == (len(effects),)
+        for state, ok, effect in zip(states, possible, effects):
+            expected = per_effect_smooth(prior, effect)
+            if expected is None:
+                assert not ok
+                assert np.isnan(state).all()
+                with pytest.raises(ZeroProbabilityRecord):
+                    generalized_smooth(prior, effect)
+                continue
+            assert ok
+            np.testing.assert_array_equal(state, expected)
+            np.testing.assert_array_equal(state, generalized_smooth(prior, effect))
+        return possible
+
+    def test_pf(self):
+        joint, inst, rho0 = demo_pieces()
+        rho_f, _ = filter_state(inst, rho0, ("0", "0"))
+        self.assert_matches_loop(build_pf(rho_f), self.futures_effects(inst, 4))
+
+    def test_pf_variant_with_ancilla(self):
+        joint, inst, rho0 = demo_pieces()
+        prior = build_pf_variant(inst, rho0, ("0", "1", "0"))
+        assert prior.dim_a1 > 1
+        self.assert_matches_loop(prior, self.futures_effects(inst, 4))
+
+    def test_multi_block_gw(self):
+        joint, inst, rho0 = demo_pieces()
+        prior = build_gw(joint, rho0, ("0", "0", "1"))
+        assert len(prior.blocks) > 1 and prior.dim_a1 > 1
+        self.assert_matches_loop(prior, self.futures_effects(inst, 3))
+
+    def test_zero_probability_entries(self):
+        # after a jump the qubit sits in the ground state: a second jump is impossible
+        joint, inst, rho0 = demo_pieces()
+        rho_f, _ = filter_state(inst, rho0, ("0", "1"))
+        effects = np.concatenate([self.futures_effects(inst, 2), [E, G, np.zeros((2, 2))]])
+        for prior in (build_pf(G), build_pf(rho_f), build_gw(joint, rho0, ("0", "1"))):
+            possible = self.assert_matches_loop(prior, effects)
+            assert possible.any() and not possible.all()
+
+    def test_wrong_dimension(self):
+        with pytest.raises(InvalidFactorization):
+            generalized_smooth(build_pf(G), np.eye(3))
+        with pytest.raises(InvalidFactorization):
+            generalized_smooth(build_pf(G), np.stack([np.eye(3), np.eye(3)]))
+
+    def test_stack_with_non_psd_effect(self):
+        effects = np.stack([np.eye(2), G, np.diag([1.0, -1e-3])]).astype(complex)
+        with pytest.raises(NotPSD):
+            generalized_smooth(build_pf(np.eye(2) / 2), effects)
+
+    def test_stack_with_non_hermitian_effect(self):
+        effects = np.stack([np.eye(2), SM + G]).astype(complex)
+        with pytest.raises(InvalidMatrix):
+            generalized_smooth(build_pf(np.eye(2) / 2), effects)
 
 
 class TestSmoothedGlobal:
