@@ -69,11 +69,8 @@ from .smoothers import (
 from .trajectory import (
     ConditionalOp,
     Instrument,
-    JointInstrument,
     JumpChannel,
     LindbladSpec,
-    MeasurementRecord,
-    alice_marginal,
     apply_conditional,
     discretize,
     enumerate_records,

@@ -55,17 +55,14 @@ def _cell(value) -> str:
 
 
 def cmd_simulate(scenario: Scenario, n_trajectories: int, out_dir: Path) -> Path:
-    """Sample trajectories and write them as a JSON-lines record file."""
+    """Sample joint (alice, bob) trajectories and write them as a JSON-lines record file."""
     built = scenario.build()
     rho0 = scenario.rho0(built.dim)
-    sampler = built.joint if built.joint is not None else built.instrument
     rng = np.random.default_rng(scenario.seed)
-    records = []
-    for _ in range(int(n_trajectories)):
-        rec, _ = sample_record(sampler, rho0, scenario.steps, rng)
-        records.append(rec)
+    joint = built.instrument.joint
+    records = [sample_record(joint, rho0, scenario.steps, rng)[0] for _ in range(int(n_trajectories))]
     path = out_dir / f"{scenario.name}_trajectories.jsonl"
-    write_trajectories(path, scenario, records, "joint" if built.joint is not None else "alice")
+    write_trajectories(path, scenario, records)
     print(f"wrote {len(records)} trajectories to {path}")
     return path
 

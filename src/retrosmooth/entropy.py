@@ -62,18 +62,29 @@ class ExtensionScenario:
     def __post_init__(self):
         g = as_density(self.gamma, "gamma")
         object.__setattr__(self, "gamma", g)
-        if self.extension.dim_q != g.shape[0]:
-            raise InvalidExtension("extension system dimension does not match gamma")
-        gap = self.extension.consistency_gap(g)
-        if gap > _MARGINAL_TOL:
-            raise InvalidExtension(f"extension marginal deviates from gamma by {gap:.3e}")
-        effects = tuple(as_effect(e, "POVM effect") for e in self.effects)
-        if not effects:
-            raise InvalidPOVM("POVM needs at least one effect")
-        total = sum(effects)
-        if np.abs(total - np.eye(g.shape[0])).max() > _POVM_TOL:
-            raise InvalidPOVM("effects do not sum to the identity")
-        object.__setattr__(self, "effects", effects)
+        _require_marginal(self.extension, g)
+        object.__setattr__(self, "effects", tuple(_as_povm(self.effects, g.shape[0])))
+
+
+def _as_povm(effects, dim: int) -> np.ndarray:
+    """Validate a POVM on a ``dim``-dimensional system as one stack of effects."""
+    effects = [np.asarray(e, dtype=complex) for e in effects]
+    if not effects:
+        raise InvalidPOVM("POVM needs at least one effect")
+    if any(e.shape != (dim, dim) for e in effects):
+        raise InvalidPOVM(f"POVM effects must be {dim} x {dim} matrices")
+    stack = as_effect(np.stack(effects), "POVM effect")
+    if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > _POVM_TOL:
+        raise InvalidPOVM("effects do not sum to the identity")
+    return stack
+
+
+class _Validated(NamedTuple):
+    """An :class:`ExtensionScenario` whose parts the caller has already validated."""
+
+    gamma: np.ndarray
+    extension: FilteredGlobalState
+    effects: np.ndarray
 
 
 def outcome_probs(scenario: ExtensionScenario) -> np.ndarray:
@@ -129,6 +140,8 @@ def sandwich_bound(rho_f, future_probs, avg_s: float, slack: float = 1e-9) -> Sa
 
 
 def _require_marginal(extension: FilteredGlobalState, gamma: np.ndarray) -> None:
+    if extension.dim_q != gamma.shape[0]:
+        raise InvalidExtension("extension system dimension does not match gamma")
     gap = extension.consistency_gap(gamma)
     if gap > _MARGINAL_TOL:
         raise InvalidExtension(f"extension marginal deviates from gamma by {gap:.3e}")
@@ -201,11 +214,17 @@ class Theorem1Report:
 
 
 def theorem1_check(gamma, extension: FilteredGlobalState, povm, slack: float = 1e-9) -> Theorem1Report:
-    """Evaluate the extremal-bound chain for one ``(gamma, Gamma, POVM)`` triple."""
+    """Evaluate the extremal-bound chain for one ``(gamma, Gamma, POVM)`` triple.
+
+    ``gamma``, the extension's marginal and the POVM are validated once and
+    shared by both averages.
+    """
     g = as_density(gamma, "gamma")
-    trivial = build_custom(g, (g.shape[0], 1))
-    s_trivial = avg_entropy(ExtensionScenario(g, trivial, tuple(povm)))
-    s_ext = avg_entropy(ExtensionScenario(g, extension, tuple(povm)))
+    _require_marginal(extension, g)
+    effects = _as_povm(povm, g.shape[0])
+    trivial = FilteredGlobalState(blocks=(g,), dim_q=g.shape[0])
+    s_trivial = avg_entropy(_Validated(g, trivial, effects))
+    s_ext = avg_entropy(_Validated(g, extension, effects))
     s_gamma = entropy_vn(g)
     return Theorem1Report(
         avg_entropy_trivial=s_trivial,

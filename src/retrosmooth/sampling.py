@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import dag, hermitian_part, partial_trace, psd_sqrt, support_inv_sqrt, tensor
+from .trajectory import ConditionalOp, Instrument
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -72,28 +73,10 @@ def random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> list[np.n
 def random_instrument(
     dim: int, n_outcomes: int, kraus_per_outcome: int, rng: np.random.Generator
 ):
-    """Random instrument: a random channel's Kraus operators grouped by outcome."""
-    from .trajectory import ConditionalOp, Instrument
-
-    kraus = random_kraus_channel(dim, dim, n_outcomes * kraus_per_outcome, rng)
-    ops = {}
-    for y in range(n_outcomes):
-        ops[str(y)] = ConditionalOp(tuple(kraus[y * kraus_per_outcome : (y + 1) * kraus_per_outcome]))
-    return Instrument(ops)
-
-
-def random_joint_instrument(
-    dim: int, n_alice: int, n_bob: int, rng: np.random.Generator
-):
-    """Random rank-one joint instrument over an ``n_alice x n_bob`` outcome grid."""
-    from .trajectory import ConditionalOp, JointInstrument
-
-    kraus = random_kraus_channel(dim, dim, n_alice * n_bob, rng)
-    ops = {}
-    for y in range(n_alice):
-        for u in range(n_bob):
-            ops[(str(y), str(u))] = ConditionalOp((kraus[y * n_bob + u],))
-    return JointInstrument(ops)
+    """Random instrument: a random channel's Kraus operators grouped by outcome, in order."""
+    k = kraus_per_outcome
+    kraus = random_kraus_channel(dim, dim, n_outcomes * k, rng)
+    return Instrument({str(y): ConditionalOp(kraus[y * k : (y + 1) * k]) for y in range(n_outcomes)})
 
 
 def random_extension(

@@ -7,17 +7,20 @@ nested arrays.  Supported system types:
 
 ``lindblad``
     ``hamiltonian``, ``jump_operators`` (each ``{"matrix", "efficiency"}``)
-    and ``dt``; discretized into a joint instrument.
+    and ``dt``; discretized into one step's instrument, each Kraus operator
+    named by its bob label (``"0"`` or the undetected channel).
 ``joint_instrument``
-    Explicit rank-one operations, one per ``(alice, bob)`` outcome pair.
+    Explicit rank-one operations, one per ``(alice, bob)`` outcome pair:
+    outcome ``alice`` gets a Kraus operator named ``bob``.
 ``instrument``
-    Explicit Kraus lists per outcome; no bob split, so record-register
-    priors are unavailable.
+    Explicit Kraus lists per outcome, named by their zero-padded index.
 ``classical``
     A hidden-Markov model (``transition``, ``likelihood``); realized as an
     instrument whose Kraus operators are the single-entry matrices
-    ``sqrt(D(x|x') p(y|x')) |x><x'|``, with the transition edge as the bob
-    label.
+    ``sqrt(D(x|x') p(y|x')) |x><x'|``, named by the transition edge.
+
+Every system supports every prior kind: the record-register priors
+(``gw``, ``gw-variant``) branch over the names of the Kraus operators.
 
 All floats written by this module use 17 significant digits, so emitted
 files are byte-stable and round-trip exactly.
@@ -33,18 +36,10 @@ from pathlib import Path
 import numpy as np
 
 from .classical import ClassicalModel
-from .errors import InvalidMatrix, NotPSD, ScenarioError
+from .errors import InvalidDistribution, InvalidMatrix, NotPSD, ScenarioError, StepTooCoarse
 from .linalg import as_density
 from .retrodiction import PRIOR_KINDS
-from .trajectory import (
-    ConditionalOp,
-    Instrument,
-    JointInstrument,
-    JumpChannel,
-    LindbladSpec,
-    alice_marginal,
-    discretize,
-)
+from .trajectory import ConditionalOp, Instrument, JumpChannel, LindbladSpec, discretize
 
 ENV_CAP = "RETROSMOOTH_CAP"
 DEFAULT_CAP = 10**6
@@ -136,23 +131,25 @@ def named_state(name: str, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BuiltSystem:
-    """Instrument form of a scenario's system, with optional extras."""
+    """Instrument form of a scenario's system, with its classical model if it has one."""
 
     instrument: Instrument
-    joint: JointInstrument | None
-    classical: ClassicalModel | None
-    dim: int
+    classical: ClassicalModel | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.instrument.dim
 
 
-def classical_to_joint(model: ClassicalModel) -> JointInstrument:
-    """Realize a hidden-Markov model as a joint instrument.
+def classical_instrument(model: ClassicalModel) -> Instrument:
+    """Realize a hidden-Markov model as an instrument.
 
-    Outcome ``y`` with transition ``x' -> x`` becomes the rank-one operation
-    ``sqrt(D(x|x') p(y|x')) |x><x'|``; the transition edge ``"x'>x"`` plays
-    the bob role, so the unmonitored side is the state path itself.
+    Outcome ``y`` gets one Kraus operator ``sqrt(D(x|x') p(y|x')) |x><x'|``
+    per transition ``x' -> x`` of nonzero weight, named by the edge
+    ``"x'>x"``; bob's record is then the state path itself.
     """
     n = model.n_states
-    ops = {}
+    pairs = []
     for y in model.outcome_labels:
         for x_old in range(n):
             for x_new in range(n):
@@ -161,8 +158,19 @@ def classical_to_joint(model: ClassicalModel) -> JointInstrument:
                     continue
                 m = np.zeros((n, n), dtype=complex)
                 m[x_new, x_old] = np.sqrt(w)
-                ops[(y, f"{x_old}>{x_new}")] = ConditionalOp((m,))
-    return JointInstrument(ops)
+                pairs.append(((y, f"{x_old}>{x_new}"), m))
+    return Instrument.from_pairs(pairs)
+
+
+def _number(doc: dict, key: str, default, where: str) -> float:
+    """``doc[key]`` (or ``default``) as a finite float."""
+    value = doc.get(key, default)
+    try:
+        if np.isfinite(x := float(value)):
+            return x
+    except (TypeError, ValueError):
+        pass
+    raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _build_system(spec: dict) -> BuiltSystem:
@@ -184,18 +192,16 @@ def _build_system(spec: dict) -> BuiltSystem:
             channels.append(
                 JumpChannel(
                     operator=matrix_from_json(ch["matrix"], where),
-                    efficiency=float(ch.get("efficiency", 1.0)),
+                    efficiency=_number(ch, "efficiency", 1.0, f"{where}.efficiency"),
                 )
             )
-        if "dt" not in spec:
-            raise ScenarioError("system.dt: required for lindblad systems")
-        joint = discretize(LindbladSpec(ham, tuple(channels), float(spec["dt"])))
-        return BuiltSystem(alice_marginal(joint), joint, None, joint.dim)
+        dt = _number(spec, "dt", None, "system.dt")
+        return BuiltSystem(discretize(LindbladSpec(ham, tuple(channels), dt)))
     if kind == "joint_instrument":
         entries = spec.get("operations")
         if not isinstance(entries, list) or not entries:
             raise ScenarioError("system.operations: expected a nonempty list")
-        ops = {}
+        pairs = []
         for i, entry in enumerate(entries):
             where = f"system.operations[{i}]"
             try:
@@ -203,22 +209,23 @@ def _build_system(spec: dict) -> BuiltSystem:
                 kraus = entry["kraus"]
             except (KeyError, TypeError):
                 raise ScenarioError(f"{where}: needs 'alice', 'bob' and 'kraus'") from None
-            mats = tuple(matrix_from_json(k, f"{where}.kraus[{j}]") for j, k in enumerate(kraus))
-            ops[label] = ConditionalOp(mats)
-        joint = JointInstrument(ops)
-        return BuiltSystem(alice_marginal(joint), joint, None, joint.dim)
+            if not isinstance(kraus, list) or len(kraus) != 1:
+                raise ScenarioError(f"{where}.kraus: a joint outcome needs exactly one Kraus operator")
+            pairs.append((label, matrix_from_json(kraus[0], f"{where}.kraus[0]")))
+        return BuiltSystem(Instrument.from_pairs(pairs))
     if kind == "instrument":
         table = spec.get("operations")
         if not isinstance(table, dict) or not table:
             raise ScenarioError("system.operations: expected an object keyed by outcome")
         ops = {}
         for y, kraus in table.items():
-            mats = tuple(
-                matrix_from_json(k, f"system.operations[{y!r}][{j}]") for j, k in enumerate(kraus)
+            where = f"system.operations[{y!r}]"
+            if not isinstance(kraus, list):
+                raise ScenarioError(f"{where}: expected a list of Kraus operators")
+            ops[str(y)] = ConditionalOp(
+                tuple(matrix_from_json(k, f"{where}[{j}]") for j, k in enumerate(kraus))
             )
-            ops[str(y)] = ConditionalOp(mats)
-        inst = Instrument(ops)
-        return BuiltSystem(inst, None, None, inst.dim)
+        return BuiltSystem(Instrument(ops))
     if kind == "classical":
         if not isinstance(spec.get("likelihood"), dict):
             raise ScenarioError("system.likelihood: expected an object keyed by outcome")
@@ -228,8 +235,7 @@ def _build_system(spec: dict) -> BuiltSystem:
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"system: malformed classical model ({exc})") from None
         model = ClassicalModel(transition, likelihood)
-        joint = classical_to_joint(model)
-        return BuiltSystem(alice_marginal(joint), joint, model, model.n_states)
+        return BuiltSystem(classical_instrument(model), model)
     raise ScenarioError(f"system.type: unknown kind {kind!r}")
 
 
@@ -300,7 +306,11 @@ class Scenario:
         return cls.from_dict(doc)
 
     def build(self) -> BuiltSystem:
-        return _build_system(self.system_spec)
+        """The system as an instrument; a spec that gives no valid one is a :class:`ScenarioError`."""
+        try:
+            return _build_system(self.system_spec)
+        except (InvalidMatrix, NotPSD, InvalidDistribution, StepTooCoarse) as exc:
+            raise ScenarioError(f"system: {exc}") from None
 
     def rho0(self, dim: int) -> np.ndarray:
         """The initial state for a system of dimension ``dim``, validated as a density operator."""
@@ -413,11 +423,11 @@ def classical_demo_scenario(n_states: int = 2, steps: int = 5, seed: int = 3) ->
 # trajectory files (JSON lines)
 
 
-def write_trajectories(path, scenario: Scenario, records: list, kind: str) -> None:
-    """Write sampled records as JSON lines after one header metadata line.
+def write_trajectories(path, scenario: Scenario, records: list) -> None:
+    """Write sampled joint records as JSON lines after one header metadata line.
 
-    Each step line is ``{"step": i, "alice": y, "bob": u-or-null}``;
-    trajectories are delimited by the step index resetting to zero.
+    Each step line is ``{"step": i, "alice": y, "bob": u}``; trajectories are
+    delimited by the step index resetting to zero.
     """
     lines = [
         json.dumps(
@@ -426,23 +436,22 @@ def write_trajectories(path, scenario: Scenario, records: list, kind: str) -> No
                 "seed": scenario.seed,
                 "steps": scenario.steps,
                 "n_trajectories": len(records),
-                "kind": kind,
+                "kind": "joint",
             },
             separators=(", ", ": "),
         )
     ]
     for record in records:
-        for i, outcome in enumerate(record):
-            if isinstance(outcome, tuple):
-                alice, bob = outcome
-            else:
-                alice, bob = outcome, None
+        for i, (alice, bob) in enumerate(record):
             lines.append(json.dumps({"step": i, "alice": alice, "bob": bob}, separators=(", ", ": ")))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_trajectories(path) -> tuple[dict, list[list[tuple[str, str | None]]]]:
-    """Parse a trajectory file back into its header and per-trajectory records."""
+    """Parse a trajectory file back into its header and per-trajectory records.
+
+    A step whose ``"bob"`` is null reads as ``(alice, None)``.
+    """
     text = Path(path).read_text().strip().splitlines()
     if not text:
         raise ScenarioError(f"{path}: empty trajectory file")

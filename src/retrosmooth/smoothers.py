@@ -25,7 +25,8 @@ smoothing time:
     Any explicit extension with the right marginal (used for bound sweeps).
 
 ``gw``, ``gw-variant`` and ``pf-variant`` propagate through
-:func:`~retrosmooth.trajectory.walk`.
+:func:`~retrosmooth.trajectory.walk`.  Bob's options at an outcome are the
+sorted names of its Kraus operators, so every instrument has every prior.
 """
 
 from __future__ import annotations
@@ -34,20 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidFactorization,
-    UnknownOutcome,
-    ZeroProbabilityRecord,
-)
+from .errors import InvalidFactorization, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, as_density, dag, hermitian_part, purify, tensor
 from .retrodiction import FilteredGlobalState
-from .trajectory import (
-    DEFAULT_ENUMERATION_CAP,
-    Instrument,
-    JointInstrument,
-    filter as filter_state,
-    walk,
-)
+from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, filter as filter_state, walk
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +51,7 @@ class TrueStateBranch:
 
 
 def _bob_branches(
-    joint: JointInstrument,
+    instrument: Instrument,
     initial: np.ndarray,
     alice_past,
     dim_extra: int,
@@ -68,22 +59,18 @@ def _bob_branches(
 ) -> tuple[list[tuple[str, ...]], np.ndarray]:
     """Every bob record compatible with a fixed alice record, through :func:`walk`.
 
+    Bob's options at outcome ``y`` are the sorted Kraus names of ``y``.
     Returns the bob records of the surviving (not exactly zero) branches in
     lexicographic order and the stack of their operators; the cap counts the
     records before any is dropped.
     """
-    label_sets = []
-    for y in alice_past:
-        options = joint.bob_options(y)
-        if not options:
-            raise UnknownOutcome(f"outcome {y!r} not in the joint instrument's alphabet")
-        label_sets.append([(y, u) for u in options])
-    records, ops = walk(joint, initial, label_sets, dim_extra=dim_extra, cap=cap)
+    label_sets = [[(y, u) for u in sorted(instrument.op(y).names)] for y in alice_past]
+    records, ops = walk(instrument.joint, initial, label_sets, dim_extra=dim_extra, cap=cap)
     return [tuple(u for _, u in r) for r in records], ops
 
 
 def enumerate_bob_branches(
-    joint: JointInstrument, rho0, alice_past, cap: int = DEFAULT_ENUMERATION_CAP
+    instrument: Instrument, rho0, alice_past, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[TrueStateBranch]:
     """Unnormalized true-state branches for each bob record compatible with the past.
 
@@ -91,7 +78,7 @@ def enumerate_bob_branches(
     branch by its weight gives the state conditioned on both records.
     Branches with an exactly zero operator are left out.
     """
-    records, ops = _bob_branches(joint, as_density(rho0, "rho0"), alice_past, 1, cap)
+    records, ops = _bob_branches(instrument, as_density(rho0, "rho0"), alice_past, 1, cap)
     return [TrueStateBranch(r, op, w) for r, op, w in zip(records, ops, _weights(ops))]
 
 
@@ -129,7 +116,7 @@ def build_pf_variant(instrument: Instrument, rho0, alice_past) -> FilteredGlobal
 
 
 def build_gw(
-    joint: JointInstrument,
+    instrument: Instrument,
     rho0,
     alice_past,
     cap: int = DEFAULT_ENUMERATION_CAP,
@@ -144,18 +131,18 @@ def build_gw(
     psi = purify(rho)
     rank = psi.size // rho.shape[0]
     initial = np.outer(psi, psi.conj())
-    records, ops = _bob_branches(joint, initial, alice_past, rank, cap)
+    records, ops = _bob_branches(instrument, initial, alice_past, rank, cap)
     return _register_state(records, ops, rho.shape[0], rank, "gw")
 
 
 def build_gw_variant(
-    joint: JointInstrument,
+    instrument: Instrument,
     rho0,
     alice_past,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> FilteredGlobalState:
     """Classical register over bob records, initial state taken as a proper mixture."""
-    records, ops = _bob_branches(joint, as_density(rho0, "rho0"), alice_past, 1, cap)
+    records, ops = _bob_branches(instrument, as_density(rho0, "rho0"), alice_past, 1, cap)
     return _register_state(records, ops, np.asarray(rho0).shape[0], 1, "gw-variant")
 
 
@@ -191,7 +178,6 @@ def build_prior(
     rho0,
     alice_past,
     instrument: Instrument,
-    joint: JointInstrument | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     rho_f=None,
 ) -> FilteredGlobalState:
@@ -208,10 +194,8 @@ def build_prior(
     if kind == "pf-variant":
         return build_pf_variant(instrument, rho0, alice_past)
     if kind in ("gw", "gw-variant"):
-        if joint is None:
-            raise InvalidFactorization(f"prior kind {kind!r} needs a joint instrument")
         builder = build_gw if kind == "gw" else build_gw_variant
-        return builder(joint, rho0, alice_past, cap=cap)
+        return builder(instrument, rho0, alice_past, cap=cap)
     raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
 
 
@@ -239,7 +223,7 @@ def extend_ancilla(prior: FilteredGlobalState, isometry) -> FilteredGlobalState:
 
 
 def branch_mixture_smooth(
-    joint: JointInstrument, rho0, alice_past, effect, cap: int = DEFAULT_ENUMERATION_CAP
+    instrument: Instrument, rho0, alice_past, effect, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> np.ndarray:
     """Trajectory-style smoothed state as an explicit mixture over true states.
 
@@ -247,7 +231,7 @@ def branch_mixture_smooth(
     corresponding bob record given the full observed record.  Serves as the
     independent reference for the register-based construction.
     """
-    branches = enumerate_bob_branches(joint, rho0, alice_past, cap)
+    branches = enumerate_bob_branches(instrument, rho0, alice_past, cap)
     e = np.asarray(effect, dtype=complex)
     joint_weights = []
     states = []

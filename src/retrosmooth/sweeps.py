@@ -96,7 +96,6 @@ def prior_for(scenario, built, kind: str, past, rho0, rho_f=None):
         rho0=rho0,
         alice_past=past,
         instrument=built.instrument,
-        joint=built.joint,
         cap=scenario.cap(),
         rho_f=rho_f,
     )

@@ -2,10 +2,10 @@
 
 A measurement step is an outcome-indexed family of completely positive maps
 ``Phi_y(rho) = sum_k M_{k|y} rho M_{k|y}†`` whose adjoints sum to the
-identity.  Records are tuples of outcome labels; labels are strings for a
-single observer and ``(alice, bob)`` string pairs for a joint instrument
-describing a split of the monitored environment between the observer and a
-hypothetical second observer.
+identity.  Records are tuples of outcome labels; labels are strings for the
+observer ("alice") and ``(alice, bob)`` string pairs for an instrument's
+joint view, in which a hypothetical second observer ("bob") also records
+which Kraus operator acted: the part of the environment alice does not see.
 
 Filtering propagates a state forward through the conditional maps with
 per-step normalization; retrofiltering propagates the identity backwards
@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -46,9 +47,14 @@ def _frozen(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConditionalOp:
-    """A completely positive, trace-non-increasing map given by Kraus operators."""
+    """A completely positive, trace-non-increasing map given by named Kraus operators.
+
+    ``names`` must be distinct; they default to the zero-padded indices
+    (``"0"``, ``"1"``, ... or ``"00"``, ...), which sort in Kraus order.
+    """
 
     kraus: tuple[np.ndarray, ...]
+    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.kraus:
@@ -57,11 +63,18 @@ class ConditionalOp:
         dim = mats[0].shape[0]
         if any(k.shape != (dim, dim) for k in mats):
             raise InvalidMatrix("Kraus operators must share one dimension")
+        indices = [str(j).zfill(len(str(len(mats) - 1))) for j in range(len(mats))]
+        names = tuple(map(str, indices if self.names is None else self.names))
+        if len(names) != len(mats):
+            raise InvalidMatrix(f"{len(names)} names for {len(mats)} Kraus operators")
+        if len(set(names)) != len(names):
+            raise InvalidMatrix(f"Kraus operator names {names} are not distinct")
         gram = sum(dag(k) @ k for k in mats)
         top = np.linalg.eigvalsh(hermitian_part(gram))[-1]
         if top > 1.0 + _SUBNORMAL_TOL:
             raise InvalidMatrix(f"Kraus operators are not subnormalized (max eig {top:g})")
         object.__setattr__(self, "kraus", mats)
+        object.__setattr__(self, "names", names)
 
     @property
     def dim(self) -> int:
@@ -73,31 +86,40 @@ class Instrument:
 
     ``ops`` maps outcome labels (strings) to :class:`ConditionalOp`.  The
     completeness relation is verified on construction unless ``check=False``
-    (useful only for testing defective inputs).
+    (useful only for testing defective inputs).  :attr:`joint` reads the name
+    of the Kraus operator that acted as the record of a second observer, bob.
     """
 
-    _what = "instrument"
-
     def __init__(self, ops: Mapping[Hashable, ConditionalOp], *, check: bool = True):
-        self.ops: dict = {self._label(y): op for y, op in ops.items()}
+        self.ops: dict = dict(ops)
         if not self.ops:
-            raise InvalidMatrix(f"{self._what} needs at least one outcome")
+            raise InvalidMatrix("instrument needs at least one outcome")
         if check:
-            self._check()
+            dims = {op.dim for op in self.ops.values()}
+            if len(dims) != 1:
+                raise InvalidMatrix(f"instrument mixes dimensions {sorted(dims)}")
+            defect = self.completeness_defect()
+            if defect > _COMPLETENESS_TOL:
+                raise InvalidMatrix(
+                    f"instrument completeness defect {defect:.3e} exceeds {_COMPLETENESS_TOL:g}"
+                )
 
-    @staticmethod
-    def _label(y) -> Hashable:
-        return str(y)
+    @classmethod
+    def from_pairs(cls, pairs) -> "Instrument":
+        """Outcome ``alice`` gets the Kraus operator named ``bob`` of each ``((alice, bob), kraus)``.
 
-    def _check(self) -> None:
-        dims = {op.dim for op in self.ops.values()}
-        if len(dims) != 1:
-            raise InvalidMatrix(f"{self._what} mixes dimensions {sorted(dims)}")
-        defect = self.completeness_defect()
-        if defect > _COMPLETENESS_TOL:
-            raise InvalidMatrix(
-                f"{self._what} completeness defect {defect:.3e} exceeds {_COMPLETENESS_TOL:g}"
-            )
+        Outcomes keep the order of their first pair, Kraus operators that of their pairs.
+        """
+        grouped: dict[str, list] = {}
+        for (y, u), k in pairs:
+            grouped.setdefault(str(y), []).append((k, str(u)))
+        return cls({y: ConditionalOp(*zip(*named)) for y, named in grouped.items()})
+
+    @cached_property
+    def joint(self) -> "Instrument":
+        """The joint view: one rank-one operation per ``(outcome, Kraus name)``, in Kraus order."""
+        named = ((y, u, k) for y, op in self.ops.items() for u, k in zip(op.names, op.kraus))
+        return Instrument({(y, u): ConditionalOp((k,)) for y, u, k in named}, check=False)
 
     @property
     def outcome_labels(self) -> tuple:
@@ -116,69 +138,6 @@ class Instrument:
     def completeness_defect(self) -> float:
         total = sum(dag(k) @ k for op in self.ops.values() for k in op.kraus)
         return float(np.abs(np.linalg.eigvalsh(hermitian_part(total - np.eye(self.dim)))).max())
-
-
-class JointInstrument(Instrument):
-    """Instrument over a joint ``(alice, bob)`` outcome alphabet.
-
-    Each conditional operation must have exactly one Kraus operator, so that
-    conditioning on the full joint record leaves a definite (rank-one
-    conditioned) trajectory.  Summing over bob outcomes recovers the
-    observer's own instrument; see :func:`alice_marginal`.
-    """
-
-    _what = "joint instrument"
-
-    def __init__(self, ops: Mapping[tuple[str, str], ConditionalOp]):
-        super().__init__(ops)
-
-    @staticmethod
-    def _label(label) -> tuple[str, str]:
-        y, u = label
-        return (str(y), str(u))
-
-    def _check(self) -> None:
-        for label, op in self.ops.items():
-            if len(op.kraus) != 1:
-                raise InvalidMatrix(f"joint outcome {label!r} must have Kraus rank one")
-        super()._check()
-
-    @property
-    def alice_labels(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(y for y, _ in self.ops))
-
-    @property
-    def bob_labels(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(u for _, u in self.ops))
-
-    def bob_options(self, y: str) -> tuple[str, ...]:
-        """Bob labels compatible with a given alice outcome, in sorted order."""
-        return tuple(sorted(u for (a, u) in self.ops if a == y))
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Ordered outcome sequence with its starting step index."""
-
-    outcomes: tuple
-    t0_index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def t_index(self) -> int:
-        return self.t0_index + len(self.outcomes)
-
-    def split(self, t: int) -> tuple[tuple, tuple]:
-        """Past and future portions relative to absolute step index ``t``."""
-        k = t - self.t0_index
-        if k < 0 or k > len(self.outcomes):
-            raise ValueError(f"split index {t} outside record span")
-        return self.outcomes[:k], self.outcomes[k:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,15 +182,17 @@ class LindbladSpec:
         return self.hamiltonian.shape[0]
 
 
-def discretize(spec: LindbladSpec, *, defect_tol: float = 1e-6) -> JointInstrument:
+def discretize(spec: LindbladSpec, *, defect_tol: float = 1e-6) -> Instrument:
     """First-order Kraus discretization of one Lindblad time step.
 
     The no-jump operator is ``M0 = I - (iH + sum_c L_c† L_c / 2) dt`` and each
     channel contributes a jump operator ``sqrt(dt) L_c``, split between a
     detected (alice) outcome with weight ``eta_c`` and an undetected (bob)
-    outcome with weight ``1 - eta_c``.  Labels: no jump is ``("0", "0")``, the
-    detected jump of channel ``c`` is ``(str(c+1), "0")`` and the undetected
-    one ``("0", str(c+1))``.
+    one with weight ``1 - eta_c``.  Outcomes are ``"0"`` (no detected jump)
+    and ``str(c+1)``; each Kraus operator is named by its bob label, so the
+    joint labels are ``("0", "0")`` for no jump, ``(str(c+1), "0")`` for the
+    detected jump of channel ``c`` and ``("0", str(c+1))`` for the undetected
+    one.
 
     The raw first-order family misses completeness at ``O(dt^2)``; that is
     repaired exactly by replacing ``M0`` with ``U sqrt(I - sum_jumps M† M)``,
@@ -267,18 +228,7 @@ def discretize(spec: LindbladSpec, *, defect_tol: float = 1e-6) -> JointInstrume
     if defect > defect_tol:
         raise StepTooCoarse(f"completeness defect {defect:.3e} exceeds {defect_tol:g}; reduce dt")
 
-    ops = {("0", "0"): ConditionalOp((m0,))}
-    for label in sorted(jumps):
-        ops[label] = ConditionalOp((jumps[label],))
-    return JointInstrument(ops)
-
-
-def alice_marginal(joint: JointInstrument) -> Instrument:
-    """Sum a joint instrument over bob outcomes, keeping alice's alphabet."""
-    grouped: dict[str, list[np.ndarray]] = {y: [] for y in joint.alice_labels}
-    for (y, _), op in joint.ops.items():
-        grouped[y].extend(op.kraus)
-    return Instrument({y: ConditionalOp(tuple(ks)) for y, ks in grouped.items()})
+    return Instrument.from_pairs([(("0", "0"), m0), *sorted(jumps.items())])
 
 
 def apply_conditional(op: ConditionalOp, rho) -> tuple[np.ndarray, float]:

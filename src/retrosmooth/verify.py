@@ -28,7 +28,7 @@ from .linalg import partial_trace, psd_sqrt, purify, trace_norm
 from .retrodiction import bob_posterior, generalized_smooth
 from .scenario import Scenario, classical_demo_scenario, demo_scenario
 from .smoothers import branch_mixture_smooth, build_custom, build_prior
-from .trajectory import Instrument, alice_marginal, enumerate_records, retrofilter
+from .trajectory import Instrument, enumerate_records, retrofilter
 
 PRIOR_CYCLE = ("pf", "gw", "gw-variant", "pf-variant", "clhs")
 
@@ -106,8 +106,7 @@ def iter_random_smoothing_cases(seed: int, n: int):
     produced = 0
     while produced < n:
         dim = int(rng.integers(2, 4))
-        joint = sampling.random_joint_instrument(dim, 2, 2, rng)
-        inst = alice_marginal(joint)
+        inst = sampling.random_instrument(dim, 2, 2, rng)
         rho0 = sampling.random_density(dim, rng)
         steps = int(rng.integers(1, 4))
         t = int(rng.integers(0, steps + 1))
@@ -116,7 +115,7 @@ def iter_random_smoothing_cases(seed: int, n: int):
         past, fut = rec[:t], rec[t:]
         kind = PRIOR_CYCLE[produced % len(PRIOR_CYCLE)]
         try:
-            prior = build_prior(kind, rho0=rho0, alice_past=past, instrument=inst, joint=joint)
+            prior = build_prior(kind, rho0=rho0, alice_past=past, instrument=inst)
             effect = retrofilter(inst, fut)
             yield prior, effect
         except ZeroProbabilityRecord:
@@ -201,7 +200,7 @@ def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
                 f"a future of {sweeps.render(past)!r} has vanishing probability"
             )
         for fut, got in zip(futs, states):
-            ref = branch_mixture_smooth(built.joint, rho0, past, memo["future", fut], cap=sc.cap())
+            ref = branch_mixture_smooth(built.instrument, rho0, past, memo["future", fut], cap=sc.cap())
             worst = max(worst, trace_norm(got - ref))
     passed = worst <= 1e-8 and not errors
     return CheckResult(
@@ -219,7 +218,7 @@ def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
     sc, built, rho0, table = _setup(scenario)
     t = sc.smoothing_index
     try:
-        joint_table = enumerate_records(built.joint, rho0, sc.steps, sc.cap())
+        joint_table = enumerate_records(built.instrument.joint, rho0, sc.steps, sc.cap())
     except EnumerationTooLarge as exc:
         return CheckResult(name, False, 0.0, 1e-9, f"joint records: {exc}")
     # per alice record: its probability and the mass of each bob past
@@ -321,9 +320,7 @@ def check_purification_invariance(scenario: Scenario | None = None, seed: int = 
     for past, fut in ((("0", "1"), ("0", "0")), (("0", "0"), ("0", "1"))):
         effect = retrofilter(built.instrument, fut)
         for kind in ("gw", "pf-variant"):
-            prior = build_prior(
-                kind, rho0=rho0, alice_past=past, instrument=built.instrument, joint=built.joint
-            )
+            prior = build_prior(kind, rho0=rho0, alice_past=past, instrument=built.instrument)
             base = generalized_smooth(prior, effect)
             iso = sampling.random_isometry(prior.dim_a1, prior.dim_a1 + 2, rng)
             moved = generalized_smooth(extend_ancilla(prior, iso), effect)

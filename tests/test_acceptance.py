@@ -62,7 +62,7 @@ def demo():
         filtered[past] = filter_state(built.instrument, rho0, past)[0]
         for kind in ALL_KINDS:
             priors[(kind, past)] = build_prior(
-                kind, rho0=rho0, alice_past=past, instrument=built.instrument, joint=built.joint
+                kind, rho0=rho0, alice_past=past, instrument=built.instrument
             )
     return {
         "scenario": sc,
@@ -171,7 +171,6 @@ def test_criterion_04_classical_limit(criterion_report):
                             rho0=rho0,
                             alice_past=rec[:t],
                             instrument=built.instrument,
-                            joint=built.joint,
                         )
                         rho_s = generalized_smooth(prior, retrofilter(built.instrument, rec[t:]))
                         worst = max(worst, float(np.abs(np.diag(rho_s).real - ps).max()))
@@ -200,7 +199,7 @@ def test_criterion_05_trajectory_unification(criterion_report, demo):
                     continue
                 effect = retrofilter(built.instrument, fut)
                 got = generalized_smooth(prior, effect)
-                ref = branch_mixture_smooth(built.joint, rho0, past, effect)
+                ref = branch_mixture_smooth(built.instrument, rho0, past, effect)
                 worst = max(worst, trace_norm(got - ref))
     ok = worst <= 1e-8 and timer.elapsed < 120.0
     criterion_report(
@@ -297,7 +296,7 @@ def test_criterion_08_record_register_posterior(criterion_report, demo):
     built, rho0, t = demo["built"], demo["rho0"], demo["t"]
     sc = demo["scenario"]
     with Timer() as timer:
-        joint_table = enumerate_records(built.joint, rho0, sc.steps, sc.cap())
+        joint_table = enumerate_records(built.instrument.joint, rho0, sc.steps, sc.cap())
         worst = 0.0
         for past, futs in demo["table"].items():
             if sum(p for _, p in futs) <= 1e-12:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from retrosmooth import verify
+from retrosmooth import sampling, verify
 from retrosmooth.cli import (
     cmd_classical_limit,
     cmd_entropy_scan,
@@ -18,6 +18,7 @@ from retrosmooth.scenario import (
     Scenario,
     classical_demo_scenario,
     demo_scenario,
+    matrix_to_json,
     read_trajectories,
 )
 from retrosmooth.trajectory import ConditionalOp, Instrument, enumerate_records
@@ -56,7 +57,7 @@ class TestSimulate:
         for rec in records:
             key = tuple((a, b) for a, b in rec)
             counts[key] = counts.get(key, 0) + 1
-        for rec, p in enumerate_records(built.joint, rho0, sc.steps):
+        for rec, p in enumerate_records(built.instrument.joint, rho0, sc.steps):
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(counts.get(rec, 0) / n - p) <= 4 * sigma + 2e-3
 
@@ -135,6 +136,29 @@ class TestSmooth:
         cmd_smooth(demo_scenario(), tmp_path / "b", enumerate_futures=True)
         for name in ("driven-damped-qubit_smooth.csv", "driven-damped-qubit_smooth.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_instrument_system_runs_every_prior(self, tmp_path):
+        # an explicit Kraus list per outcome: gw and gw-variant branch over the Kraus indices
+        inst = sampling.random_instrument(2, 2, 2, np.random.default_rng(5))
+        doc = {
+            "name": "random-instrument",
+            "system": {
+                "type": "instrument",
+                "operations": {y: [matrix_to_json(k) for k in op.kraus] for y, op in inst.ops.items()},
+            },
+            "rho0": "maximally_mixed",
+            "steps": 3,
+            "smoothing_time_index": 1,
+            "prior_kinds": ["pf", "gw", "gw-variant", "pf-variant", "clhs"],
+        }
+        path = tmp_path / "instrument.json"
+        path.write_text(json.dumps(doc))
+        assert main(["smooth", "--scenario", str(path), "--enumerate", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "random-instrument_smooth.json").read_text())
+        residuals = summary["max_avg_residual"]
+        assert sorted(residuals) == sorted(doc["prior_kinds"])
+        assert all(r is not None and r <= 1e-9 for r in residuals.values()), residuals
+        assert summary["gw_vs_gw_variant_gap"] > 0.0
 
     def test_requires_exactly_one_mode(self, tmp_path):
         with pytest.raises(ScenarioError):
@@ -221,9 +245,7 @@ class TestClassicalLimit:
         from retrosmooth.smoothers import build_prior
         from retrosmooth.trajectory import retrofilter
 
-        prior = build_prior(
-            "pf", rho0=rho0, alice_past=("0",), instrument=built.instrument, joint=built.joint
-        )
+        prior = build_prior("pf", rho0=rho0, alice_past=("0",), instrument=built.instrument)
         rho_s = generalized_smooth(prior, retrofilter(built.instrument, ("1", "0")))
         np.testing.assert_allclose(np.diag(rho_s).real, [0.3, 0.7], atol=1e-12)
 
@@ -301,6 +323,26 @@ def _rho0(real) -> dict:
     return {"real": real, "imag": [[0.0, 0.0], [0.0, 0.0]]}
 
 
+def _lindblad_doc(**system) -> dict:
+    doc = _demo_doc()
+    doc["system"].update(system)
+    return doc
+
+
+def _efficiency_doc(value) -> dict:
+    doc = _demo_doc()
+    doc["system"]["jump_operators"][0]["efficiency"] = value
+    return doc
+
+
+G_JSON, E_JSON = _rho0([[1.0, 0.0], [0.0, 0.0]]), _rho0([[0.0, 0.0], [0.0, 1.0]])
+
+
+def _joint_doc(*entries) -> dict:
+    operations = [{"alice": a, "bob": b, "kraus": kraus} for a, b, kraus in entries]
+    return _demo_doc(system={"type": "joint_instrument", "operations": operations})
+
+
 # case -> (scenario document, a fragment the error line must hold)
 MALFORMED_SCENARIOS = {
     "seed-not-integer": (lambda: _demo_doc(seed="x"), "seed:"),
@@ -313,6 +355,24 @@ MALFORMED_SCENARIOS = {
     ),
     "prior-kinds-as-string": (lambda: _demo_doc(prior_kinds="pf"), "expected a list"),
     "negative-enumeration-cap": (lambda: _demo_doc(enumeration_cap=-5), "enumeration_cap:"),
+    "dt-not-a-number": (lambda: _lindblad_doc(dt="x"), "system.dt:"),
+    "efficiency-not-a-number": (lambda: _efficiency_doc("x"), "efficiency:"),
+    "instrument-kraus-not-a-list": (
+        lambda: _demo_doc(system={"type": "instrument", "operations": {"0": 5}}),
+        "system.operations['0']:",
+    ),
+    "instrument-incomplete": (
+        lambda: _demo_doc(system={"type": "instrument", "operations": {"0": [G_JSON]}}),
+        "completeness defect",
+    ),
+    "joint-entry-two-kraus": (
+        lambda: _joint_doc(("0", "0", [G_JSON, E_JSON])),
+        "exactly one Kraus operator",
+    ),
+    "joint-entry-duplicate": (
+        lambda: _joint_doc(("0", "0", [G_JSON]), ("1", "0", [E_JSON]), ("0", "0", [G_JSON])),
+        "not distinct",
+    ),
 }
 
 

@@ -1,0 +1,69 @@
+"""Golden outputs: the CLI's files and ``verify`` report, pinned by sha256.
+
+Every command is deterministic given its scenario and seed, so a change that
+is meant to leave results alone must leave these bytes alone.  The manifest
+``golden_sha256.json`` next to this file holds the expected digests; after an
+intended output change, record it again from the repository root with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_sha256.json
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from retrosmooth.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+MANIFEST = Path(__file__).with_name("golden_sha256.json")
+SCENARIOS = ("driven-damped-qubit", "classical-2state", "classical-3state")
+
+
+def _run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+
+def golden_outputs(work: Path) -> dict[str, str]:
+    """Run every pinned command under ``work``; map output names to sha256 digests."""
+    for name in ("demo", *SCENARIOS):
+        source = "demo" if name == "demo" else str(ROOT / "scenarios" / f"{name}.json")
+        _run(["smooth", "--scenario", source, "--enumerate", "--out", str(work / f"enumerate-{name}")])
+    out = work / "record-demo"
+    _run(["simulate", "--scenario", "demo", "--trajectories", "30", "--out", str(out)])
+    record = out / "driven-damped-qubit_trajectories.jsonl"
+    _run(["smooth", "--scenario", "demo", "--record", str(record), "--out", str(out)])
+    _run(["entropy-scan", "--theorem1", "--demo-svb", "--out", str(work / "entropy")])
+    for name in SCENARIOS[1:]:
+        source = str(ROOT / "scenarios" / f"{name}.json")
+        _run(["classical-limit", "--scenario", source, "--out", str(work / f"classical-{name}")])
+    outputs = {
+        path.relative_to(work).as_posix(): path.read_bytes()
+        for path in sorted(work.rglob("*"))
+        if path.is_file()
+    }
+    outputs["verify-2024.txt"] = _run(["verify", "--seed", "2024"]).encode()
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+
+
+def test_outputs_match_manifest(tmp_path):
+    expected = json.loads(MANIFEST.read_text())
+    got = golden_outputs(tmp_path)
+    assert sorted(got) == sorted(expected)
+    changed = [name for name in expected if got[name] != expected[name]]
+    assert not changed, f"outputs differ from the manifest: {changed}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        digests = golden_outputs(Path(work))
+    sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")

@@ -36,7 +36,6 @@ from retrosmooth.smoothers import build_custom, build_gw, build_pf, build_pf_var
 from retrosmooth.trajectory import (
     JumpChannel,
     LindbladSpec,
-    alice_marginal,
     discretize,
     filter as filter_state,
     retrofilter,
@@ -245,24 +244,23 @@ class TestFilteredGlobalState:
 
 def demo_pieces():
     spec = LindbladSpec(0.5 * SX, (JumpChannel(SM, 0.5),), 0.02)
-    joint = discretize(spec)
-    inst = alice_marginal(joint)
+    inst = discretize(spec)
     rho0 = np.eye(2, dtype=complex) / 2
-    return joint, inst, rho0
+    return inst, rho0
 
 
 class TestGeneralizedSmooth:
     def test_identity_effect_returns_filtered(self):
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         past = ("0", "1")
         rho_f, _ = filter_state(inst, rho0, past)
-        for prior in (build_pf(rho_f), build_gw(joint, rho0, past), build_pf_variant(inst, rho0, past)):
+        for prior in (build_pf(rho_f), build_gw(inst, rho0, past), build_pf_variant(inst, rho0, past)):
             np.testing.assert_allclose(
                 generalized_smooth(prior, np.eye(2)), rho_f, atol=1e-10
             )
 
     def test_pf_closed_form(self):
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         past, fut = ("0", "0"), ("1", "0")
         rho_f, _ = filter_state(inst, rho0, past)
         effect = retrofilter(inst, fut)
@@ -273,10 +271,10 @@ class TestGeneralizedSmooth:
         )
 
     def test_blockwise_matches_dense_formula(self):
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         past, fut = ("0", "1"), ("0", "0")
         effect = retrofilter(inst, fut)
-        prior = build_gw(joint, rho0, past)
+        prior = build_gw(inst, rho0, past)
         dense = prior.to_dense()
         root = psd_sqrt(dense)
         lifted = tensor(effect, np.eye(prior.dim_a))
@@ -290,10 +288,10 @@ class TestGeneralizedSmooth:
 
     def test_matches_extended_petz_on_record_channel(self):
         # the closed form is the extended recovery map of the record channel
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         past = ("0",)
         steps = 2
-        prior = build_gw(joint, rho0, past)
+        prior = build_gw(inst, rho0, past)
         channel, records = record_channel(inst, steps)
         channel.require_trace_preserving()
         fut = ("1", "0")
@@ -344,28 +342,28 @@ class TestStackedSmooth:
         return possible
 
     def test_pf(self):
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         rho_f, _ = filter_state(inst, rho0, ("0", "0"))
         self.assert_matches_loop(build_pf(rho_f), self.futures_effects(inst, 4))
 
     def test_pf_variant_with_ancilla(self):
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         prior = build_pf_variant(inst, rho0, ("0", "1", "0"))
         assert prior.dim_a1 > 1
         self.assert_matches_loop(prior, self.futures_effects(inst, 4))
 
     def test_multi_block_gw(self):
-        joint, inst, rho0 = demo_pieces()
-        prior = build_gw(joint, rho0, ("0", "0", "1"))
+        inst, rho0 = demo_pieces()
+        prior = build_gw(inst, rho0, ("0", "0", "1"))
         assert len(prior.blocks) > 1 and prior.dim_a1 > 1
         self.assert_matches_loop(prior, self.futures_effects(inst, 3))
 
     def test_zero_probability_entries(self):
         # after a jump the qubit sits in the ground state: a second jump is impossible
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         rho_f, _ = filter_state(inst, rho0, ("0", "1"))
         effects = np.concatenate([self.futures_effects(inst, 2), [E, G, np.zeros((2, 2))]])
-        for prior in (build_pf(G), build_pf(rho_f), build_gw(joint, rho0, ("0", "1"))):
+        for prior in (build_pf(G), build_pf(rho_f), build_gw(inst, rho0, ("0", "1"))):
             possible = self.assert_matches_loop(prior, effects)
             assert possible.any() and not possible.all()
 
@@ -388,16 +386,16 @@ class TestStackedSmooth:
 
 class TestSmoothedGlobal:
     def test_identity_effect_is_prior(self):
-        joint, inst, rho0 = demo_pieces()
-        prior = build_gw(joint, rho0, ("0", "1"))
+        inst, rho0 = demo_pieces()
+        prior = build_gw(inst, rho0, ("0", "1"))
         out = smoothed_global(prior, np.eye(2))
         for a, b in zip(out.blocks, prior.blocks):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_partial_trace_is_smoothed_state(self):
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         past, fut = ("0", "0"), ("0", "1")
-        prior = build_gw(joint, rho0, past)
+        prior = build_gw(inst, rho0, past)
         effect = retrofilter(inst, fut)
         np.testing.assert_allclose(
             smoothed_global(prior, effect).marginal(),
@@ -407,9 +405,9 @@ class TestSmoothedGlobal:
 
     def test_register_blocks_stay_diagonal(self):
         # dense evaluation has no support between different register values
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         past, fut = ("0", "0"), ("1", "0")
-        prior = build_gw(joint, rho0, past)
+        prior = build_gw(inst, rho0, past)
         effect = retrofilter(inst, fut)
         out = smoothed_global(prior, effect)
         dense_prior = prior.to_dense()
@@ -422,16 +420,15 @@ class TestSmoothedGlobal:
 
 class TestBobPosterior:
     def test_trivial_register(self):
-        joint, inst, rho0 = demo_pieces()
-        prior = build_gw(joint, rho0, ())
+        inst, rho0 = demo_pieces()
+        prior = build_gw(inst, rho0, ())
         np.testing.assert_allclose(bob_posterior(prior, np.eye(2)), [1.0])
 
     def test_full_efficiency_delta(self):
         spec = LindbladSpec(0.5 * SX, (JumpChannel(SM, 1.0),), 0.02)
-        joint = discretize(spec)
-        inst = alice_marginal(joint)
+        inst = discretize(spec)
         rho0 = np.eye(2, dtype=complex) / 2
-        prior = build_gw(joint, rho0, ("0", "1"))
+        prior = build_gw(inst, rho0, ("0", "1"))
         probs = bob_posterior(prior, retrofilter(inst, ("0",)))
         assert prior.block_labels == (("0", "0"),)
         np.testing.assert_allclose(probs, [1.0])
@@ -441,8 +438,8 @@ class TestBobPosterior:
             bob_posterior(build_pf(np.eye(2) / 2), np.eye(2))
 
     def test_effect_dimension_mismatch(self):
-        joint, inst, rho0 = demo_pieces()
-        prior = build_gw(joint, rho0, ("0",))
+        inst, rho0 = demo_pieces()
+        prior = build_gw(inst, rho0, ("0",))
         with pytest.raises(InvalidFactorization):
             bob_posterior(prior, np.eye(3))
 
@@ -451,14 +448,14 @@ class TestBobPosterior:
 
         from retrosmooth.trajectory import enumerate_records
 
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         t, steps = 2, 4
         past, fut = ("0", "1"), ("0", "0")
-        prior = build_gw(joint, rho0, past)
+        prior = build_gw(inst, rho0, past)
         probs = bob_posterior(prior, retrofilter(inst, fut))
         num = defaultdict(float)
         den = 0.0
-        for rec, p in enumerate_records(joint, rho0, steps):
+        for rec, p in enumerate_records(inst.joint, rho0, steps):
             alice = tuple(a for a, _ in rec)
             if alice != past + fut:
                 continue
@@ -476,7 +473,7 @@ class TestCounterfactual:
         np.testing.assert_allclose(counterfactual_prob(np.eye(2) / 2, [G, E]), [0.5, 0.5])
 
     def test_x_on_pf_smoothed(self):
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         past, fut = ("0", "0"), ("1", "0")
         rho_f, _ = filter_state(inst, rho0, past)
         rho_s = generalized_smooth(build_pf(rho_f), retrofilter(inst, fut))
@@ -494,12 +491,12 @@ class TestCounterfactual:
 
 class TestPurificationInvariance:
     def test_gw_and_pf_variant_invariant_under_ancilla_isometry(self):
-        joint, inst, rho0 = demo_pieces()
+        inst, rho0 = demo_pieces()
         past, fut = ("0", "1"), ("0", "1")
         effect = retrofilter(inst, fut)
         rng = np.random.default_rng(8)
         for builder in (
-            lambda: build_gw(joint, rho0, past),
+            lambda: build_gw(inst, rho0, past),
             lambda: build_pf_variant(inst, rho0, past),
         ):
             prior = builder()

@@ -77,7 +77,8 @@ class TestScenarioParsing:
     def test_demo_builds(self):
         sc = demo_scenario()
         built = sc.build()
-        assert built.dim == 2 and built.joint is not None
+        assert built.dim == 2
+        assert built.instrument.joint.outcome_labels == (("0", "0"), ("0", "1"), ("1", "0"))
 
     def test_missing_steps(self):
         with pytest.raises(ScenarioError, match="steps"):
@@ -129,9 +130,12 @@ class TestClassicalRealization:
     def test_joint_is_complete_and_rank_one(self):
         sc = classical_demo_scenario(3)
         built = sc.build()
-        assert built.joint is not None
-        for op in built.joint.ops.values():
+        joint = built.instrument.joint
+        assert joint.completeness_defect() <= 1e-12
+        for (y, edge), op in joint.ops.items():
             assert len(op.kraus) == 1
+            x_old, x_new = map(int, edge.split(">"))
+            assert op.kraus[0][x_new, x_old] != 0
 
     def test_marginal_reproduces_conditional_maps(self):
         # diag of Phi_y(|x'><x'|) must equal phi_y(x|x') = D(x|x') p(y|x')
@@ -168,24 +172,23 @@ class TestTrajectoryFiles:
             (("0", "0"), ("0", "0"), ("0", "0"), ("0", "0")),
         ]
         path = tmp_path / "t.jsonl"
-        write_trajectories(path, sc, records, "joint")
+        write_trajectories(path, sc, records)
         header, back = read_trajectories(path)
         assert header["n_trajectories"] == 2
         assert [tuple(r) for r in back] == [tuple(r) for r in records]
 
     def test_alice_only_uses_null_bob(self, tmp_path):
-        sc = demo_scenario()
+        # the writer always records bob; the reader still accepts alice-only files
         path = tmp_path / "t.jsonl"
-        write_trajectories(path, sc, [("0", "1")], "alice")
-        lines = path.read_text().splitlines()
-        assert json.loads(lines[1])["bob"] is None
+        steps = [{"step": 0, "alice": "0", "bob": None}, {"step": 1, "alice": "1", "bob": None}]
+        path.write_text("\n".join(json.dumps(line) for line in [{"kind": "alice"}, *steps]) + "\n")
         _, back = read_trajectories(path)
         assert back == [[("0", None), ("1", None)]]
 
     def test_empty_file_is_header_only(self, tmp_path):
         sc = demo_scenario()
         path = tmp_path / "t.jsonl"
-        write_trajectories(path, sc, [], "joint")
+        write_trajectories(path, sc, [])
         assert len(path.read_text().strip().splitlines()) == 1
         header, back = read_trajectories(path)
         assert back == []

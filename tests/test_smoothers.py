@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from retrosmooth import sampling
 from retrosmooth.errors import EnumerationTooLarge, InvalidFactorization, ZeroProbabilityRecord
 from retrosmooth.linalg import psd_sqrt, purity, trace_norm
-from retrosmooth.retrodiction import generalized_smooth
+from retrosmooth.retrodiction import bob_posterior, generalized_smooth
 from retrosmooth.scenario import Scenario
 from retrosmooth.smoothers import (
     branch_mixture_smooth,
@@ -20,9 +21,10 @@ from retrosmooth.smoothers import (
     enumerate_bob_branches,
 )
 from retrosmooth.trajectory import (
+    ConditionalOp,
+    Instrument,
     JumpChannel,
     LindbladSpec,
-    alice_marginal,
     discretize,
     filter as filter_state,
     retrofilter,
@@ -35,61 +37,60 @@ CLASSICAL = Path(__file__).resolve().parent.parent / "scenarios" / "classical-2s
 
 
 def demo(eta=0.5, rho0=None):
-    joint = discretize(LindbladSpec(0.5 * SX, (JumpChannel(SM, eta),), 0.02))
-    inst = alice_marginal(joint)
+    inst = discretize(LindbladSpec(0.5 * SX, (JumpChannel(SM, eta),), 0.02))
     if rho0 is None:
         rho0 = np.eye(2, dtype=complex) / 2
-    return joint, inst, rho0
+    return inst, rho0
 
 
 class TestBranches:
     def test_zero_steps(self):
-        joint, _, rho0 = demo()
-        branches = enumerate_bob_branches(joint, rho0, ())
+        inst, rho0 = demo()
+        branches = enumerate_bob_branches(inst, rho0, ())
         assert len(branches) == 1 and branches[0].bob_record == ()
         np.testing.assert_allclose(branches[0].operator, rho0)
         assert abs(branches[0].weight - 1.0) < 1e-12
 
     def test_full_efficiency_single_branch(self):
-        joint, _, rho0 = demo(eta=1.0)
-        branches = enumerate_bob_branches(joint, rho0, ("0", "1"))
+        inst, rho0 = demo(eta=1.0)
+        branches = enumerate_bob_branches(inst, rho0, ("0", "1"))
         assert len(branches) == 1
         assert branches[0].bob_record == ("0", "0")
 
     def test_weights_sum_to_record_probability(self):
-        joint, inst, rho0 = demo()
+        inst, rho0 = demo()
         past = ("0", "1", "0")
         _, lp = filter_state(inst, rho0, past)
-        branches = enumerate_bob_branches(joint, rho0, past)
+        branches = enumerate_bob_branches(inst, rho0, past)
         assert abs(sum(b.weight for b in branches) - np.exp(lp)) <= 1e-12
 
     def test_lexicographic_order(self):
-        joint, _, rho0 = demo()
-        branches = enumerate_bob_branches(joint, rho0, ("0", "0"))
+        inst, rho0 = demo()
+        branches = enumerate_bob_branches(inst, rho0, ("0", "0"))
         labels = [b.bob_record for b in branches]
         assert labels == sorted(labels)
 
     def test_cap(self):
-        joint, _, rho0 = demo()
+        inst, rho0 = demo()
         with pytest.raises(EnumerationTooLarge):
-            enumerate_bob_branches(joint, rho0, ("0",) * 10, cap=100)
+            enumerate_bob_branches(inst, rho0, ("0",) * 10, cap=100)
 
     def test_cap_counts_zero_branches(self):
         # under sigma-minus most long bob records are impossible, but the cap
         # still counts every record the options allow
-        joint, _, rho0 = demo()
-        assert len(enumerate_bob_branches(joint, rho0, ("0",) * 6, cap=64)) < 64
+        inst, rho0 = demo()
+        assert len(enumerate_bob_branches(inst, rho0, ("0",) * 6, cap=64)) < 64
         with pytest.raises(EnumerationTooLarge):
-            enumerate_bob_branches(joint, rho0, ("0",) * 6, cap=63)
+            enumerate_bob_branches(inst, rho0, ("0",) * 6, cap=63)
 
 
-def loop_branches(joint, rho0, past):
+def loop_branches(inst, rho0, past):
     """Every bob record the options allow, each propagated on its own (the reference)."""
     out = []
-    for bob in itertools.product(*(joint.bob_options(y) for y in past)):
+    for bob in itertools.product(*(sorted(inst.op(y).names) for y in past)):
         sigma = np.asarray(rho0, dtype=complex)
         for y, u in zip(past, bob):
-            k = joint.op((y, u)).kraus[0]
+            k = inst.joint.op((y, u)).kraus[0]
             sigma = k @ sigma @ k.conj().T
         out.append((bob, sigma))
     return out
@@ -106,8 +107,8 @@ class TestBranchesClassicalChain:
         sc = Scenario.from_file(CLASSICAL)
         built = sc.build()
         rho0 = sc.rho0(built.dim)
-        branches = enumerate_bob_branches(built.joint, rho0, past)
-        reference = [(bob, op) for bob, op in loop_branches(built.joint, rho0, past) if op.any()]
+        branches = enumerate_bob_branches(built.instrument, rho0, past)
+        reference = [(bob, op) for bob, op in loop_branches(built.instrument, rho0, past) if op.any()]
         # counts of nonzero branches before branches were dropped during the descent
         assert len(branches) == len(reference) == n_nonzero
         assert [b.bob_record for b in branches] == [bob for bob, _ in reference]
@@ -118,11 +119,11 @@ class TestBranchesClassicalChain:
         assert abs(sum(b.weight for b in branches) - np.exp(log_prob)) <= 1e-12
 
     def test_impossible_past_has_no_branches(self):
-        joint, _, rho0 = demo(eta=1.0, rho0=np.diag([1.0, 0.0]).astype(complex))
+        inst, rho0 = demo(eta=1.0, rho0=np.diag([1.0, 0.0]).astype(complex))
         # a detected jump from the ground state with no drive time is impossible
-        assert enumerate_bob_branches(joint, rho0, ("1",)) == []
+        assert enumerate_bob_branches(inst, rho0, ("1",)) == []
         with pytest.raises(ZeroProbabilityRecord):
-            build_gw_variant(joint, rho0, ("1",))
+            build_gw_variant(inst, rho0, ("1",))
 
 
 class TestStructure:
@@ -134,48 +135,48 @@ class TestStructure:
         np.testing.assert_allclose(prior.blocks[0], np.eye(2) / 2)
 
     def test_gw_pure_branches_with_register(self):
-        joint, inst, rho0 = demo()
-        prior = build_gw(joint, rho0, ("0", "0"))
+        inst, rho0 = demo()
+        prior = build_gw(inst, rho0, ("0", "0"))
         assert prior.kind == "gw" and prior.dim_a2 > 1 and prior.dim_a1 == 2
         for b in prior.blocks:
             w = np.linalg.eigvalsh(b)
             assert w[-2] <= 1e-12  # every branch is pure given the register value
 
     def test_gw_variant_register_only(self):
-        joint, inst, rho0 = demo()
-        prior = build_gw_variant(joint, rho0, ("0", "0"))
+        inst, rho0 = demo()
+        prior = build_gw_variant(inst, rho0, ("0", "0"))
         assert prior.dim_a1 == 1 and prior.dim_a2 > 1
 
     def test_pf_variant_pure_global(self):
-        joint, inst, rho0 = demo()
+        inst, rho0 = demo()
         prior = build_pf_variant(inst, rho0, ("0", "1"))
         assert prior.dim_a2 == 1 and prior.dim_a1 == 2
         w = np.linalg.eigvalsh(prior.blocks[0])
         assert w[-2] <= 1e-12
 
     def test_clhs_pure_with_filtered_marginal(self):
-        joint, inst, rho0 = demo()
+        inst, rho0 = demo()
         rho_f, _ = filter_state(inst, rho0, ("0", "1"))
         prior = build_clhs(rho_f)
         assert abs(purity(prior.blocks[0]) - 1.0) <= 1e-10
         assert prior.consistency_gap(rho_f) <= 1e-9
 
     def test_pure_rho0_collapses_ancilla(self):
-        joint, inst, _ = demo()
+        inst, _ = demo()
         pure = np.diag([1.0, 0.0]).astype(complex)
         prior = build_pf_variant(inst, pure, ("0",))
         assert prior.dim_a1 == 1
 
     def test_zero_steps_gw_is_purification(self):
-        joint, inst, rho0 = demo()
-        prior = build_gw(joint, rho0, ())
+        inst, rho0 = demo()
+        prior = build_gw(inst, rho0, ())
         assert prior.dim_a2 == 1
         assert abs(purity(prior.blocks[0]) - 1.0) <= 1e-10
 
     def test_pf_variant_matches_kron_loop(self):
         from retrosmooth.linalg import dag, hermitian_part, purify, tensor
 
-        joint, inst, rho0 = demo(rho0=np.diag([0.7, 0.3]).astype(complex))
+        inst, rho0 = demo(rho0=np.diag([0.7, 0.3]).astype(complex))
         past = ("0", "1", "0", "0")
         psi = purify(rho0)
         rank = psi.size // 2
@@ -193,28 +194,28 @@ class TestStructure:
     def test_empty_record_pf_variant_is_purification(self):
         from retrosmooth.linalg import purify
 
-        joint, inst, rho0 = demo()
+        inst, rho0 = demo()
         prior = build_pf_variant(inst, rho0, ())
         psi = purify(rho0)
         np.testing.assert_allclose(prior.blocks[0], np.outer(psi, psi.conj()), atol=1e-12)
 
     def test_full_efficiency_gw_variant_reduces_to_pf(self):
         # degenerate bob alphabet: the single register branch is the filtered state
-        joint, inst, rho0 = demo(eta=1.0)
+        inst, rho0 = demo(eta=1.0)
         past = ("0", "1", "0")
         rho_f, _ = filter_state(inst, rho0, past)
-        prior = build_gw_variant(joint, rho0, past)
+        prior = build_gw_variant(inst, rho0, past)
         assert prior.dim_a2 == 1
         np.testing.assert_allclose(prior.blocks[0], build_pf(rho_f).blocks[0], atol=1e-12)
 
 
 class TestConsistency:
     def test_marginals_match_filtered_state(self):
-        joint, inst, rho0 = demo()
+        inst, rho0 = demo()
         for past in (("0",), ("0", "1"), ("1", "0", "0")):
             rho_f, _ = filter_state(inst, rho0, past)
             for kind in ALL_KINDS:
-                prior = build_prior(kind, rho0=rho0, alice_past=past, instrument=inst, joint=joint)
+                prior = build_prior(kind, rho0=rho0, alice_past=past, instrument=inst)
                 assert prior.consistency_gap(rho_f) <= 1e-9, kind
 
     def test_custom_validates_factorization(self):
@@ -222,37 +223,37 @@ class TestConsistency:
             build_custom(np.eye(4) / 4, (3, 2))
 
     def test_impossible_record(self):
-        joint, inst, _ = demo()
+        inst, _ = demo()
         ground = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ZeroProbabilityRecord):
-            build_gw_variant(joint, ground, ("1",))
+            build_gw_variant(inst, ground, ("1",))
 
 
 class TestEquivalences:
     def test_pure_rho0_gw_equals_gw_variant(self):
-        joint, inst, _ = demo()
+        inst, _ = demo()
         pure = np.diag([1.0, 0.0]).astype(complex)
         past, fut = ("0", "0"), ("0", "1")
         effect = retrofilter(inst, fut)
-        a = generalized_smooth(build_gw(joint, pure, past), effect)
-        b = generalized_smooth(build_gw_variant(joint, pure, past), effect)
+        a = generalized_smooth(build_gw(inst, pure, past), effect)
+        b = generalized_smooth(build_gw_variant(inst, pure, past), effect)
         assert trace_norm(a - b) <= 1e-9
 
     def test_gw_matches_branch_mixture(self):
-        joint, inst, rho0 = demo()
+        inst, rho0 = demo()
         past, fut = ("0", "1"), ("0", "0")
         effect = retrofilter(inst, fut)
-        got = generalized_smooth(build_gw(joint, rho0, past), effect)
-        ref = branch_mixture_smooth(joint, rho0, past, effect)
+        got = generalized_smooth(build_gw(inst, rho0, past), effect)
+        ref = branch_mixture_smooth(inst, rho0, past, effect)
         assert trace_norm(got - ref) <= 1e-8
 
     def test_gw_variant_closed_form(self):
         # register-only prior: sum_u sqrt(B_u) E sqrt(B_u) over unnormalized branches
-        joint, inst, rho0 = demo()
+        inst, rho0 = demo()
         past, fut = ("0", "0"), ("1", "0")
         effect = retrofilter(inst, fut)
-        got = generalized_smooth(build_gw_variant(joint, rho0, past), effect)
-        branches = enumerate_bob_branches(joint, rho0, past)
+        got = generalized_smooth(build_gw_variant(inst, rho0, past), effect)
+        branches = enumerate_bob_branches(inst, rho0, past)
         rho_f_unnorm = sum(b.operator for b in branches)
         norm = float((rho_f_unnorm @ effect).trace().real)
         expected = sum(
@@ -263,12 +264,12 @@ class TestEquivalences:
     def test_bob_weights_match_posterior(self):
         from retrosmooth.retrodiction import bob_posterior
 
-        joint, inst, rho0 = demo()
+        inst, rho0 = demo()
         past, fut = ("0", "1"), ("0", "0")
         effect = retrofilter(inst, fut)
-        prior = build_gw_variant(joint, rho0, past)
+        prior = build_gw_variant(inst, rho0, past)
         probs = bob_posterior(prior, effect)
-        branches = enumerate_bob_branches(joint, rho0, past)
+        branches = enumerate_bob_branches(inst, rho0, past)
         weights = np.array([max(float((b.operator @ effect).trace().real), 0.0) for b in branches])
         np.testing.assert_allclose(probs, weights / weights.sum(), atol=1e-10)
 
@@ -279,7 +280,7 @@ class TestAveraging:
 
         from retrosmooth.trajectory import enumerate_records
 
-        joint, inst, rho0 = demo()
+        inst, rho0 = demo()
         steps, t = 3, 1
         futures = defaultdict(list)
         for rec, p in enumerate_records(inst, rho0, steps):
@@ -290,7 +291,7 @@ class TestAveraging:
                 if p_past <= 1e-12:
                     continue
                 rho_f, _ = filter_state(inst, rho0, past)
-                prior = build_prior(kind, rho0=rho0, alice_past=past, instrument=inst, joint=joint)
+                prior = build_prior(kind, rho0=rho0, alice_past=past, instrument=inst)
                 avg = np.zeros((2, 2), dtype=complex)
                 for fut, p in futs:
                     if p <= 1e-14:
@@ -298,3 +299,51 @@ class TestAveraging:
                     avg += (p / p_past) * generalized_smooth(prior, retrofilter(inst, fut))
                 assert trace_norm(avg - rho_f) <= 1e-8, kind
 
+
+
+class TestKrausUnravelling:
+    """``gw`` branches over the names of the observer's own Kraus operators.
+
+    Any Kraus decomposition of an instrument is an unravelling of what the
+    observer does not see: a different one changes the record-register prior
+    but not the data, so it moves ``gw`` and leaves ``pf`` alone.
+    """
+
+    RECORDS = ((("0", "1"), ("1", "0")), (("1",), ("0", "0")), (("0", "0", "1"), ("1",)))
+
+    @staticmethod
+    def pieces():
+        rng = np.random.default_rng(41)
+        inst = sampling.random_instrument(2, 2, 2, rng)
+        return inst, sampling.random_density(2, rng), sampling.random_unitary(2, rng)
+
+    def test_gw_is_the_branch_mixture(self):
+        inst, rho0, _ = self.pieces()
+        assert all(op.names == ("0", "1") for op in inst.ops.values())
+        for past, fut in self.RECORDS:
+            effect = retrofilter(inst, fut)
+            prior = build_gw(inst, rho0, past)
+            got = generalized_smooth(prior, effect)
+            assert trace_norm(got - branch_mixture_smooth(inst, rho0, past, effect)) <= 1e-12
+            assert abs(bob_posterior(prior, effect).sum() - 1.0) <= 1e-12
+
+    def test_remixed_kraus_moves_gw_not_pf(self):
+        inst, rho0, u = self.pieces()
+        # K'_i = sum_j u_ij K_j: the same instrument, another unravelling
+        remixed = Instrument(
+            {y: ConditionalOp(tuple(np.tensordot(u, op.kraus, 1))) for y, op in inst.ops.items()}
+        )
+        moved = 0.0
+        for past, fut in self.RECORDS:
+            smoothed = {}
+            for which in (inst, remixed):
+                effect = retrofilter(which, fut)
+                rho_f, _ = filter_state(which, rho0, past)
+                smoothed[which] = [
+                    generalized_smooth(build_pf(rho_f), effect),
+                    generalized_smooth(build_gw(which, rho0, past), effect),
+                ]
+            (pf_a, gw_a), (pf_b, gw_b) = smoothed[inst], smoothed[remixed]
+            assert trace_norm(pf_a - pf_b) <= 1e-12
+            moved = max(moved, trace_norm(gw_a - gw_b))
+        assert moved > 1e-3

@@ -16,11 +16,8 @@ from retrosmooth.scenario import Scenario
 from retrosmooth.trajectory import (
     ConditionalOp,
     Instrument,
-    JointInstrument,
     JumpChannel,
     LindbladSpec,
-    MeasurementRecord,
-    alice_marginal,
     apply_conditional,
     apply_record,
     discretize,
@@ -47,6 +44,18 @@ def decay_spec(eta=1.0, kappa_dt=0.01, omega=0.0):
 
 
 class TestConditionalOp:
+    def test_default_names_are_zero_padded_indices(self):
+        assert ConditionalOp((G, E)).names == ("0", "1")
+        assert ConditionalOp(tuple(0.25 * np.eye(2) for _ in range(12))).names[:3] == ("00", "01", "02")
+
+    def test_names_must_be_distinct(self):
+        with pytest.raises(InvalidMatrix, match="distinct"):
+            ConditionalOp((G, E), ("a", "a"))
+
+    def test_one_name_per_kraus_operator(self):
+        with pytest.raises(InvalidMatrix, match="names for"):
+            ConditionalOp((G, E), ("a",))
+
     def test_requires_kraus(self):
         with pytest.raises(InvalidMatrix):
             ConditionalOp(())
@@ -65,10 +74,6 @@ class TestInstruments:
         inst = Instrument({"0": ConditionalOp((0.999 * G,)), "1": ConditionalOp((E,))}, check=False)
         assert inst.completeness_defect() > 1e-3
 
-    def test_joint_requires_rank_one(self):
-        with pytest.raises(InvalidMatrix):
-            JointInstrument({("0", "0"): ConditionalOp((G, E))})
-
     def test_unknown_outcome(self):
         with pytest.raises(UnknownOutcome):
             projective_z().op("2")
@@ -76,18 +81,18 @@ class TestInstruments:
 
 class TestDiscretize:
     def test_trivial_system(self):
-        joint = discretize(LindbladSpec(np.zeros((2, 2)), (), 0.1))
+        joint = discretize(LindbladSpec(np.zeros((2, 2)), (), 0.1)).joint
         assert joint.outcome_labels == (("0", "0"),)
         np.testing.assert_allclose(joint.op(("0", "0")).kraus[0], np.eye(2), atol=1e-14)
 
     def test_full_efficiency_completeness(self):
-        joint = discretize(decay_spec(eta=1.0))
+        joint = discretize(decay_spec(eta=1.0)).joint
         assert joint.outcome_labels == (("0", "0"), ("1", "0"))
         total = sum(dag(k) @ k for op in joint.ops.values() for k in op.kraus)
         assert np.abs(total - np.eye(2)).max() <= 1e-12
 
     def test_half_efficiency_split(self):
-        joint = discretize(decay_spec(eta=0.5))
+        joint = discretize(decay_spec(eta=0.5)).joint
         assert set(joint.outcome_labels) == {("0", "0"), ("1", "0"), ("0", "1")}
         np.testing.assert_allclose(
             joint.op(("1", "0")).kraus[0], np.sqrt(0.5 * 0.01) * SM, atol=1e-14
@@ -98,8 +103,8 @@ class TestDiscretize:
 
     def test_marginal_independent_of_split(self):
         # summing the eta=0.5 joint over bob reproduces the direct eta=0.5 instrument maps
-        joint = discretize(decay_spec(eta=0.5, omega=1.0))
-        marginal = alice_marginal(joint)
+        marginal = discretize(decay_spec(eta=0.5, omega=1.0))
+        joint = marginal.joint
         rng = np.random.default_rng(3)
         for _ in range(5):
             rho = sampling.random_density(2, rng)
@@ -111,6 +116,23 @@ class TestDiscretize:
                 )
                 got, _ = apply_conditional(marginal.op(y), rho)
                 np.testing.assert_allclose(got, direct, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "etas, labels",
+        [
+            ((0.5, 0.3), (("0", "0"), ("0", "1"), ("0", "2"), ("1", "0"), ("2", "0"))),
+            ((1.0, 0.0), (("0", "0"), ("0", "2"), ("1", "0"))),
+        ],
+    )
+    def test_two_channel_joint_view_order(self, etas, labels):
+        # no jump first, then the jump labels sorted: the order of the joint instrument
+        # discretize used to build directly
+        channels = (JumpChannel(SM, etas[0]), JumpChannel(SM.T.copy(), etas[1]))
+        inst = discretize(LindbladSpec(0.5 * SX, channels, 0.01))
+        assert inst.joint.outcome_labels == labels
+        for (y, u), op in inst.joint.ops.items():
+            k = inst.op(y).kraus[inst.op(y).names.index(u)]
+            np.testing.assert_array_equal(op.kraus[0], k)
 
     def test_step_too_coarse(self):
         with pytest.raises(StepTooCoarse):
@@ -130,7 +152,7 @@ class TestApply:
         assert abs(w - 0.5) < 1e-14
 
     def test_no_jump_weight(self):
-        joint = discretize(decay_spec(eta=1.0, kappa_dt=0.01))
+        joint = discretize(decay_spec(eta=1.0, kappa_dt=0.01)).joint
         _, w = apply_conditional(joint.op(("0", "0")), E)
         assert abs(w - 0.99) < 1e-3
 
@@ -147,8 +169,7 @@ class TestFilter:
         assert abs(np.exp(lp) - 0.5) < 1e-12
 
     def test_matches_one_shot_composition(self):
-        joint = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05))
-        inst = alice_marginal(joint)
+        inst = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05))
         rho0 = np.eye(2) / 2
         record = ("0", "1", "0")
         rho, lp = filter_state(inst, rho0, record)
@@ -169,8 +190,7 @@ class TestRetrofilter:
         np.testing.assert_allclose(retrofilter(projective_z(), ("0",)), G)
 
     def test_consistency_with_enumeration(self):
-        joint = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05))
-        inst = alice_marginal(joint)
+        inst = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05))
         rho0 = np.diag([0.3, 0.7]).astype(complex)
         steps, t = 4, 2
         table = dict(enumerate_records(inst, rho0, steps))
@@ -184,8 +204,7 @@ class TestRetrofilter:
             assert abs(joint_prob - table[record]) <= 1e-9
 
     def test_effect_psd(self):
-        joint = discretize(decay_spec(eta=0.5, omega=1.0))
-        inst = alice_marginal(joint)
+        inst = discretize(decay_spec(eta=0.5, omega=1.0))
         effect = retrofilter(inst, ("1", "0", "0"))
         assert np.linalg.eigvalsh(hermitian_part(effect))[0] >= -1e-12
 
@@ -199,11 +218,10 @@ class TestEnumerate:
         assert out == [(("0",), 0.5), (("1",), 0.5)]
 
     def test_probabilities_sum_to_one(self):
-        joint = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.02))
-        inst = alice_marginal(joint)
+        inst = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.02))
         probs = [p for _, p in enumerate_records(inst, np.eye(2) / 2, 4)]
         assert abs(sum(probs) - 1.0) <= 1e-9
-        jprobs = [p for _, p in enumerate_records(joint, np.eye(2) / 2, 4)]
+        jprobs = [p for _, p in enumerate_records(inst.joint, np.eye(2) / 2, 4)]
         assert abs(sum(jprobs) - 1.0) <= 1e-9
 
     def test_cap(self):
@@ -229,7 +247,8 @@ class TestEnumerate:
     @pytest.mark.parametrize("which, has_zero", [("classical-3state", False), ("demo-joint", True)])
     def test_matches_recursive_reference(self, which, has_zero):
         if which == "demo-joint":
-            inst, rho0, steps = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05)), np.eye(2) / 2, 5
+            inst = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05)).joint
+            rho0, steps = np.eye(2) / 2, 5
         else:
             sc = Scenario.from_file(SCENARIOS / "classical-3state.json")
             built = sc.build()
@@ -254,7 +273,7 @@ class TestSample:
         assert record == ("0",) * 5
 
     def test_seed_determinism(self):
-        joint = discretize(decay_spec(eta=0.5, omega=1.0))
+        joint = discretize(decay_spec(eta=0.5, omega=1.0)).joint
         a = sample_record(joint, np.eye(2) / 2, 5, 42)
         b = sample_record(joint, np.eye(2) / 2, 5, 42)
         assert a[0] == b[0]
@@ -271,14 +290,3 @@ class TestSample:
         for rec, p in enumerate_records(inst, rho0, steps):
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(counts.get(rec, 0) / n - p) <= 3 * sigma + 1e-12
-
-
-class TestRecord:
-    def test_split(self):
-        rec = MeasurementRecord(("a", "b", "c"))
-        assert rec.split(1) == (("a",), ("b", "c"))
-        assert rec.t_index == 3
-
-    def test_split_out_of_range(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(("a",)).split(5)
