@@ -13,6 +13,7 @@ from .classical import (
     classical_filter,
     classical_retrofilter,
     classical_smooth,
+    sample_classical_trajectories,
     sample_classical_trajectory,
 )
 from .entropy import (
@@ -77,6 +78,7 @@ from .trajectory import (
     filter,
     retrofilter,
     sample_record,
+    sample_records,
 )
 
 __version__ = "0.1.0"

@@ -131,24 +131,44 @@ def classical_smooth(model, prior, past, future) -> np.ndarray:
     return s / z
 
 
-def sample_classical_trajectory(
-    model: ClassicalModel, prior, steps: int, rng
-) -> tuple[list[int], list[str]]:
-    """Sample a state path and measurement record from the joint law.
+def sample_classical_trajectories(
+    model: ClassicalModel, prior, steps: int, n: int, rng
+) -> tuple[list[list[int]], list[list[str]]]:
+    """Sample ``n`` state paths and measurement records from the joint law, in lockstep.
 
-    ``rng`` is a seed or ``numpy.random.Generator``.  Returns the state path
-    (length ``steps + 1``) and the outcome record (length ``steps``); each
-    step emits from the current state, then transitions.
+    ``rng`` is a seed or ``numpy.random.Generator``.  Returns the state paths
+    (each of length ``steps + 1``) and the outcome records (each of length
+    ``steps``); each step emits from the current state, then transitions.
+    The uniforms are one ``(n, 1 + 2 steps)`` array in row-major order (the
+    initial state, then each step's emission and transition), and each draw
+    is ``searchsorted(cdf, u, side="right")`` on the cdf ``Generator.choice``
+    builds, so row ``i`` is what the ``i``-th of ``n`` one-at-a-time draws gives.
     """
     gen = np.random.default_rng(rng)
     p0 = as_distribution(prior, "prior")
     labels = model.outcome_labels
     like = np.stack([model.likelihood[y] for y in labels])  # (n_outcomes, n_states)
-    x = int(gen.choice(model.n_states, p=p0))
-    path = [x]
-    record: list[str] = []
-    for _ in range(int(steps)):
-        record.append(labels[int(gen.choice(len(labels), p=like[:, x]))])
-        x = int(gen.choice(model.n_states, p=model.transition[:, x]))
-        path.append(x)
-    return path, record
+    u = gen.random((int(n), 1 + 2 * int(steps)))
+    # row x' of each table is the cdf of the draw made from state x'; a row is
+    # nondecreasing, so its count of entries <= u is its searchsorted(side="right")
+    init_cdf, emit_cdf, jump_cdf = (_cdf(p) for p in (p0[None], like.T, model.transition.T))
+    paths = np.empty((len(u), int(steps) + 1), dtype=int)
+    outcomes = np.empty((len(u), int(steps)), dtype=int)
+    paths[:, 0] = np.searchsorted(init_cdf[0], u[:, 0], side="right")
+    for step in range(int(steps)):
+        x = paths[:, step]
+        outcomes[:, step] = (emit_cdf[x] <= u[:, 1 + 2 * step, None]).sum(axis=1)
+        paths[:, step + 1] = (jump_cdf[x] <= u[:, 2 + 2 * step, None]).sum(axis=1)
+    return paths.tolist(), [[labels[y] for y in row] for row in outcomes.tolist()]
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Row-wise cdfs, normalized by their last entry as ``Generator.choice`` builds them."""
+    cdf = probs.cumsum(axis=1)
+    return cdf / cdf[:, -1:]
+
+
+def sample_classical_trajectory(model, prior, steps: int, rng) -> tuple[list[int], list[str]]:
+    """One state path and record: the ``n = 1`` case of :func:`sample_classical_trajectories`."""
+    paths, records = sample_classical_trajectories(model, prior, steps, 1, rng)
+    return paths[0], records[0]

@@ -31,7 +31,7 @@ from .scenario import (
     write_trajectories,
 )
 from .smoothers import build_custom
-from .trajectory import sample_record
+from .trajectory import sample_records
 
 
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
@@ -58,9 +58,7 @@ def cmd_simulate(scenario: Scenario, n_trajectories: int, out_dir: Path) -> Path
     """Sample joint (alice, bob) trajectories and write them as a JSON-lines record file."""
     built = scenario.build()
     rho0 = scenario.rho0(built.dim)
-    rng = np.random.default_rng(scenario.seed)
-    joint = built.instrument.joint
-    records = [sample_record(joint, rho0, scenario.steps, rng)[0] for _ in range(int(n_trajectories))]
+    records = sample_records(built.instrument.joint, rho0, scenario.steps, n_trajectories, scenario.seed)
     path = out_dir / f"{scenario.name}_trajectories.jsonl"
     write_trajectories(path, scenario, records)
     print(f"wrote {len(records)} trajectories to {path}")
@@ -412,6 +410,8 @@ def main(argv=None) -> int:
         sc = _load_scenario(args)
         if args.command == "simulate":
             n = args.trajectories if args.trajectories is not None else sc.n_trajectories
+            if n < 0:
+                raise ScenarioError(f"--trajectories: must be at least 0, got {n}")
             cmd_simulate(sc, n, out_dir)
             return 0
         if args.command == "smooth":

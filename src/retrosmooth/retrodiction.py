@@ -39,7 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    EnumerationTooLarge,
     EvidenceOutsideSupport,
     InvalidFactorization,
     InvalidMatrix,
@@ -61,7 +60,6 @@ from .linalg import (
     support_projector,
     tensor,
 )
-from .trajectory import DEFAULT_ENUMERATION_CAP
 
 _LEAKAGE_TOL = 1e-8
 
@@ -373,42 +371,3 @@ def counterfactual_prob(rho_s, povm) -> np.ndarray:
         raise InvalidPOVM("effects do not sum to the identity")
     probs = np.array([(rho @ e).trace().real for e in effects])
     return np.clip(probs, 0.0, None)
-
-
-def record_channel(
-    instrument, steps: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[ChannelRep, list[tuple]]:
-    """The quantum-classical channel mapping a state to the record distribution.
-
-    Sends ``X`` to ``sum_r Tr[Phi_r(X)] |r><r|`` over all records ``r`` of the
-    given length.  Returns the channel together with the record ordering that
-    indexes its output basis.  Only practical for very short records; meant
-    for cross-checking the closed-form smoothing update against
-    :func:`extended_petz`.
-    """
-    labels = instrument.outcome_labels
-    if len(labels) ** int(steps) > cap:
-        raise EnumerationTooLarge(f"{len(labels)} ** {steps} records exceed the cap of {cap}")
-    dim = instrument.dim
-    records: list[tuple] = []
-    kraus: list[np.ndarray] = []
-
-    def descend(prefix: tuple, mats: list[np.ndarray], remaining: int) -> None:
-        if remaining == 0:
-            j = len(records)
-            records.append(prefix)
-            ket = np.zeros((len(labels) ** int(steps), 1), dtype=complex)
-            ket[j, 0] = 1.0
-            for m in mats:
-                for i in range(dim):
-                    bra = np.zeros((1, dim), dtype=complex)
-                    bra[0, i] = 1.0
-                    kraus.append(ket @ bra @ m)
-            return
-        for y in labels:
-            op = instrument.op(y)
-            next_mats = [k @ m for m in mats for k in op.kraus]
-            descend(prefix + (y,), next_mats, remaining - 1)
-
-    descend((), [np.eye(dim, dtype=complex)], int(steps))
-    return ChannelRep(tuple(kraus)), records

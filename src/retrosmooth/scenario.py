@@ -28,6 +28,7 @@ files are byte-stable and round-trip exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -342,9 +343,11 @@ class Scenario:
 
 
 def _integer(doc: dict, key: str, default, minimum: int | None = None) -> int:
-    """``doc[key]`` (or ``default``) as an integer of at least ``minimum``."""
+    """``doc[key]`` (or ``default``) as an integer >= ``minimum``; a bool or a fraction is an error."""
     value = doc.get(key, default)
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         n = int(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{key}: expected an integer, got {value!r}") from None
@@ -441,9 +444,13 @@ def write_trajectories(path, scenario: Scenario, records: list) -> None:
             separators=(", ", ": "),
         )
     ]
+    # each distinct (alice, bob) label is JSON-encoded once, as json.dumps writes it
+    fields = {
+        (alice, bob): f'"alice": {json.dumps(alice)}, "bob": {json.dumps(bob)}'
+        for alice, bob in set(itertools.chain.from_iterable(records))
+    }
     for record in records:
-        for i, (alice, bob) in enumerate(record):
-            lines.append(json.dumps({"step": i, "alice": alice, "bob": bob}, separators=(", ", ": ")))
+        lines.extend(f'{{"step": {i}, {fields[label]}}}' for i, label in enumerate(record))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -11,7 +11,8 @@ Filtering propagates a state forward through the conditional maps with
 per-step normalization; retrofiltering propagates the identity backwards
 through the adjoints, producing an (unnormalized) effect.  :func:`walk`
 propagates a set of records at once, unnormalized, for record enumeration
-and for the prior builders of :mod:`retrosmooth.smoothers`.
+and for the prior builders of :mod:`retrosmooth.smoothers`;
+:func:`sample_records` advances many sampled trajectories in lockstep.
 """
 
 from __future__ import annotations
@@ -352,30 +353,39 @@ def enumerate_records(
     return [(r, probs.get(r, 0.0)) for r in itertools.product(labels, repeat=steps)]
 
 
-def sample_record(instrument, rho0, steps: int, rng) -> tuple[tuple, list[np.ndarray]]:
-    """Sample one record by sequential outcome weights; deterministic given a seed.
+def sample_records(instrument, rho0, steps: int, n: int, rng) -> list[tuple]:
+    """Sample ``n`` records by sequential outcome weights, all trajectories in lockstep.
 
-    Returns the record and the filtered-state path (length ``steps + 1``,
-    starting at ``rho0``).
+    Uniforms are one ``(n, steps)`` array in row-major order, and each outcome
+    is ``searchsorted(cdf, u, side="right")`` on the cdf ``Generator.choice``
+    builds from the clipped weights, so record ``i`` is the one the ``i``-th of
+    ``n`` one-at-a-time draws gives.  A step is one stacked conjugation per
+    Kraus position over the trajectory x label grid, as in :func:`walk`.
     """
     gen = np.random.default_rng(rng)
     rho = as_density(rho0, "rho0")
     labels = instrument.outcome_labels
-    path = [rho]
-    record: list = []
-    for _ in range(int(steps)):
-        outs, weights = [], []
-        for y in labels:
-            out, w = apply_conditional(instrument.op(y), rho)
-            outs.append(out)
-            weights.append(w)
-        probs = np.asarray(weights)
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        k = int(gen.choice(len(labels), p=probs))
-        if weights[k] <= WEIGHT_FLOOR:
+    uniforms = gen.random((int(n), int(steps)))
+    (_, ops, ops_dag), *rest = _kraus_stack(instrument, labels, np.eye(1))
+    rows = np.arange(uniforms.shape[0])
+    sigma = np.broadcast_to(rho, (rows.size, *rho.shape))
+    picks = np.empty(uniforms.shape, dtype=int)
+    for step, u in enumerate(uniforms.T):
+        out = ops @ sigma[:, None] @ ops_dag
+        for idx, ops_j, ops_j_dag in rest:
+            out[:, idx] += ops_j @ sigma[:, None] @ ops_j_dag
+        weights = np.clip(np.trace(out, axis1=2, axis2=3).real, 0.0, None)
+        cdf = (weights / weights.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        # each row is nondecreasing: its count of entries <= u is its searchsorted
+        k = (cdf / cdf[:, -1:] <= u[:, None]).sum(axis=1)
+        w = weights[rows, k]
+        if (w <= WEIGHT_FLOOR).any():
             raise ZeroProbabilityRecord("sampled a zero-weight outcome; model is degenerate")
-        rho = hermitian_part(outs[k] / weights[k])
-        record.append(labels[k])
-        path.append(rho)
-    return tuple(record), path
+        sigma = hermitian_part(out[rows, k] / w[:, None, None])
+        picks[:, step] = k
+    return [tuple(labels[k] for k in row) for row in picks.tolist()]
+
+
+def sample_record(instrument, rho0, steps: int, rng) -> tuple:
+    """Sample one record: the ``n = 1`` case of :func:`sample_records`."""
+    return sample_records(instrument, rho0, steps, 1, rng)[0]

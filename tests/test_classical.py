@@ -9,6 +9,7 @@ from retrosmooth.classical import (
     classical_retrofilter,
     classical_smooth,
     conditional_map,
+    sample_classical_trajectories,
     sample_classical_trajectory,
 )
 from retrosmooth.errors import InvalidMatrix, UnknownOutcome, ZeroProbabilityRecord
@@ -187,6 +188,19 @@ class TestSmooth:
             assert abs(float(p_f @ e_r) * np.exp(ll) - full) < 1e-10
 
 
+def sequential_trajectory(model, prior, steps, gen):
+    """Reference sampler: one ``Generator.choice`` per draw, emission before transition."""
+    labels = model.outcome_labels
+    like = np.stack([model.likelihood[y] for y in labels])
+    x = int(gen.choice(model.n_states, p=np.asarray(prior, dtype=float)))
+    path, record = [x], []
+    for _ in range(steps):
+        record.append(labels[int(gen.choice(len(labels), p=like[:, x]))])
+        x = int(gen.choice(model.n_states, p=model.transition[:, x]))
+        path.append(x)
+    return path, record
+
+
 class TestSampling:
     def test_zero_steps(self):
         path, record = sample_classical_trajectory(model2(), [0.5, 0.5], 0, 1)
@@ -205,14 +219,27 @@ class TestSampling:
         b = sample_classical_trajectory(model2(), [0.5, 0.5], 6, 99)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [3, 99, 2024])
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("chain", ["two-state", "three-state"])
+    def test_lockstep_matches_sequential_loop(self, chain, n, seed):
+        model, prior = (model2(), [0.5, 0.5]) if chain == "two-state" else (model3(), [0.5, 0.3, 0.2])
+        gen = np.random.default_rng(seed)
+        expected = [sequential_trajectory(model, prior, 6, gen) for _ in range(n)]
+        after = gen.random()
+        gen = np.random.default_rng(seed)
+        paths, records = sample_classical_trajectories(model, prior, 6, n, gen)
+        assert paths == [p for p, _ in expected]
+        assert records == [r for _, r in expected]
+        assert gen.random() == after
+
     def test_record_frequencies(self):
         model = model2()
         prior = np.array([0.5, 0.5])
         steps, n = 3, 100_000
         rng = np.random.default_rng(12345)
         counts: dict[tuple, int] = {}
-        for _ in range(n):
-            _, rec = sample_classical_trajectory(model, prior, steps, rng)
+        for rec in sample_classical_trajectories(model, prior, steps, n, rng)[1]:
             counts[tuple(rec)] = counts.get(tuple(rec), 0) + 1
         for rec in itertools.product(model.outcome_labels, repeat=steps):
             _, p = path_posterior(model, prior, rec, 0)

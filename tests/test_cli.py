@@ -346,6 +346,15 @@ def _joint_doc(*entries) -> dict:
 # case -> (scenario document, a fragment the error line must hold)
 MALFORMED_SCENARIOS = {
     "seed-not-integer": (lambda: _demo_doc(seed="x"), "seed:"),
+    "seed-boolean": (lambda: _demo_doc(seed=True), "seed: expected an integer, got True"),
+    "steps-not-integral": (
+        lambda: _demo_doc(steps=3.7, smoothing_time_index=1),
+        "steps: expected an integer, got 3.7",
+    ),
+    "split-not-integral": (
+        lambda: _demo_doc(smoothing_time_index=1.9),
+        "smoothing_time_index: expected an integer, got 1.9",
+    ),
     "n-trajectories-not-integer": (lambda: _demo_doc(n_trajectories="x"), "n_trajectories:"),
     "likelihood-as-list": (_classical_doc_with_list_likelihood, "system.likelihood:"),
     "rho0-trace-1.8": (lambda: _demo_doc(rho0=_rho0([[0.9, 0.0], [0.0, 0.9]])), "trace 1.8,"),
@@ -393,6 +402,11 @@ class TestMainEntry:
         assert main(["verify", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "14/14 checks passed" in out
+
+    def test_negative_trajectory_count_is_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario", "demo", "--trajectories", "-3", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.strip() == "error: --trajectories: must be at least 0, got -3"
 
     def test_missing_scenario_is_config_error(self, tmp_path, capsys):
         code = main(["smooth", "--scenario", str(tmp_path / "nope.json"), "--enumerate"])

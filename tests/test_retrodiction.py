@@ -29,7 +29,6 @@ from retrosmooth.retrodiction import (
     extended_petz,
     generalized_smooth,
     petz_map,
-    record_channel,
     smoothed_global,
 )
 from retrosmooth.smoothers import build_custom, build_gw, build_pf, build_pf_variant, extend_ancilla
@@ -304,6 +303,38 @@ class TestGeneralizedSmooth:
             generalized_smooth(prior, effect),
             atol=1e-9,
         )
+
+
+def record_channel(instrument, steps: int) -> tuple[ChannelRep, list[tuple]]:
+    """The quantum-classical channel ``X -> sum_r Tr[Phi_r(X)] |r><r|`` over all records.
+
+    Returns the channel and the record ordering that indexes its output
+    basis.  Built by its own recursive descent, independent of
+    :func:`retrosmooth.trajectory.walk`; only practical for very short records.
+    """
+    labels = instrument.outcome_labels
+    dim = instrument.dim
+    records: list[tuple] = []
+    kraus: list[np.ndarray] = []
+
+    def descend(prefix: tuple, mats: list[np.ndarray], remaining: int) -> None:
+        if remaining == 0:
+            j = len(records)
+            records.append(prefix)
+            ket = np.zeros((len(labels) ** steps, 1), dtype=complex)
+            ket[j, 0] = 1.0
+            for m in mats:
+                for i in range(dim):
+                    bra = np.zeros((1, dim), dtype=complex)
+                    bra[0, i] = 1.0
+                    kraus.append(ket @ bra @ m)
+            return
+        for y in labels:
+            next_mats = [k @ m for m in mats for k in instrument.op(y).kraus]
+            descend(prefix + (y,), next_mats, remaining - 1)
+
+    descend((), [np.eye(dim, dtype=complex)], steps)
+    return ChannelRep(tuple(kraus)), records
 
 
 def per_effect_smooth(prior, effect):

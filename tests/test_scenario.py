@@ -177,6 +177,25 @@ class TestTrajectoryFiles:
         assert header["n_trajectories"] == 2
         assert [tuple(r) for r in back] == [tuple(r) for r in records]
 
+    def test_escaped_labels_match_per_line_writer(self, tmp_path):
+        # labels that JSON must escape: a quote, a backslash, a non-ASCII character
+        sc = demo_scenario()
+        records = [
+            (('a"b', "0"), ("c\\d", "é"), ("0", 'a"b')),
+            (("é", "c\\d"), ('a"b', "0")),
+        ]
+        header = {"scenario": sc.name, "seed": sc.seed, "steps": sc.steps, "n_trajectories": 2, "kind": "joint"}
+        lines = [json.dumps(header, separators=(", ", ": "))] + [
+            json.dumps({"step": i, "alice": a, "bob": b}, separators=(", ", ": "))
+            for record in records
+            for i, (a, b) in enumerate(record)
+        ]
+        path = tmp_path / "t.jsonl"
+        write_trajectories(path, sc, records)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        _, back = read_trajectories(path)
+        assert [tuple(r) for r in back] == records
+
     def test_alice_only_uses_null_bob(self, tmp_path):
         # the writer always records bob; the reader still accepts alice-only files
         path = tmp_path / "t.jsonl"

@@ -25,6 +25,7 @@ from retrosmooth.trajectory import (
     filter as filter_state,
     retrofilter,
     sample_record,
+    sample_records,
 )
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # lowering |1> -> |0>
@@ -262,21 +263,58 @@ class TestEnumerate:
         assert any(p == 0.0 for _, p in got) == has_zero
 
 
+def sequential_record(instrument, rho0, steps, gen):
+    """Reference sampler: one ``Generator.choice`` per step on the normalized weights."""
+    rho = np.asarray(rho0, dtype=complex)
+    labels = instrument.outcome_labels
+    record = []
+    for _ in range(steps):
+        outs, weights = zip(*(apply_conditional(instrument.op(y), rho) for y in labels))
+        probs = np.clip(np.asarray(weights), 0.0, None)
+        k = int(gen.choice(len(labels), p=probs / probs.sum()))
+        rho = hermitian_part(outs[k] / weights[k])
+        record.append(labels[k])
+    return tuple(record)
+
+
 class TestSample:
     def test_zero_steps(self):
-        record, path = sample_record(projective_z(), np.eye(2) / 2, 0, 5)
-        assert record == () and len(path) == 1
+        assert sample_record(projective_z(), np.eye(2) / 2, 0, 5) == ()
+        assert sample_records(projective_z(), np.eye(2) / 2, 0, 3, 5) == [()] * 3
 
     def test_single_outcome(self):
         inst = Instrument({"0": ConditionalOp((np.eye(2),))})
-        record, _ = sample_record(inst, np.eye(2) / 2, 5, 0)
-        assert record == ("0",) * 5
+        assert sample_record(inst, np.eye(2) / 2, 5, 0) == ("0",) * 5
 
     def test_seed_determinism(self):
         joint = discretize(decay_spec(eta=0.5, omega=1.0)).joint
         a = sample_record(joint, np.eye(2) / 2, 5, 42)
         b = sample_record(joint, np.eye(2) / 2, 5, 42)
-        assert a[0] == b[0]
+        assert a == b
+
+    @pytest.mark.parametrize("seed", [29, 11, 7])
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("system", ["demo-joint", "projective-z"])
+    def test_lockstep_matches_sequential_loop(self, system, n, seed):
+        if system == "demo-joint":
+            sc = Scenario.from_file(SCENARIOS / "driven-damped-qubit.json")
+            built = sc.build()
+            inst, rho0, steps = built.instrument.joint, sc.rho0(built.dim), 12
+        else:
+            inst, rho0, steps = projective_z(), np.diag([0.35, 0.65]).astype(complex), 4
+        gen = np.random.default_rng(seed)
+        expected = [sequential_record(inst, rho0, steps, gen) for _ in range(n)]
+        after = gen.random()
+        gen = np.random.default_rng(seed)
+        assert sample_records(inst, rho0, steps, n, gen) == expected
+        # the same uniforms were consumed, no more
+        assert gen.random() == after
+
+    def test_zero_weight_outcome_raises(self):
+        # a subnormalized instrument whose only outcome has weight 1e-16
+        inst = Instrument({"0": ConditionalOp((1e-8 * np.eye(2),))}, check=False)
+        with pytest.raises(ZeroProbabilityRecord):
+            sample_records(inst, np.eye(2) / 2, 3, 4, 0)
 
     def test_frequencies_match_enumeration(self):
         inst = projective_z()
@@ -284,8 +322,7 @@ class TestSample:
         steps, n = 2, 100_000
         rng = np.random.default_rng(777)
         counts: dict[tuple, int] = {}
-        for _ in range(n):
-            rec, _ = sample_record(inst, rho0, steps, rng)
+        for rec in sample_records(inst, rho0, steps, n, rng):
             counts[rec] = counts.get(rec, 0) + 1
         for rec, p in enumerate_records(inst, rho0, steps):
             sigma = np.sqrt(p * (1 - p) / n)
