@@ -19,7 +19,7 @@ from . import sweeps
 from . import verify as verify_suite
 from .entropy import no_universal_quantifier_demo, theorem1_check
 from .errors import NotClassicalLimit, RetrosmoothError, ScenarioError
-from .linalg import trace_norm
+from .linalg import entropy_vn, fidelity, purity, trace_norm
 from .retrodiction import PRIOR_KINDS
 from .sampling import random_density, random_extension, random_povm
 from .scenario import (
@@ -28,6 +28,8 @@ from .scenario import (
     dumps_17,
     fmt17,
     read_trajectories,
+    state_to_json,
+    theorem1_config,
     write_trajectories,
 )
 from .smoothers import build_custom
@@ -102,30 +104,37 @@ def cmd_smooth(
                 )
         table = sweeps.record_table(scenario, built, rho0, records)
 
-    rows, doc_priors = [], {}
-    averages = sweeps.future_averages(scenario, built, rho0, table, kinds, complete=enumerate_futures)
-    for kind, past, out in averages:
-        entry = doc_priors.setdefault(kind, {})
-        key = sweeps.render(past)
-        if out["error"] is not None:
-            rows.append(
-                {
-                    "scenario": scenario.name,
-                    "prior": kind,
-                    "past": key,
-                    "future": "",
-                    "probability": out["p_past"],
-                    "status": out["error"],
-                }
-            )
-            entry[key] = {"error": out["error"], "p_past": out["p_past"]}
+    rows, doc_priors, residuals, register = [], {}, {}, {"gw": {}, "gw-variant": {}}
+    for s in sweeps.smooth_table(scenario, built, rho0, table, kinds, complete=enumerate_futures):
+        entry = doc_priors.setdefault(s.kind, {})
+        residuals.setdefault(s.kind, None)
+        key = sweeps.render(s.past)
+        row = {"scenario": scenario.name, "prior": s.kind, "past": key}
+        if s.error is not None:
+            rows.append({**row, "future": "", "probability": s.p_past, "status": str(s.error)})
+            entry[key] = {"error": str(s.error), "p_past": s.p_past}
             continue
-        rows.extend(out["rows"])
-        entry[key] = {
-            "p_past": out["p_past"],
-            "avg_vs_filtered_trace_norm": out["avg_residual"],
-            "states": out["states"],
-        }
+        smoothed = s.states[s.possible]
+        metrics = zip(
+            purity(smoothed).tolist(),
+            entropy_vn(smoothed).tolist(),
+            fidelity(smoothed, s.rho_f).tolist(),
+        )
+        states = {}
+        for (fut, p), rho_s, ok in zip(s.futures, s.states, s.possible):
+            cells = {"future": sweeps.render(fut), "probability": p, "status": "ok"}
+            if ok:
+                cells["purity"], cells["entropy"], cells["fidelity_to_filtered"] = next(metrics)
+                states[cells["future"]] = state_to_json(rho_s)
+            else:
+                cells["status"] = "zero-probability"
+            rows.append({**row, **cells})
+        residual = s.residual() if enumerate_futures else None
+        entry[key] = {"p_past": s.p_past, "avg_vs_filtered_trace_norm": residual, "states": states}
+        if residual is not None:
+            residuals[s.kind] = max(residuals[s.kind] or 0.0, residual)
+        if s.kind in register:
+            register[s.kind][s.past] = s.states, s.possible
 
     summary = {
         "scenario": scenario.name,
@@ -135,20 +144,16 @@ def cmd_smooth(
         "mode": "enumerate" if enumerate_futures else "records",
         "priors": doc_priors,
     }
-    residuals = {
-        kind: max(
-            (
-                e["avg_vs_filtered_trace_norm"]
-                for e in doc_priors[kind].values()
-                if e.get("avg_vs_filtered_trace_norm") is not None
-            ),
-            default=None,
-        )
-        for kind in doc_priors
-    }
     summary["max_avg_residual"] = residuals
     if "gw" in doc_priors and "gw-variant" in doc_priors:
-        summary["gw_vs_gw_variant_gap"] = _prior_gap(doc_priors["gw"], doc_priors["gw-variant"])
+        # the largest trace distance between the two priors' states of one record
+        gap = 0.0
+        for past, (a, a_ok) in register["gw"].items():
+            if past in register["gw-variant"]:
+                b, b_ok = register["gw-variant"][past]
+                for x, y in zip(a[a_ok & b_ok], b[a_ok & b_ok]):
+                    gap = max(gap, trace_norm(x - y))
+        summary["gw_vs_gw_variant_gap"] = gap
 
     fields = [
         "scenario",
@@ -172,32 +177,12 @@ def cmd_smooth(
     return summary
 
 
-def _prior_gap(a: dict, b: dict) -> float:
-    """Largest trace distance between two priors' smoothed states on shared records."""
-    gap = 0.0
-    for past in a:
-        if "states" not in a[past] or past not in b or "states" not in b[past]:
-            continue
-        for fut, state in a[past]["states"].items():
-            other = b[past]["states"].get(fut)
-            if other is None:
-                continue
-            ma = np.asarray(state["real"]) + 1j * np.asarray(state["imag"])
-            mb = np.asarray(other["real"]) + 1j * np.asarray(other["imag"])
-            gap = max(gap, trace_norm(ma - mb))
-    return gap
-
-
 # ---------------------------------------------------------------------------
 # entropy scan
 
 
 def _theorem1_rows(scenario: Scenario | None, seed: int) -> list[dict]:
-    cfg = (scenario.raw.get("theorem1") if scenario else None) or {}
-    n = int(cfg.get("n_extensions", 200))
-    dims_q = [int(d) for d in cfg.get("dim_q", [2, 3])]
-    dims_a = [int(d) for d in cfg.get("dim_a", [2, 3, 4])]
-    effect_counts = [int(d) for d in cfg.get("n_effects", [2, 3, 4])]
+    n, dims_q, dims_a, effect_counts = theorem1_config(scenario.raw if scenario else {})
 
     def one(i: int) -> dict:
         # one generator per extension, so each row depends only on (seed, i)

@@ -94,29 +94,30 @@ def outcome_probs(scenario: ExtensionScenario) -> np.ndarray:
     )
 
 
-def smoothed_outcome_states(scenario: ExtensionScenario) -> list[np.ndarray | None]:
-    """Per-outcome updated states; outcomes of negligible probability give ``None``.
+def _live_updates(scenario: ExtensionScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome probabilities, which clear the floor, and those outcomes' updated states.
 
     Every outcome above the floor is updated in one stacked sandwich.
     """
     probs = outcome_probs(scenario)
     live = probs > WEIGHT_FLOOR
-    effects = np.stack(scenario.effects)[live]
-    updated = iter(
-        hermitian_part(_sandwich_marginal(scenario.extension, effects)) / probs[live][:, None, None]
-    )
+    sandwiched = _sandwich_marginal(scenario.extension, np.stack(scenario.effects)[live])
+    return probs, live, hermitian_part(sandwiched) / probs[live][:, None, None]
+
+
+def smoothed_outcome_states(scenario: ExtensionScenario) -> list[np.ndarray | None]:
+    """Per-outcome updated states; outcomes of negligible probability give ``None``."""
+    _, live, updated = _live_updates(scenario)
+    updated = iter(updated)
     return [next(updated) if keep else None for keep in live]
 
 
 def avg_entropy(scenario: ExtensionScenario) -> float:
     """Probability-weighted average von Neumann entropy of the updated states (nats)."""
-    probs = outcome_probs(scenario)
-    states = smoothed_outcome_states(scenario)
-    entropies = iter(entropy_vn(np.stack([rho for rho in states if rho is not None])).tolist())
+    probs, live, updated = _live_updates(scenario)
     total = 0.0
-    for p, rho in zip(probs, states):
-        if rho is not None:
-            total += float(p) * next(entropies)
+    for p, s in zip(probs[live], entropy_vn(updated).tolist()):
+        total += float(p) * s
     return total
 
 

@@ -40,10 +40,10 @@ from .classical import ClassicalModel
 from .errors import InvalidDistribution, InvalidMatrix, NotPSD, ScenarioError, StepTooCoarse
 from .linalg import as_density
 from .retrodiction import PRIOR_KINDS
+from .trajectory import DEFAULT_ENUMERATION_CAP
 from .trajectory import ConditionalOp, Instrument, JumpChannel, LindbladSpec, discretize
 
 ENV_CAP = "RETROSMOOTH_CAP"
-DEFAULT_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ class Scenario:
     smoothing_index: int
     prior_kinds: tuple[str, ...]
     seed: int = 0
-    enumeration_cap: int = DEFAULT_CAP
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     n_trajectories: int = 100
     custom_prior: dict | None = None
     raw: dict = field(default_factory=dict, repr=False)
@@ -281,6 +281,7 @@ class Scenario:
             raise ScenarioError("system: required")
         if "rho0" not in doc:
             raise ScenarioError("rho0: required")
+        theorem1_config(doc)  # read by entropy-scan, but a bad block fails every command
         return cls(
             name=str(doc.get("name", "scenario")),
             system_spec=doc["system"],
@@ -289,7 +290,7 @@ class Scenario:
             smoothing_index=t,
             prior_kinds=kinds,
             seed=_integer(doc, "seed", 0),
-            enumeration_cap=_integer(doc, "enumeration_cap", DEFAULT_CAP, minimum=1),
+            enumeration_cap=_integer(doc, "enumeration_cap", DEFAULT_ENUMERATION_CAP, minimum=1),
             n_trajectories=_integer(doc, "n_trajectories", 100, minimum=0),
             custom_prior=doc.get("custom_prior"),
             raw=doc,
@@ -356,6 +357,22 @@ def _integer(doc: dict, key: str, default, minimum: int | None = None) -> int:
     return n
 
 
+def theorem1_config(doc: dict) -> tuple[int, list[int], list[int], list[int]]:
+    """The ``theorem1`` block as ``(n_extensions, dim_q, dim_a, n_effects)``, validated."""
+    cfg = doc.get("theorem1") or {}
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"theorem1: expected an object, got {cfg!r}")
+    cfg = {f"theorem1.{key}": value for key, value in cfg.items()}
+    choices = []
+    for key, default in (("dim_q", [2, 3]), ("dim_a", [2, 3, 4]), ("n_effects", [2, 3, 4])):
+        key = f"theorem1.{key}"
+        values = cfg.get(key, default)
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ScenarioError(f"{key}: expected a nonempty list of integers, got {values!r}")
+        choices.append([_integer({key: v}, key, None, minimum=1) for v in values])
+    return (_integer(cfg, "theorem1.n_extensions", 200, minimum=0), *choices)
+
+
 def demo_scenario(seed: int = 7) -> Scenario:
     """Built-in driven-damped qubit exercising all five priors.
 
@@ -378,7 +395,7 @@ def demo_scenario(seed: int = 7) -> Scenario:
         "smoothing_time_index": 2,
         "prior_kinds": ["pf", "gw", "gw-variant", "pf-variant", "clhs"],
         "seed": seed,
-        "enumeration_cap": DEFAULT_CAP,
+        "enumeration_cap": DEFAULT_ENUMERATION_CAP,
     }
     return Scenario.from_dict(doc)
 

@@ -1,29 +1,30 @@
 """Exact-enumeration sweeps shared by the command line and the check suite.
 
-Each sweep walks every record of a scenario (or every observed record) and
-returns plain data; the CLI formats and writes it, ``verify`` holds it to
-tolerances.  One floor decides which past records count as impossible.
+Every sweep runs one retrodictive update under each prior kind for each
+past of a record table, and returns arrays and plain numbers; the CLI
+formats and writes them, ``verify`` holds them to tolerances.  One floor,
+:data:`PROB_FLOOR`, decides which past records count as impossible.
 
 * :func:`future_table` / :func:`record_table` group records by their past
   prefix at the smoothing time.
-* :func:`future_averages` smooths every future of every (prior kind, past)
-  pair and, for complete tables, compares the probability-weighted average to
-  the filtered state.
+* :func:`smooth_table` is the one smoothing pass: for each (prior kind,
+  past) of a table it builds the prior and smooths every future in one
+  stacked call.  The sweeps below reduce it.
 * :func:`entropy_rows` holds the average smoothed entropy of each (prior
   kind, past) pair against the ``S(rho_F) - H(futures) <= avg <= S(rho_F)``
   sandwich.
 * :func:`classical_deviation` compares quantum smoothing of a classical chain
   with forward-backward smoothing over every record and split time.
 
-Within one sweep each distinct future is retrofiltered once and each
+Within one pass each distinct future is retrofiltered once and each
 distinct past filtered once, shared by every prior kind and by the prior
-builds that need the filtered state; every future of a (prior kind, past)
-pair is smoothed in one stacked call, and its metrics taken over the stack.
+builds that need the filtered state.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,13 +37,13 @@ from .errors import (
     ScenarioError,
     ZeroProbabilityRecord,
 )
-from .linalg import WEIGHT_FLOOR, entropy_vn, fidelity, purity, trace_norm
-from .retrodiction import generalized_smooth
-from .scenario import matrix_from_json, state_to_json
+from .linalg import WEIGHT_FLOOR, entropy_vn, trace_norm
+from .retrodiction import FilteredGlobalState, generalized_smooth
+from .scenario import matrix_from_json
 from .smoothers import build_custom, build_prior
 from .trajectory import enumerate_records, filter as filter_state, retrofilter
 
-_PROB_FLOOR = 1e-12
+PROB_FLOOR = 1e-12
 
 ZERO_PAST = "zero-probability past record"
 
@@ -70,12 +71,11 @@ def record_table(scenario, built, rho0, records) -> dict[tuple, list[tuple[tuple
     return table
 
 
-def prior_for(scenario, built, kind: str, past, rho0, rho_f=None):
+def prior_for(scenario, built, kind: str, past, rho0, rho_f):
     """The prior of one kind for one past, built under the scenario's enumeration cap.
 
-    ``rho_f``, the past's filtered state when the caller already holds it,
-    spares the ``pf``/``clhs`` builds and the ``custom`` check a second
-    :func:`filter` call; ``None`` filters the past here.
+    ``rho_f``, the past's filtered state, spares the ``pf``/``clhs`` builds
+    and the ``custom`` check a second :func:`filter` call.
     """
     if kind == "custom":
         if not scenario.custom_prior:
@@ -83,8 +83,6 @@ def prior_for(scenario, built, kind: str, past, rho0, rho_f=None):
         matrix = matrix_from_json(scenario.custom_prior.get("matrix"), "custom_prior.matrix")
         dim_a = int(scenario.custom_prior.get("dim_a", 1))
         prior = build_custom(matrix, (built.dim, dim_a))
-        if rho_f is None:
-            rho_f, _ = filter_state(built.instrument, rho0, past)
         gap = prior.consistency_gap(rho_f)
         if gap > 1e-9:
             raise InvalidExtension(
@@ -101,22 +99,6 @@ def prior_for(scenario, built, kind: str, past, rho0, rho_f=None):
     )
 
 
-def future_averages(scenario, built, rho0, table, kinds, *, complete: bool):
-    """Smoothed states for every (prior kind, past) of a table, kind-major.
-
-    Yields ``(kind, past, result)`` where ``result`` holds ``p_past``, the
-    per-future ``rows``, the ok ``states`` keyed by rendered future, and
-    ``error`` (:data:`ZERO_PAST`, a failed prior build, or ``None``).
-    ``complete`` marks that the table lists every future, in which case
-    ``avg_residual`` is the trace norm between the probability-weighted
-    average of the smoothed states and the filtered state.
-    """
-    memo = _Memo(built.instrument, rho0)
-    for kind in kinds:
-        for past, futures in table.items():
-            yield kind, past, _average_one(scenario, built, rho0, kind, past, futures, complete, memo)
-
-
 class _Memo(dict):
     """What one sweep derives from a record, each computed on first use.
 
@@ -130,10 +112,6 @@ class _Memo(dict):
         super().__init__()
         self.instrument = instrument
         self.rho0 = rho0
-
-    def effects(self, futures) -> np.ndarray:
-        """The retrofiltered effects of some futures, as one stack ``(k, d, d)``."""
-        return np.stack([self["future", fut] for fut in futures])
 
     def __missing__(self, key):
         role, record = key
@@ -149,47 +127,59 @@ class _Memo(dict):
         return value
 
 
-def _average_one(scenario, built, rho0, kind, past, futures, complete, memo):
-    p_past = sum(p for _, p in futures) if complete else memo["past", past][1]
-    out = {"p_past": p_past, "rows": [], "avg_residual": None, "states": {}, "error": None}
-    if out["p_past"] <= _PROB_FLOOR:
-        out["error"] = ZERO_PAST
-        return out
-    rho_f = memo["past", past][0]
-    try:
-        prior = prior_for(scenario, built, kind, past, rho0, rho_f)
-    except RetrosmoothError as exc:
-        out["error"] = str(exc)
-        return out
-    states, possible = generalized_smooth(prior, memo.effects(fut for fut, _ in futures))
-    smoothed = states[possible]
-    metrics = zip(
-        smoothed,
-        purity(smoothed).tolist(),
-        entropy_vn(smoothed).tolist(),
-        fidelity(smoothed, rho_f).tolist(),
-    )
-    avg = np.zeros((built.dim, built.dim), dtype=complex)
-    for (fut, p), ok in zip(futures, possible):
-        row = {
-            "scenario": scenario.name,
-            "prior": kind,
-            "past": render(past),
-            "future": render(fut),
-            "probability": p,
-            "status": "ok",
-        }
-        if not ok:
-            row["status"] = "zero-probability"
-            out["rows"].append(row)
-            continue
-        rho_s, row["purity"], row["entropy"], row["fidelity_to_filtered"] = next(metrics)
-        avg += (p / out["p_past"]) * rho_s
-        out["rows"].append(row)
-        out["states"][render(fut)] = state_to_json(rho_s)
-    if complete:
-        out["avg_residual"] = trace_norm(avg - rho_f)
-    return out
+class Smoothed(NamedTuple):
+    """One (prior kind, past) of a :func:`smooth_table` pass.
+
+    ``futures`` is the table's ``[(future, probability)]`` for the past.  When
+    ``error`` is ``None``, ``states[j]`` is future ``j`` smoothed under
+    ``prior`` from its retrofiltered effect ``effects[j]``, NaN where
+    ``possible[j]`` is false.  Otherwise ``error`` is :data:`ZERO_PAST` or the
+    exception of the failed prior build, and the prior and arrays are ``None``.
+    """
+
+    kind: str
+    past: tuple
+    futures: list[tuple[tuple, float]]
+    p_past: float
+    rho_f: np.ndarray | None = None
+    prior: FilteredGlobalState | None = None
+    effects: np.ndarray | None = None
+    states: np.ndarray | None = None
+    possible: np.ndarray | None = None
+    error: str | RetrosmoothError | None = None
+
+    def residual(self) -> float:
+        """Trace norm between the probability-weighted smoothed average and ``rho_F``."""
+        avg = np.zeros(self.rho_f.shape, dtype=complex)
+        for (_, p), rho_s, ok in zip(self.futures, self.states, self.possible):
+            if ok:
+                avg += (p / self.p_past) * rho_s
+        return trace_norm(avg - self.rho_f)
+
+
+def smooth_table(scenario, built, rho0, table, kinds, *, complete: bool):
+    """Every future of every (prior kind, past) of a table smoothed, as :class:`Smoothed`, kind-major.
+
+    ``complete`` marks that the table lists every future of each past, whose
+    probability is then the sum of theirs; otherwise the past is filtered for
+    it.  A past at or below :data:`PROB_FLOOR` is not smoothed.
+    """
+    memo = _Memo(built.instrument, rho0)
+    for kind in kinds:
+        for past, futures in table.items():
+            p_past = sum(p for _, p in futures) if complete else memo["past", past][1]
+            if p_past <= PROB_FLOOR:
+                yield Smoothed(kind, past, futures, p_past, error=ZERO_PAST)
+                continue
+            rho_f = memo["past", past][0]
+            try:
+                prior = prior_for(scenario, built, kind, past, rho0, rho_f)
+            except RetrosmoothError as exc:
+                yield Smoothed(kind, past, futures, p_past, rho_f, error=exc)
+                continue
+            effects = np.stack([memo["future", fut] for fut, _ in futures])
+            states, possible = generalized_smooth(prior, effects)
+            yield Smoothed(kind, past, futures, p_past, rho_f, prior, effects, states, possible)
 
 
 def entropy_rows(scenario, built, rho0, table) -> list[dict]:
@@ -199,54 +189,43 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
     gives a row with a ``detail`` message and no ``avg_entropy``.
     """
     rows = []
-    memo = _Memo(built.instrument, rho0)
-    for kind in scenario.prior_kinds:
-        for past, futs in table.items():
-            p_past = sum(p for _, p in futs)
-            if p_past <= _PROB_FLOOR:
-                continue
-            rho_f = memo["past", past][0]
-            try:
-                prior = prior_for(scenario, built, kind, past, rho0, rho_f)
-            except RetrosmoothError as exc:
-                rows.append({"kind": "prior", "id": kind, "record": render(past), "detail": str(exc)})
-                continue
-            probs = [p / p_past for _, p in futs]
-            # a future at or below the floor adds entropy 0.0 without smoothing
-            live = [j for j, q in enumerate(probs) if q > WEIGHT_FLOOR]
-            entropies = [0.0] * len(futs)
-            if live:
-                states, possible = generalized_smooth(prior, memo.effects(futs[j][0] for j in live))
-                if not possible.all():
-                    raise ZeroProbabilityRecord(
-                        f"a future of {render(past)!r} has vanishing probability"
-                    )
-                for j, s in zip(live, entropy_vn(states).tolist()):
-                    entropies[j] = s
-            s_bar = float(np.dot(probs, entropies))
-            bound = sandwich_bound(rho_f, probs, s_bar)
-            rows.append(
-                {
-                    "kind": "prior",
-                    "id": kind,
-                    "record": render(past),
-                    "avg_entropy": s_bar,
-                    "lower": bound.lower,
-                    "upper": bound.upper,
-                    "lower_margin": s_bar - bound.lower,
-                    "upper_margin": bound.upper - s_bar,
-                    "within_bounds": bound.holds,
-                }
-            )
+    for s in smooth_table(scenario, built, rho0, table, scenario.prior_kinds, complete=True):
+        if s.error == ZERO_PAST:
+            continue
+        if s.error is not None:
+            detail = str(s.error)
+            rows.append({"kind": "prior", "id": s.kind, "record": render(s.past), "detail": detail})
+            continue
+        probs = [p / s.p_past for _, p in s.futures]
+        # a future at or below the floor adds entropy 0.0 however it smoothed
+        live = np.array(probs) > WEIGHT_FLOOR
+        if not s.possible[live].all():
+            raise ZeroProbabilityRecord(f"a future of {render(s.past)!r} has vanishing probability")
+        entropies = np.zeros(len(probs))
+        entropies[live] = entropy_vn(s.states[live])
+        s_bar = float(np.dot(probs, entropies))
+        bound = sandwich_bound(s.rho_f, probs, s_bar)
+        rows.append(
+            {
+                "kind": "prior",
+                "id": s.kind,
+                "record": render(s.past),
+                "avg_entropy": s_bar,
+                "lower": bound.lower,
+                "upper": bound.upper,
+                "lower_margin": s_bar - bound.lower,
+                "upper_margin": bound.upper - s_bar,
+                "within_bounds": bound.holds,
+            }
+        )
     return rows
 
 
 def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     """Worst ``|diag(rho_S) - classical|`` per prior kind, and the records compared.
 
-    Covers every record above the probability floor and every split time;
-    each (kind, past) prior is built once and serves every record sharing
-    that past.
+    Covers every record above the probability floor and every split time: at
+    each split the records are grouped by past and smoothed in one pass.
     """
     built = scenario.build()
     if built.classical is None:
@@ -255,21 +234,22 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
         )
     rho0 = scenario.rho0(built.dim)
     prior0 = np.diag(rho0).real
+    enumerated = enumerate_records(built.instrument, rho0, scenario.steps, scenario.cap())
+    records = [(rec, p) for rec, p in enumerated if p > PROB_FLOOR]
     worst = {kind: 0.0 for kind in kinds}
-    memo = _Memo(built.instrument, rho0)
-    priors = {}
-    n_records = 0
-    for rec, p in enumerate_records(built.instrument, rho0, scenario.steps, scenario.cap()):
-        if p <= _PROB_FLOOR:
-            continue
-        n_records += 1
-        for t in range(scenario.steps + 1):
-            past = rec[:t]
-            ps = classical_smooth(built.classical, prior0, past, rec[t:])
-            for kind in kinds:
-                if (kind, past) not in priors:
-                    rho_f = memo["past", past][0]
-                    priors[kind, past] = prior_for(scenario, built, kind, past, rho0, rho_f)
-                rho_s = generalized_smooth(priors[kind, past], memo["future", rec[t:]])
-                worst[kind] = max(worst[kind], float(np.abs(np.diag(rho_s).real - ps).max()))
-    return worst, n_records
+    for t in range(scenario.steps + 1):
+        table: dict[tuple, list] = {}
+        for rec, p in records:
+            table.setdefault(rec[:t], []).append((rec[t:], p))
+        expected = {
+            rec: classical_smooth(built.classical, prior0, rec[:t], rec[t:]) for rec, _ in records
+        }
+        for s in smooth_table(scenario, built, rho0, table, kinds, complete=True):
+            if s.error is not None:
+                raise s.error
+            if not s.possible.all():
+                raise ZeroProbabilityRecord(f"a record of {render(s.past)!r} has vanishing probability")
+            for (fut, _), rho_s in zip(s.futures, s.states):
+                deviation = float(np.abs(np.diag(rho_s).real - expected[s.past + fut]).max())
+                worst[s.kind] = max(worst[s.kind], deviation)
+    return worst, len(records)

@@ -239,14 +239,6 @@ def apply_conditional(op: ConditionalOp, rho) -> tuple[np.ndarray, float]:
     return out, max(float(out.trace().real), 0.0)
 
 
-def apply_record(instrument, rho, record) -> tuple[np.ndarray, float]:
-    """Compose the conditional operations of a record, without normalization."""
-    sigma = np.asarray(rho, dtype=complex)
-    for y in record:
-        sigma, _ = apply_conditional(instrument.op(y), sigma)
-    return sigma, max(float(sigma.trace().real), 0.0)
-
-
 def filter(instrument, rho0, record) -> tuple[np.ndarray, float]:
     """Filtered state given a past record, with the record's log-probability.
 

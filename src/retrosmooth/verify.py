@@ -23,7 +23,7 @@ from .entropy import (
     support_basis,
     theorem1_check,
 )
-from .errors import EnumerationTooLarge, RetrosmoothError, ZeroProbabilityRecord
+from .errors import EnumerationTooLarge, ZeroProbabilityRecord
 from .linalg import partial_trace, psd_sqrt, purify, trace_norm
 from .retrodiction import bob_posterior, generalized_smooth
 from .scenario import Scenario, classical_demo_scenario, demo_scenario
@@ -57,6 +57,15 @@ def _setup(scenario: Scenario | None):
 
 def _prior_errors(errors: list[str]) -> str:
     return f"  prior errors={len(errors)} (first: {errors[0]})" if errors else ""
+
+
+def _smoothed(sc, built, rho0, table, kinds, errors: list[str]):
+    """The pass over a complete table, less impossible pasts; failed builds go to ``errors``."""
+    for s in sweeps.smooth_table(sc, built, rho0, table, kinds, complete=True):
+        if s.error is None:
+            yield s
+        elif s.error != sweeps.ZERO_PAST:
+            errors.append(f"{s.kind}@{sweeps.render(s.past)}: {s.error}")
 
 
 def check_linalg(seed: int = 0) -> CheckResult:
@@ -146,15 +155,8 @@ def check_filter_averaging(scenario: Scenario | None = None) -> CheckResult:
     """
     sc, built, rho0, table = _setup(scenario)
     worst, errors = 0.0, []
-    for kind, past, out in sweeps.future_averages(
-        sc, built, rho0, table, sc.prior_kinds, complete=True
-    ):
-        if out["error"] == sweeps.ZERO_PAST:
-            continue
-        if out["error"] is not None:
-            errors.append(f"{kind}@{sweeps.render(past)}: {out['error']}")
-            continue
-        worst = max(worst, out["avg_residual"])
+    for s in _smoothed(sc, built, rho0, table, sc.prior_kinds, errors):
+        worst = max(worst, s.residual())
     passed = worst <= 1e-8 and not errors
     detail = f"scenario={sc.name}{_prior_errors(errors)}"
     return CheckResult("filter-averaging", passed, worst, 1e-8, detail)
@@ -170,37 +172,21 @@ def check_classical_limit(steps: int = 4) -> CheckResult:
     return CheckResult("classical-limit", worst <= 1e-9, worst, 1e-9, f"steps={steps}")
 
 
-def _gw_prior(sc, built, rho0, past, errors: list[str]):
-    """The ``gw`` prior of a past as the sweeps build it; a failed build goes to ``errors``."""
-    try:
-        return sweeps.prior_for(sc, built, "gw", past, rho0)
-    except RetrosmoothError as exc:
-        errors.append(f"gw@{sweeps.render(past)}: {exc}")
-        return None
-
-
 def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
     """Register-based smoothing must equal the explicit true-state mixture.
 
     A prior that cannot be built for a possible past fails the check.
     """
     sc, built, rho0, table = _setup(scenario)
-    memo = sweeps._Memo(built.instrument, rho0)
     worst, errors = 0.0, []
-    for past, futs in table.items():
-        futs = [fut for fut, p in futs if p > sweeps._PROB_FLOOR]
-        if not futs:
-            continue
-        prior = _gw_prior(sc, built, rho0, past, errors)
-        if prior is None:
-            continue
-        states, possible = generalized_smooth(prior, memo.effects(futs))
-        if not possible.all():
+    for s in _smoothed(sc, built, rho0, table, ("gw",), errors):
+        live = np.array([p > sweeps.PROB_FLOOR for _, p in s.futures])
+        if not s.possible[live].all():
             raise ZeroProbabilityRecord(
-                f"a future of {sweeps.render(past)!r} has vanishing probability"
+                f"a future of {sweeps.render(s.past)!r} has vanishing probability"
             )
-        for fut, got in zip(futs, states):
-            ref = branch_mixture_smooth(built.instrument, rho0, past, memo["future", fut], cap=sc.cap())
+        for effect, got in zip(s.effects[live], s.states[live]):
+            ref = branch_mixture_smooth(built.instrument, rho0, s.past, effect, cap=sc.cap())
             worst = max(worst, trace_norm(got - ref))
     passed = worst <= 1e-8 and not errors
     return CheckResult(
@@ -228,19 +214,14 @@ def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
         alice = tuple(a for a, _ in jrec)
         den[alice] += jp
         num[alice][tuple(u for _, u in jrec)[:t]] += jp
-    memo = sweeps._Memo(built.instrument, rho0)
     worst, errors = 0.0, []
-    for past, futs in table.items():
-        futs = [(fut, p) for fut, p in futs if p > 1e-9]
-        if not futs:
-            continue
-        prior = _gw_prior(sc, built, rho0, past, errors)
-        if prior is None:
-            continue
-        for fut, p in futs:
-            probs = bob_posterior(prior, memo["future", fut])
-            rec = past + fut
-            expected = np.array([num[rec][lbl] / den[rec] for lbl in prior.block_labels])
+    for s in _smoothed(sc, built, rho0, table, ("gw",), errors):
+        for (fut, p), effect in zip(s.futures, s.effects):
+            if p <= 1e-9:
+                continue
+            probs = bob_posterior(s.prior, effect)
+            rec = s.past + fut
+            expected = np.array([num[rec][lbl] / den[rec] for lbl in s.prior.block_labels])
             worst = max(worst, float(np.abs(probs - expected).max()))
     passed = worst <= 1e-9 and not errors
     return CheckResult(name, passed, worst, 1e-9, _prior_errors(errors).strip())

@@ -267,6 +267,33 @@ class TestClassicalLimit:
         report = cmd_classical_limit(sc, tmp_path)
         assert report["passed"]
 
+    def test_one_smoothing_call_per_prior(self, tmp_path, monkeypatch):
+        from collections import Counter
+
+        from retrosmooth import sweeps
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(sweeps, "build_prior", counting("build_prior", sweeps.build_prior))
+        monkeypatch.setattr(
+            sweeps, "generalized_smooth", counting("generalized_smooth", sweeps.generalized_smooth)
+        )
+        sc = Scenario.from_file("scenarios/classical-2state.json")
+        assert cmd_classical_limit(sc, tmp_path)["passed"]
+        built = sc.build()
+        records = [rec for rec, _ in enumerate_records(built.instrument, sc.rho0(built.dim), sc.steps)]
+        pasts = {rec[:t] for rec in records for t in range(sc.steps + 1)}
+        assert len(pasts) == 63
+        # one prior and one stacked smoothing call per (kind, split time, past), kinds pf and gw-variant
+        assert calls == {"build_prior": 2 * len(pasts), "generalized_smooth": 2 * len(pasts)}
+
     def test_rejects_non_classical(self, tmp_path):
         with pytest.raises(NotClassicalLimit):
             cmd_classical_limit(demo_scenario(), tmp_path)
@@ -382,6 +409,39 @@ MALFORMED_SCENARIOS = {
         lambda: _joint_doc(("0", "0", [G_JSON]), ("1", "0", [E_JSON]), ("0", "0", [G_JSON])),
         "not distinct",
     ),
+    "theorem1-not-an-object": (lambda: _demo_doc(theorem1=[200]), "theorem1: expected an object"),
+    "theorem1-extensions-not-integer": (
+        lambda: _demo_doc(theorem1={"n_extensions": "x"}),
+        "theorem1.n_extensions: expected an integer, got 'x'",
+    ),
+    "theorem1-extensions-not-integral": (
+        lambda: _demo_doc(theorem1={"n_extensions": 2.7}),
+        "theorem1.n_extensions: expected an integer, got 2.7",
+    ),
+    "theorem1-extensions-boolean": (
+        lambda: _demo_doc(theorem1={"n_extensions": True}),
+        "theorem1.n_extensions: expected an integer, got True",
+    ),
+    "theorem1-extensions-negative": (
+        lambda: _demo_doc(theorem1={"n_extensions": -3}),
+        "theorem1.n_extensions: must be at least 0, got -3",
+    ),
+    "theorem1-dim-q-entry-not-integer": (
+        lambda: _demo_doc(theorem1={"dim_q": [2, "q"]}),
+        "theorem1.dim_q: expected an integer, got 'q'",
+    ),
+    "theorem1-dim-q-zero": (
+        lambda: _demo_doc(theorem1={"dim_q": [0]}),
+        "theorem1.dim_q: must be at least 1, got 0",
+    ),
+    "theorem1-dim-a-empty": (
+        lambda: _demo_doc(theorem1={"dim_a": []}),
+        "theorem1.dim_a: expected a nonempty list of integers",
+    ),
+    "theorem1-effects-zero": (
+        lambda: _demo_doc(theorem1={"n_effects": [0]}),
+        "theorem1.n_effects: must be at least 1, got 0",
+    ),
 }
 
 
@@ -397,6 +457,16 @@ class TestMainEntry:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and fragment in lines[0], err
+
+    @pytest.mark.parametrize("command", ["smooth", "entropy-scan", "classical-limit", "simulate"])
+    def test_malformed_theorem1_block_fails_every_command(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_demo_doc(theorem1={"n_extensions": "x"})))
+        extra = {"smooth": ["--enumerate"], "entropy-scan": ["--theorem1"]}.get(command, [])
+        code = main([command, "--scenario", str(path), *extra, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.strip() == "error: theorem1.n_extensions: expected an integer, got 'x'"
 
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--seed", "3"]) == 0

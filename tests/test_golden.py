@@ -43,6 +43,9 @@ def golden_outputs(work: Path) -> dict[str, str]:
     record = out / "driven-damped-qubit_trajectories.jsonl"
     _run(["smooth", "--scenario", "demo", "--record", str(record), "--out", str(out)])
     _run(["entropy-scan", "--theorem1", "--demo-svb", "--out", str(work / "entropy")])
+    _run(["entropy-scan", "--scenario", "demo", "--out", str(work / "entropy-demo")])
+    source = str(ROOT / "scenarios" / "classical-2state.json")
+    _run(["entropy-scan", "--scenario", source, "--out", str(work / "entropy-classical-2state")])
     for name in SCENARIOS[1:]:
         source = str(ROOT / "scenarios" / f"{name}.json")
         _run(["classical-limit", "--scenario", source, "--out", str(work / f"classical-{name}")])
