@@ -20,19 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDistribution, InvalidMatrix, UnknownOutcome, ZeroProbabilityRecord
-from .linalg import WEIGHT_FLOOR
-
-_STOCHASTIC_TOL = 1e-12
+from .linalg import STOCHASTIC_TOL, UNIT_TRACE_TOL, WEIGHT_FLOOR
 
 
 def as_distribution(p, name: str = "distribution") -> np.ndarray:
-    """Validate and return a probability vector (entries >= -1e-12, sum 1 within 1e-10)."""
+    """Validate a probability vector: entries >= ``-STOCHASTIC_TOL``, sum 1 within ``UNIT_TRACE_TOL``."""
     q = np.asarray(p, dtype=float)
     if q.ndim != 1 or q.size == 0:
         raise InvalidDistribution(f"{name} must be a nonempty vector")
-    if q.min() < -1e-12:
+    if q.min() < -STOCHASTIC_TOL:
         raise InvalidDistribution(f"{name} has negative entry {q.min():g}")
-    if abs(q.sum() - 1.0) > 1e-10:
+    if abs(q.sum() - 1.0) > UNIT_TRACE_TOL:
         raise InvalidDistribution(f"{name} sums to {q.sum()!r}")
     return np.clip(q, 0.0, None)
 
@@ -54,9 +52,9 @@ class ClassicalModel:
         d = np.asarray(self.transition, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise InvalidMatrix(f"transition must be square, got {d.shape}")
-        if d.min(initial=0.0) < -_STOCHASTIC_TOL:
+        if d.min(initial=0.0) < -STOCHASTIC_TOL:
             raise InvalidMatrix("transition has negative entries")
-        if np.abs(d.sum(axis=0) - 1.0).max(initial=0.0) > _STOCHASTIC_TOL:
+        if np.abs(d.sum(axis=0) - 1.0).max(initial=0.0) > STOCHASTIC_TOL:
             raise InvalidMatrix("transition columns must sum to 1")
         if not self.likelihood:
             raise InvalidMatrix("model needs at least one outcome")
@@ -65,11 +63,11 @@ class ClassicalModel:
             v = np.asarray(vec, dtype=float)
             if v.shape != (d.shape[0],):
                 raise InvalidMatrix(f"likelihood for {y!r} has shape {v.shape}")
-            if v.min(initial=0.0) < -_STOCHASTIC_TOL:
+            if v.min(initial=0.0) < -STOCHASTIC_TOL:
                 raise InvalidMatrix(f"likelihood for {y!r} has negative entries")
             like[str(y)] = np.clip(v, 0.0, None)
         total = sum(like.values())
-        if np.abs(total - 1.0).max() > _STOCHASTIC_TOL:
+        if np.abs(total - 1.0).max() > STOCHASTIC_TOL:
             raise InvalidMatrix("per-state outcome probabilities must sum to 1")
         object.__setattr__(self, "transition", np.clip(d, 0.0, None))
         object.__setattr__(self, "likelihood", like)

@@ -91,17 +91,22 @@ def cmd_smooth(
     built = scenario.build()
     rho0 = scenario.rho0(built.dim)
     kinds = prior_kinds or scenario.prior_kinds
+    scenario.require_kinds(kinds)
 
     if enumerate_futures:
         table = sweeps.future_table(scenario, built, rho0)
     else:
         _, file_records = read_trajectories(record_path)
         records = [tuple(a for a, _ in rec) for rec in file_records]
+        alphabet = built.instrument.outcome_labels
         for alice in records:
             if len(alice) != scenario.steps:
                 raise ScenarioError(
                     f"record of length {len(alice)} does not match steps={scenario.steps}"
                 )
+            unknown = [y for y in alice if y not in alphabet]
+            if unknown:
+                raise ScenarioError(f"{record_path}: outcome {unknown[0]!r} not in alphabet {alphabet}")
         table = sweeps.record_table(scenario, built, rho0, records)
 
     rows, doc_priors, residuals, register = [], {}, {}, {"gw": {}, "gw-variant": {}}

@@ -31,24 +31,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidExtension, InvalidPOVM
 from .linalg import (
-    RANK_TOL,
+    BOUND_SLACK,
     WEIGHT_FLOOR,
     as_density,
-    as_effect,
+    as_povm,
     entropy_shannon,
     entropy_vn,
-    herm_eig,
     hermitian_part,
+    support_basis,
     support_inv_sqrt,
     tensor,
 )
 from .retrodiction import ChannelRep, FilteredGlobalState, _sandwich_marginal
 from .smoothers import build_custom
-
-_MARGINAL_TOL = 1e-9
-_POVM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,21 +58,8 @@ class ExtensionScenario:
     def __post_init__(self):
         g = as_density(self.gamma, "gamma")
         object.__setattr__(self, "gamma", g)
-        _require_marginal(self.extension, g)
-        object.__setattr__(self, "effects", tuple(_as_povm(self.effects, g.shape[0])))
-
-
-def _as_povm(effects, dim: int) -> np.ndarray:
-    """Validate a POVM on a ``dim``-dimensional system as one stack of effects."""
-    effects = [np.asarray(e, dtype=complex) for e in effects]
-    if not effects:
-        raise InvalidPOVM("POVM needs at least one effect")
-    if any(e.shape != (dim, dim) for e in effects):
-        raise InvalidPOVM(f"POVM effects must be {dim} x {dim} matrices")
-    stack = as_effect(np.stack(effects), "POVM effect")
-    if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > _POVM_TOL:
-        raise InvalidPOVM("effects do not sum to the identity")
-    return stack
+        self.extension.require_marginal(g, "gamma")
+        object.__setattr__(self, "effects", tuple(as_povm(self.effects, g.shape[0])))
 
 
 class _Validated(NamedTuple):
@@ -127,31 +110,23 @@ class SandwichBound(NamedTuple):
     holds: bool
 
 
-def sandwich_bound(rho_f, future_probs, avg_s: float, slack: float = 1e-9) -> SandwichBound:
+def sandwich_bound(rho_f, future_probs, avg_s: float) -> SandwichBound:
     """Entropy sandwich for an average over future records.
 
     The average entropy of the smoothed states lies between
     ``S(rho_F) - H(future records)`` and ``S(rho_F)``; returns both bounds and
-    whether ``avg_s`` sits inside them up to ``slack``.
+    whether ``avg_s`` sits inside them up to ``BOUND_SLACK``.
     """
     s_f = entropy_vn(rho_f)
     h = entropy_shannon(future_probs)
     lower, upper = s_f - h, s_f
-    return SandwichBound(lower, upper, bool(lower - slack <= avg_s <= upper + slack))
-
-
-def _require_marginal(extension: FilteredGlobalState, gamma: np.ndarray) -> None:
-    if extension.dim_q != gamma.shape[0]:
-        raise InvalidExtension("extension system dimension does not match gamma")
-    gap = extension.consistency_gap(gamma)
-    if gap > _MARGINAL_TOL:
-        raise InvalidExtension(f"extension marginal deviates from gamma by {gap:.3e}")
+    return SandwichBound(lower, upper, bool(lower - BOUND_SLACK <= avg_s <= upper + BOUND_SLACK))
 
 
 def lambda_apply(extension: FilteredGlobalState, gamma, y) -> np.ndarray:
     """Directly evaluate the trivial-to-extended bridge map on one operator."""
     g = as_density(gamma, "gamma")
-    _require_marginal(extension, g)
+    extension.require_marginal(g, "gamma")
     w = support_inv_sqrt(g)
     return _sandwich_marginal(extension, w @ np.asarray(y, dtype=complex) @ w)
 
@@ -165,21 +140,12 @@ def lambda_map(extension: FilteredGlobalState, gamma) -> ChannelRep:
     that support.
     """
     g = as_density(gamma, "gamma")
-    _require_marginal(extension, g)
+    extension.require_marginal(g, "gamma")
     w = support_inv_sqrt(g)
     d_q, d_a1 = extension.dim_q, extension.dim_a1
     # G_ab of block u is roots[u, :, a, :, b]; Kraus operators in (u, a, b) order
     roots = extension.roots.reshape(-1, d_q, d_a1, d_q, d_a1).transpose(0, 2, 4, 1, 3)
     return ChannelRep(tuple((roots @ w).reshape(-1, d_q, d_q)))
-
-
-def support_basis(gamma) -> np.ndarray:
-    """Orthonormal basis (columns) of the support of a PSD matrix."""
-    w, v = herm_eig(gamma)
-    top = float(w[0]) if w.size else 0.0
-    if top <= 0.0:
-        return np.zeros((np.asarray(gamma).shape[0], 0), dtype=complex)
-    return v[:, w > RANK_TOL * top]
 
 
 def lambda_choi(extension: FilteredGlobalState, gamma) -> np.ndarray:
@@ -214,15 +180,15 @@ class Theorem1Report:
     ordering_holds: bool
 
 
-def theorem1_check(gamma, extension: FilteredGlobalState, povm, slack: float = 1e-9) -> Theorem1Report:
+def theorem1_check(gamma, extension: FilteredGlobalState, povm) -> Theorem1Report:
     """Evaluate the extremal-bound chain for one ``(gamma, Gamma, POVM)`` triple.
 
     ``gamma``, the extension's marginal and the POVM are validated once and
-    shared by both averages.
+    shared by both averages; the ordering holds up to ``BOUND_SLACK``.
     """
     g = as_density(gamma, "gamma")
-    _require_marginal(extension, g)
-    effects = _as_povm(povm, g.shape[0])
+    extension.require_marginal(g, "gamma")
+    effects = as_povm(povm, g.shape[0])
     trivial = FilteredGlobalState(blocks=(g,), dim_q=g.shape[0])
     s_trivial = avg_entropy(_Validated(g, trivial, effects))
     s_ext = avg_entropy(_Validated(g, extension, effects))
@@ -233,7 +199,7 @@ def theorem1_check(gamma, extension: FilteredGlobalState, povm, slack: float = 1
         entropy_marginal=s_gamma,
         lower_margin=s_ext - s_trivial,
         upper_margin=s_gamma - s_ext,
-        ordering_holds=bool(s_trivial - slack <= s_ext <= s_gamma + slack),
+        ordering_holds=bool(s_trivial - BOUND_SLACK <= s_ext <= s_gamma + BOUND_SLACK),
     )
 
 

@@ -1,31 +1,65 @@
-"""Dense complex Hermitian linear algebra for small Hilbert spaces.
+"""Dense complex Hermitian linear algebra for small Hilbert spaces, and the numerical policy.
 
 All operators are plain complex ``numpy`` arrays.  Functions here are pure,
 never mutate their inputs, and are meant for dimensions up to a few dozen;
-everything goes through full eigendecompositions.
+everything goes through full eigendecompositions.  Tensor products are
+ordered system-first (``Q`` is the slowest index); entropies are in nats.
 
-Conventions fixed project-wide:
+Every tolerance is one constant here (only ``sweeps.PROB_FLOOR`` and the acceptance
+thresholds of ``verify`` and the CLI live elsewhere), and each validity check is one function:
+the ``as_*`` validators, :func:`support_basis`, :func:`require_complete`, :func:`as_povm` and
+``FilteredGlobalState.require_marginal``.  A check fails only strictly beyond its tolerance.
 
-* tensor products are ordered system-first (``Q`` is the slowest index),
-* entropies are in nats,
-* eigenvalues in ``[-PSD_CLAMP, 0]`` are treated as round-off zeros,
-* the support of a PSD matrix is the span of eigenvectors with eigenvalue
-  above ``RANK_TOL`` times the largest one,
-* a probability or trace weight at or below ``WEIGHT_FLOOR`` counts as zero:
-  a record step, a branch total or a smoothing normalizer that small makes
-  the record impossible, and an outcome that small gets no updated state.
+===================  =====  ====================================================================
+constant             value  what it decides (what it raises)
+===================  =====  ====================================================================
+HERMITIAN_TOL        1e-12  ``|m - m†|`` over ``max(1, |m|)``: matrix is Hermitian (InvalidMatrix)
+BLOCK_HERMITIAN_TOL  1e-9   the same for the blocks of a filtered global state (InvalidMatrix)
+PSD_CLAMP            1e-10  negativity of a state or effect eigenvalue (NotPSD), of a Shannon
+                            vector entry (InvalidDistribution)
+PSD_HARD             1e-6   negativity a square root or inverse root clamps to zero (NotPSD)
+UNIT_TRACE_TOL       1e-10  state trace (InvalidMatrix), classical distribution total
+                            (InvalidDistribution) against one
+PROB_SUM_TOL         1e-8   block-trace total of a prior (InvalidMatrix), Shannon vector total
+                            (InvalidDistribution) against one
+STOCHASTIC_TOL       1e-12  negativity and column/outcome sums of a hidden-Markov model
+                            (InvalidMatrix), negativity of a distribution (InvalidDistribution)
+SUBNORMAL_TOL        1e-10  excess over one of a conditional operation's ``K†K`` (InvalidMatrix)
+IDENTITY_TOL         1e-9   completeness defect (InvalidMatrix), POVM sum (InvalidPOVM), jump
+                            weight of one Lindblad step (StepTooCoarse), each against ``I``
+ISOMETRY_TOL         1e-10  ``|V†V - I|`` of an ancilla isometry (InvalidFactorization)
+MARGINAL_TOL         1e-9   ``|Tr_A Gamma - rho|`` of an extension (InvalidExtension)
+LEAKAGE_TOL          1e-8   evidence weight outside the prior's support (EvidenceOutsideSupport)
+BOUND_SLACK          1e-9   slack of the entropy sandwich and theorem-1 orderings (reported)
+RANK_TOL             1e-10  support cut, relative to the largest eigenvalue
+SQRT_CUT             1e-14  relative eigenvalue at or below which :func:`psd_sqrt` takes zero
+PHASE_LEAD           1e-12  component magnitude on which :func:`herm_eig` fixes each phase
+WEIGHT_FLOOR         1e-14  probability or trace weight that counts as zero (ZeroProbabilityRecord)
+===================  =====  ====================================================================
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidDistribution, InvalidFactorization, InvalidMatrix, NotPSD
+from .errors import InvalidDistribution, InvalidFactorization, InvalidMatrix, InvalidPOVM, NotPSD
 
 HERMITIAN_TOL = 1e-12
+BLOCK_HERMITIAN_TOL = 1e-9
 PSD_CLAMP = 1e-10
 PSD_HARD = 1e-6
+UNIT_TRACE_TOL = 1e-10
+PROB_SUM_TOL = 1e-8
+STOCHASTIC_TOL = 1e-12
+SUBNORMAL_TOL = 1e-10
+IDENTITY_TOL = 1e-9
+ISOMETRY_TOL = 1e-10
+MARGINAL_TOL = 1e-9
+LEAKAGE_TOL = 1e-8
+BOUND_SLACK = 1e-9
 RANK_TOL = 1e-10
+SQRT_CUT = 1e-14
+PHASE_LEAD = 1e-12
 WEIGHT_FLOOR = 1e-14
 
 
@@ -76,10 +110,10 @@ def as_hermitian_stack(m, name: str = "stack", tol: float = HERMITIAN_TOL) -> np
 
 
 def as_density(m, name: str = "state") -> np.ndarray:
-    """Validate a density operator: Hermitian, eigenvalues >= -1e-10, unit trace."""
+    """Validate a density operator: Hermitian, eigenvalues >= ``-PSD_CLAMP``, unit trace."""
     a = as_hermitian(m, name)
     tr = float(a.trace().real)
-    if abs(tr - 1.0) > PSD_CLAMP:
+    if abs(tr - 1.0) > UNIT_TRACE_TOL:
         raise InvalidMatrix(f"{name} has trace {tr!r}, expected 1")
     w = np.linalg.eigvalsh(a)
     if w[0] < -PSD_CLAMP:
@@ -103,6 +137,29 @@ def as_effect(m, name: str = "effect") -> np.ndarray:
     return a
 
 
+def as_povm(effects, dim: int) -> np.ndarray:
+    """Validate ``dim x dim`` effects (:func:`as_effect`) summing to the identity; return one stack."""
+    effects = [np.asarray(e, dtype=complex) for e in effects]
+    if not effects or any(e.shape != (dim, dim) for e in effects):
+        raise InvalidPOVM(f"a POVM needs one or more {dim} x {dim} effects")
+    stack = as_effect(np.stack(effects), "POVM effect")
+    if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > IDENTITY_TOL:
+        raise InvalidPOVM("effects do not sum to the identity")
+    return stack
+
+
+def completeness_defect(kraus, dim: int) -> float:
+    """Largest ``|eigenvalue|`` of ``sum_k K† K - I``: how far Kraus operators are from trace preserving."""
+    total = sum(dag(k) @ k for k in kraus)
+    return float(np.abs(np.linalg.eigvalsh(hermitian_part(total - np.eye(dim)))).max())
+
+
+def require_complete(defect: float, name: str) -> None:
+    """Raise :class:`InvalidMatrix` if a :func:`completeness_defect` exceeds ``IDENTITY_TOL``."""
+    if defect > IDENTITY_TOL:
+        raise InvalidMatrix(f"{name} completeness defect {defect:.3e} exceeds {IDENTITY_TOL:g}")
+
+
 def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack ``(n, d, d)``.
 
@@ -116,58 +173,67 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(a)
     w = w[..., ::-1].copy()
     v = v[..., ::-1].copy()
-    # divide each column by the phase of its first component above 1e-12 in
-    # magnitude; a unit column always has one of at least d**-0.5
-    lead = (np.abs(v) > 1e-12).argmax(axis=-2)
+    # divide each column by the phase of its first component above PHASE_LEAD
+    # in magnitude; a unit column always has one of at least d**-0.5
+    lead = (np.abs(v) > PHASE_LEAD).argmax(axis=-2)
     *stack, cols = np.indices(lead.shape, sparse=True)
     c = v[(*stack, lead, cols)]
     return w, v / (c / np.abs(c))[..., None, :]
+
+
+def _require_rootable(w: np.ndarray) -> None:
+    """Raise :class:`NotPSD` for an eigenvalue below ``-PSD_HARD``, the most a root clamps to zero."""
+    if w.size and w.min() < -PSD_HARD:
+        raise NotPSD(f"eigenvalue {w.min():g} below -{PSD_HARD:g}")
 
 
 def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, or of each matrix in a stack.
 
     Eigenvalues in ``[-PSD_HARD, 0]`` are clamped to zero; anything more
-    negative raises :class:`NotPSD`.  Eigenvalues at or below ``1e-14`` of the
-    matrix's largest one are zeroed as well: they are representation noise on
-    rank deficient inputs and the square root would amplify them to ``~1e-7``.
+    negative raises :class:`NotPSD`.  Eigenvalues at or below ``SQRT_CUT`` of
+    the matrix's largest one are zeroed as well: they are representation noise
+    on rank deficient inputs and the square root would amplify them to ``~1e-7``.
     A zero matrix has the zero root.
     """
     w, v = herm_eig(m)
-    if w.size and w.min() < -PSD_HARD:
-        raise NotPSD(f"eigenvalue {w.min():g} below -{PSD_HARD:g}")
+    _require_rootable(w)
     top = w[..., :1]
-    w = np.where(w > 1e-14 * top, w, 0.0)
+    w = np.where(w > SQRT_CUT * top, w, 0.0)
     s = np.sqrt(np.clip(w, 0.0, None))
     return hermitian_part((v * s[..., None, :]) @ dag(v))
+
+
+def _support(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``herm_eig(m)`` and its support mask: eigenvalues above ``RANK_TOL`` times a positive top."""
+    w, v = herm_eig(m)
+    top = float(w[0]) if w.size else 0.0
+    return w, v, (w > RANK_TOL * top) & (top > 0.0)
+
+
+def support_basis(m) -> np.ndarray:
+    """Orthonormal basis (columns) of the support of a PSD matrix."""
+    _, v, keep = _support(m)
+    return v[:, keep]
 
 
 def support_inv_sqrt(m) -> np.ndarray:
     """Inverse square root restricted to the support.
 
-    Eigenvalues at or below ``RANK_TOL`` times the largest eigenvalue map to
-    zero, the rest to ``lambda**-0.5``.  The zero matrix maps to itself.
+    Eigenvalues outside the support (:func:`support_basis`) map to zero, the
+    rest to ``lambda**-0.5``.  The zero matrix maps to itself.
     """
-    w, v = herm_eig(m)
-    if w.size and w[-1] < -PSD_HARD:
-        raise NotPSD(f"eigenvalue {w[-1]:g} below -{PSD_HARD:g}")
-    top = float(w[0]) if w.size else 0.0
-    if top <= 0.0:
-        return np.zeros_like(np.asarray(m, dtype=complex))
-    cut = RANK_TOL * top
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, cut, None)), 0.0)
+    w, v, keep = _support(m)
+    _require_rootable(w)
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / np.sqrt(w[keep])
     return hermitian_part((v * inv) @ dag(v))
 
 
 def support_projector(m) -> np.ndarray:
     """Orthogonal projector onto the support of a PSD matrix."""
-    w, v = herm_eig(m)
-    top = float(w[0]) if w.size else 0.0
-    if top <= 0.0:
-        return np.zeros_like(np.asarray(m, dtype=complex))
-    keep = w > RANK_TOL * top
-    vk = v[:, keep]
-    return hermitian_part(vk @ dag(vk))
+    b = support_basis(m)
+    return hermitian_part(b @ dag(b))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -214,11 +280,8 @@ def purify(rho) -> np.ndarray:
     ancilla dimension equals the rank.  The eigenvector phase convention of
     :func:`herm_eig` makes the output deterministic.
     """
-    a = as_density(rho)
-    w, v = herm_eig(a)
-    top = float(w[0])
-    rank = int(np.count_nonzero(w > RANK_TOL * top))
-    rank = max(rank, 1)
+    w, v, keep = _support(as_density(rho))
+    rank = max(int(np.count_nonzero(keep)), 1)
     amps = np.sqrt(np.clip(w[:rank], 0.0, None))
     # psi[i * rank + k] = sqrt(w_k) v_k[i]: row-major reshape gives Q-first layout
     return (v[:, :rank] * amps).reshape(-1)
@@ -249,9 +312,9 @@ def entropy_vn(rho):
 def entropy_shannon(p) -> float:
     """Shannon entropy in nats of a probability vector.
 
-    Entries below ``-1e-10`` or a total differing from one by more than
-    ``1e-8`` raise :class:`InvalidDistribution`; round-off is tolerated and
-    normalized away.
+    Entries below ``-PSD_CLAMP`` or a total differing from one by more than
+    ``PROB_SUM_TOL`` raise :class:`InvalidDistribution`; round-off is
+    tolerated and normalized away.
     """
     q = np.asarray(p, dtype=float)
     if q.ndim != 1:
@@ -259,7 +322,7 @@ def entropy_shannon(p) -> float:
     if q.size and q.min() < -PSD_CLAMP:
         raise InvalidDistribution(f"negative entry {q.min():g}")
     total = q.sum()
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise InvalidDistribution(f"probabilities sum to {total!r}")
     q = np.clip(q, 0.0, None) / total
     q = q[q > 0.0]

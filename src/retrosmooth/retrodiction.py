@@ -40,28 +40,33 @@ import numpy as np
 
 from .errors import (
     EvidenceOutsideSupport,
+    InvalidExtension,
     InvalidFactorization,
     InvalidMatrix,
-    InvalidPOVM,
     MissingClassicalRegister,
     ZeroProbabilityRecord,
 )
 from .linalg import (
+    BLOCK_HERMITIAN_TOL,
+    LEAKAGE_TOL,
+    MARGINAL_TOL,
+    PROB_SUM_TOL,
     WEIGHT_FLOOR,
     as_density,
     as_effect,
     as_hermitian_stack,
+    as_povm,
     as_square,
+    completeness_defect,
     dag,
     hermitian_part,
     partial_trace,
     psd_sqrt,
+    require_complete,
     support_inv_sqrt,
     support_projector,
     tensor,
 )
-
-_LEAKAGE_TOL = 1e-8
 
 PRIOR_KINDS = ("pf", "gw", "gw-variant", "pf-variant", "clhs", "custom")
 
@@ -73,20 +78,12 @@ class ChannelRep:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.kraus:
-            raise InvalidMatrix("channel needs at least one Kraus operator")
-        mats = []
-        for k in self.kraus:
-            a = np.asarray(k, dtype=complex)
-            if a.ndim != 2:
-                raise InvalidMatrix("Kraus operators must be matrices")
-            if not np.all(np.isfinite(a.view(float))):
-                raise InvalidMatrix("Kraus operator has non-finite entries")
-            mats.append(a)
-        shape = mats[0].shape
-        if any(m.shape != shape for m in mats):
-            raise InvalidMatrix("Kraus operators must share one shape")
-        object.__setattr__(self, "kraus", tuple(mats))
+        mats = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        if not mats or any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
+            raise InvalidMatrix("a channel needs one or more Kraus matrices of one shape")
+        if not all(np.isfinite(m.view(float)).all() for m in mats):
+            raise InvalidMatrix("Kraus operator has non-finite entries")
+        object.__setattr__(self, "kraus", mats)
 
     @property
     def input_dim(self) -> int:
@@ -96,14 +93,8 @@ class ChannelRep:
     def output_dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def completeness(self) -> np.ndarray:
-        """``sum_k K† K`` (the identity for a trace-preserving channel)."""
-        return hermitian_part(sum(dag(k) @ k for k in self.kraus))
-
-    def require_trace_preserving(self, tol: float = 1e-9) -> None:
-        defect = np.abs(self.completeness() - np.eye(self.input_dim)).max()
-        if defect > tol:
-            raise InvalidMatrix(f"channel is not trace-preserving (defect {defect:.3e})")
+    def require_trace_preserving(self) -> None:
+        require_complete(completeness_defect(self.kraus, self.input_dim), "channel")
 
     def apply(self, x) -> np.ndarray:
         a = np.asarray(x, dtype=complex)
@@ -127,7 +118,8 @@ class FilteredGlobalState:
 
     Any sequence of equal-shape matrices is accepted for ``blocks`` and
     validated in one pass: finite entries, each block Hermitian within
-    ``1e-9`` of its own scale, traces summing to one within ``1e-8``.
+    ``BLOCK_HERMITIAN_TOL`` of its own scale, traces summing to one within
+    ``PROB_SUM_TOL``.
     ``roots`` is the aligned stack of the blocks' square roots, computed on
     first use and then reused by every smoothing update of this prior; the
     marginal is likewise taken once.
@@ -155,9 +147,9 @@ class FilteredGlobalState:
             raise InvalidFactorization(
                 f"blocks of shape {stack.shape[1:]} do not match dims ({self.dim_q}, {self.dim_a1})"
             )
-        stack = as_hermitian_stack(stack, "global-state block", tol=1e-9)
+        stack = as_hermitian_stack(stack, "global-state block", tol=BLOCK_HERMITIAN_TOL)
         total = float(np.trace(stack, axis1=1, axis2=2).real.sum())
-        if abs(total - 1.0) > 1e-8:
+        if abs(total - 1.0) > PROB_SUM_TOL:
             raise InvalidMatrix(f"block traces sum to {total!r}, expected 1")
         stack.flags.writeable = False
         object.__setattr__(self, "blocks", stack)
@@ -203,6 +195,14 @@ class FilteredGlobalState:
         """Max-entry deviation of the marginal from a reference filtered state."""
         return float(np.abs(self.marginal() - np.asarray(rho_f, dtype=complex)).max())
 
+    def require_marginal(self, rho, what: str) -> None:
+        """Raise :class:`InvalidExtension` unless the marginal is ``rho`` within ``MARGINAL_TOL``."""
+        if np.shape(rho) != (self.dim_q, self.dim_q):
+            raise InvalidExtension(f"extension system dimension does not match {what}")
+        gap = self.consistency_gap(rho)
+        if gap > MARGINAL_TOL:
+            raise InvalidExtension(f"extension marginal deviates from {what} by {gap:.3e}")
+
 
 def _trace_out_a(prior: FilteredGlobalState, stack: np.ndarray) -> np.ndarray:
     """``Tr_A`` of the block-diagonal operator whose register blocks are ``stack``.
@@ -216,7 +216,7 @@ def _pull_back_evidence(channel: ChannelRep, gamma: np.ndarray, sigma) -> np.nda
     """``E†(E(gamma)^{-1/2} sigma E(gamma)^{-1/2})`` with support-restricted inverses.
 
     Evidence weight outside the support of the propagated prior beyond
-    ``1e-8`` raises :class:`EvidenceOutsideSupport` rather than being
+    ``LEAKAGE_TOL`` raises :class:`EvidenceOutsideSupport` rather than being
     silently projected away.
     """
     channel.require_trace_preserving()
@@ -227,7 +227,7 @@ def _pull_back_evidence(channel: ChannelRep, gamma: np.ndarray, sigma) -> np.nda
     w = support_inv_sqrt(propagated)
     proj = support_projector(propagated)
     leakage = float((s @ (np.eye(s.shape[0]) - proj)).trace().real)
-    if leakage > _LEAKAGE_TOL:
+    if leakage > LEAKAGE_TOL:
         raise EvidenceOutsideSupport(
             f"evidence has weight {leakage:.3e} outside the propagated prior's support"
         )
@@ -316,15 +316,15 @@ def generalized_smooth(prior: FilteredGlobalState, effect):
     ``states[j]`` is then NaN instead of raising.  Each state has the bits of
     the single-effect call.
     """
-    single = np.ndim(effect) != 3
+    if np.ndim(effect) != 3:
+        e, norm = _effect_and_norm(prior, effect)
+        return hermitian_part(_sandwich_marginal(prior, e[None]))[0] / norm
     stack, norms = _effects_and_norms(prior, effect)
     possible = norms > WEIGHT_FLOOR
-    if single and not possible[0]:
-        raise ZeroProbabilityRecord(f"record probability {norms[0]:.3e} vanishes")
     states = np.full(stack.shape, np.nan, dtype=complex)
     sandwiched = _sandwich_marginal(prior, stack[possible])
     states[possible] = hermitian_part(sandwiched) / norms[possible][:, None, None]
-    return states[0] if single else (states, possible)
+    return states, possible
 
 
 def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:
@@ -365,9 +365,6 @@ def bob_posterior(prior: FilteredGlobalState, effect) -> np.ndarray:
 def counterfactual_prob(rho_s, povm) -> np.ndarray:
     """Born probabilities of an unperformed measurement on a smoothed state."""
     rho = as_density(rho_s, "smoothed state")
-    effects = [as_effect(e) for e in povm]
-    total = sum(effects)
-    if np.abs(total - np.eye(rho.shape[0])).max() > 1e-9:
-        raise InvalidPOVM("effects do not sum to the identity")
+    effects = as_povm(povm, rho.shape[0])
     probs = np.array([(rho @ e).trace().real for e in effects])
     return np.clip(probs, 0.0, None)

@@ -257,7 +257,7 @@ class Scenario:
     seed: int = 0
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     n_trajectories: int = 100
-    custom_prior: dict | None = None
+    custom_prior: tuple[np.ndarray, int] | None = None
     raw: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -282,7 +282,7 @@ class Scenario:
         if "rho0" not in doc:
             raise ScenarioError("rho0: required")
         theorem1_config(doc)  # read by entropy-scan, but a bad block fails every command
-        return cls(
+        scenario = cls(
             name=str(doc.get("name", "scenario")),
             system_spec=doc["system"],
             rho0_spec=doc["rho0"],
@@ -292,9 +292,11 @@ class Scenario:
             seed=_integer(doc, "seed", 0),
             enumeration_cap=_integer(doc, "enumeration_cap", DEFAULT_ENUMERATION_CAP, minimum=1),
             n_trajectories=_integer(doc, "n_trajectories", 100, minimum=0),
-            custom_prior=doc.get("custom_prior"),
+            custom_prior=_custom_prior(doc),
             raw=doc,
         )
+        scenario.require_kinds(kinds)
+        return scenario
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
@@ -303,16 +305,26 @@ class Scenario:
             doc = json.loads(p.read_text())
         except FileNotFoundError:
             raise ScenarioError(f"scenario file not found: {p}") from None
+        except OSError as exc:
+            raise ScenarioError(f"cannot read scenario file {p}: {exc.strerror or exc}") from None
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{p}:{exc.lineno}: invalid JSON ({exc.msg})") from None
         return cls.from_dict(doc)
 
     def build(self) -> BuiltSystem:
-        """The system as an instrument; a spec that gives no valid one is a :class:`ScenarioError`."""
+        """The system as an instrument; a spec that gives no valid one is a :class:`ScenarioError`.
+
+        A ``custom_prior`` whose dimension is not the system's times its ``dim_a`` is one as well.
+        """
         try:
-            return _build_system(self.system_spec)
+            built = _build_system(self.system_spec)
         except (InvalidMatrix, NotPSD, InvalidDistribution, StepTooCoarse) as exc:
             raise ScenarioError(f"system: {exc}") from None
+        if self.custom_prior is not None:
+            dim, dim_a = len(self.custom_prior[0]), self.custom_prior[1]
+            if dim != built.dim * dim_a:
+                raise ScenarioError(f"custom_prior: dimension {dim} is not {built.dim} x dim_a={dim_a}")
+        return built
 
     def rho0(self, dim: int) -> np.ndarray:
         """The initial state for a system of dimension ``dim``, validated as a density operator."""
@@ -335,6 +347,11 @@ class Scenario:
             return as_density(rho, "rho0")
         except (InvalidMatrix, NotPSD) as exc:
             raise ScenarioError(str(exc)) from None
+
+    def require_kinds(self, kinds) -> None:
+        """Raise :class:`ScenarioError` unless the scenario can build every prior kind in ``kinds``."""
+        if "custom" in kinds and self.custom_prior is None:
+            raise ScenarioError("custom_prior: required when prior kind 'custom' is requested")
 
     def cap(self) -> int:
         env = os.environ.get(ENV_CAP)
@@ -371,6 +388,22 @@ def theorem1_config(doc: dict) -> tuple[int, list[int], list[int], list[int]]:
             raise ScenarioError(f"{key}: expected a nonempty list of integers, got {values!r}")
         choices.append([_integer({key: v}, key, None, minimum=1) for v in values])
     return (_integer(cfg, "theorem1.n_extensions", 200, minimum=0), *choices)
+
+
+def _custom_prior(doc: dict) -> tuple[np.ndarray, int] | None:
+    """The ``custom_prior`` block as ``(matrix, dim_a)``, validated; ``None`` when absent."""
+    cfg = doc.get("custom_prior")
+    if cfg is None:
+        return None
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"custom_prior: expected an object, got {cfg!r}")
+    cfg = {f"custom_prior.{key}": value for key, value in cfg.items()}
+    matrix = matrix_from_json(cfg.get("custom_prior.matrix"), "custom_prior.matrix")
+    try:
+        matrix = as_density(matrix, "custom_prior.matrix")
+    except (InvalidMatrix, NotPSD) as exc:
+        raise ScenarioError(str(exc)) from None
+    return matrix, _integer(cfg, "custom_prior.dim_a", 1, minimum=1)
 
 
 def demo_scenario(seed: int = 7) -> Scenario:
@@ -476,7 +509,10 @@ def read_trajectories(path) -> tuple[dict, list[list[tuple[str, str | None]]]]:
 
     A step whose ``"bob"`` is null reads as ``(alice, None)``.
     """
-    text = Path(path).read_text().strip().splitlines()
+    try:
+        text = Path(path).read_text().strip().splitlines()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read trajectory file {path}: {exc.strerror or exc}") from None
     if not text:
         raise ScenarioError(f"{path}: empty trajectory file")
     try:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFactorization, ZeroProbabilityRecord
-from .linalg import WEIGHT_FLOOR, as_density, dag, hermitian_part, purify, tensor
+from .linalg import ISOMETRY_TOL, WEIGHT_FLOOR, as_density, dag, hermitian_part, purify, tensor
 from .retrodiction import FilteredGlobalState
 from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, filter as filter_state, walk
 
@@ -210,7 +210,7 @@ def extend_ancilla(prior: FilteredGlobalState, isometry) -> FilteredGlobalState:
         raise InvalidFactorization(
             f"isometry of shape {v.shape} does not act on an ancilla of dim {prior.dim_a1}"
         )
-    if np.abs(dag(v) @ v - np.eye(prior.dim_a1)).max() > 1e-10:
+    if np.abs(dag(v) @ v - np.eye(prior.dim_a1)).max() > ISOMETRY_TOL:
         raise InvalidFactorization("map is not an isometry")
     lift = tensor(np.eye(prior.dim_q), v)
     return FilteredGlobalState(

@@ -30,16 +30,9 @@ import numpy as np
 
 from .classical import classical_smooth
 from .entropy import sandwich_bound
-from .errors import (
-    InvalidExtension,
-    NotClassicalLimit,
-    RetrosmoothError,
-    ScenarioError,
-    ZeroProbabilityRecord,
-)
+from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, entropy_vn, trace_norm
 from .retrodiction import FilteredGlobalState, generalized_smooth
-from .scenario import matrix_from_json
 from .smoothers import build_custom, build_prior
 from .trajectory import enumerate_records, filter as filter_state, retrofilter
 
@@ -75,19 +68,13 @@ def prior_for(scenario, built, kind: str, past, rho0, rho_f):
     """The prior of one kind for one past, built under the scenario's enumeration cap.
 
     ``rho_f``, the past's filtered state, spares the ``pf``/``clhs`` builds
-    and the ``custom`` check a second :func:`filter` call.
+    a second :func:`filter` call; a ``custom`` prior's marginal must equal it.
     """
     if kind == "custom":
-        if not scenario.custom_prior:
-            raise ScenarioError("custom_prior: required when prior kind 'custom' is requested")
-        matrix = matrix_from_json(scenario.custom_prior.get("matrix"), "custom_prior.matrix")
-        dim_a = int(scenario.custom_prior.get("dim_a", 1))
+        scenario.require_kinds((kind,))
+        matrix, dim_a = scenario.custom_prior
         prior = build_custom(matrix, (built.dim, dim_a))
-        gap = prior.consistency_gap(rho_f)
-        if gap > 1e-9:
-            raise InvalidExtension(
-                f"custom prior marginal deviates from the filtered state by {gap:.3e}"
-            )
+        prior.require_marginal(rho_f, "the filtered state")
         return prior
     return build_prior(
         kind,

@@ -32,12 +32,10 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityRecord,
 )
-from .linalg import WEIGHT_FLOOR, as_density, as_square, dag, hermitian_part, psd_sqrt, tensor
+from .linalg import IDENTITY_TOL, SUBNORMAL_TOL, WEIGHT_FLOOR, as_density, as_square, dag
+from .linalg import completeness_defect, hermitian_part, psd_sqrt, require_complete, tensor
 
 DEFAULT_ENUMERATION_CAP = 10**6
-
-_SUBNORMAL_TOL = 1e-10
-_COMPLETENESS_TOL = 1e-9
 
 
 def _frozen(m) -> np.ndarray:
@@ -72,7 +70,7 @@ class ConditionalOp:
             raise InvalidMatrix(f"Kraus operator names {names} are not distinct")
         gram = sum(dag(k) @ k for k in mats)
         top = np.linalg.eigvalsh(hermitian_part(gram))[-1]
-        if top > 1.0 + _SUBNORMAL_TOL:
+        if top > 1.0 + SUBNORMAL_TOL:
             raise InvalidMatrix(f"Kraus operators are not subnormalized (max eig {top:g})")
         object.__setattr__(self, "kraus", mats)
         object.__setattr__(self, "names", names)
@@ -99,11 +97,7 @@ class Instrument:
             dims = {op.dim for op in self.ops.values()}
             if len(dims) != 1:
                 raise InvalidMatrix(f"instrument mixes dimensions {sorted(dims)}")
-            defect = self.completeness_defect()
-            if defect > _COMPLETENESS_TOL:
-                raise InvalidMatrix(
-                    f"instrument completeness defect {defect:.3e} exceeds {_COMPLETENESS_TOL:g}"
-                )
+            require_complete(self.completeness_defect(), "instrument")
 
     @classmethod
     def from_pairs(cls, pairs) -> "Instrument":
@@ -137,8 +131,7 @@ class Instrument:
             raise UnknownOutcome(f"outcome {y!r} not in alphabet {self.outcome_labels}") from None
 
     def completeness_defect(self) -> float:
-        total = sum(dag(k) @ k for op in self.ops.values() for k in op.kraus)
-        return float(np.abs(np.linalg.eigvalsh(hermitian_part(total - np.eye(self.dim)))).max())
+        return completeness_defect([k for op in self.ops.values() for k in op.kraus], self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +176,7 @@ class LindbladSpec:
         return self.hamiltonian.shape[0]
 
 
-def discretize(spec: LindbladSpec, *, defect_tol: float = 1e-6) -> Instrument:
+def discretize(spec: LindbladSpec) -> Instrument:
     """First-order Kraus discretization of one Lindblad time step.
 
     The no-jump operator is ``M0 = I - (iH + sum_c L_c† L_c / 2) dt`` and each
@@ -199,9 +192,8 @@ def discretize(spec: LindbladSpec, *, defect_tol: float = 1e-6) -> Instrument:
     repaired exactly by replacing ``M0`` with ``U sqrt(I - sum_jumps M† M)``,
     ``U`` the unitary polar factor of ``M0``, which keeps the first-order
     dynamics and makes ``sum M† M = I`` to machine precision.  The step is
-    rejected as :class:`StepTooCoarse` when the repair is impossible (total
-    jump weight exceeding one in a single step) or the repaired family still
-    misses completeness by more than ``defect_tol``.
+    rejected as :class:`StepTooCoarse` when the repair is impossible: the
+    jump weight of a single step exceeds one by more than ``IDENTITY_TOL``.
     """
     d = spec.dim
     h = hermitian_part(np.asarray(spec.hamiltonian))
@@ -219,16 +211,10 @@ def discretize(spec: LindbladSpec, *, defect_tol: float = 1e-6) -> Instrument:
 
     jump_gram = sum((dag(m) @ m for m in jumps.values()), np.zeros((d, d), complex))
     gap = hermitian_part(eye - jump_gram)
-    if np.linalg.eigvalsh(gap)[0] < -1e-9:
+    if np.linalg.eigvalsh(gap)[0] < -IDENTITY_TOL:
         raise StepTooCoarse("jump probabilities exceed one within a single step; reduce dt")
     w, _, vh = np.linalg.svd(m0_raw)
     m0 = (w @ vh) @ psd_sqrt(gap)
-
-    total = dag(m0) @ m0 + jump_gram
-    defect = float(np.abs(np.linalg.eigvalsh(hermitian_part(total - eye))).max())
-    if defect > defect_tol:
-        raise StepTooCoarse(f"completeness defect {defect:.3e} exceeds {defect_tol:g}; reduce dt")
-
     return Instrument.from_pairs([(("0", "0"), m0), *sorted(jumps.items())])
 
 

@@ -365,6 +365,15 @@ def _efficiency_doc(value) -> dict:
 G_JSON, E_JSON = _rho0([[1.0, 0.0], [0.0, 0.0]]), _rho0([[0.0, 0.0], [0.0, 1.0]])
 
 
+MIXED4_JSON = _rho0((np.eye(4) / 4).tolist())
+MIXED4_JSON["imag"] = np.zeros((4, 4)).tolist()
+
+
+def _custom_doc(**block) -> dict:
+    """The demo with a custom prior (the maximally mixed two-qubit state) and ``block`` overrides."""
+    return _demo_doc(prior_kinds=["pf", "custom"], custom_prior={"matrix": MIXED4_JSON, "dim_a": 2, **block})
+
+
 def _joint_doc(*entries) -> dict:
     operations = [{"alice": a, "bob": b, "kraus": kraus} for a, b, kraus in entries]
     return _demo_doc(system={"type": "joint_instrument", "operations": operations})
@@ -442,7 +451,56 @@ MALFORMED_SCENARIOS = {
         lambda: _demo_doc(theorem1={"n_effects": [0]}),
         "theorem1.n_effects: must be at least 1, got 0",
     ),
+    "custom-prior-as-list": (
+        lambda: _demo_doc(custom_prior=[MIXED4_JSON]),
+        "custom_prior: expected an object, got [",
+    ),
+    "custom-prior-as-zero": (lambda: _demo_doc(custom_prior=0), "custom_prior: expected an object, got 0"),
+    "custom-prior-as-true": (
+        lambda: _demo_doc(custom_prior=True),
+        "custom_prior: expected an object, got True",
+    ),
+    "custom-prior-dim-a-not-integer": (
+        lambda: _custom_doc(dim_a="x"),
+        "custom_prior.dim_a: expected an integer, got 'x'",
+    ),
+    "custom-prior-dim-a-not-integral": (
+        lambda: _custom_doc(dim_a=2.7),
+        "custom_prior.dim_a: expected an integer, got 2.7",
+    ),
+    "custom-prior-dim-a-boolean": (
+        lambda: _custom_doc(dim_a=True),
+        "custom_prior.dim_a: expected an integer, got True",
+    ),
+    "custom-prior-dim-a-zero": (
+        lambda: _custom_doc(dim_a=0),
+        "custom_prior.dim_a: must be at least 1, got 0",
+    ),
+    "custom-prior-matrix-not-a-matrix": (
+        lambda: _custom_doc(matrix="x"),
+        "custom_prior.matrix: expected a matrix object",
+    ),
+    "custom-prior-not-a-state": (
+        lambda: _custom_doc(matrix=_rho0([[2.0, 0.0], [0.0, -1.0]])),
+        "custom_prior.matrix has eigenvalue -1 ",
+    ),
+    "custom-prior-wrong-factorization": (
+        lambda: _custom_doc(dim_a=4),
+        "custom_prior: dimension 4 is not 2 x dim_a=4",
+    ),
+    "custom-prior-missing": (
+        lambda: _demo_doc(prior_kinds=["pf", "custom"]),
+        "custom_prior: required when prior kind 'custom' is requested",
+    ),
 }
+
+
+def _assert_config_error(capsys, code: int, fragment: str) -> None:
+    """``code`` is 2 and stderr is one ``error:`` line holding ``fragment``, with no traceback."""
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and fragment in lines[0], err
 
 
 class TestMainEntry:
@@ -452,11 +510,7 @@ class TestMainEntry:
         doc, fragment = MALFORMED_SCENARIOS[case]
         path.write_text(json.dumps(doc()))
         code = main(["smooth", "--scenario", str(path), "--enumerate", "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "Traceback" not in err
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and fragment in lines[0], err
+        _assert_config_error(capsys, code, fragment)
 
     @pytest.mark.parametrize("command", ["smooth", "entropy-scan", "classical-limit", "simulate"])
     def test_malformed_theorem1_block_fails_every_command(self, tmp_path, capsys, command):
@@ -467,6 +521,38 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err
         assert err.strip() == "error: theorem1.n_extensions: expected an integer, got 'x'"
+
+    def test_prior_flag_custom_without_block_is_config_error(self, tmp_path, capsys):
+        code = main(["smooth", "--scenario", "demo", "--enumerate", "--prior", "pf,custom", "--out", str(tmp_path)])
+        _assert_config_error(capsys, code, "custom_prior: required")
+
+    def test_custom_prior_marginal_is_checked_per_past(self, tmp_path):
+        # the maximally mixed extension matches the filtered state only for the empty past
+        path = tmp_path / "custom.json"
+        deviates = "extension marginal deviates from the filtered state"
+        for split, statuses in ((0, {"ok", "zero-probability"}), (2, {deviates, "zero-probability past record"})):
+            path.write_text(json.dumps({**_custom_doc(), "smoothing_time_index": split}))
+            assert main(["smooth", "--scenario", str(path), "--enumerate", "--out", str(tmp_path)]) == 0
+            rows = read_csv(tmp_path / "driven-damped-qubit_smooth.csv")
+            custom = {r["status"].split(" by ")[0] for r in rows if r["prior"] == "custom"}
+            assert custom == statuses, custom
+
+    @pytest.mark.parametrize("flag", ["--scenario", "--record"])
+    def test_unreadable_path_is_config_error(self, tmp_path, capsys, flag):
+        paths = {"--scenario": "demo", "--record": str(tmp_path / "missing.jsonl")}
+        for bad in (str(tmp_path / "missing.jsonl"), str(tmp_path)):
+            args = {**paths, flag: bad}
+            code = main(["smooth", "--scenario", args["--scenario"], "--record", args["--record"],
+                         "--out", str(tmp_path / "out")])
+            _assert_config_error(capsys, code, bad)
+
+    def test_record_label_outside_alphabet_is_config_error(self, tmp_path, capsys):
+        sc = demo_scenario()
+        record = tmp_path / "bad.jsonl"
+        steps = [json.dumps({"step": i, "alice": "9" if i == 1 else "0", "bob": "0"}) for i in range(sc.steps)]
+        record.write_text("\n".join(['{"kind": "joint"}', *steps]) + "\n")
+        code = main(["smooth", "--scenario", "demo", "--record", str(record), "--out", str(tmp_path)])
+        _assert_config_error(capsys, code, f"{record}: outcome '9' not in alphabet")
 
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--seed", "3"]) == 0

@@ -12,7 +12,9 @@ from retrosmooth.errors import (
     ZeroProbabilityRecord,
 )
 from retrosmooth.linalg import (
+    IDENTITY_TOL,
     WEIGHT_FLOOR,
+    completeness_defect,
     hermitian_part,
     partial_trace,
     psd_sqrt,
@@ -518,6 +520,28 @@ class TestCounterfactual:
     def test_incomplete_povm(self):
         with pytest.raises(InvalidPOVM):
             counterfactual_prob(np.eye(2) / 2, [G])
+
+    @pytest.mark.parametrize("povm", [[], [np.eye(3)], [G, np.zeros((3, 3))]], ids=["empty", "3x3", "mixed"])
+    def test_empty_or_wrong_shape_povm(self, povm):
+        with pytest.raises(InvalidPOVM, match="one or more 2 x 2 effects"):
+            counterfactual_prob(np.eye(2) / 2, povm)
+
+
+class TestTracePreservation:
+    """The channel check uses the spectral completeness defect: never looser than the max entry."""
+
+    def near_identity(self, delta):
+        # K†K = I + delta * ones: max entry delta, spectral defect 2 delta
+        return ChannelRep((psd_sqrt(np.eye(2) + delta * np.ones((2, 2))),))
+
+    def test_spectral_defect_beyond_tolerance_rejected(self):
+        channel = self.near_identity(0.75 * IDENTITY_TOL)
+        assert completeness_defect(channel.kraus, 2) > IDENTITY_TOL
+        with pytest.raises(InvalidMatrix, match="channel completeness defect"):
+            channel.require_trace_preserving()
+
+    def test_defect_within_tolerance_accepted(self):
+        self.near_identity(0.25 * IDENTITY_TOL).require_trace_preserving()
 
 
 class TestPurificationInvariance:
