@@ -17,11 +17,11 @@ import numpy as np
 
 from . import sweeps
 from . import verify as verify_suite
-from .entropy import no_universal_quantifier_demo, theorem1_check
+from .entropy import no_universal_quantifier_demo
 from .errors import NotClassicalLimit, RetrosmoothError, ScenarioError
 from .linalg import entropy_vn, fidelity, purity, trace_norm
 from .retrodiction import PRIOR_KINDS
-from .sampling import random_density, random_extension, random_povm
+from .sampling import draw_extension, draw_povm
 from .scenario import (
     Scenario,
     demo_scenario,
@@ -32,7 +32,6 @@ from .scenario import (
     theorem1_config,
     write_trajectories,
 )
-from .smoothers import build_custom
 from .trajectory import sample_records
 
 
@@ -188,20 +187,24 @@ def cmd_smooth(
 
 def _theorem1_rows(scenario: Scenario | None, seed: int) -> list[dict]:
     n, dims_q, dims_a, effect_counts = theorem1_config(scenario.raw if scenario else {})
+    shapes = []
 
-    def one(i: int) -> dict:
-        # one generator per extension, so each row depends only on (seed, i)
-        rng = np.random.default_rng([seed, i])
-        d_q = dims_q[int(rng.integers(0, len(dims_q)))]
-        d_a = dims_a[int(rng.integers(0, len(dims_a)))]
-        n_eff = effect_counts[int(rng.integers(0, len(effect_counts)))]
-        gamma = random_density(d_q, rng)
-        ext = build_custom(random_extension(gamma, d_a, rng), (d_q, d_a))
-        report = theorem1_check(gamma, ext, random_povm(d_q, n_eff, rng))
-        return {
+    def draws():
+        for i in range(n):
+            # one generator per extension, so each row depends only on (seed, i)
+            rng = np.random.default_rng([seed, i])
+            d_q = dims_q[int(rng.integers(0, len(dims_q)))]
+            d_a = dims_a[int(rng.integers(0, len(dims_a)))]
+            n_eff = effect_counts[int(rng.integers(0, len(effect_counts)))]
+            shapes.append(f"dq={d_q};da={d_a};effects={n_eff}")
+            yield (*draw_extension(d_q, d_a, rng), draw_povm(d_q, n_eff, rng))
+
+    reports = sweeps.theorem1_sweep(draws())
+    return [
+        {
             "kind": "theorem1",
             "id": f"ext-{i:04d}",
-            "record": f"dq={d_q};da={d_a};effects={n_eff}",
+            "record": shape,
             "avg_entropy": report.avg_entropy_extension,
             "lower": report.avg_entropy_trivial,
             "upper": report.entropy_marginal,
@@ -209,8 +212,8 @@ def _theorem1_rows(scenario: Scenario | None, seed: int) -> list[dict]:
             "upper_margin": report.upper_margin,
             "within_bounds": report.ordering_holds,
         }
-
-    return [one(i) for i in range(n)]
+        for i, (shape, report) in enumerate(zip(shapes, reports))
+    ]
 
 
 def _svb_rows() -> list[dict]:

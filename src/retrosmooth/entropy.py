@@ -22,6 +22,9 @@ these averages for every POVM: two extensions of the maximally mixed qubit,
 classically correlated in the Z and X bases respectively, swap their
 ordering between Z and X measurements (see
 :func:`no_universal_quantifier_demo`).
+
+Both averages are evaluated per batch of same-shape triples (:func:`theorem1_batch`); the theorem-1
+sweep of ``entropy-scan`` runs one per shape group, and each row depends only on ``(seed, i)``.
 """
 
 from __future__ import annotations
@@ -31,19 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    BOUND_SLACK,
-    WEIGHT_FLOOR,
-    as_density,
-    as_povm,
-    entropy_shannon,
-    entropy_vn,
-    hermitian_part,
-    support_basis,
-    support_inv_sqrt,
-    tensor,
-)
-from .retrodiction import ChannelRep, FilteredGlobalState, _sandwich_marginal
+from .linalg import BOUND_SLACK, WEIGHT_FLOOR, as_density, as_povm, entropy_shannon, entropy_vn
+from .linalg import hermitian_part, psd_sqrt, support_basis, support_basis_and_inv_sqrt, tensor
+from .retrodiction import ChannelRep, FilteredGlobalState, _sandwich_marginal, _trace_out_a, require_marginals
 from .smoothers import build_custom
 
 
@@ -62,46 +55,45 @@ class ExtensionScenario:
         object.__setattr__(self, "effects", tuple(as_povm(self.effects, g.shape[0])))
 
 
-class _Validated(NamedTuple):
-    """An :class:`ExtensionScenario` whose parts the caller has already validated."""
+def _live_updates(gammas, roots, dims, effects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome probabilities ``(n, k)``, which clear the floor, and those outcomes' updated states.
 
-    gamma: np.ndarray
-    extension: FilteredGlobalState
-    effects: np.ndarray
+    Row ``j`` measures ``effects[j]`` on ``gammas[j]``, extended by the block
+    roots ``roots[j]``; every live outcome is updated in one stacked sandwich.
+    """
+    probs = np.clip(np.trace(effects @ gammas[:, None], axis1=-2, axis2=-1).real, 0.0, None)
+    live = probs > WEIGHT_FLOOR
+    sandwiched = _sandwich_marginal(roots[live.nonzero()[0]], dims, effects[live])
+    return probs, live, hermitian_part(sandwiched) / probs[live][:, None, None]
+
+
+def _avg_entropies(probs: np.ndarray, live: np.ndarray, updated: np.ndarray) -> np.ndarray:
+    """Probability-weighted average entropy of each row's live updates."""
+    terms = np.zeros(probs.shape)
+    terms[live] = probs[live] * entropy_vn(updated)
+    return sum(terms.T, np.zeros(len(terms)))  # outcome by outcome, as a scalar running sum adds
+
+
+def _scenario_updates(s: ExtensionScenario):
+    ext = s.extension
+    return _live_updates(s.gamma[None], ext.roots[None], ext.block_dims, np.stack(s.effects)[None])
 
 
 def outcome_probs(scenario: ExtensionScenario) -> np.ndarray:
     """Outcome probabilities ``Tr[E_i gamma]`` of measuring the system marginal."""
-    return np.clip(
-        np.array([(e @ scenario.gamma).trace().real for e in scenario.effects]), 0.0, None
-    )
-
-
-def _live_updates(scenario: ExtensionScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcome probabilities, which clear the floor, and those outcomes' updated states.
-
-    Every outcome above the floor is updated in one stacked sandwich.
-    """
-    probs = outcome_probs(scenario)
-    live = probs > WEIGHT_FLOOR
-    sandwiched = _sandwich_marginal(scenario.extension, np.stack(scenario.effects)[live])
-    return probs, live, hermitian_part(sandwiched) / probs[live][:, None, None]
+    return _scenario_updates(scenario)[0][0]
 
 
 def smoothed_outcome_states(scenario: ExtensionScenario) -> list[np.ndarray | None]:
     """Per-outcome updated states; outcomes of negligible probability give ``None``."""
-    _, live, updated = _live_updates(scenario)
+    _, live, updated = _scenario_updates(scenario)
     updated = iter(updated)
-    return [next(updated) if keep else None for keep in live]
+    return [next(updated) if keep else None for keep in live[0]]
 
 
 def avg_entropy(scenario: ExtensionScenario) -> float:
     """Probability-weighted average von Neumann entropy of the updated states (nats)."""
-    probs, live, updated = _live_updates(scenario)
-    total = 0.0
-    for p, s in zip(probs[live], entropy_vn(updated).tolist()):
-        total += float(p) * s
-    return total
+    return float(_avg_entropies(*_scenario_updates(scenario))[0])
 
 
 class SandwichBound(NamedTuple):
@@ -123,12 +115,18 @@ def sandwich_bound(rho_f, future_probs, avg_s: float) -> SandwichBound:
     return SandwichBound(lower, upper, bool(lower - BOUND_SLACK <= avg_s <= upper + BOUND_SLACK))
 
 
-def lambda_apply(extension: FilteredGlobalState, gamma, y) -> np.ndarray:
-    """Directly evaluate the trivial-to-extended bridge map on one operator."""
+def _bridge_support(extension: FilteredGlobalState, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Support basis and inverse root of ``gamma``, validated as the extension's marginal."""
     g = as_density(gamma, "gamma")
     extension.require_marginal(g, "gamma")
-    w = support_inv_sqrt(g)
-    return _sandwich_marginal(extension, w @ np.asarray(y, dtype=complex) @ w)
+    return support_basis_and_inv_sqrt(g)
+
+
+def lambda_apply(extension: FilteredGlobalState, gamma, y) -> np.ndarray:
+    """Directly evaluate the trivial-to-extended bridge map on one operator."""
+    _, w = _bridge_support(extension, gamma)
+    x = w @ np.asarray(y, dtype=complex) @ w
+    return _sandwich_marginal(extension.roots, extension.block_dims, x)
 
 
 def lambda_map(extension: FilteredGlobalState, gamma) -> ChannelRep:
@@ -139,9 +137,7 @@ def lambda_map(extension: FilteredGlobalState, gamma) -> ChannelRep:
     support projector of ``gamma``, so the channel is trace-preserving on
     that support.
     """
-    g = as_density(gamma, "gamma")
-    extension.require_marginal(g, "gamma")
-    w = support_inv_sqrt(g)
+    _, w = _bridge_support(extension, gamma)
     d_q, d_a1 = extension.dim_q, extension.dim_a1
     # G_ab of block u is roots[u, :, a, :, b]; Kraus operators in (u, a, b) order
     roots = extension.roots.reshape(-1, d_q, d_a1, d_q, d_a1).transpose(0, 2, 4, 1, 3)
@@ -152,20 +148,15 @@ def lambda_choi(extension: FilteredGlobalState, gamma) -> np.ndarray:
     """Choi matrix of the bridge map on the support of ``gamma``.
 
     Built by direct evaluation of the defining formula on matrix units of the
-    support basis (independent of the Kraus form); PSD up to round-off iff
-    the map is completely positive there.
+    support basis (independent of the Kraus form), all in one stacked call;
+    PSD up to round-off iff the map is completely positive there.
     """
-    g = as_density(gamma, "gamma")
-    basis = support_basis(g)
-    r = basis.shape[1]
-    choi = np.zeros((extension.dim_q * r, extension.dim_q * r), dtype=complex)
-    for k in range(r):
-        for l in range(r):
-            unit = np.outer(basis[:, k], basis[:, l].conj())
-            ekl = np.zeros((r, r), dtype=complex)
-            ekl[k, l] = 1.0
-            choi += tensor(lambda_apply(extension, g, unit), ekl)
-    return choi
+    basis, w = _bridge_support(extension, gamma)
+    d, r = basis.shape
+    # units[k, l] = |b_k><b_l| and choi[(i, k), (j, l)] = L(units[k, l])[i, j]
+    units = basis.T[:, None, :, None] * basis.T.conj()[None, :, None, :]
+    y = _sandwich_marginal(extension.roots, extension.block_dims, w @ units.reshape(-1, d, d) @ w)
+    return y.reshape(r, r, d, d).transpose(2, 0, 3, 1).reshape(d * r, d * r)
 
 
 @dataclass(frozen=True)
@@ -180,27 +171,29 @@ class Theorem1Report:
     ordering_holds: bool
 
 
-def theorem1_check(gamma, extension: FilteredGlobalState, povm) -> Theorem1Report:
-    """Evaluate the extremal-bound chain for one ``(gamma, Gamma, POVM)`` triple.
+def theorem1_batch(gammas, blocks, dims: tuple[int, int], povms) -> list[Theorem1Report]:
+    """Evaluate the extremal-bound chain for a batch of same-shape ``(gamma, Gamma, POVM)`` triples.
 
-    ``gamma``, the extension's marginal and the POVM are validated once and
-    shared by both averages; the ordering holds up to ``BOUND_SLACK``.
+    ``gammas`` is ``(n, d, d)``, ``povms`` ``(n, k, d, d)``; the array ``blocks`` ``(n, b, D, D)``
+    holds each valid extension as its register blocks on ``Q (x) A1``, ``dims = (d, dim_a1)``.
+    The states, marginals and POVMs are validated once for the batch; each row
+    has the bits of its one-row call.  The ordering holds up to ``BOUND_SLACK``.
     """
-    g = as_density(gamma, "gamma")
-    extension.require_marginal(g, "gamma")
-    effects = as_povm(povm, g.shape[0])
-    trivial = FilteredGlobalState(blocks=(g,), dim_q=g.shape[0])
-    s_trivial = avg_entropy(_Validated(g, trivial, effects))
-    s_ext = avg_entropy(_Validated(g, extension, effects))
+    g = as_density(gammas, "gamma")
+    require_marginals(hermitian_part(_trace_out_a(blocks, dims)), g, "gamma")
+    effects = as_povm(povms, g.shape[-1])
+    roots = psd_sqrt(blocks.reshape(-1, *blocks.shape[-2:])).reshape(blocks.shape)
+    s_trivial = _avg_entropies(*_live_updates(g, psd_sqrt(g)[:, None], (g.shape[-1], 1), effects))
+    s_ext = _avg_entropies(*_live_updates(g, roots, dims, effects))
     s_gamma = entropy_vn(g)
-    return Theorem1Report(
-        avg_entropy_trivial=s_trivial,
-        avg_entropy_extension=s_ext,
-        entropy_marginal=s_gamma,
-        lower_margin=s_ext - s_trivial,
-        upper_margin=s_gamma - s_ext,
-        ordering_holds=bool(s_trivial - BOUND_SLACK <= s_ext <= s_gamma + BOUND_SLACK),
-    )
+    holds = (s_trivial - BOUND_SLACK <= s_ext) & (s_ext <= s_gamma + BOUND_SLACK)
+    fields = (s_trivial, s_ext, s_gamma, s_ext - s_trivial, s_gamma - s_ext, holds)
+    return [Theorem1Report(*row) for row in zip(*(f.tolist() for f in fields))]
+
+
+def theorem1_check(gamma, extension: FilteredGlobalState, povm) -> Theorem1Report:
+    """Evaluate the extremal-bound chain for one triple: :func:`theorem1_batch` of one row."""
+    return theorem1_batch([gamma], extension.blocks[None], extension.block_dims, [povm])[0]
 
 
 @dataclass(frozen=True)
@@ -235,22 +228,10 @@ def no_universal_quantifier_demo() -> QuantifierDemo:
     povms = {"Z": (proj(ket0), proj(ket1)), "X": (proj(plus), proj(minus))}
 
     ln2 = float(np.log(2.0))
-    expected = {
-        ("gamma1", "Z"): 0.0,
-        ("gamma1", "X"): ln2,
-        ("gamma2", "Z"): ln2,
-        ("gamma2", "X"): 0.0,
-    }
-    values: dict[tuple[str, str], float] = {}
-    for name, ext in (("gamma1", ext1), ("gamma2", ext2)):
-        prior = build_custom(ext, (2, 2))
-        for axis, effects in povms.items():
-            values[(name, axis)] = avg_entropy(ExtensionScenario(gamma, prior, effects))
-
+    expected = {("gamma1", "Z"): 0.0, ("gamma1", "X"): ln2, ("gamma2", "Z"): ln2, ("gamma2", "X"): 0.0}
+    priors = {"gamma1": build_custom(ext1, (2, 2)), "gamma2": build_custom(ext2, (2, 2))}
+    values = {(n, a): avg_entropy(ExtensionScenario(gamma, priors[n], povms[a])) for n, a in expected}
     max_error = max(abs(values[k] - expected[k]) for k in expected)
-    reversal = (values[("gamma1", "Z")] < values[("gamma2", "Z")]) and (
-        values[("gamma1", "X")] > values[("gamma2", "X")]
-    )
-    return QuantifierDemo(
-        values=values, expected=expected, max_error=max_error, reversal_holds=bool(reversal)
-    )
+    v = values
+    reversal = v["gamma1", "Z"] < v["gamma2", "Z"] and v["gamma1", "X"] > v["gamma2", "X"]
+    return QuantifierDemo(values, expected, max_error, reversal_holds=bool(reversal))

@@ -8,7 +8,7 @@ ordered system-first (``Q`` is the slowest index); entropies are in nats.
 Every tolerance is one constant here (only ``sweeps.PROB_FLOOR`` and the acceptance
 thresholds of ``verify`` and the CLI live elsewhere), and each validity check is one function:
 the ``as_*`` validators, :func:`support_basis`, :func:`require_complete`, :func:`as_povm` and
-``FilteredGlobalState.require_marginal``.  A check fails only strictly beyond its tolerance.
+``retrodiction.require_marginals``.  A check fails only strictly beyond its tolerance.
 
 ===================  =====  ====================================================================
 constant             value  what it decides (what it raises)
@@ -110,14 +110,18 @@ def as_hermitian_stack(m, name: str = "stack", tol: float = HERMITIAN_TOL) -> np
 
 
 def as_density(m, name: str = "state") -> np.ndarray:
-    """Validate a density operator: Hermitian, eigenvalues >= ``-PSD_CLAMP``, unit trace."""
-    a = as_hermitian(m, name)
-    tr = float(a.trace().real)
-    if abs(tr - 1.0) > UNIT_TRACE_TOL:
-        raise InvalidMatrix(f"{name} has trace {tr!r}, expected 1")
-    w = np.linalg.eigvalsh(a)
-    if w[0] < -PSD_CLAMP:
-        raise NotPSD(f"{name} has eigenvalue {w[0]:g} below -{PSD_CLAMP:g}")
+    """Validate a density operator, or each of a stack ``(n, d, d)``, in one pass.
+
+    A density operator is Hermitian with eigenvalues >= ``-PSD_CLAMP`` and unit trace.
+    """
+    a = as_hermitian_stack(m, name) if np.ndim(m) == 3 else as_hermitian(m, name)
+    traces = a.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist()
+    off = [tr for tr in traces if abs(tr - 1.0) > UNIT_TRACE_TOL]
+    if off:
+        raise InvalidMatrix(f"{name} has trace {off[0]!r}, expected 1")
+    low = min(np.linalg.eigvalsh(a)[..., :1].ravel().tolist())
+    if low < -PSD_CLAMP:
+        raise NotPSD(f"{name} has eigenvalue {low:g} below -{PSD_CLAMP:g}")
     return a
 
 
@@ -138,12 +142,20 @@ def as_effect(m, name: str = "effect") -> np.ndarray:
 
 
 def as_povm(effects, dim: int) -> np.ndarray:
-    """Validate ``dim x dim`` effects (:func:`as_effect`) summing to the identity; return one stack."""
-    effects = [np.asarray(e, dtype=complex) for e in effects]
-    if not effects or any(e.shape != (dim, dim) for e in effects):
-        raise InvalidPOVM(f"a POVM needs one or more {dim} x {dim} effects")
-    stack = as_effect(np.stack(effects), "POVM effect")
-    if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > IDENTITY_TOL:
+    """Validate ``dim x dim`` effects (:func:`as_effect`) summing to the identity; return one stack.
+
+    A sequence of ``n`` POVMs of ``k`` effects each is validated in one pass
+    and returned as a stack ``(n, k, dim, dim)``.
+    """
+    needs = f"a POVM needs one or more {dim} x {dim} effects"
+    try:
+        a = np.asarray(effects, dtype=complex)
+    except ValueError:
+        raise InvalidPOVM(needs) from None
+    if a.ndim not in (3, 4) or a.shape[-2:] != (dim, dim) or not a.shape[-3]:
+        raise InvalidPOVM(needs)
+    stack = as_effect(a.reshape(-1, dim, dim), "POVM effect").reshape(a.shape)
+    if np.abs(stack.sum(axis=-3) - np.eye(dim)).max() > IDENTITY_TOL:
         raise InvalidPOVM("effects do not sum to the identity")
     return stack
 
@@ -205,9 +217,12 @@ def psd_sqrt(m) -> np.ndarray:
 
 
 def _support(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``herm_eig(m)`` and its support mask: eigenvalues above ``RANK_TOL`` times a positive top."""
+    """``herm_eig(m)`` and its support mask: eigenvalues above ``RANK_TOL`` times a positive top.
+
+    For a stack each matrix is cut relative to its own top eigenvalue.
+    """
     w, v = herm_eig(m)
-    top = float(w[0]) if w.size else 0.0
+    top = w[..., :1]
     return w, v, (w > RANK_TOL * top) & (top > 0.0)
 
 
@@ -217,17 +232,26 @@ def support_basis(m) -> np.ndarray:
     return v[:, keep]
 
 
+def _inv_sqrt(w: np.ndarray, v: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    _require_rootable(w)
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / np.sqrt(w[keep])
+    return hermitian_part((v * inv[..., None, :]) @ dag(v))
+
+
 def support_inv_sqrt(m) -> np.ndarray:
-    """Inverse square root restricted to the support.
+    """Inverse square root restricted to the support, of a matrix or of each matrix in a stack.
 
     Eigenvalues outside the support (:func:`support_basis`) map to zero, the
     rest to ``lambda**-0.5``.  The zero matrix maps to itself.
     """
+    return _inv_sqrt(*_support(m))
+
+
+def support_basis_and_inv_sqrt(m) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`support_basis` and :func:`support_inv_sqrt` of one matrix, from one eigendecomposition."""
     w, v, keep = _support(m)
-    _require_rootable(w)
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / np.sqrt(w[keep])
-    return hermitian_part((v * inv) @ dag(v))
+    return v[:, keep], _inv_sqrt(w, v, keep)
 
 
 def support_projector(m) -> np.ndarray:

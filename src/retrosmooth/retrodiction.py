@@ -63,8 +63,7 @@ from .linalg import (
     partial_trace,
     psd_sqrt,
     require_complete,
-    support_inv_sqrt,
-    support_projector,
+    support_basis_and_inv_sqrt,
     tensor,
 )
 
@@ -174,13 +173,18 @@ class FilteredGlobalState:
     def dims(self) -> tuple[int, int]:
         return (self.dim_q, self.dim_a)
 
+    @property
+    def block_dims(self) -> tuple[int, int]:
+        """``(dim_q, dim_a1)``: the factors of one block."""
+        return (self.dim_q, self.dim_a1)
+
     def marginal(self) -> np.ndarray:
         """Reduced state on the system, ``Tr_A`` of the global state (read-only)."""
         return self._marginal
 
     @cached_property
     def _marginal(self) -> np.ndarray:
-        marginal = hermitian_part(_trace_out_a(self, self.blocks))
+        marginal = hermitian_part(_trace_out_a(self.blocks, self.block_dims))
         marginal.flags.writeable = False
         return marginal
 
@@ -197,19 +201,28 @@ class FilteredGlobalState:
 
     def require_marginal(self, rho, what: str) -> None:
         """Raise :class:`InvalidExtension` unless the marginal is ``rho`` within ``MARGINAL_TOL``."""
-        if np.shape(rho) != (self.dim_q, self.dim_q):
-            raise InvalidExtension(f"extension system dimension does not match {what}")
-        gap = self.consistency_gap(rho)
-        if gap > MARGINAL_TOL:
-            raise InvalidExtension(f"extension marginal deviates from {what} by {gap:.3e}")
+        require_marginals(self.marginal(), rho, what)
 
 
-def _trace_out_a(prior: FilteredGlobalState, stack: np.ndarray) -> np.ndarray:
+def require_marginals(marginals, rhos, what: str) -> None:
+    """Raise :class:`InvalidExtension` unless each marginal is its state within ``MARGINAL_TOL``.
+
+    ``marginals`` and ``rhos`` are one matrix each or aligned stacks ``(n, d, d)``.
+    """
+    if np.shape(rhos) != np.shape(marginals):
+        raise InvalidExtension(f"extension system dimension does not match {what}")
+    gap = float(np.abs(marginals - np.asarray(rhos, dtype=complex)).max(initial=0.0))
+    if gap > MARGINAL_TOL:
+        raise InvalidExtension(f"extension marginal deviates from {what} by {gap:.3e}")
+
+
+def _trace_out_a(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """``Tr_A`` of the block-diagonal operator whose register blocks are ``stack``.
 
-    ``stack`` is ``(n, D, D)``, or ``(k, n, D, D)`` for ``k`` such operators.
+    ``stack`` is ``(..., n, D, D)``: ``n`` blocks on ``Q (x) A1`` with
+    ``dims = (dim_q, dim_a1)`` for each operator.
     """
-    return partial_trace(stack, (prior.dim_q, prior.dim_a1), "Q").sum(axis=-3)
+    return partial_trace(stack, dims, "Q").sum(axis=-3)
 
 
 def _pull_back_evidence(channel: ChannelRep, gamma: np.ndarray, sigma) -> np.ndarray:
@@ -224,8 +237,8 @@ def _pull_back_evidence(channel: ChannelRep, gamma: np.ndarray, sigma) -> np.nda
     if s.shape[0] != channel.output_dim:
         raise InvalidFactorization("evidence does not match the channel output")
     propagated = hermitian_part(channel.apply(gamma))
-    w = support_inv_sqrt(propagated)
-    proj = support_projector(propagated)
+    basis, w = support_basis_and_inv_sqrt(propagated)
+    proj = hermitian_part(basis @ dag(basis))
     leakage = float((s @ (np.eye(s.shape[0]) - proj)).trace().real)
     if leakage > LEAKAGE_TOL:
         raise EvidenceOutsideSupport(
@@ -258,25 +271,27 @@ def extended_petz(channel: ChannelRep, prior: FilteredGlobalState, sigma) -> np.
             f"channel input dim {channel.input_dim} != system dim {prior.dim_q}"
         )
     pulled = _pull_back_evidence(channel, prior.marginal(), sigma)
-    return hermitian_part(_sandwich_marginal(prior, pulled))
+    return hermitian_part(_sandwich_marginal(prior.roots, prior.block_dims, pulled))
 
 
-def _sandwich_marginal(prior: FilteredGlobalState, x) -> np.ndarray:
-    """``Tr_A[ sqrt(P) (x (x) I_A) sqrt(P) ]`` over the stacked block roots.
+def _sandwich_marginal(roots: np.ndarray, dims: tuple[int, int], x) -> np.ndarray:
+    """``Tr_A[ sqrt(P) (x (x) I_A) sqrt(P) ]`` over stacked block roots on ``Q (x) A1``.
 
-    ``x`` is one operator or a stack ``(k, d, d)`` of them.  Linear in ``x``
-    (no symmetrization), so it is safe on matrix units.
+    ``dims`` is ``(dim_q, dim_a1)``; see :func:`_sandwich` for the shapes.
+    Linear in ``x`` (no symmetrization), so it is safe on matrix units.
     """
-    return _trace_out_a(prior, _sandwich(prior, x))
+    return _trace_out_a(_sandwich(roots, dims[1], x), dims)
 
 
-def _sandwich(prior: FilteredGlobalState, x) -> np.ndarray:
-    """``sqrt(P_u) (x (x) I_A1) sqrt(P_u)`` for every block ``u``, as a stack.
+def _sandwich(roots: np.ndarray, dim_a1: int, x) -> np.ndarray:
+    """``sqrt(P_u) (x (x) I_A1) sqrt(P_u)`` for every block root ``sqrt(P_u)``, as a stack.
 
-    For a stack ``x`` of ``k`` operators the result is ``(k, n, D, D)``.
+    With the roots ``(n, D, D)`` of one prior, one operator ``x`` gives
+    ``(n, D, D)`` and a stack of ``k`` gives ``(k, n, D, D)``.  Roots
+    ``(k, n, D, D)``, one prior per operator of a stack ``x``, give the same
+    shape.
     """
-    roots = prior.roots
-    lifted = tensor(x, np.eye(prior.dim_a1))
+    lifted = tensor(x, np.eye(dim_a1))
     if lifted.ndim == 3:
         lifted = lifted[:, None]
     return roots @ lifted @ roots
@@ -318,11 +333,11 @@ def generalized_smooth(prior: FilteredGlobalState, effect):
     """
     if np.ndim(effect) != 3:
         e, norm = _effect_and_norm(prior, effect)
-        return hermitian_part(_sandwich_marginal(prior, e[None]))[0] / norm
+        return hermitian_part(_sandwich_marginal(prior.roots, prior.block_dims, e[None]))[0] / norm
     stack, norms = _effects_and_norms(prior, effect)
     possible = norms > WEIGHT_FLOOR
     states = np.full(stack.shape, np.nan, dtype=complex)
-    sandwiched = _sandwich_marginal(prior, stack[possible])
+    sandwiched = _sandwich_marginal(prior.roots, prior.block_dims, stack[possible])
     states[possible] = hermitian_part(sandwiched) / norms[possible][:, None, None]
     return states, possible
 
@@ -336,7 +351,7 @@ def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:
     """
     e, norm = _effect_and_norm(prior, effect)
     return FilteredGlobalState(
-        blocks=_sandwich(prior, e) / norm,
+        blocks=_sandwich(prior.roots, prior.dim_a1, e) / norm,
         dim_q=prior.dim_q,
         dim_a1=prior.dim_a1,
         block_labels=prior.block_labels,

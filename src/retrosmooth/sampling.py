@@ -1,7 +1,8 @@
 """Seeded random generators for states, channels, measurements and extensions.
 
 Every function takes an explicit ``numpy.random.Generator`` so that callers
-control determinism; nothing here touches global random state.
+control determinism; nothing here touches global random state.  ``draw_*``
+functions only draw, and ``*_from`` functions build from one draw or a stack.
 """
 
 from __future__ import annotations
@@ -12,28 +13,34 @@ from .linalg import dag, hermitian_part, partial_trace, psd_sqrt, support_inv_sq
 from .trajectory import ConditionalOp, Instrument
 
 
+def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex array of independent standard normal real parts, then imaginary parts."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return hermitian_part(g)
+    return hermitian_part(ginibre((dim, dim), rng))
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = ginibre(dim, rng)
     return v / np.linalg.norm(v)
+
+
+def density_from(g: np.ndarray) -> np.ndarray:
+    """The density operator ``g g† / Tr[g g†]`` of a Ginibre draw ``(..., d, r)``."""
+    rho = g @ dag(g)
+    return hermitian_part(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Ginibre-induced random density operator of the given rank (full by default)."""
-    r = dim if rank is None else int(rank)
-    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
-    rho = g @ dag(g)
-    return hermitian_part(rho / rho.trace().real)
+    return density_from(ginibre((dim, dim if rank is None else int(rank)), rng))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase correction."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(ginibre((dim, dim), rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -59,15 +66,21 @@ def random_kraus_channel(
     return [blocks[:, k, :].copy() for k in range(n_kraus)]
 
 
-def random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random POVM with ``n_effects`` full-rank effects summing to the identity."""
-    raw = []
-    for _ in range(n_effects):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raw.append(g @ dag(g))
-    total = sum(raw)
-    w = support_inv_sqrt(total)
-    return [hermitian_part(w @ a @ w) for a in raw]
+def draw_povm(dim: int, n_effects: int, rng: np.random.Generator) -> np.ndarray:
+    """The draws of :func:`random_povm`: one Ginibre matrix per effect, ``(n_effects, dim, dim)``."""
+    return np.stack([ginibre((dim, dim), rng) for _ in range(n_effects)])
+
+
+def povm_from(g: np.ndarray) -> np.ndarray:
+    """POVM ``(..., k, d, d)`` from :func:`draw_povm` draws: each ``g g†``, normalized by their sum."""
+    raw = g @ dag(g)
+    w = support_inv_sqrt(sum(np.moveaxis(raw, -3, 0)))[..., None, :, :]  # summed as over a list
+    return hermitian_part(w @ raw @ w)
+
+
+def random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> np.ndarray:
+    """Random POVM with ``n_effects`` full-rank effects summing to the identity, as a stack."""
+    return povm_from(draw_povm(dim, n_effects, rng))
 
 
 def random_instrument(
@@ -79,21 +92,27 @@ def random_instrument(
     return Instrument({str(y): ConditionalOp(kraus[y * k : (y + 1) * k]) for y in range(n_outcomes)})
 
 
-def random_extension(
-    gamma: np.ndarray, dim_a: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Random joint state on ``Q (x) A`` whose marginal on ``Q`` equals ``gamma``.
+def draw_extension(dim_q: int, dim_a: int, rng: np.random.Generator):
+    """The draws of :func:`random_density`, then of :func:`random_extension`, in stream order."""
+    d = dim_q * dim_a
+    return ginibre((dim_q, dim_q), rng), random_pure_state(d * d, rng).reshape(d, d)
 
-    Draws a random pure state on ``Q (x) A (x) R``, traces out ``R``, then
-    conjugates by ``sqrt(gamma) m^{-1/2} (x) I`` where ``m`` is the current
-    marginal, which pins the marginal to ``gamma`` exactly.
+
+def extension_from(gamma: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Extension of ``gamma`` from a pure state ``psi`` on ``Q (x) A (x) R``, as ``(d_q d_a, d_R)``.
+
+    ``R`` is traced out, and ``sqrt(gamma) m^{-1/2} (x) I`` pins the marginal ``m`` to ``gamma``.
     """
-    d_q = gamma.shape[0]
-    d_r = d_q * dim_a
-    psi = random_pure_state(d_q * dim_a * d_r, rng)
-    block = psi.reshape(d_q * dim_a, d_r)
-    joint = hermitian_part(block @ dag(block))
+    d_q = gamma.shape[-1]
+    dim_a = psi.shape[-2] // d_q
+    joint = hermitian_part(psi @ dag(psi))
     marginal = partial_trace(joint, (d_q, dim_a), "Q")
     corr = tensor(psd_sqrt(gamma) @ support_inv_sqrt(marginal), np.eye(dim_a))
     out = hermitian_part(corr @ joint @ dag(corr))
-    return out / out.trace().real
+    return out / np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def random_extension(gamma: np.ndarray, dim_a: int, rng: np.random.Generator) -> np.ndarray:
+    """Random joint state on ``Q (x) A`` whose marginal on ``Q`` equals ``gamma``."""
+    d = gamma.shape[0] * dim_a
+    return extension_from(gamma, random_pure_state(d * d, rng).reshape(d, d))

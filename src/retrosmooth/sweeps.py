@@ -1,7 +1,7 @@
-"""Exact-enumeration sweeps shared by the command line and the check suite.
+"""Sweeps shared by the command line and the check suite.
 
-Every sweep runs one retrodictive update under each prior kind for each
-past of a record table, and returns arrays and plain numbers; the CLI
+Every record sweep runs one retrodictive update under each prior kind for
+each past of a record table, and returns arrays and plain numbers; the CLI
 formats and writes them, ``verify`` holds them to tolerances.  One floor,
 :data:`PROB_FLOOR`, decides which past records count as impossible.
 
@@ -15,6 +15,10 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
   sandwich.
 * :func:`classical_deviation` compares quantum smoothing of a classical chain
   with forward-backward smoothing over every record and split time.
+* :func:`theorem1_sweep` checks the extremal entropy bounds on random
+  extensions: the callers draw each triple on its own, so each row depends
+  only on its own draw, and the sweep builds and checks the draws per shape
+  group in stacked passes, each row with the bits of its one-row evaluation.
 
 Within one pass each distinct future is retrofiltered once and each
 distinct past filtered once, shared by every prior kind and by the prior
@@ -29,14 +33,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import classical_smooth
-from .entropy import sandwich_bound
+from .entropy import Theorem1Report, sandwich_bound, theorem1_batch
 from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
-from .linalg import WEIGHT_FLOOR, entropy_vn, trace_norm
+from .linalg import WEIGHT_FLOOR, as_density, entropy_vn, trace_norm
 from .retrodiction import FilteredGlobalState, generalized_smooth
+from .sampling import density_from, extension_from, povm_from
 from .smoothers import build_custom, build_prior
 from .trajectory import enumerate_records, filter as filter_state, retrofilter
 
 PROB_FLOOR = 1e-12
+# matrix entries of the largest stack one theorem-1 pass builds, its outcomes' sandwiches: bounds the
+# sweep's memory (a pass holds a few such stacks) at a small cost in speed
+THEOREM1_PASS_ENTRIES = 2048
 
 ZERO_PAST = "zero-probability past record"
 
@@ -240,3 +248,40 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
                 deviation = float(np.abs(np.diag(rho_s).real - expected[s.past + fut]).max())
                 worst[s.kind] = max(worst[s.kind], deviation)
     return worst, len(records)
+
+
+def _theorem1_pass(draws: list) -> list[Theorem1Report]:
+    """Build same-shape draws into triples and check them in one stacked pass."""
+    g, psi, e = (np.stack(a) for a in zip(*draws))
+    gamma = density_from(g)
+    ext = as_density(extension_from(gamma, psi), "extension")
+    dims = (g.shape[-1], psi.shape[-1] // g.shape[-1])
+    return theorem1_batch(gamma, ext[:, None], dims, povm_from(e))
+
+
+def theorem1_sweep(draws) -> list[Theorem1Report]:
+    """Theorem-1 reports of random triples, from an iterable of their draws, in draw order.
+
+    Each draw is ``(*sampling.draw_extension(...), sampling.draw_povm(...))``.
+    Draws of one shape are checked together as soon as their outcomes'
+    sandwiches fill ``THEOREM1_PASS_ENTRIES`` entries, and the rest at the end,
+    so the draws held and the stacks built stay small for any number of rows.
+    """
+    reports: list = []
+    pending: defaultdict[tuple, list] = defaultdict(list)
+
+    def check(rows):
+        for (i, _), report in zip(rows, _theorem1_pass([draw for _, draw in rows])):
+            reports[i] = report
+        rows.clear()
+
+    for i, (g, psi, e) in enumerate(draws):
+        reports.append(None)
+        rows = pending[g.shape, psi.shape, e.shape]
+        rows.append((i, (g, psi, e)))
+        if len(rows) * len(e) * psi.size >= THEOREM1_PASS_ENTRIES:
+            check(rows)
+    for rows in pending.values():
+        if rows:
+            check(rows)
+    return reports

@@ -21,7 +21,6 @@ from .entropy import (
     no_universal_quantifier_demo,
     smoothed_outcome_states,
     support_basis,
-    theorem1_check,
 )
 from .errors import EnumerationTooLarge, ZeroProbabilityRecord
 from .linalg import partial_trace, psd_sqrt, purify, trace_norm
@@ -251,14 +250,13 @@ def check_entropy_sandwich(scenario: Scenario | None = None) -> CheckResult:
 def check_theorem1(seed: int = 3, n: int = 60) -> CheckResult:
     """Extremal-bound chain on random extensions with shared marginal."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    draws = []
     for _ in range(n):
         d_q = int(rng.integers(2, 4))
-        d_a = int(rng.integers(2, 5))
-        gamma = sampling.random_density(d_q, rng)
-        ext = build_custom(sampling.random_extension(gamma, d_a, rng), (d_q, d_a))
-        povm = sampling.random_povm(d_q, int(rng.integers(2, 5)), rng)
-        report = theorem1_check(gamma, ext, povm)
+        extension = sampling.draw_extension(d_q, int(rng.integers(2, 5)), rng)
+        draws.append((*extension, sampling.draw_povm(d_q, int(rng.integers(2, 5)), rng)))
+    worst = 0.0
+    for report in sweeps.theorem1_sweep(draws):
         worst = max(worst, max(-report.lower_margin, -report.upper_margin, 0.0))
     return CheckResult("entropy-extremal-bounds", worst <= 1e-9, worst, 1e-9, f"n={n}")
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from retrosmooth import sampling
+from retrosmooth import cli, sampling, sweeps
 from retrosmooth.entropy import (
     ExtensionScenario,
+    Theorem1Report,
     avg_entropy,
     lambda_apply,
     lambda_choi,
@@ -13,10 +14,22 @@ from retrosmooth.entropy import (
     sandwich_bound,
     smoothed_outcome_states,
     support_basis,
+    theorem1_batch,
     theorem1_check,
 )
 from retrosmooth.errors import InvalidExtension, InvalidPOVM
-from retrosmooth.linalg import entropy_vn, hermitian_part, partial_trace, tensor, trace_norm
+from retrosmooth.linalg import (
+    BOUND_SLACK,
+    RANK_TOL,
+    WEIGHT_FLOOR,
+    entropy_vn,
+    hermitian_part,
+    partial_trace,
+    tensor,
+    trace_norm,
+)
+from retrosmooth.retrodiction import FilteredGlobalState
+from retrosmooth.scenario import Scenario, demo_scenario
 from retrosmooth.smoothers import build_custom
 
 LN2 = float(np.log(2.0))
@@ -293,3 +306,124 @@ class TestTheorem1:
             ext = build_custom(sampling.random_extension(gamma, 3, rng), (2, 3))
             s = ExtensionScenario(gamma, ext, tuple(povm))
             assert avg_entropy(s) >= trivial - 1e-9
+
+
+def reference_report(gamma, ext, povm):
+    """The one-row theorem-1 loop: probabilities effect by effect, entropies added outcome by outcome."""
+
+    def avg(prior):
+        probs = np.clip(np.array([(e @ gamma).trace().real for e in povm]), 0.0, None)
+        live = probs > WEIGHT_FLOOR
+        lifted = tensor(np.stack(povm)[live], np.eye(prior.dim_a1))[:, None]
+        sandwich = partial_trace(prior.roots @ lifted @ prior.roots, (prior.dim_q, prior.dim_a1), "Q")
+        states = hermitian_part(sandwich.sum(axis=1)) / probs[live][:, None, None]
+        total = 0.0
+        for p, s in zip(probs[live], entropy_vn(states).tolist()):
+            total += float(p) * s
+        return total
+
+    s_t = avg(FilteredGlobalState(blocks=(gamma,), dim_q=gamma.shape[0]))
+    s_e, s_g = avg(ext), entropy_vn(gamma)
+    holds = s_t - BOUND_SLACK <= s_e <= s_g + BOUND_SLACK
+    return Theorem1Report(s_t, s_e, s_g, s_e - s_t, s_g - s_e, holds)
+
+
+def bits(report):
+    # repr of a float round-trips exactly and tells -0.0 from 0.0
+    return repr(report)
+
+
+def reference_choi(ext, gamma):
+    """Choi matrix summed over the support's matrix units, one bridge-map call per unit."""
+    basis = support_basis(gamma)
+    r = basis.shape[1]
+    choi = np.zeros((ext.dim_q * r, ext.dim_q * r), dtype=complex)
+    for k in range(r):
+        for l in range(r):
+            unit = np.outer(basis[:, k], basis[:, l].conj())
+            ekl = np.zeros((r, r), dtype=complex)
+            ekl[k, l] = 1.0
+            choi += tensor(lambda_apply(ext, gamma, unit), ekl)
+    return choi
+
+
+def theorem1_scenario(n):
+    doc = dict(demo_scenario().raw)
+    doc["theorem1"] = {"n_extensions": n}
+    return Scenario.from_dict(doc)
+
+
+class TestBatchedTheorem1:
+    def test_sweep_matches_row_by_row_on_every_default_shape_group(self):
+        seed, n = 23, 400
+        draws, references, shapes = [], [], set()
+        for i in range(n):
+            # the draw order of entropy-scan --theorem1: shape choices, then the triple
+            rng = np.random.default_rng([seed, i])
+            d_q = (2, 3)[rng.integers(0, 2)]
+            d_a, n_eff = ((2, 3, 4)[rng.integers(0, 3)] for _ in range(2))
+            state = rng.bit_generator.state
+            draws.append((*sampling.draw_extension(d_q, d_a, rng), sampling.draw_povm(d_q, n_eff, rng)))
+            rng.bit_generator.state = state
+            gamma = sampling.random_density(d_q, rng)
+            ext = build_custom(sampling.random_extension(gamma, d_a, rng), (d_q, d_a))
+            povm = sampling.random_povm(d_q, n_eff, rng)
+            references.append((reference_report(gamma, ext, povm), theorem1_check(gamma, ext, povm)))
+            shapes.add((d_q, d_a, n_eff))
+        assert len(shapes) == 18
+        for got, (loop, one_row) in zip(sweeps.theorem1_sweep(draws), references, strict=True):
+            assert bits(got) == bits(loop) == bits(one_row)
+
+    def test_live_outcome_mask_and_support_cut(self):
+        rng = np.random.default_rng(31)
+        gammas, blocks, povms = [], [], []
+        for rank in (2, 3, 2, 3):
+            gamma = sampling.random_density(3, rng, rank=rank)
+            w, v = np.linalg.eigh(gamma)
+            kernel = np.outer(v[:, 0], v[:, 0].conj())
+            povm = sampling.random_povm(3, 3, rng)
+            if rank == 2:
+                # the first effect sees only the kernel of gamma
+                povm = np.stack([kernel, 0.4 * (np.eye(3) - kernel), 0.6 * (np.eye(3) - kernel)])
+                assert w[0] <= RANK_TOL * w[-1]
+                assert (povm[0] @ gamma).trace().real <= WEIGHT_FLOOR
+            gammas.append(gamma)
+            blocks.append(sampling.random_extension(gamma, 2, rng)[None])
+            povms.append(povm)
+        reports = theorem1_batch(np.stack(gammas), np.stack(blocks), (3, 2), np.stack(povms))
+        for gamma, block, povm, got in zip(gammas, blocks, povms, reports, strict=True):
+            ext = build_custom(block[0], (3, 2))
+            assert bits(got) == bits(reference_report(gamma, ext, povm))
+            assert bits(got) == bits(theorem1_check(gamma, ext, povm))
+            assert got.ordering_holds
+
+    def test_rows_depend_only_on_seed_and_index(self):
+        short = cli._theorem1_rows(theorem1_scenario(50), 7)
+        long = cli._theorem1_rows(theorem1_scenario(300), 7)
+        assert repr(short) == repr(long[:50])
+
+    def test_batch_validates_every_row(self):
+        gamma = sampling.random_density(2, np.random.default_rng(3))
+        ext = np.stack([tensor(gamma, np.diag([1.0, 0.0]))[None]] * 2)
+        gammas = np.stack([gamma, np.diag([0.5, 0.5])])
+        with pytest.raises(InvalidExtension):
+            theorem1_batch(gammas, ext, (2, 2), np.stack([Z_POVM, Z_POVM]))
+        with pytest.raises(InvalidPOVM):
+            theorem1_batch(np.stack([gamma] * 2), ext, (2, 2), np.stack([Z_POVM, (proj(K0), proj(K0))]))
+
+    def test_stacked_lambda_choi_matches_per_unit_loop(self):
+        rng = np.random.default_rng(37)
+        cases = []
+        for _ in range(20):
+            d_q, d_a = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            gamma = sampling.random_density(d_q, rng, rank=int(rng.integers(1, d_q + 1)))
+            cases.append((build_custom(sampling.random_extension(gamma, d_a, rng), (d_q, d_a)), gamma))
+        cases.append((build_custom(GAMMA1, (2, 2)), MIXED))
+        blocks = (0.4 * sampling.random_density(4, rng), 0.6 * sampling.random_density(4, rng))
+        labels = (("a",), ("b",))
+        ext = FilteredGlobalState(blocks=blocks, dim_q=2, dim_a1=2, block_labels=labels, kind="gw")
+        cases.append((ext, ext.marginal()))
+        for ext, gamma in cases:
+            got, expected = lambda_choi(ext, gamma), reference_choi(ext, gamma)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from retrosmooth import sampling
-from retrosmooth.errors import InvalidDistribution, InvalidFactorization, InvalidMatrix, NotPSD
+from retrosmooth.errors import (
+    InvalidDistribution,
+    InvalidFactorization,
+    InvalidMatrix,
+    InvalidPOVM,
+    NotPSD,
+)
 from retrosmooth.linalg import (
     PSD_HARD,
+    as_density,
     as_hermitian_stack,
+    as_povm,
     entropy_shannon,
     entropy_vn,
     fidelity,
@@ -17,6 +25,8 @@ from retrosmooth.linalg import (
     psd_sqrt,
     purify,
     purity,
+    support_basis,
+    support_basis_and_inv_sqrt,
     support_inv_sqrt,
     support_projector,
     tensor,
@@ -145,7 +155,43 @@ class TestStackedPsdSqrt:
         as_hermitian_stack(np.stack([np.eye(2), big]))
 
 
+class TestStackedValidators:
+    def test_as_density_stack(self):
+        rng = np.random.default_rng(23)
+        stack = np.stack([sampling.random_density(3, rng) for _ in range(4)])
+        np.testing.assert_array_equal(as_density(stack), np.stack([as_density(m) for m in stack]))
+        with pytest.raises(InvalidMatrix, match="trace"):
+            as_density(np.stack([stack[0], 2 * stack[1]]))
+        with pytest.raises(NotPSD):
+            as_density(np.stack([stack[0], np.diag([1.5, -0.5, 0.0])]))
+
+    def test_as_povm_stack(self):
+        rng = np.random.default_rng(29)
+        povms = np.stack([sampling.random_povm(2, 3, rng) for _ in range(3)])
+        got = as_povm(povms, 2)
+        assert got.shape == (3, 3, 2, 2)
+        for povm, one in zip(povms, got):
+            np.testing.assert_array_equal(one, as_povm(list(povm), 2))
+        bad = povms.copy()
+        bad[1, 0] *= 2
+        with pytest.raises(InvalidPOVM, match="sum to the identity"):
+            as_povm(bad, 2)
+        with pytest.raises(InvalidPOVM, match="one or more 2 x 2 effects"):
+            as_povm([np.eye(2), np.eye(3)], 2)
+
+
 class TestSupportInvSqrt:
+    def test_stack_matches_per_matrix(self):
+        # each matrix is cut relative to its own top eigenvalue, with the bits of a one-matrix call
+        rng = np.random.default_rng(19)
+        for d in (2, 3, 4):
+            stack = _rank_deficient_stack(rng, d, 12)
+            for m, inv in zip(stack, support_inv_sqrt(stack)):
+                assert inv.tobytes() == support_inv_sqrt(m).tobytes()
+                basis, one = support_basis_and_inv_sqrt(m)
+                assert basis.tobytes() == support_basis(m).tobytes()
+                assert one.tobytes() == inv.tobytes()
+
     def test_identity(self):
         np.testing.assert_allclose(support_inv_sqrt(np.eye(2)), np.eye(2), atol=1e-14)
 
