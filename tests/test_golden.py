@@ -25,6 +25,29 @@ MANIFEST = Path(__file__).with_name("golden_sha256.json")
 SCENARIOS = ("driven-damped-qubit", "classical-2state", "classical-3state")
 
 
+def _quoted_scenario() -> dict:
+    """A qubit whose name and record labels hold ``,`` and ``"``, so written cells need CSV quoting.
+
+    Alice reads a rotated qubit with 70/30 reliability; bob learns which
+    projection the rotation ended in.
+    """
+    u = [[0.8, -0.6], [0.6, 0.8]]
+    operations = []
+    for i, alice in enumerate(('a,"0', 'a,"1')):
+        for j, bob in enumerate(('b"0,', 'b"1,')):
+            w = (0.7 if i == j else 0.3) ** 0.5
+            kraus = [[w * u[j][c] if r == j else 0.0 for c in range(2)] for r in range(2)]
+            operations.append({"alice": alice, "bob": bob, "kraus": [{"real": kraus}]})
+    return {
+        "name": 'quoted, "labels"',
+        "system": {"type": "joint_instrument", "operations": operations},
+        "rho0": "maximally_mixed",
+        "steps": 3,
+        "smoothing_time_index": 2,
+        "prior_kinds": ["pf", "gw", "gw-variant", "clhs"],
+    }
+
+
 def _run(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -38,6 +61,11 @@ def golden_outputs(work: Path) -> dict[str, str]:
     for name in ("demo", *SCENARIOS):
         source = "demo" if name == "demo" else str(ROOT / "scenarios" / f"{name}.json")
         _run(["smooth", "--scenario", source, "--enumerate", "--out", str(work / f"enumerate-{name}")])
+    quoted = work / "quoted.json"
+    quoted.write_text(json.dumps(_quoted_scenario()))
+    _run(["smooth", "--scenario", str(quoted), "--enumerate", "--out", str(work / "enumerate-quoted")])
+    _run(["entropy-scan", "--scenario", str(quoted), "--out", str(work / "entropy-quoted")])
+    quoted.unlink()
     out = work / "record-demo"
     _run(["simulate", "--scenario", "demo", "--trajectories", "30", "--out", str(out)])
     record = out / "driven-damped-qubit_trajectories.jsonl"
