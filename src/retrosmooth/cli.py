@@ -9,7 +9,7 @@ verification failure, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
+import re
 import sys
 from pathlib import Path
 
@@ -26,29 +26,28 @@ from .scenario import (
     Scenario,
     demo_scenario,
     dumps_17,
-    fmt17,
     read_trajectories,
-    state_to_json,
     theorem1_config,
     write_trajectories,
 )
 from .trajectory import sample_records
 
+_SMOOTH_HEADER = "scenario,prior,past,future,probability,purity,entropy,fidelity_to_filtered,status"
+_ENTROPY_HEADER = "kind,id,record,avg_entropy,lower,upper,lower_margin,upper_margin,within_bounds,detail"
+_ENTROPY_NUMBERS = ("avg_entropy", "lower", "upper", "lower_margin", "upper_margin")
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+
+def _text(cell: str) -> str:
+    """A text cell as ``csv.QUOTE_MINIMAL`` writes it: quoted, inner quotes doubled, if it holds , " CR or LF."""
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
+
+
+def _write_lines(path: Path, header: str, lines: list[str]) -> None:
+    """A CSV file: ``header``, then ``lines``, each formatted (floats as ``fmt17`` has them) and ending in CRLF."""
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _cell(row.get(k, "")) for k in fieldnames})
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt17(value)
-    return str(value)
+        fh.write(header + "\r\n")
+        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -108,31 +107,29 @@ def cmd_smooth(
                 raise ScenarioError(f"{record_path}: outcome {unknown[0]!r} not in alphabet {alphabet}")
         table = sweeps.record_table(scenario, built, rho0, records)
 
-    rows, doc_priors, residuals, register = [], {}, {}, {"gw": {}, "gw-variant": {}}
+    lines, doc_priors, residuals, register = [], {}, {}, {"gw": {}, "gw-variant": {}}
+    name = _text(scenario.name)
     for s in sweeps.smooth_table(scenario, built, rho0, table, kinds, complete=enumerate_futures):
         entry = doc_priors.setdefault(s.kind, {})
         residuals.setdefault(s.kind, None)
         key = sweeps.render(s.past)
-        row = {"scenario": scenario.name, "prior": s.kind, "past": key}
+        head = f"{name},{s.kind},{_text(key)}"  # prior kinds are plain names
         if s.error is not None:
-            rows.append({**row, "future": "", "probability": s.p_past, "status": str(s.error)})
+            lines.append(f"{head},,{s.p_past:.17g},,,,{_text(str(s.error))}\r\n")
             entry[key] = {"error": str(s.error), "p_past": s.p_past}
             continue
         smoothed = s.states[s.possible]
-        metrics = zip(
-            purity(smoothed).tolist(),
-            entropy_vn(smoothed).tolist(),
-            fidelity(smoothed, s.rho_f).tolist(),
-        )
-        states = {}
-        for (fut, p), rho_s, ok in zip(s.futures, s.states, s.possible):
-            cells = {"future": sweeps.render(fut), "probability": p, "status": "ok"}
+        metrics = (purity(smoothed), entropy_vn(smoothed), fidelity(smoothed, s.rho_f))
+        rows = zip(*(m.tolist() for m in metrics), smoothed.real, smoothed.imag)
+        states, dim = {}, smoothed.shape[-1]
+        for (fut, p), ok in zip(s.futures, s.possible.tolist()):
+            future = sweeps.render(fut)
             if ok:
-                cells["purity"], cells["entropy"], cells["fidelity_to_filtered"] = next(metrics)
-                states[cells["future"]] = state_to_json(rho_s)
+                pur, ent, fid, real, imag = next(rows)
+                lines.append(f"{head},{_text(future)},{p:.17g},{pur:.17g},{ent:.17g},{fid:.17g},ok\r\n")
+                states[future] = {"dim": dim, "real": real, "imag": imag}
             else:
-                cells["status"] = "zero-probability"
-            rows.append({**row, **cells})
+                lines.append(f"{head},{_text(future)},{p:.17g},,,,zero-probability\r\n")
         residual = s.residual() if enumerate_futures else None
         entry[key] = {"p_past": s.p_past, "avg_vs_filtered_trace_norm": residual, "states": states}
         if residual is not None:
@@ -155,23 +152,12 @@ def cmd_smooth(
         for past, (a, a_ok) in register["gw"].items():
             if past in register["gw-variant"]:
                 b, b_ok = register["gw-variant"][past]
-                for x, y in zip(a[a_ok & b_ok], b[a_ok & b_ok]):
-                    gap = max(gap, trace_norm(x - y))
+                if (both := a_ok & b_ok).any():
+                    gap = max(gap, float(trace_norm(a[both] - b[both]).max()))
         summary["gw_vs_gw_variant_gap"] = gap
 
-    fields = [
-        "scenario",
-        "prior",
-        "past",
-        "future",
-        "probability",
-        "purity",
-        "entropy",
-        "fidelity_to_filtered",
-        "status",
-    ]
     csv_path = out_dir / f"{scenario.name}_smooth.csv"
-    _write_csv(csv_path, fields, rows)
+    _write_lines(csv_path, _SMOOTH_HEADER, lines)
     json_path = out_dir / f"{scenario.name}_smooth.json"
     json_path.write_text(dumps_17(summary) + "\n")
     for kind, residual in residuals.items():
@@ -246,6 +232,15 @@ def _svb_rows() -> list[dict]:
     return rows
 
 
+def _entropy_line(row: dict) -> str:
+    """One entropy-scan CSV line; a cell the row does not hold is empty."""
+    text = [_text(row.get(k, "")) for k in ("kind", "id", "record")]
+    numbers = [f"{row[k]:.17g}" if k in row else "" for k in _ENTROPY_NUMBERS]
+    holds = row.get("within_bounds")
+    flag = "" if holds is None else "true" if holds else "false"
+    return ",".join([*text, *numbers, flag, _text(row.get("detail", ""))]) + "\r\n"
+
+
 def cmd_entropy_scan(
     scenario: Scenario | None,
     out_dir: Path,
@@ -268,20 +263,8 @@ def cmd_entropy_scan(
     if demo_svb:
         rows.extend(_svb_rows())
     name = scenario.name if scenario is not None else "builtin"
-    fields = [
-        "kind",
-        "id",
-        "record",
-        "avg_entropy",
-        "lower",
-        "upper",
-        "lower_margin",
-        "upper_margin",
-        "within_bounds",
-        "detail",
-    ]
     csv_path = out_dir / f"{name}_entropy.csv"
-    _write_csv(csv_path, fields, rows)
+    _write_lines(csv_path, _ENTROPY_HEADER, [_entropy_line(row) for row in rows])
     json_path = out_dir / f"{name}_entropy.json"
     json_path.write_text(dumps_17({"rows": rows}) + "\n")
     n_bad = sum(1 for r in rows if r.get("within_bounds") is False)

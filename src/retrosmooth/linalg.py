@@ -353,9 +353,11 @@ def entropy_shannon(p) -> float:
     return max(0.0, float(-np.sum(q * np.log(q))))
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum())
+def trace_norm(m):
+    """Sum of singular values; an array of them for a stack ``(n, d, d)``."""
+    a = np.asarray(m, dtype=complex)
+    s = np.linalg.svd(a, compute_uv=False).sum(axis=-1)
+    return s if a.ndim == 3 else float(s)
 
 
 def purity(rho):

@@ -55,10 +55,20 @@ def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _floats(values) -> str:
+    return ", ".join([f"{x:.17g}" for x in values])
+
+
 def dumps_17(obj, indent: int = 0) -> str:
-    """Serialize to JSON with floats at 17 significant digits, 2-space indent."""
+    """Serialize to JSON with floats at 17 significant digits, 2-space indent.
+
+    A real 2-d ``ndarray`` is written as its nested list, and a list of floats, without a call per entry.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
+        rows = ",\n".join([f"{inner}[{_floats(row)}]" for row in obj.tolist()])
+        return "[\n" + rows + "\n" + pad + "]" if rows else "[]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -68,6 +78,8 @@ def dumps_17(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
+        if all(isinstance(v, float) for v in seq):
+            return "[" + _floats(seq) + "]"
         flat = all(isinstance(v, (int, float, bool, str)) or v is None for v in seq)
         if flat:
             return "[" + ", ".join(dumps_17(v) for v in seq) + "]"
@@ -87,11 +99,6 @@ def dumps_17(obj, indent: int = 0) -> str:
 def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=complex)
     return {"real": a.real.tolist(), "imag": a.imag.tolist()}
-
-
-def state_to_json(m) -> dict:
-    a = np.asarray(m, dtype=complex)
-    return {"dim": a.shape[0], "real": a.real.tolist(), "imag": a.imag.tolist()}
 
 
 def matrix_from_json(obj, where: str) -> np.ndarray:
@@ -519,10 +526,17 @@ def read_trajectories(path) -> tuple[dict, list[list[tuple[str, str | None]]]]:
         header = json.loads(text[0])
     except json.JSONDecodeError:
         raise ScenarioError(f"{path}:1: malformed header line") from None
+    body = text[1:]
+    try:
+        # the whole body in one parse; the newlines keep a string from spanning two lines
+        entries = json.loads("[" + ",\n".join(body) + "]")
+    except json.JSONDecodeError:
+        entries = []
+    per_line = len(entries) != len(body)  # then parse line by line, so an error names its line
     records: list[list[tuple[str, str | None]]] = []
-    for n, line in enumerate(text[1:], start=2):
+    for n, entry in enumerate(body if per_line else entries, start=2):
         try:
-            entry = json.loads(line)
+            entry = json.loads(entry) if per_line else entry
             step, alice, bob = int(entry["step"]), str(entry["alice"]), entry["bob"]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             raise ScenarioError(f"{path}:{n}: malformed record line") from None

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -7,6 +8,11 @@ import pytest
 
 from retrosmooth import sampling, verify
 from retrosmooth.cli import (
+    _ENTROPY_HEADER,
+    _SMOOTH_HEADER,
+    _entropy_line,
+    _text,
+    _write_lines,
     cmd_classical_limit,
     cmd_entropy_scan,
     cmd_simulate,
@@ -212,6 +218,79 @@ class TestEntropyScan:
     def test_needs_some_mode(self, tmp_path):
         with pytest.raises(ScenarioError):
             cmd_entropy_scan(None, tmp_path)
+
+
+# cells csv.QUOTE_MINIMAL must quote (, " CR LF) and some it must leave alone
+AWKWARD_TEXT = ["a,b", 'say "hi"', "x\r\ny", "line\nbreak", "cr\ronly", '"', ",", "", "plain", " lead", "é;"]
+AWKWARD_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e-310,
+                  2.2250738585072014e-308, 1.0, -3.0, 1e16, 1e17, 0.1, 1 / 3, -123456789.0]
+
+
+def _old_cell(value) -> str:
+    """The per-cell formatter the CSV writers used before writing whole lines."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def dict_writer_csv(header: str, rows: list[dict]) -> bytes:
+    """``rows`` as ``csv.DictWriter`` writes them through the old cell formatter; a missing cell is empty."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=header.split(","))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _old_cell(row.get(k, "")) for k in writer.fieldnames})
+    return buf.getvalue().encode()
+
+
+class TestCsvLines:
+    @pytest.mark.parametrize("text", AWKWARD_TEXT)
+    def test_text_cell_is_quoted_as_csv_writer_quotes_it(self, text):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, "x"])
+        assert f"{_text(text)},x\r\n" == buf.getvalue()
+
+    def test_entropy_lines_match_dict_writer(self, tmp_path):
+        numbers = ("avg_entropy", "lower", "upper", "lower_margin", "upper_margin")
+        rows = [
+            {
+                "kind": text,
+                "id": f"ext-{i}",
+                "record": AWKWARD_TEXT[-1 - i],
+                **{k: AWKWARD_FLOATS[(3 * i + j) % len(AWKWARD_FLOATS)] for j, k in enumerate(numbers)},
+                "within_bounds": i % 2 == 0,
+                "detail": text,
+            }
+            for i, text in enumerate(AWKWARD_TEXT)
+        ]
+        # rows that leave cells out, as the svb, theorem-1 and failed-prior rows do
+        rows += [
+            {"kind": "svb", "id": "ordering-reversal", "record": "", "within_bounds": False, "detail": "e=1"},
+            {"kind": "theorem1", "id": "ext-0", "record": "dq=2", **dict.fromkeys(numbers, 2.0), "within_bounds": True},
+            {"kind": "prior", "id": "gw", "record": "0-1", "detail": 'cap 4, "gw" exceeded'},
+        ]
+        path = tmp_path / "entropy.csv"
+        _write_lines(path, _ENTROPY_HEADER, [_entropy_line(row) for row in rows])
+        assert path.read_bytes() == dict_writer_csv(_ENTROPY_HEADER, rows)
+
+    def test_smooth_lines_with_quoted_labels_match_dict_writer(self, tmp_path):
+        # a projective readout: a record that switches outcome is impossible, so the
+        # file holds ok rows, zero-probability rows and zero-probability pasts
+        ops = [
+            {"alice": alice, "bob": 'b,"0', "kraus": [{"real": kraus}]}
+            for alice, kraus in (('x,"0', [[1, 0], [0, 0]]), ("y\r\n1", [[0, 0], [0, 1]]))
+        ]
+        system = {"type": "joint_instrument", "operations": ops}
+        doc = _demo_doc(name='q, "s"', system=system, steps=3, smoothing_time_index=2, prior_kinds=["pf", "gw"])
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(doc))
+        assert main(["smooth", "--scenario", str(path), "--enumerate", "--out", str(tmp_path)]) == 0
+        written = tmp_path / 'q, "s"_smooth.csv'
+        rows = read_csv(written)
+        assert {r["status"] for r in rows} == {"ok", "zero-probability", "zero-probability past record"}
+        assert written.read_bytes() == dict_writer_csv(_SMOOTH_HEADER, rows)
 
 
 class TestClassicalLimit:
@@ -553,6 +632,31 @@ class TestMainEntry:
         record.write_text("\n".join(['{"kind": "joint"}', *steps]) + "\n")
         code = main(["smooth", "--scenario", "demo", "--record", str(record), "--out", str(tmp_path)])
         _assert_config_error(capsys, code, f"{record}: outcome '9' not in alphabet")
+
+    @pytest.mark.parametrize(
+        "case, line, message",
+        [
+            ("blank line", 3, "malformed record line"),
+            ("two objects on one line", 2, "malformed record line"),
+            ("two comma-separated objects on one line", 2, "malformed record line"),
+            ("missing key", 3, "malformed record line"),
+            ("step out of sequence", 4, "step index 3 out of sequence"),
+        ],
+    )
+    def test_bad_record_line_is_config_error_naming_it(self, tmp_path, capsys, case, line, message):
+        step = [json.dumps({"step": i, "alice": "0", "bob": "0"}) for i in range(4)]
+        body = {
+            "blank line": [step[0], "", *step[1:]],
+            "two objects on one line": [f"{step[0]} {step[1]}", *step[2:]],
+            "two comma-separated objects on one line": [f"{step[0]}, {step[1]}", *step[2:]],
+            "missing key": [step[0], '{"step": 1, "alice": "0"}', *step[2:]],
+            "step out of sequence": [step[0], step[1], step[3], step[2]],
+        }[case]
+        record = tmp_path / "bad.jsonl"
+        record.write_text("\n".join(['{"kind": "joint"}', *body]) + "\n")
+        code = main(["smooth", "--scenario", "demo", "--record", str(record), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.strip() == f"error: {record}:{line}: {message}", err
 
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--seed", "3"]) == 0

@@ -348,7 +348,7 @@ class TestEntropies:
 
 
 class TestStackedMetrics:
-    """Entropy, fidelity and purity of a stack equal the per-matrix calls bit for bit."""
+    """Entropy, fidelity, purity and trace norm of a stack equal the per-matrix calls bit for bit."""
 
     @staticmethod
     def states(rng, d):
@@ -363,12 +363,16 @@ class TestStackedMetrics:
             stack = self.states(rng, d)
             b = sampling.random_density(d, rng)
             entropies, fidelities, purities = entropy_vn(stack), fidelity(stack, b), purity(stack)
-            for arr in (entropies, fidelities, purities):
+            # differences of states, as the gw vs gw-variant gap takes them
+            diffs = stack - b
+            norms = trace_norm(diffs)
+            for arr in (entropies, fidelities, purities, norms):
                 assert arr.shape == (len(stack),) and arr.dtype == float
             for j, rho in enumerate(stack):
                 assert entropies[j] == entropy_vn(rho)
                 assert fidelities[j] == fidelity(rho, b)
                 assert purities[j] == purity(rho)
+                assert norms[j] == trace_norm(diffs[j])
 
     def test_match_scalar_reference(self):
         # the one-matrix formulas as plain scalar code; the fidelity's array
@@ -404,7 +408,7 @@ class TestStackedMetrics:
 
     def test_single_inputs_give_floats(self):
         rho = np.diag([0.75, 0.25]).astype(complex)
-        for value in (entropy_vn(rho), fidelity(rho, rho), purity(rho)):
+        for value in (entropy_vn(rho), fidelity(rho, rho), purity(rho), trace_norm(rho)):
             assert type(value) is float
 
 

@@ -16,9 +16,29 @@ from retrosmooth.scenario import (
     matrix_to_json,
     named_state,
     read_trajectories,
-    state_to_json,
     write_trajectories,
 )
+
+# -0.0, non-finite values, subnormals, the smallest normal and whole numbers: every form .17g writes
+AWKWARD_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e-310,
+                  2.2250738585072014e-308, 1.0, -3.0, 1e16, 1e17, 0.1, 1 / 3, -123456789.0]
+
+
+def reference_dumps(obj, indent=0):
+    """The generic serializer as it was before its fast paths: one call per value."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        items = [f"{inner}{json.dumps(str(k))}: {reference_dumps(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if all(isinstance(v, (int, float, bool, str)) or v is None for v in obj):
+            return "[" + ", ".join(reference_dumps(v) for v in obj) + "]"
+        return "[\n" + ",\n".join(f"{inner}{reference_dumps(v, indent + 1)}" for v in obj) + "\n" + pad + "]"
+    if isinstance(obj, float):
+        return fmt17(obj)
+    return json.dumps(obj)
 
 
 class TestFloatFormat:
@@ -46,8 +66,29 @@ class TestMatrixJson:
         np.testing.assert_array_equal(back, m)
 
     def test_state_json_has_dim(self):
-        doc = state_to_json(np.eye(2) / 2)
+        rho = np.eye(2, dtype=complex) / 2
+        doc = json.loads(dumps_17({"dim": 2, "real": rho.real, "imag": rho.imag}))
         assert doc["dim"] == 2
+        np.testing.assert_array_equal(matrix_from_json(doc, "state"), rho)
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_array_state_matches_nested_lists(self, d):
+        # every awkward value in the larger matrices, a different pair of them in the smaller
+        state = np.zeros((d, d), dtype=complex)
+        state.real, state.imag = np.resize(np.roll(AWKWARD_FLOATS, d), (2, d, d))
+        arrays = {"dim": d, "real": state.real, "imag": state.imag}
+        lists = {"dim": d, "real": state.real.tolist(), "imag": state.imag.tolist()}
+        for indent in (0, 3):
+            assert dumps_17(arrays, indent) == reference_dumps(lists, indent)
+        doc = {"states": {"0-1": arrays}, "p": [0.5, 0.25]}
+        assert dumps_17(doc) == reference_dumps({"states": {"0-1": lists}, "p": [0.5, 0.25]})
+
+    def test_float_list_matches_generic_path(self):
+        values = AWKWARD_FLOATS + [np.float64(0.3)]
+        assert dumps_17(values) == reference_dumps([float(v) for v in values])
+        # an int among the floats takes the generic path, with the same float cells
+        assert dumps_17(values + [2]) == reference_dumps([float(v) for v in values] + [2])
+        assert dumps_17({"x": values}, 2) == reference_dumps({"x": [float(v) for v in values]}, 2)
 
     def test_malformed(self):
         with pytest.raises(ScenarioError):
