@@ -39,12 +39,12 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _text(cell: str) -> str:
-    """A text cell as ``csv.QUOTE_MINIMAL`` writes it: quoted, inner quotes doubled, if it holds , " CR or LF."""
+    """A text cell as ``csv.QUOTE_MINIMAL`` writes it: quoted, quotes doubled, if it holds , " CR or LF."""
     return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
 
 
 def _write_lines(path: Path, header: str, lines: list[str]) -> None:
-    """A CSV file: ``header``, then ``lines``, each formatted (floats as ``fmt17`` has them) and ending in CRLF."""
+    """A CSV file: ``header``, then ``lines``, each formatted (floats as by ``fmt17``) and ending in CRLF."""
     with path.open("w", newline="") as fh:
         fh.write(header + "\r\n")
         fh.writelines(lines)

@@ -44,6 +44,7 @@ from .trajectory import DEFAULT_ENUMERATION_CAP
 from .trajectory import ConditionalOp, Instrument, JumpChannel, LindbladSpec, discretize
 
 ENV_CAP = "RETROSMOOTH_CAP"
+READ_CHUNK = 256  # trajectory-file lines parsed per json.loads call: bounds the parsed lines held at once
 
 
 # ---------------------------------------------------------------------------
@@ -526,23 +527,24 @@ def read_trajectories(path) -> tuple[dict, list[list[tuple[str, str | None]]]]:
         header = json.loads(text[0])
     except json.JSONDecodeError:
         raise ScenarioError(f"{path}:1: malformed header line") from None
-    body = text[1:]
-    try:
-        # the whole body in one parse; the newlines keep a string from spanning two lines
-        entries = json.loads("[" + ",\n".join(body) + "]")
-    except json.JSONDecodeError:
-        entries = []
-    per_line = len(entries) != len(body)  # then parse line by line, so an error names its line
-    records: list[list[tuple[str, str | None]]] = []
-    for n, entry in enumerate(body if per_line else entries, start=2):
+    body, records = text[1:], []
+    for start in range(0, len(body), READ_CHUNK):
+        chunk = body[start : start + READ_CHUNK]
         try:
-            entry = json.loads(entry) if per_line else entry
-            step, alice, bob = int(entry["step"]), str(entry["alice"]), entry["bob"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise ScenarioError(f"{path}:{n}: malformed record line") from None
-        if step == 0:
-            records.append([])
-        if not records or step != len(records[-1]):
-            raise ScenarioError(f"{path}:{n}: step index {step} out of sequence")
-        records[-1].append((alice, None if bob is None else str(bob)))
+            # one parse per chunk; the newlines keep a string from spanning two lines
+            entries = json.loads("[" + ",\n".join(chunk) + "]")
+        except json.JSONDecodeError:
+            entries = []
+        per_line = len(entries) != len(chunk)  # then parse line by line, so an error names its line
+        for n, entry in enumerate(chunk if per_line else entries, start=start + 2):
+            try:
+                entry = json.loads(entry) if per_line else entry
+                step, alice, bob = int(entry["step"]), str(entry["alice"]), entry["bob"]
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                raise ScenarioError(f"{path}:{n}: malformed record line") from None
+            if step == 0:
+                records.append([])
+            if not records or step != len(records[-1]):
+                raise ScenarioError(f"{path}:{n}: step index {step} out of sequence")
+            records[-1].append((alice, None if bob is None else str(bob)))
     return header, records

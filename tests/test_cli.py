@@ -221,7 +221,8 @@ class TestEntropyScan:
 
 
 # cells csv.QUOTE_MINIMAL must quote (, " CR LF) and some it must leave alone
-AWKWARD_TEXT = ["a,b", 'say "hi"', "x\r\ny", "line\nbreak", "cr\ronly", '"', ",", "", "plain", " lead", "é;"]
+AWKWARD_TEXT = ["a,b", 'say "hi"', "x\r\ny", "line\nbreak", "cr\ronly", '"', ",", "", "plain", " lead", "é;",
+                "\t\x00\u2028"]
 AWKWARD_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e-310,
                   2.2250738585072014e-308, 1.0, -3.0, 1e16, 1e17, 0.1, 1 / 3, -123456789.0]
 
@@ -268,7 +269,7 @@ class TestCsvLines:
         # rows that leave cells out, as the svb, theorem-1 and failed-prior rows do
         rows += [
             {"kind": "svb", "id": "ordering-reversal", "record": "", "within_bounds": False, "detail": "e=1"},
-            {"kind": "theorem1", "id": "ext-0", "record": "dq=2", **dict.fromkeys(numbers, 2.0), "within_bounds": True},
+            {"kind": "theorem1", "id": "e", "record": "", **dict.fromkeys(numbers, 2.0), "within_bounds": True},
             {"kind": "prior", "id": "gw", "record": "0-1", "detail": 'cap 4, "gw" exceeded'},
         ]
         path = tmp_path / "entropy.csv"
@@ -283,7 +284,8 @@ class TestCsvLines:
             for alice, kraus in (('x,"0', [[1, 0], [0, 0]]), ("y\r\n1", [[0, 0], [0, 1]]))
         ]
         system = {"type": "joint_instrument", "operations": ops}
-        doc = _demo_doc(name='q, "s"', system=system, steps=3, smoothing_time_index=2, prior_kinds=["pf", "gw"])
+        doc = _demo_doc(name='q, "s"', system=system, steps=3, smoothing_time_index=2,
+                        prior_kinds=["pf", "gw"])
         path = tmp_path / "q.json"
         path.write_text(json.dumps(doc))
         assert main(["smooth", "--scenario", str(path), "--enumerate", "--out", str(tmp_path)]) == 0
@@ -641,11 +643,17 @@ class TestMainEntry:
             ("two comma-separated objects on one line", 2, "malformed record line"),
             ("missing key", 3, "malformed record line"),
             ("step out of sequence", 4, "step index 3 out of sequence"),
+            # past the first chunk of lines parsed together
+            ("blank line after 300 good ones", 302, "malformed record line"),
+            ("step out of sequence after 300 good ones", 303, "step index 2 out of sequence"),
         ],
     )
     def test_bad_record_line_is_config_error_naming_it(self, tmp_path, capsys, case, line, message):
         step = [json.dumps({"step": i, "alice": "0", "bob": "0"}) for i in range(4)]
+        good = step * 100
         body = {
+            "blank line after 300 good ones": [*good[:300], "", *good[300:]],
+            "step out of sequence after 300 good ones": [*good[:301], step[2], *good[302:]],
             "blank line": [step[0], "", *step[1:]],
             "two objects on one line": [f"{step[0]} {step[1]}", *step[2:]],
             "two comma-separated objects on one line": [f"{step[0]}, {step[1]}", *step[2:]],

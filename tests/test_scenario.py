@@ -57,6 +57,13 @@ class TestFloatFormat:
         doc = {"m": [[0.1, 0.2], [0.3, 0.4]]}
         assert dumps_17(doc) == dumps_17(doc)
 
+    def test_float_list_matches_generic_path(self):
+        values = AWKWARD_FLOATS + [np.float64(0.3)]
+        assert dumps_17(values) == reference_dumps([float(v) for v in values])
+        # an int among the floats takes the generic path, with the same float cells
+        assert dumps_17(values + [2]) == reference_dumps([float(v) for v in values] + [2])
+        assert dumps_17({"x": values}, 2) == reference_dumps({"x": [float(v) for v in values]}, 2)
+
 
 class TestMatrixJson:
     def test_round_trip(self):
@@ -79,16 +86,9 @@ class TestMatrixJson:
         arrays = {"dim": d, "real": state.real, "imag": state.imag}
         lists = {"dim": d, "real": state.real.tolist(), "imag": state.imag.tolist()}
         for indent in (0, 3):
-            assert dumps_17(arrays, indent) == reference_dumps(lists, indent)
+            assert dumps_17(arrays, indent) == dumps_17(lists, indent) == reference_dumps(lists, indent)
         doc = {"states": {"0-1": arrays}, "p": [0.5, 0.25]}
         assert dumps_17(doc) == reference_dumps({"states": {"0-1": lists}, "p": [0.5, 0.25]})
-
-    def test_float_list_matches_generic_path(self):
-        values = AWKWARD_FLOATS + [np.float64(0.3)]
-        assert dumps_17(values) == reference_dumps([float(v) for v in values])
-        # an int among the floats takes the generic path, with the same float cells
-        assert dumps_17(values + [2]) == reference_dumps([float(v) for v in values] + [2])
-        assert dumps_17({"x": values}, 2) == reference_dumps({"x": [float(v) for v in values]}, 2)
 
     def test_malformed(self):
         with pytest.raises(ScenarioError):
