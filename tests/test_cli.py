@@ -652,13 +652,13 @@ class TestMainEntry:
         step = [json.dumps({"step": i, "alice": "0", "bob": "0"}) for i in range(4)]
         good = step * 100
         body = {
-            "blank line after 300 good ones": [*good[:300], "", *good[300:]],
-            "step out of sequence after 300 good ones": [*good[:301], step[2], *good[302:]],
             "blank line": [step[0], "", *step[1:]],
             "two objects on one line": [f"{step[0]} {step[1]}", *step[2:]],
             "two comma-separated objects on one line": [f"{step[0]}, {step[1]}", *step[2:]],
             "missing key": [step[0], '{"step": 1, "alice": "0"}', *step[2:]],
             "step out of sequence": [step[0], step[1], step[3], step[2]],
+            "blank line after 300 good ones": [*good[:300], "", *good[300:]],
+            "step out of sequence after 300 good ones": [*good[:301], step[2], *good[302:]],
         }[case]
         record = tmp_path / "bad.jsonl"
         record.write_text("\n".join(['{"kind": "joint"}', *body]) + "\n")
