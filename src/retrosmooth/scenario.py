@@ -44,7 +44,6 @@ from .trajectory import DEFAULT_ENUMERATION_CAP
 from .trajectory import ConditionalOp, Instrument, JumpChannel, LindbladSpec, discretize
 
 ENV_CAP = "RETROSMOOTH_CAP"
-READ_CHUNK = 256  # trajectory-file lines parsed per json.loads call: bounds the parsed lines held at once
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +62,7 @@ def _floats(values) -> str:
 def dumps_17(obj, indent: int = 0) -> str:
     """Serialize to JSON with floats at 17 significant digits, 2-space indent.
 
-    A real 2-d ``ndarray`` is written as its nested list, and a list of floats, without a call per entry.
+    A real 2-d ``ndarray`` is written as its nested list without a call per entry.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -79,8 +78,6 @@ def dumps_17(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        if all(isinstance(v, float) for v in seq):
-            return "[" + _floats(seq) + "]"
         flat = all(isinstance(v, (int, float, bool, str)) or v is None for v in seq)
         if flat:
             return "[" + ", ".join(dumps_17(v) for v in seq) + "]"
@@ -527,24 +524,16 @@ def read_trajectories(path) -> tuple[dict, list[list[tuple[str, str | None]]]]:
         header = json.loads(text[0])
     except json.JSONDecodeError:
         raise ScenarioError(f"{path}:1: malformed header line") from None
-    body, records = text[1:], []
-    for start in range(0, len(body), READ_CHUNK):
-        chunk = body[start : start + READ_CHUNK]
+    records: list[list[tuple[str, str | None]]] = []
+    for n, line in enumerate(text[1:], start=2):
         try:
-            # one parse per chunk; the newlines keep a string from spanning two lines
-            entries = json.loads("[" + ",\n".join(chunk) + "]")
-        except json.JSONDecodeError:
-            entries = []
-        per_line = len(entries) != len(chunk)  # then parse line by line, so an error names its line
-        for n, entry in enumerate(chunk if per_line else entries, start=start + 2):
-            try:
-                entry = json.loads(entry) if per_line else entry
-                step, alice, bob = int(entry["step"]), str(entry["alice"]), entry["bob"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                raise ScenarioError(f"{path}:{n}: malformed record line") from None
-            if step == 0:
-                records.append([])
-            if not records or step != len(records[-1]):
-                raise ScenarioError(f"{path}:{n}: step index {step} out of sequence")
-            records[-1].append((alice, None if bob is None else str(bob)))
+            entry = json.loads(line)
+            step, alice, bob = int(entry["step"]), str(entry["alice"]), entry["bob"]
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            raise ScenarioError(f"{path}:{n}: malformed record line") from None
+        if step == 0:
+            records.append([])
+        if not records or step != len(records[-1]):
+            raise ScenarioError(f"{path}:{n}: step index {step} out of sequence")
+        records[-1].append((alice, None if bob is None else str(bob)))
     return header, records

@@ -57,13 +57,6 @@ class TestFloatFormat:
         doc = {"m": [[0.1, 0.2], [0.3, 0.4]]}
         assert dumps_17(doc) == dumps_17(doc)
 
-    def test_float_list_matches_generic_path(self):
-        values = AWKWARD_FLOATS + [np.float64(0.3)]
-        assert dumps_17(values) == reference_dumps([float(v) for v in values])
-        # an int among the floats takes the generic path, with the same float cells
-        assert dumps_17(values + [2]) == reference_dumps([float(v) for v in values] + [2])
-        assert dumps_17({"x": values}, 2) == reference_dumps({"x": [float(v) for v in values]}, 2)
-
 
 class TestMatrixJson:
     def test_round_trip(self):
