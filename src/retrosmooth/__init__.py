@@ -14,7 +14,6 @@ from .classical import (
     classical_retrofilter,
     classical_smooth,
     sample_classical_trajectories,
-    sample_classical_trajectory,
 )
 from .entropy import (
     ExtensionScenario,
@@ -23,7 +22,6 @@ from .entropy import (
     lambda_choi,
     lambda_map,
     no_universal_quantifier_demo,
-    outcome_probs,
     sandwich_bound,
     smoothed_outcome_states,
     theorem1_check,
@@ -77,7 +75,6 @@ from .trajectory import (
     enumerate_records,
     filter,
     retrofilter,
-    sample_record,
     sample_records,
 )
 

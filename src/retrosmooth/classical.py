@@ -164,9 +164,3 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     """Row-wise cdfs, normalized by their last entry as ``Generator.choice`` builds them."""
     cdf = probs.cumsum(axis=1)
     return cdf / cdf[:, -1:]
-
-
-def sample_classical_trajectory(model, prior, steps: int, rng) -> tuple[list[int], list[str]]:
-    """One state path and record: the ``n = 1`` case of :func:`sample_classical_trajectories`."""
-    paths, records = sample_classical_trajectories(model, prior, steps, 1, rng)
-    return paths[0], records[0]

@@ -370,7 +370,10 @@ def main(argv=None) -> int:
             return 0 if cmd_verify(args.seed) else 1
 
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError(f"--out: cannot create directory {out_dir}: {exc.strerror or exc}") from None
         if args.command == "entropy-scan":
             sc = _load_scenario(args) if args.scenario else None
             seed = args.seed if args.seed is not None else (sc.seed if sc else 0)

@@ -79,11 +79,6 @@ def _scenario_updates(s: ExtensionScenario):
     return _live_updates(s.gamma[None], ext.roots[None], ext.block_dims, np.stack(s.effects)[None])
 
 
-def outcome_probs(scenario: ExtensionScenario) -> np.ndarray:
-    """Outcome probabilities ``Tr[E_i gamma]`` of measuring the system marginal."""
-    return _scenario_updates(scenario)[0][0]
-
-
 def smoothed_outcome_states(scenario: ExtensionScenario) -> list[np.ndarray | None]:
     """Per-outcome updated states; outcomes of negligible probability give ``None``."""
     _, live, updated = _scenario_updates(scenario)

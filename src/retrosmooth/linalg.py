@@ -7,8 +7,10 @@ ordered system-first (``Q`` is the slowest index); entropies are in nats.
 
 Every tolerance is one constant here (only ``sweeps.PROB_FLOOR`` and the acceptance
 thresholds of ``verify`` and the CLI live elsewhere), and each validity check is one function:
-the ``as_*`` validators, :func:`support_basis`, :func:`require_complete`, :func:`as_povm` and
-``retrodiction.require_marginals``.  A check fails only strictly beyond its tolerance.
+:func:`require_finite`, the ``as_*`` validators, :func:`support_basis`, :func:`require_complete`,
+:func:`as_povm` and ``retrodiction.require_marginals``.  A check fails only strictly beyond its
+tolerance.  One matrix and a stack ``(n, d, d)`` go through the same code: :func:`as_hermitian`
+holds each matrix of a stack to its own scale, and the validators built on it take either.
 
 ===================  =====  ====================================================================
 constant             value  what it decides (what it raises)
@@ -73,38 +75,33 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + dag(m)) / 2
 
 
+def require_finite(a: np.ndarray, name: str) -> None:
+    """Raise :class:`InvalidMatrix` unless every entry of the complex array ``a`` is finite."""
+    if not np.isfinite(a.view(float)).all():
+        raise InvalidMatrix(f"{name} has non-finite entries")
+
+
 def as_square(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex array with finite entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise InvalidMatrix(f"{name} has non-finite entries")
+    require_finite(a, name)
     return a
 
 
 def as_hermitian(m, name: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` (relative) and return the symmetrized matrix."""
-    a = as_square(m, name)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if np.abs(a - dag(a)).max(initial=0.0) > tol * scale:
-        raise InvalidMatrix(f"{name} is not Hermitian within {tol:g}")
-    return hermitian_part(a)
+    """Validate a matrix, or each matrix of a stack ``(n, d, d)``, as Hermitian; return it symmetrized.
 
-
-def as_hermitian_stack(m, name: str = "stack", tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate a stack ``(n, d, d)`` of Hermitian matrices in one pass; return it symmetrized.
-
-    Entries must be finite, and each matrix is held to :func:`as_hermitian`'s
-    test relative to its own scale.
+    Entries must be finite, and each matrix may differ from its adjoint by at
+    most ``tol`` times ``max(1, its largest entry magnitude)``: its own scale.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise InvalidMatrix(f"{name} must be a stack of square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise InvalidMatrix(f"{name} has non-finite entries")
-    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
-    if np.any(np.abs(a - dag(a)).max(axis=(1, 2), initial=0.0) > tol * scale):
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
+    require_finite(a, name)
+    gap = np.abs(a - dag(a)).max(axis=(-2, -1), initial=0.0)
+    if (gap > tol * np.abs(a).max(axis=(-2, -1), initial=1.0)).any():
         raise InvalidMatrix(f"{name} is not Hermitian within {tol:g}")
     return hermitian_part(a)
 
@@ -114,7 +111,7 @@ def as_density(m, name: str = "state") -> np.ndarray:
 
     A density operator is Hermitian with eigenvalues >= ``-PSD_CLAMP`` and unit trace.
     """
-    a = as_hermitian_stack(m, name) if np.ndim(m) == 3 else as_hermitian(m, name)
+    a = as_hermitian(m, name)
     traces = a.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist()
     off = [tr for tr in traces if abs(tr - 1.0) > UNIT_TRACE_TOL]
     if off:
@@ -131,7 +128,7 @@ def as_effect(m, name: str = "effect") -> np.ndarray:
     An effect is Hermitian and PSD up to round-off, with no trace constraint:
     no eigenvalue below ``-PSD_CLAMP`` times ``max(1, largest eigenvalue)``.
     """
-    a = as_hermitian_stack(m, name) if np.ndim(m) == 3 else as_hermitian(m, name)
+    a = as_hermitian(m, name)
     w = np.linalg.eigvalsh(a)
     if w.size:
         low = w[..., 0]
@@ -181,7 +178,7 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     non-negligible magnitude is real and positive, making the output
     deterministic (away from degeneracies).
     """
-    a = as_hermitian_stack(m) if np.ndim(m) == 3 else as_hermitian(m)
+    a = as_hermitian(m)
     w, v = np.linalg.eigh(a)
     w = w[..., ::-1].copy()
     v = v[..., ::-1].copy()
@@ -254,12 +251,6 @@ def support_basis_and_inv_sqrt(m) -> tuple[np.ndarray, np.ndarray]:
     return v[:, keep], _inv_sqrt(w, v, keep)
 
 
-def support_projector(m) -> np.ndarray:
-    """Orthogonal projector onto the support of a PSD matrix."""
-    b = support_basis(m)
-    return hermitian_part(b @ dag(b))
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two matrices with the first factor slowest (system-first ordering).
 
@@ -317,8 +308,7 @@ def entropy_vn(rho):
     A stack ``(n, d, d)`` gives an array of ``n`` entropies, each equal to the
     bits of the single-matrix call.
     """
-    stacked = np.ndim(rho) == 3
-    a = as_hermitian_stack(rho) if stacked else as_hermitian(rho)
+    a = as_hermitian(rho)
     w = np.atleast_2d(np.clip(np.linalg.eigvalsh(a), 0.0, None))
     # clipped eigenvalues ascend, so the positive ones end each row; summing
     # only that tail, rows grouped by its length, adds in the 1-d order
@@ -330,7 +320,7 @@ def entropy_vn(rho):
         s[rows] = -np.sum(tail * np.log(tail), axis=1)
     # max(0.0, x) as the scalar code has it: a -0.0 or negative sum gives +0.0
     s = np.where(s > 0.0, s, 0.0)
-    return s if stacked else float(s[0])
+    return s if a.ndim == 3 else float(s[0])
 
 
 def entropy_shannon(p) -> float:

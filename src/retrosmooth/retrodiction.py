@@ -54,7 +54,7 @@ from .linalg import (
     WEIGHT_FLOOR,
     as_density,
     as_effect,
-    as_hermitian_stack,
+    as_hermitian,
     as_povm,
     as_square,
     completeness_defect,
@@ -63,6 +63,7 @@ from .linalg import (
     partial_trace,
     psd_sqrt,
     require_complete,
+    require_finite,
     support_basis_and_inv_sqrt,
     tensor,
 )
@@ -80,8 +81,7 @@ class ChannelRep:
         mats = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         if not mats or any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
             raise InvalidMatrix("a channel needs one or more Kraus matrices of one shape")
-        if not all(np.isfinite(m.view(float)).all() for m in mats):
-            raise InvalidMatrix("Kraus operator has non-finite entries")
+        require_finite(np.stack(mats), "Kraus operator")
         object.__setattr__(self, "kraus", mats)
 
     @property
@@ -146,7 +146,7 @@ class FilteredGlobalState:
             raise InvalidFactorization(
                 f"blocks of shape {stack.shape[1:]} do not match dims ({self.dim_q}, {self.dim_a1})"
             )
-        stack = as_hermitian_stack(stack, "global-state block", tol=BLOCK_HERMITIAN_TOL)
+        stack = as_hermitian(stack, "global-state block", tol=BLOCK_HERMITIAN_TOL)
         total = float(np.trace(stack, axis1=1, axis2=2).real.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise InvalidMatrix(f"block traces sum to {total!r}, expected 1")
@@ -170,10 +170,6 @@ class FilteredGlobalState:
         return self.dim_a1 * self.dim_a2
 
     @property
-    def dims(self) -> tuple[int, int]:
-        return (self.dim_q, self.dim_a)
-
-    @property
     def block_dims(self) -> tuple[int, int]:
         """``(dim_q, dim_a1)``: the factors of one block."""
         return (self.dim_q, self.dim_a1)
@@ -194,10 +190,6 @@ class FilteredGlobalState:
         r = self.blocks.reshape(da2, dq, da1, dq, da1)
         n = dq * da1 * da2
         return np.einsum("uiajb,uv->iaujbv", r, np.eye(da2)).reshape(n, n)
-
-    def consistency_gap(self, rho_f) -> float:
-        """Max-entry deviation of the marginal from a reference filtered state."""
-        return float(np.abs(self.marginal() - np.asarray(rho_f, dtype=complex)).max())
 
     def require_marginal(self, rho, what: str) -> None:
         """Raise :class:`InvalidExtension` unless the marginal is ``rho`` within ``MARGINAL_TOL``."""
@@ -310,12 +302,12 @@ def _effects_and_norms(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, 
     return stack, np.trace(prior.marginal() @ stack, axis1=1, axis2=2).real
 
 
-def _effect_and_norm(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, float]:
-    """One validated effect and its normalizer; :class:`ZeroProbabilityRecord` if it vanishes."""
+def _effect_and_norm(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_effects_and_norms` of one effect; :class:`ZeroProbabilityRecord` if its normalizer vanishes."""
     stack, norms = _effects_and_norms(prior, as_square(effect, "effect"))
     if norms[0] <= WEIGHT_FLOOR:
         raise ZeroProbabilityRecord(f"record probability {norms[0]:.3e} vanishes")
-    return stack[0], float(norms[0])
+    return stack, norms
 
 
 def generalized_smooth(prior: FilteredGlobalState, effect):
@@ -331,15 +323,13 @@ def generalized_smooth(prior: FilteredGlobalState, effect):
     ``states[j]`` is then NaN instead of raising.  Each state has the bits of
     the single-effect call.
     """
-    if np.ndim(effect) != 3:
-        e, norm = _effect_and_norm(prior, effect)
-        return hermitian_part(_sandwich_marginal(prior.roots, prior.block_dims, e[None]))[0] / norm
-    stack, norms = _effects_and_norms(prior, effect)
+    single = np.ndim(effect) != 3
+    stack, norms = (_effect_and_norm if single else _effects_and_norms)(prior, effect)
     possible = norms > WEIGHT_FLOOR
     states = np.full(stack.shape, np.nan, dtype=complex)
     sandwiched = _sandwich_marginal(prior.roots, prior.block_dims, stack[possible])
     states[possible] = hermitian_part(sandwiched) / norms[possible][:, None, None]
-    return states, possible
+    return states[0] if single else (states, possible)
 
 
 def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:
@@ -349,7 +339,7 @@ def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:
     trace; tracing out the auxiliary of the result recovers the smoothed
     system state.
     """
-    e, norm = _effect_and_norm(prior, effect)
+    (e,), (norm,) = _effect_and_norm(prior, effect)
     return FilteredGlobalState(
         blocks=_sandwich(prior.roots, prior.dim_a1, e) / norm,
         dim_q=prior.dim_q,
@@ -371,7 +361,7 @@ def bob_posterior(prior: FilteredGlobalState, effect) -> np.ndarray:
         raise MissingClassicalRegister(
             f"prior kind {prior.kind!r} carries no classical record register"
         )
-    e, norm = _effect_and_norm(prior, effect)
+    (e,), (norm,) = _effect_and_norm(prior, effect)
     lifted = tensor(e, np.eye(prior.dim_a1))
     probs = np.trace(prior.blocks @ lifted, axis1=1, axis2=2).real
     return np.clip(probs, 0.0, None) / norm

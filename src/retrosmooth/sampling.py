@@ -18,10 +18,6 @@ def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return hermitian_part(ginibre((dim, dim), rng))
-
-
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = ginibre(dim, rng)
     return v / np.linalg.norm(v)

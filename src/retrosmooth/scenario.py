@@ -43,8 +43,6 @@ from .retrodiction import PRIOR_KINDS
 from .trajectory import DEFAULT_ENUMERATION_CAP
 from .trajectory import ConditionalOp, Instrument, JumpChannel, LindbladSpec, discretize
 
-ENV_CAP = "RETROSMOOTH_CAP"
-
 
 # ---------------------------------------------------------------------------
 # deterministic float / JSON formatting
@@ -288,7 +286,7 @@ class Scenario:
             raise ScenarioError("rho0: required")
         theorem1_config(doc)  # read by entropy-scan, but a bad block fails every command
         scenario = cls(
-            name=str(doc.get("name", "scenario")),
+            name=_name(doc),
             system_spec=doc["system"],
             rho0_spec=doc["rho0"],
             steps=steps,
@@ -358,11 +356,14 @@ class Scenario:
         if "custom" in kinds and self.custom_prior is None:
             raise ScenarioError("custom_prior: required when prior kind 'custom' is requested")
 
-    def cap(self) -> int:
-        env = os.environ.get(ENV_CAP)
-        if env is None:
-            return self.enumeration_cap
-        return _integer({ENV_CAP: env}, ENV_CAP, None, minimum=1)
+
+def _name(doc: dict) -> str:
+    """``doc["name"]`` (or ``"scenario"``), which must be a file-name stem: every output is ``<name>_*``."""
+    name = str(doc.get("name", "scenario"))
+    for sep in (os.sep, os.altsep, "\0"):
+        if sep and sep in name:
+            raise ScenarioError(f"name: {name!r} holds {sep!r}, but it must be a file-name stem")
+    return name
 
 
 def _integer(doc: dict, key: str, default, minimum: int | None = None) -> int:

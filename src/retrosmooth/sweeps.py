@@ -57,7 +57,7 @@ def future_table(scenario, built, rho0) -> dict[tuple, list[tuple[tuple, float]]
     """Every record of the scenario's length as ``past -> [(future, p)]``, sorted by past."""
     t = scenario.smoothing_index
     table: dict[tuple, list] = defaultdict(list)
-    for rec, p in enumerate_records(built.instrument, rho0, scenario.steps, scenario.cap()):
+    for rec, p in enumerate_records(built.instrument, rho0, scenario.steps, scenario.enumeration_cap):
         table[rec[:t]].append((rec[t:], p))
     return dict(sorted(table.items()))
 
@@ -89,7 +89,7 @@ def prior_for(scenario, built, kind: str, past, rho0, rho_f):
         rho0=rho0,
         alice_past=past,
         instrument=built.instrument,
-        cap=scenario.cap(),
+        cap=scenario.enumeration_cap,
         rho_f=rho_f,
     )
 
@@ -229,7 +229,7 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
         )
     rho0 = scenario.rho0(built.dim)
     prior0 = np.diag(rho0).real
-    enumerated = enumerate_records(built.instrument, rho0, scenario.steps, scenario.cap())
+    enumerated = enumerate_records(built.instrument, rho0, scenario.steps, scenario.enumeration_cap)
     records = [(rec, p) for rec, p in enumerated if p > PROB_FLOOR]
     worst = {kind: 0.0 for kind in kinds}
     for t in range(scenario.steps + 1):

@@ -286,10 +286,7 @@ def walk(
     for labels in label_sets:
         if labels not in kraus_stacks:
             kraus_stacks[labels] = _kraus_stack(instrument, labels, np.eye(int(dim_extra)))
-        (_, ops, ops_dag), *rest = kraus_stacks[labels]
-        out = ops @ sigma[:, None] @ ops_dag
-        for idx, ops, ops_dag in rest:
-            out[:, idx] += ops @ sigma[:, None] @ ops_dag
+        out = _conjugate(kraus_stacks[labels], sigma)
         # branch-major, label-minor: the lexicographic order of the records
         out = out.reshape(-1, *sigma.shape[1:])
         keep = out.any(axis=(1, 2))
@@ -311,6 +308,15 @@ def _kraus_stack(instrument, labels: tuple, eye: np.ndarray) -> list:
         ops = np.stack([tensor(kraus[i][j], eye) for i in idx])
         positions.append((idx, ops, dag(ops)))
     return positions
+
+
+def _conjugate(positions: list, sigma: np.ndarray) -> np.ndarray:
+    """Each label's ``sum_j K_j sigma K_j†`` over a :func:`_kraus_stack`, as ``(n, labels, D, D)``."""
+    (_, ops, ops_dag), *rest = positions
+    out = ops @ sigma[:, None] @ ops_dag
+    for idx, ops, ops_dag in rest:
+        out[:, idx] += ops @ sigma[:, None] @ ops_dag
+    return out
 
 
 def enumerate_records(
@@ -344,14 +350,12 @@ def sample_records(instrument, rho0, steps: int, n: int, rng) -> list[tuple]:
     rho = as_density(rho0, "rho0")
     labels = instrument.outcome_labels
     uniforms = gen.random((int(n), int(steps)))
-    (_, ops, ops_dag), *rest = _kraus_stack(instrument, labels, np.eye(1))
+    positions = _kraus_stack(instrument, labels, np.eye(1))
     rows = np.arange(uniforms.shape[0])
     sigma = np.broadcast_to(rho, (rows.size, *rho.shape))
     picks = np.empty(uniforms.shape, dtype=int)
     for step, u in enumerate(uniforms.T):
-        out = ops @ sigma[:, None] @ ops_dag
-        for idx, ops_j, ops_j_dag in rest:
-            out[:, idx] += ops_j @ sigma[:, None] @ ops_j_dag
+        out = _conjugate(positions, sigma)
         weights = np.clip(np.trace(out, axis1=2, axis2=3).real, 0.0, None)
         cdf = (weights / weights.sum(axis=1, keepdims=True)).cumsum(axis=1)
         # each row is nondecreasing: its count of entries <= u is its searchsorted
@@ -362,8 +366,3 @@ def sample_records(instrument, rho0, steps: int, n: int, rng) -> list[tuple]:
         sigma = hermitian_part(out[rows, k] / w[:, None, None])
         picks[:, step] = k
     return [tuple(labels[k] for k in row) for row in picks.tolist()]
-
-
-def sample_record(instrument, rho0, steps: int, rng) -> tuple:
-    """Sample one record: the ``n = 1`` case of :func:`sample_records`."""
-    return sample_records(instrument, rho0, steps, 1, rng)[0]

@@ -185,7 +185,7 @@ def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
                 f"a future of {sweeps.render(s.past)!r} has vanishing probability"
             )
         for effect, got in zip(s.effects[live], s.states[live]):
-            ref = branch_mixture_smooth(built.instrument, rho0, s.past, effect, cap=sc.cap())
+            ref = branch_mixture_smooth(built.instrument, rho0, s.past, effect, cap=sc.enumeration_cap)
             worst = max(worst, trace_norm(got - ref))
     passed = worst <= 1e-8 and not errors
     return CheckResult(
@@ -203,7 +203,7 @@ def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
     sc, built, rho0, table = _setup(scenario)
     t = sc.smoothing_index
     try:
-        joint_table = enumerate_records(built.instrument.joint, rho0, sc.steps, sc.cap())
+        joint_table = enumerate_records(built.instrument.joint, rho0, sc.steps, sc.enumeration_cap)
     except EnumerationTooLarge as exc:
         return CheckResult(name, False, 0.0, 1e-9, f"joint records: {exc}")
     # per alice record: its probability and the mass of each bob past

@@ -52,7 +52,7 @@ def demo():
     rho0 = sc.rho0(built.dim)
     t = sc.smoothing_index
     table = defaultdict(list)
-    for rec, p in enumerate_records(built.instrument, rho0, sc.steps, sc.cap()):
+    for rec, p in enumerate_records(built.instrument, rho0, sc.steps, sc.enumeration_cap):
         table[rec[:t]].append((rec[t:], p))
     priors = {}
     filtered = {}
@@ -160,7 +160,7 @@ def test_criterion_04_classical_limit(criterion_report):
             rho0 = sc.rho0(built.dim)
             prior0 = np.diag(rho0).real
             kinds = ("pf", "gw-variant") if n_states == 2 else ("pf",)
-            for rec, p in enumerate_records(built.instrument, rho0, sc.steps, sc.cap()):
+            for rec, p in enumerate_records(built.instrument, rho0, sc.steps, sc.enumeration_cap):
                 if p <= 1e-12:
                     continue
                 for t in range(sc.steps + 1):
@@ -296,7 +296,7 @@ def test_criterion_08_record_register_posterior(criterion_report, demo):
     built, rho0, t = demo["built"], demo["rho0"], demo["t"]
     sc = demo["scenario"]
     with Timer() as timer:
-        joint_table = enumerate_records(built.instrument.joint, rho0, sc.steps, sc.cap())
+        joint_table = enumerate_records(built.instrument.joint, rho0, sc.steps, sc.enumeration_cap)
         worst = 0.0
         for past, futs in demo["table"].items():
             if sum(p for _, p in futs) <= 1e-12:

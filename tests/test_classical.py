@@ -10,7 +10,6 @@ from retrosmooth.classical import (
     classical_smooth,
     conditional_map,
     sample_classical_trajectories,
-    sample_classical_trajectory,
 )
 from retrosmooth.errors import InvalidMatrix, UnknownOutcome, ZeroProbabilityRecord
 
@@ -203,20 +202,20 @@ def sequential_trajectory(model, prior, steps, gen):
 
 class TestSampling:
     def test_zero_steps(self):
-        path, record = sample_classical_trajectory(model2(), [0.5, 0.5], 0, 1)
+        (path,), (record,) = sample_classical_trajectories(model2(), [0.5, 0.5], 0, 1, 1)
         assert record == [] and len(path) == 1
 
     def test_deterministic_model(self):
         model = ClassicalModel(
             np.eye(2), {"0": np.array([1.0, 0.0]), "1": np.array([0.0, 1.0])}
         )
-        path, record = sample_classical_trajectory(model, [0.0, 1.0], 4, 7)
+        (path,), (record,) = sample_classical_trajectories(model, [0.0, 1.0], 4, 1, 7)
         assert path == [1] * 5
         assert record == ["1"] * 4
 
     def test_seed_determinism(self):
-        a = sample_classical_trajectory(model2(), [0.5, 0.5], 6, 99)
-        b = sample_classical_trajectory(model2(), [0.5, 0.5], 6, 99)
+        a = sample_classical_trajectories(model2(), [0.5, 0.5], 6, 1, 99)
+        b = sample_classical_trajectories(model2(), [0.5, 0.5], 6, 1, 99)
         assert a == b
 
     @pytest.mark.parametrize("seed", [3, 99, 2024])

@@ -397,10 +397,10 @@ class TestVerifySuite:
         assert result.residual > 1e-4
         assert "injected-defect" in result.name
 
-    def test_gw_checks_fail_beyond_cap(self, monkeypatch):
+    def test_gw_checks_fail_beyond_cap(self):
         # the 4 alice records fit the cap; 16 bob branches per past and 64 joint records do not
-        monkeypatch.setenv("RETROSMOOTH_CAP", "4")
         sc = classical_demo_scenario(2, steps=2)
+        sc.enumeration_cap = 4
         mixture = verify.check_branch_mixture(sc)
         assert not mixture.passed and "prior errors=4" in mixture.detail
         posterior = verify.check_bob_posterior(sc)
@@ -704,9 +704,10 @@ class TestMainEntry:
         )
         assert code == 2
 
-    def test_cap_env_var_is_enforced(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RETROSMOOTH_CAP", "4")
-        code = main(["smooth", "--scenario", "demo", "--enumerate", "--out", str(tmp_path)])
+    def test_cap_env_var_is_enforced(self, tmp_path):
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps({**demo_scenario().raw, "enumeration_cap": 4}))
+        code = main(["smooth", "--scenario", str(path), "--enumerate", "--out", str(tmp_path)])
         assert code == 1
 
     def test_full_pipeline_from_files(self, tmp_path):
@@ -717,3 +718,24 @@ class TestMainEntry:
         assert main(["smooth", "--scenario", scenario_path, "--record", record, "--out", out]) == 0
         assert main(["entropy-scan", "--scenario", scenario_path, "--demo-svb", "--out", out]) == 0
         assert main(["classical-limit", "--scenario", "scenarios/classical-2state.json", "--out", out]) == 0
+
+    WRITING_COMMANDS = {"simulate": [], "smooth": ["--enumerate"], "entropy-scan": [], "classical-limit": []}
+
+    @pytest.mark.parametrize("name", ["sub/dir", "nul\0name", "../escaped"])
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+    def test_name_that_is_not_a_file_stem_is_config_error(self, tmp_path, capsys, command, name):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({**classical_demo_scenario().raw, "name": name}))
+        out = tmp_path / "work" / "out"
+        (out / "sub").mkdir(parents=True)
+        code = main([command, "--scenario", str(scenario), *self.WRITING_COMMANDS[command], "--out", str(out)])
+        _assert_config_error(capsys, code, "name: ")
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scenario]
+
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+    def test_out_that_is_a_file_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("a file")
+        args = [command, "--scenario", "demo", *self.WRITING_COMMANDS[command], "--out", str(out)]
+        _assert_config_error(capsys, main(args), f"--out: cannot create directory {out}")
+        assert [p for p in tmp_path.rglob("*")] == [out] and out.read_text() == "a file"

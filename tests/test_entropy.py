@@ -10,7 +10,6 @@ from retrosmooth.entropy import (
     lambda_choi,
     lambda_map,
     no_universal_quantifier_demo,
-    outcome_probs,
     sandwich_bound,
     smoothed_outcome_states,
     support_basis,
@@ -74,19 +73,24 @@ class TestScenarioValidation:
             scenario(MIXED, GAMMA1, (2, 2), (proj(K0),))
 
 
+def born_probs(s: ExtensionScenario) -> np.ndarray:
+    """The outcome probabilities ``Tr[E_i gamma]`` of measuring the marginal, clipped at zero."""
+    return np.clip(np.trace(np.stack(s.effects) @ s.gamma, axis1=1, axis2=2).real, 0.0, None)
+
+
 class TestOutcomeProbs:
     def test_trivial_povm(self):
         s = scenario(MIXED, GAMMA1, (2, 2), (np.eye(2),))
-        np.testing.assert_allclose(outcome_probs(s), [1.0])
+        np.testing.assert_allclose(born_probs(s), [1.0])
 
     def test_mixed_z(self):
         s = scenario(MIXED, GAMMA1, (2, 2), Z_POVM)
-        np.testing.assert_allclose(outcome_probs(s), [0.5, 0.5])
+        np.testing.assert_allclose(born_probs(s), [0.5, 0.5])
 
     def test_diagonal(self):
         gamma = np.diag([0.75, 0.25])
         s = scenario(gamma, tensor(gamma, proj(K0)), (2, 2), Z_POVM)
-        np.testing.assert_allclose(outcome_probs(s), [0.75, 0.25])
+        np.testing.assert_allclose(born_probs(s), [0.75, 0.25])
 
 
 class TestSmoothedOutcomeStates:
@@ -114,7 +118,7 @@ class TestSmoothedOutcomeStates:
         rng = np.random.default_rng(11)
         for _ in range(20):
             s = random_scenario(rng)
-            probs = outcome_probs(s)
+            probs = born_probs(s)
             total = sum(
                 p * st for p, st in zip(probs, smoothed_outcome_states(s)) if st is not None
             )
@@ -125,7 +129,7 @@ class TestSmoothedOutcomeStates:
         rng = np.random.default_rng(19)
         for _ in range(20):
             s = random_scenario(rng)
-            probs = outcome_probs(s)
+            probs = born_probs(s)
             for e, p, st in zip(s.effects, probs, smoothed_outcome_states(s)):
                 lifted = tensor(e, np.eye(s.extension.dim_a1))
                 sandwich = s.extension.roots @ lifted @ s.extension.roots
@@ -161,7 +165,7 @@ class TestAvgEntropy:
         rng = np.random.default_rng(12)
         for _ in range(10):
             s = random_scenario(rng)
-            probs = outcome_probs(s)
+            probs = born_probs(s)
             states = smoothed_outcome_states(s)
             n, d = len(probs), s.gamma.shape[0]
             cq = np.zeros((n * d, n * d), dtype=complex)

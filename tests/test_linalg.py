@@ -14,7 +14,7 @@ from retrosmooth.errors import (
 from retrosmooth.linalg import (
     PSD_HARD,
     as_density,
-    as_hermitian_stack,
+    as_hermitian,
     as_povm,
     entropy_shannon,
     entropy_vn,
@@ -28,7 +28,6 @@ from retrosmooth.linalg import (
     support_basis,
     support_basis_and_inv_sqrt,
     support_inv_sqrt,
-    support_projector,
     tensor,
     trace_norm,
 )
@@ -59,7 +58,7 @@ class TestHermEig:
     def test_reconstruction_random(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            m = sampling.random_hermitian(4, rng)
+            m = hermitian_part(sampling.ginibre((4, 4), rng))
             w, v = herm_eig(m)
             scale = max(1.0, np.abs(m).max())
             assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-10 * scale
@@ -143,19 +142,43 @@ class TestStackedPsdSqrt:
             psd_sqrt(stack)
         psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -0.5 * PSD_HARD])]))
 
-    def test_stack_validation(self):
-        with pytest.raises(InvalidMatrix):
-            as_hermitian_stack(np.zeros((2, 2, 3)))
-        with pytest.raises(InvalidMatrix):
-            as_hermitian_stack(np.stack([np.eye(2), [[np.inf, 0], [0, 1]]]))
-        with pytest.raises(InvalidMatrix):
-            as_hermitian_stack(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
-        # each block is held to its own scale: 1e-12 of a block of size 1e3 passes
-        big = np.array([[1e3, 1e-10], [0.0, 1e3]])
-        as_hermitian_stack(np.stack([np.eye(2), big]))
+
+# a member of a stack for as_hermitian, held to its own scale, and the error it raises alone
+STACK_MEMBERS = {
+    # Hermitian up to round-off, so the symmetrized bits depend on the entries
+    "round-off": (
+        hermitian_part(sampling.ginibre((2, 2), np.random.default_rng(31)))
+        + 1e-14 * sampling.ginibre((2, 2), np.random.default_rng(37)),
+        None,
+    ),
+    # 1e-10 off is within 1e-12 of a member of scale 1e3
+    "large-scale": (np.array([[1e3, 1e-10], [0.0, 1e3]]), None),
+    "non-finite": (np.array([[np.inf, 0.0], [0.0, 1.0]]), InvalidMatrix),
+    "non-hermitian": (np.array([[0.0, 1.0], [0.0, 0.0]]), InvalidMatrix),
+    # 1e-11 off at scale one fails, however large its neighbours in the stack
+    "non-hermitian-at-own-scale": (np.array([[1.0, 1e-11], [0.0, 1.0]]), InvalidMatrix),
+}
 
 
 class TestStackedValidators:
+    @pytest.mark.parametrize("member", list(STACK_MEMBERS))
+    def test_as_hermitian_stack_member(self, member):
+        m, error = STACK_MEMBERS[member]
+        stack = np.stack([np.eye(2), np.diag([1e3, -1e3]), m])
+        if error is not None:
+            with pytest.raises(error):
+                as_hermitian(m)
+            with pytest.raises(error):
+                as_hermitian(stack)
+            return
+        got = as_hermitian(stack)
+        for one, matrix in zip(got, stack):
+            assert one.tobytes() == as_hermitian(matrix).tobytes()
+
+    def test_as_hermitian_rejects_non_square_stack(self):
+        with pytest.raises(InvalidMatrix, match="must be square"):
+            as_hermitian(np.zeros((2, 2, 3)))
+
     def test_as_density_stack(self):
         rng = np.random.default_rng(23)
         stack = np.stack([sampling.random_density(3, rng) for _ in range(4)])
@@ -214,7 +237,8 @@ class TestSupportInvSqrt:
             rank = int(rng.integers(1, d + 1))
             m = sampling.random_density(d, rng, rank=rank)
             r = support_inv_sqrt(m)
-            np.testing.assert_allclose(r @ m @ r, support_projector(m), atol=1e-9)
+            basis = support_basis(m)
+            np.testing.assert_allclose(r @ m @ r, basis @ basis.conj().T, atol=1e-9)
 
 
 class TestPartialTraceTensor:
@@ -238,8 +262,8 @@ class TestPartialTraceTensor:
     def test_product_state(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            a = sampling.random_hermitian(2, rng)
-            b = sampling.random_hermitian(3, rng)
+            a = hermitian_part(sampling.ginibre((2, 2), rng))
+            b = hermitian_part(sampling.ginibre((3, 3), rng))
             np.testing.assert_allclose(
                 partial_trace(tensor(a, b), (2, 3), "Q"), a * b.trace(), atol=1e-12
             )
@@ -253,7 +277,7 @@ class TestPartialTraceTensor:
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(9)
-        m = sampling.random_hermitian(6, rng)
+        m = hermitian_part(sampling.ginibre((6, 6), rng))
         np.testing.assert_allclose(partial_trace(m, (2, 3), "Q").trace(), m.trace(), atol=1e-12)
 
     def test_tensor_stack_matches_kron(self):

@@ -70,3 +70,17 @@ def test_support_cut_has_one_site():
 
 def test_entropy_keeps_support_basis():
     assert entropy.support_basis is linalg.support_basis
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [(r"isfinite\(.*\)\.all\(\)|all\(np\.isfinite", "non-finite"), (r"(\w+) - dag\(\1\)", "not Hermitian")],
+    ids=["finite-entries", "hermiticity"],
+)
+def test_validity_check_has_one_site(check, message):
+    # one test and one raise, in linalg, serve a single matrix and a stack alike
+    for pattern in (check, message):
+        sites = [
+            p.name for p in SRC.glob("*.py") for line in p.read_text().splitlines() if re.search(pattern, line)
+        ]
+        assert sites == ["linalg.py"], pattern

@@ -18,8 +18,8 @@ from retrosmooth.linalg import (
     hermitian_part,
     partial_trace,
     psd_sqrt,
+    support_basis,
     support_inv_sqrt,
-    support_projector,
     tensor,
     trace_norm,
 )
@@ -108,7 +108,8 @@ class TestPetzMap:
             channel = ChannelRep(tuple(sampling.random_kraus_channel(2, 3, 2, rng)))
             gamma = sampling.random_density(2, rng)
             sigma = sampling.random_density(3, rng)
-            proj = support_projector(hermitian_part(channel.apply(gamma)))
+            basis = support_basis(hermitian_part(channel.apply(gamma)))
+            proj = basis @ basis.conj().T
             sigma = proj @ sigma @ proj
             sigma = hermitian_part(sigma / sigma.trace().real)
             np.testing.assert_allclose(
@@ -150,7 +151,8 @@ class TestExtendedPetz:
         prior = build_custom(np.outer(psi, psi.conj()), (2, 2))
         for _ in range(5):
             sigma = sampling.random_density(2, rng)
-            proj = support_projector(hermitian_part(channel.apply(gamma)))
+            basis = support_basis(hermitian_part(channel.apply(gamma)))
+            proj = basis @ basis.conj().T
             sigma = proj @ sigma @ proj
             sigma = hermitian_part(sigma / sigma.trace().real)
             np.testing.assert_allclose(extended_petz(channel, prior, sigma), gamma, atol=1e-9)

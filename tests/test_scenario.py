@@ -149,16 +149,6 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="bad.json:2"):
             Scenario.from_file(p)
 
-    def test_cap_env_override(self, monkeypatch):
-        sc = demo_scenario()
-        monkeypatch.setenv("RETROSMOOTH_CAP", "123")
-        assert sc.cap() == 123
-        monkeypatch.setenv("RETROSMOOTH_CAP", "x")
-        with pytest.raises(ScenarioError):
-            sc.cap()
-        monkeypatch.delenv("RETROSMOOTH_CAP")
-        assert sc.cap() == sc.enumeration_cap
-
 
 class TestClassicalRealization:
     def test_joint_is_complete_and_rank_one(self):

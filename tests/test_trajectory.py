@@ -23,7 +23,6 @@ from retrosmooth.trajectory import (
     enumerate_records,
     filter as filter_state,
     retrofilter,
-    sample_record,
     sample_records,
 )
 
@@ -280,17 +279,17 @@ def sequential_record(instrument, rho0, steps, gen):
 
 class TestSample:
     def test_zero_steps(self):
-        assert sample_record(projective_z(), np.eye(2) / 2, 0, 5) == ()
+        assert sample_records(projective_z(), np.eye(2) / 2, 0, 1, 5) == [()]
         assert sample_records(projective_z(), np.eye(2) / 2, 0, 3, 5) == [()] * 3
 
     def test_single_outcome(self):
         inst = Instrument({"0": ConditionalOp((np.eye(2),))})
-        assert sample_record(inst, np.eye(2) / 2, 5, 0) == ("0",) * 5
+        assert sample_records(inst, np.eye(2) / 2, 5, 1, 0) == [("0",) * 5]
 
     def test_seed_determinism(self):
         joint = discretize(decay_spec(eta=0.5, omega=1.0)).joint
-        a = sample_record(joint, np.eye(2) / 2, 5, 42)
-        b = sample_record(joint, np.eye(2) / 2, 5, 42)
+        a = sample_records(joint, np.eye(2) / 2, 5, 1, 42)
+        b = sample_records(joint, np.eye(2) / 2, 5, 1, 42)
         assert a == b
 
     @pytest.mark.parametrize("seed", [29, 11, 7])
