@@ -90,6 +90,7 @@ def cmd_smooth(
     rho0 = scenario.rho0(built.dim)
     kinds = prior_kinds or scenario.prior_kinds
     scenario.require_kinds(kinds)
+    memo = sweeps.Memo(built.instrument, rho0)  # serves the record table and the smoothing pass
 
     if enumerate_futures:
         table = sweeps.future_table(scenario, built, rho0)
@@ -105,11 +106,11 @@ def cmd_smooth(
             unknown = [y for y in alice if y not in alphabet]
             if unknown:
                 raise ScenarioError(f"{record_path}: outcome {unknown[0]!r} not in alphabet {alphabet}")
-        table = sweeps.record_table(scenario, built, rho0, records)
+        table = sweeps.record_table(scenario, memo, records)
 
     lines, doc_priors, residuals, register = [], {}, {}, {"gw": {}, "gw-variant": {}}
     name = _text(scenario.name)
-    for s in sweeps.smooth_table(scenario, built, rho0, table, kinds, complete=enumerate_futures):
+    for s in sweeps.smooth_table(scenario, built, rho0, table, kinds, complete=enumerate_futures, memo=memo):
         entry = doc_priors.setdefault(s.kind, {})
         residuals.setdefault(s.kind, None)
         key = sweeps.render(s.past)
@@ -369,13 +370,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return 0 if cmd_verify(args.seed) else 1
 
+        # a scenario that does not load leaves no --out directory behind
+        sc = None if args.command == "entropy-scan" and not args.scenario else _load_scenario(args)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ScenarioError(f"--out: cannot create directory {out_dir}: {exc.strerror or exc}") from None
         if args.command == "entropy-scan":
-            sc = _load_scenario(args) if args.scenario else None
             seed = args.seed if args.seed is not None else (sc.seed if sc else 0)
             cmd_entropy_scan(
                 sc,
@@ -385,8 +387,6 @@ def main(argv=None) -> int:
                 seed=seed,
             )
             return 0
-
-        sc = _load_scenario(args)
         if args.command == "simulate":
             n = args.trajectories if args.trajectories is not None else sc.n_trajectories
             if n < 0:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -183,8 +184,11 @@ def _build_system(spec: dict) -> BuiltSystem:
     kind = spec["type"]
     if kind == "lindblad":
         ham = matrix_from_json(spec.get("hamiltonian"), "system.hamiltonian")
+        jump_ops = spec.get("jump_operators", [])
+        if not isinstance(jump_ops, list):
+            raise ScenarioError(f"system.jump_operators: expected a list, got {jump_ops!r}")
         channels = []
-        for i, ch in enumerate(spec.get("jump_operators", [])):
+        for i, ch in enumerate(jump_ops):
             where = f"system.jump_operators[{i}]"
             if not isinstance(ch, dict) or "matrix" not in ch:
                 raise ScenarioError(f"{where}: expected an object with a 'matrix'")
@@ -270,6 +274,8 @@ class Scenario:
         if "steps" not in doc:
             raise ScenarioError("steps: required integer")
         steps = _integer(doc, "steps", None, minimum=0)
+        if steps > sys.maxsize:  # no command can index that many steps
+            raise ScenarioError(f"steps: must be at most {sys.maxsize}, got {steps}")
         t = _integer(doc, "smoothing_time_index", steps, minimum=0)
         if t > steps:
             raise ScenarioError(f"smoothing_time_index: {t} outside [0, {steps}]")
@@ -526,15 +532,19 @@ def read_trajectories(path) -> tuple[dict, list[list[tuple[str, str | None]]]]:
     except json.JSONDecodeError:
         raise ScenarioError(f"{path}:1: malformed header line") from None
     records: list[list[tuple[str, str | None]]] = []
+    parsed: dict[str, tuple[int, tuple[str, str | None]]] = {}  # each distinct valid line, parsed once
     for n, line in enumerate(text[1:], start=2):
-        try:
-            entry = json.loads(line)
-            step, alice, bob = int(entry["step"]), str(entry["alice"]), entry["bob"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise ScenarioError(f"{path}:{n}: malformed record line") from None
+        if (entry := parsed.get(line)) is None:
+            try:
+                doc = json.loads(line)
+                step, alice, bob = int(doc["step"]), str(doc["alice"]), doc["bob"]
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+                raise ScenarioError(f"{path}:{n}: malformed record line") from None
+            entry = parsed[line] = step, (alice, None if bob is None else str(bob))
+        step, label = entry
         if step == 0:
             records.append([])
         if not records or step != len(records[-1]):
             raise ScenarioError(f"{path}:{n}: step index {step} out of sequence")
-        records[-1].append((alice, None if bob is None else str(bob)))
+        records[-1].append(label)
     return header, records

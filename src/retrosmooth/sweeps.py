@@ -22,7 +22,9 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
 
 Within one pass each distinct future is retrofiltered once and each
 distinct past filtered once, shared by every prior kind and by the prior
-builds that need the filtered state.
+builds that need the filtered state.  A :class:`Memo` holds them, and it
+steps each distinct prefix of the pasts it filters once: records share long
+prefixes, and a table is filtered in sorted order.
 """
 
 from __future__ import annotations
@@ -39,12 +41,14 @@ from .linalg import WEIGHT_FLOOR, as_density, entropy_vn, trace_norm
 from .retrodiction import FilteredGlobalState, generalized_smooth
 from .sampling import density_from, extension_from, povm_from
 from .smoothers import build_custom, build_prior
-from .trajectory import enumerate_records, filter as filter_state, retrofilter
+from .trajectory import enumerate_records, filter_step, retrofilter
 
 PROB_FLOOR = 1e-12
 # matrix entries of the largest stack one theorem-1 pass builds, its outcomes' sandwiches: bounds the
-# sweep's memory (a pass holds a few such stacks) at a small cost in speed
-THEOREM1_PASS_ENTRIES = 2048
+# sweep's memory (a pass holds a few such stacks).  A pass has about 2 ms of fixed numpy cost, and
+# 1,000 record-entropy rows take 21 passes here, 99 at 2,048.  Sized on record-entropy (seed 11, one
+# BLAS thread): peak RSS 43.9 MB here, 43.5 MB at 2,048, 45.1-46.2 MB at 32,768
+THEOREM1_PASS_ENTRIES = 16384
 
 ZERO_PAST = "zero-probability past record"
 
@@ -62,12 +66,16 @@ def future_table(scenario, built, rho0) -> dict[tuple, list[tuple[tuple, float]]
     return dict(sorted(table.items()))
 
 
-def record_table(scenario, built, rho0, records) -> dict[tuple, list[tuple[tuple, float]]]:
-    """Distinct observed records, grouped and sorted like :func:`future_table`."""
+def record_table(scenario, memo: Memo, records) -> dict[tuple, list[tuple[tuple, float]]]:
+    """Distinct observed records, grouped and sorted like :func:`future_table`.
+
+    Each record's probability comes from ``memo``, which filters the record's
+    past on the way and keeps it for a :func:`smooth_table` pass given the same memo.
+    """
     t = scenario.smoothing_index
-    memo = _Memo(built.instrument, rho0)
     table: dict[tuple, list] = {}
     for rec in sorted(set(records)):
+        memo["past", rec[:t]]  # filtered on the way to the record, held for the smoothing pass
         table.setdefault(rec[:t], []).append((rec[t:], memo["past", rec][1]))
     return table
 
@@ -94,19 +102,27 @@ def prior_for(scenario, built, kind: str, past, rho0, rho_f):
     )
 
 
-class _Memo(dict):
+class Memo(dict):
     """What one sweep derives from a record, each computed on first use.
 
     ``memo["future", future]`` is the retrofiltered effect of a future and
-    ``memo["past", past]`` is ``(rho_F, probability)`` of a past from one
-    :func:`filter` call, ``(None, 0.0)`` when filtering finds it impossible.
-    One instance serves a whole sweep, so every prior kind shares them.
+    ``memo["past", past]`` is ``(rho_F, probability)`` of a past, with the
+    bits of one :func:`~retrosmooth.trajectory.filter` call, ``(None, 0.0)``
+    when filtering finds it impossible.  One instance serves a whole sweep, so
+    every prior kind shares them.
+
+    The memo keeps the filter path of the last past it filtered, one
+    ``(rho, log_prob)`` per step: a new past is cut back to the prefix it
+    shares with that path and stepped forward from there, so each distinct
+    prefix of pasts asked for in sorted order is filtered once, in
+    ``O(steps * d**2)`` memory.
     """
 
     def __init__(self, instrument, rho0):
         super().__init__()
         self.instrument = instrument
-        self.rho0 = rho0
+        self.labels: list = []
+        self.path = [(as_density(rho0, "rho0"), 0.0)]
 
     def __missing__(self, key):
         role, record = key
@@ -114,12 +130,25 @@ class _Memo(dict):
             value = retrofilter(self.instrument, record)
         else:
             try:
-                rho_f, log_prob = filter_state(self.instrument, self.rho0, record)
+                rho_f, log_prob = self._filter(record)
                 value = (rho_f, float(np.exp(log_prob)))
             except ZeroProbabilityRecord:
                 value = (None, 0.0)
         self[key] = value
         return value
+
+    def _filter(self, record) -> tuple[np.ndarray, float]:
+        """``filter(instrument, rho0, record)``, stepping only past the prefix shared with the path."""
+        k = 0
+        for y, z in zip(record, self.labels):
+            if y != z:
+                break
+            k += 1
+        del self.labels[k:], self.path[k + 1 :]
+        for y in record[k:]:
+            self.path.append(filter_step(self.instrument, *self.path[-1], y))
+            self.labels.append(y)
+        return self.path[-1]
 
 
 class Smoothed(NamedTuple):
@@ -152,14 +181,16 @@ class Smoothed(NamedTuple):
         return trace_norm(avg - self.rho_f)
 
 
-def smooth_table(scenario, built, rho0, table, kinds, *, complete: bool):
+def smooth_table(scenario, built, rho0, table, kinds, *, complete: bool, memo: Memo | None = None):
     """Every future of every (prior kind, past) of a table smoothed, as :class:`Smoothed`, kind-major.
 
     ``complete`` marks that the table lists every future of each past, whose
     probability is then the sum of theirs; otherwise the past is filtered for
-    it.  A past at or below :data:`PROB_FLOOR` is not smoothed.
+    it.  A past at or below :data:`PROB_FLOOR` is not smoothed.  ``memo``, a
+    :class:`Memo` of the same instrument and ``rho0``, defaults to a new one.
     """
-    memo = _Memo(built.instrument, rho0)
+    if memo is None:
+        memo = Memo(built.instrument, rho0)
     for kind in kinds:
         for past, futures in table.items():
             p_past = sum(p for _, p in futures) if complete else memo["past", past][1]

@@ -33,7 +33,7 @@ from .errors import (
     ZeroProbabilityRecord,
 )
 from .linalg import IDENTITY_TOL, SUBNORMAL_TOL, WEIGHT_FLOOR, as_density, as_square, dag
-from .linalg import completeness_defect, hermitian_part, psd_sqrt, require_complete, tensor
+from .linalg import completeness_defect, hermitian_part, psd_sqrt, require_complete, require_finite, tensor
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -198,19 +198,20 @@ def discretize(spec: LindbladSpec) -> Instrument:
     d = spec.dim
     h = hermitian_part(np.asarray(spec.hamiltonian))
     eye = np.eye(d)
-    sink = sum((dag(ch.operator) @ ch.operator for ch in spec.jump_ops), np.zeros((d, d), complex))
-    m0_raw = eye - (1j * h + 0.5 * sink) * spec.dt
-
-    jumps: dict[tuple[str, str], np.ndarray] = {}
-    for c, ch in enumerate(spec.jump_ops):
-        label = str(c + 1)
-        if ch.efficiency > 0.0:
-            jumps[(label, "0")] = np.sqrt(ch.efficiency * spec.dt) * ch.operator
-        if ch.efficiency < 1.0:
-            jumps[("0", label)] = np.sqrt((1.0 - ch.efficiency) * spec.dt) * ch.operator
-
-    jump_gram = sum((dag(m) @ m for m in jumps.values()), np.zeros((d, d), complex))
-    gap = hermitian_part(eye - jump_gram)
+    # an entry too large for a float overflows the step: require_finite rejects it below, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        sink = sum((dag(ch.operator) @ ch.operator for ch in spec.jump_ops), np.zeros((d, d), complex))
+        m0_raw = eye - (1j * h + 0.5 * sink) * spec.dt
+        jumps: dict[tuple[str, str], np.ndarray] = {}
+        for c, ch in enumerate(spec.jump_ops):
+            label = str(c + 1)
+            if ch.efficiency > 0.0:
+                jumps[(label, "0")] = np.sqrt(ch.efficiency * spec.dt) * ch.operator
+            if ch.efficiency < 1.0:
+                jumps[("0", label)] = np.sqrt((1.0 - ch.efficiency) * spec.dt) * ch.operator
+        jump_gram = sum((dag(m) @ m for m in jumps.values()), np.zeros((d, d), complex))
+        gap = hermitian_part(eye - jump_gram)
+    require_finite(np.stack([m0_raw, gap]), "discretized step")
     if np.linalg.eigvalsh(gap)[0] < -IDENTITY_TOL:
         raise StepTooCoarse("jump probabilities exceed one within a single step; reduce dt")
     w, _, vh = np.linalg.svd(m0_raw)
@@ -231,15 +232,18 @@ def filter(instrument, rho0, record) -> tuple[np.ndarray, float]:
     Normalizes after every step; raises :class:`ZeroProbabilityRecord` if any
     step has vanishing weight.
     """
-    rho = as_density(rho0, "rho0")
-    log_prob = 0.0
+    rho, log_prob = as_density(rho0, "rho0"), 0.0
     for y in record:
-        out, w = apply_conditional(instrument.op(y), rho)
-        if w <= WEIGHT_FLOOR:
-            raise ZeroProbabilityRecord(f"record impossible at outcome {y!r}")
-        rho = hermitian_part(out / w)
-        log_prob += float(np.log(w))
+        rho, log_prob = filter_step(instrument, rho, log_prob, y)
     return rho, log_prob
+
+
+def filter_step(instrument, rho, log_prob: float, y) -> tuple[np.ndarray, float]:
+    """One step of :func:`filter`: the state after outcome ``y`` and the log-probability so far."""
+    out, w = apply_conditional(instrument.op(y), rho)
+    if w <= WEIGHT_FLOOR:
+        raise ZeroProbabilityRecord(f"record impossible at outcome {y!r}")
+    return hermitian_part(out / w), log_prob + float(np.log(w))
 
 
 def retrofilter(instrument, record) -> np.ndarray:
@@ -332,6 +336,8 @@ def enumerate_records(
     labels = instrument.outcome_labels
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if len(labels) > 1 and steps > cap.bit_length():  # len(labels)**steps >= 2**steps > cap, uncomputed
+        raise EnumerationTooLarge(f"{len(labels)}**{steps} records exceed the cap of {cap}")
     records, ops = walk(instrument, as_density(rho0, "rho0"), [labels] * steps, cap=cap)
     probs = {r: max(float(op.trace().real), 0.0) for r, op in zip(records, ops)}
     return [(r, probs.get(r, 0.0)) for r in itertools.product(labels, repeat=steps)]

@@ -114,26 +114,67 @@ class TestSmooth:
         sc = Scenario.from_dict({**demo_scenario().raw, "steps": 40, "smoothing_time_index": 20})
         path = cmd_simulate(sc, 40, tmp_path)
         records = [tuple(a for a, _ in rec) for rec in read_trajectories(path)[1]]
-        calls = {"sweeps": Counter(), "smoothers": Counter()}
+        memos, stepped, filtered = [], [], Counter()
 
-        def counting(where):
-            def wrapped(instrument, rho0, record):
-                calls[where][tuple(record)] += 1
-                return trajectory.filter(instrument, rho0, record)
+        class CountingMemo(sweeps.Memo):
+            def __init__(self, *args):
+                super().__init__(*args)
+                memos.append(self)
+                stepped.append(Counter())
 
-            return wrapped
+        def counting_step(instrument, rho, log_prob, y):
+            # a memo steps from the end of its path, so the prefix stepped is its labels plus y
+            i = next(i for i, memo in enumerate(memos) if memo.path[-1][0] is rho)
+            stepped[i][(*memos[i].labels, y)] += 1
+            return trajectory.filter_step(instrument, rho, log_prob, y)
 
-        monkeypatch.setattr(sweeps, "filter_state", counting("sweeps"))
-        monkeypatch.setattr(smoothers, "filter_state", counting("smoothers"))
+        def counting_filter(instrument, rho0, record):
+            filtered[tuple(record)] += 1
+            return trajectory.filter(instrument, rho0, record)
+
+        monkeypatch.setattr(sweeps, "Memo", CountingMemo)
+        monkeypatch.setattr(sweeps, "filter_step", counting_step)
+        monkeypatch.setattr(smoothers, "filter_state", counting_filter)
         cmd_smooth(sc, tmp_path, record_path=path, prior_kinds=("pf", "gw", "clhs"))
         t = sc.smoothing_index
         pasts = {rec[:t] for rec in records}
         assert 1 < len(pasts) < len(records)
-        # one call per distinct past and per distinct record, shared by every prior kind
-        assert set(calls["sweeps"]) == pasts | set(records)
-        assert set(calls["sweeps"].values()) == {1}
+
+        def each_prefix_once(recs):
+            return Counter({rec[:k]: 1 for rec in recs for k in range(1, len(rec) + 1)})
+
+        # one memo serves the record table and the smoothing pass of every prior kind, and it
+        # steps each distinct prefix of the records, the pasts among them, exactly once
+        assert stepped == [each_prefix_once(records)]
         # pf and clhs are built from the sweep's filtered state, not filtered again
-        assert calls["smoothers"] == Counter()
+        assert filtered == Counter()
+
+    def test_memo_gives_the_bits_of_filter(self):
+        from retrosmooth import sweeps
+        from retrosmooth.errors import ZeroProbabilityRecord
+        from retrosmooth.trajectory import filter as filter_state
+
+        sc = demo_scenario()
+        built = sc.build()
+        rho0 = sc.rho0(built.dim)
+        rng = np.random.default_rng(5)
+        records = [tuple(rec) for rec in rng.choice(["0", "1"], size=(40, 6)).tolist()]
+        # two detected jumps in a row are impossible on the demo qubit
+        records += [("1", "1", "0"), ("1", "1"), ("1",), (), ("1", "0", "1", "1"), ("0", "1", "0")]
+        records += records[:15]
+        rng.shuffle(records)
+        memo, outcomes = sweeps.Memo(built.instrument, rho0), set()
+        for rec in records:
+            rho, p = memo["past", rec]
+            try:
+                want, log_prob = filter_state(built.instrument, rho0, rec)
+            except ZeroProbabilityRecord:
+                assert rho is None and p == 0.0, rec
+                outcomes.add("impossible")
+                continue
+            assert rho.tobytes() == want.tobytes() and p == float(np.exp(log_prob)), rec
+            outcomes.add("possible")
+        assert outcomes == {"possible", "impossible"}
 
     def test_enumerate_is_byte_stable(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -443,6 +484,12 @@ def _efficiency_doc(value) -> dict:
     return doc
 
 
+def _overflowing_jump_doc() -> dict:
+    doc = _demo_doc()
+    doc["system"]["jump_operators"][0]["matrix"]["real"][0][1] = 1e308
+    return doc
+
+
 G_JSON, E_JSON = _rho0([[1.0, 0.0], [0.0, 0.0]]), _rho0([[0.0, 0.0], [0.0, 1.0]])
 
 
@@ -569,6 +616,12 @@ MALFORMED_SCENARIOS = {
         lambda: _custom_doc(dim_a=4),
         "custom_prior: dimension 4 is not 2 x dim_a=4",
     ),
+    "jump-operators-not-a-list": (
+        lambda: _lindblad_doc(jump_operators=float("nan")),
+        "system.jump_operators: expected a list, got nan",
+    ),
+    "jump-operator-entry-overflows": (_overflowing_jump_doc, "system: discretized step has non-finite entries"),
+    "steps-beyond-an-index": (lambda: _demo_doc(steps=10**30), "steps: must be at most"),
     "custom-prior-missing": (
         lambda: _demo_doc(prior_kinds=["pf", "custom"]),
         "custom_prior: required when prior kind 'custom' is requested",
@@ -643,6 +696,10 @@ class TestMainEntry:
             ("two comma-separated objects on one line", 2, "malformed record line"),
             ("missing key", 3, "malformed record line"),
             ("step out of sequence", 4, "step index 3 out of sequence"),
+            ("step too large for an integer", 3, "malformed record line"),
+            # each distinct line is parsed once: neither a failed parse nor a reused one may hide a fault
+            ("malformed line repeated later", 4, "malformed record line"),
+            ("valid line repeated out of sequence", 4, "step index 1 out of sequence"),
             # the count of values still matches the count of lines, so the file must be read one line at a time
             ("object split across two lines, two objects on a later one", 3, "malformed record line"),
         ],
@@ -655,6 +712,9 @@ class TestMainEntry:
             "two comma-separated objects on one line": [f"{step[0]}, {step[1]}", *step[2:]],
             "missing key": [step[0], '{"step": 1, "alice": "0"}', *step[2:]],
             "step out of sequence": [step[0], step[1], step[3], step[2]],
+            "step too large for an integer": [step[0], '{"step": 1e999, "alice": "0", "bob": "0"}', *step[2:]],
+            "malformed line repeated later": [step[0], step[1], '{"step": 2', step[2], '{"step": 2'],
+            "valid line repeated out of sequence": [step[0], step[1], step[1], step[2]],
             "object split across two lines, two objects on a later one": [
                 step[0], '{"step": 1, "alice": "0"', '"bob": "0"}', f"{step[2]}, {step[3]}"
             ],
@@ -731,6 +791,13 @@ class TestMainEntry:
         code = main([command, "--scenario", str(scenario), *self.WRITING_COMMANDS[command], "--out", str(out)])
         _assert_config_error(capsys, code, "name: ")
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [scenario]
+
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+    def test_scenario_that_does_not_load_creates_no_out_directory(self, tmp_path, capsys, command):
+        missing, out = tmp_path / "nosuch.json", tmp_path / "out"
+        code = main([command, "--scenario", str(missing), *self.WRITING_COMMANDS[command], "--out", str(out)])
+        _assert_config_error(capsys, code, f"scenario file not found: {missing}")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
     def test_out_that_is_a_file_is_config_error(self, tmp_path, capsys, command):

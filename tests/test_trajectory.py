@@ -229,6 +229,11 @@ class TestEnumerate:
         with pytest.raises(EnumerationTooLarge):
             enumerate_records(projective_z(), np.eye(2) / 2, 10, cap=100)
 
+    def test_cap_is_checked_before_the_label_sets_are_built(self):
+        # a list of 10**18 label sets would not fit in memory
+        with pytest.raises(EnumerationTooLarge, match=r"2\*\*1000000000000000000 records exceed the cap of 100"):
+            enumerate_records(projective_z(), np.eye(2) / 2, 10**18, cap=100)
+
     @staticmethod
     def recursive_records(instrument, rho0, steps):
         """Depth-first reference: every record, one conditional operation at a time."""
