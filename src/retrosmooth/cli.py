@@ -370,8 +370,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return 0 if cmd_verify(args.seed) else 1
 
-        # a scenario that does not load leaves no --out directory behind
+        # a scenario that does not load or build leaves no --out directory behind
         sc = None if args.command == "entropy-scan" and not args.scenario else _load_scenario(args)
+        if sc is not None:
+            sc.build()
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,8 +14,9 @@ from .trajectory import ConditionalOp, Instrument
 
 
 def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
-    """Complex array of independent standard normal real parts, then imaginary parts."""
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    """Complex array of independent standard normal real parts, then imaginary parts, in one draw."""
+    re, im = rng.normal(size=(2, *np.atleast_1d(shape)))
+    return re + 1j * im
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,8 +64,12 @@ def random_kraus_channel(
 
 
 def draw_povm(dim: int, n_effects: int, rng: np.random.Generator) -> np.ndarray:
-    """The draws of :func:`random_povm`: one Ginibre matrix per effect, ``(n_effects, dim, dim)``."""
-    return np.stack([ginibre((dim, dim), rng) for _ in range(n_effects)])
+    """The draws of :func:`random_povm`: one Ginibre matrix per effect, ``(n_effects, dim, dim)``.
+
+    Drawn in one call, in the stream order of one :func:`ginibre` per effect.
+    """
+    g = rng.normal(size=(n_effects, 2, dim, dim))
+    return g[:, 0] + 1j * g[:, 1]
 
 
 def povm_from(g: np.ndarray) -> np.ndarray:

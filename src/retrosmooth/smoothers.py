@@ -105,14 +105,18 @@ def build_clhs(rho_f) -> FilteredGlobalState:
     )
 
 
-def build_pf_variant(instrument: Instrument, rho0, alice_past) -> FilteredGlobalState:
-    """Purification of the initial state propagated through the observer's record."""
+def purified_initial(rho0) -> tuple[np.ndarray, int]:
+    """The projector on a purification of ``rho0``, and the purifying ancilla's dimension (its rank)."""
     rho = as_density(rho0, "rho0")
     psi = purify(rho)
-    rank = psi.size // rho.shape[0]
-    initial = np.outer(psi, psi.conj())
+    return np.outer(psi, psi.conj()), psi.size // rho.shape[0]
+
+
+def build_pf_variant(instrument: Instrument, rho0, alice_past) -> FilteredGlobalState:
+    """Purification of the initial state propagated through the observer's record."""
+    initial, rank = purified_initial(rho0)
     _, ops = walk(instrument, initial, [[y] for y in alice_past], dim_extra=rank)
-    return _register_state([()], ops, rho.shape[0], rank, "pf-variant")
+    return _register_state([()], ops, instrument.dim, rank, "pf-variant")
 
 
 def build_gw(
@@ -127,12 +131,9 @@ def build_gw(
     system and the purifying ancilla; branch weights are normalized by the
     probability of the alice record.
     """
-    rho = as_density(rho0, "rho0")
-    psi = purify(rho)
-    rank = psi.size // rho.shape[0]
-    initial = np.outer(psi, psi.conj())
+    initial, rank = purified_initial(rho0)
     records, ops = _bob_branches(instrument, initial, alice_past, rank, cap)
-    return _register_state(records, ops, rho.shape[0], rank, "gw")
+    return _register_state(records, ops, instrument.dim, rank, "gw")
 
 
 def build_gw_variant(
@@ -180,19 +181,26 @@ def build_prior(
     instrument: Instrument,
     cap: int = DEFAULT_ENUMERATION_CAP,
     rho_f=None,
+    propagated=None,
 ) -> FilteredGlobalState:
     """Dispatch a prior build from shared scenario ingredients.
 
     ``pf`` and ``clhs`` start from the filtered state of ``alice_past``: the
     given ``rho_f``, or one :func:`~retrosmooth.trajectory.filter` call when
-    it is ``None``.
+    it is ``None``.  ``pf-variant`` starts from :func:`purified_initial`
+    propagated through ``alice_past`` as one
+    :func:`~retrosmooth.trajectory.walk` propagates it: the given
+    ``propagated``, or one :func:`build_pf_variant` walk when it is ``None``.
     """
     if kind in ("pf", "clhs"):
         if rho_f is None:
             rho_f, _ = filter_state(instrument, rho0, alice_past)
         return build_pf(rho_f) if kind == "pf" else build_clhs(rho_f)
     if kind == "pf-variant":
-        return build_pf_variant(instrument, rho0, alice_past)
+        if propagated is None:
+            return build_pf_variant(instrument, rho0, alice_past)
+        dim = instrument.dim
+        return _register_state([()], propagated[None], dim, propagated.shape[0] // dim, "pf-variant")
     if kind in ("gw", "gw-variant"):
         builder = build_gw if kind == "gw" else build_gw_variant
         return builder(instrument, rho0, alice_past, cap=cap)

@@ -22,9 +22,11 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
 
 Within one pass each distinct future is retrofiltered once and each
 distinct past filtered once, shared by every prior kind and by the prior
-builds that need the filtered state.  A :class:`Memo` holds them, and it
-steps each distinct prefix of the pasts it filters once: records share long
-prefixes, and a table is filtered in sorted order.
+builds that need the filtered state or, for ``pf-variant``, the propagated
+purification.  A :class:`Memo` holds them.  It computes a table's pasts,
+futures and purifications in three breadth-first passes over their prefix
+or suffix tries, one stacked step per level, so each distinct prefix is
+stepped once: sampled records share long prefixes.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, as_density, entropy_vn, trace_norm
 from .retrodiction import FilteredGlobalState, generalized_smooth
 from .sampling import density_from, extension_from, povm_from
-from .smoothers import build_custom, build_prior
-from .trajectory import enumerate_records, filter_step, retrofilter
+from .smoothers import build_custom, build_prior, purified_initial
+from .trajectory import enumerate_records, filter_records, propagate_records, retrofilter_records
 
 PROB_FLOOR = 1e-12
 # matrix entries of the largest stack one theorem-1 pass builds, its outcomes' sandwiches: bounds the
@@ -69,22 +71,26 @@ def future_table(scenario, built, rho0) -> dict[tuple, list[tuple[tuple, float]]
 def record_table(scenario, memo: Memo, records) -> dict[tuple, list[tuple[tuple, float]]]:
     """Distinct observed records, grouped and sorted like :func:`future_table`.
 
-    Each record's probability comes from ``memo``, which filters the record's
-    past on the way and keeps it for a :func:`smooth_table` pass given the same memo.
+    Each record's probability comes from ``memo``, which filters the records
+    and their pasts in one pass and keeps the pasts for a :func:`smooth_table`
+    pass given the same memo.
     """
     t = scenario.smoothing_index
+    records = sorted(set(records))
+    memo.fill("past", [*records, *(rec[:t] for rec in records)])
     table: dict[tuple, list] = {}
-    for rec in sorted(set(records)):
-        memo["past", rec[:t]]  # filtered on the way to the record, held for the smoothing pass
+    for rec in records:
         table.setdefault(rec[:t], []).append((rec[t:], memo["past", rec][1]))
     return table
 
 
-def prior_for(scenario, built, kind: str, past, rho0, rho_f):
+def prior_for(scenario, built, kind: str, past, rho0, rho_f, propagated):
     """The prior of one kind for one past, built under the scenario's enumeration cap.
 
     ``rho_f``, the past's filtered state, spares the ``pf``/``clhs`` builds
     a second :func:`filter` call; a ``custom`` prior's marginal must equal it.
+    ``propagated``, the past's ``memo["purified", past]``, spares the
+    ``pf-variant`` build its own walk.
     """
     if kind == "custom":
         scenario.require_kinds((kind,))
@@ -99,56 +105,49 @@ def prior_for(scenario, built, kind: str, past, rho0, rho_f):
         instrument=built.instrument,
         cap=scenario.enumeration_cap,
         rho_f=rho_f,
+        propagated=propagated,
     )
 
 
 class Memo(dict):
-    """What one sweep derives from a record, each computed on first use.
+    """What one sweep derives from a record, each computed once.
 
-    ``memo["future", future]`` is the retrofiltered effect of a future and
     ``memo["past", past]`` is ``(rho_F, probability)`` of a past, with the
     bits of one :func:`~retrosmooth.trajectory.filter` call, ``(None, 0.0)``
-    when filtering finds it impossible.  One instance serves a whole sweep, so
-    every prior kind shares them.
+    when filtering finds it impossible; ``memo["future", future]`` is the
+    retrofiltered effect of a future; ``memo["purified", past]`` is the
+    ``pf-variant`` prior's propagated operator of a past.  One instance serves
+    a whole sweep, so every prior kind shares them.
 
-    The memo keeps the filter path of the last past it filtered, one
-    ``(rho, log_prob)`` per step: a new past is cut back to the prefix it
-    shares with that path and stepped forward from there, so each distinct
-    prefix of pasts asked for in sorted order is filtered once, in
-    ``O(steps * d**2)`` memory.
+    :meth:`fill` computes the entries of many records of one role in one
+    breadth-first pass over their prefix (or, for futures, suffix) trie, so
+    each distinct prefix is stepped once; an entry not filled is computed on
+    its own on first use.
     """
 
     def __init__(self, instrument, rho0):
         super().__init__()
         self.instrument = instrument
-        self.labels: list = []
-        self.path = [(as_density(rho0, "rho0"), 0.0)]
+        self.rho0 = rho0
+
+    def fill(self, role: str, records) -> None:
+        todo = [r for r in dict.fromkeys(map(tuple, records)) if (role, r) not in self]
+        if not todo:
+            return
+        if role == "future":
+            values = retrofilter_records(self.instrument, todo)
+        elif role == "past":
+            filtered = filter_records(self.instrument, self.rho0, todo)
+            values = [(None, 0.0) if f is None else (f[0], float(np.exp(f[1]))) for f in filtered]
+        else:
+            initial, rank = purified_initial(self.rho0)
+            values = propagate_records(self.instrument, initial, todo, dim_extra=rank)
+        self.update(zip([(role, r) for r in todo], values))
 
     def __missing__(self, key):
         role, record = key
-        if role == "future":
-            value = retrofilter(self.instrument, record)
-        else:
-            try:
-                rho_f, log_prob = self._filter(record)
-                value = (rho_f, float(np.exp(log_prob)))
-            except ZeroProbabilityRecord:
-                value = (None, 0.0)
-        self[key] = value
-        return value
-
-    def _filter(self, record) -> tuple[np.ndarray, float]:
-        """``filter(instrument, rho0, record)``, stepping only past the prefix shared with the path."""
-        k = 0
-        for y, z in zip(record, self.labels):
-            if y != z:
-                break
-            k += 1
-        del self.labels[k:], self.path[k + 1 :]
-        for y in record[k:]:
-            self.path.append(filter_step(self.instrument, *self.path[-1], y))
-            self.labels.append(y)
-        return self.path[-1]
+        self.fill(role, [record])
+        return self[key]
 
 
 class Smoothed(NamedTuple):
@@ -191,6 +190,10 @@ def smooth_table(scenario, built, rho0, table, kinds, *, complete: bool, memo: M
     """
     if memo is None:
         memo = Memo(built.instrument, rho0)
+    memo.fill("past", table)
+    memo.fill("future", [fut for futures in table.values() for fut, _ in futures])
+    if "pf-variant" in kinds:
+        memo.fill("purified", table)
     for kind in kinds:
         for past, futures in table.items():
             p_past = sum(p for _, p in futures) if complete else memo["past", past][1]
@@ -198,8 +201,9 @@ def smooth_table(scenario, built, rho0, table, kinds, *, complete: bool, memo: M
                 yield Smoothed(kind, past, futures, p_past, error=ZERO_PAST)
                 continue
             rho_f = memo["past", past][0]
+            propagated = memo["purified", past] if kind == "pf-variant" else None
             try:
-                prior = prior_for(scenario, built, kind, past, rho0, rho_f)
+                prior = prior_for(scenario, built, kind, past, rho0, rho_f, propagated)
             except RetrosmoothError as exc:
                 yield Smoothed(kind, past, futures, p_past, rho_f, error=exc)
                 continue

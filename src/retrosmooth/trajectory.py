@@ -9,10 +9,14 @@ which Kraus operator acted: the part of the environment alice does not see.
 
 Filtering propagates a state forward through the conditional maps with
 per-step normalization; retrofiltering propagates the identity backwards
-through the adjoints, producing an (unnormalized) effect.  :func:`walk`
-propagates a set of records at once, unnormalized, for record enumeration
-and for the prior builders of :mod:`retrosmooth.smoothers`;
-:func:`sample_records` advances many sampled trajectories in lockstep.
+through the adjoints, producing an (unnormalized) effect.
+:func:`filter_records`, :func:`retrofilter_records` and the unnormalized
+:func:`propagate_records` do so for a table of records at once, level by
+level over their prefix (or suffix) trie, with the bits of one record at a
+time.  :func:`walk` propagates every record of a product of label sets,
+unnormalized, for record enumeration and for the prior builders of
+:mod:`retrosmooth.smoothers`; :func:`sample_records` advances many sampled
+trajectories in lockstep.
 """
 
 from __future__ import annotations
@@ -234,16 +238,11 @@ def filter(instrument, rho0, record) -> tuple[np.ndarray, float]:
     """
     rho, log_prob = as_density(rho0, "rho0"), 0.0
     for y in record:
-        rho, log_prob = filter_step(instrument, rho, log_prob, y)
+        out, w = apply_conditional(instrument.op(y), rho)
+        if w <= WEIGHT_FLOOR:
+            raise ZeroProbabilityRecord(f"record impossible at outcome {y!r}")
+        rho, log_prob = hermitian_part(out / w), log_prob + float(np.log(w))
     return rho, log_prob
-
-
-def filter_step(instrument, rho, log_prob: float, y) -> tuple[np.ndarray, float]:
-    """One step of :func:`filter`: the state after outcome ``y`` and the log-probability so far."""
-    out, w = apply_conditional(instrument.op(y), rho)
-    if w <= WEIGHT_FLOOR:
-        raise ZeroProbabilityRecord(f"record impossible at outcome {y!r}")
-    return hermitian_part(out / w), log_prob + float(np.log(w))
 
 
 def retrofilter(instrument, record) -> np.ndarray:
@@ -261,6 +260,95 @@ def retrofilter(instrument, record) -> np.ndarray:
         effect = sum(dag(k) @ effect @ k for k in op.kraus)
         effect = hermitian_part(effect)
     return effect
+
+
+def _trie_levels(instrument, records):
+    """The prefix trie of ``records``, level by level, as ``(parents, labels, ends)``.
+
+    Level ``k`` has one row per distinct prefix of length ``k``: ``parents``
+    holds the row of its prefix one shorter and ``labels`` the index of its
+    last label in the instrument's outcome labels (both ``None`` at the root),
+    and ``ends`` lists ``(i, row)`` for each ``records[i]`` of length ``k``.
+    """
+    index = {y: i for i, y in enumerate(instrument.outcome_labels)}
+    unknown = next((y for r in records for y in r if y not in index), None)
+    if unknown is not None:
+        instrument.op(unknown)  # raises UnknownOutcome
+    rows = [0] * len(records)
+    yield None, None, [(i, 0) for i, r in enumerate(records) if not r]
+    for k in range(max(map(len, records), default=0)):
+        nodes: dict[tuple[int, int], int] = {}
+        ends = []
+        for i, r in enumerate(records):
+            if len(r) > k:
+                rows[i] = nodes.setdefault((rows[i], index[r[k]]), len(nodes))
+                if len(r) == k + 1:
+                    ends.append((i, rows[i]))
+        parents, labels = np.array(list(nodes)).T
+        yield parents, labels, ends
+
+
+def filter_records(instrument, rho0, records) -> list[tuple[np.ndarray, float] | None]:
+    """:func:`filter` of each record with its bits, ``None`` where it raises :class:`ZeroProbabilityRecord`.
+
+    Each distinct prefix is stepped once: breadth-first over the records'
+    prefix trie, one stacked conjugation per level as in :func:`walk`, each
+    row normalized as :func:`filter` normalizes a step.
+    """
+    rho = as_density(rho0, "rho0")
+    positions = _kraus_stack(instrument, instrument.outcome_labels, np.eye(1))
+    sigma, log_prob, live = rho[None], np.zeros(1), np.ones(1, dtype=bool)
+    found: list = [None] * len(records)
+    for parents, labels, ends in _trie_levels(instrument, records):
+        if parents is not None:
+            out = _conjugate(positions, sigma)[parents, labels]
+            out += 0  # apply_conditional's sum starts from 0, which turns -0.0 into 0.0
+            w = np.trace(out, axis1=1, axis2=2).real
+            live = live[parents] & (w > WEIGHT_FLOOR)
+            w = np.where(live, w, 1.0)
+            sigma, log_prob = hermitian_part(out / w[:, None, None]), log_prob[parents] + np.log(w)
+        for i, row in ends:
+            if live[row]:
+                found[i] = sigma[row].copy(), float(log_prob[row])
+    return found
+
+
+def retrofilter_records(instrument, records) -> list[np.ndarray]:
+    """:func:`retrofilter` of each record with its bits.
+
+    Each distinct suffix is propagated once: breadth-first over the records'
+    suffix trie, one stacked conjugation by the adjoint Kraus operators per
+    level, symmetrized at every level as :func:`retrofilter` does.
+    """
+    positions = _kraus_stack(instrument, instrument.outcome_labels, np.eye(1))
+    adjoints = [(idx, ops_dag, ops) for idx, ops, ops_dag in positions]  # conjugates by K† sigma K
+    sigma = np.eye(instrument.dim, dtype=complex)[None]
+    found: list = [None] * len(records)
+    for parents, labels, ends in _trie_levels(instrument, [r[::-1] for r in records]):
+        if parents is not None:
+            out = _conjugate(adjoints, sigma)[parents, labels]
+            out += 0  # retrofilter's sum starts from 0, which turns -0.0 into 0.0
+            sigma = hermitian_part(out)
+        for i, row in ends:
+            found[i] = sigma[row].copy()
+    return found
+
+
+def propagate_records(instrument, initial, records, *, dim_extra: int = 1) -> list[np.ndarray]:
+    """:func:`walk` of each record alone: its symmetrized, unnormalized operator, zero if it is impossible.
+
+    Each distinct prefix is conjugated once, breadth-first over the records'
+    prefix trie, one stacked conjugation per level.
+    """
+    positions = _kraus_stack(instrument, instrument.outcome_labels, np.eye(int(dim_extra)))
+    sigma = np.asarray(initial, dtype=complex)[None]
+    found: list = [None] * len(records)
+    for parents, labels, ends in _trie_levels(instrument, records):
+        if parents is not None:
+            sigma = _conjugate(positions, sigma)[parents, labels]
+        for i, row in ends:
+            found[i] = hermitian_part(sigma[row])
+    return found
 
 
 def walk(

@@ -114,38 +114,53 @@ class TestSmooth:
         sc = Scenario.from_dict({**demo_scenario().raw, "steps": 40, "smoothing_time_index": 20})
         path = cmd_simulate(sc, 40, tmp_path)
         records = [tuple(a for a, _ in rec) for rec in read_trajectories(path)[1]]
-        memos, stepped, filtered = [], [], Counter()
+        passes, filtered = [], Counter()
+        trie_levels, conjugate = trajectory._trie_levels, trajectory._conjugate
 
-        class CountingMemo(sweeps.Memo):
-            def __init__(self, *args):
-                super().__init__(*args)
-                memos.append(self)
-                stepped.append(Counter())
+        def counting_filter_records(instrument, rho0, recs):
+            # the prefixes of each level, rebuilt from the trie, and the rows each stacked step starts from
+            levels, stacks = [], []
 
-        def counting_step(instrument, rho, log_prob, y):
-            # a memo steps from the end of its path, so the prefix stepped is its labels plus y
-            i = next(i for i, memo in enumerate(memos) if memo.path[-1][0] is rho)
-            stepped[i][(*memos[i].labels, y)] += 1
-            return trajectory.filter_step(instrument, rho, log_prob, y)
+            def counting_levels(instrument, recs):
+                prefixes = [()]
+                for parents, labels, ends in trie_levels(instrument, recs):
+                    if parents is not None:
+                        names = [instrument.outcome_labels[i] for i in labels]
+                        prefixes = [prefixes[p] + (y,) for p, y in zip(parents, names)]
+                        levels.append(prefixes)
+                    yield parents, labels, ends
+
+            def counting_conjugate(positions, sigma):
+                stacks.append(len(sigma))
+                return conjugate(positions, sigma)
+
+            with monkeypatch.context() as m:
+                m.setattr(trajectory, "_trie_levels", counting_levels)
+                m.setattr(trajectory, "_conjugate", counting_conjugate)
+                found = trajectory.filter_records(instrument, rho0, recs)
+            passes.append((levels, stacks))
+            return found
 
         def counting_filter(instrument, rho0, record):
             filtered[tuple(record)] += 1
             return trajectory.filter(instrument, rho0, record)
 
-        monkeypatch.setattr(sweeps, "Memo", CountingMemo)
-        monkeypatch.setattr(sweeps, "filter_step", counting_step)
+        monkeypatch.setattr(sweeps, "filter_records", counting_filter_records)
         monkeypatch.setattr(smoothers, "filter_state", counting_filter)
         cmd_smooth(sc, tmp_path, record_path=path, prior_kinds=("pf", "gw", "clhs"))
         t = sc.smoothing_index
         pasts = {rec[:t] for rec in records}
         assert 1 < len(pasts) < len(records)
 
-        def each_prefix_once(recs):
-            return Counter({rec[:k]: 1 for rec in recs for k in range(1, len(rec) + 1)})
-
-        # one memo serves the record table and the smoothing pass of every prior kind, and it
-        # steps each distinct prefix of the records, the pasts among them, exactly once
-        assert stepped == [each_prefix_once(records)]
+        # one forward pass serves the record table and the smoothing pass of every prior kind
+        assert len(passes) == 1
+        levels, stacks = passes[0]
+        # it steps each distinct prefix of the records, the pasts among them, exactly once ...
+        each_prefix_once = Counter({rec[:k]: 1 for rec in records for k in range(1, len(rec) + 1)})
+        assert Counter(p for level in levels for p in level) == each_prefix_once
+        # ... in one stacked step per level, from the prefixes one shorter
+        assert len(levels) == sc.steps
+        assert stacks == [1] + [len(level) for level in levels[:-1]]
         # pf and clhs are built from the sweep's filtered state, not filtered again
         assert filtered == Counter()
 
@@ -798,6 +813,19 @@ class TestMainEntry:
         code = main([command, "--scenario", str(missing), *self.WRITING_COMMANDS[command], "--out", str(out)])
         _assert_config_error(capsys, code, f"scenario file not found: {missing}")
         assert list(tmp_path.iterdir()) == []
+        # a system block that loads but does not build: a NaN list, and an entry that overflows the step
+        raw = demo_scenario().raw
+        huge = json.loads(json.dumps(raw["system"]["jump_operators"]))
+        huge[0]["matrix"]["real"][0][1] = 1e308
+        for jumps, fragment in [
+            (float("nan"), "system.jump_operators: expected a list, got nan"),
+            (huge, "system: discretized step has non-finite entries"),
+        ]:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({**raw, "system": {**raw["system"], "jump_operators": jumps}}))
+            code = main([command, "--scenario", str(path), *self.WRITING_COMMANDS[command], "--out", str(out)])
+            _assert_config_error(capsys, code, fragment)
+            assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
     def test_out_that_is_a_file_is_config_error(self, tmp_path, capsys, command):

@@ -378,6 +378,25 @@ class TestBatchedTheorem1:
         for got, (loop, one_row) in zip(sweeps.theorem1_sweep(draws), references, strict=True):
             assert bits(got) == bits(loop) == bits(one_row)
 
+    def test_one_call_draws_have_the_bits_of_per_part_draws(self):
+        def per_part_ginibre(shape, rng):
+            # real parts, then imaginary parts, in two calls
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        for seed in range(8):
+            for d_q, d_a, n_eff in [(2, 2, 2), (3, 4, 3), (2, 3, 4)]:
+                rng, ref = np.random.default_rng([seed, d_q]), np.random.default_rng([seed, d_q])
+                g, psi = sampling.draw_extension(d_q, d_a, rng)
+                effects = sampling.draw_povm(d_q, n_eff, rng)
+                d = d_q * d_a
+                assert g.tobytes() == per_part_ginibre((d_q, d_q), ref).tobytes()
+                v = per_part_ginibre(d * d, ref)
+                assert psi.tobytes() == (v / np.linalg.norm(v)).reshape(d, d).tobytes()
+                want = np.stack([per_part_ginibre((d_q, d_q), ref) for _ in range(n_eff)])
+                assert effects.tobytes() == want.tobytes()
+                # both streams stand at the same place
+                assert rng.random() == ref.random()
+
     def test_live_outcome_mask_and_support_cut(self):
         rng = np.random.default_rng(31)
         gammas, blocks, povms = [], [], []

@@ -19,6 +19,7 @@ from retrosmooth.smoothers import (
     build_pf_variant,
     build_prior,
     enumerate_bob_branches,
+    purified_initial,
 )
 from retrosmooth.trajectory import (
     ConditionalOp,
@@ -27,6 +28,7 @@ from retrosmooth.trajectory import (
     LindbladSpec,
     discretize,
     filter as filter_state,
+    propagate_records,
     retrofilter,
 )
 
@@ -190,6 +192,34 @@ class TestStructure:
         np.testing.assert_array_equal(
             prior.blocks[0], hermitian_part(sigma) / float(sigma.trace().real)
         )
+
+    @pytest.mark.parametrize("system", ["demo", "classical-3state"])
+    def test_pf_variant_from_the_propagated_pass_has_the_bits_of_the_walk(self, system):
+        if system == "demo":
+            inst, rho0 = demo(rho0=np.diag([0.7, 0.3]).astype(complex))
+        else:
+            sc = Scenario.from_file(CLASSICAL.with_name("classical-3state.json"))
+            inst = sc.build().instrument
+            rho0 = sc.rho0(inst.dim)
+        rng = np.random.default_rng(4)
+        pasts = [tuple(r) for r in rng.choice(list(inst.outcome_labels), size=(12, 5)).tolist()]
+        # the empty past, a repeated one and, on the demo qubit, an impossible one
+        pasts += [(), pasts[0], *[("1", "1", "0")] * (system == "demo")]
+        initial, rank = purified_initial(rho0)
+        outcomes = set()
+        for past, propagated in zip(pasts, propagate_records(inst, initial, pasts, dim_extra=rank)):
+            try:
+                want = build_pf_variant(inst, rho0, past)
+            except ZeroProbabilityRecord:
+                with pytest.raises(ZeroProbabilityRecord):
+                    build_prior("pf-variant", rho0=rho0, alice_past=past, instrument=inst, propagated=propagated)
+                outcomes.add("impossible")
+                continue
+            got = build_prior("pf-variant", rho0=rho0, alice_past=past, instrument=inst, propagated=propagated)
+            assert (got.dim_q, got.dim_a1, got.block_labels) == (want.dim_q, want.dim_a1, want.block_labels)
+            assert got.blocks.tobytes() == want.blocks.tobytes(), past
+            outcomes.add("possible")
+        assert outcomes == ({"possible", "impossible"} if system == "demo" else {"possible"})
 
     def test_empty_record_pf_variant_is_purification(self):
         from retrosmooth.linalg import purify

@@ -13,6 +13,7 @@ from retrosmooth.errors import (
 )
 from retrosmooth.linalg import dag, hermitian_part
 from retrosmooth.scenario import Scenario
+from retrosmooth.smoothers import purified_initial
 from retrosmooth.trajectory import (
     ConditionalOp,
     Instrument,
@@ -22,8 +23,12 @@ from retrosmooth.trajectory import (
     discretize,
     enumerate_records,
     filter as filter_state,
+    filter_records,
+    propagate_records,
     retrofilter,
+    retrofilter_records,
     sample_records,
+    walk,
 )
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # lowering |1> -> |0>
@@ -266,6 +271,53 @@ class TestEnumerate:
         assert np.array([p for _, p in got]).tobytes() == np.array([p for _, p in ref]).tobytes()
         # two consecutive jumps under sigma-minus are exactly impossible
         assert any(p == 0.0 for _, p in got) == has_zero
+
+
+class TestTriePasses:
+    """The breadth-first passes over a table give the bits of their per-record references.
+
+    Bytes are compared, not values, so a ``-0.0`` where the reference has ``0.0`` fails.
+    """
+
+    @staticmethod
+    def table(which):
+        """An instrument, its initial state and 6-step records: sampled, impossible and repeated."""
+        built = Scenario.from_file(SCENARIOS / f"{which}.json").build()
+        inst, rho0 = built.instrument, np.diag(np.arange(1.0, built.dim + 1) / sum(range(built.dim + 1)))
+        rng = np.random.default_rng(3)
+        records = [tuple(r) for r in rng.choice(list(inst.outcome_labels), size=(40, 6)).tolist()]
+        records += [r for r, p in enumerate_records(inst, rho0, 6) if p == 0.0][:5]
+        return inst, rho0, records + records[:10]
+
+    @pytest.mark.parametrize("which", ["driven-damped-qubit", "classical-3state"])
+    def test_every_split_has_the_bits_of_the_per_record_passes(self, which):
+        inst, rho0, records = self.table(which)
+        initial, rank = purified_initial(rho0)
+        outcomes = set()
+        # split 0 has empty pasts and split 6 empty futures
+        for t in range(7):
+            pasts, futures = [r[:t] for r in records], [r[t:] for r in records]
+            for past, got in zip(pasts, filter_records(inst, rho0, pasts)):
+                try:
+                    rho, log_prob = filter_state(inst, rho0, past)
+                except ZeroProbabilityRecord:
+                    assert got is None, past
+                    outcomes.add("impossible")
+                    continue
+                assert got[0].tobytes() == rho.tobytes(), past
+                assert np.float64(got[1]).tobytes() == np.float64(log_prob).tobytes(), past
+                outcomes.add("possible")
+            for future, got in zip(futures, retrofilter_records(inst, futures)):
+                assert got.tobytes() == retrofilter(inst, future).tobytes(), future
+            for past, got in zip(pasts, propagate_records(inst, initial, pasts, dim_extra=rank)):
+                _, ops = walk(inst, initial, [[y] for y in past], dim_extra=rank)
+                # walk drops an exactly zero branch, the pass keeps it as zeros
+                assert got.tobytes() == ops[0].tobytes() if len(ops) else not got.any(), past
+        assert outcomes == ({"possible", "impossible"} if which == "driven-damped-qubit" else {"possible"})
+
+    def test_unknown_outcome(self):
+        with pytest.raises(UnknownOutcome):
+            filter_records(projective_z(), np.eye(2) / 2, [("0",), ("0", "x")])
 
 
 def sequential_record(instrument, rho0, steps, gen):
