@@ -25,6 +25,7 @@ from .sampling import draw_extension, draw_povm
 from .scenario import (
     Scenario,
     demo_scenario,
+    dump_17,
     dumps_17,
     read_trajectories,
     theorem1_config,
@@ -48,6 +49,13 @@ def _write_lines(path: Path, header: str, lines: list[str]) -> None:
     with path.open("w", newline="") as fh:
         fh.write(header + "\r\n")
         fh.writelines(lines)
+
+
+def _write_json(path: Path, doc) -> None:
+    """A JSON file: ``doc`` as :func:`dumps_17` formats it, then a newline, written as it is serialized."""
+    with path.open("w") as fh:
+        dump_17(doc, fh.write)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +116,19 @@ def cmd_smooth(
                 raise ScenarioError(f"{record_path}: outcome {unknown[0]!r} not in alphabet {alphabet}")
         table = sweeps.record_table(scenario, memo, records)
 
+    # the whole pass first, then the metrics of every smoothed state in one call each
+    passes = sweeps.smooth_table(scenario, built, rho0, table, kinds, complete=enumerate_futures, memo=memo)
+    units = [s._replace(prior=None, effects=None) for s in passes]
+    live = [(s.states[s.possible], s.rho_f) for s in units if s.error is None]
+    empty = np.empty((0, built.dim, built.dim), complex)
+    smoothed = np.concatenate([empty, *(states for states, _ in live)])
+    filtered = np.concatenate([empty, *(np.broadcast_to(rho_f, states.shape) for states, rho_f in live)])
+    metrics = (purity(smoothed), entropy_vn(smoothed), fidelity(smoothed, filtered))
+    rows = zip(*(m.tolist() for m in metrics), smoothed.real, smoothed.imag)
+
     lines, doc_priors, residuals, register = [], {}, {}, {"gw": {}, "gw-variant": {}}
     name = _text(scenario.name)
-    for s in sweeps.smooth_table(scenario, built, rho0, table, kinds, complete=enumerate_futures, memo=memo):
+    for s in units:
         entry = doc_priors.setdefault(s.kind, {})
         residuals.setdefault(s.kind, None)
         key = sweeps.render(s.past)
@@ -119,16 +137,13 @@ def cmd_smooth(
             lines.append(f"{head},,{s.p_past:.17g},,,,{_text(str(s.error))}\r\n")
             entry[key] = {"error": str(s.error), "p_past": s.p_past}
             continue
-        smoothed = s.states[s.possible]
-        metrics = (purity(smoothed), entropy_vn(smoothed), fidelity(smoothed, s.rho_f))
-        rows = zip(*(m.tolist() for m in metrics), smoothed.real, smoothed.imag)
-        states, dim = {}, smoothed.shape[-1]
+        states = {}
         for (fut, p), ok in zip(s.futures, s.possible.tolist()):
             future = sweeps.render(fut)
             if ok:
                 pur, ent, fid, real, imag = next(rows)
                 lines.append(f"{head},{_text(future)},{p:.17g},{pur:.17g},{ent:.17g},{fid:.17g},ok\r\n")
-                states[future] = {"dim": dim, "real": real, "imag": imag}
+                states[future] = {"dim": built.dim, "real": real, "imag": imag}
             else:
                 lines.append(f"{head},{_text(future)},{p:.17g},,,,zero-probability\r\n")
         residual = s.residual() if enumerate_futures else None
@@ -160,7 +175,7 @@ def cmd_smooth(
     csv_path = out_dir / f"{scenario.name}_smooth.csv"
     _write_lines(csv_path, _SMOOTH_HEADER, lines)
     json_path = out_dir / f"{scenario.name}_smooth.json"
-    json_path.write_text(dumps_17(summary) + "\n")
+    _write_json(json_path, summary)
     for kind, residual in residuals.items():
         if residual is not None:
             print(f"prior={kind}: max future-averaging residual {residual:.3e}")
@@ -267,7 +282,7 @@ def cmd_entropy_scan(
     csv_path = out_dir / f"{name}_entropy.csv"
     _write_lines(csv_path, _ENTROPY_HEADER, [_entropy_line(row) for row in rows])
     json_path = out_dir / f"{name}_entropy.json"
-    json_path.write_text(dumps_17({"rows": rows}) + "\n")
+    _write_json(json_path, {"rows": rows})
     n_bad = sum(1 for r in rows if r.get("within_bounds") is False)
     print(f"wrote {len(rows)} rows to {csv_path} ({n_bad} outside bounds)")
     return rows

@@ -314,7 +314,7 @@ def entropy_vn(rho):
     # only that tail, rows grouped by its length, adds in the 1-d order
     positive = np.count_nonzero(w > 0.0, axis=1)
     s = np.zeros(len(w))
-    for m in np.unique(positive):
+    for m in sorted(set(positive.tolist())):  # not np.unique, whose first call imports numpy.ma
         rows = positive == m
         tail = w[rows, w.shape[1] - m :]
         s[rows] = -np.sum(tail * np.log(tail), axis=1)
@@ -360,8 +360,8 @@ def purity(rho):
 def fidelity(a, b):
     """Uhlmann fidelity ``(Tr sqrt(sqrt(a) b sqrt(a)))**2`` between density operators.
 
-    ``a`` may be a stack ``(n, d, d)``, each compared with ``b``; the result
-    is then an array of ``n`` fidelities.
+    ``a`` may be a stack ``(n, d, d)``, each compared with ``b``, or with ``b[i]`` for a
+    stack ``b`` of its shape; the result is then an array of ``n`` fidelities.
     """
     sa = psd_sqrt(a)
     w = np.clip(np.linalg.eigvalsh(hermitian_part(sa @ np.asarray(b, dtype=complex) @ sa)), 0.0, None)

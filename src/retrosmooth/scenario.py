@@ -33,6 +33,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -54,43 +55,57 @@ def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _floats(values) -> str:
-    return ", ".join([f"{x:.17g}" for x in values])
+_FLAT = (int, float, bool, str, type(None))  # the item types of a list or tuple written on one line
 
 
-def dumps_17(obj, indent: int = 0) -> str:
-    """Serialize to JSON with floats at 17 significant digits, 2-space indent.
-
-    A real 2-d ``ndarray`` is written as its nested list without a call per entry.
-    """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _leaf(obj, pad: str) -> str:
+    """A value :func:`dump_17` writes in one piece: a scalar, an empty or flat container, a real 2-d array."""
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
-        rows = ",\n".join([f"{inner}[{_floats(row)}]" for row in obj.tolist()])
-        return "[\n" + rows + "\n" + pad + "]" if rows else "[]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {dumps_17(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not len(obj):
             return "[]"
-        flat = all(isinstance(v, (int, float, bool, str)) or v is None for v in seq)
-        if flat:
-            return "[" + ", ".join(dumps_17(v) for v in seq) + "]"
-        items = [f"{inner}{dumps_17(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        # one %-format for the whole array: "%.17g" writes what f"{x:.17g}" does
+        row = pad + "  [" + ", ".join(["%.17g"] * obj.shape[1]) + "]"
+        return ("[\n" + ",\n".join([row] * len(obj)) + "\n" + pad + "]") % tuple(obj.ravel().tolist())
+    if isinstance(obj, dict):  # empty
+        return "{}"
+    if isinstance(obj, (list, tuple)):  # empty or flat
+        return "[" + ", ".join([_leaf(v, pad) for v in obj]) + "]"
     if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return fmt17(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def dump_17(obj, write, indent: int = 0) -> None:
+    """Serialize to JSON with floats at 17 significant digits, 2-space indent, in pieces passed to ``write``.
+
+    A non-empty dict, and a list or tuple holding more than ``int``, ``float``,
+    ``bool``, ``str`` and ``None``, put each item on a line of its own.  Keys
+    and strings are escaped as ``json.dumps`` escapes them by default.
+    """
+    pad = "  " * indent
+    keyed = isinstance(obj, dict)
+    if keyed and obj or isinstance(obj, (list, tuple)) and not all(isinstance(v, _FLAT) for v in obj):
+        sep = "{\n" if keyed else "[\n"
+        for k, v in obj.items() if keyed else enumerate(obj):
+            write(f"{sep}{pad}  {_quote(str(k))}: " if keyed else sep + pad + "  ")
+            dump_17(v, write, indent + 1)
+            sep = ",\n"
+        write("\n" + pad + ("}" if keyed else "]"))
+    else:
+        write(_leaf(obj, pad))
+
+
+def dumps_17(obj, indent: int = 0) -> str:
+    """:func:`dump_17` as one string."""
+    pieces: list[str] = []
+    dump_17(obj, pieces.append, indent)
+    return "".join(pieces)
 
 
 def matrix_to_json(m) -> dict:

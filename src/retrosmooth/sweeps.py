@@ -218,28 +218,35 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
     Pasts at or below the probability floor are skipped; a failed prior build
     gives a row with a ``detail`` message and no ``avg_entropy``.
     """
-    rows = []
+    units, live_states = [], []
     for s in smooth_table(scenario, built, rho0, table, scenario.prior_kinds, complete=True):
         if s.error == ZERO_PAST:
-            continue
-        if s.error is not None:
-            detail = str(s.error)
-            rows.append({"kind": "prior", "id": s.kind, "record": render(s.past), "detail": detail})
             continue
         probs = [p / s.p_past for _, p in s.futures]
         # a future at or below the floor adds entropy 0.0 however it smoothed
         live = np.array(probs) > WEIGHT_FLOOR
-        if not s.possible[live].all():
-            raise ZeroProbabilityRecord(f"a future of {render(s.past)!r} has vanishing probability")
-        entropies = np.zeros(len(probs))
-        entropies[live] = entropy_vn(s.states[live])
-        s_bar = float(np.dot(probs, entropies))
-        bound = sandwich_bound(s.rho_f, probs, s_bar)
+        if s.error is None:
+            if not s.possible[live].all():
+                raise ZeroProbabilityRecord(f"a future of {render(s.past)!r} has vanishing probability")
+            live_states.append(s.states[live])
+        units.append((s.kind, render(s.past), s.rho_f, s.error, probs, live))
+    # every live state's entropy in one call
+    entropies = entropy_vn(np.concatenate([np.empty((0, built.dim, built.dim), complex), *live_states]))
+    rows, end = [], 0
+    for kind, record, rho_f, error, probs, live in units:
+        if error is not None:
+            rows.append({"kind": "prior", "id": kind, "record": record, "detail": str(error)})
+            continue
+        start, end = end, end + np.count_nonzero(live)
+        per_future = np.zeros(len(probs))
+        per_future[live] = entropies[start:end]
+        s_bar = float(np.dot(probs, per_future))
+        bound = sandwich_bound(rho_f, probs, s_bar)
         rows.append(
             {
                 "kind": "prior",
-                "id": s.kind,
-                "record": render(s.past),
+                "id": kind,
+                "record": record,
                 "avg_entropy": s_bar,
                 "lower": bound.lower,
                 "upper": bound.upper,

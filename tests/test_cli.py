@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,34 @@ class TestSmooth:
     def test_requires_exactly_one_mode(self, tmp_path):
         with pytest.raises(ScenarioError):
             cmd_smooth(demo_scenario(), tmp_path)
+
+    def test_metrics_take_one_call_per_table(self, tmp_path, monkeypatch):
+        from collections import Counter
+
+        from retrosmooth import cli, sweeps
+
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[module.__name__, name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("purity", "entropy_vn", "fidelity"):
+            count(cli, name)
+        count(sweeps, "entropy_vn")
+        sc = demo_scenario()
+        summary = cmd_smooth(sc, tmp_path, enumerate_futures=True)
+        assert sum(len(per_past) for per_past in summary["priors"].values()) == 5 * 4
+        assert calls == {("retrosmooth.cli", name): 1 for name in ("purity", "entropy_vn", "fidelity")}
+        calls.clear()
+        rows = cmd_entropy_scan(sc, tmp_path)
+        assert len(rows) == 5 * 3  # one of the four pasts is impossible, and has no row
+        assert calls == {("retrosmooth.sweeps", "entropy_vn"): 1}
 
     def test_states_round_trip_as_density_operators(self, tmp_path):
         from retrosmooth.linalg import as_density
@@ -739,6 +768,40 @@ class TestMainEntry:
         code = main(["smooth", "--scenario", "demo", "--record", str(record), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2 and err.strip() == f"error: {record}:{line}: {message}", err
+
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # importing numpy.ma takes about 14 ms, paid by every command whose interpreter loads it
+        import subprocess
+        import sys
+
+        import retrosmooth
+
+        out = str(tmp_path)
+        record = str(tmp_path / "driven-damped-qubit_trajectories.jsonl")
+        commands = [
+            ["smooth", "--scenario", "demo", "--enumerate", "--out", out],
+            ["simulate", "--scenario", "demo", "--trajectories", "5", "--out", out],
+            ["smooth", "--scenario", "demo", "--record", record, "--out", out],
+            ["entropy-scan", "--scenario", "demo", "--out", out],
+            ["entropy-scan", "--theorem1", "--demo-svb", "--out", out],
+            ["classical-limit", "--scenario", "scenarios/classical-2state.json", "--out", out],
+            ["verify"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from retrosmooth.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+        )
+        src = str(Path(retrosmooth.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        codes, imported = json.loads(done.stdout.strip().splitlines()[-1])
+        assert codes == [0] * len(commands)
+        assert not imported
 
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--seed", "3"]) == 0

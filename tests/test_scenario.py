@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from retrosmooth.classical import conditional_map
+from retrosmooth.cli import _write_json
 from retrosmooth.errors import ScenarioError
 from retrosmooth.linalg import dag
 from retrosmooth.scenario import (
@@ -25,8 +26,12 @@ AWKWARD_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 
 
 
 def reference_dumps(obj, indent=0):
-    """The generic serializer as it was before its fast paths: one call per value."""
+    """The generic serializer as it was before its fast paths: one call per value, a string per level."""
     pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, np.ndarray):
+        return reference_dumps(obj.tolist(), indent)
+    if isinstance(obj, np.integer):
+        return str(int(obj))
     if isinstance(obj, dict):
         items = [f"{inner}{json.dumps(str(k))}: {reference_dumps(v, indent + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
@@ -82,6 +87,29 @@ class TestMatrixJson:
             assert dumps_17(arrays, indent) == dumps_17(lists, indent) == reference_dumps(lists, indent)
         doc = {"states": {"0-1": arrays}, "p": [0.5, 0.25]}
         assert dumps_17(doc) == reference_dumps({"states": {"0-1": lists}, "p": [0.5, 0.25]})
+
+    def test_streamed_file_is_the_string_form(self, tmp_path):
+        stack = np.arange(12.0).reshape(3, 2, 2) * (1 - 2j) / 7
+        doc = {
+            "empty": {},
+            "empties": [[], {}, [[]]],
+            # an np.int64 makes a list one item per line, an np.float64 does not
+            "flat": [True, False, None, "s", 3, np.float64(0.5), -2.5],
+            "mixed": [True, None, "s", 3, np.int64(4), np.float64(0.5)],
+            "nested": [[1, [2, [3.5]]], {"a": [1.0, {"b": None}]}],
+            "awkward": AWKWARD_FLOATS,
+            "no rows": np.zeros((0, 3)),
+            "views": [m.real for m in stack],
+            "imag": stack.imag[1],
+            'q"uote\\back\u00e9\x01\t': "snow\u2603man\n\"",
+            7: {"\u2603": np.int64(-8)},
+        }
+        path = tmp_path / "doc.json"
+        _write_json(path, doc)
+        text = path.read_text()
+        assert text == dumps_17(doc) + "\n"
+        assert text == reference_dumps(doc) + "\n"
+        assert text.isascii()
 
     def test_malformed(self):
         with pytest.raises(ScenarioError):
