@@ -26,7 +26,6 @@ from .scenario import (
     Scenario,
     demo_scenario,
     dump_17,
-    dumps_17,
     read_trajectories,
     theorem1_config,
     write_trajectories,
@@ -116,19 +115,25 @@ def cmd_smooth(
                 raise ScenarioError(f"{record_path}: outcome {unknown[0]!r} not in alphabet {alphabet}")
         table = sweeps.record_table(scenario, memo, records)
 
-    # the whole pass first, then the metrics of every smoothed state in one call each
-    passes = sweeps.smooth_table(scenario, built, rho0, table, kinds, complete=enumerate_futures, memo=memo)
-    units = [s._replace(prior=None, effects=None) for s in passes]
-    live = [(s.states[s.possible], s.rho_f) for s in units if s.error is None]
+    # the whole pass first, keeping what the rows need; the full state arrays only for the gw gap
+    units, live, register = [], [], {"gw": {}, "gw-variant": {}}
+    for s in sweeps.smooth_table(scenario, built, rho0, table, kinds, complete=enumerate_futures, memo=memo):
+        residual = s.residual() if enumerate_futures and s.error is None else None
+        if s.error is None:
+            live.append((s.states[s.possible], s.rho_f))
+            if s.kind in register:
+                register[s.kind][s.past] = s.states, s.possible
+        units.append((s._replace(prior=None, effects=None, states=None), residual))
+    # then the metrics of every smoothed state in one call each
     empty = np.empty((0, built.dim, built.dim), complex)
     smoothed = np.concatenate([empty, *(states for states, _ in live)])
     filtered = np.concatenate([empty, *(np.broadcast_to(rho_f, states.shape) for states, rho_f in live)])
     metrics = (purity(smoothed), entropy_vn(smoothed), fidelity(smoothed, filtered))
     rows = zip(*(m.tolist() for m in metrics), smoothed.real, smoothed.imag)
 
-    lines, doc_priors, residuals, register = [], {}, {}, {"gw": {}, "gw-variant": {}}
+    lines, doc_priors, residuals = [], {}, {}
     name = _text(scenario.name)
-    for s in units:
+    for s, residual in units:
         entry = doc_priors.setdefault(s.kind, {})
         residuals.setdefault(s.kind, None)
         key = sweeps.render(s.past)
@@ -146,12 +151,9 @@ def cmd_smooth(
                 states[future] = {"dim": built.dim, "real": real, "imag": imag}
             else:
                 lines.append(f"{head},{_text(future)},{p:.17g},,,,zero-probability\r\n")
-        residual = s.residual() if enumerate_futures else None
         entry[key] = {"p_past": s.p_past, "avg_vs_filtered_trace_norm": residual, "states": states}
         if residual is not None:
             residuals[s.kind] = max(residuals[s.kind] or 0.0, residual)
-        if s.kind in register:
-            register[s.kind][s.past] = s.states, s.possible
 
     summary = {
         "scenario": scenario.name,
@@ -310,7 +312,7 @@ def cmd_classical_limit(scenario: Scenario, out_dir: Path, tol: float = 1e-9) ->
         "passed": all(v <= tol for v in worst.values()),
     }
     path = out_dir / f"{scenario.name}_classical_limit.json"
-    path.write_text(dumps_17(report) + "\n")
+    _write_json(path, report)
     for kind, v in worst.items():
         print(f"prior={kind}: max |diag(rho_S) - classical| = {v:.3e}")
     print(f"wrote {path}")
