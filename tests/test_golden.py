@@ -70,6 +70,12 @@ def golden_outputs(work: Path) -> dict[str, str]:
     _run(["simulate", "--scenario", "demo", "--trajectories", "30", "--out", str(out)])
     record = out / "driven-damped-qubit_trajectories.jsonl"
     _run(["smooth", "--scenario", "demo", "--record", str(record), "--out", str(out)])
+    # record mode on a classical chain, whose Kraus operators are named by transition edge
+    source, out = str(ROOT / "scenarios" / "classical-2state.json"), work / "record-classical-2state"
+    _run(["simulate", "--scenario", source, "--trajectories", "30", "--out", str(out)])
+    record = out / "classical-2state_trajectories.jsonl"
+    kinds = "pf,pf-variant,clhs,gw-variant"
+    _run(["smooth", "--scenario", source, "--record", str(record), "--prior", kinds, "--out", str(out)])
     _run(["entropy-scan", "--theorem1", "--demo-svb", "--out", str(work / "entropy")])
     _run(["entropy-scan", "--scenario", "demo", "--out", str(work / "entropy-demo")])
     source = str(ROOT / "scenarios" / "classical-2state.json")
