@@ -97,7 +97,6 @@ def cmd_smooth(
     rho0 = scenario.rho0(built.dim)
     kinds = prior_kinds or scenario.prior_kinds
     scenario.require_kinds(kinds)
-    memo = sweeps.Memo(built.instrument, rho0)  # serves the record table and the smoothing pass
 
     if enumerate_futures:
         table = sweeps.future_table(scenario, built, rho0)
@@ -113,11 +112,11 @@ def cmd_smooth(
             unknown = [y for y in alice if y not in alphabet]
             if unknown:
                 raise ScenarioError(f"{record_path}: outcome {unknown[0]!r} not in alphabet {alphabet}")
-        table = sweeps.record_table(scenario, memo, records)
+        table = sweeps.record_table(scenario, built, rho0, records)
 
     # the whole pass first, keeping what the rows need; the full state arrays only for the gw gap
     units, live, register = [], [], {"gw": {}, "gw-variant": {}}
-    for s in sweeps.smooth_table(scenario, built, rho0, table, kinds, complete=enumerate_futures, memo=memo):
+    for s in sweeps.smooth_table(scenario, built, rho0, table, kinds):
         residual = s.residual() if enumerate_futures and s.error is None else None
         if s.error is None:
             live.append((s.states[s.possible], s.rho_f))
@@ -387,10 +386,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return 0 if cmd_verify(args.seed) else 1
 
-        # a scenario that does not load or build leaves no --out directory behind
+        # a scenario that does not load (its system and rho0 are checked on load) leaves no --out directory
         sc = None if args.command == "entropy-scan" and not args.scenario else _load_scenario(args)
-        if sc is not None:
-            sc.build()
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -268,7 +268,11 @@ def _build_system(spec: dict) -> BuiltSystem:
 
 @dataclass
 class Scenario:
-    """Parsed scenario configuration; use :meth:`build` for the instruments."""
+    """Parsed scenario configuration; :meth:`build` gives its instruments.
+
+    :meth:`from_dict` builds the system and checks ``rho0`` against its
+    dimension, so a scenario that loads has a system and an initial state.
+    """
 
     name: str
     system_spec: dict
@@ -281,6 +285,7 @@ class Scenario:
     n_trajectories: int = 100
     custom_prior: tuple[np.ndarray, int] | None = None
     raw: dict = field(default_factory=dict, repr=False)
+    _system: BuiltSystem = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -320,6 +325,8 @@ class Scenario:
             raw=doc,
         )
         scenario.require_kinds(kinds)
+        scenario._system = _checked_system(doc["system"], scenario.custom_prior)
+        scenario.rho0(scenario._system.dim)
         return scenario
 
     @classmethod
@@ -336,19 +343,8 @@ class Scenario:
         return cls.from_dict(doc)
 
     def build(self) -> BuiltSystem:
-        """The system as an instrument; a spec that gives no valid one is a :class:`ScenarioError`.
-
-        A ``custom_prior`` whose dimension is not the system's times its ``dim_a`` is one as well.
-        """
-        try:
-            built = _build_system(self.system_spec)
-        except (InvalidMatrix, NotPSD, InvalidDistribution, StepTooCoarse) as exc:
-            raise ScenarioError(f"system: {exc}") from None
-        if self.custom_prior is not None:
-            dim, dim_a = len(self.custom_prior[0]), self.custom_prior[1]
-            if dim != built.dim * dim_a:
-                raise ScenarioError(f"custom_prior: dimension {dim} is not {built.dim} x dim_a={dim_a}")
-        return built
+        """The system as an instrument, built when the scenario was loaded."""
+        return self._system
 
     def rho0(self, dim: int) -> np.ndarray:
         """The initial state for a system of dimension ``dim``, validated as a density operator."""
@@ -376,6 +372,22 @@ class Scenario:
         """Raise :class:`ScenarioError` unless the scenario can build every prior kind in ``kinds``."""
         if "custom" in kinds and self.custom_prior is None:
             raise ScenarioError("custom_prior: required when prior kind 'custom' is requested")
+
+
+def _checked_system(spec, custom_prior) -> BuiltSystem:
+    """The system of ``spec``; a spec that gives no valid one is a :class:`ScenarioError`.
+
+    A ``custom_prior`` whose dimension is not the system's times its ``dim_a`` is one as well.
+    """
+    try:
+        built = _build_system(spec)
+    except (InvalidMatrix, NotPSD, InvalidDistribution, StepTooCoarse) as exc:
+        raise ScenarioError(f"system: {exc}") from None
+    if custom_prior is not None:
+        dim, dim_a = len(custom_prior[0]), custom_prior[1]
+        if dim != built.dim * dim_a:
+            raise ScenarioError(f"custom_prior: dimension {dim} is not {built.dim} x dim_a={dim_a}")
+    return built
 
 
 def _name(doc: dict) -> str:
@@ -534,7 +546,8 @@ def write_trajectories(path, scenario: Scenario, records: list) -> None:
 def read_trajectories(path) -> tuple[dict, list[list[tuple[str, str | None]]]]:
     """Parse a trajectory file back into its header and per-trajectory records.
 
-    A step whose ``"bob"`` is null reads as ``(alice, None)``.
+    A step line is ``{"step": int, "alice": str, "bob": str or null}``; a step
+    whose ``"bob"`` is null reads as ``(alice, None)``.
     """
     try:
         text = Path(path).read_text().strip().splitlines()
@@ -552,10 +565,13 @@ def read_trajectories(path) -> tuple[dict, list[list[tuple[str, str | None]]]]:
         if (entry := parsed.get(line)) is None:
             try:
                 doc = json.loads(line)
-                step, alice, bob = int(doc["step"]), str(doc["alice"]), doc["bob"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+                step, alice, bob = doc["step"], doc["alice"], doc["bob"]
+                # a step is an int, not a bool; alice a string, bob a string or null
+                if type(step) is not int or not isinstance(alice, str) or not isinstance(bob, (str, type(None))):
+                    raise TypeError
+            except (json.JSONDecodeError, KeyError, TypeError):
                 raise ScenarioError(f"{path}:{n}: malformed record line") from None
-            entry = parsed[line] = step, (alice, None if bob is None else str(bob))
+            entry = parsed[line] = step, (alice, bob)
         step, label = entry
         if step == 0:
             records.append([])

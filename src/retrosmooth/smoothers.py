@@ -24,9 +24,11 @@ smoothing time:
 ``custom``
     Any explicit extension with the right marginal (used for bound sweeps).
 
-``gw``, ``gw-variant`` and ``pf-variant`` propagate through
-:func:`~retrosmooth.trajectory.walk`.  Bob's options at an outcome are the
-sorted names of its Kraus operators, so every instrument has every prior.
+``gw`` and ``gw-variant`` propagate every bob branch through
+:func:`~retrosmooth.trajectory.walk`, and ``pf-variant`` propagates the
+purification through :func:`~retrosmooth.trajectory.propagate_records`.
+Bob's options at an outcome are the sorted names of its Kraus operators, so
+every instrument has every prior.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import InvalidFactorization, ZeroProbabilityRecord
 from .linalg import ISOMETRY_TOL, WEIGHT_FLOOR, as_density, dag, hermitian_part, purify, tensor
 from .retrodiction import FilteredGlobalState
-from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, filter as filter_state, walk
+from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, filter as filter_state, propagate_records, walk
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +114,18 @@ def purified_initial(rho0) -> tuple[np.ndarray, int]:
     return np.outer(psi, psi.conj()), psi.size // rho.shape[0]
 
 
-def build_pf_variant(instrument: Instrument, rho0, alice_past) -> FilteredGlobalState:
-    """Purification of the initial state propagated through the observer's record."""
-    initial, rank = purified_initial(rho0)
-    _, ops = walk(instrument, initial, [[y] for y in alice_past], dim_extra=rank)
-    return _register_state([()], ops, instrument.dim, rank, "pf-variant")
+def build_pf_variant(instrument: Instrument, rho0, alice_past, propagated=None) -> FilteredGlobalState:
+    """Purification of the initial state propagated through the observer's record.
+
+    ``propagated`` is that operator, the past's :func:`propagate_records`
+    row from :func:`purified_initial`; a one-record pass computes it when it
+    is ``None``.
+    """
+    if propagated is None:
+        initial, rank = purified_initial(rho0)
+        propagated = propagate_records(instrument, initial, [tuple(alice_past)], dim_extra=rank)[0]
+    dim = instrument.dim
+    return _register_state([()], propagated[None], dim, propagated.shape[0] // dim, "pf-variant")
 
 
 def build_gw(
@@ -187,20 +196,15 @@ def build_prior(
 
     ``pf`` and ``clhs`` start from the filtered state of ``alice_past``: the
     given ``rho_f``, or one :func:`~retrosmooth.trajectory.filter` call when
-    it is ``None``.  ``pf-variant`` starts from :func:`purified_initial`
-    propagated through ``alice_past`` as one
-    :func:`~retrosmooth.trajectory.walk` propagates it: the given
-    ``propagated``, or one :func:`build_pf_variant` walk when it is ``None``.
+    it is ``None``.  ``pf-variant`` takes ``propagated`` as
+    :func:`build_pf_variant` does.
     """
     if kind in ("pf", "clhs"):
         if rho_f is None:
             rho_f, _ = filter_state(instrument, rho0, alice_past)
         return build_pf(rho_f) if kind == "pf" else build_clhs(rho_f)
     if kind == "pf-variant":
-        if propagated is None:
-            return build_pf_variant(instrument, rho0, alice_past)
-        dim = instrument.dim
-        return _register_state([()], propagated[None], dim, propagated.shape[0] // dim, "pf-variant")
+        return build_pf_variant(instrument, rho0, alice_past, propagated)
     if kind in ("gw", "gw-variant"):
         builder = build_gw if kind == "gw" else build_gw_variant
         return builder(instrument, rho0, alice_past, cap=cap)

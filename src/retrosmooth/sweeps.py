@@ -6,10 +6,14 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
 :data:`PROB_FLOOR`, decides which past records count as impossible.
 
 * :func:`future_table` / :func:`record_table` group records by their past
-  prefix at the smoothing time.
+  prefix at the smoothing time, as ``past -> Past(rho_f, p, futures)``: each
+  table filters its pasts in one pass over their prefix trie.
 * :func:`smooth_table` is the one smoothing pass: for each (prior kind,
   past) of a table it builds the prior and smooths every future in one
-  stacked call.  The sweeps below reduce it.
+  stacked call.  It retrofilters the table's distinct futures in one pass
+  over their suffix trie and, for ``pf-variant``, propagates the pasts'
+  purifications in one more, shared by every prior kind.  The sweeps below
+  reduce it.
 * :func:`entropy_rows` holds the average smoothed entropy of each (prior
   kind, past) pair against the ``S(rho_F) - H(futures) <= avg <= S(rho_F)``
   sandwich.
@@ -19,14 +23,6 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
   extensions: the callers draw each triple on its own, so each row depends
   only on its own draw, and the sweep builds and checks the draws per shape
   group in stacked passes, each row with the bits of its one-row evaluation.
-
-Within one pass each distinct future is retrofiltered once and each
-distinct past filtered once, shared by every prior kind and by the prior
-builds that need the filtered state or, for ``pf-variant``, the propagated
-purification.  A :class:`Memo` holds them.  It computes a table's pasts,
-futures and purifications in three breadth-first passes over their prefix
-or suffix tries, one stacked step per level, so each distinct prefix is
-stepped once: sampled records share long prefixes.
 """
 
 from __future__ import annotations
@@ -59,29 +55,55 @@ def render(record) -> str:
     return "-".join(record)
 
 
-def future_table(scenario, built, rho0) -> dict[tuple, list[tuple[tuple, float]]]:
-    """Every record of the scenario's length as ``past -> [(future, p)]``, sorted by past."""
+class Past(NamedTuple):
+    """One past of a record table: its filtered state, its probability and its ``[(future, p)]``.
+
+    ``rho_f`` is ``None`` where filtering finds the past impossible.
+    """
+
+    rho_f: np.ndarray | None
+    p: float
+    futures: list[tuple[tuple, float]]
+
+
+def _complete_table(instrument, rho0, grouped: dict) -> dict[tuple, Past]:
+    """``past -> Past`` of ``grouped``, ``past -> [(future, p)]`` listing every future of each past.
+
+    The pasts are filtered in one pass; a past's probability is the sum of its futures'.
+    """
+    filtered = filter_records(instrument, rho0, list(grouped))
+    return {
+        past: Past(None if f is None else f[0], sum(p for _, p in futures), futures)
+        for (past, futures), f in zip(grouped.items(), filtered)
+    }
+
+
+def future_table(scenario, built, rho0) -> dict[tuple, Past]:
+    """Every record of the scenario's length, grouped by past, sorted by past."""
     t = scenario.smoothing_index
-    table: dict[tuple, list] = defaultdict(list)
+    grouped: dict[tuple, list] = defaultdict(list)
     for rec, p in enumerate_records(built.instrument, rho0, scenario.steps, scenario.enumeration_cap):
-        table[rec[:t]].append((rec[t:], p))
-    return dict(sorted(table.items()))
+        grouped[rec[:t]].append((rec[t:], p))
+    return _complete_table(built.instrument, rho0, dict(sorted(grouped.items())))
 
 
-def record_table(scenario, memo: Memo, records) -> dict[tuple, list[tuple[tuple, float]]]:
+def record_table(scenario, built, rho0, records) -> dict[tuple, Past]:
     """Distinct observed records, grouped and sorted like :func:`future_table`.
 
-    Each record's probability comes from ``memo``, which filters the records
-    and their pasts in one pass and keeps the pasts for a :func:`smooth_table`
-    pass given the same memo.
+    The records and their pasts are filtered in one forward pass, which gives
+    each record's probability and each past's filtered state and probability.
     """
     t = scenario.smoothing_index
     records = sorted(set(records))
-    memo.fill("past", [*records, *(rec[:t] for rec in records)])
-    table: dict[tuple, list] = {}
+    keys = list(dict.fromkeys([*records, *(rec[:t] for rec in records)]))
+    filtered = {
+        key: (None, 0.0) if f is None else (f[0], float(np.exp(f[1])))
+        for key, f in zip(keys, filter_records(built.instrument, rho0, keys))
+    }
+    grouped: dict[tuple, list] = {}
     for rec in records:
-        table.setdefault(rec[:t], []).append((rec[t:], memo["past", rec][1]))
-    return table
+        grouped.setdefault(rec[:t], []).append((rec[t:], filtered[rec][1]))
+    return {past: Past(*filtered[past], futures) for past, futures in grouped.items()}
 
 
 def prior_for(scenario, built, kind: str, past, rho0, rho_f, propagated):
@@ -89,8 +111,8 @@ def prior_for(scenario, built, kind: str, past, rho0, rho_f, propagated):
 
     ``rho_f``, the past's filtered state, spares the ``pf``/``clhs`` builds
     a second :func:`filter` call; a ``custom`` prior's marginal must equal it.
-    ``propagated``, the past's ``memo["purified", past]``, spares the
-    ``pf-variant`` build its own walk.
+    ``propagated``, the past's purification propagated by
+    :func:`propagate_records`, spares the ``pf-variant`` build its own pass.
     """
     if kind == "custom":
         scenario.require_kinds((kind,))
@@ -107,47 +129,6 @@ def prior_for(scenario, built, kind: str, past, rho0, rho_f, propagated):
         rho_f=rho_f,
         propagated=propagated,
     )
-
-
-class Memo(dict):
-    """What one sweep derives from a record, each computed once.
-
-    ``memo["past", past]`` is ``(rho_F, probability)`` of a past, with the
-    bits of one :func:`~retrosmooth.trajectory.filter` call, ``(None, 0.0)``
-    when filtering finds it impossible; ``memo["future", future]`` is the
-    retrofiltered effect of a future; ``memo["purified", past]`` is the
-    ``pf-variant`` prior's propagated operator of a past.  One instance serves
-    a whole sweep, so every prior kind shares them.
-
-    :meth:`fill` computes the entries of many records of one role in one
-    breadth-first pass over their prefix (or, for futures, suffix) trie, so
-    each distinct prefix is stepped once; an entry not filled is computed on
-    its own on first use.
-    """
-
-    def __init__(self, instrument, rho0):
-        super().__init__()
-        self.instrument = instrument
-        self.rho0 = rho0
-
-    def fill(self, role: str, records) -> None:
-        todo = [r for r in dict.fromkeys(map(tuple, records)) if (role, r) not in self]
-        if not todo:
-            return
-        if role == "future":
-            values = retrofilter_records(self.instrument, todo)
-        elif role == "past":
-            filtered = filter_records(self.instrument, self.rho0, todo)
-            values = [(None, 0.0) if f is None else (f[0], float(np.exp(f[1]))) for f in filtered]
-        else:
-            initial, rank = purified_initial(self.rho0)
-            values = propagate_records(self.instrument, initial, todo, dim_extra=rank)
-        self.update(zip([(role, r) for r in todo], values))
-
-    def __missing__(self, key):
-        role, record = key
-        self.fill(role, [record])
-        return self[key]
 
 
 class Smoothed(NamedTuple):
@@ -173,43 +154,38 @@ class Smoothed(NamedTuple):
 
     def residual(self) -> float:
         """Trace norm between the probability-weighted smoothed average and ``rho_F``."""
-        avg = np.zeros(self.rho_f.shape, dtype=complex)
-        for (_, p), rho_s, ok in zip(self.futures, self.states, self.possible):
-            if ok:
-                avg += (p / self.p_past) * rho_s
+        weights = np.array([p for _, p in self.futures])[self.possible] / self.p_past
+        # summed in future order from zero, as adding one future at a time would
+        avg = np.add.reduce(weights[:, None, None] * self.states[self.possible], axis=0, initial=0.0)
         return trace_norm(avg - self.rho_f)
 
 
-def smooth_table(scenario, built, rho0, table, kinds, *, complete: bool, memo: Memo | None = None):
+def smooth_table(scenario, built, rho0, table: dict[tuple, Past], kinds):
     """Every future of every (prior kind, past) of a table smoothed, as :class:`Smoothed`, kind-major.
 
-    ``complete`` marks that the table lists every future of each past, whose
-    probability is then the sum of theirs; otherwise the past is filtered for
-    it.  A past at or below :data:`PROB_FLOOR` is not smoothed.  ``memo``, a
-    :class:`Memo` of the same instrument and ``rho0``, defaults to a new one.
+    The table's distinct futures are retrofiltered in one pass and, for
+    ``pf-variant``, its pasts' purifications propagated in one pass, shared
+    by every prior kind.  A past at or below :data:`PROB_FLOOR` is not smoothed.
     """
-    if memo is None:
-        memo = Memo(built.instrument, rho0)
-    memo.fill("past", table)
-    memo.fill("future", [fut for futures in table.values() for fut, _ in futures])
+    distinct = list(dict.fromkeys(fut for past in table.values() for fut, _ in past.futures))
+    effects = dict(zip(distinct, retrofilter_records(built.instrument, distinct)))
     if "pf-variant" in kinds:
-        memo.fill("purified", table)
+        initial, rank = purified_initial(rho0)
+        purified = dict(zip(table, propagate_records(built.instrument, initial, list(table), dim_extra=rank)))
     for kind in kinds:
-        for past, futures in table.items():
-            p_past = sum(p for _, p in futures) if complete else memo["past", past][1]
+        for past, (rho_f, p_past, futures) in table.items():
             if p_past <= PROB_FLOOR:
                 yield Smoothed(kind, past, futures, p_past, error=ZERO_PAST)
                 continue
-            rho_f = memo["past", past][0]
-            propagated = memo["purified", past] if kind == "pf-variant" else None
+            propagated = purified[past] if kind == "pf-variant" else None
             try:
                 prior = prior_for(scenario, built, kind, past, rho0, rho_f, propagated)
             except RetrosmoothError as exc:
                 yield Smoothed(kind, past, futures, p_past, rho_f, error=exc)
                 continue
-            effects = np.stack([memo["future", fut] for fut, _ in futures])
-            states, possible = generalized_smooth(prior, effects)
-            yield Smoothed(kind, past, futures, p_past, rho_f, prior, effects, states, possible)
+            past_effects = np.stack([effects[fut] for fut, _ in futures])
+            states, possible = generalized_smooth(prior, past_effects)
+            yield Smoothed(kind, past, futures, p_past, rho_f, prior, past_effects, states, possible)
 
 
 def entropy_rows(scenario, built, rho0, table) -> list[dict]:
@@ -219,7 +195,7 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
     gives a row with a ``detail`` message and no ``avg_entropy``.
     """
     units, live_states = [], []
-    for s in smooth_table(scenario, built, rho0, table, scenario.prior_kinds, complete=True):
+    for s in smooth_table(scenario, built, rho0, table, scenario.prior_kinds):
         if s.error == ZERO_PAST:
             continue
         probs = [p / s.p_past for _, p in s.futures]
@@ -275,13 +251,14 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     records = [(rec, p) for rec, p in enumerated if p > PROB_FLOOR]
     worst = {kind: 0.0 for kind in kinds}
     for t in range(scenario.steps + 1):
-        table: dict[tuple, list] = {}
+        grouped: dict[tuple, list] = {}
         for rec, p in records:
-            table.setdefault(rec[:t], []).append((rec[t:], p))
+            grouped.setdefault(rec[:t], []).append((rec[t:], p))
         expected = {
             rec: classical_smooth(built.classical, prior0, rec[:t], rec[t:]) for rec, _ in records
         }
-        for s in smooth_table(scenario, built, rho0, table, kinds, complete=True):
+        table = _complete_table(built.instrument, rho0, grouped)
+        for s in smooth_table(scenario, built, rho0, table, kinds):
             if s.error is not None:
                 raise s.error
             if not s.possible.all():

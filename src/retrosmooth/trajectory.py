@@ -11,10 +11,12 @@ Filtering propagates a state forward through the conditional maps with
 per-step normalization; retrofiltering propagates the identity backwards
 through the adjoints, producing an (unnormalized) effect.
 :func:`filter_records`, :func:`retrofilter_records` and the unnormalized
-:func:`propagate_records` do so for a table of records at once, level by
-level over their prefix (or suffix) trie, with the bits of one record at a
-time.  :func:`walk` propagates every record of a product of label sets,
-unnormalized, for record enumeration and for the prior builders of
+:func:`propagate_records` are the one implementation of each: they take a
+table of records at once, level by level over their prefix (or suffix) trie,
+and a record's result has the same bits whatever table it is in.
+:func:`filter` and :func:`retrofilter` are their one-record cases.
+:func:`walk` propagates every record of a product of label sets,
+unnormalized, for record enumeration and the bob branches of
 :mod:`retrosmooth.smoothers`; :func:`sample_records` advances many sampled
 trajectories in lockstep.
 """
@@ -234,15 +236,12 @@ def filter(instrument, rho0, record) -> tuple[np.ndarray, float]:
     """Filtered state given a past record, with the record's log-probability.
 
     Normalizes after every step; raises :class:`ZeroProbabilityRecord` if any
-    step has vanishing weight.
+    step has vanishing weight.  The one-record case of :func:`filter_records`.
     """
-    rho, log_prob = as_density(rho0, "rho0"), 0.0
-    for y in record:
-        out, w = apply_conditional(instrument.op(y), rho)
-        if w <= WEIGHT_FLOOR:
-            raise ZeroProbabilityRecord(f"record impossible at outcome {y!r}")
-        rho, log_prob = hermitian_part(out / w), log_prob + float(np.log(w))
-    return rho, log_prob
+    found = filter_records(instrument, rho0, [tuple(record)])[0]
+    if found is None:
+        raise ZeroProbabilityRecord("record impossible under the instrument")
+    return found
 
 
 def retrofilter(instrument, record) -> np.ndarray:
@@ -251,15 +250,9 @@ def retrofilter(instrument, record) -> np.ndarray:
     For a future record ``(y_t, ..., y_{T-1})`` this is
     ``Phi_{y_t}† ( ... Phi_{y_{T-1}}†(I) ... )``; the empty record returns the
     identity exactly.  The result is Hermitian PSD but carries no
-    normalization.
+    normalization.  The one-record case of :func:`retrofilter_records`.
     """
-    dim = instrument.dim
-    effect = np.eye(dim, dtype=complex)
-    for y in reversed(list(record)):
-        op = instrument.op(y)
-        effect = sum(dag(k) @ effect @ k for k in op.kraus)
-        effect = hermitian_part(effect)
-    return effect
+    return retrofilter_records(instrument, [tuple(record)])[0]
 
 
 def _trie_levels(instrument, records):
@@ -289,11 +282,12 @@ def _trie_levels(instrument, records):
 
 
 def filter_records(instrument, rho0, records) -> list[tuple[np.ndarray, float] | None]:
-    """:func:`filter` of each record with its bits, ``None`` where it raises :class:`ZeroProbabilityRecord`.
+    """Each record's filtered state and log-probability, ``None`` where a step has vanishing weight.
 
     Each distinct prefix is stepped once: breadth-first over the records'
     prefix trie, one stacked conjugation per level as in :func:`walk`, each
-    row normalized as :func:`filter` normalizes a step.
+    row normalized by its trace and symmetrized, its log-weights summed left
+    to right.
     """
     rho = as_density(rho0, "rho0")
     positions = _kraus_stack(instrument, instrument.outcome_labels, np.eye(1))
@@ -302,7 +296,7 @@ def filter_records(instrument, rho0, records) -> list[tuple[np.ndarray, float] |
     for parents, labels, ends in _trie_levels(instrument, records):
         if parents is not None:
             out = _conjugate(positions, sigma)[parents, labels]
-            out += 0  # apply_conditional's sum starts from 0, which turns -0.0 into 0.0
+            out += 0  # as apply_conditional's sum, which starts from 0: turns -0.0 into 0.0
             w = np.trace(out, axis1=1, axis2=2).real
             live = live[parents] & (w > WEIGHT_FLOOR)
             w = np.where(live, w, 1.0)
@@ -314,11 +308,11 @@ def filter_records(instrument, rho0, records) -> list[tuple[np.ndarray, float] |
 
 
 def retrofilter_records(instrument, records) -> list[np.ndarray]:
-    """:func:`retrofilter` of each record with its bits.
+    """Each record's retrofiltered effect, as :func:`retrofilter` defines it.
 
     Each distinct suffix is propagated once: breadth-first over the records'
     suffix trie, one stacked conjugation by the adjoint Kraus operators per
-    level, symmetrized at every level as :func:`retrofilter` does.
+    level, symmetrized at every level.
     """
     positions = _kraus_stack(instrument, instrument.outcome_labels, np.eye(1))
     adjoints = [(idx, ops_dag, ops) for idx, ops, ops_dag in positions]  # conjugates by K† sigma K
@@ -327,7 +321,7 @@ def retrofilter_records(instrument, records) -> list[np.ndarray]:
     for parents, labels, ends in _trie_levels(instrument, [r[::-1] for r in records]):
         if parents is not None:
             out = _conjugate(adjoints, sigma)[parents, labels]
-            out += 0  # retrofilter's sum starts from 0, which turns -0.0 into 0.0
+            out += 0  # as a sum that starts from 0: turns -0.0 into 0.0
             sigma = hermitian_part(out)
         for i, row in ends:
             found[i] = sigma[row].copy()

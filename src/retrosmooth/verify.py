@@ -60,7 +60,7 @@ def _prior_errors(errors: list[str]) -> str:
 
 def _smoothed(sc, built, rho0, table, kinds, errors: list[str]):
     """The pass over a complete table, less impossible pasts; failed builds go to ``errors``."""
-    for s in sweeps.smooth_table(sc, built, rho0, table, kinds, complete=True):
+    for s in sweeps.smooth_table(sc, built, rho0, table, kinds):
         if s.error is None:
             yield s
         elif s.error != sweeps.ZERO_PAST:

@@ -166,9 +166,11 @@ class TestSmooth:
         assert filtered == Counter()
 
     def test_memo_gives_the_bits_of_filter(self):
+        # the record table's filtered pasts and probabilities against the per-step reference
+        from test_trajectory import reference_filter
+
         from retrosmooth import sweeps
         from retrosmooth.errors import ZeroProbabilityRecord
-        from retrosmooth.trajectory import filter as filter_state
 
         sc = demo_scenario()
         built = sc.build()
@@ -179,17 +181,30 @@ class TestSmooth:
         records += [("1", "1", "0"), ("1", "1"), ("1",), (), ("1", "0", "1", "1"), ("0", "1", "0")]
         records += records[:15]
         rng.shuffle(records)
-        memo, outcomes = sweeps.Memo(built.instrument, rho0), set()
-        for rec in records:
-            rho, p = memo["past", rec]
+
+        def reference(rec):
             try:
-                want, log_prob = filter_state(built.instrument, rho0, rec)
+                rho, log_prob = reference_filter(built.instrument, rho0, rec)
             except ZeroProbabilityRecord:
-                assert rho is None and p == 0.0, rec
-                outcomes.add("impossible")
-                continue
-            assert rho.tobytes() == want.tobytes() and p == float(np.exp(log_prob)), rec
-            outcomes.add("possible")
+                return None, 0.0
+            return rho, float(np.exp(log_prob))
+
+        table, outcomes = sweeps.record_table(sc, built, rho0, records), set()
+        t = sc.smoothing_index
+        assert sorted(table) == sorted({rec[:t] for rec in records})
+        listed = [past + fut for past, entry in table.items() for fut, _ in entry.futures]
+        assert sorted(listed) == sorted(set(records))
+        for past, (rho_f, p, futures) in table.items():
+            want, p_want = reference(past)
+            if want is None:
+                assert rho_f is None, past
+            else:
+                assert rho_f.tobytes() == want.tobytes(), past
+            assert np.float64(p).tobytes() == np.float64(p_want).tobytes(), past
+            for fut, p_rec in futures:
+                p_want = reference(past + fut)[1]
+                assert np.float64(p_rec).tobytes() == np.float64(p_want).tobytes(), past + fut
+                outcomes.add("possible" if p_want > 0.0 else "impossible")
         assert outcomes == {"possible", "impossible"}
 
     def test_enumerate_is_byte_stable(self, tmp_path):
@@ -746,6 +761,12 @@ class TestMainEntry:
             ("valid line repeated out of sequence", 4, "step index 1 out of sequence"),
             # the count of values still matches the count of lines, so the file must be read one line at a time
             ("object split across two lines, two objects on a later one", 3, "malformed record line"),
+            # a value of the wrong type is not read as another type
+            ("boolean step", 2, "malformed record line"),
+            ("fractional step", 3, "malformed record line"),
+            ("string step", 4, "malformed record line"),
+            ("number for alice", 3, "malformed record line"),
+            ("list for bob", 3, "malformed record line"),
         ],
     )
     def test_bad_record_line_is_config_error_naming_it(self, tmp_path, capsys, case, line, message):
@@ -762,6 +783,11 @@ class TestMainEntry:
             "object split across two lines, two objects on a later one": [
                 step[0], '{"step": 1, "alice": "0"', '"bob": "0"}', f"{step[2]}, {step[3]}"
             ],
+            "boolean step": ['{"step": false, "alice": "0", "bob": "0"}', *step[1:]],
+            "fractional step": [step[0], '{"step": 1.9, "alice": "0", "bob": "0"}', *step[2:]],
+            "string step": [step[0], step[1], '{"step": "2", "alice": "0", "bob": "0"}', step[3]],
+            "number for alice": [step[0], '{"step": 1, "alice": 1, "bob": "0"}', *step[2:]],
+            "list for bob": [step[0], '{"step": 1, "alice": "0", "bob": ["x"]}', *step[2:]],
         }[case]
         record = tmp_path / "bad.jsonl"
         record.write_text("\n".join(['{"kind": "joint"}', *body]) + "\n")
@@ -876,16 +902,20 @@ class TestMainEntry:
         code = main([command, "--scenario", str(missing), *self.WRITING_COMMANDS[command], "--out", str(out)])
         _assert_config_error(capsys, code, f"scenario file not found: {missing}")
         assert list(tmp_path.iterdir()) == []
-        # a system block that loads but does not build: a NaN list, and an entry that overflows the step
+        # a system block that loads but does not build: a NaN list, and an entry that overflows the step;
+        # then an initial state that is not a density operator of the system's dimension
         raw = demo_scenario().raw
         huge = json.loads(json.dumps(raw["system"]["jump_operators"]))
         huge[0]["matrix"]["real"][0][1] = 1e308
-        for jumps, fragment in [
-            (float("nan"), "system.jump_operators: expected a list, got nan"),
-            (huge, "system: discretized step has non-finite entries"),
+        for change, fragment in [
+            ({"system": {**raw["system"], "jump_operators": float("nan")}},
+             "system.jump_operators: expected a list, got nan"),
+            ({"system": {**raw["system"], "jump_operators": huge}}, "system: discretized step has non-finite entries"),
+            ({"rho0": {"real": [[1.5, 0], [0, -0.5]]}}, "rho0 has eigenvalue -0.5 below -1e-10"),
+            ({"rho0": {"real": [[1.0]]}}, "rho0: shape (1, 1) does not match system dim 2"),
         ]:
             path = tmp_path / "scenario.json"
-            path.write_text(json.dumps({**raw, "system": {**raw["system"], "jump_operators": jumps}}))
+            path.write_text(json.dumps({**raw, **change}))
             code = main([command, "--scenario", str(path), *self.WRITING_COMMANDS[command], "--out", str(out)])
             _assert_config_error(capsys, code, fragment)
             assert list(tmp_path.iterdir()) == [path]

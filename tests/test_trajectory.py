@@ -11,7 +11,7 @@ from retrosmooth.errors import (
     UnknownOutcome,
     ZeroProbabilityRecord,
 )
-from retrosmooth.linalg import dag, hermitian_part
+from retrosmooth.linalg import WEIGHT_FLOOR, as_density, dag, hermitian_part
 from retrosmooth.scenario import Scenario
 from retrosmooth.smoothers import purified_initial
 from retrosmooth.trajectory import (
@@ -45,6 +45,28 @@ def projective_z():
 def decay_spec(eta=1.0, kappa_dt=0.01, omega=0.0):
     h = 0.5 * omega * SX
     return LindbladSpec(h, (JumpChannel(SM, eta),), kappa_dt)
+
+
+def reference_filter(instrument, rho0, record) -> tuple[np.ndarray, float]:
+    """Per-step filtering: one :func:`apply_conditional` per outcome, normalized after every step."""
+    rho, log_prob = as_density(rho0, "rho0"), 0.0
+    for y in record:
+        out, w = apply_conditional(instrument.op(y), rho)
+        if w <= WEIGHT_FLOOR:
+            raise ZeroProbabilityRecord(f"record impossible at outcome {y!r}")
+        rho, log_prob = hermitian_part(out / w), log_prob + float(np.log(w))
+    return rho, log_prob
+
+
+def reference_retrofilter(instrument, record) -> np.ndarray:
+    """Per-step retrofiltering: the identity through one adjoint map per outcome, last outcome first."""
+    dim = instrument.dim
+    effect = np.eye(dim, dtype=complex)
+    for y in reversed(list(record)):
+        op = instrument.op(y)
+        effect = sum(dag(k) @ effect @ k for k in op.kraus)
+        effect = hermitian_part(effect)
+    return effect
 
 
 class TestConditionalOp:
@@ -274,9 +296,12 @@ class TestEnumerate:
 
 
 class TestTriePasses:
-    """The breadth-first passes over a table give the bits of their per-record references.
+    """The breadth-first passes over a table, and their one-record cases, give the bits of per-step references.
 
-    Bytes are compared, not values, so a ``-0.0`` where the reference has ``0.0`` fails.
+    :func:`reference_filter` and :func:`reference_retrofilter` step one
+    record at a time; ``walk`` of a one-label-per-step record is the
+    reference of :func:`propagate_records`.  Bytes are compared, not values,
+    so a ``-0.0`` where the reference has ``0.0`` fails.
     """
 
     @staticmethod
@@ -299,16 +324,20 @@ class TestTriePasses:
             pasts, futures = [r[:t] for r in records], [r[t:] for r in records]
             for past, got in zip(pasts, filter_records(inst, rho0, pasts)):
                 try:
-                    rho, log_prob = filter_state(inst, rho0, past)
+                    rho, log_prob = reference_filter(inst, rho0, past)
                 except ZeroProbabilityRecord:
                     assert got is None, past
+                    with pytest.raises(ZeroProbabilityRecord):
+                        filter_state(inst, rho0, past)
                     outcomes.add("impossible")
                     continue
-                assert got[0].tobytes() == rho.tobytes(), past
-                assert np.float64(got[1]).tobytes() == np.float64(log_prob).tobytes(), past
+                for rho_got, log_prob_got in (got, filter_state(inst, rho0, past)):
+                    assert rho_got.tobytes() == rho.tobytes(), past
+                    assert np.float64(log_prob_got).tobytes() == np.float64(log_prob).tobytes(), past
                 outcomes.add("possible")
             for future, got in zip(futures, retrofilter_records(inst, futures)):
-                assert got.tobytes() == retrofilter(inst, future).tobytes(), future
+                want = reference_retrofilter(inst, future).tobytes()
+                assert got.tobytes() == want and retrofilter(inst, future).tobytes() == want, future
             for past, got in zip(pasts, propagate_records(inst, initial, pasts, dim_extra=rank)):
                 _, ops = walk(inst, initial, [[y] for y in past], dim_extra=rank)
                 # walk drops an exactly zero branch, the pass keeps it as zeros
@@ -318,6 +347,10 @@ class TestTriePasses:
     def test_unknown_outcome(self):
         with pytest.raises(UnknownOutcome):
             filter_records(projective_z(), np.eye(2) / 2, [("0",), ("0", "x")])
+        with pytest.raises(UnknownOutcome):
+            filter_state(projective_z(), np.eye(2) / 2, ("0", "x"))
+        with pytest.raises(UnknownOutcome):
+            retrofilter(projective_z(), ("x", "0"))
 
 
 def sequential_record(instrument, rho0, steps, gen):
