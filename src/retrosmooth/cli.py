@@ -9,6 +9,7 @@ verification failure, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -63,9 +64,8 @@ def _write_json(path: Path, doc) -> None:
 
 def cmd_simulate(scenario: Scenario, n_trajectories: int, out_dir: Path) -> Path:
     """Sample joint (alice, bob) trajectories and write them as a JSON-lines record file."""
-    built = scenario.build()
-    rho0 = scenario.rho0(built.dim)
-    records = sample_records(built.instrument.joint, rho0, scenario.steps, n_trajectories, scenario.seed)
+    joint = scenario.instrument.joint
+    records = sample_records(joint, scenario.rho0, scenario.steps, n_trajectories, scenario.seed)
     path = out_dir / f"{scenario.name}_trajectories.jsonl"
     write_trajectories(path, scenario, records)
     print(f"wrote {len(records)} trajectories to {path}")
@@ -93,17 +93,15 @@ def cmd_smooth(
     """
     if enumerate_futures == (record_path is not None):
         raise ScenarioError("smooth: pass exactly one of --enumerate or --record")
-    built = scenario.build()
-    rho0 = scenario.rho0(built.dim)
     kinds = prior_kinds or scenario.prior_kinds
     scenario.require_kinds(kinds)
 
     if enumerate_futures:
-        table = sweeps.future_table(scenario, built, rho0)
+        table = sweeps.future_table(scenario)
     else:
         _, file_records = read_trajectories(record_path)
         records = [tuple(a for a, _ in rec) for rec in file_records]
-        alphabet = built.instrument.outcome_labels
+        alphabet = scenario.instrument.outcome_labels
         for alice in records:
             if len(alice) != scenario.steps:
                 raise ScenarioError(
@@ -112,11 +110,11 @@ def cmd_smooth(
             unknown = [y for y in alice if y not in alphabet]
             if unknown:
                 raise ScenarioError(f"{record_path}: outcome {unknown[0]!r} not in alphabet {alphabet}")
-        table = sweeps.record_table(scenario, built, rho0, records)
+        table = sweeps.record_table(scenario, records)
 
     # the whole pass first, keeping what the rows need; the full state arrays only for the gw gap
     units, live, register = [], [], {"gw": {}, "gw-variant": {}}
-    for s in sweeps.smooth_table(scenario, built, rho0, table, kinds):
+    for s in sweeps.smooth_table(scenario, table, kinds):
         residual = s.residual() if enumerate_futures and s.error is None else None
         if s.error is None:
             live.append((s.states[s.possible], s.rho_f))
@@ -124,7 +122,7 @@ def cmd_smooth(
                 register[s.kind][s.past] = s.states, s.possible
         units.append((s._replace(prior=None, effects=None, states=None), residual))
     # then the metrics of every smoothed state in one call each
-    empty = np.empty((0, built.dim, built.dim), complex)
+    empty = np.empty((0, scenario.dim, scenario.dim), complex)
     smoothed = np.concatenate([empty, *(states for states, _ in live)])
     filtered = np.concatenate([empty, *(np.broadcast_to(rho_f, states.shape) for states, rho_f in live)])
     metrics = (purity(smoothed), entropy_vn(smoothed), fidelity(smoothed, filtered))
@@ -147,7 +145,7 @@ def cmd_smooth(
             if ok:
                 pur, ent, fid, real, imag = next(rows)
                 lines.append(f"{head},{_text(future)},{p:.17g},{pur:.17g},{ent:.17g},{fid:.17g},ok\r\n")
-                states[future] = {"dim": built.dim, "real": real, "imag": imag}
+                states[future] = {"dim": scenario.dim, "real": real, "imag": imag}
             else:
                 lines.append(f"{head},{_text(future)},{p:.17g},,,,zero-probability\r\n")
         entry[key] = {"p_past": s.p_past, "avg_vs_filtered_trace_norm": residual, "states": states}
@@ -189,7 +187,7 @@ def cmd_smooth(
 
 
 def _theorem1_rows(scenario: Scenario | None, seed: int) -> list[dict]:
-    n, dims_q, dims_a, effect_counts = theorem1_config(scenario.raw if scenario else {})
+    n, dims_q, dims_a, effect_counts = scenario.theorem1 if scenario else theorem1_config({})
     shapes = []
 
     def draws():
@@ -271,10 +269,7 @@ def cmd_entropy_scan(
         raise ScenarioError("entropy-scan: needs a scenario, --theorem1, or --demo-svb")
     rows: list[dict] = []
     if scenario is not None:
-        built = scenario.build()
-        rho0 = scenario.rho0(built.dim)
-        table = sweeps.future_table(scenario, built, rho0)
-        rows.extend(sweeps.entropy_rows(scenario, built, rho0, table))
+        rows.extend(sweeps.entropy_rows(scenario, sweeps.future_table(scenario)))
     if theorem1:
         rows.extend(_theorem1_rows(scenario, seed if seed is not None else 0))
     if demo_svb:
@@ -345,9 +340,7 @@ def _add_common(parser, *, scenario_required=True):
 
 def _load_scenario(args) -> Scenario:
     sc = demo_scenario() if args.scenario == "demo" else Scenario.from_file(args.scenario)
-    if args.seed is not None:
-        sc.seed = int(args.seed)
-    return sc
+    return sc if args.seed is None else dataclasses.replace(sc, seed=int(args.seed))
 
 
 def build_parser() -> argparse.ArgumentParser:

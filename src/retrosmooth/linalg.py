@@ -7,10 +7,11 @@ ordered system-first (``Q`` is the slowest index); entropies are in nats.
 
 Every tolerance is one constant here (only ``sweeps.PROB_FLOOR`` and the acceptance
 thresholds of ``verify`` and the CLI live elsewhere), and each validity check is one function:
-:func:`require_finite`, the ``as_*`` validators, :func:`support_basis`, :func:`require_complete`,
-:func:`as_povm` and ``retrodiction.require_marginals``.  A check fails only strictly beyond its
-tolerance.  One matrix and a stack ``(n, d, d)`` go through the same code: :func:`as_hermitian`
-holds each matrix of a stack to its own scale, and the validators built on it take either.
+:func:`require_finite`, the ``as_*`` validators, :func:`kraus_gram`, :func:`support_basis`,
+:func:`require_complete`, :func:`as_povm` and ``retrodiction.require_marginals``.  A check fails
+only strictly beyond its tolerance.  One matrix and a stack ``(n, d, d)`` go through the same
+code: :func:`as_hermitian` holds each matrix of a stack to its own scale, and the validators built
+on it take either.
 
 ===================  =====  ====================================================================
 constant             value  what it decides (what it raises)
@@ -99,11 +100,14 @@ def as_hermitian(m, name: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndar
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
-    require_finite(a, name)
-    gap = np.abs(a - dag(a)).max(axis=(-2, -1), initial=0.0)
-    if (gap > tol * np.abs(a).max(axis=(-2, -1), initial=1.0)).any():
-        raise InvalidMatrix(f"{name} is not Hermitian within {tol:g}")
-    return hermitian_part(a)
+    # an infinite or NaN entry, or one that overflows here, leaves an infinite or NaN entry in h
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(a - dag(a)).max(axis=(-2, -1), initial=0.0)
+        if (gap > tol * np.abs(a).max(axis=(-2, -1), initial=1.0)).any():
+            raise InvalidMatrix(f"{name} is not Hermitian within {tol:g}")
+        h = hermitian_part(a)
+    require_finite(h, f"{name}'s Hermitian part")
+    return h
 
 
 def as_density(m, name: str = "state") -> np.ndarray:
@@ -157,10 +161,17 @@ def as_povm(effects, dim: int) -> np.ndarray:
     return stack
 
 
+def kraus_gram(kraus) -> np.ndarray:
+    """``sum_k K† K`` of Kraus operators, symmetrized; a sum that overflows is :class:`InvalidMatrix`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = hermitian_part(sum(dag(k) @ k for k in kraus))
+    require_finite(total, "K†K summed over the Kraus operators")
+    return total
+
+
 def completeness_defect(kraus, dim: int) -> float:
     """Largest ``|eigenvalue|`` of ``sum_k K† K - I``: how far Kraus operators are from trace preserving."""
-    total = sum(dag(k) @ k for k in kraus)
-    return float(np.abs(np.linalg.eigvalsh(hermitian_part(total - np.eye(dim)))).max())
+    return float(np.abs(np.linalg.eigvalsh(kraus_gram(kraus) - np.eye(dim))).max())
 
 
 def require_complete(defect: float, name: str) -> None:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .classical import ClassicalModel
 from .errors import InvalidDistribution, InvalidMatrix, NotPSD, ScenarioError, StepTooCoarse
-from .linalg import as_density
+from .linalg import as_density, require_finite
 from .retrodiction import PRIOR_KINDS
 from .trajectory import DEFAULT_ENUMERATION_CAP
 from .trajectory import ConditionalOp, Instrument, JumpChannel, LindbladSpec, discretize
@@ -123,6 +123,10 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
         raise ScenarioError(f"{where}: malformed matrix arrays ({exc})") from None
     if real.shape != imag.shape or real.ndim != 2:
         raise ScenarioError(f"{where}: real/imag parts must be equal-shape 2-d arrays")
+    try:
+        require_finite(np.stack([real, imag]), where)
+    except InvalidMatrix as exc:
+        raise ScenarioError(str(exc)) from None
     return real + 1j * imag
 
 
@@ -147,18 +151,6 @@ def named_state(name: str, dim: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # system construction
-
-
-@dataclass(frozen=True)
-class BuiltSystem:
-    """Instrument form of a scenario's system, with its classical model if it has one."""
-
-    instrument: Instrument
-    classical: ClassicalModel | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.instrument.dim
 
 
 def classical_instrument(model: ClassicalModel) -> Instrument:
@@ -193,7 +185,8 @@ def _number(doc: dict, key: str, default, where: str) -> float:
     raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
 
 
-def _build_system(spec: dict) -> BuiltSystem:
+def _build_system(spec: dict) -> tuple[Instrument, ClassicalModel | None]:
+    """The instrument of a ``system`` block, with its classical model if it has one."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ScenarioError("system: expected an object with a 'type' field")
     kind = spec["type"]
@@ -219,7 +212,7 @@ def _build_system(spec: dict) -> BuiltSystem:
                 )
             )
         dt = _number(spec, "dt", None, "system.dt")
-        return BuiltSystem(discretize(LindbladSpec(ham, tuple(channels), dt)))
+        return discretize(LindbladSpec(ham, tuple(channels), dt)), None
     if kind == "joint_instrument":
         entries = spec.get("operations")
         if not isinstance(entries, list) or not entries:
@@ -235,7 +228,7 @@ def _build_system(spec: dict) -> BuiltSystem:
             if not isinstance(kraus, list) or len(kraus) != 1:
                 raise ScenarioError(f"{where}.kraus: a joint outcome needs exactly one Kraus operator")
             pairs.append((label, matrix_from_json(kraus[0], f"{where}.kraus[0]")))
-        return BuiltSystem(Instrument.from_pairs(pairs))
+        return Instrument.from_pairs(pairs), None
     if kind == "instrument":
         table = spec.get("operations")
         if not isinstance(table, dict) or not table:
@@ -248,7 +241,7 @@ def _build_system(spec: dict) -> BuiltSystem:
             ops[str(y)] = ConditionalOp(
                 tuple(matrix_from_json(k, f"{where}[{j}]") for j, k in enumerate(kraus))
             )
-        return BuiltSystem(Instrument(ops))
+        return Instrument(ops), None
     if kind == "classical":
         if not isinstance(spec.get("likelihood"), dict):
             raise ScenarioError("system.likelihood: expected an object keyed by outcome")
@@ -258,7 +251,7 @@ def _build_system(spec: dict) -> BuiltSystem:
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"system: malformed classical model ({exc})") from None
         model = ClassicalModel(transition, likelihood)
-        return BuiltSystem(classical_instrument(model), model)
+        return classical_instrument(model), model
     raise ScenarioError(f"system.type: unknown kind {kind!r}")
 
 
@@ -266,26 +259,27 @@ def _build_system(spec: dict) -> BuiltSystem:
 # scenario
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Parsed scenario configuration; :meth:`build` gives its instruments.
+    """A loaded scenario: its parsed, validated values and the document ``raw`` they came from.
 
-    :meth:`from_dict` builds the system and checks ``rho0`` against its
-    dimension, so a scenario that loads has a system and an initial state.
+    :meth:`from_dict` builds the ``instrument`` (and the ``classical`` model of a
+    hidden-Markov system) and checks ``rho0`` against its dimension on load.
     """
 
     name: str
-    system_spec: dict
-    rho0_spec: object
+    instrument: Instrument
+    classical: ClassicalModel | None
+    rho0: np.ndarray
     steps: int
     smoothing_index: int
     prior_kinds: tuple[str, ...]
-    seed: int = 0
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    n_trajectories: int = 100
-    custom_prior: tuple[np.ndarray, int] | None = None
-    raw: dict = field(default_factory=dict, repr=False)
-    _system: BuiltSystem = field(init=False, repr=False, compare=False)
+    seed: int
+    enumeration_cap: int
+    n_trajectories: int
+    custom_prior: tuple[np.ndarray, int] | None
+    theorem1: tuple[int, list[int], list[int], list[int]]
+    raw: dict = field(repr=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -310,24 +304,20 @@ class Scenario:
             raise ScenarioError("system: required")
         if "rho0" not in doc:
             raise ScenarioError("rho0: required")
-        theorem1_config(doc)  # read by entropy-scan, but a bad block fails every command
-        scenario = cls(
+        # read in this order, so that of a document with several errors the first is reported
+        settings = dict(
+            theorem1=theorem1_config(doc),  # read by entropy-scan, but a bad block fails every command
             name=_name(doc),
-            system_spec=doc["system"],
-            rho0_spec=doc["rho0"],
-            steps=steps,
-            smoothing_index=t,
-            prior_kinds=kinds,
             seed=_integer(doc, "seed", 0),
             enumeration_cap=_integer(doc, "enumeration_cap", DEFAULT_ENUMERATION_CAP, minimum=1),
             n_trajectories=_integer(doc, "n_trajectories", 100, minimum=0),
             custom_prior=_custom_prior(doc),
-            raw=doc,
         )
-        scenario.require_kinds(kinds)
-        scenario._system = _checked_system(doc["system"], scenario.custom_prior)
-        scenario.rho0(scenario._system.dim)
-        return scenario
+        _require_kinds(kinds, settings["custom_prior"])
+        instrument, classical = _checked_system(doc["system"], settings["custom_prior"])
+        rho0 = _rho0(doc["rho0"], instrument.dim)
+        return cls(instrument=instrument, classical=classical, rho0=rho0, steps=steps, smoothing_index=t,
+                   prior_kinds=kinds, raw=doc, **settings)
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
@@ -342,52 +332,60 @@ class Scenario:
             raise ScenarioError(f"{p}:{exc.lineno}: invalid JSON ({exc.msg})") from None
         return cls.from_dict(doc)
 
-    def build(self) -> BuiltSystem:
-        """The system as an instrument, built when the scenario was loaded."""
-        return self._system
+    @property
+    def dim(self) -> int:
+        return self.instrument.dim
 
-    def rho0(self, dim: int) -> np.ndarray:
-        """The initial state for a system of dimension ``dim``, validated as a density operator."""
-        spec = self.rho0_spec
-        if isinstance(spec, str):
-            return named_state(spec, dim)
-        if isinstance(spec, list):
-            try:
-                probs = np.asarray(spec, dtype=float)
-            except (TypeError, ValueError):
-                raise ScenarioError("rho0: probability vector must hold numbers") from None
-            if probs.ndim != 1 or probs.shape[0] != dim:
-                raise ScenarioError(f"rho0: probability vector must have length {dim}")
-            rho = np.diag(probs).astype(complex)
-        else:
-            rho = matrix_from_json(spec, "rho0")
-            if rho.shape != (dim, dim):
-                raise ScenarioError(f"rho0: shape {rho.shape} does not match system dim {dim}")
-        try:
-            return as_density(rho, "rho0")
-        except (InvalidMatrix, NotPSD) as exc:
-            raise ScenarioError(str(exc)) from None
+    def build(self) -> Instrument:
+        """``instrument``; an accessor kept only because ``bench/child.py`` calls it at setup."""
+        return self.instrument
 
     def require_kinds(self, kinds) -> None:
         """Raise :class:`ScenarioError` unless the scenario can build every prior kind in ``kinds``."""
-        if "custom" in kinds and self.custom_prior is None:
-            raise ScenarioError("custom_prior: required when prior kind 'custom' is requested")
+        _require_kinds(kinds, self.custom_prior)
 
 
-def _checked_system(spec, custom_prior) -> BuiltSystem:
+def _require_kinds(kinds, custom_prior) -> None:
+    if "custom" in kinds and custom_prior is None:
+        raise ScenarioError("custom_prior: required when prior kind 'custom' is requested")
+
+
+def _checked_system(spec, custom_prior) -> tuple[Instrument, ClassicalModel | None]:
     """The system of ``spec``; a spec that gives no valid one is a :class:`ScenarioError`.
 
     A ``custom_prior`` whose dimension is not the system's times its ``dim_a`` is one as well.
     """
     try:
-        built = _build_system(spec)
+        instrument, classical = _build_system(spec)
     except (InvalidMatrix, NotPSD, InvalidDistribution, StepTooCoarse) as exc:
         raise ScenarioError(f"system: {exc}") from None
     if custom_prior is not None:
         dim, dim_a = len(custom_prior[0]), custom_prior[1]
-        if dim != built.dim * dim_a:
-            raise ScenarioError(f"custom_prior: dimension {dim} is not {built.dim} x dim_a={dim_a}")
-    return built
+        if dim != instrument.dim * dim_a:
+            raise ScenarioError(f"custom_prior: dimension {dim} is not {instrument.dim} x dim_a={dim_a}")
+    return instrument, classical
+
+
+def _rho0(spec, dim: int) -> np.ndarray:
+    """The ``rho0`` block as a density operator of dimension ``dim``, validated."""
+    if isinstance(spec, str):
+        return named_state(spec, dim)
+    if isinstance(spec, list):
+        try:
+            probs = np.asarray(spec, dtype=float)
+        except (TypeError, ValueError):
+            raise ScenarioError("rho0: probability vector must hold numbers") from None
+        if probs.ndim != 1 or probs.shape[0] != dim:
+            raise ScenarioError(f"rho0: probability vector must have length {dim}")
+        rho = np.diag(probs).astype(complex)
+    else:
+        rho = matrix_from_json(spec, "rho0")
+        if rho.shape != (dim, dim):
+            raise ScenarioError(f"rho0: shape {rho.shape} does not match system dim {dim}")
+    try:
+        return as_density(rho, "rho0")
+    except (InvalidMatrix, NotPSD) as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _name(doc: dict) -> str:

@@ -78,16 +78,16 @@ def _complete_table(instrument, rho0, grouped: dict) -> dict[tuple, Past]:
     }
 
 
-def future_table(scenario, built, rho0) -> dict[tuple, Past]:
+def future_table(scenario) -> dict[tuple, Past]:
     """Every record of the scenario's length, grouped by past, sorted by past."""
-    t = scenario.smoothing_index
+    t, inst, rho0 = scenario.smoothing_index, scenario.instrument, scenario.rho0
     grouped: dict[tuple, list] = defaultdict(list)
-    for rec, p in enumerate_records(built.instrument, rho0, scenario.steps, scenario.enumeration_cap):
+    for rec, p in enumerate_records(inst, rho0, scenario.steps, scenario.enumeration_cap):
         grouped[rec[:t]].append((rec[t:], p))
-    return _complete_table(built.instrument, rho0, dict(sorted(grouped.items())))
+    return _complete_table(inst, rho0, dict(sorted(grouped.items())))
 
 
-def record_table(scenario, built, rho0, records) -> dict[tuple, Past]:
+def record_table(scenario, records) -> dict[tuple, Past]:
     """Distinct observed records, grouped and sorted like :func:`future_table`.
 
     The records and their pasts are filtered in one forward pass, which gives
@@ -98,7 +98,7 @@ def record_table(scenario, built, rho0, records) -> dict[tuple, Past]:
     keys = list(dict.fromkeys([*records, *(rec[:t] for rec in records)]))
     filtered = {
         key: (None, 0.0) if f is None else (f[0], float(np.exp(f[1])))
-        for key, f in zip(keys, filter_records(built.instrument, rho0, keys))
+        for key, f in zip(keys, filter_records(scenario.instrument, scenario.rho0, keys))
     }
     grouped: dict[tuple, list] = {}
     for rec in records:
@@ -106,7 +106,7 @@ def record_table(scenario, built, rho0, records) -> dict[tuple, Past]:
     return {past: Past(*filtered[past], futures) for past, futures in grouped.items()}
 
 
-def prior_for(scenario, built, kind: str, past, rho0, rho_f, propagated):
+def prior_for(scenario, kind: str, past, rho_f, propagated):
     """The prior of one kind for one past, built under the scenario's enumeration cap.
 
     ``rho_f``, the past's filtered state, spares the ``pf``/``clhs`` builds
@@ -117,14 +117,14 @@ def prior_for(scenario, built, kind: str, past, rho0, rho_f, propagated):
     if kind == "custom":
         scenario.require_kinds((kind,))
         matrix, dim_a = scenario.custom_prior
-        prior = build_custom(matrix, (built.dim, dim_a))
+        prior = build_custom(matrix, (scenario.dim, dim_a))
         prior.require_marginal(rho_f, "the filtered state")
         return prior
     return build_prior(
         kind,
-        rho0=rho0,
+        rho0=scenario.rho0,
         alice_past=past,
-        instrument=built.instrument,
+        instrument=scenario.instrument,
         cap=scenario.enumeration_cap,
         rho_f=rho_f,
         propagated=propagated,
@@ -160,7 +160,7 @@ class Smoothed(NamedTuple):
         return trace_norm(avg - self.rho_f)
 
 
-def smooth_table(scenario, built, rho0, table: dict[tuple, Past], kinds):
+def smooth_table(scenario, table: dict[tuple, Past], kinds):
     """Every future of every (prior kind, past) of a table smoothed, as :class:`Smoothed`, kind-major.
 
     The table's distinct futures are retrofiltered in one pass and, for
@@ -168,10 +168,10 @@ def smooth_table(scenario, built, rho0, table: dict[tuple, Past], kinds):
     by every prior kind.  A past at or below :data:`PROB_FLOOR` is not smoothed.
     """
     distinct = list(dict.fromkeys(fut for past in table.values() for fut, _ in past.futures))
-    effects = dict(zip(distinct, retrofilter_records(built.instrument, distinct)))
+    effects = dict(zip(distinct, retrofilter_records(scenario.instrument, distinct)))
     if "pf-variant" in kinds:
-        initial, rank = purified_initial(rho0)
-        purified = dict(zip(table, propagate_records(built.instrument, initial, list(table), dim_extra=rank)))
+        initial, rank = purified_initial(scenario.rho0)
+        purified = dict(zip(table, propagate_records(scenario.instrument, initial, list(table), dim_extra=rank)))
     for kind in kinds:
         for past, (rho_f, p_past, futures) in table.items():
             if p_past <= PROB_FLOOR:
@@ -179,7 +179,7 @@ def smooth_table(scenario, built, rho0, table: dict[tuple, Past], kinds):
                 continue
             propagated = purified[past] if kind == "pf-variant" else None
             try:
-                prior = prior_for(scenario, built, kind, past, rho0, rho_f, propagated)
+                prior = prior_for(scenario, kind, past, rho_f, propagated)
             except RetrosmoothError as exc:
                 yield Smoothed(kind, past, futures, p_past, rho_f, error=exc)
                 continue
@@ -188,14 +188,14 @@ def smooth_table(scenario, built, rho0, table: dict[tuple, Past], kinds):
             yield Smoothed(kind, past, futures, p_past, rho_f, prior, past_effects, states, possible)
 
 
-def entropy_rows(scenario, built, rho0, table) -> list[dict]:
+def entropy_rows(scenario, table) -> list[dict]:
     """Average smoothed entropy against its sandwich bounds, per scenario prior and past.
 
     Pasts at or below the probability floor are skipped; a failed prior build
     gives a row with a ``detail`` message and no ``avg_entropy``.
     """
     units, live_states = [], []
-    for s in smooth_table(scenario, built, rho0, table, scenario.prior_kinds):
+    for s in smooth_table(scenario, table, scenario.prior_kinds):
         if s.error == ZERO_PAST:
             continue
         probs = [p / s.p_past for _, p in s.futures]
@@ -207,7 +207,7 @@ def entropy_rows(scenario, built, rho0, table) -> list[dict]:
             live_states.append(s.states[live])
         units.append((s.kind, render(s.past), s.rho_f, s.error, probs, live))
     # every live state's entropy in one call
-    entropies = entropy_vn(np.concatenate([np.empty((0, built.dim, built.dim), complex), *live_states]))
+    entropies = entropy_vn(np.concatenate([np.empty((0, scenario.dim, scenario.dim), complex), *live_states]))
     rows, end = [], 0
     for kind, record, rho_f, error, probs, live in units:
         if error is not None:
@@ -240,14 +240,13 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     Covers every record above the probability floor and every split time: at
     each split the records are grouped by past and smoothed in one pass.
     """
-    built = scenario.build()
-    if built.classical is None:
+    if scenario.classical is None:
         raise NotClassicalLimit(
             "scenario is not classical: classical-limit needs system.type == 'classical'"
         )
-    rho0 = scenario.rho0(built.dim)
+    inst, rho0 = scenario.instrument, scenario.rho0
     prior0 = np.diag(rho0).real
-    enumerated = enumerate_records(built.instrument, rho0, scenario.steps, scenario.enumeration_cap)
+    enumerated = enumerate_records(inst, rho0, scenario.steps, scenario.enumeration_cap)
     records = [(rec, p) for rec, p in enumerated if p > PROB_FLOOR]
     worst = {kind: 0.0 for kind in kinds}
     for t in range(scenario.steps + 1):
@@ -255,10 +254,10 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
         for rec, p in records:
             grouped.setdefault(rec[:t], []).append((rec[t:], p))
         expected = {
-            rec: classical_smooth(built.classical, prior0, rec[:t], rec[t:]) for rec, _ in records
+            rec: classical_smooth(scenario.classical, prior0, rec[:t], rec[t:]) for rec, _ in records
         }
-        table = _complete_table(built.instrument, rho0, grouped)
-        for s in smooth_table(scenario, built, rho0, table, kinds):
+        table = _complete_table(inst, rho0, grouped)
+        for s in smooth_table(scenario, table, kinds):
             if s.error is not None:
                 raise s.error
             if not s.possible.all():

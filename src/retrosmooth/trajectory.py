@@ -38,7 +38,7 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityRecord,
 )
-from .linalg import IDENTITY_TOL, SUBNORMAL_TOL, WEIGHT_FLOOR, as_density, as_square, dag
+from .linalg import IDENTITY_TOL, SUBNORMAL_TOL, WEIGHT_FLOOR, as_density, as_square, dag, kraus_gram
 from .linalg import completeness_defect, hermitian_part, psd_sqrt, require_complete, require_finite, tensor
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -74,8 +74,7 @@ class ConditionalOp:
             raise InvalidMatrix(f"{len(names)} names for {len(mats)} Kraus operators")
         if len(set(names)) != len(names):
             raise InvalidMatrix(f"Kraus operator names {names} are not distinct")
-        gram = sum(dag(k) @ k for k in mats)
-        top = np.linalg.eigvalsh(hermitian_part(gram))[-1]
+        top = np.linalg.eigvalsh(kraus_gram(mats))[-1]
         if top > 1.0 + SUBNORMAL_TOL:
             raise InvalidMatrix(f"Kraus operators are not subnormalized (max eig {top:g})")
         object.__setattr__(self, "kraus", mats)
@@ -202,10 +201,10 @@ def discretize(spec: LindbladSpec) -> Instrument:
     jump weight of a single step exceeds one by more than ``IDENTITY_TOL``.
     """
     d = spec.dim
-    h = hermitian_part(np.asarray(spec.hamiltonian))
     eye = np.eye(d)
     # an entry too large for a float overflows the step: require_finite rejects it below, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
+        h = hermitian_part(np.asarray(spec.hamiltonian))
         sink = sum((dag(ch.operator) @ ch.operator for ch in spec.jump_ops), np.zeros((d, d), complex))
         m0_raw = eye - (1j * h + 0.5 * sink) * spec.dt
         jumps: dict[tuple[str, str], np.ndarray] = {}

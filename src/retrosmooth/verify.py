@@ -47,20 +47,18 @@ class CheckResult:
 
 
 def _setup(scenario: Scenario | None):
-    """The scenario (demo by default), its built system, initial state and future table."""
+    """The scenario (demo by default) and its future table."""
     sc = scenario or demo_scenario()
-    built = sc.build()
-    rho0 = sc.rho0(built.dim)
-    return sc, built, rho0, sweeps.future_table(sc, built, rho0)
+    return sc, sweeps.future_table(sc)
 
 
 def _prior_errors(errors: list[str]) -> str:
     return f"  prior errors={len(errors)} (first: {errors[0]})" if errors else ""
 
 
-def _smoothed(sc, built, rho0, table, kinds, errors: list[str]):
+def _smoothed(sc, table, kinds, errors: list[str]):
     """The pass over a complete table, less impossible pasts; failed builds go to ``errors``."""
-    for s in sweeps.smooth_table(sc, built, rho0, table, kinds):
+    for s in sweeps.smooth_table(sc, table, kinds):
         if s.error is None:
             yield s
         elif s.error != sweeps.ZERO_PAST:
@@ -152,9 +150,9 @@ def check_filter_averaging(scenario: Scenario | None = None) -> CheckResult:
 
     A prior that cannot be built for a possible past fails the check.
     """
-    sc, built, rho0, table = _setup(scenario)
+    sc, table = _setup(scenario)
     worst, errors = 0.0, []
-    for s in _smoothed(sc, built, rho0, table, sc.prior_kinds, errors):
+    for s in _smoothed(sc, table, sc.prior_kinds, errors):
         worst = max(worst, s.residual())
     passed = worst <= 1e-8 and not errors
     detail = f"scenario={sc.name}{_prior_errors(errors)}"
@@ -176,16 +174,16 @@ def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
 
     A prior that cannot be built for a possible past fails the check.
     """
-    sc, built, rho0, table = _setup(scenario)
+    sc, table = _setup(scenario)
     worst, errors = 0.0, []
-    for s in _smoothed(sc, built, rho0, table, ("gw",), errors):
+    for s in _smoothed(sc, table, ("gw",), errors):
         live = np.array([p > sweeps.PROB_FLOOR for _, p in s.futures])
         if not s.possible[live].all():
             raise ZeroProbabilityRecord(
                 f"a future of {sweeps.render(s.past)!r} has vanishing probability"
             )
         for effect, got in zip(s.effects[live], s.states[live]):
-            ref = branch_mixture_smooth(built.instrument, rho0, s.past, effect, cap=sc.enumeration_cap)
+            ref = branch_mixture_smooth(sc.instrument, sc.rho0, s.past, effect, cap=sc.enumeration_cap)
             worst = max(worst, trace_norm(got - ref))
     passed = worst <= 1e-8 and not errors
     return CheckResult(
@@ -200,10 +198,10 @@ def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
     table beyond the enumeration cap, fails the check.
     """
     name = "record-register-posterior"
-    sc, built, rho0, table = _setup(scenario)
+    sc, table = _setup(scenario)
     t = sc.smoothing_index
     try:
-        joint_table = enumerate_records(built.instrument.joint, rho0, sc.steps, sc.enumeration_cap)
+        joint_table = enumerate_records(sc.instrument.joint, sc.rho0, sc.steps, sc.enumeration_cap)
     except EnumerationTooLarge as exc:
         return CheckResult(name, False, 0.0, 1e-9, f"joint records: {exc}")
     # per alice record: its probability and the mass of each bob past
@@ -214,7 +212,7 @@ def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
         den[alice] += jp
         num[alice][tuple(u for _, u in jrec)[:t]] += jp
     worst, errors = 0.0, []
-    for s in _smoothed(sc, built, rho0, table, ("gw",), errors):
+    for s in _smoothed(sc, table, ("gw",), errors):
         for (fut, p), effect in zip(s.futures, s.effects):
             if p <= 1e-9:
                 continue
@@ -231,11 +229,11 @@ def check_entropy_sandwich(scenario: Scenario | None = None) -> CheckResult:
 
     A prior that cannot be built for a possible past fails the check.
     """
-    sc, built, rho0, table = _setup(scenario)
+    sc, table = _setup(scenario)
     worst = 0.0
     clhs_gap = 0.0
     errors = []
-    for row in sweeps.entropy_rows(sc, built, rho0, table):
+    for row in sweeps.entropy_rows(sc, table):
         if "avg_entropy" not in row:
             errors.append(f"{row['id']}@{row['record']}: {row['detail']}")
             continue
@@ -292,14 +290,12 @@ def check_purification_invariance(scenario: Scenario | None = None, seed: int = 
     from .smoothers import extend_ancilla
 
     sc = scenario or demo_scenario()
-    built = sc.build()
-    rho0 = sc.rho0(built.dim)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for past, fut in ((("0", "1"), ("0", "0")), (("0", "0"), ("0", "1"))):
-        effect = retrofilter(built.instrument, fut)
+        effect = retrofilter(sc.instrument, fut)
         for kind in ("gw", "pf-variant"):
-            prior = build_prior(kind, rho0=rho0, alice_past=past, instrument=built.instrument)
+            prior = build_prior(kind, rho0=sc.rho0, alice_past=past, instrument=sc.instrument)
             base = generalized_smooth(prior, effect)
             iso = sampling.random_isometry(prior.dim_a1, prior.dim_a1 + 2, rng)
             moved = generalized_smooth(extend_ancilla(prior, iso), effect)
@@ -316,11 +312,10 @@ def check_qubit_reversal() -> CheckResult:
 
 def run_all(seed: int = 2024) -> list[CheckResult]:
     sc = demo_scenario()
-    built = sc.build()
     results = [
         check_linalg(seed),
-        check_instrument(sc.name, built.instrument),
-        check_instrument("classical-2state", classical_demo_scenario(2).build().instrument),
+        check_instrument(sc.name, sc.instrument),
+        check_instrument("classical-2state", classical_demo_scenario(2).instrument),
         check_petz_fixed_point(seed + 1),
         check_smoothed_physicality(seed + 2),
         check_filter_averaging(sc),

@@ -48,25 +48,23 @@ class Timer:
 def demo():
     """Demo scenario with its instruments, record tables and priors, shared."""
     sc = demo_scenario()
-    built = sc.build()
-    rho0 = sc.rho0(built.dim)
+    rho0 = sc.rho0
     t = sc.smoothing_index
     table = defaultdict(list)
-    for rec, p in enumerate_records(built.instrument, rho0, sc.steps, sc.enumeration_cap):
+    for rec, p in enumerate_records(sc.instrument, rho0, sc.steps, sc.enumeration_cap):
         table[rec[:t]].append((rec[t:], p))
     priors = {}
     filtered = {}
     for past, futs in table.items():
         if sum(p for _, p in futs) <= 1e-12:
             continue
-        filtered[past] = filter_state(built.instrument, rho0, past)[0]
+        filtered[past] = filter_state(sc.instrument, rho0, past)[0]
         for kind in ALL_KINDS:
             priors[(kind, past)] = build_prior(
-                kind, rho0=rho0, alice_past=past, instrument=built.instrument
+                kind, rho0=rho0, alice_past=past, instrument=sc.instrument
             )
     return {
         "scenario": sc,
-        "built": built,
         "rho0": rho0,
         "t": t,
         "table": dict(table),
@@ -120,7 +118,7 @@ def test_criterion_03_future_averaging(criterion_report, demo):
     """For every prior kind and every past record of the demo scenario, the
     probability-weighted average of smoothed states over all enumerated
     future records equals the filtered state within 1e-8 (trace norm)."""
-    built, rho0 = demo["built"], demo["rho0"]
+    sc, rho0 = demo["scenario"], demo["rho0"]
     with Timer() as timer:
         worst = 0.0
         for kind in ALL_KINDS:
@@ -129,12 +127,12 @@ def test_criterion_03_future_averaging(criterion_report, demo):
                 if p_past <= 1e-12:
                     continue
                 prior = demo["priors"][(kind, past)]
-                avg = np.zeros((built.dim, built.dim), dtype=complex)
+                avg = np.zeros((sc.dim, sc.dim), dtype=complex)
                 for fut, p in futs:
                     if p <= 1e-14:
                         continue
                     avg += (p / p_past) * generalized_smooth(
-                        prior, retrofilter(built.instrument, fut)
+                        prior, retrofilter(sc.instrument, fut)
                     )
                 worst = max(worst, trace_norm(avg - demo["filtered"][past]))
     ok = worst <= 1e-8 and timer.elapsed < 120.0
@@ -156,23 +154,22 @@ def test_criterion_04_classical_limit(criterion_report):
         worst = 0.0
         for n_states in (2, 3):
             sc = classical_demo_scenario(n_states, steps=5)
-            built = sc.build()
-            rho0 = sc.rho0(built.dim)
+            rho0 = sc.rho0
             prior0 = np.diag(rho0).real
             kinds = ("pf", "gw-variant") if n_states == 2 else ("pf",)
-            for rec, p in enumerate_records(built.instrument, rho0, sc.steps, sc.enumeration_cap):
+            for rec, p in enumerate_records(sc.instrument, rho0, sc.steps, sc.enumeration_cap):
                 if p <= 1e-12:
                     continue
                 for t in range(sc.steps + 1):
-                    ps = classical_smooth(built.classical, prior0, rec[:t], rec[t:])
+                    ps = classical_smooth(sc.classical, prior0, rec[:t], rec[t:])
                     for kind in kinds:
                         prior = build_prior(
                             kind,
                             rho0=rho0,
                             alice_past=rec[:t],
-                            instrument=built.instrument,
+                            instrument=sc.instrument,
                         )
-                        rho_s = generalized_smooth(prior, retrofilter(built.instrument, rec[t:]))
+                        rho_s = generalized_smooth(prior, retrofilter(sc.instrument, rec[t:]))
                         worst = max(worst, float(np.abs(np.diag(rho_s).real - ps).max()))
     ok = worst <= 1e-9 and timer.elapsed < 60.0
     criterion_report(
@@ -187,7 +184,7 @@ def test_criterion_05_trajectory_unification(criterion_report, demo):
     """Smoothing with the record-register purified prior equals the explicit
     mixture of true states over enumerated unobserved records, trace-norm gap
     <= 1e-8, across the half-efficiency demo scenario."""
-    built, rho0 = demo["built"], demo["rho0"]
+    sc, rho0 = demo["scenario"], demo["rho0"]
     with Timer() as timer:
         worst = 0.0
         for past, futs in demo["table"].items():
@@ -197,9 +194,9 @@ def test_criterion_05_trajectory_unification(criterion_report, demo):
             for fut, p in futs:
                 if p <= 1e-12:
                     continue
-                effect = retrofilter(built.instrument, fut)
+                effect = retrofilter(sc.instrument, fut)
                 got = generalized_smooth(prior, effect)
-                ref = branch_mixture_smooth(built.instrument, rho0, past, effect)
+                ref = branch_mixture_smooth(sc.instrument, rho0, past, effect)
                 worst = max(worst, trace_norm(got - ref))
     ok = worst <= 1e-8 and timer.elapsed < 120.0
     criterion_report(
@@ -293,10 +290,9 @@ def test_criterion_08_record_register_posterior(criterion_report, demo):
     """The posterior over the unobserved record read off the smoothed global
     state matches exhaustive joint-record enumeration within 1e-9 on the demo
     scenario."""
-    built, rho0, t = demo["built"], demo["rho0"], demo["t"]
-    sc = demo["scenario"]
+    sc, rho0, t = demo["scenario"], demo["rho0"], demo["t"]
     with Timer() as timer:
-        joint_table = enumerate_records(built.instrument.joint, rho0, sc.steps, sc.enumeration_cap)
+        joint_table = enumerate_records(sc.instrument.joint, rho0, sc.steps, sc.enumeration_cap)
         worst = 0.0
         for past, futs in demo["table"].items():
             if sum(p for _, p in futs) <= 1e-12:
@@ -305,7 +301,7 @@ def test_criterion_08_record_register_posterior(criterion_report, demo):
             for fut, p in futs:
                 if p <= 1e-9:
                     continue
-                probs = bob_posterior(prior, retrofilter(built.instrument, fut))
+                probs = bob_posterior(prior, retrofilter(sc.instrument, fut))
                 num = defaultdict(float)
                 den = 0.0
                 for jrec, jp in joint_table:
@@ -329,7 +325,7 @@ def test_criterion_09_entropy_sandwich(criterion_report, demo):
     average smoothed entropy obeys S(rho_F) - H(futures) - 1e-9 <= avg <=
     S(rho_F) + 1e-9, and the purified-filtered-state prior saturates the
     upper bound to 1e-10."""
-    built = demo["built"]
+    sc = demo["scenario"]
     with Timer() as timer:
         worst = 0.0
         clhs_gap = 0.0
@@ -346,7 +342,7 @@ def test_criterion_09_entropy_sandwich(criterion_report, demo):
                         entropies.append(0.0)
                         continue
                     entropies.append(
-                        entropy_vn(generalized_smooth(prior, retrofilter(built.instrument, fut)))
+                        entropy_vn(generalized_smooth(prior, retrofilter(sc.instrument, fut)))
                     )
                 s_bar = float(np.dot(probs, entropies))
                 bound = sandwich_bound(demo["filtered"][past], probs, s_bar)

@@ -53,10 +53,19 @@ class TestSimulate:
         b = cmd_simulate(sc, 20, tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seed_flag_overrides_the_scenario_seed(self, tmp_path):
+        written = {}
+        for seed, flag in [(7, ["--seed", "5"]), (5, []), (7, [])]:
+            case = tmp_path / f"{seed}{''.join(flag)}"
+            (case / "out").mkdir(parents=True)
+            (case / "sc.json").write_text(json.dumps({**demo_scenario().raw, "seed": seed}))
+            args = ["simulate", "--scenario", str(case / "sc.json"), "--trajectories", "20", *flag]
+            assert main([*args, "--out", str(case / "out")]) == 0
+            written[case.name] = (case / "out" / "driven-damped-qubit_trajectories.jsonl").read_bytes()
+        assert written["7--seed5"] == written["5"] != written["7"]
+
     def test_frequencies_match_enumeration(self, tmp_path):
         sc = demo_scenario()
-        built = sc.build()
-        rho0 = sc.rho0(built.dim)
         n = 4000
         path = cmd_simulate(sc, n, tmp_path)
         _, records = read_trajectories(path)
@@ -64,7 +73,7 @@ class TestSimulate:
         for rec in records:
             key = tuple((a, b) for a, b in rec)
             counts[key] = counts.get(key, 0) + 1
-        for rec, p in enumerate_records(built.instrument.joint, rho0, sc.steps):
+        for rec, p in enumerate_records(sc.instrument.joint, sc.rho0, sc.steps):
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(counts.get(rec, 0) / n - p) <= 4 * sigma + 2e-3
 
@@ -94,8 +103,7 @@ class TestSmooth:
         assert summary["gw_vs_gw_variant_gap"] > 1e-3
 
     def test_gw_matches_gw_variant_for_pure_initial_state(self, tmp_path):
-        sc = demo_scenario()
-        sc.rho0_spec = "ground"
+        sc = Scenario.from_dict({**demo_scenario().raw, "rho0": "ground"})
         summary = cmd_smooth(sc, tmp_path, enumerate_futures=True)
         assert summary["gw_vs_gw_variant_gap"] <= 1e-9
 
@@ -173,8 +181,6 @@ class TestSmooth:
         from retrosmooth.errors import ZeroProbabilityRecord
 
         sc = demo_scenario()
-        built = sc.build()
-        rho0 = sc.rho0(built.dim)
         rng = np.random.default_rng(5)
         records = [tuple(rec) for rec in rng.choice(["0", "1"], size=(40, 6)).tolist()]
         # two detected jumps in a row are impossible on the demo qubit
@@ -184,12 +190,12 @@ class TestSmooth:
 
         def reference(rec):
             try:
-                rho, log_prob = reference_filter(built.instrument, rho0, rec)
+                rho, log_prob = reference_filter(sc.instrument, sc.rho0, rec)
             except ZeroProbabilityRecord:
                 return None, 0.0
             return rho, float(np.exp(log_prob))
 
-        table, outcomes = sweeps.record_table(sc, built, rho0, records), set()
+        table, outcomes = sweeps.record_table(sc, records), set()
         t = sc.smoothing_index
         assert sorted(table) == sorted({rec[:t] for rec in records})
         listed = [past + fut for past, entry in table.items() for fut, _ in entry.futures]
@@ -309,8 +315,7 @@ class TestEntropyScan:
                 assert row["avg_entropy"] >= priors["pf"]["avg_entropy"] - 1e-9
 
     def test_theorem1_sweep(self, tmp_path):
-        sc = demo_scenario()
-        sc.raw["theorem1"] = {"n_extensions": 25}
+        sc = Scenario.from_dict({**demo_scenario().raw, "theorem1": {"n_extensions": 25}})
         rows = [r for r in cmd_entropy_scan(sc, tmp_path, theorem1=True, seed=5) if r["kind"] == "theorem1"]
         assert len(rows) == 25
         assert all(r["within_bounds"] for r in rows)
@@ -420,14 +425,12 @@ class TestClassicalLimit:
         )
         report = cmd_classical_limit(sc, tmp_path)
         assert report["passed"]
-        built = sc.build()
-        rho0 = sc.rho0(built.dim)
         from retrosmooth.retrodiction import generalized_smooth
         from retrosmooth.smoothers import build_prior
         from retrosmooth.trajectory import retrofilter
 
-        prior = build_prior("pf", rho0=rho0, alice_past=("0",), instrument=built.instrument)
-        rho_s = generalized_smooth(prior, retrofilter(built.instrument, ("1", "0")))
+        prior = build_prior("pf", rho0=sc.rho0, alice_past=("0",), instrument=sc.instrument)
+        rho_s = generalized_smooth(prior, retrofilter(sc.instrument, ("1", "0")))
         np.testing.assert_allclose(np.diag(rho_s).real, [0.3, 0.7], atol=1e-12)
 
     def test_delta_prior_noiseless_readout_stays_delta(self, tmp_path):
@@ -468,8 +471,7 @@ class TestClassicalLimit:
         )
         sc = Scenario.from_file("scenarios/classical-2state.json")
         assert cmd_classical_limit(sc, tmp_path)["passed"]
-        built = sc.build()
-        records = [rec for rec, _ in enumerate_records(built.instrument, sc.rho0(built.dim), sc.steps)]
+        records = [rec for rec, _ in enumerate_records(sc.instrument, sc.rho0, sc.steps)]
         pasts = {rec[:t] for rec in records for t in range(sc.steps + 1)}
         assert len(pasts) == 63
         # one prior and one stacked smoothing call per (kind, split time, past), kinds pf and gw-variant
@@ -499,17 +501,15 @@ class TestVerifySuite:
 
     def test_gw_checks_fail_beyond_cap(self):
         # the 4 alice records fit the cap; 16 bob branches per past and 64 joint records do not
-        sc = classical_demo_scenario(2, steps=2)
-        sc.enumeration_cap = 4
+        sc = Scenario.from_dict({**classical_demo_scenario(2, steps=2).raw, "enumeration_cap": 4})
         mixture = verify.check_branch_mixture(sc)
         assert not mixture.passed and "prior errors=4" in mixture.detail
         posterior = verify.check_bob_posterior(sc)
         assert not posterior.passed and "exceed the cap of 4" in posterior.detail
 
     def test_prior_error_fails_sweep_checks(self):
-        # 'custom' without a custom_prior section cannot be built for any past
-        sc = demo_scenario()
-        sc.prior_kinds = ("pf", "custom")
+        # the custom prior's marginal, I/2, is the filtered state of no possible past, so every build fails
+        sc = Scenario.from_dict(_custom_doc())
         for result in (verify.check_filter_averaging(sc), verify.check_entropy_sandwich(sc)):
             assert not result.passed, result.name
             assert "prior errors" in result.detail
@@ -680,6 +680,23 @@ MALFORMED_SCENARIOS = {
         "system.jump_operators: expected a list, got nan",
     ),
     "jump-operator-entry-overflows": (_overflowing_jump_doc, "system: discretized step has non-finite entries"),
+    # K†K of a finite Kraus operator overflows: both forms of an explicit instrument reject it on load
+    "instrument-kraus-gram-overflows": (
+        lambda: _demo_doc(system={"type": "instrument", "operations": {"a": [_rho0([[1, 0], [0, -1e308]])]}}),
+        "system: K†K summed over the Kraus operators has non-finite entries",
+    ),
+    "joint-kraus-gram-overflows": (
+        lambda: _joint_doc(("a", "0", [_rho0([[1, 0], [0, -1e308]])])),
+        "system: K†K summed over the Kraus operators has non-finite entries",
+    ),
+    "hamiltonian-imag-infinite": (
+        lambda: _lindblad_doc(hamiltonian={"real": [[0, 0], [0, 0]], "imag": [[0, float("inf")], [0, 0]]}),
+        "system.hamiltonian has non-finite entries",
+    ),
+    "rho0-probability-overflows": (
+        lambda: {**classical_demo_scenario().raw, "rho0": [1e308, 0.5]},
+        "rho0's Hermitian part has non-finite entries",
+    ),
     "steps-beyond-an-index": (lambda: _demo_doc(steps=10**30), "steps: must be at most"),
     "custom-prior-missing": (
         lambda: _demo_doc(prior_kinds=["pf", "custom"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from retrosmooth.scenario import (
     matrix_to_json,
     named_state,
     read_trajectories,
+    theorem1_config,
     write_trajectories,
 )
 
@@ -138,9 +140,17 @@ class TestNamedStates:
 class TestScenarioParsing:
     def test_demo_builds(self):
         sc = demo_scenario()
-        built = sc.build()
-        assert built.dim == 2
-        assert built.instrument.joint.outcome_labels == (("0", "0"), ("0", "1"), ("1", "0"))
+        assert sc.dim == 2 and sc.classical is None
+        assert sc.instrument.joint.outcome_labels == (("0", "0"), ("0", "1"), ("1", "0"))
+        np.testing.assert_array_equal(sc.rho0, np.eye(2) / 2)
+        assert sc.theorem1 == theorem1_config({})
+
+    def test_loaded_scenario_is_frozen(self):
+        sc = demo_scenario()
+        for field, value in [("seed", 5), ("rho0", np.eye(2)), ("enumeration_cap", 4), ("prior_kinds", ("pf",))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sc, field, value)
+        assert dataclasses.replace(sc, seed=5).seed == 5 and sc.seed == 7
 
     def test_missing_steps(self):
         with pytest.raises(ScenarioError, match="steps"):
@@ -159,13 +169,40 @@ class TestScenarioParsing:
     def test_bad_system_type(self):
         doc = demo_scenario().raw | {"system": {"type": "wat"}}
         with pytest.raises(ScenarioError, match="system.type"):
-            Scenario.from_dict(doc).build()
+            Scenario.from_dict(doc)
 
     def test_rho0_dimension_mismatch(self):
-        sc = demo_scenario()
-        sc.rho0_spec = {"real": [[1.0]], "imag": [[0.0]]}
-        with pytest.raises(ScenarioError, match="rho0"):
-            sc.rho0(sc.build().dim)
+        doc = demo_scenario().raw | {"rho0": {"real": [[1.0]], "imag": [[0.0]]}}
+        with pytest.raises(ScenarioError, match=r"rho0: shape \(1, 1\) does not match system dim 2"):
+            Scenario.from_dict(doc)
+
+    # one bad value per block, in the order from_dict checks the blocks
+    BAD_BLOCKS = [
+        ("theorem1", {"n_extensions": "x"}),
+        ("name", "a/b"),
+        ("seed", "x"),
+        ("enumeration_cap", 0),
+        ("n_trajectories", -1),
+        ("custom_prior", 0),
+        ("prior_kinds", ["pf", "custom"]),
+        ("system", {"type": "wat"}),
+        ("rho0", [0.5]),
+    ]
+
+    @staticmethod
+    def _error(doc) -> str:
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_dict(doc)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("first", [key for key, _ in BAD_BLOCKS])
+    def test_first_bad_block_is_reported(self, first):
+        # with this block and every later one bad, the error is the one this block gives alone
+        raw, keys = demo_scenario().raw, [key for key, _ in self.BAD_BLOCKS]
+        later = self.BAD_BLOCKS[keys.index(first):]
+        alone = [self._error(raw | dict([block])) for block in later]
+        assert len(set(alone)) == len(alone)
+        assert self._error(raw | dict(later)) == alone[0]
 
     def test_file_not_found(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
@@ -180,9 +217,7 @@ class TestScenarioParsing:
 
 class TestClassicalRealization:
     def test_joint_is_complete_and_rank_one(self):
-        sc = classical_demo_scenario(3)
-        built = sc.build()
-        joint = built.instrument.joint
+        joint = classical_demo_scenario(3).instrument.joint
         assert joint.completeness_defect() <= 1e-12
         for (y, edge), op in joint.ops.items():
             assert len(op.kraus) == 1
@@ -192,9 +227,7 @@ class TestClassicalRealization:
     def test_marginal_reproduces_conditional_maps(self):
         # diag of Phi_y(|x'><x'|) must equal phi_y(x|x') = D(x|x') p(y|x')
         sc = classical_demo_scenario(2)
-        built = sc.build()
-        model = built.classical
-        inst = built.instrument
+        model, inst = sc.classical, sc.instrument
         n = model.n_states
         for y in model.outcome_labels:
             got = np.zeros((n, n))
@@ -206,8 +239,7 @@ class TestClassicalRealization:
             np.testing.assert_allclose(got, conditional_map(model, y), atol=1e-14)
 
     def test_kraus_preserve_diagonal_states(self):
-        sc = classical_demo_scenario(3)
-        inst = sc.build().instrument
+        inst = classical_demo_scenario(3).instrument
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.ones(3))
         rho = np.diag(probs).astype(complex)

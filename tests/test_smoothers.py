@@ -107,17 +107,16 @@ class TestBranchesClassicalChain:
     )
     def test_only_nonzero_branches_in_order(self, past, n_nonzero):
         sc = Scenario.from_file(CLASSICAL)
-        built = sc.build()
-        rho0 = sc.rho0(built.dim)
-        branches = enumerate_bob_branches(built.instrument, rho0, past)
-        reference = [(bob, op) for bob, op in loop_branches(built.instrument, rho0, past) if op.any()]
+        inst, rho0 = sc.instrument, sc.rho0
+        branches = enumerate_bob_branches(inst, rho0, past)
+        reference = [(bob, op) for bob, op in loop_branches(inst, rho0, past) if op.any()]
         # counts of nonzero branches before branches were dropped during the descent
         assert len(branches) == len(reference) == n_nonzero
         assert [b.bob_record for b in branches] == [bob for bob, _ in reference]
         for b, (_, op) in zip(branches, reference):
             assert b.operator.any() and b.weight > 0.0
             assert np.abs(b.operator - op).max() <= 1e-15
-        _, log_prob = filter_state(built.instrument, rho0, past)
+        _, log_prob = filter_state(inst, rho0, past)
         assert abs(sum(b.weight for b in branches) - np.exp(log_prob)) <= 1e-12
 
     def test_impossible_past_has_no_branches(self):
@@ -199,8 +198,7 @@ class TestStructure:
             inst, rho0 = demo(rho0=np.diag([0.7, 0.3]).astype(complex))
         else:
             sc = Scenario.from_file(CLASSICAL.with_name("classical-3state.json"))
-            inst = sc.build().instrument
-            rho0 = sc.rho0(inst.dim)
+            inst, rho0 = sc.instrument, sc.rho0
         rng = np.random.default_rng(4)
         pasts = [tuple(r) for r in rng.choice(list(inst.outcome_labels), size=(12, 5)).tolist()]
         # the empty past, a repeated one and, on the demo qubit, an impossible one

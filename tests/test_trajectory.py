@@ -284,8 +284,7 @@ class TestEnumerate:
             rho0, steps = np.eye(2) / 2, 5
         else:
             sc = Scenario.from_file(SCENARIOS / "classical-3state.json")
-            built = sc.build()
-            inst, rho0, steps = built.instrument, sc.rho0(built.dim), sc.steps
+            inst, rho0, steps = sc.instrument, sc.rho0, sc.steps
         got = enumerate_records(inst, rho0, steps)
         ref = self.recursive_records(inst, rho0, steps)
         assert [r for r, _ in got] == [r for r, _ in ref]
@@ -307,8 +306,8 @@ class TestTriePasses:
     @staticmethod
     def table(which):
         """An instrument, its initial state and 6-step records: sampled, impossible and repeated."""
-        built = Scenario.from_file(SCENARIOS / f"{which}.json").build()
-        inst, rho0 = built.instrument, np.diag(np.arange(1.0, built.dim + 1) / sum(range(built.dim + 1)))
+        inst = Scenario.from_file(SCENARIOS / f"{which}.json").instrument
+        rho0 = np.diag(np.arange(1.0, inst.dim + 1) / sum(range(inst.dim + 1)))
         rng = np.random.default_rng(3)
         records = [tuple(r) for r in rng.choice(list(inst.outcome_labels), size=(40, 6)).tolist()]
         records += [r for r, p in enumerate_records(inst, rho0, 6) if p == 0.0][:5]
@@ -388,8 +387,7 @@ class TestSample:
     def test_lockstep_matches_sequential_loop(self, system, n, seed):
         if system == "demo-joint":
             sc = Scenario.from_file(SCENARIOS / "driven-damped-qubit.json")
-            built = sc.build()
-            inst, rho0, steps = built.instrument.joint, sc.rho0(built.dim), 12
+            inst, rho0, steps = sc.instrument.joint, sc.rho0, 12
         else:
             inst, rho0, steps = projective_z(), np.diag([0.35, 0.65]).astype(complex), 4
         gen = np.random.default_rng(seed)
