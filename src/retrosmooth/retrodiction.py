@@ -23,12 +23,15 @@ smoothing time) and ``rho_F = Tr_A[P]`` the ordinary filtered state.
 Filtered global states are stored as a block-diagonal family over an
 optional classical record register, since the square root of a
 block-diagonal matrix factorizes blockwise; this keeps the cost linear in
-the number of record branches.  The blocks are one stacked array, and their
-square roots are taken once per prior, in one batched eigendecomposition,
-and reused for every future: each smoothing update is then a stacked
-sandwich ``sqrt(P_u) (E_R (x) I_A1) sqrt(P_u)`` followed by one partial
-trace over ``A1`` and the register.  Since the update is linear in ``E_R``,
-every future of one past is smoothed in one call on a stack of effects.
+the number of record branches.  The blocks are one stacked array, and each
+smoothing update is a stacked sandwich ``sqrt(P_u) (E_R (x) I_A1) sqrt(P_u)``
+followed by one partial trace over ``A1`` and the register.  Since the
+update is linear in ``E_R``, every future of one past is smoothed in one
+call on a stack of effects, on the prior's square roots, taken once and
+cached.  A table of priors is smoothed in one call as well: the priors of
+one block shape take their square roots in one batched eigendecomposition
+of all their blocks, and every (prior, future) pair goes through one
+sandwich and one partial trace.
 """
 
 from __future__ import annotations
@@ -180,7 +183,7 @@ class FilteredGlobalState:
 
     @cached_property
     def _marginal(self) -> np.ndarray:
-        marginal = hermitian_part(_trace_out_a(self.blocks, self.block_dims))
+        (marginal,) = _marginals(self.blocks, self.block_dims, [len(self.blocks)])
         marginal.flags.writeable = False
         return marginal
 
@@ -215,6 +218,34 @@ def _trace_out_a(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     ``dims = (dim_q, dim_a1)`` for each operator.
     """
     return partial_trace(stack, dims, "Q").sum(axis=-3)
+
+
+def _sum_runs(stack: np.ndarray, counts) -> np.ndarray:
+    """The sum of each run of ``counts[i]`` consecutive matrices of ``stack``, with the bits of ``run.sum(axis=0)``.
+
+    Runs of one length are summed in one call.
+    """
+    counts = np.asarray(counts)
+    lengths = set(counts.tolist())
+    if len(lengths) == 1:
+        return stack.reshape(len(counts), -1, *stack.shape[1:]).sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    out = np.empty((len(counts), *stack.shape[1:]), dtype=stack.dtype)
+    for n in lengths:
+        runs = np.flatnonzero(counts == n)
+        rows = (starts[runs, None] + np.arange(n)).reshape(-1)
+        out[runs] = stack[rows].reshape(len(runs), n, *stack.shape[1:]).sum(axis=1)
+    return out
+
+
+def _marginals(blocks: np.ndarray, dims: tuple[int, int], counts) -> np.ndarray:
+    """The symmetrized system marginal of each prior whose blocks are the next ``counts[i]`` rows of ``blocks``."""
+    return hermitian_part(_sum_runs(partial_trace(blocks, dims, "Q"), counts))
+
+
+def _norms(marginals: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """``Tr[rho_F E_R]`` of aligned stacks of marginals and effects."""
+    return np.trace(marginals @ effects, axis1=-2, axis2=-1).real
 
 
 def _pull_back_evidence(channel: ChannelRep, gamma: np.ndarray, sigma) -> np.ndarray:
@@ -289,28 +320,22 @@ def _sandwich(roots: np.ndarray, dim_a1: int, x) -> np.ndarray:
     return roots @ lifted @ roots
 
 
-def _effects_and_norms(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, np.ndarray]:
-    """Validated effects as a stack ``(k, d, d)`` and their normalizers ``Tr[rho_F E_R]``.
+def _effect_and_norm(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, float]:
+    """One validated effect and its normalizer ``Tr[rho_F E_R]``.
 
-    One effect is a stack of one.  Raises :class:`InvalidFactorization` for
-    effects of the wrong dimension.
+    Raises :class:`InvalidFactorization` for an effect of the wrong dimension
+    and :class:`ZeroProbabilityRecord` if the normalizer vanishes.
     """
-    e = as_effect(effect)
+    e = as_effect(as_square(effect, "effect"))
     if e.shape[-1] != prior.dim_q:
         raise InvalidFactorization("effect dimension does not match the system")
-    stack = e if e.ndim == 3 else e[None]
-    return stack, np.trace(prior.marginal() @ stack, axis1=1, axis2=2).real
+    norm = float(_norms(prior.marginal()[None], e[None])[0])
+    if norm <= WEIGHT_FLOOR:
+        raise ZeroProbabilityRecord(f"record probability {norm:.3e} vanishes")
+    return e, norm
 
 
-def _effect_and_norm(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_effects_and_norms` of one effect; :class:`ZeroProbabilityRecord` if its normalizer vanishes."""
-    stack, norms = _effects_and_norms(prior, as_square(effect, "effect"))
-    if norms[0] <= WEIGHT_FLOOR:
-        raise ZeroProbabilityRecord(f"record probability {norms[0]:.3e} vanishes")
-    return stack, norms
-
-
-def generalized_smooth(prior: FilteredGlobalState, effect):
+def generalized_smooth(prior, effect, futures=None):
     """Smoothed system state from a filtered global state and a retrofiltered effect.
 
     Computes ``Tr_A[sqrt(P) (E_R (x) I_A) sqrt(P)] / Tr[rho_F E_R]``.  The
@@ -322,14 +347,65 @@ def generalized_smooth(prior: FilteredGlobalState, effect):
     normalizer of effect ``j`` is at or below ``WEIGHT_FLOOR``, and
     ``states[j]`` is then NaN instead of raising.  Each state has the bits of
     the single-effect call.
+
+    ``prior`` may also be a sequence of priors, with ``effect`` one stack of
+    effects and ``futures[i]`` the indices in it of prior ``i``'s effects:
+    the stack is validated once, and the result is each prior's
+    ``(states, possible)`` with the bits of its one-prior call.  The priors
+    of one block shape take one batched square root of all their blocks,
+    and all their (prior, effect) pairs one sandwich and one partial trace.
+    One prior is the one-group case, on its cached roots.
     """
-    single = np.ndim(effect) != 3
-    stack, norms = (_effect_and_norm if single else _effects_and_norms)(prior, effect)
-    possible = norms > WEIGHT_FLOOR
-    states = np.full(stack.shape, np.nan, dtype=complex)
-    sandwiched = _sandwich_marginal(prior.roots, prior.block_dims, stack[possible])
-    states[possible] = hermitian_part(sandwiched) / norms[possible][:, None, None]
-    return states[0] if single else (states, possible)
+    if not isinstance(prior, FilteredGlobalState):
+        return _smooth_priors(prior, as_effect(effect), futures)
+    if np.ndim(effect) == 3:
+        return _smooth_priors([prior], as_effect(effect), [np.arange(len(effect))])[0]
+    e, _ = _effect_and_norm(prior, effect)
+    return _smooth_priors([prior], e[None], [[0]])[0][0][0]
+
+
+def _smooth_priors(priors, effects: np.ndarray, futures) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`generalized_smooth` of priors on their futures' rows of a validated stack of effects.
+
+    Each (prior, future) pair's blocks are sandwiched as rows of one stack
+    per block shape and summed in order, as :func:`_trace_out_a` sums them.
+    """
+    if any(p.dim_q != effects.shape[-1] for p in priors):
+        raise InvalidFactorization("effect dimension does not match the system")
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(priors):
+        groups.setdefault(p.block_dims, []).append(i)
+    found: list = [None] * len(priors)
+    for dims, members in groups.items():
+        counts = np.array([len(priors[i].blocks) for i in members])
+        roots, marginals = _group_roots([priors[i] for i in members], counts)
+        # every (prior, future) pair of the group, prior-major
+        picks = [np.asarray(futures[i], dtype=int) for i in members]
+        lengths = [len(f) for f in picks]
+        pair_prior, pair_effect = np.repeat(np.arange(len(members)), lengths), np.concatenate(picks)
+        norms = _norms(marginals[pair_prior], effects[pair_effect])
+        possible = norms > WEIGHT_FLOOR
+        states = np.full((len(norms), *effects.shape[1:]), np.nan, dtype=complex)
+        if possible.any():
+            # one row per block of each possible pair
+            n = counts[pair_prior[possible]]
+            first = (np.cumsum(counts) - counts)[pair_prior[possible]]
+            rows = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
+            sandwiched = _sandwich(roots[rows][:, None], dims[1], effects[np.repeat(pair_effect[possible], n)])
+            summed = _sum_runs(partial_trace(sandwiched, dims, "Q")[:, 0], n)
+            states[possible] = hermitian_part(summed) / norms[possible][:, None, None]
+        bounds = np.cumsum([0, *lengths])
+        for i, lo, hi in zip(members, bounds, bounds[1:]):
+            found[i] = states[lo:hi], possible[lo:hi]
+    return found
+
+
+def _group_roots(group: list[FilteredGlobalState], counts) -> tuple[np.ndarray, np.ndarray]:
+    """The block roots and marginals of same-shape priors: one prior's cached ones, else one :func:`psd_sqrt` call."""
+    if len(group) == 1:
+        return group[0].roots, group[0].marginal()[None]
+    blocks = np.concatenate([p.blocks for p in group])
+    return psd_sqrt(blocks), _marginals(blocks, group[0].block_dims, counts)
 
 
 def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:
@@ -339,7 +415,7 @@ def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:
     trace; tracing out the auxiliary of the result recovers the smoothed
     system state.
     """
-    (e,), (norm,) = _effect_and_norm(prior, effect)
+    e, norm = _effect_and_norm(prior, effect)
     return FilteredGlobalState(
         blocks=_sandwich(prior.roots, prior.dim_a1, e) / norm,
         dim_q=prior.dim_q,
@@ -361,7 +437,7 @@ def bob_posterior(prior: FilteredGlobalState, effect) -> np.ndarray:
         raise MissingClassicalRegister(
             f"prior kind {prior.kind!r} carries no classical record register"
         )
-    (e,), (norm,) = _effect_and_norm(prior, effect)
+    e, norm = _effect_and_norm(prior, effect)
     lifted = tensor(e, np.eye(prior.dim_a1))
     probs = np.trace(prior.blocks @ lifted, axis1=1, axis2=2).real
     return np.clip(probs, 0.0, None) / norm

@@ -24,9 +24,11 @@ smoothing time:
 ``custom``
     Any explicit extension with the right marginal (used for bound sweeps).
 
-``gw`` and ``gw-variant`` propagate every bob branch through
-:func:`~retrosmooth.trajectory.walk`, and ``pf-variant`` propagates the
-purification through :func:`~retrosmooth.trajectory.propagate_records`.
+``gw`` and ``gw-variant`` take every past's bob branches from one
+:func:`~retrosmooth.trajectory.walk_records` pass over a table of pasts
+(:func:`register_priors`; a single past is the one-past case), and
+``pf-variant`` propagates the purification through
+:func:`~retrosmooth.trajectory.propagate_records`.
 Bob's options at an outcome are the sorted names of its Kraus operators, so
 every instrument has every prior.
 """
@@ -37,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFactorization, ZeroProbabilityRecord
+from .errors import EnumerationTooLarge, InvalidFactorization, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import ISOMETRY_TOL, WEIGHT_FLOOR, as_density, dag, hermitian_part, purify, tensor
 from .retrodiction import FilteredGlobalState
-from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, filter as filter_state, propagate_records, walk
+from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, filter as filter_state, propagate_records, walk_records
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,23 +54,27 @@ class TrueStateBranch:
     weight: float
 
 
-def _bob_branches(
-    instrument: Instrument,
-    initial: np.ndarray,
-    alice_past,
-    dim_extra: int,
-    cap: int,
-) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """Every bob record compatible with a fixed alice record, through :func:`walk`.
+def _bob_branches(instrument: Instrument, initial: np.ndarray, pasts, dim_extra: int, cap: int) -> list:
+    """Every bob record compatible with each alice past, in one :func:`walk_records` pass.
 
-    Bob's options at outcome ``y`` are the sorted Kraus names of ``y``.
-    Returns the bob records of the surviving (not exactly zero) branches in
-    lexicographic order and the stack of their operators; the cap counts the
-    records before any is dropped.
+    Bob's options at outcome ``y`` are the sorted Kraus names of ``y``.  Per
+    past: the bob records of the surviving (not exactly zero) branches in
+    lexicographic order and the stack of their operators, or the
+    :class:`EnumerationTooLarge` of a past whose records, counted before any
+    is dropped, exceed the cap.
     """
-    label_sets = [[(y, u) for u in sorted(instrument.op(y).names)] for y in alice_past]
-    records, ops = walk(instrument.joint, initial, label_sets, dim_extra=dim_extra, cap=cap)
-    return [tuple(u for _, u in r) for r in records], ops
+    options = {y: [(y, u) for u in sorted(instrument.op(y).names)] for past in pasts for y in past}
+    found = walk_records(
+        instrument.joint, initial, [[options[y] for y in past] for past in pasts], dim_extra=dim_extra, cap=cap
+    )
+    return [f if isinstance(f, EnumerationTooLarge) else ([tuple(u for _, u in r) for r in f[0]], f[1]) for f in found]
+
+
+def _one(found):
+    """The single result of a one-past table build, raised if it is an error."""
+    if isinstance(found, RetrosmoothError):
+        raise found
+    return found
 
 
 def enumerate_bob_branches(
@@ -80,7 +86,7 @@ def enumerate_bob_branches(
     branch by its weight gives the state conditioned on both records.
     Branches with an exactly zero operator are left out.
     """
-    records, ops = _bob_branches(instrument, as_density(rho0, "rho0"), alice_past, 1, cap)
+    records, ops = _one(_bob_branches(instrument, as_density(rho0, "rho0"), [alice_past], 1, cap)[0])
     return [TrueStateBranch(r, op, w) for r, op, w in zip(records, ops, _weights(ops))]
 
 
@@ -138,11 +144,9 @@ def build_gw(
 
     Each register branch holds the joint-record conditioned pure state of the
     system and the purifying ancilla; branch weights are normalized by the
-    probability of the alice record.
+    probability of the alice record.  The one-past case of :func:`register_priors`.
     """
-    initial, rank = purified_initial(rho0)
-    records, ops = _bob_branches(instrument, initial, alice_past, rank, cap)
-    return _register_state(records, ops, instrument.dim, rank, "gw")
+    return _one(register_priors("gw", instrument, rho0, [alice_past], cap)[0])
 
 
 def build_gw_variant(
@@ -151,9 +155,27 @@ def build_gw_variant(
     alice_past,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> FilteredGlobalState:
-    """Classical register over bob records, initial state taken as a proper mixture."""
-    records, ops = _bob_branches(instrument, as_density(rho0, "rho0"), alice_past, 1, cap)
-    return _register_state(records, ops, np.asarray(rho0).shape[0], 1, "gw-variant")
+    """Classical register over bob records, initial state taken as a proper mixture.
+
+    The one-past case of :func:`register_priors`.
+    """
+    return _one(register_priors("gw-variant", instrument, rho0, [alice_past], cap)[0])
+
+
+def register_priors(kind: str, instrument: Instrument, rho0, pasts, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+    """The ``gw`` or ``gw-variant`` prior of each past, or the error of its build, from one bob-branch pass.
+
+    ``gw`` starts the branches from a purification of ``rho0``, ``gw-variant``
+    from ``rho0`` itself.
+    """
+    initial, rank = purified_initial(rho0) if kind == "gw" else (as_density(rho0, "rho0"), 1)
+    priors = []
+    for found in _bob_branches(instrument, initial, pasts, rank, cap):
+        try:
+            priors.append(_register_state(*_one(found), instrument.dim, rank, kind))
+        except RetrosmoothError as exc:
+            priors.append(exc)
+    return priors
 
 
 def _register_state(records, ops, dim_q, dim_a1, kind) -> FilteredGlobalState:
@@ -209,6 +231,36 @@ def build_prior(
         builder = build_gw if kind == "gw" else build_gw_variant
         return builder(instrument, rho0, alice_past, cap=cap)
     raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
+
+
+def build_priors(
+    kind: str,
+    *,
+    rho0,
+    pasts,
+    instrument: Instrument,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    rho_fs,
+    propagated=None,
+) -> list:
+    """:func:`build_prior` for each past of a table: its prior, or the :class:`RetrosmoothError` of its build.
+
+    ``gw`` and ``gw-variant`` take every past's bob branches from one
+    :func:`register_priors` pass; the other kinds build past by past, from
+    the past's filtered state ``rho_fs[i]`` and, for ``pf-variant``, its
+    propagated purification ``propagated[i]``.
+    """
+    if kind in ("gw", "gw-variant"):
+        return register_priors(kind, instrument, rho0, pasts, cap)
+    priors = []
+    for past, rho_f, purified in zip(pasts, rho_fs, propagated or [None] * len(pasts)):
+        try:
+            priors.append(
+                build_prior(kind, rho0=rho0, alice_past=past, instrument=instrument, rho_f=rho_f, propagated=purified)
+            )
+        except RetrosmoothError as exc:
+            priors.append(exc)
+    return priors
 
 
 def extend_ancilla(prior: FilteredGlobalState, isometry) -> FilteredGlobalState:

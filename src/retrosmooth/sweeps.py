@@ -8,10 +8,11 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
 * :func:`future_table` / :func:`record_table` group records by their past
   prefix at the smoothing time, as ``past -> Past(rho_f, p, futures)``: each
   table filters its pasts in one pass over their prefix trie.
-* :func:`smooth_table` is the one smoothing pass: for each (prior kind,
-  past) of a table it builds the prior and smooths every future in one
-  stacked call.  It retrofilters the table's distinct futures in one pass
-  over their suffix trie and, for ``pf-variant``, propagates the pasts'
+* :func:`smooth_table` is the one smoothing pass: for each prior kind it
+  builds the priors of all the table's pasts (one bob-branch pass for the
+  register kinds) and smooths every (past, future) pair in one stacked
+  call.  It retrofilters the table's distinct futures in one pass over
+  their suffix trie and, for ``pf-variant``, propagates the pasts'
   purifications in one more, shared by every prior kind.  The sweeps below
   reduce it.
 * :func:`entropy_rows` holds the average smoothed entropy of each (prior
@@ -38,7 +39,7 @@ from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, as_density, entropy_vn, trace_norm
 from .retrodiction import FilteredGlobalState, generalized_smooth
 from .sampling import density_from, extension_from, povm_from
-from .smoothers import build_custom, build_prior, purified_initial
+from .smoothers import build_custom, build_priors, purified_initial
 from .trajectory import enumerate_records, filter_records, propagate_records, retrofilter_records
 
 PROB_FLOOR = 1e-12
@@ -106,29 +107,36 @@ def record_table(scenario, records) -> dict[tuple, Past]:
     return {past: Past(*filtered[past], futures) for past, futures in grouped.items()}
 
 
-def prior_for(scenario, kind: str, past, rho_f, propagated):
-    """The prior of one kind for one past, built under the scenario's enumeration cap.
+def priors_for(scenario, kind: str, table: dict[tuple, Past], pasts, purified) -> list:
+    """The prior of one kind for each of ``pasts``, or the error of its build, under the scenario's enumeration cap.
 
-    ``rho_f``, the past's filtered state, spares the ``pf``/``clhs`` builds
-    a second :func:`filter` call; a ``custom`` prior's marginal must equal it.
-    ``propagated``, the past's purification propagated by
-    :func:`propagate_records`, spares the ``pf-variant`` build its own pass.
+    Each past's filtered state spares the ``pf``/``clhs`` builds a second
+    :func:`filter` call; a ``custom`` prior's marginal must equal it.
+    ``purified`` maps each past to its purification propagated by
+    :func:`propagate_records`, which spares the ``pf-variant`` builds their
+    own pass.
     """
-    if kind == "custom":
-        scenario.require_kinds((kind,))
-        matrix, dim_a = scenario.custom_prior
-        prior = build_custom(matrix, (scenario.dim, dim_a))
-        prior.require_marginal(rho_f, "the filtered state")
-        return prior
-    return build_prior(
-        kind,
-        rho0=scenario.rho0,
-        alice_past=past,
-        instrument=scenario.instrument,
-        cap=scenario.enumeration_cap,
-        rho_f=rho_f,
-        propagated=propagated,
-    )
+    if kind != "custom":
+        return build_priors(
+            kind,
+            rho0=scenario.rho0,
+            pasts=pasts,
+            instrument=scenario.instrument,
+            cap=scenario.enumeration_cap,
+            rho_fs=[table[past].rho_f for past in pasts],
+            propagated=[purified[past] for past in pasts] if kind == "pf-variant" else None,
+        )
+    priors = []
+    for past in pasts:
+        try:
+            scenario.require_kinds((kind,))
+            matrix, dim_a = scenario.custom_prior
+            prior = build_custom(matrix, (scenario.dim, dim_a))
+            prior.require_marginal(table[past].rho_f, "the filtered state")
+            priors.append(prior)
+        except RetrosmoothError as exc:
+            priors.append(exc)
+    return priors
 
 
 class Smoothed(NamedTuple):
@@ -165,27 +173,33 @@ def smooth_table(scenario, table: dict[tuple, Past], kinds):
 
     The table's distinct futures are retrofiltered in one pass and, for
     ``pf-variant``, its pasts' purifications propagated in one pass, shared
-    by every prior kind.  A past at or below :data:`PROB_FLOOR` is not smoothed.
+    by every prior kind.  Each kind's priors are built for all pasts at once
+    and smoothed in one stacked :func:`generalized_smooth` call.  A past at
+    or below :data:`PROB_FLOOR` is not smoothed.
     """
+    if not table:
+        return
+    live = [past for past, entry in table.items() if entry.p > PROB_FLOOR]
     distinct = list(dict.fromkeys(fut for past in table.values() for fut, _ in past.futures))
-    effects = dict(zip(distinct, retrofilter_records(scenario.instrument, distinct)))
+    index = {fut: j for j, fut in enumerate(distinct)}
+    futures = {past: [index[fut] for fut, _ in table[past].futures] for past in live}
+    effects = np.stack(retrofilter_records(scenario.instrument, distinct))
+    purified = {}
     if "pf-variant" in kinds:
         initial, rank = purified_initial(scenario.rho0)
-        purified = dict(zip(table, propagate_records(scenario.instrument, initial, list(table), dim_extra=rank)))
+        purified = dict(zip(live, propagate_records(scenario.instrument, initial, live, dim_extra=rank)))
     for kind in kinds:
-        for past, (rho_f, p_past, futures) in table.items():
+        priors = dict(zip(live, priors_for(scenario, kind, table, live, purified)))
+        built = [past for past, prior in priors.items() if isinstance(prior, FilteredGlobalState)]
+        smoothed = generalized_smooth([priors[past] for past in built], effects, [futures[past] for past in built])
+        smoothed = dict(zip(built, smoothed))
+        for past, (rho_f, p_past, futs) in table.items():
             if p_past <= PROB_FLOOR:
-                yield Smoothed(kind, past, futures, p_past, error=ZERO_PAST)
-                continue
-            propagated = purified[past] if kind == "pf-variant" else None
-            try:
-                prior = prior_for(scenario, kind, past, rho_f, propagated)
-            except RetrosmoothError as exc:
-                yield Smoothed(kind, past, futures, p_past, rho_f, error=exc)
-                continue
-            past_effects = np.stack([effects[fut] for fut, _ in futures])
-            states, possible = generalized_smooth(prior, past_effects)
-            yield Smoothed(kind, past, futures, p_past, rho_f, prior, past_effects, states, possible)
+                yield Smoothed(kind, past, futs, p_past, error=ZERO_PAST)
+            elif past not in smoothed:
+                yield Smoothed(kind, past, futs, p_past, rho_f, error=priors[past])
+            else:
+                yield Smoothed(kind, past, futs, p_past, rho_f, priors[past], effects[futures[past]], *smoothed[past])
 
 
 def entropy_rows(scenario, table) -> list[dict]:

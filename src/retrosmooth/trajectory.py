@@ -15,10 +15,11 @@ through the adjoints, producing an (unnormalized) effect.
 table of records at once, level by level over their prefix (or suffix) trie,
 and a record's result has the same bits whatever table it is in.
 :func:`filter` and :func:`retrofilter` are their one-record cases.
-:func:`walk` propagates every record of a product of label sets,
-unnormalized, for record enumeration and the bob branches of
-:mod:`retrosmooth.smoothers`; :func:`sample_records` advances many sampled
-trajectories in lockstep.
+:func:`walk_records` propagates, unnormalized, every branch of each of a
+table of records whose steps are label sets, in the same trie pass: it
+gives the bob branches of :mod:`retrosmooth.smoothers` for every past at
+once, and its one-record case :func:`walk` enumerates records.
+:func:`sample_records` advances many sampled trajectories in lockstep.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ class Instrument:
 
     def __init__(self, ops: Mapping[Hashable, ConditionalOp], *, check: bool = True):
         self.ops: dict = dict(ops)
+        self._kraus_stacks: dict[tuple, list] = {}
         if not self.ops:
             raise InvalidMatrix("instrument needs at least one outcome")
         if check:
@@ -120,6 +122,26 @@ class Instrument:
         """The joint view: one rank-one operation per ``(outcome, Kraus name)``, in Kraus order."""
         named = ((y, u, k) for y, op in self.ops.items() for u, k in zip(op.names, op.kraus))
         return Instrument({(y, u): ConditionalOp((k,)) for y, u, k in named}, check=False)
+
+    def kraus_stack(self, labels: tuple, dim_extra: int = 1) -> list:
+        """The Kraus operators of ``labels`` by Kraus position, lifted to ``dim_extra`` ancilla dimensions.
+
+        Entry ``j`` is ``(label indices, operators, adjoints)`` over the labels
+        with a ``j``-th Kraus operator; entry 0 covers every label.  Built once
+        per ``(labels, dim_extra)`` and kept, its arrays read-only.
+        """
+        key = (tuple(labels), int(dim_extra))
+        if key not in self._kraus_stacks:
+            kraus = [self.op(y).kraus for y in key[0]]
+            eye, positions = np.eye(key[1]), []
+            for j in range(max(map(len, kraus))):
+                idx = [i for i, ks in enumerate(kraus) if len(ks) > j]
+                ops = np.stack([tensor(kraus[i][j], eye) for i in idx])
+                ops_dag = dag(ops)
+                ops.flags.writeable = ops_dag.flags.writeable = False
+                positions.append((idx, ops, ops_dag))
+            self._kraus_stacks[key] = positions
+        return self._kraus_stacks[key]
 
     @property
     def outcome_labels(self) -> tuple:
@@ -254,15 +276,17 @@ def retrofilter(instrument, record) -> np.ndarray:
     return retrofilter_records(instrument, [tuple(record)])[0]
 
 
-def _trie_levels(instrument, records):
+def _trie_levels(instrument, records, index=None):
     """The prefix trie of ``records``, level by level, as ``(parents, labels, ends)``.
 
     Level ``k`` has one row per distinct prefix of length ``k``: ``parents``
     holds the row of its prefix one shorter and ``labels`` the index of its
-    last label in the instrument's outcome labels (both ``None`` at the root),
-    and ``ends`` lists ``(i, row)`` for each ``records[i]`` of length ``k``.
+    last label in ``index``, by default the instrument's outcome labels (both
+    ``None`` at the root), and ``ends`` lists ``(i, row)`` for each
+    ``records[i]`` of length ``k``.
     """
-    index = {y: i for i, y in enumerate(instrument.outcome_labels)}
+    if index is None:
+        index = {y: i for i, y in enumerate(instrument.outcome_labels)}
     unknown = next((y for r in records for y in r if y not in index), None)
     if unknown is not None:
         instrument.op(unknown)  # raises UnknownOutcome
@@ -289,7 +313,7 @@ def filter_records(instrument, rho0, records) -> list[tuple[np.ndarray, float] |
     to right.
     """
     rho = as_density(rho0, "rho0")
-    positions = _kraus_stack(instrument, instrument.outcome_labels, np.eye(1))
+    positions = instrument.kraus_stack(instrument.outcome_labels)
     sigma, log_prob, live = rho[None], np.zeros(1), np.ones(1, dtype=bool)
     found: list = [None] * len(records)
     for parents, labels, ends in _trie_levels(instrument, records):
@@ -313,7 +337,7 @@ def retrofilter_records(instrument, records) -> list[np.ndarray]:
     suffix trie, one stacked conjugation by the adjoint Kraus operators per
     level, symmetrized at every level.
     """
-    positions = _kraus_stack(instrument, instrument.outcome_labels, np.eye(1))
+    positions = instrument.kraus_stack(instrument.outcome_labels)
     adjoints = [(idx, ops_dag, ops) for idx, ops, ops_dag in positions]  # conjugates by K† sigma K
     sigma = np.eye(instrument.dim, dtype=complex)[None]
     found: list = [None] * len(records)
@@ -333,7 +357,7 @@ def propagate_records(instrument, initial, records, *, dim_extra: int = 1) -> li
     Each distinct prefix is conjugated once, breadth-first over the records'
     prefix trie, one stacked conjugation per level.
     """
-    positions = _kraus_stack(instrument, instrument.outcome_labels, np.eye(int(dim_extra)))
+    positions = instrument.kraus_stack(instrument.outcome_labels, dim_extra)
     sigma = np.asarray(initial, dtype=complex)[None]
     found: list = [None] * len(records)
     for parents, labels, ends in _trie_levels(instrument, records):
@@ -342,6 +366,78 @@ def propagate_records(instrument, initial, records, *, dim_extra: int = 1) -> li
         for i, row in ends:
             found[i] = hermitian_part(sigma[row])
     return found
+
+
+def walk_records(
+    instrument,
+    initial,
+    records,
+    *,
+    dim_extra: int = 1,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> list:
+    """:func:`walk` of each of a table of records whose steps are label sets, in one pass.
+
+    Each distinct prefix of label sets is propagated once, breadth-first over
+    the records' prefix trie: per level, one stacked conjugation per label
+    set, over every branch of the prefixes it extends.  A record's result is
+    what :func:`walk` returns for it, with the same bits, or the
+    :class:`EnumerationTooLarge` of a record whose branches, counted before
+    any is dropped, exceed ``cap``: such a record expands nothing.
+    """
+    records = [tuple(map(tuple, r)) for r in records]
+    found: list = [None] * len(records)
+    live = []
+    for i, r in enumerate(records):
+        n_records = math.prod(map(len, r))
+        if n_records > cap:
+            found[i] = EnumerationTooLarge(f"{n_records} records exceed the cap of {cap}")
+        else:
+            live.append(i)
+    label_sets = list(dict.fromkeys(labels for i in live for labels in records[i]))
+    stacks = [instrument.kraus_stack(labels, dim_extra) for labels in label_sets]
+    index = {labels: j for j, labels in enumerate(label_sets)}
+    names = [y for labels in label_sets for y in labels]
+    first_name = np.cumsum([0, *map(len, label_sets)])
+    # trie row k holds the branches sigma[lo[k]:lo[k] + size[k]]; history holds, per level, each
+    # branch's parent branch and the index of its label in names
+    sigma, lo, size, history = np.asarray(initial, dtype=complex)[None], np.array([0]), np.array([1]), []
+    for parents, labels, ends in _trie_levels(instrument, [records[i] for i in live], index):
+        if parents is not None:
+            grown = []
+            for j in sorted(set(labels.tolist())):
+                rows = np.flatnonzero(labels == j)
+                n = size[parents[rows]]
+                branches = np.repeat(lo[parents[rows]] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+                # branch-major, label-minor: the lexicographic order of each row's records
+                out = _conjugate(stacks[j], sigma[branches]).reshape(-1, *sigma.shape[1:])
+                keep = out.any(axis=(1, 2))
+                width = len(label_sets[j])
+                owner, parent = np.repeat(rows, n * width), np.repeat(branches, width)
+                name = np.tile(np.arange(width), len(branches)) + first_name[j]
+                grown.append((out[keep], owner[keep], parent[keep], name[keep]))
+            sigma, owner, parent, name = (np.concatenate(a) for a in zip(*grown))
+            history.append((parent, name))
+            # each row's branches are one run of its index in owner
+            size, lo = np.bincount(owner, minlength=len(parents)), np.zeros(len(parents), dtype=int)
+            runs = np.flatnonzero(np.diff(owner, prepend=-1))
+            lo[owner[runs]] = runs
+        for i, row in ends:
+            span = slice(lo[row], lo[row] + size[row])
+            found[live[i]] = _branch_records(history, names, span), hermitian_part(sigma[span])
+    return found
+
+
+def _branch_records(history: list, names: list, span: slice) -> list[tuple]:
+    """The records of the last level's branches ``span``, traced back through each level's parents."""
+    at = np.arange(span.start, span.stop)
+    if not history:
+        return [()] * len(at)
+    columns = []
+    for parent, name in reversed(history):
+        columns.append([names[k] for k in name[at].tolist()])
+        at = parent[at]
+    return list(zip(*reversed(columns)))
 
 
 def walk(
@@ -361,42 +457,16 @@ def walk(
     subtree.  Returns the surviving records in lexicographic order and the
     stack of their symmetrized, unnormalized operators.  ``cap`` bounds the
     number of records counted before any is dropped (:class:`EnumerationTooLarge`).
+    The one-record case of :func:`walk_records`.
     """
-    label_sets = [tuple(labels) for labels in label_sets]
-    n_records = math.prod(map(len, label_sets))
-    if n_records > cap:
-        raise EnumerationTooLarge(f"{n_records} records exceed the cap of {cap}")
-    kraus_stacks: dict[tuple, list] = {}
-    records, sigma = [()], np.asarray(initial, dtype=complex)[None]
-    for labels in label_sets:
-        if labels not in kraus_stacks:
-            kraus_stacks[labels] = _kraus_stack(instrument, labels, np.eye(int(dim_extra)))
-        out = _conjugate(kraus_stacks[labels], sigma)
-        # branch-major, label-minor: the lexicographic order of the records
-        out = out.reshape(-1, *sigma.shape[1:])
-        keep = out.any(axis=(1, 2))
-        records = list(itertools.compress((r + (y,) for r in records for y in labels), keep))
-        sigma = out[keep]
-    return records, hermitian_part(sigma)
-
-
-def _kraus_stack(instrument, labels: tuple, eye: np.ndarray) -> list:
-    """The Kraus operators of ``labels`` by Kraus position, lifted to the ancilla.
-
-    Entry ``j`` is ``(label indices, operators, adjoints)`` over the labels
-    with a ``j``-th Kraus operator; entry 0 covers every label.
-    """
-    kraus = [instrument.op(y).kraus for y in labels]
-    positions = []
-    for j in range(max(map(len, kraus))):
-        idx = [i for i, ks in enumerate(kraus) if len(ks) > j]
-        ops = np.stack([tensor(kraus[i][j], eye) for i in idx])
-        positions.append((idx, ops, dag(ops)))
-    return positions
+    found = walk_records(instrument, initial, [label_sets], dim_extra=dim_extra, cap=cap)[0]
+    if isinstance(found, EnumerationTooLarge):
+        raise found
+    return found
 
 
 def _conjugate(positions: list, sigma: np.ndarray) -> np.ndarray:
-    """Each label's ``sum_j K_j sigma K_j†`` over a :func:`_kraus_stack`, as ``(n, labels, D, D)``."""
+    """Each label's ``sum_j K_j sigma K_j†`` over a :meth:`Instrument.kraus_stack`, as ``(n, labels, D, D)``."""
     (_, ops, ops_dag), *rest = positions
     out = ops @ sigma[:, None] @ ops_dag
     for idx, ops, ops_dag in rest:
@@ -437,7 +507,7 @@ def sample_records(instrument, rho0, steps: int, n: int, rng) -> list[tuple]:
     rho = as_density(rho0, "rho0")
     labels = instrument.outcome_labels
     uniforms = gen.random((int(n), int(steps)))
-    positions = _kraus_stack(instrument, labels, np.eye(1))
+    positions = instrument.kraus_stack(labels)
     rows = np.arange(uniforms.shape[0])
     sigma = np.broadcast_to(rho, (rows.size, *rho.shape))
     picks = np.empty(uniforms.shape, dtype=int)

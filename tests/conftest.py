@@ -1,4 +1,16 @@
+import warnings
+
 import pytest
+
+pytest_plugins = ["pytester"]
+
+# A failing Hypothesis test makes its pytest plugin import ``hypothesis.extra._patching``, whose
+# ``libcst`` import warns ``DeprecationWarning``; under ``filterwarnings = ["error"]`` that warning
+# would end the run with INTERNALERROR instead of reporting the failure.  Importing it once here,
+# with that warning ignored, leaves nothing to warn when the plugin imports it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 _acceptance_lines: list[str] = []
 

@@ -454,7 +454,7 @@ class TestClassicalLimit:
     def test_one_smoothing_call_per_prior(self, tmp_path, monkeypatch):
         from collections import Counter
 
-        from retrosmooth import sweeps
+        from retrosmooth import retrodiction, smoothers, sweeps, trajectory
 
         calls = Counter()
 
@@ -465,17 +465,27 @@ class TestClassicalLimit:
 
             return wrapped
 
-        monkeypatch.setattr(sweeps, "build_prior", counting("build_prior", sweeps.build_prior))
-        monkeypatch.setattr(
-            sweeps, "generalized_smooth", counting("generalized_smooth", sweeps.generalized_smooth)
-        )
+        for module, name in [
+            (sweeps, "build_priors"),
+            (sweeps, "generalized_smooth"),
+            (retrodiction, "psd_sqrt"),
+            (smoothers, "walk_records"),
+            (trajectory, "walk"),
+        ]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         sc = Scenario.from_file("scenarios/classical-2state.json")
         assert cmd_classical_limit(sc, tmp_path)["passed"]
-        records = [rec for rec, _ in enumerate_records(sc.instrument, sc.rho0, sc.steps)]
-        pasts = {rec[:t] for rec in records for t in range(sc.steps + 1)}
-        assert len(pasts) == 63
-        # one prior and one stacked smoothing call per (kind, split time, past), kinds pf and gw-variant
-        assert calls == {"build_prior": 2 * len(pasts), "generalized_smooth": 2 * len(pasts)}
+        # per (split time, kind), kinds pf and gw-variant: one table build, one stacked smoothing call and,
+        # each kind's blocks sharing one shape, one batched block square root; per split time one bob-branch
+        # pass for gw-variant; walk only for the one enumeration of every record
+        splits = sc.steps + 1
+        assert calls == {
+            "build_priors": 2 * splits,
+            "generalized_smooth": 2 * splits,
+            "psd_sqrt": 2 * splits,
+            "walk_records": splits,
+            "walk": 1,
+        }
 
     def test_rejects_non_classical(self, tmp_path):
         with pytest.raises(NotClassicalLimit):

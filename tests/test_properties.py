@@ -6,24 +6,41 @@ repeatable and takes a bounded time.
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
 import operator
 import os
 import shutil
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retrosmooth import retrodiction, smoothers
 from retrosmooth.cli import main
-from retrosmooth.linalg import PSD_CLAMP, entropy_vn, fidelity, purity, trace_norm
+from retrosmooth.errors import EnumerationTooLarge, RetrosmoothError
+from retrosmooth.linalg import (
+    PSD_CLAMP,
+    WEIGHT_FLOOR,
+    entropy_vn,
+    fidelity,
+    hermitian_part,
+    partial_trace,
+    purity,
+    tensor,
+    trace_norm,
+)
+from retrosmooth.retrodiction import generalized_smooth
 from retrosmooth.sampling import random_density, random_instrument
 from retrosmooth.scenario import Scenario, classical_demo_scenario, demo_scenario, matrix_to_json
+from retrosmooth.smoothers import build_prior, purified_initial
 from retrosmooth.sweeps import ZERO_PAST, future_table, smooth_table
-from retrosmooth.trajectory import filter as filter_state
+from retrosmooth.trajectory import filter as filter_state, walk
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -88,6 +105,102 @@ def test_smoothed_states_are_psd_and_average_over_futures_to_the_filtered_state(
         weights = np.array([p for _, p in s.futures])[s.possible] / s.p_past
         rho_f, _ = filter_state(sc.instrument, sc.rho0, s.past)
         assert trace_norm(np.einsum("i,ijk->jk", weights, states) - rho_f) <= 1e-8, (s.kind, s.past)
+
+
+@st.composite
+def uneven_tables(draw):
+    """A random instrument whose outcomes hold 1-2 Kraus operators, one split of its future table and a cap.
+
+    The instrument is one outcome of :func:`random_instrument`, dimension 2-3,
+    its Kraus operators dealt out to 2-3 outcomes, so pasts differ in their
+    count of bob records.  The cap lies at or above the smallest count of the
+    split's pasts and below the largest, and the last past of the table is
+    made impossible.
+    """
+    dim, sizes = draw(st.integers(2, 3)), draw(st.permutations([1, 2, *draw(st.lists(st.integers(1, 2), max_size=1))]))
+    steps = draw(st.integers(1, 3))
+    split, rank = draw(st.integers(1, steps)), draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kraus = random_instrument(dim, 1, sum(sizes), rng).op("0").kraus
+    cuts = np.cumsum([0, *sizes])
+    operations = {str(y): [matrix_to_json(k) for k in kraus[lo:hi]] for y, (lo, hi) in enumerate(zip(cuts, cuts[1:]))}
+    sc = Scenario.from_dict(
+        {
+            "system": {"type": "instrument", "operations": operations},
+            "rho0": matrix_to_json(random_density(dim, rng, rank=rank)),
+            "steps": steps,
+            "smoothing_time_index": split,
+            "prior_kinds": ["pf", "gw", "gw-variant", "pf-variant", "clhs"],
+        }
+    )
+    table = future_table(sc)
+    counts = [np.prod([len(sc.instrument.op(y).kraus) for y in past]) for past in table]
+    cap = draw(st.integers(int(min(counts)), int(max(counts)) - 1))
+    last = list(table)[-1]
+    table[last] = table[last]._replace(rho_f=None, p=0.0)
+    return dataclasses.replace(sc, enumeration_cap=cap), table
+
+
+def one_prior_smooth(prior, effects):
+    """``generalized_smooth``'s stacked sandwich on one prior as it stood before priors were stacked."""
+    norms = np.trace(prior.marginal() @ effects, axis1=1, axis2=2).real
+    possible = norms > WEIGHT_FLOOR
+    lifted = tensor(effects[possible], np.eye(prior.dim_a1))[:, None]
+    sandwiched = partial_trace(prior.roots @ lifted @ prior.roots, prior.block_dims, "Q").sum(axis=-3)
+    states = np.full(effects.shape, np.nan, dtype=complex)
+    states[possible] = hermitian_part(sandwiched) / norms[possible][:, None, None]
+    return states, possible
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(uneven_tables())
+def test_the_table_pass_has_the_bits_of_one_past_at_a_time(case):
+    sc, table = case
+    with mock.patch.object(retrodiction, "psd_sqrt", wraps=retrodiction.psd_sqrt) as roots, mock.patch.object(
+        smoothers, "walk_records", wraps=smoothers.walk_records
+    ) as bob_passes:
+        units = list(smooth_table(sc, table, sc.prior_kinds))
+    assert [(s.kind, s.past) for s in units] == [(kind, past) for kind in sc.prior_kinds for past in table]
+    shapes = {kind: set() for kind in sc.prior_kinds}
+    outcomes = set()
+    for s in units:
+        if s.p_past == 0.0:
+            assert s.error == ZERO_PAST
+            outcomes.add("impossible")
+            continue
+        try:
+            prior = build_prior(s.kind, rho0=sc.rho0, alice_past=s.past, instrument=sc.instrument, cap=sc.enumeration_cap)
+        except RetrosmoothError as exc:
+            assert (type(s.error), str(s.error)) == (type(exc), str(exc)), (s.kind, s.past)
+            outcomes.add(type(exc).__name__)
+            continue
+        assert s.error is None, (s.kind, s.past, s.error)
+        assert s.prior.blocks.tobytes() == prior.blocks.tobytes() and s.prior.block_labels == prior.block_labels
+        for states, possible in (generalized_smooth(prior, s.effects), one_prior_smooth(prior, s.effects)):
+            assert s.states.tobytes() == states.tobytes() and s.possible.tobytes() == possible.tobytes()
+        shapes[s.kind].add(s.prior.block_dims)
+        outcomes.add("smoothed")
+    # one batched square root per (kind, block shape), one bob-branch pass per register kind
+    assert roots.call_count == sum(map(len, shapes.values()))
+    assert bob_passes.call_count == 2
+    assert {"impossible", "smoothed"} <= outcomes
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(uneven_tables())
+def test_the_table_bob_pass_has_the_records_and_bits_of_walk_per_past(case):
+    sc, table = case
+    inst, pasts = sc.instrument, list(table)
+    for initial, rank in (purified_initial(sc.rho0), (sc.rho0, 1)):
+        for past, found in zip(pasts, smoothers._bob_branches(inst, initial, pasts, rank, sc.enumeration_cap)):
+            label_sets = [[(y, u) for u in sorted(inst.op(y).names)] for y in past]
+            try:
+                records, ops = walk(inst.joint, initial, label_sets, dim_extra=rank, cap=sc.enumeration_cap)
+            except EnumerationTooLarge as exc:
+                assert isinstance(found, EnumerationTooLarge) and str(found) == str(exc), past
+                continue
+            assert found[0] == [tuple(u for _, u in r) for r in records], past
+            assert found[1].tobytes() == ops.tobytes(), past
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +323,31 @@ def test_a_hostile_scenario_value_exits_0_or_2_with_one_line(fuzz_dir, system, d
         # every output went under --out
         assert {p.name for p in fuzz_dir.iterdir()} <= {"sc.json", "out"}
         shutil.rmtree(fuzz_dir / "out", ignore_errors=True)
+
+
+# ---------------------------------------------------------------------------
+# a failing property is reported as a failure
+
+
+def test_a_failing_property_is_reported_not_an_internal_error(pytester):
+    """A failing ``@given`` test, under this suite's conftest and warning filter, fails with its example."""
+    pytester.makeconftest((Path(__file__).parent / "conftest.py").read_text())
+    pytester.makepyprojecttoml('[tool.pytest.ini_options]\nfilterwarnings = ["error"]\n')
+    pytester.makepyfile(
+        """
+        from hypothesis import given, settings, strategies as st
+
+        @settings(derandomize=True, database=None)
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 5
+
+        def test_passes():
+            pass
+        """
+    )
+    # a fresh interpreter, where nothing has imported hypothesis.extra._patching yet
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(failed=1, passed=1)
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
+    result.stdout.fnmatch_lines(["*Falsifying example*"])

@@ -19,6 +19,7 @@ from retrosmooth.trajectory import (
     Instrument,
     JumpChannel,
     LindbladSpec,
+    _conjugate,
     apply_conditional,
     discretize,
     enumerate_records,
@@ -29,6 +30,7 @@ from retrosmooth.trajectory import (
     retrofilter_records,
     sample_records,
     walk,
+    walk_records,
 )
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # lowering |1> -> |0>
@@ -67,6 +69,17 @@ def reference_retrofilter(instrument, record) -> np.ndarray:
         effect = sum(dag(k) @ effect @ k for k in op.kraus)
         effect = hermitian_part(effect)
     return effect
+
+
+def reference_walk(instrument, initial, label_sets, dim_extra=1):
+    """Per-record walk: every branch of one record, one stacked conjugation per step, zero branches dropped."""
+    records, sigma = [()], np.asarray(initial, dtype=complex)[None]
+    for labels in map(tuple, label_sets):
+        out = _conjugate(instrument.kraus_stack(labels, dim_extra), sigma).reshape(-1, *sigma.shape[1:])
+        keep = out.any(axis=(1, 2))
+        records = [r + (y,) for r in records for y in labels]
+        records, sigma = [r for r, k in zip(records, keep) if k], out[keep]
+    return records, hermitian_part(sigma)
 
 
 class TestConditionalOp:
@@ -342,6 +355,31 @@ class TestTriePasses:
                 # walk drops an exactly zero branch, the pass keeps it as zeros
                 assert got.tobytes() == ops[0].tobytes() if len(ops) else not got.any(), past
         assert outcomes == ({"possible", "impossible"} if which == "driven-damped-qubit" else {"possible"})
+
+    @pytest.mark.parametrize("which", ["driven-damped-qubit", "classical-3state"])
+    def test_walk_records_has_the_bits_of_the_per_record_walk(self, which):
+        inst, rho0, records = self.table(which)
+        initial, rank = purified_initial(rho0)
+        options = {y: [(y, u) for u in sorted(inst.op(y).names)] for y in inst.outcome_labels}
+        pasts = [r[:t] for r in records for t in range(7)]
+        sets = [[options[y] for y in past] for past in pasts]
+        counts = sorted({int(np.prod([len(s) for s in steps])) for steps in sets})
+        cap = counts[len(counts) // 2]
+        outcomes = set()
+        for steps, got in zip(sets, walk_records(inst.joint, initial, sets, dim_extra=rank, cap=cap)):
+            n_records = int(np.prod([len(s) for s in steps]))
+            if n_records > cap:
+                assert isinstance(got, EnumerationTooLarge) and str(got) == f"{n_records} records exceed the cap of {cap}"
+                outcomes.add("capped")
+                continue
+            records_ref, ops_ref = reference_walk(inst.joint, initial, steps, rank)
+            assert got[0] == records_ref and got[1].tobytes() == ops_ref.tobytes(), steps
+            outcomes.add("dropped" if len(records_ref) < n_records else "walked")
+        assert outcomes == {"capped", "dropped", "walked"}
+        # the enumeration of every record is the one-record case
+        labels = inst.outcome_labels
+        assert walk(inst, rho0, [labels] * 4)[0] == reference_walk(inst, rho0, [labels] * 4)[0]
+        assert walk(inst, rho0, [labels] * 4)[1].tobytes() == reference_walk(inst, rho0, [labels] * 4)[1].tobytes()
 
     def test_unknown_outcome(self):
         with pytest.raises(UnknownOutcome):
