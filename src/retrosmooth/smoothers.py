@@ -233,36 +233,6 @@ def build_prior(
     raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
 
 
-def build_priors(
-    kind: str,
-    *,
-    rho0,
-    pasts,
-    instrument: Instrument,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    rho_fs,
-    propagated=None,
-) -> list:
-    """:func:`build_prior` for each past of a table: its prior, or the :class:`RetrosmoothError` of its build.
-
-    ``gw`` and ``gw-variant`` take every past's bob branches from one
-    :func:`register_priors` pass; the other kinds build past by past, from
-    the past's filtered state ``rho_fs[i]`` and, for ``pf-variant``, its
-    propagated purification ``propagated[i]``.
-    """
-    if kind in ("gw", "gw-variant"):
-        return register_priors(kind, instrument, rho0, pasts, cap)
-    priors = []
-    for past, rho_f, purified in zip(pasts, rho_fs, propagated or [None] * len(pasts)):
-        try:
-            priors.append(
-                build_prior(kind, rho0=rho0, alice_past=past, instrument=instrument, rho_f=rho_f, propagated=purified)
-            )
-        except RetrosmoothError as exc:
-            priors.append(exc)
-    return priors
-
-
 def extend_ancilla(prior: FilteredGlobalState, isometry) -> FilteredGlobalState:
     """Conjugate the purifying ancilla of every block by an isometry.
 

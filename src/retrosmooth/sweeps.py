@@ -39,7 +39,7 @@ from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, as_density, entropy_vn, trace_norm
 from .retrodiction import FilteredGlobalState, generalized_smooth
 from .sampling import density_from, extension_from, povm_from
-from .smoothers import build_custom, build_priors, purified_initial
+from .smoothers import build_custom, build_prior, purified_initial, register_priors
 from .trajectory import enumerate_records, filter_records, propagate_records, retrofilter_records
 
 PROB_FLOOR = 1e-12
@@ -107,33 +107,39 @@ def record_table(scenario, records) -> dict[tuple, Past]:
     return {past: Past(*filtered[past], futures) for past, futures in grouped.items()}
 
 
-def priors_for(scenario, kind: str, table: dict[tuple, Past], pasts, purified) -> list:
-    """The prior of one kind for each of ``pasts``, or the error of its build, under the scenario's enumeration cap.
+def prior_for(scenario, kind: str, past, rho_f, propagated):
+    """The prior of one kind for one past, built under the scenario's enumeration cap.
 
-    Each past's filtered state spares the ``pf``/``clhs`` builds a second
-    :func:`filter` call; a ``custom`` prior's marginal must equal it.
-    ``purified`` maps each past to its purification propagated by
-    :func:`propagate_records`, which spares the ``pf-variant`` builds their
-    own pass.
+    ``rho_f``, the past's filtered state, spares the ``pf``/``clhs`` builds
+    a second :func:`filter` call; a ``custom`` prior's marginal must equal it.
+    ``propagated``, the past's purification propagated by
+    :func:`propagate_records`, spares the ``pf-variant`` build its own pass.
     """
-    if kind != "custom":
-        return build_priors(
-            kind,
-            rho0=scenario.rho0,
-            pasts=pasts,
-            instrument=scenario.instrument,
-            cap=scenario.enumeration_cap,
-            rho_fs=[table[past].rho_f for past in pasts],
-            propagated=[purified[past] for past in pasts] if kind == "pf-variant" else None,
-        )
+    if kind == "custom":
+        scenario.require_kinds((kind,))
+        matrix, dim_a = scenario.custom_prior
+        prior = build_custom(matrix, (scenario.dim, dim_a))
+        prior.require_marginal(rho_f, "the filtered state")
+        return prior
+    return build_prior(
+        kind,
+        rho0=scenario.rho0,
+        alice_past=past,
+        instrument=scenario.instrument,
+        cap=scenario.enumeration_cap,
+        rho_f=rho_f,
+        propagated=propagated,
+    )
+
+
+def priors_for(scenario, kind: str, table: dict[tuple, Past], pasts, purified: dict) -> list:
+    """:func:`prior_for` each of ``pasts``, or the error of its build; one bob-branch pass for the register kinds."""
+    if kind in ("gw", "gw-variant"):
+        return register_priors(kind, scenario.instrument, scenario.rho0, pasts, scenario.enumeration_cap)
     priors = []
     for past in pasts:
         try:
-            scenario.require_kinds((kind,))
-            matrix, dim_a = scenario.custom_prior
-            prior = build_custom(matrix, (scenario.dim, dim_a))
-            prior.require_marginal(table[past].rho_f, "the filtered state")
-            priors.append(prior)
+            priors.append(prior_for(scenario, kind, past, table[past].rho_f, purified.get(past)))
         except RetrosmoothError as exc:
             priors.append(exc)
     return priors

@@ -376,14 +376,19 @@ def walk_records(
     dim_extra: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list:
-    """:func:`walk` of each of a table of records whose steps are label sets, in one pass.
+    """Every branch of each of a table of records whose step ``i`` is a set of labels, in one pass.
 
-    Each distinct prefix of label sets is propagated once, breadth-first over
-    the records' prefix trie: per level, one stacked conjugation per label
-    set, over every branch of the prefixes it extends.  A record's result is
-    what :func:`walk` returns for it, with the same bits, or the
-    :class:`EnumerationTooLarge` of a record whose branches, counted before
-    any is dropped, exceed ``cap``: such a record expands nothing.
+    ``initial`` lives on the system tensored with ``dim_extra`` ancilla
+    dimensions.  Each distinct prefix of label sets is propagated once,
+    breadth-first over the records' prefix trie: per level, one stacked
+    conjugation per label set over every branch of the prefixes it extends,
+    summing a label's Kraus terms in Kraus order as :func:`apply_conditional`
+    does; an exactly zero branch is dropped with its subtree.  A record's
+    result is its surviving branch records in lexicographic order and the
+    stack of their symmetrized, unnormalized operators, with the same bits
+    whatever table it is in, or the :class:`EnumerationTooLarge` of a record
+    whose branches, counted before any is dropped, exceed ``cap``: such a
+    record expands nothing.
     """
     records = [tuple(map(tuple, r)) for r in records]
     found: list = [None] * len(records)
@@ -450,14 +455,8 @@ def walk(
 ) -> tuple[list[tuple], np.ndarray]:
     """Propagate every record whose step ``i`` takes a label from ``label_sets[i]``.
 
-    ``initial`` lives on the system tensored with ``dim_extra`` ancilla
-    dimensions.  Branches advance breadth-first, one stacked conjugation per
-    step and Kraus position, summing a label's Kraus terms in Kraus order as
-    :func:`apply_conditional` does; an exactly zero branch is dropped with its
-    subtree.  Returns the surviving records in lexicographic order and the
-    stack of their symmetrized, unnormalized operators.  ``cap`` bounds the
-    number of records counted before any is dropped (:class:`EnumerationTooLarge`).
-    The one-record case of :func:`walk_records`.
+    The one-record case of :func:`walk_records`: returns the surviving
+    records and their operators, or raises its :class:`EnumerationTooLarge`.
     """
     found = walk_records(instrument, initial, [label_sets], dim_extra=dim_extra, cap=cap)[0]
     if isinstance(found, EnumerationTooLarge):

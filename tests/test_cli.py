@@ -466,7 +466,7 @@ class TestClassicalLimit:
             return wrapped
 
         for module, name in [
-            (sweeps, "build_priors"),
+            (sweeps, "priors_for"),
             (sweeps, "generalized_smooth"),
             (retrodiction, "psd_sqrt"),
             (smoothers, "walk_records"),
@@ -480,7 +480,7 @@ class TestClassicalLimit:
         # pass for gw-variant; walk only for the one enumeration of every record
         splits = sc.steps + 1
         assert calls == {
-            "build_priors": 2 * splits,
+            "priors_for": 2 * splits,
             "generalized_smooth": 2 * splits,
             "psd_sqrt": 2 * splits,
             "walk_records": splits,
