@@ -58,10 +58,7 @@ from .smoothers import (
     TrueStateBranch,
     build_clhs,
     build_custom,
-    build_gw,
-    build_gw_variant,
     build_pf,
-    build_pf_variant,
     build_prior,
     enumerate_bob_branches,
 )

@@ -24,13 +24,14 @@ smoothing time:
 ``custom``
     Any explicit extension with the right marginal (used for bound sweeps).
 
-``gw`` and ``gw-variant`` take every past's bob branches from one
-:func:`~retrosmooth.trajectory.walk_records` pass over a table of pasts
-(:func:`register_priors`; a single past is the one-past case), and
-``pf-variant`` propagates the purification through
-:func:`~retrosmooth.trajectory.propagate_records`.
-Bob's options at an outcome are the sorted names of its Kraus operators, so
-every instrument has every prior.
+``gw``, ``gw-variant`` and ``pf-variant`` are one classical register over
+what bob tells apart, and :data:`REGISTERS` maps each to bob's partition and
+whether ``rho0`` is purified.  :func:`register_priors` builds all three,
+every past of a table from one :func:`~retrosmooth.trajectory.walk_records`
+pass over its bob branches; a single past is the one-past case.  Under the
+finest partition bob's options at an outcome are the sorted names of its
+Kraus operators, so every instrument has every prior; under the coarsest
+bob tells apart no more than alice, and the register has one branch.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ import numpy as np
 from .errors import EnumerationTooLarge, InvalidFactorization, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import ISOMETRY_TOL, WEIGHT_FLOOR, as_density, dag, hermitian_part, purify, tensor
 from .retrodiction import FilteredGlobalState
-from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, filter as filter_state, propagate_records, walk_records
+from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, filter as filter_state, walk_records
+
+# each register kind's (bob's partition, whether rho0 is purified): bob tells apart every Kraus name
+# ("finest") or only alice's outcomes ("coarsest")
+REGISTERS = {"gw": ("finest", True), "gw-variant": ("finest", False), "pf-variant": ("coarsest", True)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,20 +59,27 @@ class TrueStateBranch:
     weight: float
 
 
-def _bob_branches(instrument: Instrument, initial: np.ndarray, pasts, dim_extra: int, cap: int) -> list:
+def _bob_branches(
+    instrument: Instrument, initial: np.ndarray, pasts, dim_extra: int, cap: int, partition: str = "finest"
+) -> list:
     """Every bob record compatible with each alice past, in one :func:`walk_records` pass.
 
-    Bob's options at outcome ``y`` are the sorted Kraus names of ``y``.  Per
-    past: the bob records of the surviving (not exactly zero) branches in
+    Under the finest ``partition`` bob's options at outcome ``y`` are the
+    sorted Kraus names of ``y``; under the coarsest the pass walks the
+    instrument itself, and bob's record of a past's one branch is ``()``.
+    Per past: the bob records of the surviving (not exactly zero) branches in
     lexicographic order and the stack of their operators, or the
     :class:`EnumerationTooLarge` of a past whose records, counted before any
     is dropped, exceed the cap.
     """
-    options = {y: [(y, u) for u in sorted(instrument.op(y).names)] for past in pasts for y in past}
-    found = walk_records(
-        instrument.joint, initial, [[options[y] for y in past] for past in pasts], dim_extra=dim_extra, cap=cap
-    )
-    return [f if isinstance(f, EnumerationTooLarge) else ([tuple(u for _, u in r) for r in f[0]], f[1]) for f in found]
+    finest = partition == "finest"
+    options = {y: [(y, u) for u in sorted(instrument.op(y).names)] if finest else [y] for past in pasts for y in past}
+    steps = [[options[y] for y in past] for past in pasts]
+    found = walk_records(instrument.joint if finest else instrument, initial, steps, dim_extra=dim_extra, cap=cap)
+    return [
+        f if isinstance(f, EnumerationTooLarge) else ([tuple(u for _, u in r) if finest else () for r in f[0]], f[1])
+        for f in found
+    ]
 
 
 def _one(found):
@@ -120,57 +132,18 @@ def purified_initial(rho0) -> tuple[np.ndarray, int]:
     return np.outer(psi, psi.conj()), psi.size // rho.shape[0]
 
 
-def build_pf_variant(instrument: Instrument, rho0, alice_past, propagated=None) -> FilteredGlobalState:
-    """Purification of the initial state propagated through the observer's record.
-
-    ``propagated`` is that operator, the past's :func:`propagate_records`
-    row from :func:`purified_initial`; a one-record pass computes it when it
-    is ``None``.
-    """
-    if propagated is None:
-        initial, rank = purified_initial(rho0)
-        propagated = propagate_records(instrument, initial, [tuple(alice_past)], dim_extra=rank)[0]
-    dim = instrument.dim
-    return _register_state([()], propagated[None], dim, propagated.shape[0] // dim, "pf-variant")
-
-
-def build_gw(
-    instrument: Instrument,
-    rho0,
-    alice_past,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> FilteredGlobalState:
-    """Purified initial state with a classical register over bob records.
-
-    Each register branch holds the joint-record conditioned pure state of the
-    system and the purifying ancilla; branch weights are normalized by the
-    probability of the alice record.  The one-past case of :func:`register_priors`.
-    """
-    return _one(register_priors("gw", instrument, rho0, [alice_past], cap)[0])
-
-
-def build_gw_variant(
-    instrument: Instrument,
-    rho0,
-    alice_past,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> FilteredGlobalState:
-    """Classical register over bob records, initial state taken as a proper mixture.
-
-    The one-past case of :func:`register_priors`.
-    """
-    return _one(register_priors("gw-variant", instrument, rho0, [alice_past], cap)[0])
-
-
 def register_priors(kind: str, instrument: Instrument, rho0, pasts, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
-    """The ``gw`` or ``gw-variant`` prior of each past, or the error of its build, from one bob-branch pass.
+    """The prior of register kind ``kind`` for each past, or the error of its build, from one bob-branch pass.
 
-    ``gw`` starts the branches from a purification of ``rho0``, ``gw-variant``
-    from ``rho0`` itself.
+    The branches start from a purification of ``rho0`` where :data:`REGISTERS`
+    says so, from ``rho0`` itself otherwise.  Each register branch holds the
+    joint-record conditioned state of the system (and the purifying ancilla),
+    the weights normalized by the probability of the alice record.
     """
-    initial, rank = purified_initial(rho0) if kind == "gw" else (as_density(rho0, "rho0"), 1)
+    partition, purified = REGISTERS[kind]
+    initial, rank = purified_initial(rho0) if purified else (as_density(rho0, "rho0"), 1)
     priors = []
-    for found in _bob_branches(instrument, initial, pasts, rank, cap):
+    for found in _bob_branches(instrument, initial, pasts, rank, cap, partition):
         try:
             priors.append(_register_state(*_one(found), instrument.dim, rank, kind))
         except RetrosmoothError as exc:
@@ -212,24 +185,20 @@ def build_prior(
     instrument: Instrument,
     cap: int = DEFAULT_ENUMERATION_CAP,
     rho_f=None,
-    propagated=None,
 ) -> FilteredGlobalState:
-    """Dispatch a prior build from shared scenario ingredients.
+    """Dispatch a one-past prior build from shared scenario ingredients.
 
     ``pf`` and ``clhs`` start from the filtered state of ``alice_past``: the
     given ``rho_f``, or one :func:`~retrosmooth.trajectory.filter` call when
-    it is ``None``.  ``pf-variant`` takes ``propagated`` as
-    :func:`build_pf_variant` does.
+    it is ``None``.  The register kinds are the one-past case of
+    :func:`register_priors`.
     """
     if kind in ("pf", "clhs"):
         if rho_f is None:
             rho_f, _ = filter_state(instrument, rho0, alice_past)
         return build_pf(rho_f) if kind == "pf" else build_clhs(rho_f)
-    if kind == "pf-variant":
-        return build_pf_variant(instrument, rho0, alice_past, propagated)
-    if kind in ("gw", "gw-variant"):
-        builder = build_gw if kind == "gw" else build_gw_variant
-        return builder(instrument, rho0, alice_past, cap=cap)
+    if kind in REGISTERS:
+        return _one(register_priors(kind, instrument, rho0, [alice_past], cap)[0])
     raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
 
 
@@ -262,8 +231,9 @@ def branch_mixture_smooth(
     """Trajectory-style smoothed state as an explicit mixture over true states.
 
     Weights each branch-conditioned state by the posterior probability of the
-    corresponding bob record given the full observed record.  Serves as the
-    independent reference for the register-based construction.
+    corresponding bob record given the full observed record.  It reads the
+    same bob-branch pass as the register priors it is compared with, so it
+    is a reference for their sandwich only, not for the branches.
     """
     branches = enumerate_bob_branches(instrument, rho0, alice_past, cap)
     e = np.asarray(effect, dtype=complex)

@@ -9,12 +9,11 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
   prefix at the smoothing time, as ``past -> Past(rho_f, p, futures)``: each
   table filters its pasts in one pass over their prefix trie.
 * :func:`smooth_table` is the one smoothing pass: for each prior kind it
-  builds the priors of all the table's pasts (one bob-branch pass for the
-  register kinds) and smooths every (past, future) pair in one stacked
-  call.  It retrofilters the table's distinct futures in one pass over
-  their suffix trie and, for ``pf-variant``, propagates the pasts'
-  purifications in one more, shared by every prior kind.  The sweeps below
-  reduce it.
+  builds the priors of all the table's pasts (one bob-branch pass for each
+  register kind of :data:`~retrosmooth.smoothers.REGISTERS`) and smooths
+  every (past, future) pair in one stacked call.  It retrofilters the
+  table's distinct futures in one pass over their suffix trie, shared by
+  every prior kind.  The sweeps below reduce it.
 * :func:`entropy_rows` holds the average smoothed entropy of each (prior
   kind, past) pair against the ``S(rho_F) - H(futures) <= avg <= S(rho_F)``
   sandwich.
@@ -39,8 +38,8 @@ from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, as_density, entropy_vn, trace_norm
 from .retrodiction import FilteredGlobalState, generalized_smooth
 from .sampling import density_from, extension_from, povm_from
-from .smoothers import build_custom, build_prior, purified_initial, register_priors
-from .trajectory import enumerate_records, filter_records, propagate_records, retrofilter_records
+from .smoothers import REGISTERS, build_custom, build_prior, register_priors
+from .trajectory import enumerate_records, filter_records, retrofilter_records
 
 PROB_FLOOR = 1e-12
 # matrix entries of the largest stack one theorem-1 pass builds, its outcomes' sandwiches: bounds the
@@ -107,13 +106,11 @@ def record_table(scenario, records) -> dict[tuple, Past]:
     return {past: Past(*filtered[past], futures) for past, futures in grouped.items()}
 
 
-def prior_for(scenario, kind: str, past, rho_f, propagated):
+def prior_for(scenario, kind: str, past, rho_f):
     """The prior of one kind for one past, built under the scenario's enumeration cap.
 
     ``rho_f``, the past's filtered state, spares the ``pf``/``clhs`` builds
     a second :func:`filter` call; a ``custom`` prior's marginal must equal it.
-    ``propagated``, the past's purification propagated by
-    :func:`propagate_records`, spares the ``pf-variant`` build its own pass.
     """
     if kind == "custom":
         scenario.require_kinds((kind,))
@@ -128,18 +125,17 @@ def prior_for(scenario, kind: str, past, rho_f, propagated):
         instrument=scenario.instrument,
         cap=scenario.enumeration_cap,
         rho_f=rho_f,
-        propagated=propagated,
     )
 
 
-def priors_for(scenario, kind: str, table: dict[tuple, Past], pasts, purified: dict) -> list:
-    """:func:`prior_for` each of ``pasts``, or the error of its build; one bob-branch pass for the register kinds."""
-    if kind in ("gw", "gw-variant"):
+def priors_for(scenario, kind: str, table: dict[tuple, Past], pasts) -> list:
+    """:func:`prior_for` each of ``pasts``, or the error of its build; one bob-branch pass for a register kind."""
+    if kind in REGISTERS:
         return register_priors(kind, scenario.instrument, scenario.rho0, pasts, scenario.enumeration_cap)
     priors = []
     for past in pasts:
         try:
-            priors.append(prior_for(scenario, kind, past, table[past].rho_f, purified.get(past)))
+            priors.append(prior_for(scenario, kind, past, table[past].rho_f))
         except RetrosmoothError as exc:
             priors.append(exc)
     return priors
@@ -177,9 +173,8 @@ class Smoothed(NamedTuple):
 def smooth_table(scenario, table: dict[tuple, Past], kinds):
     """Every future of every (prior kind, past) of a table smoothed, as :class:`Smoothed`, kind-major.
 
-    The table's distinct futures are retrofiltered in one pass and, for
-    ``pf-variant``, its pasts' purifications propagated in one pass, shared
-    by every prior kind.  Each kind's priors are built for all pasts at once
+    The table's distinct futures are retrofiltered in one pass, shared by
+    every prior kind.  Each kind's priors are built for all pasts at once
     and smoothed in one stacked :func:`generalized_smooth` call.  A past at
     or below :data:`PROB_FLOOR` is not smoothed.
     """
@@ -190,12 +185,8 @@ def smooth_table(scenario, table: dict[tuple, Past], kinds):
     index = {fut: j for j, fut in enumerate(distinct)}
     futures = {past: [index[fut] for fut, _ in table[past].futures] for past in live}
     effects = np.stack(retrofilter_records(scenario.instrument, distinct))
-    purified = {}
-    if "pf-variant" in kinds:
-        initial, rank = purified_initial(scenario.rho0)
-        purified = dict(zip(live, propagate_records(scenario.instrument, initial, live, dim_extra=rank)))
     for kind in kinds:
-        priors = dict(zip(live, priors_for(scenario, kind, table, live, purified)))
+        priors = dict(zip(live, priors_for(scenario, kind, table, live)))
         built = [past for past, prior in priors.items() if isinstance(prior, FilteredGlobalState)]
         smoothed = generalized_smooth([priors[past] for past in built], effects, [futures[past] for past in built])
         smoothed = dict(zip(built, smoothed))

@@ -10,15 +10,15 @@ which Kraus operator acted: the part of the environment alice does not see.
 Filtering propagates a state forward through the conditional maps with
 per-step normalization; retrofiltering propagates the identity backwards
 through the adjoints, producing an (unnormalized) effect.
-:func:`filter_records`, :func:`retrofilter_records` and the unnormalized
-:func:`propagate_records` are the one implementation of each: they take a
-table of records at once, level by level over their prefix (or suffix) trie,
-and a record's result has the same bits whatever table it is in.
-:func:`filter` and :func:`retrofilter` are their one-record cases.
-:func:`walk_records` propagates, unnormalized, every branch of each of a
-table of records whose steps are label sets, in the same trie pass: it
-gives the bob branches of :mod:`retrosmooth.smoothers` for every past at
-once, and its one-record case :func:`walk` enumerates records.
+:func:`filter_records` and :func:`retrofilter_records` are the one
+implementation of each: they take a table of records at once, level by level
+over their prefix (or suffix) trie, and a record's result has the same bits
+whatever table it is in.  :func:`filter` and :func:`retrofilter` are their
+one-record cases.  :func:`walk_records` propagates, unnormalized, every
+branch of each of a table of records whose steps are label sets, in the same
+trie pass: it gives the register branches of every register prior of
+:mod:`retrosmooth.smoothers` for every past at once, and its one-record case
+:func:`walk` enumerates records.
 :func:`sample_records` advances many sampled trajectories in lockstep.
 """
 
@@ -351,23 +351,6 @@ def retrofilter_records(instrument, records) -> list[np.ndarray]:
     return found
 
 
-def propagate_records(instrument, initial, records, *, dim_extra: int = 1) -> list[np.ndarray]:
-    """:func:`walk` of each record alone: its symmetrized, unnormalized operator, zero if it is impossible.
-
-    Each distinct prefix is conjugated once, breadth-first over the records'
-    prefix trie, one stacked conjugation per level.
-    """
-    positions = instrument.kraus_stack(instrument.outcome_labels, dim_extra)
-    sigma = np.asarray(initial, dtype=complex)[None]
-    found: list = [None] * len(records)
-    for parents, labels, ends in _trie_levels(instrument, records):
-        if parents is not None:
-            sigma = _conjugate(positions, sigma)[parents, labels]
-        for i, row in ends:
-            found[i] = hermitian_part(sigma[row])
-    return found
-
-
 def walk_records(
     instrument,
     initial,
@@ -413,7 +396,7 @@ def walk_records(
             for j in sorted(set(labels.tolist())):
                 rows = np.flatnonzero(labels == j)
                 n = size[parents[rows]]
-                branches = np.repeat(lo[parents[rows]] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+                branches = _ranges(lo[parents[rows]], n)
                 # branch-major, label-minor: the lexicographic order of each row's records
                 out = _conjugate(stacks[j], sigma[branches]).reshape(-1, *sigma.shape[1:])
                 keep = out.any(axis=(1, 2))
@@ -427,15 +410,25 @@ def walk_records(
             size, lo = np.bincount(owner, minlength=len(parents)), np.zeros(len(parents), dtype=int)
             runs = np.flatnonzero(np.diff(owner, prepend=-1))
             lo[owner[runs]] = runs
-        for i, row in ends:
-            span = slice(lo[row], lo[row] + size[row])
-            found[live[i]] = _branch_records(history, names, span), hermitian_part(sigma[span])
+        if ends:
+            # the branches of every record that ends here, traced back and symmetrized in one gather
+            rows = [row for _, row in ends]
+            at = _ranges(lo[rows], size[rows])
+            branch_records, ops, start = _branch_records(history, names, at), hermitian_part(sigma[at]), 0
+            for i, row in ends:
+                stop = start + size[row]
+                found[live[i]] = branch_records[start:stop], ops[start:stop]
+                start = stop
     return found
 
 
-def _branch_records(history: list, names: list, span: slice) -> list[tuple]:
-    """The records of the last level's branches ``span``, traced back through each level's parents."""
-    at = np.arange(span.start, span.stop)
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The ranges ``lo[k] : lo[k] + n[k]``, concatenated."""
+    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
+def _branch_records(history: list, names: list, at: np.ndarray) -> list[tuple]:
+    """The records of the last level's branches ``at``, traced back through each level's parents."""
     if not history:
         return [()] * len(at)
     columns = []

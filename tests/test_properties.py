@@ -25,6 +25,7 @@ from retrosmooth import retrodiction, smoothers
 from retrosmooth.cli import main
 from retrosmooth.errors import EnumerationTooLarge, RetrosmoothError
 from retrosmooth.linalg import (
+    BOUND_SLACK,
     PSD_CLAMP,
     WEIGHT_FLOOR,
     entropy_vn,
@@ -36,10 +37,10 @@ from retrosmooth.linalg import (
     trace_norm,
 )
 from retrosmooth.retrodiction import generalized_smooth
-from retrosmooth.sampling import random_density, random_instrument
+from retrosmooth.sampling import random_density, random_instrument, random_isometry
 from retrosmooth.scenario import Scenario, classical_demo_scenario, demo_scenario, matrix_to_json
-from retrosmooth.smoothers import build_prior, purified_initial
-from retrosmooth.sweeps import ZERO_PAST, future_table, smooth_table
+from retrosmooth.smoothers import build_prior, extend_ancilla, purified_initial
+from retrosmooth.sweeps import ZERO_PAST, entropy_rows, future_table, smooth_table
 from retrosmooth.trajectory import filter as filter_state, walk
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -105,6 +106,33 @@ def test_smoothed_states_are_psd_and_average_over_futures_to_the_filtered_state(
         weights = np.array([p for _, p in s.futures])[s.possible] / s.p_past
         rho_f, _ = filter_state(sc.instrument, sc.rho0, s.past)
         assert trace_norm(np.einsum("i,ijk->jk", weights, states) - rho_f) <= 1e-8, (s.kind, s.past)
+
+
+@PROPERTY_SETTINGS
+@given(monitored_systems())
+def test_every_average_entropy_lies_between_pf_s_and_the_filtered_state_s(sc):
+    rows = entropy_rows(sc, future_table(sc))
+    pf = {r["record"]: r["avg_entropy"] for r in rows if r["id"] == "pf"}
+    for r in rows:
+        assert "detail" not in r, r
+        # upper is S(rho_F); clhs attains it
+        assert pf[r["record"]] - BOUND_SLACK <= r["avg_entropy"] <= r["upper"] + BOUND_SLACK, r
+        if r["id"] == "clhs":
+            assert abs(r["avg_entropy"] - r["upper"]) <= BOUND_SLACK, r
+
+
+@PROPERTY_SETTINGS
+@given(monitored_systems(), st.integers(0, 2**32 - 1))
+def test_smoothing_does_not_depend_on_the_purifying_ancilla(sc, seed):
+    rng = np.random.default_rng(seed)
+    for s in smooth_table(sc, future_table(sc), ("gw", "pf-variant", "clhs")):
+        if s.error == ZERO_PAST:
+            continue
+        moved = extend_ancilla(s.prior, random_isometry(s.prior.dim_a1, s.prior.dim_a1 + 2, rng))
+        states, possible = generalized_smooth(moved, s.effects)
+        assert possible.tobytes() == s.possible.tobytes(), (s.kind, s.past)
+        # verify's tolerance for the same check on the demo
+        assert trace_norm(states[possible] - s.states[possible]).max(initial=0.0) <= 1e-9, (s.kind, s.past)
 
 
 @st.composite
@@ -182,7 +210,7 @@ def test_the_table_pass_has_the_bits_of_one_past_at_a_time(case):
         outcomes.add("smoothed")
     # one batched square root per (kind, block shape), one bob-branch pass per register kind
     assert roots.call_count == sum(map(len, shapes.values()))
-    assert bob_passes.call_count == 2
+    assert bob_passes.call_count == len(smoothers.REGISTERS.keys() & set(sc.prior_kinds)) == 3
     assert {"impossible", "smoothed"} <= outcomes
 
 

@@ -33,7 +33,7 @@ from retrosmooth.retrodiction import (
     petz_map,
     smoothed_global,
 )
-from retrosmooth.smoothers import build_custom, build_gw, build_pf, build_pf_variant, extend_ancilla
+from retrosmooth.smoothers import build_custom, build_pf, build_prior, extend_ancilla
 from retrosmooth.trajectory import (
     JumpChannel,
     LindbladSpec,
@@ -257,7 +257,8 @@ class TestGeneralizedSmooth:
         inst, rho0 = demo_pieces()
         past = ("0", "1")
         rho_f, _ = filter_state(inst, rho0, past)
-        for prior in (build_pf(rho_f), build_gw(inst, rho0, past), build_pf_variant(inst, rho0, past)):
+        registers = [build_prior(kind, rho0=rho0, alice_past=past, instrument=inst) for kind in ("gw", "pf-variant")]
+        for prior in (build_pf(rho_f), *registers):
             np.testing.assert_allclose(
                 generalized_smooth(prior, np.eye(2)), rho_f, atol=1e-10
             )
@@ -277,7 +278,7 @@ class TestGeneralizedSmooth:
         inst, rho0 = demo_pieces()
         past, fut = ("0", "1"), ("0", "0")
         effect = retrofilter(inst, fut)
-        prior = build_gw(inst, rho0, past)
+        prior = build_prior("gw", rho0=rho0, alice_past=past, instrument=inst)
         dense = prior.to_dense()
         root = psd_sqrt(dense)
         lifted = tensor(effect, np.eye(prior.dim_a))
@@ -294,7 +295,7 @@ class TestGeneralizedSmooth:
         inst, rho0 = demo_pieces()
         past = ("0",)
         steps = 2
-        prior = build_gw(inst, rho0, past)
+        prior = build_prior("gw", rho0=rho0, alice_past=past, instrument=inst)
         channel, records = record_channel(inst, steps)
         channel.require_trace_preserving()
         fut = ("1", "0")
@@ -383,13 +384,13 @@ class TestStackedSmooth:
 
     def test_pf_variant_with_ancilla(self):
         inst, rho0 = demo_pieces()
-        prior = build_pf_variant(inst, rho0, ("0", "1", "0"))
+        prior = build_prior("pf-variant", rho0=rho0, alice_past=("0", "1", "0"), instrument=inst)
         assert prior.dim_a1 > 1
         self.assert_matches_loop(prior, self.futures_effects(inst, 4))
 
     def test_multi_block_gw(self):
         inst, rho0 = demo_pieces()
-        prior = build_gw(inst, rho0, ("0", "0", "1"))
+        prior = build_prior("gw", rho0=rho0, alice_past=("0", "0", "1"), instrument=inst)
         assert len(prior.blocks) > 1 and prior.dim_a1 > 1
         self.assert_matches_loop(prior, self.futures_effects(inst, 3))
 
@@ -398,7 +399,8 @@ class TestStackedSmooth:
         inst, rho0 = demo_pieces()
         rho_f, _ = filter_state(inst, rho0, ("0", "1"))
         effects = np.concatenate([self.futures_effects(inst, 2), [E, G, np.zeros((2, 2))]])
-        for prior in (build_pf(G), build_pf(rho_f), build_gw(inst, rho0, ("0", "1"))):
+        gw = build_prior("gw", rho0=rho0, alice_past=("0", "1"), instrument=inst)
+        for prior in (build_pf(G), build_pf(rho_f), gw):
             possible = self.assert_matches_loop(prior, effects)
             assert possible.any() and not possible.all()
 
@@ -422,7 +424,7 @@ class TestStackedSmooth:
 class TestSmoothedGlobal:
     def test_identity_effect_is_prior(self):
         inst, rho0 = demo_pieces()
-        prior = build_gw(inst, rho0, ("0", "1"))
+        prior = build_prior("gw", rho0=rho0, alice_past=("0", "1"), instrument=inst)
         out = smoothed_global(prior, np.eye(2))
         for a, b in zip(out.blocks, prior.blocks):
             np.testing.assert_allclose(a, b, atol=1e-10)
@@ -430,7 +432,7 @@ class TestSmoothedGlobal:
     def test_partial_trace_is_smoothed_state(self):
         inst, rho0 = demo_pieces()
         past, fut = ("0", "0"), ("0", "1")
-        prior = build_gw(inst, rho0, past)
+        prior = build_prior("gw", rho0=rho0, alice_past=past, instrument=inst)
         effect = retrofilter(inst, fut)
         np.testing.assert_allclose(
             smoothed_global(prior, effect).marginal(),
@@ -442,7 +444,7 @@ class TestSmoothedGlobal:
         # dense evaluation has no support between different register values
         inst, rho0 = demo_pieces()
         past, fut = ("0", "0"), ("1", "0")
-        prior = build_gw(inst, rho0, past)
+        prior = build_prior("gw", rho0=rho0, alice_past=past, instrument=inst)
         effect = retrofilter(inst, fut)
         out = smoothed_global(prior, effect)
         dense_prior = prior.to_dense()
@@ -456,14 +458,14 @@ class TestSmoothedGlobal:
 class TestBobPosterior:
     def test_trivial_register(self):
         inst, rho0 = demo_pieces()
-        prior = build_gw(inst, rho0, ())
+        prior = build_prior("gw", rho0=rho0, alice_past=(), instrument=inst)
         np.testing.assert_allclose(bob_posterior(prior, np.eye(2)), [1.0])
 
     def test_full_efficiency_delta(self):
         spec = LindbladSpec(0.5 * SX, (JumpChannel(SM, 1.0),), 0.02)
         inst = discretize(spec)
         rho0 = np.eye(2, dtype=complex) / 2
-        prior = build_gw(inst, rho0, ("0", "1"))
+        prior = build_prior("gw", rho0=rho0, alice_past=("0", "1"), instrument=inst)
         probs = bob_posterior(prior, retrofilter(inst, ("0",)))
         assert prior.block_labels == (("0", "0"),)
         np.testing.assert_allclose(probs, [1.0])
@@ -474,7 +476,7 @@ class TestBobPosterior:
 
     def test_effect_dimension_mismatch(self):
         inst, rho0 = demo_pieces()
-        prior = build_gw(inst, rho0, ("0",))
+        prior = build_prior("gw", rho0=rho0, alice_past=("0",), instrument=inst)
         with pytest.raises(InvalidFactorization):
             bob_posterior(prior, np.eye(3))
 
@@ -486,7 +488,7 @@ class TestBobPosterior:
         inst, rho0 = demo_pieces()
         t, steps = 2, 4
         past, fut = ("0", "1"), ("0", "0")
-        prior = build_gw(inst, rho0, past)
+        prior = build_prior("gw", rho0=rho0, alice_past=past, instrument=inst)
         probs = bob_posterior(prior, retrofilter(inst, fut))
         num = defaultdict(float)
         den = 0.0
@@ -553,8 +555,8 @@ class TestPurificationInvariance:
         effect = retrofilter(inst, fut)
         rng = np.random.default_rng(8)
         for builder in (
-            lambda: build_gw(inst, rho0, past),
-            lambda: build_pf_variant(inst, rho0, past),
+            lambda: build_prior("gw", rho0=rho0, alice_past=past, instrument=inst),
+            lambda: build_prior("pf-variant", rho0=rho0, alice_past=past, instrument=inst),
         ):
             prior = builder()
             base = generalized_smooth(prior, effect)

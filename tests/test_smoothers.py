@@ -13,13 +13,10 @@ from retrosmooth.smoothers import (
     branch_mixture_smooth,
     build_clhs,
     build_custom,
-    build_gw,
-    build_gw_variant,
     build_pf,
-    build_pf_variant,
     build_prior,
     enumerate_bob_branches,
-    purified_initial,
+    register_priors,
 )
 from retrosmooth.trajectory import (
     ConditionalOp,
@@ -28,7 +25,6 @@ from retrosmooth.trajectory import (
     LindbladSpec,
     discretize,
     filter as filter_state,
-    propagate_records,
     retrofilter,
 )
 
@@ -124,7 +120,7 @@ class TestBranchesClassicalChain:
         # a detected jump from the ground state with no drive time is impossible
         assert enumerate_bob_branches(inst, rho0, ("1",)) == []
         with pytest.raises(ZeroProbabilityRecord):
-            build_gw_variant(inst, rho0, ("1",))
+            build_prior("gw-variant", rho0=rho0, alice_past=("1",), instrument=inst)
 
 
 class TestStructure:
@@ -137,7 +133,7 @@ class TestStructure:
 
     def test_gw_pure_branches_with_register(self):
         inst, rho0 = demo()
-        prior = build_gw(inst, rho0, ("0", "0"))
+        prior = build_prior("gw", rho0=rho0, alice_past=("0", "0"), instrument=inst)
         assert prior.kind == "gw" and prior.dim_a2 > 1 and prior.dim_a1 == 2
         for b in prior.blocks:
             w = np.linalg.eigvalsh(b)
@@ -145,12 +141,12 @@ class TestStructure:
 
     def test_gw_variant_register_only(self):
         inst, rho0 = demo()
-        prior = build_gw_variant(inst, rho0, ("0", "0"))
+        prior = build_prior("gw-variant", rho0=rho0, alice_past=("0", "0"), instrument=inst)
         assert prior.dim_a1 == 1 and prior.dim_a2 > 1
 
     def test_pf_variant_pure_global(self):
         inst, rho0 = demo()
-        prior = build_pf_variant(inst, rho0, ("0", "1"))
+        prior = build_prior("pf-variant", rho0=rho0, alice_past=("0", "1"), instrument=inst)
         assert prior.dim_a2 == 1 and prior.dim_a1 == 2
         w = np.linalg.eigvalsh(prior.blocks[0])
         assert w[-2] <= 1e-12
@@ -165,12 +161,12 @@ class TestStructure:
     def test_pure_rho0_collapses_ancilla(self):
         inst, _ = demo()
         pure = np.diag([1.0, 0.0]).astype(complex)
-        prior = build_pf_variant(inst, pure, ("0",))
+        prior = build_prior("pf-variant", rho0=pure, alice_past=("0",), instrument=inst)
         assert prior.dim_a1 == 1
 
     def test_zero_steps_gw_is_purification(self):
         inst, rho0 = demo()
-        prior = build_gw(inst, rho0, ())
+        prior = build_prior("gw", rho0=rho0, alice_past=(), instrument=inst)
         assert prior.dim_a2 == 1
         assert abs(purity(prior.blocks[0]) - 1.0) <= 1e-10
 
@@ -186,7 +182,7 @@ class TestStructure:
         for y in past:
             lifted = [tensor(k, np.eye(rank)) for k in inst.op(y).kraus]
             sigma = sum(k @ sigma @ dag(k) for k in lifted)
-        prior = build_pf_variant(inst, rho0, past)
+        prior = build_prior("pf-variant", rho0=rho0, alice_past=past, instrument=inst)
         assert prior.dim_a1 == rank and prior.block_labels == ((),)
         np.testing.assert_array_equal(
             prior.blocks[0], hermitian_part(sigma) / float(sigma.trace().real)
@@ -203,17 +199,14 @@ class TestStructure:
         pasts = [tuple(r) for r in rng.choice(list(inst.outcome_labels), size=(12, 5)).tolist()]
         # the empty past, a repeated one and, on the demo qubit, an impossible one
         pasts += [(), pasts[0], *[("1", "1", "0")] * (system == "demo")]
-        initial, rank = purified_initial(rho0)
         outcomes = set()
-        for past, propagated in zip(pasts, propagate_records(inst, initial, pasts, dim_extra=rank)):
+        for past, got in zip(pasts, register_priors("pf-variant", inst, rho0, pasts)):
             try:
-                want = build_pf_variant(inst, rho0, past)
+                want = build_prior("pf-variant", rho0=rho0, alice_past=past, instrument=inst)
             except ZeroProbabilityRecord:
-                with pytest.raises(ZeroProbabilityRecord):
-                    build_prior("pf-variant", rho0=rho0, alice_past=past, instrument=inst, propagated=propagated)
+                assert isinstance(got, ZeroProbabilityRecord), past
                 outcomes.add("impossible")
                 continue
-            got = build_prior("pf-variant", rho0=rho0, alice_past=past, instrument=inst, propagated=propagated)
             assert (got.dim_q, got.dim_a1, got.block_labels) == (want.dim_q, want.dim_a1, want.block_labels)
             assert got.blocks.tobytes() == want.blocks.tobytes(), past
             outcomes.add("possible")
@@ -223,7 +216,7 @@ class TestStructure:
         from retrosmooth.linalg import purify
 
         inst, rho0 = demo()
-        prior = build_pf_variant(inst, rho0, ())
+        prior = build_prior("pf-variant", rho0=rho0, alice_past=(), instrument=inst)
         psi = purify(rho0)
         np.testing.assert_allclose(prior.blocks[0], np.outer(psi, psi.conj()), atol=1e-12)
 
@@ -232,7 +225,7 @@ class TestStructure:
         inst, rho0 = demo(eta=1.0)
         past = ("0", "1", "0")
         rho_f, _ = filter_state(inst, rho0, past)
-        prior = build_gw_variant(inst, rho0, past)
+        prior = build_prior("gw-variant", rho0=rho0, alice_past=past, instrument=inst)
         assert prior.dim_a2 == 1
         np.testing.assert_allclose(prior.blocks[0], build_pf(rho_f).blocks[0], atol=1e-12)
 
@@ -254,7 +247,7 @@ class TestConsistency:
         inst, _ = demo()
         ground = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ZeroProbabilityRecord):
-            build_gw_variant(inst, ground, ("1",))
+            build_prior("gw-variant", rho0=ground, alice_past=("1",), instrument=inst)
 
 
 class TestEquivalences:
@@ -263,15 +256,15 @@ class TestEquivalences:
         pure = np.diag([1.0, 0.0]).astype(complex)
         past, fut = ("0", "0"), ("0", "1")
         effect = retrofilter(inst, fut)
-        a = generalized_smooth(build_gw(inst, pure, past), effect)
-        b = generalized_smooth(build_gw_variant(inst, pure, past), effect)
+        a = generalized_smooth(build_prior("gw", rho0=pure, alice_past=past, instrument=inst), effect)
+        b = generalized_smooth(build_prior("gw-variant", rho0=pure, alice_past=past, instrument=inst), effect)
         assert trace_norm(a - b) <= 1e-9
 
     def test_gw_matches_branch_mixture(self):
         inst, rho0 = demo()
         past, fut = ("0", "1"), ("0", "0")
         effect = retrofilter(inst, fut)
-        got = generalized_smooth(build_gw(inst, rho0, past), effect)
+        got = generalized_smooth(build_prior("gw", rho0=rho0, alice_past=past, instrument=inst), effect)
         ref = branch_mixture_smooth(inst, rho0, past, effect)
         assert trace_norm(got - ref) <= 1e-8
 
@@ -280,7 +273,7 @@ class TestEquivalences:
         inst, rho0 = demo()
         past, fut = ("0", "0"), ("1", "0")
         effect = retrofilter(inst, fut)
-        got = generalized_smooth(build_gw_variant(inst, rho0, past), effect)
+        got = generalized_smooth(build_prior("gw-variant", rho0=rho0, alice_past=past, instrument=inst), effect)
         branches = enumerate_bob_branches(inst, rho0, past)
         rho_f_unnorm = sum(b.operator for b in branches)
         norm = float((rho_f_unnorm @ effect).trace().real)
@@ -295,7 +288,7 @@ class TestEquivalences:
         inst, rho0 = demo()
         past, fut = ("0", "1"), ("0", "0")
         effect = retrofilter(inst, fut)
-        prior = build_gw_variant(inst, rho0, past)
+        prior = build_prior("gw-variant", rho0=rho0, alice_past=past, instrument=inst)
         probs = bob_posterior(prior, effect)
         branches = enumerate_bob_branches(inst, rho0, past)
         weights = np.array([max(float((b.operator @ effect).trace().real), 0.0) for b in branches])
@@ -350,7 +343,7 @@ class TestKrausUnravelling:
         assert all(op.names == ("0", "1") for op in inst.ops.values())
         for past, fut in self.RECORDS:
             effect = retrofilter(inst, fut)
-            prior = build_gw(inst, rho0, past)
+            prior = build_prior("gw", rho0=rho0, alice_past=past, instrument=inst)
             got = generalized_smooth(prior, effect)
             assert trace_norm(got - branch_mixture_smooth(inst, rho0, past, effect)) <= 1e-12
             assert abs(bob_posterior(prior, effect).sum() - 1.0) <= 1e-12
@@ -369,7 +362,9 @@ class TestKrausUnravelling:
                 rho_f, _ = filter_state(which, rho0, past)
                 smoothed[which] = [
                     generalized_smooth(build_pf(rho_f), effect),
-                    generalized_smooth(build_gw(which, rho0, past), effect),
+                    generalized_smooth(
+                        build_prior("gw", rho0=rho0, alice_past=past, instrument=which), effect
+                    ),
                 ]
             (pf_a, gw_a), (pf_b, gw_b) = smoothed[inst], smoothed[remixed]
             assert trace_norm(pf_a - pf_b) <= 1e-12

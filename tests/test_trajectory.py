@@ -25,7 +25,6 @@ from retrosmooth.trajectory import (
     enumerate_records,
     filter as filter_state,
     filter_records,
-    propagate_records,
     retrofilter,
     retrofilter_records,
     sample_records,
@@ -310,10 +309,9 @@ class TestEnumerate:
 class TestTriePasses:
     """The breadth-first passes over a table, and their one-record cases, give the bits of per-step references.
 
-    :func:`reference_filter` and :func:`reference_retrofilter` step one
-    record at a time; ``walk`` of a one-label-per-step record is the
-    reference of :func:`propagate_records`.  Bytes are compared, not values,
-    so a ``-0.0`` where the reference has ``0.0`` fails.
+    :func:`reference_filter`, :func:`reference_retrofilter` and
+    :func:`reference_walk` step one record at a time.  Bytes are compared,
+    not values, so a ``-0.0`` where the reference has ``0.0`` fails.
     """
 
     @staticmethod
@@ -329,7 +327,6 @@ class TestTriePasses:
     @pytest.mark.parametrize("which", ["driven-damped-qubit", "classical-3state"])
     def test_every_split_has_the_bits_of_the_per_record_passes(self, which):
         inst, rho0, records = self.table(which)
-        initial, rank = purified_initial(rho0)
         outcomes = set()
         # split 0 has empty pasts and split 6 empty futures
         for t in range(7):
@@ -350,10 +347,6 @@ class TestTriePasses:
             for future, got in zip(futures, retrofilter_records(inst, futures)):
                 want = reference_retrofilter(inst, future).tobytes()
                 assert got.tobytes() == want and retrofilter(inst, future).tobytes() == want, future
-            for past, got in zip(pasts, propagate_records(inst, initial, pasts, dim_extra=rank)):
-                _, ops = walk(inst, initial, [[y] for y in past], dim_extra=rank)
-                # walk drops an exactly zero branch, the pass keeps it as zeros
-                assert got.tobytes() == ops[0].tobytes() if len(ops) else not got.any(), past
         assert outcomes == ({"possible", "impossible"} if which == "driven-damped-qubit" else {"possible"})
 
     @pytest.mark.parametrize("which", ["driven-damped-qubit", "classical-3state"])
@@ -376,6 +369,13 @@ class TestTriePasses:
             assert got[0] == records_ref and got[1].tobytes() == ops_ref.tobytes(), steps
             outcomes.add("dropped" if len(records_ref) < n_records else "walked")
         assert outcomes == {"capped", "dropped", "walked"}
+        # one label per step walks the instrument itself: a record's one branch, dropped if it is impossible
+        singles, possible = [[[y] for y in past] for past in pasts], set()
+        for steps, got in zip(singles, walk_records(inst, initial, singles, dim_extra=rank, cap=cap)):
+            records_ref, ops_ref = reference_walk(inst, initial, steps, rank)
+            assert got[0] == records_ref and got[1].tobytes() == ops_ref.tobytes(), steps
+            possible.add(bool(records_ref))
+        assert possible == ({True, False} if which == "driven-damped-qubit" else {True})
         # the enumeration of every record is the one-record case
         labels = inst.outcome_labels
         assert walk(inst, rho0, [labels] * 4)[0] == reference_walk(inst, rho0, [labels] * 4)[0]
