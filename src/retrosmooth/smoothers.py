@@ -26,12 +26,13 @@ smoothing time:
 
 ``gw``, ``gw-variant`` and ``pf-variant`` are one classical register over
 what bob tells apart, and :data:`REGISTERS` maps each to bob's partition and
-whether ``rho0`` is purified.  :func:`register_priors` builds all three,
-every past of a table from one :func:`~retrosmooth.trajectory.walk_records`
-pass over its bob branches; a single past is the one-past case.  Under the
-finest partition bob's options at an outcome are the sorted names of its
-Kraus operators, so every instrument has every prior; under the coarsest
-bob tells apart no more than alice, and the register has one branch.
+whether ``rho0`` is purified.  :func:`build_priors` builds every kind but
+``custom`` for every past of a table, each register kind from one
+:func:`~retrosmooth.trajectory.walk_records` pass over its bob branches;
+:func:`build_prior` is its one-past case.  Under the finest partition bob's
+options at an outcome are the sorted names of its Kraus operators, so every
+instrument has every prior; under the coarsest bob tells apart no more than
+alice, and the register has one branch.
 """
 
 from __future__ import annotations
@@ -132,26 +133,36 @@ def purified_initial(rho0) -> tuple[np.ndarray, int]:
     return np.outer(psi, psi.conj()), psi.size // rho.shape[0]
 
 
-def register_priors(kind: str, instrument: Instrument, rho0, pasts, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
-    """The prior of register kind ``kind`` for each past, or the error of its build, from one bob-branch pass.
+def build_priors(kind: str, instrument: Instrument, rho0, pasts, rho_fs, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+    """The prior of ``kind`` for each of ``pasts``, or the error of its build.
 
-    The branches start from a purification of ``rho0`` where :data:`REGISTERS`
-    says so, from ``rho0`` itself otherwise.  Each register branch holds the
-    joint-record conditioned state of the system (and the purifying ancilla),
-    the weights normalized by the probability of the alice record.
+    ``pf`` and ``clhs`` start from ``rho_fs``, the pasts' filtered states.
+    The register kinds come from one bob-branch pass over every past, from a
+    purification of ``rho0`` where :data:`REGISTERS` says so and from
+    ``rho0`` itself otherwise: each register branch holds the joint-record
+    conditioned state of the system (and the purifying ancilla), the weights
+    normalized by the probability of the alice record.
     """
+    if kind in ("pf", "clhs"):
+        return [_attempt(build_pf if kind == "pf" else build_clhs, rho_f) for rho_f in rho_fs]
+    if kind not in REGISTERS:
+        raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
     partition, purified = REGISTERS[kind]
     initial, rank = purified_initial(rho0) if purified else (as_density(rho0, "rho0"), 1)
-    priors = []
-    for found in _bob_branches(instrument, initial, pasts, rank, cap, partition):
-        try:
-            priors.append(_register_state(*_one(found), instrument.dim, rank, kind))
-        except RetrosmoothError as exc:
-            priors.append(exc)
-    return priors
+    branches = _bob_branches(instrument, initial, pasts, rank, cap, partition)
+    return [_attempt(_register_state, found, instrument.dim, rank, kind) for found in branches]
 
 
-def _register_state(records, ops, dim_q, dim_a1, kind) -> FilteredGlobalState:
+def _attempt(build, *args):
+    """``build(*args)``, or the :class:`RetrosmoothError` it raises."""
+    try:
+        return build(*args)
+    except RetrosmoothError as exc:
+        return exc
+
+
+def _register_state(found, dim_q, dim_a1, kind) -> FilteredGlobalState:
+    records, ops = _one(found)
     total = sum(_weights(ops))
     if total <= WEIGHT_FLOOR:
         raise ZeroProbabilityRecord("record impossible under the instrument")
@@ -186,20 +197,15 @@ def build_prior(
     cap: int = DEFAULT_ENUMERATION_CAP,
     rho_f=None,
 ) -> FilteredGlobalState:
-    """Dispatch a one-past prior build from shared scenario ingredients.
+    """The one-past case of :func:`build_priors`, raising the error of a failed build.
 
     ``pf`` and ``clhs`` start from the filtered state of ``alice_past``: the
     given ``rho_f``, or one :func:`~retrosmooth.trajectory.filter` call when
-    it is ``None``.  The register kinds are the one-past case of
-    :func:`register_priors`.
+    it is ``None``.
     """
-    if kind in ("pf", "clhs"):
-        if rho_f is None:
-            rho_f, _ = filter_state(instrument, rho0, alice_past)
-        return build_pf(rho_f) if kind == "pf" else build_clhs(rho_f)
-    if kind in REGISTERS:
-        return _one(register_priors(kind, instrument, rho0, [alice_past], cap)[0])
-    raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
+    if rho_f is None and kind in ("pf", "clhs"):
+        rho_f, _ = filter_state(instrument, rho0, alice_past)
+    return _one(build_priors(kind, instrument, rho0, [alice_past], [rho_f], cap)[0])
 
 
 def extend_ancilla(prior: FilteredGlobalState, isometry) -> FilteredGlobalState:

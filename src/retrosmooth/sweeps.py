@@ -38,7 +38,7 @@ from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, as_density, entropy_vn, trace_norm
 from .retrodiction import FilteredGlobalState, generalized_smooth
 from .sampling import density_from, extension_from, povm_from
-from .smoothers import REGISTERS, build_custom, build_prior, register_priors
+from .smoothers import build_custom, build_priors
 from .trajectory import enumerate_records, filter_records, retrofilter_records
 
 PROB_FLOOR = 1e-12
@@ -106,36 +106,25 @@ def record_table(scenario, records) -> dict[tuple, Past]:
     return {past: Past(*filtered[past], futures) for past, futures in grouped.items()}
 
 
-def prior_for(scenario, kind: str, past, rho_f):
-    """The prior of one kind for one past, built under the scenario's enumeration cap.
+def priors_for(scenario, kind: str, table: dict[tuple, Past], pasts) -> list:
+    """:func:`~retrosmooth.smoothers.build_priors` of ``pasts`` under the scenario's enumeration cap.
 
-    ``rho_f``, the past's filtered state, spares the ``pf``/``clhs`` builds
-    a second :func:`filter` call; a ``custom`` prior's marginal must equal it.
+    The ``custom`` prior is built once, and its marginal must equal each past's filtered state.
     """
-    if kind == "custom":
+    rho_fs = [table[past].rho_f for past in pasts]
+    if kind != "custom":
+        return build_priors(kind, scenario.instrument, scenario.rho0, pasts, rho_fs, scenario.enumeration_cap)
+    try:
         scenario.require_kinds((kind,))
         matrix, dim_a = scenario.custom_prior
         prior = build_custom(matrix, (scenario.dim, dim_a))
-        prior.require_marginal(rho_f, "the filtered state")
-        return prior
-    return build_prior(
-        kind,
-        rho0=scenario.rho0,
-        alice_past=past,
-        instrument=scenario.instrument,
-        cap=scenario.enumeration_cap,
-        rho_f=rho_f,
-    )
-
-
-def priors_for(scenario, kind: str, table: dict[tuple, Past], pasts) -> list:
-    """:func:`prior_for` each of ``pasts``, or the error of its build; one bob-branch pass for a register kind."""
-    if kind in REGISTERS:
-        return register_priors(kind, scenario.instrument, scenario.rho0, pasts, scenario.enumeration_cap)
+    except RetrosmoothError as exc:
+        return [exc] * len(pasts)
     priors = []
-    for past in pasts:
+    for rho_f in rho_fs:
         try:
-            priors.append(prior_for(scenario, kind, past, table[past].rho_f))
+            prior.require_marginal(rho_f, "the filtered state")
+            priors.append(prior)
         except RetrosmoothError as exc:
             priors.append(exc)
     return priors

@@ -19,7 +19,10 @@ branch of each of a table of records whose steps are label sets, in the same
 trie pass: it gives the register branches of every register prior of
 :mod:`retrosmooth.smoothers` for every past at once, and its one-record case
 :func:`walk` enumerates records.
-:func:`sample_records` advances many sampled trajectories in lockstep.
+:func:`sample_records` advances many sampled trajectories in lockstep.  All
+four step by :func:`_conjugate` on (row, label) pairs: filtering normalizes
+each row by its weight, walking drops exact zeros, sampling draws by the
+weights and retrofiltering keeps every row.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class Instrument:
 
     def __init__(self, ops: Mapping[Hashable, ConditionalOp], *, check: bool = True):
         self.ops: dict = dict(ops)
-        self._kraus_stacks: dict[tuple, list] = {}
+        self._kraus_stacks: dict[int, list] = {}
         if not self.ops:
             raise InvalidMatrix("instrument needs at least one outcome")
         if check:
@@ -123,25 +126,17 @@ class Instrument:
         named = ((y, u, k) for y, op in self.ops.items() for u, k in zip(op.names, op.kraus))
         return Instrument({(y, u): ConditionalOp((k,)) for y, u, k in named}, check=False)
 
-    def kraus_stack(self, labels: tuple, dim_extra: int = 1) -> list:
-        """The Kraus operators of ``labels`` by Kraus position, lifted to ``dim_extra`` ancilla dimensions.
+    def kraus_stack(self, dim_extra: int = 1) -> list:
+        """Each outcome's Kraus operators lifted to ``dim_extra`` ancilla dimensions, as ``(operators, adjoints)``.
 
-        Entry ``j`` is ``(label indices, operators, adjoints)`` over the labels
-        with a ``j``-th Kraus operator; entry 0 covers every label.  Built once
-        per ``(labels, dim_extra)`` and kept, its arrays read-only.
+        One stack per outcome label, in outcome order and in Kraus order
+        within it.  Built once per ``dim_extra`` and kept, its arrays read-only.
         """
-        key = (tuple(labels), int(dim_extra))
-        if key not in self._kraus_stacks:
-            kraus = [self.op(y).kraus for y in key[0]]
-            eye, positions = np.eye(key[1]), []
-            for j in range(max(map(len, kraus))):
-                idx = [i for i, ks in enumerate(kraus) if len(ks) > j]
-                ops = np.stack([tensor(kraus[i][j], eye) for i in idx])
-                ops_dag = dag(ops)
-                ops.flags.writeable = ops_dag.flags.writeable = False
-                positions.append((idx, ops, ops_dag))
-            self._kraus_stacks[key] = positions
-        return self._kraus_stacks[key]
+        if dim_extra not in self._kraus_stacks:
+            eye = np.eye(dim_extra)
+            ops = [np.stack([tensor(k, eye) for k in op.kraus]) for op in self.ops.values()]
+            self._kraus_stacks[dim_extra] = [(_frozen(k), _frozen(dag(k))) for k in ops]
+        return self._kraus_stacks[dim_extra]
 
     @property
     def outcome_labels(self) -> tuple:
@@ -308,17 +303,17 @@ def filter_records(instrument, rho0, records) -> list[tuple[np.ndarray, float] |
     """Each record's filtered state and log-probability, ``None`` where a step has vanishing weight.
 
     Each distinct prefix is stepped once: breadth-first over the records'
-    prefix trie, one stacked conjugation per level as in :func:`walk`, each
-    row normalized by its trace and symmetrized, its log-weights summed left
-    to right.
+    prefix trie, one :func:`_conjugate` per level of each row's parent by its
+    label, each row normalized by its trace and symmetrized, its log-weights
+    summed left to right.
     """
     rho = as_density(rho0, "rho0")
-    positions = instrument.kraus_stack(instrument.outcome_labels)
+    stacks = instrument.kraus_stack()
     sigma, log_prob, live = rho[None], np.zeros(1), np.ones(1, dtype=bool)
     found: list = [None] * len(records)
     for parents, labels, ends in _trie_levels(instrument, records):
         if parents is not None:
-            out = _conjugate(positions, sigma)[parents, labels]
+            out = _conjugate(stacks, sigma, parents, labels)
             out += 0  # as apply_conditional's sum, which starts from 0: turns -0.0 into 0.0
             w = np.trace(out, axis1=1, axis2=2).real
             live = live[parents] & (w > WEIGHT_FLOOR)
@@ -334,16 +329,15 @@ def retrofilter_records(instrument, records) -> list[np.ndarray]:
     """Each record's retrofiltered effect, as :func:`retrofilter` defines it.
 
     Each distinct suffix is propagated once: breadth-first over the records'
-    suffix trie, one stacked conjugation by the adjoint Kraus operators per
+    suffix trie, one :func:`_conjugate` by the adjoint Kraus operators per
     level, symmetrized at every level.
     """
-    positions = instrument.kraus_stack(instrument.outcome_labels)
-    adjoints = [(idx, ops_dag, ops) for idx, ops, ops_dag in positions]  # conjugates by K† sigma K
+    adjoints = [(ops_dag, ops) for ops, ops_dag in instrument.kraus_stack()]  # conjugates by K† sigma K
     sigma = np.eye(instrument.dim, dtype=complex)[None]
     found: list = [None] * len(records)
     for parents, labels, ends in _trie_levels(instrument, [r[::-1] for r in records]):
         if parents is not None:
-            out = _conjugate(adjoints, sigma)[parents, labels]
+            out = _conjugate(adjoints, sigma, parents, labels)
             out += 0  # as a sum that starts from 0: turns -0.0 into 0.0
             sigma = hermitian_part(out)
         for i, row in ends:
@@ -363,15 +357,14 @@ def walk_records(
 
     ``initial`` lives on the system tensored with ``dim_extra`` ancilla
     dimensions.  Each distinct prefix of label sets is propagated once,
-    breadth-first over the records' prefix trie: per level, one stacked
-    conjugation per label set over every branch of the prefixes it extends,
-    summing a label's Kraus terms in Kraus order as :func:`apply_conditional`
-    does; an exactly zero branch is dropped with its subtree.  A record's
-    result is its surviving branch records in lexicographic order and the
-    stack of their symmetrized, unnormalized operators, with the same bits
-    whatever table it is in, or the :class:`EnumerationTooLarge` of a record
-    whose branches, counted before any is dropped, exceed ``cap``: such a
-    record expands nothing.
+    breadth-first over the records' prefix trie: per level, one
+    :func:`_conjugate` of every (row, branch of its parent, label of its set),
+    row-major; an exactly zero branch is dropped with its subtree.  A
+    record's result is its surviving branch records in lexicographic order
+    and the stack of their symmetrized, unnormalized operators, with the same
+    bits whatever table it is in, or the :class:`EnumerationTooLarge` of a
+    record whose branches, counted before any is dropped, exceed ``cap``:
+    such a record expands nothing.
     """
     records = [tuple(map(tuple, r)) for r in records]
     found: list = [None] * len(records)
@@ -383,33 +376,30 @@ def walk_records(
         else:
             live.append(i)
     label_sets = list(dict.fromkeys(labels for i in live for labels in records[i]))
-    stacks = [instrument.kraus_stack(labels, dim_extra) for labels in label_sets]
-    index = {labels: j for j, labels in enumerate(label_sets)}
-    names = [y for labels in label_sets for y in labels]
-    first_name = np.cumsum([0, *map(len, label_sets)])
+    index, names = {labels: j for j, labels in enumerate(label_sets)}, instrument.outcome_labels
+    outcome = {y: k for k, y in enumerate(names)}
+    for y in (y for labels in label_sets for y in labels if y not in outcome):
+        instrument.op(y)  # raises UnknownOutcome
+    # label set j is members[first[j] : first[j] + width[j]], as indices in names
+    members = np.array([outcome[y] for labels in label_sets for y in labels], dtype=int)
+    width = np.array([len(labels) for labels in label_sets], dtype=int)
+    first, stacks = np.cumsum(width) - width, instrument.kraus_stack(dim_extra)
     # trie row k holds the branches sigma[lo[k]:lo[k] + size[k]]; history holds, per level, each
     # branch's parent branch and the index of its label in names
     sigma, lo, size, history = np.asarray(initial, dtype=complex)[None], np.array([0]), np.array([1]), []
     for parents, labels, ends in _trie_levels(instrument, [records[i] for i in live], index):
         if parents is not None:
-            grown = []
-            for j in sorted(set(labels.tolist())):
-                rows = np.flatnonzero(labels == j)
-                n = size[parents[rows]]
-                branches = _ranges(lo[parents[rows]], n)
-                # branch-major, label-minor: the lexicographic order of each row's records
-                out = _conjugate(stacks[j], sigma[branches]).reshape(-1, *sigma.shape[1:])
-                keep = out.any(axis=(1, 2))
-                width = len(label_sets[j])
-                owner, parent = np.repeat(rows, n * width), np.repeat(branches, width)
-                name = np.tile(np.arange(width), len(branches)) + first_name[j]
-                grown.append((out[keep], owner[keep], parent[keep], name[keep]))
-            sigma, owner, parent, name = (np.concatenate(a) for a in zip(*grown))
-            history.append((parent, name))
-            # each row's branches are one run of its index in owner
-            size, lo = np.bincount(owner, minlength=len(parents)), np.zeros(len(parents), dtype=int)
-            runs = np.flatnonzero(np.diff(owner, prepend=-1))
-            lo[owner[runs]] = runs
+            # row-major, branch-major, label-minor: the lexicographic order of each row's records
+            n, k = size[parents], width[labels]
+            per_branch = np.repeat(k, n)  # labels per (row, parent branch)
+            parent = np.repeat(_ranges(lo[parents], n), per_branch)
+            name = members[_ranges(np.repeat(first[labels], n), per_branch)]
+            out = _conjugate(stacks, sigma, parent, name)
+            keep = out.any(axis=(1, 2))
+            sigma = out[keep]
+            history.append((parent[keep], name[keep]))
+            size = np.bincount(np.repeat(np.arange(len(parents)), n * k)[keep], minlength=len(parents))
+            lo = np.cumsum(size) - size
         if ends:
             # the branches of every record that ends here, traced back and symmetrized in one gather
             rows = [row for _, row in ends]
@@ -457,13 +447,25 @@ def walk(
     return found
 
 
-def _conjugate(positions: list, sigma: np.ndarray) -> np.ndarray:
-    """Each label's ``sum_j K_j sigma K_j†`` over a :meth:`Instrument.kraus_stack`, as ``(n, labels, D, D)``."""
-    (_, ops, ops_dag), *rest = positions
-    out = ops @ sigma[:, None] @ ops_dag
-    for idx, ops, ops_dag in rest:
-        out[:, idx] += ops @ sigma[:, None] @ ops_dag
-    return out
+def _conjugate(stacks: list, sigma: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Pair ``i``'s ``sum_j K_j sigma[rows[i]] K_j†`` over label ``labels[i]``'s Kraus operators, in Kraus order.
+
+    ``stacks`` is :meth:`Instrument.kraus_stack`'s, or its adjoints swapped
+    in.  One label's pairs are one stack, summed into one contiguous slice of
+    the label-sorted output, so the step makes few temporaries at any size.
+    """
+    counts = np.bincount(labels, minlength=len(stacks))
+    order, ends = labels.argsort(kind="stable"), counts.cumsum().tolist()
+    out = np.empty((len(labels), *sigma.shape[1:]), dtype=complex)
+    for y, (lo, hi) in enumerate(zip([0, *ends], ends)):
+        if lo < hi:
+            part = sigma[rows[order[lo:hi]]]
+            (first, *rest), (first_dag, *rest_dag) = stacks[y]
+            np.matmul(first @ part, first_dag, out=out[lo:hi])
+            for k, k_dag in zip(rest, rest_dag):
+                out[lo:hi] += k @ part @ k_dag
+    # one label's pairs are in order already
+    return out if counts.max(initial=0) == len(labels) else out[order.argsort()]
 
 
 def enumerate_records(
@@ -492,19 +494,20 @@ def sample_records(instrument, rho0, steps: int, n: int, rng) -> list[tuple]:
     Uniforms are one ``(n, steps)`` array in row-major order, and each outcome
     is ``searchsorted(cdf, u, side="right")`` on the cdf ``Generator.choice``
     builds from the clipped weights, so record ``i`` is the one the ``i``-th of
-    ``n`` one-at-a-time draws gives.  A step is one stacked conjugation per
-    Kraus position over the trajectory x label grid, as in :func:`walk`.
+    ``n`` one-at-a-time draws gives.  A step is one :func:`_conjugate` of the
+    trajectory x label grid.
     """
     gen = np.random.default_rng(rng)
     rho = as_density(rho0, "rho0")
     labels = instrument.outcome_labels
     uniforms = gen.random((int(n), int(steps)))
-    positions = instrument.kraus_stack(labels)
+    stacks = instrument.kraus_stack()
     rows = np.arange(uniforms.shape[0])
+    pairs = np.repeat(rows, len(labels)), np.tile(np.arange(len(labels)), rows.size)  # trajectory-major
     sigma = np.broadcast_to(rho, (rows.size, *rho.shape))
     picks = np.empty(uniforms.shape, dtype=int)
     for step, u in enumerate(uniforms.T):
-        out = _conjugate(positions, sigma)
+        out = _conjugate(stacks, sigma, *pairs).reshape(rows.size, len(labels), *rho.shape)
         weights = np.clip(np.trace(out, axis1=2, axis2=3).real, 0.0, None)
         cdf = (weights / weights.sum(axis=1, keepdims=True)).cumsum(axis=1)
         # each row is nondecreasing: its count of entries <= u is its searchsorted

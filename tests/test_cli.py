@@ -116,60 +116,78 @@ class TestSmooth:
         assert rows and all(r["status"] == "ok" for r in rows)
 
     def test_record_mode_filters_each_past_once(self, tmp_path, monkeypatch):
-        from collections import Counter
+        from collections import Counter, defaultdict
 
         from retrosmooth import smoothers, sweeps, trajectory
 
         sc = Scenario.from_dict({**demo_scenario().raw, "steps": 40, "smoothing_time_index": 20})
         path = cmd_simulate(sc, 40, tmp_path)
         records = [tuple(a for a, _ in rec) for rec in read_trajectories(path)[1]]
-        passes, filtered = [], Counter()
+        passes, filtered = defaultdict(list), Counter()
         trie_levels, conjugate = trajectory._trie_levels, trajectory._conjugate
 
-        def counting_filter_records(instrument, rho0, recs):
-            # the prefixes of each level, rebuilt from the trie, and the rows each stacked step starts from
-            levels, stacks = [], []
+        def counting(name, propagate):
+            # a pass's prefixes per level, rebuilt from its trie, and the (row, label) pairs of each stacked step
+            def wrapped(instrument, *args, **kwargs):
+                levels, pairs = [], []
 
-            def counting_levels(instrument, recs):
-                prefixes = [()]
-                for parents, labels, ends in trie_levels(instrument, recs):
-                    if parents is not None:
-                        names = [instrument.outcome_labels[i] for i in labels]
-                        prefixes = [prefixes[p] + (y,) for p, y in zip(parents, names)]
-                        levels.append(prefixes)
-                    yield parents, labels, ends
+                def counting_levels(instrument, recs, index=None):
+                    keys = instrument.outcome_labels if index is None else list(index)
+                    prefixes = [()]
+                    for parents, labels, ends in trie_levels(instrument, recs, index):
+                        if parents is not None:
+                            prefixes = [prefixes[p] + (keys[y],) for p, y in zip(parents, labels)]
+                            levels.append(prefixes)
+                        yield parents, labels, ends
 
-            def counting_conjugate(positions, sigma):
-                stacks.append(len(sigma))
-                return conjugate(positions, sigma)
+                def counting_conjugate(stacks, sigma, rows, labels):
+                    pairs.append(len(labels))
+                    return conjugate(stacks, sigma, rows, labels)
 
-            with monkeypatch.context() as m:
-                m.setattr(trajectory, "_trie_levels", counting_levels)
-                m.setattr(trajectory, "_conjugate", counting_conjugate)
-                found = trajectory.filter_records(instrument, rho0, recs)
-            passes.append((levels, stacks))
-            return found
+                with monkeypatch.context() as m:
+                    m.setattr(trajectory, "_trie_levels", counting_levels)
+                    m.setattr(trajectory, "_conjugate", counting_conjugate)
+                    found = propagate(instrument, *args, **kwargs)
+                passes[name].append((instrument, args, kwargs, levels, pairs))
+                return found
+
+            return wrapped
 
         def counting_filter(instrument, rho0, record):
             filtered[tuple(record)] += 1
             return trajectory.filter(instrument, rho0, record)
 
-        monkeypatch.setattr(sweeps, "filter_records", counting_filter_records)
+        monkeypatch.setattr(sweeps, "filter_records", counting("filter", trajectory.filter_records))
+        monkeypatch.setattr(sweeps, "retrofilter_records", counting("retrofilter", trajectory.retrofilter_records))
+        monkeypatch.setattr(smoothers, "walk_records", counting("walk", trajectory.walk_records))
         monkeypatch.setattr(smoothers, "filter_state", counting_filter)
         cmd_smooth(sc, tmp_path, record_path=path, prior_kinds=("pf", "gw", "clhs"))
         t = sc.smoothing_index
         pasts = {rec[:t] for rec in records}
         assert 1 < len(pasts) < len(records)
 
-        # one forward pass serves the record table and the smoothing pass of every prior kind
-        assert len(passes) == 1
-        levels, stacks = passes[0]
-        # it steps each distinct prefix of the records, the pasts among them, exactly once ...
+        # one pass each: forward for the record table and the smoothing pass of every prior kind, backward for
+        # the table's futures and a bob-branch walk for gw
+        assert {name: len(calls) for name, calls in passes.items()} == {"filter": 1, "retrofilter": 1, "walk": 1}
+        # the forward pass steps each distinct prefix of the records, the pasts among them, exactly once ...
+        *_, levels, pairs = passes["filter"][0]
         each_prefix_once = Counter({rec[:k]: 1 for rec in records for k in range(1, len(rec) + 1)})
         assert Counter(p for level in levels for p in level) == each_prefix_once
-        # ... in one stacked step per level, from the prefixes one shorter
+        # ... in one stacked step per level, of exactly that level's prefixes
         assert len(levels) == sc.steps
-        assert stacks == [1] + [len(level) for level in levels[:-1]]
+        assert pairs == [len(level) for level in levels]
+        # the backward pass likewise steps each distinct suffix of the futures once, one level per step
+        *_, levels, pairs = passes["retrofilter"][0]
+        each_suffix_once = Counter({rec[t:][::-1][:k]: 1 for rec in records for k in range(1, sc.steps - t + 1)})
+        assert Counter(p for level in levels for p in level) == each_suffix_once
+        assert pairs == [len(level) for level in levels]
+        # the walk steps, per level, every branch of each row's parent by every label of the row's label set
+        joint, (initial, label_sets), kwargs, levels, pairs = passes["walk"][0]
+        parents = list(dict.fromkeys(p[:-1] for level in levels for p in level))
+        branches = dict(zip(parents, trajectory.walk_records(joint, initial, parents, **kwargs)))
+        assert len(levels) == t and len(label_sets) == len(pasts)
+        assert pairs == [sum(len(branches[p[:-1]][0]) * len(p[-1]) for p in level) for level in levels]
+        assert max(pairs) > max(map(len, levels))
         # pf and clhs are built from the sweep's filtered state, not filtered again
         assert filtered == Counter()
 

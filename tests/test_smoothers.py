@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from retrosmooth import sampling
-from retrosmooth.errors import EnumerationTooLarge, InvalidFactorization, ZeroProbabilityRecord
+from retrosmooth.errors import EnumerationTooLarge, InvalidFactorization, RetrosmoothError, ZeroProbabilityRecord
 from retrosmooth.linalg import psd_sqrt, purity, trace_norm
 from retrosmooth.retrodiction import bob_posterior, generalized_smooth
 from retrosmooth.scenario import Scenario
@@ -15,8 +15,8 @@ from retrosmooth.smoothers import (
     build_custom,
     build_pf,
     build_prior,
+    build_priors,
     enumerate_bob_branches,
-    register_priors,
 )
 from retrosmooth.trajectory import (
     ConditionalOp,
@@ -200,7 +200,7 @@ class TestStructure:
         # the empty past, a repeated one and, on the demo qubit, an impossible one
         pasts += [(), pasts[0], *[("1", "1", "0")] * (system == "demo")]
         outcomes = set()
-        for past, got in zip(pasts, register_priors("pf-variant", inst, rho0, pasts)):
+        for past, got in zip(pasts, build_priors("pf-variant", inst, rho0, pasts, [None] * len(pasts))):
             try:
                 want = build_prior("pf-variant", rho0=rho0, alice_past=past, instrument=inst)
             except ZeroProbabilityRecord:
@@ -211,6 +211,21 @@ class TestStructure:
             assert got.blocks.tobytes() == want.blocks.tobytes(), past
             outcomes.add("possible")
         assert outcomes == ({"possible", "impossible"} if system == "demo" else {"possible"})
+
+    def test_table_priors_from_filtered_states(self):
+        # pf and clhs are built from the given filtered states, each past's failure its own; custom is no table kind
+        inst, rho0 = demo()
+        pasts = [("0",), ("1",), ()]
+        rho_fs = [filter_state(inst, rho0, ("0",))[0], np.diag([1.0, -0.5]), rho0]
+        for kind, build in (("pf", build_pf), ("clhs", build_clhs)):
+            got = build_priors(kind, inst, rho0, pasts, rho_fs)
+            assert isinstance(got[1], RetrosmoothError)
+            for i in (0, 2):
+                assert got[i].blocks.tobytes() == build(rho_fs[i]).blocks.tobytes()
+        with pytest.raises(InvalidFactorization, match="'custom'"):
+            build_priors("custom", inst, rho0, pasts, rho_fs)
+        with pytest.raises(InvalidFactorization, match="'custom'"):
+            build_prior("custom", rho0=rho0, alice_past=(), instrument=inst)
 
     def test_empty_record_pf_variant_is_purification(self):
         from retrosmooth.linalg import purify
