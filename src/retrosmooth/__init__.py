@@ -13,6 +13,7 @@ from .classical import (
     classical_filter,
     classical_retrofilter,
     classical_smooth,
+    classical_smooth_all,
     sample_classical_trajectories,
 )
 from .entropy import (

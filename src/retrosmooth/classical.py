@@ -6,11 +6,13 @@ probability ``p(y|x')`` and then jumps to ``x`` with probability ``D(x|x')``,
 so the outcome-conditioned one-step map is ``phi_y(x|x') = D(x|x') p(y|x')``
 and ``sum_y phi_y = D``.
 
-The forward (filtering) pass normalizes at every step and accumulates the
-log-likelihood of the record; the backward (retrofiltering) pass propagates
-an all-ones effect through the transposed conditional maps.  Smoothing is
-the normalized entrywise product of the two, i.e. the exact Bayesian
-posterior given the full record.
+One forward recursion (normalized at every step, summing the record's
+log-likelihood) and one backward recursion (an all-ones effect through the
+transposed conditional maps) each keep every level, so one pass each way
+gives the posterior, their normalized entrywise product, at every split of a
+record (:func:`classical_smooth_all`, as in Rabiner's forward-backward
+algorithm).  :func:`classical_filter`, :func:`classical_retrofilter` and
+:func:`classical_smooth` are their last-level and one-split cases.
 """
 
 from __future__ import annotations
@@ -88,6 +90,36 @@ def conditional_map(model: ClassicalModel, y: str) -> np.ndarray:
     return model.transition * model.likelihood[y][None, :]
 
 
+def _forward(model, prior, record) -> tuple[list[np.ndarray], float]:
+    """The forward recursion: the posterior after each prefix of ``record``, shortest first, and its log-likelihood."""
+    posteriors, loglik = [as_distribution(prior, "prior")], 0.0
+    for y in record:
+        v = conditional_map(model, y) @ posteriors[-1]
+        w = v.sum()
+        if w <= WEIGHT_FLOOR:
+            raise ZeroProbabilityRecord(f"record has zero probability at outcome {y!r}")
+        posteriors.append(v / w)
+        loglik += float(np.log(w))
+    return posteriors, loglik
+
+
+def _backward(model, record) -> list[np.ndarray]:
+    """The backward recursion: the unnormalized effect of each suffix of ``record``, longest first."""
+    effects = [np.ones(model.n_states)]
+    for y in reversed(list(record)):
+        effects.append(conditional_map(model, y).T @ effects[-1])
+    return effects[::-1]
+
+
+def _combine(posteriors, effects) -> np.ndarray:
+    """Row ``t`` is the normalized product of ``posteriors[t]`` and ``effects[t]``."""
+    s = np.stack(posteriors) * np.stack(effects)
+    z = s.sum(axis=1, keepdims=True)
+    if (z <= WEIGHT_FLOOR).any():
+        raise ZeroProbabilityRecord("combined record has zero probability")
+    return s / z
+
+
 def classical_filter(model, prior, record) -> tuple[np.ndarray, float]:
     """Forward pass: posterior over states given the past record, plus log-likelihood.
 
@@ -95,16 +127,8 @@ def classical_filter(model, prior, record) -> tuple[np.ndarray, float]:
     log-likelihood zero.  Raises :class:`ZeroProbabilityRecord` if the record
     is impossible under the model.
     """
-    p = as_distribution(prior, "prior")
-    loglik = 0.0
-    for y in record:
-        v = conditional_map(model, y) @ p
-        w = v.sum()
-        if w <= WEIGHT_FLOOR:
-            raise ZeroProbabilityRecord(f"record has zero probability at outcome {y!r}")
-        p = v / w
-        loglik += float(np.log(w))
-    return p, loglik
+    posteriors, loglik = _forward(model, prior, record)
+    return posteriors[-1], loglik
 
 
 def classical_retrofilter(model, record) -> np.ndarray:
@@ -112,21 +136,20 @@ def classical_retrofilter(model, record) -> np.ndarray:
 
     The empty record gives the uninformative all-ones effect.
     """
-    e = np.ones(model.n_states)
-    for y in reversed(list(record)):
-        e = conditional_map(model, y).T @ e
-    return e
+    return _backward(model, record)[0]
 
 
 def classical_smooth(model, prior, past, future) -> np.ndarray:
     """Posterior over states at the split time given past and future records."""
-    p_f, _ = classical_filter(model, prior, past)
-    e_r = classical_retrofilter(model, future)
-    s = p_f * e_r
-    z = s.sum()
-    if z <= WEIGHT_FLOOR:
-        raise ZeroProbabilityRecord("combined record has zero probability")
-    return s / z
+    return _combine(_forward(model, prior, past)[0][-1:], _backward(model, future)[:1])[0]
+
+
+def classical_smooth_all(model, prior, record) -> np.ndarray:
+    """Posterior at every split of ``record``, ``(len(record) + 1, n_states)``, from one pass each way.
+
+    Row ``t`` has the bits of ``classical_smooth(model, prior, record[:t], record[t:])``.
+    """
+    return _combine(_forward(model, prior, record)[0], _backward(model, record))
 
 
 def sample_classical_trajectories(

@@ -104,9 +104,7 @@ def cmd_smooth(
         alphabet = scenario.instrument.outcome_labels
         for alice in records:
             if len(alice) != scenario.steps:
-                raise ScenarioError(
-                    f"record of length {len(alice)} does not match steps={scenario.steps}"
-                )
+                raise ScenarioError(f"record of length {len(alice)} does not match steps={scenario.steps}")
             unknown = [y for y in alice if y not in alphabet]
             if unknown:
                 raise ScenarioError(f"{record_path}: outcome {unknown[0]!r} not in alphabet {alphabet}")
@@ -388,13 +386,7 @@ def main(argv=None) -> int:
             raise ScenarioError(f"--out: cannot create directory {out_dir}: {exc.strerror or exc}") from None
         if args.command == "entropy-scan":
             seed = args.seed if args.seed is not None else (sc.seed if sc else 0)
-            cmd_entropy_scan(
-                sc,
-                out_dir,
-                theorem1=args.theorem1,
-                demo_svb=args.demo_svb,
-                seed=seed,
-            )
+            cmd_entropy_scan(sc, out_dir, theorem1=args.theorem1, demo_svb=args.demo_svb, seed=seed)
             return 0
         if args.command == "simulate":
             n = args.trajectories if args.trajectories is not None else sc.n_trajectories
@@ -404,17 +396,11 @@ def main(argv=None) -> int:
             return 0
         if args.command == "smooth":
             kinds = tuple(args.prior.split(",")) if args.prior else None
-            if kinds:
-                for k in kinds:
-                    if k not in PRIOR_KINDS:
-                        raise ScenarioError(f"--prior: unknown kind {k!r}")
-            cmd_smooth(
-                sc,
-                out_dir,
-                enumerate_futures=args.enumerate,
-                record_path=Path(args.record) if args.record else None,
-                prior_kinds=kinds,
-            )
+            for k in kinds or ():
+                if k not in PRIOR_KINDS:
+                    raise ScenarioError(f"--prior: unknown kind {k!r}")
+            record = Path(args.record) if args.record else None
+            cmd_smooth(sc, out_dir, enumerate_futures=args.enumerate, record_path=record, prior_kinds=kinds)
             return 0
         if args.command == "classical-limit":
             report = cmd_classical_limit(sc, out_dir)

@@ -18,7 +18,8 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
   kind, past) pair against the ``S(rho_F) - H(futures) <= avg <= S(rho_F)``
   sandwich.
 * :func:`classical_deviation` compares quantum smoothing of a classical chain
-  with forward-backward smoothing over every record and split time.
+  with forward-backward smoothing at every split of every record: one table
+  holds every (record, split) as a (past, future), and one pass smooths it.
 * :func:`theorem1_sweep` checks the extremal entropy bounds on random
   extensions: the callers draw each triple on its own, so each row depends
   only on its own draw, and the sweep builds and checks the draws per shape
@@ -27,12 +28,13 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np
 
-from .classical import classical_smooth
+from .classical import classical_smooth_all
 from .entropy import Theorem1Report, sandwich_bound, theorem1_batch
 from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, as_density, entropy_vn, trace_norm
@@ -237,34 +239,28 @@ def entropy_rows(scenario, table) -> list[dict]:
 def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     """Worst ``|diag(rho_S) - classical|`` per prior kind, and the records compared.
 
-    Covers every record above the probability floor and every split time: at
-    each split the records are grouped by past and smoothed in one pass.
+    Every record above the probability floor, split at every time, is one
+    table (a past's length is its split) smoothed in one pass, so a failed
+    prior build or a vanishing record raises in kind-major order.  Each
+    record's classical posteriors at every split take one forward-backward pass.
     """
     if scenario.classical is None:
-        raise NotClassicalLimit(
-            "scenario is not classical: classical-limit needs system.type == 'classical'"
-        )
-    inst, rho0 = scenario.instrument, scenario.rho0
-    prior0 = np.diag(rho0).real
-    enumerated = enumerate_records(inst, rho0, scenario.steps, scenario.enumeration_cap)
-    records = [(rec, p) for rec, p in enumerated if p > PROB_FLOOR]
-    worst = {kind: 0.0 for kind in kinds}
-    for t in range(scenario.steps + 1):
-        grouped: dict[tuple, list] = {}
-        for rec, p in records:
-            grouped.setdefault(rec[:t], []).append((rec[t:], p))
-        expected = {
-            rec: classical_smooth(scenario.classical, prior0, rec[:t], rec[t:]) for rec, _ in records
-        }
-        table = _complete_table(inst, rho0, grouped)
-        for s in smooth_table(scenario, table, kinds):
-            if s.error is not None:
-                raise s.error
-            if not s.possible.all():
-                raise ZeroProbabilityRecord(f"a record of {render(s.past)!r} has vanishing probability")
-            for (fut, _), rho_s in zip(s.futures, s.states):
-                deviation = float(np.abs(np.diag(rho_s).real - expected[s.past + fut]).max())
-                worst[s.kind] = max(worst[s.kind], deviation)
+        raise NotClassicalLimit("scenario is not classical: classical-limit needs system.type == 'classical'")
+    inst, rho0, steps = scenario.instrument, scenario.rho0, scenario.steps
+    records = [(rec, p) for rec, p in enumerate_records(inst, rho0, steps, scenario.enumeration_cap) if p > PROB_FLOOR]
+    expected = {rec: classical_smooth_all(scenario.classical, np.diag(rho0).real, rec) for rec, _ in records}
+    grouped: dict[tuple, list] = {}
+    for t, (rec, p) in itertools.product(range(steps + 1), records):
+        grouped.setdefault(rec[:t], []).append((rec[t:], p))
+    worst = dict.fromkeys(kinds, 0.0)
+    for s in smooth_table(scenario, _complete_table(inst, rho0, grouped), kinds):
+        if s.error is not None:
+            raise s.error
+        if not s.possible.all():
+            raise ZeroProbabilityRecord(f"a record of {render(s.past)!r} has vanishing probability")
+        classical = np.stack([expected[s.past + fut][len(s.past)] for fut, _ in s.futures])
+        deviation = np.abs(np.diagonal(s.states, axis1=1, axis2=2).real - classical).max()
+        worst[s.kind] = max(worst[s.kind], float(deviation))
     return worst, len(records)
 
 

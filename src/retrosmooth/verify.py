@@ -140,9 +140,7 @@ def check_smoothed_physicality(seed: int = 2, n: int = 60) -> CheckResult:
         worst_eig = max(worst_eig, max(0.0, -float(np.linalg.eigvalsh(rho_s)[0])))
         worst_tr = max(worst_tr, abs(float(rho_s.trace().real) - 1.0))
     passed = worst_eig <= 1e-9 and worst_tr <= 1e-10
-    return CheckResult(
-        "smoothed-physicality", passed, max(worst_eig, worst_tr), 1e-9, f"n={n}"
-    )
+    return CheckResult("smoothed-physicality", passed, max(worst_eig, worst_tr), 1e-9, f"n={n}")
 
 
 def check_filter_averaging(scenario: Scenario | None = None) -> CheckResult:
@@ -179,16 +177,12 @@ def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
     for s in _smoothed(sc, table, ("gw",), errors):
         live = np.array([p > sweeps.PROB_FLOOR for _, p in s.futures])
         if not s.possible[live].all():
-            raise ZeroProbabilityRecord(
-                f"a future of {sweeps.render(s.past)!r} has vanishing probability"
-            )
+            raise ZeroProbabilityRecord(f"a future of {sweeps.render(s.past)!r} has vanishing probability")
         for effect, got in zip(s.effects[live], s.states[live]):
             ref = branch_mixture_smooth(sc.instrument, sc.rho0, s.past, effect, cap=sc.enumeration_cap)
             worst = max(worst, trace_norm(got - ref))
     passed = worst <= 1e-8 and not errors
-    return CheckResult(
-        "trajectory-mixture-equivalence", passed, worst, 1e-8, _prior_errors(errors).strip()
-    )
+    return CheckResult("trajectory-mixture-equivalence", passed, worst, 1e-8, _prior_errors(errors).strip())
 
 
 def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:

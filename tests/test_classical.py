@@ -8,6 +8,7 @@ from retrosmooth.classical import (
     classical_filter,
     classical_retrofilter,
     classical_smooth,
+    classical_smooth_all,
     conditional_map,
     sample_classical_trajectories,
 )
@@ -185,6 +186,54 @@ class TestSmooth:
             p_f, ll = classical_filter(model, prior, record[:t])
             e_r = classical_retrofilter(model, record[t:])
             assert abs(float(p_f @ e_r) * np.exp(ll) - full) < 1e-10
+
+
+def loop_filter(model, prior, past):
+    """Reference: the per-step forward loop that the forward recursion replaced."""
+    p, loglik = np.clip(np.asarray(prior, dtype=float), 0.0, None), 0.0
+    for y in past:
+        v = conditional_map(model, y) @ p
+        p, loglik = v / v.sum(), loglik + float(np.log(v.sum()))
+    return p, loglik
+
+
+def loop_retrofilter(model, future):
+    """Reference: the per-step backward loop that the backward recursion replaced."""
+    e = np.ones(model.n_states)
+    for y in reversed(future):
+        e = conditional_map(model, y).T @ e
+    return e
+
+
+class TestEverySplit:
+    @pytest.mark.parametrize("chain", [model2, model3])
+    def test_every_split_has_the_bits_of_one_split_at_a_time(self, chain):
+        model = chain()
+        prior = np.arange(1.0, model.n_states + 1) / np.arange(1.0, model.n_states + 1).sum()
+        for steps in range(9):
+            for record in itertools.product(model.outcome_labels, repeat=steps):
+                every = classical_smooth_all(model, prior, record)
+                assert every.shape == (steps + 1, model.n_states)
+                for t in range(steps + 1):
+                    past, future = record[:t], record[t:]
+                    one = classical_smooth(model, prior, past, future)
+                    assert one.tobytes() == every[t].tobytes(), (record, t)
+                    p_f, loglik = classical_filter(model, prior, past)
+                    e_r = classical_retrofilter(model, future)
+                    p_ref, loglik_ref = loop_filter(model, prior, past)
+                    assert p_f.tobytes() == p_ref.tobytes() and loglik == loglik_ref
+                    assert e_r.tobytes() == loop_retrofilter(model, future).tobytes()
+                    s = p_f * e_r
+                    assert one.tobytes() == (s / s.sum()).tobytes()
+
+    def test_errors_keep_their_types_and_messages(self):
+        delta = ClassicalModel(np.eye(2), {"0": np.array([1.0, 0.0]), "1": np.array([0.0, 1.0])})
+        with pytest.raises(ZeroProbabilityRecord, match="record has zero probability at outcome '1'"):
+            classical_smooth_all(delta, [1.0, 0.0], ("0", "1"))
+        with pytest.raises(ZeroProbabilityRecord, match="^combined record has zero probability$"):
+            classical_smooth(delta, [1.0, 0.0], ("0",), ("1",))
+        with pytest.raises(UnknownOutcome):
+            classical_smooth_all(model2(), [0.5, 0.5], ("0", "z"))
 
 
 def sequential_trajectory(model, prior, steps, gen):

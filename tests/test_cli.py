@@ -418,6 +418,51 @@ class TestCsvLines:
         assert written.read_bytes() == dict_writer_csv(_SMOOTH_HEADER, rows)
 
 
+def delta_chain():
+    """A static chain read out without noise, starting in state 1: only the all-"1" records are possible."""
+    return Scenario.from_dict(
+        {
+            "name": "delta-chain",
+            "system": {
+                "type": "classical",
+                "transition": [[1.0, 0.0], [0.0, 1.0]],
+                "likelihood": {"0": [1.0, 0.0], "1": [0.0, 1.0]},
+            },
+            "rho0": [0.0, 1.0],
+            "steps": 3,
+            "smoothing_time_index": 2,
+            "prior_kinds": ["pf"],
+        }
+    )
+
+
+def per_split_reference(sc, kinds):
+    """Reference: the per-split loop of ``classical_deviation`` that one table replaced.
+
+    One record table and one ``smooth_table`` pass per split time, and one
+    ``classical_smooth`` per (record, split).  Returns every smoothed state's
+    bytes and ``possible`` flag by ``(kind, past, future)``, and the worst
+    deviation per kind.
+    """
+    from retrosmooth.classical import classical_smooth
+    from retrosmooth.sweeps import PROB_FLOOR, _complete_table, smooth_table
+
+    prior0 = np.diag(sc.rho0).real
+    records = [(rec, p) for rec, p in enumerate_records(sc.instrument, sc.rho0, sc.steps) if p > PROB_FLOOR]
+    states, worst = {}, {kind: 0.0 for kind in kinds}
+    for t in range(sc.steps + 1):
+        grouped: dict = {}
+        for rec, p in records:
+            grouped.setdefault(rec[:t], []).append((rec[t:], p))
+        for s in smooth_table(sc, _complete_table(sc.instrument, sc.rho0, grouped), kinds):
+            assert s.error is None and s.possible.all()
+            for (fut, _), state, possible in zip(s.futures, s.states, s.possible):
+                states[s.kind, s.past, fut] = state.tobytes(), bool(possible)
+                expected = classical_smooth(sc.classical, prior0, s.past, fut)
+                worst[s.kind] = max(worst[s.kind], float(np.abs(np.diag(state).real - expected).max()))
+    return states, worst
+
+
 class TestClassicalLimit:
     def test_two_and_three_state(self, tmp_path):
         for n in (2, 3):
@@ -452,22 +497,35 @@ class TestClassicalLimit:
         np.testing.assert_allclose(np.diag(rho_s).real, [0.3, 0.7], atol=1e-12)
 
     def test_delta_prior_noiseless_readout_stays_delta(self, tmp_path):
-        sc = Scenario.from_dict(
-            {
-                "name": "delta-chain",
-                "system": {
-                    "type": "classical",
-                    "transition": [[1.0, 0.0], [0.0, 1.0]],
-                    "likelihood": {"0": [1.0, 0.0], "1": [0.0, 1.0]},
-                },
-                "rho0": [0.0, 1.0],
-                "steps": 3,
-                "smoothing_time_index": 2,
-                "prior_kinds": ["pf"],
-            }
-        )
-        report = cmd_classical_limit(sc, tmp_path)
+        report = cmd_classical_limit(delta_chain(), tmp_path)
         assert report["passed"]
+
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            lambda: Scenario.from_file("scenarios/classical-2state.json"),
+            lambda: classical_demo_scenario(3, steps=4),
+            delta_chain,
+        ],
+        ids=["classical-2state", "3-state", "delta-chain"],
+    )
+    def test_the_one_table_has_the_bits_of_one_table_per_split(self, chain, monkeypatch):
+        from retrosmooth import sweeps
+
+        sc, kinds = chain(), ("pf", "gw-variant")
+        states, worst_ref = per_split_reference(sc, kinds)
+        seen, smooth_table = {}, sweeps.smooth_table
+
+        def recording(scenario, table, kinds):
+            for s in smooth_table(scenario, table, kinds):
+                for (fut, _), state, possible in zip(s.futures, s.states, s.possible):
+                    seen[s.kind, s.past, fut] = state.tobytes(), bool(possible)
+                yield s
+
+        monkeypatch.setattr(sweeps, "smooth_table", recording)
+        worst, n_records = sweeps.classical_deviation(sc, kinds)
+        assert seen == states
+        assert worst == worst_ref and n_records == len({past + fut for _, past, fut in states})
 
     def test_one_smoothing_call_per_prior(self, tmp_path, monkeypatch):
         from collections import Counter
@@ -486,24 +544,28 @@ class TestClassicalLimit:
         for module, name in [
             (sweeps, "priors_for"),
             (sweeps, "generalized_smooth"),
+            (sweeps, "classical_smooth_all"),
             (retrodiction, "psd_sqrt"),
             (smoothers, "walk_records"),
             (trajectory, "walk"),
         ]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         sc = Scenario.from_file("scenarios/classical-2state.json")
-        assert cmd_classical_limit(sc, tmp_path)["passed"]
-        # per (split time, kind), kinds pf and gw-variant: one table build, one stacked smoothing call and,
-        # each kind's blocks sharing one shape, one batched block square root; per split time one bob-branch
-        # pass for gw-variant; walk only for the one enumeration of every record
-        splits = sc.steps + 1
+        report = cmd_classical_limit(sc, tmp_path)
+        assert report["passed"]
+        # every (record, split) in one table, kinds pf and gw-variant: per kind one table build, one stacked
+        # smoothing call and, each kind's blocks sharing one shape, one batched block square root; one
+        # bob-branch pass for gw-variant; walk only for the one enumeration of every record; one
+        # forward-backward pass per record for the classical posteriors at every split
         assert calls == {
-            "priors_for": 2 * splits,
-            "generalized_smooth": 2 * splits,
-            "psd_sqrt": 2 * splits,
-            "walk_records": splits,
+            "priors_for": 2,
+            "generalized_smooth": 2,
+            "psd_sqrt": 2,
+            "walk_records": 1,
             "walk": 1,
+            "classical_smooth_all": report["n_records"],
         }
+        assert report["n_records"] == 2**sc.steps
 
     def test_rejects_non_classical(self, tmp_path):
         with pytest.raises(NotClassicalLimit):

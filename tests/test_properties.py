@@ -40,8 +40,8 @@ from retrosmooth.retrodiction import generalized_smooth
 from retrosmooth.sampling import random_density, random_instrument, random_isometry
 from retrosmooth.scenario import Scenario, classical_demo_scenario, demo_scenario, matrix_to_json
 from retrosmooth.smoothers import build_prior, extend_ancilla, purified_initial
-from retrosmooth.sweeps import ZERO_PAST, entropy_rows, future_table, smooth_table
-from retrosmooth.trajectory import filter as filter_state, walk
+from retrosmooth.sweeps import ZERO_PAST, classical_deviation, entropy_rows, future_table, smooth_table
+from retrosmooth.trajectory import filter as filter_state, sample_records, walk
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -379,3 +379,59 @@ def test_a_failing_property_is_reported_not_an_internal_error(pytester):
     result.assert_outcomes(failed=1, passed=1)
     assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
     result.stdout.fnmatch_lines(["*Falsifying example*"])
+
+
+@st.composite
+def classical_chains(draw):
+    """A scenario on a random column-stochastic chain: 2-3 states, 2-3 outcomes, a random initial law, 1-4 steps."""
+    n, n_outcomes, steps = draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    likelihood = rng.dirichlet(np.ones(n_outcomes), size=n).T  # (outcome, state), each state's column sums to 1
+    return Scenario.from_dict(
+        {
+            "system": {
+                "type": "classical",
+                "transition": rng.dirichlet(np.ones(n), size=n).T.tolist(),
+                "likelihood": {str(y): row.tolist() for y, row in enumerate(likelihood)},
+            },
+            "rho0": rng.dirichlet(np.ones(n)).tolist(),
+            "steps": steps,
+            "smoothing_time_index": draw(st.integers(0, steps)),
+            "prior_kinds": ["pf", "gw-variant"],
+        }
+    )
+
+
+@PROPERTY_SETTINGS
+@given(classical_chains())
+def test_quantum_smoothing_of_a_classical_chain_is_forward_backward_smoothing(sc):
+    worst, n_records = classical_deviation(sc, ("pf", "gw-variant"))
+    assert n_records >= 1
+    assert max(worst.values()) <= 1e-9, worst
+
+
+def per_trajectory_record(instrument, rho, uniforms) -> tuple:
+    """Reference sampler: one trajectory, one uniform per step, ``K rho K†`` summed per Kraus operator in Kraus order."""
+    labels, record = instrument.outcome_labels, []
+    for u in uniforms:
+        outs = []
+        for y in labels:
+            first, *rest = instrument.op(y).kraus
+            out = first @ rho @ first.conj().T
+            for k in rest:
+                out = out + k @ rho @ k.conj().T
+            outs.append(out)
+        weights = np.clip([np.trace(out).real for out in outs], 0.0, None)
+        cdf = (weights / weights.sum()).cumsum()
+        k = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+        rho = hermitian_part(outs[k] / weights[k])
+        record.append(labels[k])
+    return tuple(record)
+
+
+@PROPERTY_SETTINGS
+@given(monitored_systems(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_sample_records_gives_the_records_of_one_trajectory_at_a_time(sc, n, seed):
+    records = sample_records(sc.instrument, sc.rho0, sc.steps, n, seed)
+    uniforms = np.random.default_rng(seed).random((n, sc.steps))
+    assert records == [per_trajectory_record(sc.instrument, sc.rho0, row) for row in uniforms]
