@@ -18,7 +18,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from retrosmooth.cli import main
+from retrosmooth.scenario import demo_scenario, matrix_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
@@ -48,6 +51,21 @@ def _quoted_scenario() -> dict:
     }
 
 
+def _custom_scenario() -> dict:
+    """The demo qubit smoothed at time 0 under ``pf`` and a ``custom`` prior, the maximally mixed two-qubit state.
+
+    Its marginal is the maximally mixed ``rho0``, the filtered state of the
+    empty past, so every custom row smooths.
+    """
+    return {
+        **demo_scenario().raw,
+        "name": "custom-prior",
+        "smoothing_time_index": 0,
+        "prior_kinds": ["pf", "custom"],
+        "custom_prior": {"matrix": matrix_to_json(np.eye(4) / 4), "dim_a": 2},
+    }
+
+
 def _run(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -66,6 +84,11 @@ def golden_outputs(work: Path) -> dict[str, str]:
     _run(["smooth", "--scenario", str(quoted), "--enumerate", "--out", str(work / "enumerate-quoted")])
     _run(["entropy-scan", "--scenario", str(quoted), "--out", str(work / "entropy-quoted")])
     quoted.unlink()
+    custom = work / "custom.json"
+    custom.write_text(json.dumps(_custom_scenario()))
+    _run(["smooth", "--scenario", str(custom), "--enumerate", "--out", str(work / "enumerate-custom")])
+    _run(["entropy-scan", "--scenario", str(custom), "--out", str(work / "entropy-custom")])
+    custom.unlink()
     out = work / "record-demo"
     _run(["simulate", "--scenario", "demo", "--trajectories", "30", "--out", str(out)])
     record = out / "driven-damped-qubit_trajectories.jsonl"
