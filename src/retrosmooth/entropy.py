@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import BOUND_SLACK, WEIGHT_FLOOR, as_density, as_povm, entropy_shannon, entropy_vn
-from .linalg import hermitian_part, psd_sqrt, support_basis, support_basis_and_inv_sqrt, tensor
-from .retrodiction import ChannelRep, FilteredGlobalState, _sandwich_marginal, _trace_out_a, require_marginals
+from .linalg import psd_sqrt, support_basis, support_basis_and_inv_sqrt, tensor
+from .retrodiction import ChannelRep, FilteredGlobalState, _marginals, _sandwich_marginal, _update, require_marginals
 from .smoothers import build_custom
 
 
@@ -59,12 +59,15 @@ def _live_updates(gammas, roots, dims, effects) -> tuple[np.ndarray, np.ndarray,
     """Outcome probabilities ``(n, k)``, which clear the floor, and those outcomes' updated states.
 
     Row ``j`` measures ``effects[j]`` on ``gammas[j]``, extended by the block
-    roots ``roots[j]``; every live outcome is updated in one stacked sandwich.
+    roots ``roots[j]``; the live outcomes are one :func:`_update`, over their probabilities.
     """
     probs = np.clip(np.trace(effects @ gammas[:, None], axis1=-2, axis2=-1).real, 0.0, None)
     live = probs > WEIGHT_FLOOR
-    sandwiched = _sandwich_marginal(roots[live.nonzero()[0]], dims, effects[live])
-    return probs, live, hermitian_part(sandwiched) / probs[live][:, None, None]
+    rows, outcomes = live.nonzero()
+    n_blocks = roots.shape[1]
+    block_roots = roots[rows].reshape(-1, *roots.shape[2:])
+    block_effects = effects[np.repeat(rows, n_blocks), np.repeat(outcomes, n_blocks)]
+    return probs, live, _update(block_roots, dims, block_effects, np.full(len(rows), n_blocks), probs[live])
 
 
 def _avg_entropies(probs: np.ndarray, live: np.ndarray, updated: np.ndarray) -> np.ndarray:
@@ -175,9 +178,10 @@ def theorem1_batch(gammas, blocks, dims: tuple[int, int], povms) -> list[Theorem
     has the bits of its one-row call.  The ordering holds up to ``BOUND_SLACK``.
     """
     g = as_density(gammas, "gamma")
-    require_marginals(hermitian_part(_trace_out_a(blocks, dims)), g, "gamma")
+    flat = blocks.reshape(-1, *blocks.shape[-2:])
+    require_marginals(_marginals(flat, dims, [blocks.shape[1]] * len(blocks)), g, "gamma")
     effects = as_povm(povms, g.shape[-1])
-    roots = psd_sqrt(blocks.reshape(-1, *blocks.shape[-2:])).reshape(blocks.shape)
+    roots = psd_sqrt(flat).reshape(blocks.shape)
     s_trivial = _avg_entropies(*_live_updates(g, psd_sqrt(g)[:, None], (g.shape[-1], 1), effects))
     s_ext = _avg_entropies(*_live_updates(g, roots, dims, effects))
     s_gamma = entropy_vn(g)

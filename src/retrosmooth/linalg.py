@@ -76,6 +76,11 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + dag(m)) / 2
 
 
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The ranges ``lo[k] : lo[k] + n[k]``, concatenated."""
+    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
 def require_finite(a: np.ndarray, name: str) -> None:
     """Raise :class:`InvalidMatrix` unless every entry of the complex array ``a`` is finite."""
     if not np.isfinite(a.view(float)).all():

@@ -55,6 +55,7 @@ from .linalg import (
     MARGINAL_TOL,
     PROB_SUM_TOL,
     WEIGHT_FLOOR,
+    _ranges,
     as_density,
     as_effect,
     as_hermitian,
@@ -211,15 +212,6 @@ def require_marginals(marginals, rhos, what: str) -> None:
         raise InvalidExtension(f"extension marginal deviates from {what} by {gap:.3e}")
 
 
-def _trace_out_a(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """``Tr_A`` of the block-diagonal operator whose register blocks are ``stack``.
-
-    ``stack`` is ``(..., n, D, D)``: ``n`` blocks on ``Q (x) A1`` with
-    ``dims = (dim_q, dim_a1)`` for each operator.
-    """
-    return partial_trace(stack, dims, "Q").sum(axis=-3)
-
-
 def _sum_runs(stack: np.ndarray, counts) -> np.ndarray:
     """The sum of each run of ``counts[i]`` consecutive matrices of ``stack``, with the bits of ``run.sum(axis=0)``.
 
@@ -303,7 +295,7 @@ def _sandwich_marginal(roots: np.ndarray, dims: tuple[int, int], x) -> np.ndarra
     ``dims`` is ``(dim_q, dim_a1)``; see :func:`_sandwich` for the shapes.
     Linear in ``x`` (no symmetrization), so it is safe on matrix units.
     """
-    return _trace_out_a(_sandwich(roots, dims[1], x), dims)
+    return partial_trace(_sandwich(roots, dims[1], x), dims, "Q").sum(axis=-3)
 
 
 def _sandwich(roots: np.ndarray, dim_a1: int, x) -> np.ndarray:
@@ -367,8 +359,8 @@ def generalized_smooth(prior, effect, futures=None):
 def _smooth_priors(priors, effects: np.ndarray, futures) -> list[tuple[np.ndarray, np.ndarray]]:
     """:func:`generalized_smooth` of priors on their futures' rows of a validated stack of effects.
 
-    Each (prior, future) pair's blocks are sandwiched as rows of one stack
-    per block shape and summed in order, as :func:`_trace_out_a` sums them.
+    The possible (prior, future) pairs of one block shape are one
+    :func:`_update` call, one row per block of each pair.
     """
     if any(p.dim_q != effects.shape[-1] for p in priors):
         raise InvalidFactorization("effect dimension does not match the system")
@@ -386,18 +378,24 @@ def _smooth_priors(priors, effects: np.ndarray, futures) -> list[tuple[np.ndarra
         norms = _norms(marginals[pair_prior], effects[pair_effect])
         possible = norms > WEIGHT_FLOOR
         states = np.full((len(norms), *effects.shape[1:]), np.nan, dtype=complex)
-        if possible.any():
-            # one row per block of each possible pair
-            n = counts[pair_prior[possible]]
-            first = (np.cumsum(counts) - counts)[pair_prior[possible]]
-            rows = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
-            sandwiched = _sandwich(roots[rows][:, None], dims[1], effects[np.repeat(pair_effect[possible], n)])
-            summed = _sum_runs(partial_trace(sandwiched, dims, "Q")[:, 0], n)
-            states[possible] = hermitian_part(summed) / norms[possible][:, None, None]
+        n = counts[pair_prior[possible]]
+        rows = _ranges((np.cumsum(counts) - counts)[pair_prior[possible]], n)
+        states[possible] = _update(roots[rows], dims, effects[np.repeat(pair_effect[possible], n)], n, norms[possible])
         bounds = np.cumsum([0, *lengths])
         for i, lo, hi in zip(members, bounds, bounds[1:]):
             found[i] = states[lo:hi], possible[lo:hi]
     return found
+
+
+def _update(roots: np.ndarray, dims: tuple[int, int], effects: np.ndarray, counts, norms) -> np.ndarray:
+    """``hermitian_part(Tr_A[sqrt(P) (E (x) I_A1) sqrt(P)]) / norm`` of each of a stack of (prior, effect) pairs.
+
+    Pair ``j`` owns the next ``counts[j]`` rows of ``roots``, its prior's block
+    roots on ``Q (x) A1`` (``dims = (dim_q, dim_a1)``), and of ``effects``, its
+    effect once per block; its blocks are summed in order, and ``norm = norms[j]``.
+    """
+    summed = _sum_runs(partial_trace(_sandwich(roots[:, None], dims[1], effects), dims, "Q")[:, 0], counts)
+    return hermitian_part(summed) / norms[:, None, None]
 
 
 def _group_roots(group: list[FilteredGlobalState], counts) -> tuple[np.ndarray, np.ndarray]:

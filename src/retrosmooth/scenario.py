@@ -41,7 +41,8 @@ import numpy as np
 from .classical import ClassicalModel
 from .errors import InvalidDistribution, InvalidMatrix, NotPSD, ScenarioError, StepTooCoarse
 from .linalg import as_density, require_finite
-from .retrodiction import PRIOR_KINDS
+from .retrodiction import PRIOR_KINDS, FilteredGlobalState
+from .smoothers import build_custom
 from .trajectory import DEFAULT_ENUMERATION_CAP
 from .trajectory import ConditionalOp, Instrument, JumpChannel, LindbladSpec, discretize
 
@@ -264,7 +265,8 @@ class Scenario:
     """A loaded scenario: its parsed, validated values and the document ``raw`` they came from.
 
     :meth:`from_dict` builds the ``instrument`` (and the ``classical`` model of a
-    hidden-Markov system) and checks ``rho0`` against its dimension on load.
+    hidden-Markov system) and the ``custom_prior`` extension, and checks ``rho0``
+    against its dimension on load.
     """
 
     name: str
@@ -277,7 +279,7 @@ class Scenario:
     seed: int
     enumeration_cap: int
     n_trajectories: int
-    custom_prior: tuple[np.ndarray, int] | None
+    custom_prior: FilteredGlobalState | None
     theorem1: tuple[int, list[int], list[int], list[int]]
     raw: dict = field(repr=False)
 
@@ -314,7 +316,8 @@ class Scenario:
             custom_prior=_custom_prior(doc),
         )
         _require_kinds(kinds, settings["custom_prior"])
-        instrument, classical = _checked_system(doc["system"], settings["custom_prior"])
+        instrument, classical = _checked_system(doc["system"])
+        settings["custom_prior"] = _custom_extension(settings["custom_prior"], instrument.dim)
         rho0 = _rho0(doc["rho0"], instrument.dim)
         return cls(instrument=instrument, classical=classical, rho0=rho0, steps=steps, smoothing_index=t,
                    prior_kinds=kinds, raw=doc, **settings)
@@ -350,20 +353,22 @@ def _require_kinds(kinds, custom_prior) -> None:
         raise ScenarioError("custom_prior: required when prior kind 'custom' is requested")
 
 
-def _checked_system(spec, custom_prior) -> tuple[Instrument, ClassicalModel | None]:
-    """The system of ``spec``; a spec that gives no valid one is a :class:`ScenarioError`.
-
-    A ``custom_prior`` whose dimension is not the system's times its ``dim_a`` is one as well.
-    """
+def _checked_system(spec) -> tuple[Instrument, ClassicalModel | None]:
+    """The system of ``spec``; a spec that gives no valid one is a :class:`ScenarioError`."""
     try:
-        instrument, classical = _build_system(spec)
+        return _build_system(spec)
     except (InvalidMatrix, NotPSD, InvalidDistribution, StepTooCoarse) as exc:
         raise ScenarioError(f"system: {exc}") from None
-    if custom_prior is not None:
-        dim, dim_a = len(custom_prior[0]), custom_prior[1]
-        if dim != instrument.dim * dim_a:
-            raise ScenarioError(f"custom_prior: dimension {dim} is not {instrument.dim} x dim_a={dim_a}")
-    return instrument, classical
+
+
+def _custom_extension(custom_prior, dim: int) -> FilteredGlobalState | None:
+    """A ``custom_prior`` block's ``(matrix, dim_a)`` built on a ``dim``-level system; a bad size is a ScenarioError."""
+    if custom_prior is None:
+        return None
+    matrix, dim_a = custom_prior
+    if len(matrix) != dim * dim_a:
+        raise ScenarioError(f"custom_prior: dimension {len(matrix)} is not {dim} x dim_a={dim_a}")
+    return build_custom(matrix, (dim, dim_a))
 
 
 def _rho0(spec, dim: int) -> np.ndarray:

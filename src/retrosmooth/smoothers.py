@@ -26,8 +26,8 @@ smoothing time:
 
 ``gw``, ``gw-variant`` and ``pf-variant`` are one classical register over
 what bob tells apart, and :data:`REGISTERS` maps each to bob's partition and
-whether ``rho0`` is purified.  :func:`build_priors` builds every kind but
-``custom`` for every past of a table, each register kind from one
+whether ``rho0`` is purified.  :func:`build_priors` builds every kind for
+every past of a table, each register kind from one
 :func:`~retrosmooth.trajectory.walk_records` pass over its bob branches;
 :func:`build_prior` is its one-past case.  Under the finest partition bob's
 options at an outcome are the sorted names of its Kraus operators, so every
@@ -117,34 +117,34 @@ def build_pf(rho_f) -> FilteredGlobalState:
 
 def build_clhs(rho_f) -> FilteredGlobalState:
     """Purification of the filtered state; smoothing leaves the marginal fixed."""
-    rho = as_density(rho_f, "rho_f")
-    psi = purify(rho)
-    rank = psi.size // rho.shape[0]
-    block = np.outer(psi, psi.conj())
+    block, rank = purified_initial(rho_f, "rho_f")
     return FilteredGlobalState(
-        blocks=(block,), dim_q=rho.shape[0], dim_a1=rank, block_labels=((),), kind="clhs"
+        blocks=(block,), dim_q=len(block) // rank, dim_a1=rank, block_labels=((),), kind="clhs"
     )
 
 
-def purified_initial(rho0) -> tuple[np.ndarray, int]:
-    """The projector on a purification of ``rho0``, and the purifying ancilla's dimension (its rank)."""
-    rho = as_density(rho0, "rho0")
+def purified_initial(rho0, name: str = "rho0") -> tuple[np.ndarray, int]:
+    """The projector on a purification of ``rho0`` (validated as ``name``), and the purifying ancilla's rank."""
+    rho = as_density(rho0, name)
     psi = purify(rho)
     return np.outer(psi, psi.conj()), psi.size // rho.shape[0]
 
 
-def build_priors(kind: str, instrument: Instrument, rho0, pasts, rho_fs, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+def build_priors(kind: str, instrument: Instrument, rho0, pasts, rho_fs, cap=DEFAULT_ENUMERATION_CAP, custom=None):
     """The prior of ``kind`` for each of ``pasts``, or the error of its build.
 
-    ``pf`` and ``clhs`` start from ``rho_fs``, the pasts' filtered states.
-    The register kinds come from one bob-branch pass over every past, from a
-    purification of ``rho0`` where :data:`REGISTERS` says so and from
-    ``rho0`` itself otherwise: each register branch holds the joint-record
-    conditioned state of the system (and the purifying ancilla), the weights
-    normalized by the probability of the alice record.
+    ``pf`` and ``clhs`` start from ``rho_fs``, the pasts' filtered states;
+    ``custom`` is the built extension ``custom`` wherever its marginal is the
+    filtered state.  The register kinds come from one bob-branch pass over
+    every past, from a purification of ``rho0`` where :data:`REGISTERS` says
+    so and from ``rho0`` itself otherwise: each register branch holds the
+    joint-record conditioned state of the system (and the purifying ancilla),
+    the weights normalized by the probability of the alice record.
     """
     if kind in ("pf", "clhs"):
         return [_attempt(build_pf if kind == "pf" else build_clhs, rho_f) for rho_f in rho_fs]
+    if kind == "custom" and custom is not None:
+        return [_attempt(_extending, custom, rho_f) for rho_f in rho_fs]
     if kind not in REGISTERS:
         raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
     partition, purified = REGISTERS[kind]
@@ -159,6 +159,12 @@ def _attempt(build, *args):
         return build(*args)
     except RetrosmoothError as exc:
         return exc
+
+
+def _extending(prior: FilteredGlobalState, rho_f) -> FilteredGlobalState:
+    """``prior``, once its marginal is checked to be the filtered state ``rho_f``."""
+    prior.require_marginal(rho_f, "the filtered state")
+    return prior
 
 
 def _register_state(found, dim_q, dim_a1, kind) -> FilteredGlobalState:

@@ -9,9 +9,10 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
   prefix at the smoothing time, as ``past -> Past(rho_f, p, futures)``: each
   table filters its pasts in one pass over their prefix trie.
 * :func:`smooth_table` is the one smoothing pass: for each prior kind it
-  builds the priors of all the table's pasts (one bob-branch pass for each
-  register kind of :data:`~retrosmooth.smoothers.REGISTERS`) and smooths
-  every (past, future) pair in one stacked call.  It retrofilters the
+  builds the priors of all the table's pasts in one
+  :func:`~retrosmooth.smoothers.build_priors` call (one bob-branch pass for
+  a register kind, the scenario's one built extension for ``custom``) and
+  smooths every (past, future) pair in one stacked call.  It retrofilters the
   table's distinct futures in one pass over their suffix trie, shared by
   every prior kind.  The sweeps below reduce it.
 * :func:`entropy_rows` holds the average smoothed entropy of each (prior
@@ -40,7 +41,7 @@ from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, as_density, entropy_vn, trace_norm
 from .retrodiction import FilteredGlobalState, generalized_smooth
 from .sampling import density_from, extension_from, povm_from
-from .smoothers import build_custom, build_priors
+from .smoothers import build_priors
 from .trajectory import enumerate_records, filter_records, retrofilter_records
 
 PROB_FLOOR = 1e-12
@@ -108,30 +109,6 @@ def record_table(scenario, records) -> dict[tuple, Past]:
     return {past: Past(*filtered[past], futures) for past, futures in grouped.items()}
 
 
-def priors_for(scenario, kind: str, table: dict[tuple, Past], pasts) -> list:
-    """:func:`~retrosmooth.smoothers.build_priors` of ``pasts`` under the scenario's enumeration cap.
-
-    The ``custom`` prior is built once, and its marginal must equal each past's filtered state.
-    """
-    rho_fs = [table[past].rho_f for past in pasts]
-    if kind != "custom":
-        return build_priors(kind, scenario.instrument, scenario.rho0, pasts, rho_fs, scenario.enumeration_cap)
-    try:
-        scenario.require_kinds((kind,))
-        matrix, dim_a = scenario.custom_prior
-        prior = build_custom(matrix, (scenario.dim, dim_a))
-    except RetrosmoothError as exc:
-        return [exc] * len(pasts)
-    priors = []
-    for rho_f in rho_fs:
-        try:
-            prior.require_marginal(rho_f, "the filtered state")
-            priors.append(prior)
-        except RetrosmoothError as exc:
-            priors.append(exc)
-    return priors
-
-
 class Smoothed(NamedTuple):
     """One (prior kind, past) of a :func:`smooth_table` pass.
 
@@ -176,8 +153,11 @@ def smooth_table(scenario, table: dict[tuple, Past], kinds):
     index = {fut: j for j, fut in enumerate(distinct)}
     futures = {past: [index[fut] for fut, _ in table[past].futures] for past in live}
     effects = np.stack(retrofilter_records(scenario.instrument, distinct))
+    rho_fs = [table[past].rho_f for past in live]
     for kind in kinds:
-        priors = dict(zip(live, priors_for(scenario, kind, table, live)))
+        found = build_priors(kind, scenario.instrument, scenario.rho0, live, rho_fs, scenario.enumeration_cap,
+                             scenario.custom_prior)
+        priors = dict(zip(live, found))
         built = [past for past, prior in priors.items() if isinstance(prior, FilteredGlobalState)]
         smoothed = generalized_smooth([priors[past] for past in built], effects, [futures[past] for past in built])
         smoothed = dict(zip(built, smoothed))

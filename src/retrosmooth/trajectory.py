@@ -43,7 +43,7 @@ from .errors import (
     ZeroProbabilityRecord,
 )
 from .linalg import IDENTITY_TOL, SUBNORMAL_TOL, WEIGHT_FLOOR, as_density, as_square, dag, kraus_gram
-from .linalg import completeness_defect, hermitian_part, psd_sqrt, require_complete, require_finite, tensor
+from .linalg import _ranges, completeness_defect, hermitian_part, psd_sqrt, require_complete, require_finite, tensor
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -410,11 +410,6 @@ def walk_records(
                 found[live[i]] = branch_records[start:stop], ops[start:stop]
                 start = stop
     return found
-
-
-def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The ranges ``lo[k] : lo[k] + n[k]``, concatenated."""
-    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
 
 def _branch_records(history: list, names: list, at: np.ndarray) -> list[tuple]:

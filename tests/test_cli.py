@@ -45,6 +45,15 @@ class TestSimulate:
         assert len(lines) == 1
         assert json.loads(lines[0])["n_trajectories"] == 0
 
+    def test_zero_trajectories_smooth_to_empty_tables(self, tmp_path):
+        # the one input whose record table is empty
+        assert main(["simulate", "--scenario", "demo", "--trajectories", "0", "--out", str(tmp_path)]) == 0
+        record = tmp_path / "driven-damped-qubit_trajectories.jsonl"
+        assert main(["smooth", "--scenario", "demo", "--record", str(record), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "driven-damped-qubit_smooth.csv").read_bytes() == (_SMOOTH_HEADER + "\r\n").encode()
+        text = (tmp_path / "driven-damped-qubit_smooth.json").read_text()
+        assert '"priors": {}' in text and json.loads(text)["priors"] == {}
+
     def test_deterministic_given_seed(self, tmp_path):
         sc = demo_scenario()
         (tmp_path / "a").mkdir()
@@ -542,7 +551,7 @@ class TestClassicalLimit:
             return wrapped
 
         for module, name in [
-            (sweeps, "priors_for"),
+            (sweeps, "build_priors"),
             (sweeps, "generalized_smooth"),
             (sweeps, "classical_smooth_all"),
             (retrodiction, "psd_sqrt"),
@@ -558,7 +567,7 @@ class TestClassicalLimit:
         # bob-branch pass for gw-variant; walk only for the one enumeration of every record; one
         # forward-backward pass per record for the classical posteriors at every split
         assert calls == {
-            "priors_for": 2,
+            "build_priors": 2,
             "generalized_smooth": 2,
             "psd_sqrt": 2,
             "walk_records": 1,
@@ -901,6 +910,30 @@ class TestMainEntry:
         code = main(["smooth", "--scenario", "demo", "--record", str(record), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2 and err.strip() == f"error: {record}:{line}: {message}", err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("record shorter than steps", "record of length 3 does not match steps=4"),
+            ("empty trajectory file", "{record}: empty trajectory file"),
+            ("malformed header line", "{record}:1: malformed header line"),
+            ("unknown prior kind", "--prior: unknown kind 'bogus'"),
+        ],
+    )
+    def test_bad_smooth_input_is_one_line_config_error(self, tmp_path, capsys, case, message):
+        step = [json.dumps({"step": i, "alice": "0", "bob": "0"}) for i in range(4)]
+        lines = {
+            "record shorter than steps": ['{"kind": "joint"}', *step[:3]],
+            "empty trajectory file": [],
+            "malformed header line": ['{"kind": ', *step],
+            "unknown prior kind": ['{"kind": "joint"}', *step],
+        }[case]
+        record = tmp_path / "case.jsonl"
+        record.write_text("".join(line + "\n" for line in lines))
+        prior = ["--prior", "pf,bogus"] if case == "unknown prior kind" else []
+        code = main(["smooth", "--scenario", "demo", "--record", str(record), *prior, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.strip() == "error: " + message.format(record=record), err
 
     def test_no_command_imports_numpy_ma(self, tmp_path):
         # importing numpy.ma takes about 14 ms, paid by every command whose interpreter loads it

@@ -378,6 +378,24 @@ class TestBatchedTheorem1:
         for got, (loop, one_row) in zip(sweeps.theorem1_sweep(draws), references, strict=True):
             assert bits(got) == bits(loop) == bits(one_row)
 
+    def test_bounded_passes_have_the_bits_of_one_pass_per_shape(self, monkeypatch):
+        def draws():
+            for i in range(60):
+                rng = np.random.default_rng([31, i])
+                d_q, d_a, n_eff = (2, 3)[rng.integers(0, 2)], (2, 3, 4)[rng.integers(0, 3)], (2, 3, 4)[rng.integers(0, 3)]
+                yield (*sampling.draw_extension(d_q, d_a, rng), sampling.draw_povm(d_q, n_eff, rng))
+
+        passes = []
+        one_pass = sweeps._theorem1_pass
+        monkeypatch.setattr(sweeps, "_theorem1_pass", lambda rows: passes.append(len(rows)) or one_pass(rows))
+        whole = sweeps.theorem1_sweep(draws())
+        n_shapes = len(passes)
+        # a one-entry bound checks every draw in the draw loop, in a pass of its own
+        monkeypatch.setattr(sweeps, "THEOREM1_PASS_ENTRIES", 1)
+        bounded = sweeps.theorem1_sweep(draws())
+        assert n_shapes < 60 and passes[n_shapes:] == [1] * 60
+        assert [bits(r) for r in bounded] == [bits(r) for r in whole]
+
     def test_one_call_draws_have_the_bits_of_per_part_draws(self):
         def per_part_ginibre(shape, rng):
             # real parts, then imaginary parts, in two calls

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from retrosmooth import sampling
-from retrosmooth.errors import EnumerationTooLarge, InvalidFactorization, RetrosmoothError, ZeroProbabilityRecord
+from retrosmooth.errors import EnumerationTooLarge, InvalidExtension, InvalidFactorization, RetrosmoothError
+from retrosmooth.errors import ZeroProbabilityRecord
 from retrosmooth.linalg import psd_sqrt, purity, trace_norm
 from retrosmooth.retrodiction import bob_posterior, generalized_smooth
 from retrosmooth.scenario import Scenario
@@ -213,7 +214,8 @@ class TestStructure:
         assert outcomes == ({"possible", "impossible"} if system == "demo" else {"possible"})
 
     def test_table_priors_from_filtered_states(self):
-        # pf and clhs are built from the given filtered states, each past's failure its own; custom is no table kind
+        # pf and clhs are built from the given filtered states, each past's failure its own; custom is the given
+        # extension wherever its marginal is the filtered state, and needs one
         inst, rho0 = demo()
         pasts = [("0",), ("1",), ()]
         rho_fs = [filter_state(inst, rho0, ("0",))[0], np.diag([1.0, -0.5]), rho0]
@@ -222,6 +224,12 @@ class TestStructure:
             assert isinstance(got[1], RetrosmoothError)
             for i in (0, 2):
                 assert got[i].blocks.tobytes() == build(rho_fs[i]).blocks.tobytes()
+        extension = build_custom(np.eye(4) / 4, (2, 2))
+        got = build_priors("custom", inst, rho0, pasts, rho_fs, custom=extension)
+        assert got[2] is extension
+        for error in got[:2]:
+            assert isinstance(error, InvalidExtension) and "deviates from the filtered state" in str(error)
+        assert got[0] is not got[1]
         with pytest.raises(InvalidFactorization, match="'custom'"):
             build_priors("custom", inst, rho0, pasts, rho_fs)
         with pytest.raises(InvalidFactorization, match="'custom'"):
