@@ -20,9 +20,10 @@ trie pass: it gives the register branches of every register prior of
 :mod:`retrosmooth.smoothers` for every past at once, and its one-record case
 :func:`walk` enumerates records.
 :func:`sample_records` advances many sampled trajectories in lockstep.  All
-four step by :func:`_conjugate` on (row, label) pairs: filtering normalizes
-each row by its weight, walking drops exact zeros, sampling draws by the
-weights and retrofiltering keeps every row.
+four step by :func:`_conjugate` on (row, label) pairs, one matrix product per
+row and one per Kraus operator: filtering normalizes each row by its weight,
+walking drops exact zeros, sampling draws by the weights and retrofiltering
+keeps every row.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class Instrument:
 
     def __init__(self, ops: Mapping[Hashable, ConditionalOp], *, check: bool = True):
         self.ops: dict = dict(ops)
-        self._kraus_stacks: dict[int, list] = {}
+        self._kraus_stacks: dict[tuple[int, bool], tuple] = {}
         if not self.ops:
             raise InvalidMatrix("instrument needs at least one outcome")
         if check:
@@ -126,17 +127,22 @@ class Instrument:
         named = ((y, u, k) for y, op in self.ops.items() for u, k in zip(op.names, op.kraus))
         return Instrument({(y, u): ConditionalOp((k,)) for y, u, k in named}, check=False)
 
-    def kraus_stack(self, dim_extra: int = 1) -> list:
-        """Each outcome's Kraus operators lifted to ``dim_extra`` ancilla dimensions, as ``(operators, adjoints)``.
+    def kraus_stack(self, dim_extra: int = 1, adjoint: bool = False) -> tuple[np.ndarray, list]:
+        """Each outcome's Kraus operators lifted to ``dim_extra`` ancilla dimensions, as ``(left, right)``.
 
-        One stack per outcome label, in outcome order and in Kraus order
-        within it.  Built once per ``dim_extra`` and kept, its arrays read-only.
+        ``left`` stacks every operator, in outcome order and in Kraus order
+        within it, as the rows of one ``(n_ops * D, D)`` matrix; ``right`` holds
+        one stack of their adjoints per outcome label.  ``adjoint`` swaps the
+        two.  Built once per ``dim_extra`` and orientation and kept, its arrays
+        read-only.
         """
-        if dim_extra not in self._kraus_stacks:
+        if (dim_extra, adjoint) not in self._kraus_stacks:
             eye = np.eye(dim_extra)
             ops = [np.stack([tensor(k, eye) for k in op.kraus]) for op in self.ops.values()]
-            self._kraus_stacks[dim_extra] = [(_frozen(k), _frozen(dag(k))) for k in ops]
-        return self._kraus_stacks[dim_extra]
+            left, right = (ops, [dag(k) for k in ops])[:: -1 if adjoint else 1]
+            rows = np.concatenate(left).reshape(-1, left[0].shape[-1])
+            self._kraus_stacks[dim_extra, adjoint] = _frozen(rows), [_frozen(k) for k in right]
+        return self._kraus_stacks[dim_extra, adjoint]
 
     @property
     def outcome_labels(self) -> tuple:
@@ -332,7 +338,7 @@ def retrofilter_records(instrument, records) -> list[np.ndarray]:
     suffix trie, one :func:`_conjugate` by the adjoint Kraus operators per
     level, symmetrized at every level.
     """
-    adjoints = [(ops_dag, ops) for ops, ops_dag in instrument.kraus_stack()]  # conjugates by K† sigma K
+    adjoints = instrument.kraus_stack(adjoint=True)  # conjugates by K† sigma K
     sigma = np.eye(instrument.dim, dtype=complex)[None]
     found: list = [None] * len(records)
     for parents, labels, ends in _trie_levels(instrument, [r[::-1] for r in records]):
@@ -442,23 +448,30 @@ def walk(
     return found
 
 
-def _conjugate(stacks: list, sigma: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _conjugate(stacks: tuple, sigma: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Pair ``i``'s ``sum_j K_j sigma[rows[i]] K_j†`` over label ``labels[i]``'s Kraus operators, in Kraus order.
 
-    ``stacks`` is :meth:`Instrument.kraus_stack`'s, or its adjoints swapped
-    in.  One label's pairs are one stack, summed into one contiguous slice of
-    the label-sorted output, so the step makes few temporaries at any size.
+    ``stacks`` is :meth:`Instrument.kraus_stack`'s, of either orientation.
+    Each row of ``sigma`` is multiplied by every operator in one product
+    with the stacked ``left``; then, per label and per operator, its pairs'
+    left products are multiplied by the operator's right factor as one
+    ``(pairs * D, D)`` stack of rows and summed, in Kraus order, into the
+    label's contiguous slice of the label-sorted output.
     """
-    counts = np.bincount(labels, minlength=len(stacks))
+    (left, right), d = stacks, sigma.shape[-1]
+    counts = np.bincount(labels, minlength=len(right))
     order, ends = labels.argsort(kind="stable"), counts.cumsum().tolist()
-    out = np.empty((len(labels), *sigma.shape[1:]), dtype=complex)
+    # [operator, row]: K sigma[row], one product per row
+    products = (left @ sigma).reshape(len(sigma), len(left) // d, d, d).swapaxes(0, 1)
+    out = np.empty((len(labels), d, d), dtype=complex)
+    first = list(itertools.accumulate(map(len, right), initial=0))
     for y, (lo, hi) in enumerate(zip([0, *ends], ends)):
         if lo < hi:
-            part = sigma[rows[order[lo:hi]]]
-            (first, *rest), (first_dag, *rest_dag) = stacks[y]
-            np.matmul(first @ part, first_dag, out=out[lo:hi])
-            for k, k_dag in zip(rest, rest_dag):
-                out[lo:hi] += k @ part @ k_dag
+            (k_dag, *rest), part = right[y], out[lo:hi].reshape(-1, d)
+            mine = products[first[y] : first[y + 1], rows[order[lo:hi]]].reshape(len(right[y]), -1, d)
+            np.matmul(mine[0], k_dag, out=part)
+            for m, k_dag in zip(mine[1:], rest):
+                part += m @ k_dag
     # one label's pairs are in order already
     return out if counts.max(initial=0) == len(labels) else out[order.argsort()]
 
@@ -490,7 +503,8 @@ def sample_records(instrument, rho0, steps: int, n: int, rng) -> list[tuple]:
     is ``searchsorted(cdf, u, side="right")`` on the cdf ``Generator.choice``
     builds from the clipped weights, so record ``i`` is the one the ``i``-th of
     ``n`` one-at-a-time draws gives.  A step is one :func:`_conjugate` of the
-    trajectory x label grid.
+    trajectory x label grid: one product per trajectory by every Kraus
+    operator, then one per operator over all trajectories.
     """
     gen = np.random.default_rng(rng)
     rho = as_density(rho0, "rho0")

@@ -19,6 +19,7 @@ from retrosmooth.trajectory import (
     Instrument,
     JumpChannel,
     LindbladSpec,
+    _conjugate,
     apply_conditional,
     discretize,
     enumerate_records,
@@ -410,6 +411,86 @@ class TestTriePasses:
         # a label set that holds an unknown label, after a record with only known ones
         with pytest.raises(UnknownOutcome, match="'x'"):
             walk_records(projective_z(), np.eye(2) / 2, [[("0", "1")], [("0",), ("1", "x")]])
+
+
+def reference_conjugate(instrument, sigma, rows, labels, dim_extra=1, adjoint=False) -> np.ndarray:
+    """Per-pair level step: ``k @ sigma[r] @ k†`` (``k† @ sigma[r] @ k`` for ``adjoint``), summed in Kraus order."""
+    eye, names = np.eye(dim_extra), instrument.outcome_labels
+    out = np.empty((len(rows), *sigma.shape[1:]), dtype=complex)
+    for i, (r, y) in enumerate(zip(rows, labels)):
+        lifted = [tensor(k, eye) for k in instrument.op(names[y]).kraus]
+        first, *rest = [(dag(k), k) if adjoint else (k, dag(k)) for k in lifted]
+        out[i] = first[0] @ sigma[r] @ first[1]
+        for k, k_dag in rest:
+            out[i] += k @ sigma[r] @ k_dag
+    return out
+
+
+class TestConjugate:
+    """:func:`_conjugate`, the level step of every trie pass, has the bits of a per-pair loop."""
+
+    @staticmethod
+    def instrument(rng, dim, real):
+        """1 to 3 outcomes of 1 to 4 random Kraus operators each, scaled to be subnormalized together."""
+        counts = rng.integers(1, 5, size=rng.integers(1, 4))
+        shape = (counts.sum(), dim, dim)
+        kraus = rng.normal(size=shape) + (0 if real else 1j * rng.normal(size=shape))
+        kraus /= np.sqrt(1.01 * np.linalg.eigvalsh(sum(dag(k) @ k for k in kraus))[-1])
+        ops = {str(y): ConditionalOp(tuple(kraus[e - c : e])) for y, (c, e) in enumerate(zip(counts, np.cumsum(counts)))}
+        return Instrument(ops, check=False)
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_bits_of_the_per_pair_step(self, real, adjoint):
+        rng = np.random.default_rng(26 + 2 * real + adjoint)
+        unpaired = set()
+        for _ in range(40):
+            dim, dim_extra = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            inst = self.instrument(rng, dim, real)
+            n_labels, size = len(inst.outcome_labels), dim * dim_extra
+            n_rows = int(rng.integers(1, 6))
+            sigma = rng.normal(size=(n_rows, size, size)) + 1j * rng.normal(size=(n_rows, size, size))
+            # repeated, unsorted rows; the last label has no pairs whenever there are two or more
+            n_pairs = int(rng.integers(1, 12))
+            rows = rng.integers(0, n_rows, size=n_pairs)
+            labels = rng.integers(0, max(n_labels - 1, 1), size=n_pairs)
+            stacks = inst.kraus_stack(dim_extra, adjoint=adjoint)
+            got = _conjugate(stacks, sigma, rows, labels)
+            want = reference_conjugate(inst, sigma, rows, labels, dim_extra, adjoint)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (dim, dim_extra, rows, labels)
+            unpaired.add(n_labels > 1)
+        assert unpaired == {True, False}
+
+    def test_broadcast_sigma_and_empty_pairs(self):
+        # the sampler's first step: one state broadcast over every trajectory, each paired with every label
+        inst = self.instrument(np.random.default_rng(5), 3, real=False)
+        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        sigma = np.broadcast_to(rho, (4, 3, 3))
+        n_labels = len(inst.outcome_labels)
+        rows, labels = np.repeat(np.arange(4), n_labels), np.tile(np.arange(n_labels), 4)
+        got = _conjugate(inst.kraus_stack(), sigma, rows, labels)
+        assert got.tobytes() == reference_conjugate(inst, sigma, rows, labels).tobytes()
+        empty = np.array([], dtype=int)
+        for adjoint in (False, True):
+            assert _conjugate(inst.kraus_stack(adjoint=adjoint), sigma, empty, empty).shape == (0, 3, 3)
+
+    def test_stacked_operators_built_once_and_read_only(self):
+        inst = self.instrument(np.random.default_rng(7), 2, real=False)
+        kraus = [k for op in inst.ops.values() for k in op.kraus]
+        for dim_extra in (1, 2):
+            lifted = [tensor(k, np.eye(dim_extra)) for k in kraus]
+            for adjoint in (False, True):
+                stacks = inst.kraus_stack(dim_extra, adjoint=adjoint)
+                assert inst.kraus_stack(dim_extra, adjoint=adjoint) is stacks
+                left, right = stacks
+                want_left = [dag(k) if adjoint else k for k in lifted]
+                assert left.shape == (len(kraus) * 2 * dim_extra, 2 * dim_extra)
+                assert left.tobytes() == np.concatenate(want_left).tobytes()
+                assert np.concatenate(right).tobytes() == np.stack([k if adjoint else dag(k) for k in lifted]).tobytes()
+                for a in (left, *right):
+                    with pytest.raises(ValueError):
+                        a[0, 0] = 1.0
+        assert inst.kraus_stack(1)[0] is not inst.kraus_stack(1, adjoint=True)[0]
 
 
 def sequential_record(instrument, rho0, steps, gen):
