@@ -22,7 +22,7 @@ from .entropy import no_universal_quantifier_demo
 from .errors import NotClassicalLimit, RetrosmoothError, ScenarioError
 from .linalg import entropy_vn, fidelity, purity, trace_norm
 from .retrodiction import PRIOR_KINDS
-from .sampling import draw_extension, draw_povm
+from .sampling import triple_size
 from .scenario import (
     Scenario,
     demo_scenario,
@@ -196,7 +196,7 @@ def _theorem1_rows(scenario: Scenario | None, seed: int) -> list[dict]:
             d_a = dims_a[int(rng.integers(0, len(dims_a)))]
             n_eff = effect_counts[int(rng.integers(0, len(effect_counts)))]
             shapes.append(f"dq={d_q};da={d_a};effects={n_eff}")
-            yield (*draw_extension(d_q, d_a, rng), draw_povm(d_q, n_eff, rng))
+            yield (d_q, d_a, n_eff), rng.normal(size=triple_size(d_q, d_a, n_eff))
 
     reports = sweeps.theorem1_sweep(draws())
     return [

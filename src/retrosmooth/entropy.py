@@ -24,7 +24,9 @@ ordering between Z and X measurements (see
 :func:`no_universal_quantifier_demo`).
 
 Both averages are evaluated per batch of same-shape triples (:func:`theorem1_batch`); the theorem-1
-sweep of ``entropy-scan`` runs one per shape group, and each row depends only on ``(seed, i)``.
+sweep of ``entropy-scan`` runs one per shape group, and each row depends only on ``(seed, i)``.  The
+sweep hands in the square roots it built the extensions from (:func:`theorem1_from_roots`), and the
+eigenvalues that check each ``gamma`` as a state also give ``S(gamma)``, so no matrix is decomposed twice.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import BOUND_SLACK, WEIGHT_FLOOR, as_density, as_povm, entropy_shannon, entropy_vn
-from .linalg import psd_sqrt, support_basis, support_basis_and_inv_sqrt, tensor
+from .linalg import BOUND_SLACK, WEIGHT_FLOOR, as_density, as_povm, density_spectrum, entropy_shannon, entropy_vn
+from .linalg import psd_sqrt, spectrum_entropy, support_basis, support_basis_and_inv_sqrt, tensor
 from .retrodiction import ChannelRep, FilteredGlobalState, _marginals, _sandwich_marginal, _update, require_marginals
 from .smoothers import build_custom
 
@@ -177,14 +179,39 @@ def theorem1_batch(gammas, blocks, dims: tuple[int, int], povms) -> list[Theorem
     The states, marginals and POVMs are validated once for the batch; each row
     has the bits of its one-row call.  The ordering holds up to ``BOUND_SLACK``.
     """
-    g = as_density(gammas, "gamma")
+    g, spectra, effects = _checked_triples(gammas, blocks, dims, povms)
+    roots = psd_sqrt(blocks.reshape(-1, *blocks.shape[-2:])).reshape(blocks.shape)
+    return _theorem1_reports(g, spectra, psd_sqrt(g), roots, dims, effects)
+
+
+def theorem1_from_roots(gammas, gamma_roots, blocks, roots, dims: tuple[int, int], povms) -> list[Theorem1Report]:
+    """:func:`theorem1_batch`, given ``sqrt(gamma)`` of each state and the square roots of the blocks.
+
+    For a caller that built the extensions from those roots, so that no
+    matrix is decomposed twice.  The inputs are validated as there, and the
+    rows have the same bits.
+    """
+    g, spectra, effects = _checked_triples(gammas, blocks, dims, povms)
+    return _theorem1_reports(g, spectra, gamma_roots, roots, dims, effects)
+
+
+def _checked_triples(gammas, blocks, dims, povms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The validated states, their eigenvalues and the validated POVMs of theorem-1 triples.
+
+    Each state must be a density operator and each extension's marginal its
+    state; the eigenvalues are the ones the density check computed.
+    """
+    g, spectra = density_spectrum(gammas, "gamma")
     flat = blocks.reshape(-1, *blocks.shape[-2:])
     require_marginals(_marginals(flat, dims, [blocks.shape[1]] * len(blocks)), g, "gamma")
-    effects = as_povm(povms, g.shape[-1])
-    roots = psd_sqrt(flat).reshape(blocks.shape)
-    s_trivial = _avg_entropies(*_live_updates(g, psd_sqrt(g)[:, None], (g.shape[-1], 1), effects))
+    return g, spectra, as_povm(povms, g.shape[-1])
+
+
+def _theorem1_reports(g, spectra, gamma_roots, roots, dims, effects) -> list[Theorem1Report]:
+    """Each row's report from its validated triple, the eigenvalues of ``gamma`` and the square roots."""
+    s_trivial = _avg_entropies(*_live_updates(g, gamma_roots[:, None], (g.shape[-1], 1), effects))
     s_ext = _avg_entropies(*_live_updates(g, roots, dims, effects))
-    s_gamma = entropy_vn(g)
+    s_gamma = spectrum_entropy(spectra)
     holds = (s_trivial - BOUND_SLACK <= s_ext) & (s_ext <= s_gamma + BOUND_SLACK)
     fields = (s_trivial, s_ext, s_gamma, s_ext - s_trivial, s_gamma - s_ext, holds)
     return [Theorem1Report(*row) for row in zip(*(f.tolist() for f in fields))]

@@ -115,20 +115,52 @@ def as_hermitian(m, name: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndar
     return h
 
 
-def as_density(m, name: str = "state") -> np.ndarray:
-    """Validate a density operator, or each of a stack ``(n, d, d)``, in one pass.
-
-    A density operator is Hermitian with eigenvalues >= ``-PSD_CLAMP`` and unit trace.
-    """
+def _as_unit_trace(m, name: str) -> np.ndarray:
+    """:func:`as_hermitian`, with each matrix's trace within ``UNIT_TRACE_TOL`` of one."""
     a = as_hermitian(m, name)
     traces = a.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist()
     off = [tr for tr in traces if abs(tr - 1.0) > UNIT_TRACE_TOL]
     if off:
         raise InvalidMatrix(f"{name} has trace {off[0]!r}, expected 1")
-    low = min(np.linalg.eigvalsh(a)[..., :1].ravel().tolist())
+    return a
+
+
+def _require_state_spectrum(w: np.ndarray, name: str) -> None:
+    """Raise :class:`NotPSD` if a state's eigenvalues ``w`` (in either order) go below ``-PSD_CLAMP``."""
+    low = min(w.min(axis=-1).ravel().tolist())
     if low < -PSD_CLAMP:
         raise NotPSD(f"{name} has eigenvalue {low:g} below -{PSD_CLAMP:g}")
-    return a
+
+
+def as_density(m, name: str = "state") -> np.ndarray:
+    """Validate a density operator, or each of a stack ``(n, d, d)``, in one pass.
+
+    A density operator is Hermitian with eigenvalues >= ``-PSD_CLAMP`` and unit trace.
+    """
+    return density_spectrum(m, name)[0]
+
+
+def density_spectrum(m, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
+    """:func:`as_density` and the ascending ``np.linalg.eigvalsh`` eigenvalues its check computes.
+
+    They are the eigenvalues :func:`entropy_vn` takes of the returned state, so
+    :func:`spectrum_entropy` of them is its entropy.
+    """
+    a = _as_unit_trace(m, name)
+    w = np.linalg.eigvalsh(a)
+    _require_state_spectrum(w, name)
+    return a, w
+
+
+def density_sqrt(m, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
+    """:func:`as_density` and :func:`psd_sqrt` of a state or stack, from one eigendecomposition.
+
+    The root has the bits of ``psd_sqrt(as_density(m, name))``.
+    """
+    a = _as_unit_trace(m, name)
+    w, v = _phase_fixed_eigh(a)
+    _require_state_spectrum(w, name)
+    return a, _sqrt_from_eig(w, v)
 
 
 def as_effect(m, name: str = "effect") -> np.ndarray:
@@ -194,7 +226,11 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     non-negligible magnitude is real and positive, making the output
     deterministic (away from degeneracies).
     """
-    a = as_hermitian(m)
+    return _phase_fixed_eigh(as_hermitian(m))
+
+
+def _phase_fixed_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`herm_eig` of an array :func:`as_hermitian` has returned."""
     w, v = np.linalg.eigh(a)
     w = w[..., ::-1].copy()
     v = v[..., ::-1].copy()
@@ -221,7 +257,11 @@ def psd_sqrt(m) -> np.ndarray:
     on rank deficient inputs and the square root would amplify them to ``~1e-7``.
     A zero matrix has the zero root.
     """
-    w, v = herm_eig(m)
+    return _sqrt_from_eig(*herm_eig(m))
+
+
+def _sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`psd_sqrt` from its :func:`herm_eig` output."""
     _require_rootable(w)
     top = w[..., :1]
     w = np.where(w > SQRT_CUT * top, w, 0.0)
@@ -324,8 +364,16 @@ def entropy_vn(rho):
     A stack ``(n, d, d)`` gives an array of ``n`` entropies, each equal to the
     bits of the single-matrix call.
     """
-    a = as_hermitian(rho)
-    w = np.atleast_2d(np.clip(np.linalg.eigvalsh(a), 0.0, None))
+    return spectrum_entropy(np.linalg.eigvalsh(as_hermitian(rho)))
+
+
+def spectrum_entropy(w):
+    """:func:`entropy_vn` of a state from its ascending ``np.linalg.eigvalsh`` eigenvalues ``w``.
+
+    A 2-d ``w``, one row per state of a stack, gives an array of entropies.
+    """
+    ndim = np.ndim(w)
+    w = np.atleast_2d(np.clip(w, 0.0, None))
     # clipped eigenvalues ascend, so the positive ones end each row; summing
     # only that tail, rows grouped by its length, adds in the 1-d order
     positive = np.count_nonzero(w > 0.0, axis=1)
@@ -336,7 +384,7 @@ def entropy_vn(rho):
         s[rows] = -np.sum(tail * np.log(tail), axis=1)
     # max(0.0, x) as the scalar code has it: a -0.0 or negative sum gives +0.0
     s = np.where(s > 0.0, s, 0.0)
-    return s if a.ndim == 3 else float(s[0])
+    return s if ndim == 2 else float(s[0])
 
 
 def entropy_shannon(p) -> float:

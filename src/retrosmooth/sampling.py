@@ -1,8 +1,10 @@
 """Seeded random generators for states, channels, measurements and extensions.
 
 Every function takes an explicit ``numpy.random.Generator`` so that callers
-control determinism; nothing here touches global random state.  ``draw_*``
-functions only draw, and ``*_from`` functions build from one draw or a stack.
+control determinism; nothing here touches global random state.  A theorem-1
+triple (a state, an extension of it and a POVM) is drawn as one vector of
+:func:`triple_size` standard normals, and :func:`triples_from` splits a stack of
+them into their parts; the ``*_from`` functions build from one draw or a stack.
 """
 
 from __future__ import annotations
@@ -63,25 +65,20 @@ def random_kraus_channel(
     return [blocks[:, k, :].copy() for k in range(n_kraus)]
 
 
-def draw_povm(dim: int, n_effects: int, rng: np.random.Generator) -> np.ndarray:
-    """The draws of :func:`random_povm`: one Ginibre matrix per effect, ``(n_effects, dim, dim)``.
-
-    Drawn in one call, in the stream order of one :func:`ginibre` per effect.
-    """
-    g = rng.normal(size=(n_effects, 2, dim, dim))
-    return g[:, 0] + 1j * g[:, 1]
-
-
 def povm_from(g: np.ndarray) -> np.ndarray:
-    """POVM ``(..., k, d, d)`` from :func:`draw_povm` draws: each ``g g†``, normalized by their sum."""
+    """POVM ``(..., k, d, d)`` from one Ginibre matrix per effect: each ``g g†``, normalized by their sum."""
     raw = g @ dag(g)
     w = support_inv_sqrt(sum(np.moveaxis(raw, -3, 0)))[..., None, :, :]  # summed as over a list
     return hermitian_part(w @ raw @ w)
 
 
 def random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> np.ndarray:
-    """Random POVM with ``n_effects`` full-rank effects summing to the identity, as a stack."""
-    return povm_from(draw_povm(dim, n_effects, rng))
+    """Random POVM with ``n_effects`` full-rank effects summing to the identity, as a stack.
+
+    The effects' Ginibre matrices are drawn in one call, in the stream order of one :func:`ginibre` per effect.
+    """
+    g = rng.normal(size=(n_effects, 2, dim, dim))
+    return povm_from(g[:, 0] + 1j * g[:, 1])
 
 
 def random_instrument(
@@ -93,22 +90,17 @@ def random_instrument(
     return Instrument({str(y): ConditionalOp(kraus[y * k : (y + 1) * k]) for y in range(n_outcomes)})
 
 
-def draw_extension(dim_q: int, dim_a: int, rng: np.random.Generator):
-    """The draws of :func:`random_density`, then of :func:`random_extension`, in stream order."""
-    d = dim_q * dim_a
-    return ginibre((dim_q, dim_q), rng), random_pure_state(d * d, rng).reshape(d, d)
-
-
-def extension_from(gamma: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def extension_from(root: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Extension of ``gamma`` from a pure state ``psi`` on ``Q (x) A (x) R``, as ``(d_q d_a, d_R)``.
 
-    ``R`` is traced out, and ``sqrt(gamma) m^{-1/2} (x) I`` pins the marginal ``m`` to ``gamma``.
+    ``root`` is ``sqrt(gamma)``.  ``R`` is traced out, and ``sqrt(gamma) m^{-1/2} (x) I``
+    pins the marginal ``m`` to ``gamma``.
     """
-    d_q = gamma.shape[-1]
+    d_q = root.shape[-1]
     dim_a = psi.shape[-2] // d_q
     joint = hermitian_part(psi @ dag(psi))
     marginal = partial_trace(joint, (d_q, dim_a), "Q")
-    corr = tensor(psd_sqrt(gamma) @ support_inv_sqrt(marginal), np.eye(dim_a))
+    corr = tensor(root @ support_inv_sqrt(marginal), np.eye(dim_a))
     out = hermitian_part(corr @ joint @ dag(corr))
     return out / np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
 
@@ -116,4 +108,32 @@ def extension_from(gamma: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def random_extension(gamma: np.ndarray, dim_a: int, rng: np.random.Generator) -> np.ndarray:
     """Random joint state on ``Q (x) A`` whose marginal on ``Q`` equals ``gamma``."""
     d = gamma.shape[0] * dim_a
-    return extension_from(gamma, random_pure_state(d * d, rng).reshape(d, d))
+    return extension_from(psd_sqrt(gamma), random_pure_state(d * d, rng).reshape(d, d))
+
+
+def triple_size(dim_q: int, dim_a: int, n_effects: int) -> int:
+    """The number of standard normals one theorem-1 triple draws; see :func:`triples_from`."""
+    return 2 * dim_q * dim_q * (1 + n_effects) + 2 * (dim_q * dim_a) ** 2
+
+
+def triples_from(rows: np.ndarray, dim_q: int, dim_a: int, n_effects: int):
+    """The parts of stacked theorem-1 draws ``(n, triple_size)``, as complex stacks.
+
+    Each row holds, in stream order, the draws of :func:`random_density`
+    (``dim_q``), of :func:`random_extension`'s pure state on
+    ``(dim_q dim_a)**2`` and of :func:`random_povm` (``dim_q``, ``n_effects``),
+    so one ``rng.normal`` call draws what those three make.  Returns the
+    Ginibre matrices ``(n, dim_q, dim_q)``, the unit pure states
+    ``(n, D, D)`` with ``D = dim_q dim_a`` and the effects' Ginibre matrices
+    ``(n, n_effects, dim_q, dim_q)``, each with the bits of its own draw.
+    """
+    n, q, d = len(rows), dim_q, dim_q * dim_a
+    cut = 2 * q * q + 2 * d * d
+    g = rows[:, : 2 * q * q].reshape(n, 2, q, q)
+    v = rows[:, 2 * q * q : cut].reshape(n, 2, d * d)
+    e = rows[:, cut:].reshape(n, n_effects, 2, q, q)
+    g, v, e = g[:, 0] + 1j * g[:, 1], v[:, 0] + 1j * v[:, 1], e[:, :, 0] + 1j * e[:, :, 1]
+    # one dot of the strided real and imaginary views per row, as np.linalg.norm sums a vector
+    re, im = v.real[:, None], v.imag[:, None]
+    norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0])
+    return g, (v / norms).reshape(n, d, d), e

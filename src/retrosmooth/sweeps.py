@@ -22,9 +22,11 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
   with forward-backward smoothing at every split of every record: one table
   holds every (record, split) as a (past, future), and one pass smooths it.
 * :func:`theorem1_sweep` checks the extremal entropy bounds on random
-  extensions: the callers draw each triple on its own, so each row depends
-  only on its own draw, and the sweep builds and checks the draws per shape
-  group in stacked passes, each row with the bits of its one-row evaluation.
+  extensions: the callers draw each triple on its own, as one vector of
+  standard normals, so each row depends only on its own draw.  The sweep
+  splits, builds and checks the draws per shape group in stacked passes that
+  decompose each matrix once, each row with the bits of its one-row
+  evaluation.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import classical_smooth_all
-from .entropy import Theorem1Report, sandwich_bound, theorem1_batch
+from .entropy import Theorem1Report, sandwich_bound, theorem1_from_roots
 from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
-from .linalg import WEIGHT_FLOOR, as_density, entropy_vn, trace_norm
+from .linalg import WEIGHT_FLOOR, density_sqrt, entropy_vn, psd_sqrt, trace_norm
 from .retrodiction import FilteredGlobalState, generalized_smooth
-from .sampling import density_from, extension_from, povm_from
+from .sampling import density_from, extension_from, povm_from, triples_from
 from .smoothers import build_priors
 from .trajectory import enumerate_records, filter_records, retrofilter_records
 
@@ -244,38 +246,47 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     return worst, len(records)
 
 
-def _theorem1_pass(draws: list) -> list[Theorem1Report]:
-    """Build same-shape draws into triples and check them in one stacked pass."""
-    g, psi, e = (np.stack(a) for a in zip(*draws))
+def _theorem1_pass(shape: tuple[int, int, int], rows: list) -> list[Theorem1Report]:
+    """Build same-shape draws into triples and check them in one stacked pass.
+
+    Each matrix is decomposed once: ``sqrt(gamma)`` builds the extension and
+    the trivial update, and one eigendecomposition of each extension both
+    checks it as a state and gives its root.
+    """
+    d_q, d_a, n_eff = shape
+    g, psi, e = triples_from(np.stack(rows), d_q, d_a, n_eff)
     gamma = density_from(g)
-    ext = as_density(extension_from(gamma, psi), "extension")
-    dims = (g.shape[-1], psi.shape[-1] // g.shape[-1])
-    return theorem1_batch(gamma, ext[:, None], dims, povm_from(e))
+    root = psd_sqrt(gamma)
+    ext, ext_root = density_sqrt(extension_from(root, psi), "extension")
+    return theorem1_from_roots(gamma, root, ext[:, None], ext_root[:, None], (d_q, d_a), povm_from(e))
 
 
 def theorem1_sweep(draws) -> list[Theorem1Report]:
     """Theorem-1 reports of random triples, from an iterable of their draws, in draw order.
 
-    Each draw is ``(*sampling.draw_extension(...), sampling.draw_povm(...))``.
-    Draws of one shape are checked together as soon as their outcomes'
-    sandwiches fill ``THEOREM1_PASS_ENTRIES`` entries, and the rest at the end,
-    so the draws held and the stacks built stay small for any number of rows.
+    Each draw is ``((dim_q, dim_a, n_effects), row)``: the triple's shape and
+    one vector of ``sampling.triple_size(dim_q, dim_a, n_effects)`` standard
+    normals, split by :func:`~retrosmooth.sampling.triples_from`.  Draws of one
+    shape are checked together as soon as their outcomes' sandwiches fill
+    ``THEOREM1_PASS_ENTRIES`` entries, and the rest at the end, so the draws
+    held and the stacks built stay small for any number of rows.
     """
     reports: list = []
     pending: defaultdict[tuple, list] = defaultdict(list)
 
-    def check(rows):
-        for (i, _), report in zip(rows, _theorem1_pass([draw for _, draw in rows])):
+    def check(shape, rows):
+        for (i, _), report in zip(rows, _theorem1_pass(shape, [row for _, row in rows])):
             reports[i] = report
         rows.clear()
 
-    for i, (g, psi, e) in enumerate(draws):
+    for i, (shape, row) in enumerate(draws):
         reports.append(None)
-        rows = pending[g.shape, psi.shape, e.shape]
-        rows.append((i, (g, psi, e)))
-        if len(rows) * len(e) * psi.size >= THEOREM1_PASS_ENTRIES:
-            check(rows)
-    for rows in pending.values():
+        rows = pending[shape]
+        rows.append((i, row))
+        d_q, d_a, n_eff = shape
+        if len(rows) * n_eff * (d_q * d_a) ** 2 >= THEOREM1_PASS_ENTRIES:
+            check(shape, rows)
+    for shape, rows in pending.items():
         if rows:
-            check(rows)
+            check(shape, rows)
     return reports

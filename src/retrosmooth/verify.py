@@ -244,9 +244,12 @@ def check_theorem1(seed: int = 3, n: int = 60) -> CheckResult:
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(n):
-        d_q = int(rng.integers(2, 4))
-        extension = sampling.draw_extension(d_q, int(rng.integers(2, 5)), rng)
-        draws.append((*extension, sampling.draw_povm(d_q, int(rng.integers(2, 5)), rng)))
+        d_q, d_a = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        # the state and extension are drawn before the effect count; the row is both draws, in order
+        head = rng.normal(size=sampling.triple_size(d_q, d_a, 0))
+        n_eff = int(rng.integers(2, 5))
+        tail = rng.normal(size=sampling.triple_size(d_q, d_a, n_eff) - len(head))
+        draws.append(((d_q, d_a, n_eff), np.concatenate([head, tail])))
     worst = 0.0
     for report in sweeps.theorem1_sweep(draws):
         worst = max(worst, max(-report.lower_margin, -report.upper_margin, 0.0))

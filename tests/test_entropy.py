@@ -1,3 +1,5 @@
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,13 @@ from retrosmooth.linalg import (
     BOUND_SLACK,
     RANK_TOL,
     WEIGHT_FLOOR,
+    as_density,
+    dag,
     entropy_vn,
     hermitian_part,
     partial_trace,
+    psd_sqrt,
+    support_inv_sqrt,
     tensor,
     trace_norm,
 )
@@ -351,10 +357,77 @@ def reference_choi(ext, gamma):
     return choi
 
 
-def theorem1_scenario(n):
+def theorem1_scenario(n, **config):
     doc = dict(demo_scenario().raw)
-    doc["theorem1"] = {"n_extensions": n}
+    doc["theorem1"] = {"n_extensions": n, **config}
     return Scenario.from_dict(doc)
+
+
+def draw_extension(dim_q, dim_a, rng):
+    """Per-part draws: a Ginibre matrix, then a unit pure state, each in one call."""
+    d = dim_q * dim_a
+    return sampling.ginibre((dim_q, dim_q), rng), sampling.random_pure_state(d * d, rng).reshape(d, d)
+
+
+def draw_povm(dim, n_effects, rng):
+    """Per-part draws: one Ginibre matrix per effect, in one call."""
+    g = rng.normal(size=(n_effects, 2, dim, dim))
+    return g[:, 0] + 1j * g[:, 1]
+
+
+def reference_extension_from(gamma, psi):
+    """An extension of ``gamma`` from a pure state, with ``sqrt(gamma)`` taken here."""
+    d_q = gamma.shape[-1]
+    dim_a = psi.shape[-2] // d_q
+    joint = hermitian_part(psi @ dag(psi))
+    marginal = partial_trace(joint, (d_q, dim_a), "Q")
+    corr = tensor(psd_sqrt(gamma) @ support_inv_sqrt(marginal), np.eye(dim_a))
+    out = hermitian_part(corr @ joint @ dag(corr))
+    return out / np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def reference_pass(draws):
+    """Per-part draws of one shape built and checked in one stacked pass, each matrix decomposed where it is used."""
+    g, psi, e = (np.stack(a) for a in zip(*draws))
+    gamma = sampling.density_from(g)
+    ext = as_density(reference_extension_from(gamma, psi), "extension")
+    dims = (g.shape[-1], psi.shape[-1] // g.shape[-1])
+    return theorem1_batch(gamma, ext[:, None], dims, sampling.povm_from(e))
+
+
+def reference_theorem1_rows(scenario, seed):
+    """``entropy-scan --theorem1`` rows from per-part draws, one unbounded pass per shape group."""
+    n, dims_q, dims_a, effect_counts = scenario.theorem1
+    shapes, groups = [], defaultdict(list)
+    for i in range(n):
+        rng = np.random.default_rng([seed, i])
+        d_q = dims_q[int(rng.integers(0, len(dims_q)))]
+        d_a = dims_a[int(rng.integers(0, len(dims_a)))]
+        n_eff = effect_counts[int(rng.integers(0, len(effect_counts)))]
+        shapes.append(f"dq={d_q};da={d_a};effects={n_eff}")
+        groups[d_q, d_a, n_eff].append((i, (*draw_extension(d_q, d_a, rng), draw_povm(d_q, n_eff, rng))))
+    reports = [None] * n
+    for group in groups.values():
+        for (i, _), report in zip(group, reference_pass([draw for _, draw in group]), strict=True):
+            reports[i] = report
+    return [
+        {
+            "kind": "theorem1",
+            "id": f"ext-{i:04d}",
+            "record": shape,
+            "avg_entropy": r.avg_entropy_extension,
+            "lower": r.avg_entropy_trivial,
+            "upper": r.entropy_marginal,
+            "lower_margin": r.lower_margin,
+            "upper_margin": r.upper_margin,
+            "within_bounds": r.ordering_holds,
+        }
+        for i, (shape, r) in enumerate(zip(shapes, reports))
+    ]
+
+
+def row_draw(rng, d_q, d_a, n_eff):
+    return (d_q, d_a, n_eff), rng.normal(size=sampling.triple_size(d_q, d_a, n_eff))
 
 
 class TestBatchedTheorem1:
@@ -367,7 +440,7 @@ class TestBatchedTheorem1:
             d_q = (2, 3)[rng.integers(0, 2)]
             d_a, n_eff = ((2, 3, 4)[rng.integers(0, 3)] for _ in range(2))
             state = rng.bit_generator.state
-            draws.append((*sampling.draw_extension(d_q, d_a, rng), sampling.draw_povm(d_q, n_eff, rng)))
+            draws.append(row_draw(rng, d_q, d_a, n_eff))
             rng.bit_generator.state = state
             gamma = sampling.random_density(d_q, rng)
             ext = build_custom(sampling.random_extension(gamma, d_a, rng), (d_q, d_a))
@@ -383,11 +456,11 @@ class TestBatchedTheorem1:
             for i in range(60):
                 rng = np.random.default_rng([31, i])
                 d_q, d_a, n_eff = (2, 3)[rng.integers(0, 2)], (2, 3, 4)[rng.integers(0, 3)], (2, 3, 4)[rng.integers(0, 3)]
-                yield (*sampling.draw_extension(d_q, d_a, rng), sampling.draw_povm(d_q, n_eff, rng))
+                yield row_draw(rng, d_q, d_a, n_eff)
 
         passes = []
         one_pass = sweeps._theorem1_pass
-        monkeypatch.setattr(sweeps, "_theorem1_pass", lambda rows: passes.append(len(rows)) or one_pass(rows))
+        monkeypatch.setattr(sweeps, "_theorem1_pass", lambda shape, rows: passes.append(len(rows)) or one_pass(shape, rows))
         whole = sweeps.theorem1_sweep(draws())
         n_shapes = len(passes)
         # a one-entry bound checks every draw in the draw loop, in a pass of its own
@@ -401,19 +474,80 @@ class TestBatchedTheorem1:
             # real parts, then imaginary parts, in two calls
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        for seed in range(8):
-            for d_q, d_a, n_eff in [(2, 2, 2), (3, 4, 3), (2, 3, 4)]:
-                rng, ref = np.random.default_rng([seed, d_q]), np.random.default_rng([seed, d_q])
-                g, psi = sampling.draw_extension(d_q, d_a, rng)
-                effects = sampling.draw_povm(d_q, n_eff, rng)
-                d = d_q * d_a
-                assert g.tobytes() == per_part_ginibre((d_q, d_q), ref).tobytes()
-                v = per_part_ginibre(d * d, ref)
+        for d_q, d_a, n_eff in [(2, 2, 2), (3, 4, 3), (2, 3, 4), (1, 1, 1), (1, 3, 4), (5, 5, 1), (2, 1, 3)]:
+            d = d_q * d_a
+            rows, parts = [], []
+            for seed in range(20):
+                rng, ref, two = (np.random.default_rng([seed, d_q]) for _ in range(3))
+                rows.append(row_draw(rng, d_q, d_a, n_eff)[1])
+                g, psi = draw_extension(d_q, d_a, ref)
+                effects = draw_povm(d_q, n_eff, ref)
+                assert g.tobytes() == per_part_ginibre((d_q, d_q), two).tobytes()
+                v = per_part_ginibre(d * d, two)
                 assert psi.tobytes() == (v / np.linalg.norm(v)).reshape(d, d).tobytes()
-                want = np.stack([per_part_ginibre((d_q, d_q), ref) for _ in range(n_eff)])
-                assert effects.tobytes() == want.tobytes()
-                # both streams stand at the same place
-                assert rng.random() == ref.random()
+                assert effects.tobytes() == np.stack([per_part_ginibre((d_q, d_q), two) for _ in range(n_eff)]).tobytes()
+                parts.append((g, psi, effects))
+                # the three streams stand at the same place
+                assert rng.random() == ref.random() == two.random()
+            # the stacked split gives each row's per-part draws, the pure state normalized with np.linalg.norm's bits
+            for got, want in zip(sampling.triples_from(np.stack(rows), d_q, d_a, n_eff), zip(*parts), strict=True):
+                assert got.shape == (len(rows), *want[0].shape)
+                assert got.tobytes() == np.stack(want).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 11, 41, 71])
+    def test_rows_have_the_bits_of_per_part_draws_and_passes(self, seed):
+        sc = theorem1_scenario(300)
+        rows = cli._theorem1_rows(sc, seed)
+        assert len(rows) == 300
+        for got, want in zip(rows, reference_theorem1_rows(sc, seed), strict=True):
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "n, config",
+        [
+            (0, {}),
+            (60, {"dim_q": [1], "dim_a": [1], "n_effects": [1]}),
+            (60, {"dim_q": [1], "dim_a": [3], "n_effects": [4]}),
+            (60, {"dim_q": [5], "dim_a": [5], "n_effects": [1]}),
+            (60, {"dim_q": [2], "dim_a": [1]}),
+        ],
+    )
+    def test_rows_have_the_bits_of_per_part_draws_on_edge_shapes(self, n, config):
+        sc = theorem1_scenario(n, **config)
+        for seed in (0, 11):
+            rows = cli._theorem1_rows(sc, seed)
+            assert len(rows) == n
+            for got, want in zip(rows, reference_theorem1_rows(sc, seed), strict=True):
+                assert repr(got) == repr(want)
+
+    def test_each_matrix_is_decomposed_once(self, monkeypatch):
+        # per row: sqrt(gamma), the marginal's and the POVM sum's inverse roots and the extension's root
+        # are one eigh each; gamma's spectrum, its k effects' and its 2k updated states' one eigvalsh each
+        counts = {"eigh": Counter(), "eigvalsh": Counter()}
+
+        def counted(name, fn):
+            def call(a, *args, **kwargs):
+                a = np.asarray(a)
+                counts[name][a.shape[-1]] += int(np.prod(a.shape[:-2]))
+                return fn(a, *args, **kwargs)
+
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        groups = defaultdict(list)
+        for i in range(400):
+            rng = np.random.default_rng([29, i])
+            d_q, d_a, n_eff = (2, 3)[rng.integers(0, 2)], (2, 3, 4)[rng.integers(0, 3)], (2, 3, 4)[rng.integers(0, 3)]
+            groups[d_q, d_a, n_eff].append(row_draw(rng, d_q, d_a, n_eff))
+        assert len(groups) == 18
+        for (d_q, d_a, n_eff), draws in groups.items():
+            for c in counts.values():
+                c.clear()
+            assert all(r.ordering_holds for r in sweeps.theorem1_sweep(draws))
+            n, big = len(draws), d_q * d_a
+            assert counts["eigh"] == {d_q: 3 * n, big: n}, (d_q, d_a, n_eff)
+            assert counts["eigvalsh"] == {d_q: (1 + 3 * n_eff) * n}, (d_q, d_a, n_eff)
 
     def test_live_outcome_mask_and_support_cut(self):
         rng = np.random.default_rng(31)
