@@ -34,7 +34,8 @@ ISOMETRY_TOL         1e-10  ``|V†V - I|`` of an ancilla isometry (InvalidFacto
 MARGINAL_TOL         1e-9   ``|Tr_A Gamma - rho|`` of an extension (InvalidExtension)
 LEAKAGE_TOL          1e-8   evidence weight outside the prior's support (EvidenceOutsideSupport)
 BOUND_SLACK          1e-9   slack of the entropy sandwich and theorem-1 orderings (reported)
-RANK_TOL             1e-10  support cut, relative to the largest eigenvalue
+RANK_TOL             1e-10  support cut, relative to the largest eigenvalue; rank-one cut of
+                            :func:`rank_one_range`, relative to the largest singular value
 SQRT_CUT             1e-14  relative eigenvalue at or below which :func:`psd_sqrt` takes zero
 PHASE_LEAD           1e-12  component magnitude on which :func:`herm_eig` fixes each phase
 WEIGHT_FLOOR         1e-14  probability or trace weight that counts as zero (ZeroProbabilityRecord)
@@ -79,6 +80,24 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
     """The ranges ``lo[k] : lo[k] + n[k]``, concatenated."""
     return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
+def _sum_runs(stack: np.ndarray, counts) -> np.ndarray:
+    """The sum of each run of ``counts[i]`` consecutive matrices of ``stack``, with the bits of ``run.sum(axis=0)``.
+
+    Runs of one length are summed in one call.
+    """
+    counts = np.asarray(counts)
+    lengths = set(counts.tolist())
+    if len(lengths) == 1:
+        return stack.reshape(len(counts), -1, *stack.shape[1:]).sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    out = np.empty((len(counts), *stack.shape[1:]), dtype=stack.dtype)
+    for n in lengths:
+        runs = np.flatnonzero(counts == n)
+        rows = (starts[runs, None] + np.arange(n)).reshape(-1)
+        out[runs] = stack[rows].reshape(len(runs), n, *stack.shape[1:]).sum(axis=1)
+    return out
 
 
 def require_finite(a: np.ndarray, name: str) -> None:
@@ -127,7 +146,7 @@ def _as_unit_trace(m, name: str) -> np.ndarray:
 
 def _require_state_spectrum(w: np.ndarray, name: str) -> None:
     """Raise :class:`NotPSD` if a state's eigenvalues ``w`` (in either order) go below ``-PSD_CLAMP``."""
-    low = min(w.min(axis=-1).ravel().tolist())
+    low = float(w.min(initial=np.inf))
     if low < -PSD_CLAMP:
         raise NotPSD(f"{name} has eigenvalue {low:g} below -{PSD_CLAMP:g}")
 
@@ -193,7 +212,7 @@ def as_povm(effects, dim: int) -> np.ndarray:
     if a.ndim not in (3, 4) or a.shape[-2:] != (dim, dim) or not a.shape[-3]:
         raise InvalidPOVM(needs)
     stack = as_effect(a.reshape(-1, dim, dim), "POVM effect").reshape(a.shape)
-    if np.abs(stack.sum(axis=-3) - np.eye(dim)).max() > IDENTITY_TOL:
+    if np.abs(stack.sum(axis=-3) - np.eye(dim)).max(initial=0.0) > IDENTITY_TOL:
         raise InvalidPOVM("effects do not sum to the identity")
     return stack
 
@@ -275,8 +294,23 @@ def _support(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     For a stack each matrix is cut relative to its own top eigenvalue.
     """
     w, v = herm_eig(m)
-    top = w[..., :1]
-    return w, v, (w > RANK_TOL * top) & (top > 0.0)
+    return w, v, _above_cut(w)
+
+
+def _above_cut(values: np.ndarray) -> np.ndarray:
+    """Which of descending ``values`` (per row, for a stack) lie above ``RANK_TOL`` times a positive first one."""
+    top = values[..., :1]
+    return (values > RANK_TOL * top) & (top > 0.0)
+
+
+def rank_one_range(m) -> np.ndarray | None:
+    """The unit vector spanning the range of a rank-one matrix ``m``, or ``None`` when ``m`` is not rank one.
+
+    Rank one means one singular value above the support cut of the
+    singular values: ``RANK_TOL`` times the largest, which is positive.
+    """
+    u, s, _ = np.linalg.svd(np.asarray(m, dtype=complex))
+    return u[:, 0] if np.count_nonzero(_above_cut(s)) == 1 else None
 
 
 def support_basis(m) -> np.ndarray:

@@ -56,6 +56,7 @@ from .linalg import (
     PROB_SUM_TOL,
     WEIGHT_FLOOR,
     _ranges,
+    _sum_runs,
     as_density,
     as_effect,
     as_hermitian,
@@ -71,6 +72,7 @@ from .linalg import (
     support_basis_and_inv_sqrt,
     tensor,
 )
+from .trajectory import Merged
 
 PRIOR_KINDS = ("pf", "gw", "gw-variant", "pf-variant", "clhs", "custom")
 
@@ -210,24 +212,6 @@ def require_marginals(marginals, rhos, what: str) -> None:
     gap = float(np.abs(marginals - np.asarray(rhos, dtype=complex)).max(initial=0.0))
     if gap > MARGINAL_TOL:
         raise InvalidExtension(f"extension marginal deviates from {what} by {gap:.3e}")
-
-
-def _sum_runs(stack: np.ndarray, counts) -> np.ndarray:
-    """The sum of each run of ``counts[i]`` consecutive matrices of ``stack``, with the bits of ``run.sum(axis=0)``.
-
-    Runs of one length are summed in one call.
-    """
-    counts = np.asarray(counts)
-    lengths = set(counts.tolist())
-    if len(lengths) == 1:
-        return stack.reshape(len(counts), -1, *stack.shape[1:]).sum(axis=1)
-    starts = np.cumsum(counts) - counts
-    out = np.empty((len(counts), *stack.shape[1:]), dtype=stack.dtype)
-    for n in lengths:
-        runs = np.flatnonzero(counts == n)
-        rows = (starts[runs, None] + np.arange(n)).reshape(-1)
-        out[runs] = stack[rows].reshape(len(runs), n, *stack.shape[1:]).sum(axis=1)
-    return out
 
 
 def _marginals(blocks: np.ndarray, dims: tuple[int, int], counts) -> np.ndarray:
@@ -430,11 +414,19 @@ def bob_posterior(prior: FilteredGlobalState, effect) -> np.ndarray:
     ``gw`` and ``gw-variant`` kinds); the returned probabilities align with
     ``prior.block_labels``.  Equals the diagonal of the record register of
     the smoothed global state.
+
+    A prior with a merged block (a label holding a
+    :class:`~retrosmooth.trajectory.Merged` entry) raises
+    :class:`MissingClassicalRegister` too: that block sums every bob record
+    that ended in one reset, so the register no longer tells those records
+    apart, and no block's weight is the posterior of one record.
     """
     if prior.kind not in ("gw", "gw-variant"):
         raise MissingClassicalRegister(
             f"prior kind {prior.kind!r} carries no classical record register"
         )
+    if any(isinstance(entry, Merged) for label in prior.block_labels for entry in label):
+        raise MissingClassicalRegister("the record register merges bob records at reset steps")
     e, norm = _effect_and_norm(prior, effect)
     lifted = tensor(e, np.eye(prior.dim_a1))
     probs = np.trace(prior.blocks @ lifted, axis1=1, axis2=2).real

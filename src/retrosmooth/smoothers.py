@@ -44,7 +44,7 @@ import numpy as np
 from .errors import EnumerationTooLarge, InvalidFactorization, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import ISOMETRY_TOL, WEIGHT_FLOOR, as_density, dag, hermitian_part, purify, tensor
 from .retrodiction import FilteredGlobalState
-from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, filter as filter_state, walk_records
+from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, Merged, filter as filter_state, walk_records
 
 # each register kind's (bob's partition, whether rho0 is purified): bob tells apart every Kraus name
 # ("finest") or only alice's outcomes ("coarsest")
@@ -61,7 +61,13 @@ class TrueStateBranch:
 
 
 def _bob_branches(
-    instrument: Instrument, initial: np.ndarray, pasts, dim_extra: int, cap: int, partition: str = "finest"
+    instrument: Instrument,
+    initial: np.ndarray,
+    pasts,
+    dim_extra: int,
+    cap: int,
+    partition: str = "finest",
+    merge: bool = False,
 ) -> list:
     """Every bob record compatible with each alice past, in one :func:`walk_records` pass.
 
@@ -71,16 +77,25 @@ def _bob_branches(
     Per past: the bob records of the surviving (not exactly zero) branches in
     lexicographic order and the stack of their operators, or the
     :class:`EnumerationTooLarge` of a past whose records, counted before any
-    is dropped, exceed the cap.
+    is dropped, exceed the cap.  With ``merge`` the walk merges branches at
+    reset steps, and a merged branch's record starts with the
+    :class:`~retrosmooth.trajectory.Merged` entry of bob's labels at its last
+    merge.
     """
     finest = partition == "finest"
     options = {y: [(y, u) for u in sorted(instrument.op(y).names)] if finest else [y] for past in pasts for y in past}
     steps = [[options[y] for y in past] for past in pasts]
-    found = walk_records(instrument.joint if finest else instrument, initial, steps, dim_extra=dim_extra, cap=cap)
+    walked = instrument.joint if finest else instrument
+    found = walk_records(walked, initial, steps, dim_extra=dim_extra, cap=cap, merge=merge)
     return [
-        f if isinstance(f, EnumerationTooLarge) else ([tuple(u for _, u in r) if finest else () for r in f[0]], f[1])
+        f if isinstance(f, EnumerationTooLarge) else ([_bob_record(r) if finest else () for r in f[0]], f[1])
         for f in found
     ]
+
+
+def _bob_record(joint_record) -> tuple:
+    """Bob's part of a record of the joint view: each ``(alice, bob)`` label's ``bob``, and a merged entry's."""
+    return tuple(Merged(tuple(u for _, u in y.labels)) if isinstance(y, Merged) else y[1] for y in joint_record)
 
 
 def _one(found):
@@ -140,6 +155,15 @@ def build_priors(kind: str, instrument: Instrument, rho0, pasts, rho_fs, cap=DEF
     so and from ``rho0`` itself otherwise: each register branch holds the
     joint-record conditioned state of the system (and the purifying ancilla),
     the weights normalized by the probability of the alice record.
+
+    The pass merges the branches of a past that end in one reset (see
+    :func:`~retrosmooth.trajectory.walk_records`): a block is then the sum
+    of every bob record that took one reset class at that step, labelled by
+    a :class:`~retrosmooth.trajectory.Merged` entry, and its share of every
+    smoothed state is the sum of theirs.  A block that is one bob record
+    keeps that record as its label.  So the register grows with the time
+    since the last reset, not with the number of bob records, and the cap
+    counts merged branches.
     """
     if kind in ("pf", "clhs"):
         return [_attempt(build_pf if kind == "pf" else build_clhs, rho_f) for rho_f in rho_fs]
@@ -149,7 +173,7 @@ def build_priors(kind: str, instrument: Instrument, rho0, pasts, rho_fs, cap=DEF
         raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
     partition, purified = REGISTERS[kind]
     initial, rank = purified_initial(rho0) if purified else (as_density(rho0, "rho0"), 1)
-    branches = _bob_branches(instrument, initial, pasts, rank, cap, partition)
+    branches = _bob_branches(instrument, initial, pasts, rank, cap, partition, merge=True)
     return [_attempt(_register_state, found, instrument.dim, rank, kind) for found in branches]
 
 

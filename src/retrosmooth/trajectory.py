@@ -44,7 +44,8 @@ from .errors import (
     ZeroProbabilityRecord,
 )
 from .linalg import IDENTITY_TOL, SUBNORMAL_TOL, WEIGHT_FLOOR, as_density, as_square, dag, kraus_gram
-from .linalg import _ranges, completeness_defect, hermitian_part, psd_sqrt, require_complete, require_finite, tensor
+from .linalg import _ranges, _sum_runs, completeness_defect, hermitian_part, psd_sqrt, rank_one_range, require_complete
+from .linalg import require_finite, tensor
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -143,6 +144,31 @@ class Instrument:
             rows = np.concatenate(left).reshape(-1, left[0].shape[-1])
             self._kraus_stacks[dim_extra, adjoint] = _frozen(rows), [_frozen(k) for k in right]
         return self._kraus_stacks[dim_extra, adjoint]
+
+    @cached_property
+    def reset_classes(self) -> np.ndarray:
+        """Each outcome label's reset class, or ``-1`` for a label that is not a reset, in label order.
+
+        A label is a *reset* when its Kraus operators are all rank one with
+        one shared range vector ``|a⟩``: whatever the state, it leaves a
+        multiple of ``|a⟩⟨a|``.  Labels whose ``|a⟩`` agree up to phase form
+        one class, numbered in label order.  Both tests are
+        :func:`~retrosmooth.linalg.rank_one_range`: of the label's operators
+        side by side, and of two range vectors side by side.  Found on first
+        use and kept, read-only.
+        """
+        targets, found = [], []
+        for op in self.ops.values():
+            a = rank_one_range(np.concatenate(op.kraus, axis=1))
+            if a is None:
+                found.append(-1)
+                continue
+            same = (c for c, b in enumerate(targets) if rank_one_range(np.stack([b, a], axis=1)) is not None)
+            found.append(next(same, len(targets)))
+            targets += [a] if found[-1] == len(targets) else []
+        classes = np.array(found, dtype=int)
+        classes.setflags(write=False)
+        return classes
 
     @property
     def outcome_labels(self) -> tuple:
@@ -351,6 +377,17 @@ def retrofilter_records(instrument, records) -> list[np.ndarray]:
     return found
 
 
+@dataclass(frozen=True)
+class Merged:
+    """The first entry of a merged branch's record: the labels of one reset class at its last merge.
+
+    The branch is the sum of every branch of its trie row that took one of
+    ``labels`` at that step; the entries after it are the labels taken since.
+    """
+
+    labels: tuple
+
+
 def walk_records(
     instrument,
     initial,
@@ -358,6 +395,7 @@ def walk_records(
     *,
     dim_extra: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
+    merge: bool = False,
 ) -> list:
     """Every branch of each of a table of records whose step ``i`` is a set of labels, in one pass.
 
@@ -371,27 +409,57 @@ def walk_records(
     bits whatever table it is in, or the :class:`EnumerationTooLarge` of a
     record whose branches, counted before any is dropped, exceed ``cap``:
     such a record expands nothing.
+
+    With ``merge``, after the zeros are dropped, the branches of one trie row
+    that took labels of one reset class (:attr:`Instrument.reset_classes`)
+    at a level become one branch where the first of them was: the sum of
+    their operators, added in branch order.  After a reset to ``|a⟩`` a
+    branch is ``|a⟩⟨a|`` tensored with an ancilla operator that no later
+    step touches, so its share of any smoothed state is fixed by its trace:
+    the merge is exact in exact arithmetic, and it needs no tolerance on
+    branch data.  A group of one is left as it is, so a walk with no two
+    branches of one class in a row has the bits of the unmerged walk.  A
+    merged branch's record is the :class:`Merged` entry of its last merge,
+    then the labels taken since.  The cap then counts the branches that the
+    merged walk can hold: ``b_0 = 1`` and ``b_{t+1} = b_t * (non-reset
+    labels of step t) + (reset classes among them)``, which is the number of
+    records when no label is a reset.
     """
     records = [tuple(map(tuple, r)) for r in records]
+    names = list(instrument.outcome_labels)  # then the Merged entries, as they are made
+    classes = instrument.reset_classes if merge else None
+    merge = merge and bool((classes >= 0).any())
+    reset = dict(zip(names, classes.tolist())) if merge else {}
     found: list = [None] * len(records)
     live = []
     for i, r in enumerate(records):
         n_records = math.prod(map(len, r))
-        if n_records > cap:
-            found[i] = EnumerationTooLarge(f"{n_records} records exceed the cap of {cap}")
+        n_branches = _merged_count(r, reset) if merge and n_records > cap else n_records
+        if n_branches > cap:
+            what = "records" if n_branches == n_records else "merged branches"
+            found[i] = EnumerationTooLarge(f"{n_branches} {what} exceed the cap of {cap}")
         else:
             live.append(i)
     label_sets = list(dict.fromkeys(labels for i in live for labels in records[i]))
-    index, names = {labels: j for j, labels in enumerate(label_sets)}, instrument.outcome_labels
-    outcome = {y: k for k, y in enumerate(names)}
+    index, outcome = {labels: j for j, labels in enumerate(label_sets)}, {y: k for k, y in enumerate(names)}
     for y in (y for labels in label_sets for y in labels if y not in outcome):
         instrument.op(y)  # raises UnknownOutcome
     # label set j is members[first[j] : first[j] + width[j]], as indices in names
     members = np.array([outcome[y] for labels in label_sets for y in labels], dtype=int)
     width = np.array([len(labels) for labels in label_sets], dtype=int)
     first, stacks = np.cumsum(width) - width, instrument.kraus_stack(dim_extra)
+    merged: dict[tuple[int, int], int] = {}
+
+    def merged_name(j: int, c: int) -> int:
+        """The index in names of the :class:`Merged` entry of label set ``j``'s class ``c``, added on first use."""
+        if (j, c) not in merged:
+            merged[j, c] = len(names)
+            names.append(Merged(tuple(y for y in label_sets[j] if reset[y] == c)))
+        return merged[j, c]
+
     # trie row k holds the branches sigma[lo[k]:lo[k] + size[k]]; history holds, per level, each
-    # branch's parent branch and the index of its label in names
+    # branch's parent branch and the index of its label in names (a merged branch keeps the parent
+    # of its first member, and its record is cut at its Merged entry)
     sigma, lo, size, history = np.asarray(initial, dtype=complex)[None], np.array([0]), np.array([1]), []
     for parents, labels, ends in _trie_levels(instrument, [records[i] for i in live], index):
         if parents is not None:
@@ -400,22 +468,76 @@ def walk_records(
             per_branch = np.repeat(k, n)  # labels per (row, parent branch)
             parent = np.repeat(_ranges(lo[parents], n), per_branch)
             name = members[_ranges(np.repeat(first[labels], n), per_branch)]
+            owner = np.repeat(np.arange(len(parents)), n * k)  # each branch's row
             out = _conjugate(stacks, sigma, parent, name)
             keep = out.any(axis=(1, 2))
-            sigma = out[keep]
-            history.append((parent[keep], name[keep]))
-            size = np.bincount(np.repeat(np.arange(len(parents)), n * k)[keep], minlength=len(parents))
+            sigma, parent, name, owner = out[keep], parent[keep], name[keep], owner[keep]
+            # merging needs a row of two branches or more: one row twice in owner, which ascends
+            groups = _reset_groups(owner, classes[name]) if merge and (owner[1:] == owner[:-1]).any() else None
+            if groups is not None:
+                keep, heads, runs, counts = groups
+                sigma[heads] = _sum_runs(sigma[runs], counts)
+                head_classes = classes[name[heads]].tolist()
+                name[heads] = [merged_name(labels[r], c) for r, c in zip(owner[heads].tolist(), head_classes)]
+                sigma, parent, name, owner = sigma[keep], parent[keep], name[keep], owner[keep]
+            history.append((parent, name))
+            size = np.bincount(owner, minlength=len(parents))
             lo = np.cumsum(size) - size
         if ends:
             # the branches of every record that ends here, traced back and symmetrized in one gather
             rows = [row for _, row in ends]
             at = _ranges(lo[rows], size[rows])
             branch_records, ops, start = _branch_records(history, names, at), hermitian_part(sigma[at]), 0
+            if merged:
+                branch_records = [_since_last_merge(r) for r in branch_records]
             for i, row in ends:
                 stop = start + size[row]
                 found[live[i]] = branch_records[start:stop], ops[start:stop]
                 start = stop
     return found
+
+
+def _merged_count(label_sets, reset: dict) -> int:
+    """The branches a merged walk over ``label_sets`` can hold, counted before any is dropped.
+
+    ``b_0 = 1`` and ``b_{t+1} = b_t * (non-reset labels of step t) + (reset
+    classes among them)``, with ``reset`` each label's class (``-1`` for
+    none); a label the instrument does not have counts as no reset.
+    """
+    count = 1
+    for labels in label_sets:
+        found = [reset.get(y, -1) for y in labels]
+        count = count * found.count(-1) + len(set(found) - {-1})
+    return count
+
+
+def _reset_groups(owner: np.ndarray, reset_class: np.ndarray):
+    """How a level's branches merge: the groups of two or more branches of one row and one reset class.
+
+    ``owner`` (each branch's row) and ``reset_class`` (``-1`` for a label that is not a reset) are
+    per branch, rows ascending.  Returns ``None`` when no group has two
+    branches, else ``(keep, heads, runs, counts)``: the branches left after
+    merging, the first branch of each group (where its sum goes), every
+    group's branches, group by group in branch order, and each group's
+    count of them.
+    """
+    at = np.flatnonzero(reset_class >= 0)
+    _, head, group, counts = np.unique(
+        owner[at] * (reset_class.max(initial=0) + 1) + reset_class[at],
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    if counts.max(initial=0) < 2:
+        return None
+    many = counts >= 2
+    grouped = many[group]
+    runs = at[grouped][np.argsort(group[grouped], kind="stable")]
+    heads = at[head[many]]
+    keep = np.ones(len(owner), dtype=bool)
+    keep[runs] = False
+    keep[heads] = True
+    return keep, heads, runs, counts[many]
 
 
 def _branch_records(history: list, names: list, at: np.ndarray) -> list[tuple]:
@@ -427,6 +549,11 @@ def _branch_records(history: list, names: list, at: np.ndarray) -> list[tuple]:
         columns.append([names[k] for k in name[at].tolist()])
         at = parent[at]
     return list(zip(*reversed(columns)))
+
+
+def _since_last_merge(record: tuple) -> tuple:
+    """``record`` from its last :class:`Merged` entry on, or all of it when it has none."""
+    return record[max((i for i, y in enumerate(record) if isinstance(y, Merged)), default=0) :]
 
 
 def walk(

@@ -124,6 +124,15 @@ class TestSmooth:
         rows = read_csv(tmp_path / "driven-damped-qubit_smooth.csv")
         assert rows and all(r["status"] == "ok" for r in rows)
 
+    def test_record_mode_smooths_every_kind_on_100_step_records(self, tmp_path):
+        # 2**50 bob records per past; merged at each detected or undetected jump, at most 51 branches
+        sc = Scenario.from_dict({**demo_scenario().raw, "steps": 100, "smoothing_time_index": 50, "seed": 29})
+        path = cmd_simulate(sc, 30, tmp_path)
+        cmd_smooth(sc, tmp_path, record_path=path, prior_kinds=("pf", "gw", "gw-variant", "pf-variant", "clhs"))
+        rows = read_csv(tmp_path / "driven-damped-qubit_smooth.csv")
+        assert {r["prior"] for r in rows} == {"pf", "gw", "gw-variant", "pf-variant", "clhs"}
+        assert all(r["status"] == "ok" for r in rows)
+
     def test_record_mode_filters_each_past_once(self, tmp_path, monkeypatch):
         from collections import Counter, defaultdict
 
@@ -478,6 +487,13 @@ class TestClassicalLimit:
             report = cmd_classical_limit(classical_demo_scenario(n, steps=4), tmp_path)
             assert report["passed"]
             assert max(report["max_abs_deviation"].values()) <= 1e-9
+
+    def test_register_kind_passes_beyond_the_unmerged_cap(self, tmp_path):
+        # a 10-step past has 4**10 bob records, over the default cap, and 2 merged branches
+        doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "classical-2state.json").read_text())
+        report = cmd_classical_limit(Scenario.from_dict({**doc, "steps": 10}), tmp_path)
+        assert report["passed"] and report["n_records"] == 2**10
+        assert max(report["max_abs_deviation"].values()) <= 1e-9
 
     def test_identity_dynamics_keeps_prior(self, tmp_path):
         # static chain with a noninformative readout: both stacks return the prior

@@ -431,6 +431,9 @@ def row_draw(rng, d_q, d_a, n_eff):
 
 
 class TestBatchedTheorem1:
+    def test_no_rows_give_no_reports(self):
+        assert theorem1_batch(np.zeros((0, 2, 2)), np.zeros((0, 1, 4, 4)), (2, 2), np.zeros((0, 3, 2, 2))) == []
+
     def test_sweep_matches_row_by_row_on_every_default_shape_group(self):
         seed, n = 23, 400
         draws, references, shapes = [], [], set()

@@ -15,6 +15,8 @@ from retrosmooth.linalg import (
     PSD_HARD,
     as_density,
     as_hermitian,
+    density_spectrum,
+    density_sqrt,
     as_povm,
     entropy_shannon,
     entropy_vn,
@@ -25,6 +27,7 @@ from retrosmooth.linalg import (
     psd_sqrt,
     purify,
     purity,
+    rank_one_range,
     support_basis,
     support_basis_and_inv_sqrt,
     support_inv_sqrt,
@@ -188,6 +191,16 @@ class TestStackedValidators:
         with pytest.raises(NotPSD):
             as_density(np.stack([stack[0], np.diag([1.5, -0.5, 0.0])]))
 
+    def test_empty_stacks_validate_to_empty_results(self):
+        empty = np.zeros((0, 2, 2))
+        assert as_density(empty).shape == (0, 2, 2)
+        state, spectrum = density_spectrum(empty)
+        assert state.shape == (0, 2, 2) and spectrum.shape == (0, 2)
+        state, root = density_sqrt(empty)
+        assert state.shape == root.shape == (0, 2, 2)
+        assert entropy_vn(empty).shape == (0,)
+        assert as_povm(np.zeros((0, 3, 2, 2)), 2).shape == (0, 3, 2, 2)
+
     def test_as_povm_stack(self):
         rng = np.random.default_rng(29)
         povms = np.stack([sampling.random_povm(2, 3, rng) for _ in range(3)])
@@ -201,6 +214,23 @@ class TestStackedValidators:
             as_povm(bad, 2)
         with pytest.raises(InvalidPOVM, match="one or more 2 x 2 effects"):
             as_povm([np.eye(2), np.eye(3)], 2)
+
+
+class TestRankOneRange:
+    def test_range_of_rank_one_matrices(self):
+        a = np.array([0.6, 0.8j])
+        got = rank_one_range(2.5 * np.outer(a, [1.0, -1.0j]))
+        # a unit vector along a, up to phase
+        assert abs(abs(np.vdot(got, a)) - 1.0) <= 1e-15
+        assert rank_one_range(np.stack([a, -1j * a], axis=1)) is not None
+        assert rank_one_range(a[:, None]) is not None
+
+    def test_rank_cut_is_relative_to_the_largest_singular_value(self):
+        assert rank_one_range(np.diag([1e-30, 0.0])) is not None
+        assert rank_one_range(np.diag([1.0, 1e-11])) is not None
+        assert rank_one_range(np.diag([1.0, 1e-9])) is None
+        assert rank_one_range(np.zeros((2, 2))) is None
+        assert rank_one_range(np.stack([[1.0, 0.0], [0.0, 1.0]], axis=1)) is None
 
 
 class TestSupportInvSqrt:

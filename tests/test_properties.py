@@ -37,6 +37,7 @@ from retrosmooth.linalg import (
     trace_norm,
 )
 from retrosmooth.retrodiction import generalized_smooth
+from retrosmooth.linalg import kraus_gram, psd_sqrt
 from retrosmooth.sampling import random_density, random_instrument, random_isometry
 from retrosmooth.scenario import Scenario, classical_demo_scenario, demo_scenario, matrix_to_json
 from retrosmooth.smoothers import build_prior, extend_ancilla, purified_initial
@@ -133,6 +134,54 @@ def test_smoothing_does_not_depend_on_the_purifying_ancilla(sc, seed):
         assert possible.tobytes() == s.possible.tobytes(), (s.kind, s.past)
         # verify's tolerance for the same check on the demo
         assert trace_norm(states[possible] - s.states[possible]).max(initial=0.0) <= 1e-9, (s.kind, s.past)
+
+
+@st.composite
+def systems_with_a_reset(draw):
+    """:func:`monitored_systems` with 2-4 steps, whose instrument has one rank-one Kraus operator.
+
+    One Kraus operator of a random instrument is replaced by a random
+    rank-one ``|a><b|``; then every operator is multiplied on the right by
+    ``S^(-1/2)``, ``S`` the new sum of ``K†K``, which makes the instrument
+    complete and leaves that operator rank one, so its joint label resets.
+    """
+    dim, n_outcomes, n_kraus = draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    steps = draw(st.integers(2, 4))
+    split, rank = draw(st.integers(0, steps)), draw(st.integers(1, dim))
+    y, k = draw(st.integers(0, n_outcomes - 1)), draw(st.integers(0, n_kraus - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kraus = [list(op.kraus) for op in random_instrument(dim, n_outcomes, n_kraus, rng).ops.values()]
+    a, b = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    kraus[y][k] = np.outer(a, b.conj())
+    inv_root = np.linalg.inv(psd_sqrt(kraus_gram([m for op in kraus for m in op])))
+    operations = {str(i): [matrix_to_json(m @ inv_root) for m in op] for i, op in enumerate(kraus)}
+    return Scenario.from_dict(
+        {
+            "system": {"type": "instrument", "operations": operations},
+            "rho0": matrix_to_json(random_density(dim, rng, rank=rank)),
+            "steps": steps,
+            "smoothing_time_index": split,
+            "prior_kinds": ["gw", "gw-variant"],
+        }
+    )
+
+
+@PROPERTY_SETTINGS
+@given(systems_with_a_reset())
+def test_merged_register_smoothing_is_smoothing_over_every_bob_record(sc):
+    assert (sc.instrument.joint.reset_classes >= 0).sum() == 1
+    for s in smooth_table(sc, future_table(sc), sc.prior_kinds):
+        if s.error == ZERO_PAST:
+            continue
+        assert s.error is None, (s.kind, s.past, s.error)
+        # the same register, one block per bob record
+        initial, rank = purified_initial(sc.rho0) if s.kind == "gw" else (sc.rho0, 1)
+        (found,) = smoothers._bob_branches(sc.instrument, initial, [s.past], rank, sc.enumeration_cap)
+        unmerged = smoothers._register_state(found, sc.dim, rank, s.kind)
+        assert len(s.prior.blocks) <= len(unmerged.blocks)
+        states, possible = generalized_smooth(unmerged, s.effects)
+        assert possible.tobytes() == s.possible.tobytes(), (s.kind, s.past)
+        assert trace_norm(states[possible] - s.states[possible]).max(initial=0.0) <= 1e-12, (s.kind, s.past)
 
 
 @st.composite

@@ -37,6 +37,7 @@ from retrosmooth.smoothers import build_custom, build_pf, build_prior, extend_an
 from retrosmooth.trajectory import (
     JumpChannel,
     LindbladSpec,
+    Merged,
     discretize,
     filter as filter_state,
     retrofilter,
@@ -390,8 +391,11 @@ class TestStackedSmooth:
 
     def test_multi_block_gw(self):
         inst, rho0 = demo_pieces()
-        prior = build_prior("gw", rho0=rho0, alice_past=("0", "0", "1"), instrument=inst)
-        assert len(prior.blocks) > 1 and prior.dim_a1 > 1
+        # a past that ends in a detected jump merges every bob record into one block
+        ends_in_jump = build_prior("gw", rho0=rho0, alice_past=("0", "0", "1"), instrument=inst)
+        assert len(ends_in_jump.blocks) == 1
+        prior = build_prior("gw", rho0=rho0, alice_past=("0", "0", "0"), instrument=inst)
+        assert len(prior.blocks) == 4 and prior.dim_a1 > 1
         self.assert_matches_loop(prior, self.futures_effects(inst, 3))
 
     def test_zero_probability_entries(self):
@@ -473,6 +477,15 @@ class TestBobPosterior:
     def test_requires_register(self):
         with pytest.raises(MissingClassicalRegister):
             bob_posterior(build_pf(np.eye(2) / 2), np.eye(2))
+
+    def test_a_merged_register_has_no_posterior(self):
+        # every bob record of a past that ends in a detected jump is one merged block
+        inst, rho0 = demo_pieces()
+        for kind in ("gw", "gw-variant"):
+            prior = build_prior(kind, rho0=rho0, alice_past=("0", "0", "1"), instrument=inst)
+            assert len(prior.block_labels) == 1 and isinstance(prior.block_labels[0][0], Merged)
+            with pytest.raises(MissingClassicalRegister, match="merges bob records"):
+                bob_posterior(prior, retrofilter(inst, ("0",)))
 
     def test_effect_dimension_mismatch(self):
         inst, rho0 = demo_pieces()

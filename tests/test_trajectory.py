@@ -19,7 +19,9 @@ from retrosmooth.trajectory import (
     Instrument,
     JumpChannel,
     LindbladSpec,
+    Merged,
     _conjugate,
+    _merged_count,
     apply_conditional,
     discretize,
     enumerate_records,
@@ -411,6 +413,142 @@ class TestTriePasses:
         # a label set that holds an unknown label, after a record with only known ones
         with pytest.raises(UnknownOutcome, match="'x'"):
             walk_records(projective_z(), np.eye(2) / 2, [[("0", "1")], [("0",), ("1", "x")]])
+
+
+def reference_merged_walk(instrument, initial, label_sets, dim_extra=1):
+    """:func:`reference_walk`, with each step's branches that took labels of one reset class summed.
+
+    The sum starts from the first of them and adds the rest in branch order;
+    it takes the place of the first, and its record restarts at the
+    :class:`Merged` entry of the class's labels in the step.  A class with
+    one branch is left as it is.
+    """
+    classes = dict(zip(instrument.outcome_labels, instrument.reset_classes.tolist()))
+    eye = np.eye(dim_extra)
+    branches = [((), np.asarray(initial, dtype=complex))]
+    for labels in label_sets:
+        groups = {}
+        for record, sigma in branches:
+            for y in labels:
+                first, *rest = (tensor(k, eye) for k in instrument.op(y).kraus)
+                out = first @ sigma @ dag(first)
+                for k in rest:
+                    out = out + k @ sigma @ dag(k)
+                if out.any():
+                    key = ("class", classes[y]) if classes[y] >= 0 else ("branch", len(groups))
+                    groups.setdefault(key, []).append((record + (y,), out))
+        branches = []
+        for (what, c), members in groups.items():
+            if len(members) == 1:
+                branches.append(members[0])
+                continue
+            total = members[0][1]
+            for _, out in members[1:]:
+                total = total + out
+            branches.append(((Merged(tuple(y for y in labels if classes[y] == c)),), total))
+    ops = np.array([op for _, op in branches], dtype=complex).reshape(-1, *np.shape(initial))
+    return [record for record, _ in branches], hermitian_part(ops)
+
+
+class TestResetMerge:
+    """Branches that end in one reset merge into one, and the merged walk keeps a cap of its own."""
+
+    @staticmethod
+    def rank_one(a, b):
+        return np.outer(np.asarray(a, dtype=complex), np.conj(b))
+
+    def test_reset_classes(self):
+        chain = Scenario.from_file(SCENARIOS / "classical-2state.json").instrument
+        # every transition resets, to |0> or to |1>
+        assert chain.joint.reset_classes.tolist() == [0, 1, 0, 1, 0, 1, 0, 1]
+        assert chain.reset_classes.tolist() == [-1, -1]
+        # the demo: no jump is not a reset; the detected and the undetected jump both reset to |0>
+        demo = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05))
+        assert demo.joint.outcome_labels == (("0", "0"), ("0", "1"), ("1", "0"))
+        assert demo.joint.reset_classes.tolist() == [-1, 0, 0]
+        assert demo.reset_classes.tolist() == [-1, 0]
+        random = sampling.random_instrument(3, 2, 2, np.random.default_rng(1))
+        assert random.joint.reset_classes.tolist() == [-1] * 4 and random.reset_classes.tolist() == [-1, -1]
+        # one range up to phase is one class; two ranges within one label are no reset; a zero operator is none
+        ops = {
+            "a": ConditionalOp((self.rank_one([1, 0], [0.6, 0.8]),)),
+            "b": ConditionalOp((self.rank_one([1j, 0], [0.8, -0.6]),)),
+            "c": ConditionalOp((self.rank_one([0, 1], [1, 0]) * 0.5, self.rank_one([1, 1], [0, 1]) * 0.5)),
+            "d": ConditionalOp((np.zeros((2, 2)),)),
+        }
+        assert Instrument(ops, check=False).reset_classes.tolist() == [0, 0, -1, -1]
+        with pytest.raises(ValueError):
+            demo.reset_classes[0] = 1
+
+    def test_the_merged_count_is_the_product_without_a_reset_label(self):
+        random = sampling.random_instrument(2, 2, 2, np.random.default_rng(4)).joint
+        reset = dict(zip(random.outcome_labels, random.reset_classes.tolist()))
+        for sets in ([], [random.outcome_labels[:3]], [random.outcome_labels[:2], random.outcome_labels] * 3):
+            assert _merged_count(sets, reset) == int(np.prod([len(s) for s in sets]))
+        demo = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05)).joint
+        reset = dict(zip(demo.outcome_labels, demo.reset_classes.tolist()))
+        no_jump, jump = [("0", "0"), ("0", "1")], [("1", "0")]
+        # t + 1 after t no-jump steps, and 1 again after a detected jump
+        assert [_merged_count([no_jump] * t, reset) for t in range(6)] == [1, 2, 3, 4, 5, 6]
+        assert _merged_count([no_jump] * 4 + [jump], reset) == 1
+        chain = Scenario.from_file(SCENARIOS / "classical-2state.json").instrument.joint
+        reset = dict(zip(chain.outcome_labels, chain.reset_classes.tolist()))
+        assert _merged_count([chain.outcome_labels[:4]] * 30, reset) == 2
+
+    def test_the_cap_counts_merged_branches(self):
+        demo = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05)).joint
+        no_jump = [("0", "0"), ("0", "1")]
+        rho0 = np.eye(2) / 2
+        # 2**60 records, 61 merged branches
+        merged = walk_records(demo, rho0, [[no_jump] * 60], cap=61, merge=True)[0]
+        assert len(merged[0]) <= 61
+        (capped,) = walk_records(demo, rho0, [[no_jump] * 60], cap=60, merge=True)
+        assert isinstance(capped, EnumerationTooLarge) and str(capped) == "61 merged branches exceed the cap of 60"
+        (unmerged,) = walk_records(demo, rho0, [[no_jump] * 60], cap=61)
+        assert str(unmerged) == f"{2**60} records exceed the cap of 61"
+        random = sampling.random_instrument(2, 2, 2, np.random.default_rng(4))
+        sets = [random.joint.outcome_labels[:2]] * 7
+        (capped,) = walk_records(random.joint, rho0, [sets], cap=100, merge=True)
+        assert str(capped) == "128 records exceed the cap of 100"
+
+    @pytest.mark.parametrize("which", ["driven-damped-qubit", "classical-3state", "demo-eta"])
+    def test_merged_walk_has_the_bits_of_the_per_record_merge(self, which):
+        if which == "demo-eta":
+            inst = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05))
+            rho0 = np.diag([0.3, 0.7])
+            records = [tuple(r) for r in np.random.default_rng(5).choice(["0", "1"], size=(30, 7), p=[0.8, 0.2]).tolist()]
+        else:
+            inst, rho0, records = TestTriePasses.table(which)
+            records = records[:20] + records[-15:]  # sampled, impossible and repeated
+        options = {y: [(y, u) for u in sorted(inst.op(y).names)] for y in inst.outcome_labels}
+        pasts = [r[:t] for r in records for t in range(8)]
+        outcomes = set()
+        for initial, rank in (purified_initial(rho0), (rho0, 1)):
+            sets = [[options[y] for y in past] for past in pasts]
+            for steps, got in zip(sets, walk_records(inst.joint, initial, sets, dim_extra=rank, merge=True)):
+                records_ref, ops_ref = reference_merged_walk(inst.joint, initial, steps, rank)
+                assert got[0] == records_ref and got[1].tobytes() == ops_ref.tobytes(), steps
+                if len(steps) <= 4:  # the unmerged walk of a 3-state chain grows 9-fold per step
+                    plain = reference_walk(inst.joint, initial, steps, rank)[1]
+                    outcomes.add("merged" if len(ops_ref) < len(plain) else "unmerged")
+                    # the same state, up to rounding
+                    assert np.abs(plain.sum(axis=0) - ops_ref.sum(axis=0)).max(initial=0.0) <= 1e-15
+        assert outcomes == {"merged", "unmerged"}
+
+    @pytest.mark.parametrize("which", ["random-qutrit", "demo-coarse"])
+    def test_a_walk_with_no_two_branches_of_one_class_in_a_row_keeps_every_bit(self, which):
+        # the random instrument has no reset label; the demo walked one label per step has one branch per row
+        inst, rho0, records = TestTriePasses.table("random-qutrit" if which == "random-qutrit" else "driven-damped-qubit")
+        if which == "random-qutrit":
+            inst = inst.joint
+            options = {y: [(y, u) for u in sorted(names)] for y, names in ((y, ["0", "1"]) for y in ("0", "1"))}
+            sets = [[options[y] for y in r] for r in records]
+        else:
+            sets = [[[y] for y in r] for r in records]
+        initial, rank = purified_initial(rho0)
+        merged = walk_records(inst, initial, sets, dim_extra=rank, merge=True)
+        for got, want in zip(merged, walk_records(inst, initial, sets, dim_extra=rank)):
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
 def reference_conjugate(instrument, sigma, rows, labels, dim_extra=1, adjoint=False) -> np.ndarray:
