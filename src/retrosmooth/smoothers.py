@@ -32,7 +32,11 @@ every past of a table, each register kind from one
 :func:`build_prior` is its one-past case.  Under the finest partition bob's
 options at an outcome are the sorted names of its Kraus operators, so every
 instrument has every prior; under the coarsest bob tells apart no more than
-alice, and the register has one branch.
+alice, and the register has one branch.  The pass merges, exactly, the
+branches of a past that end in one reset, so a register block is one bob
+record or the sum of every record that ended in one reset;
+:func:`enumerate_bob_branches` and :func:`branch_mixture_smooth` walk every
+bob record.
 """
 
 from __future__ import annotations

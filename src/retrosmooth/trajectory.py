@@ -17,8 +17,9 @@ whatever table it is in.  :func:`filter` and :func:`retrofilter` are their
 one-record cases.  :func:`walk_records` propagates, unnormalized, every
 branch of each of a table of records whose steps are label sets, in the same
 trie pass: it gives the register branches of every register prior of
-:mod:`retrosmooth.smoothers` for every past at once, and its one-record case
-:func:`walk` enumerates records.
+:mod:`retrosmooth.smoothers` for every past at once, merging the branches of
+a row that end in one reset (:attr:`Instrument.reset_classes`) when asked,
+and its one-record case :func:`walk` enumerates records, unmerged.
 :func:`sample_records` advances many sampled trajectories in lockstep.  All
 four step by :func:`_conjugate` on (row, label) pairs, one matrix product per
 row and one per Kraus operator: filtering normalizes each row by its weight,
@@ -44,8 +45,8 @@ from .errors import (
     ZeroProbabilityRecord,
 )
 from .linalg import IDENTITY_TOL, SUBNORMAL_TOL, WEIGHT_FLOOR, as_density, as_square, dag, kraus_gram
-from .linalg import _ranges, _sum_runs, completeness_defect, hermitian_part, psd_sqrt, rank_one_range, require_complete
-from .linalg import require_finite, tensor
+from .linalg import _ranges, _sum_runs, completeness_defect, hermitian_part, psd_sqrt, rank_one_range
+from .linalg import require_complete, require_finite, tensor
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -160,12 +161,11 @@ class Instrument:
         targets, found = [], []
         for op in self.ops.values():
             a = rank_one_range(np.concatenate(op.kraus, axis=1))
-            if a is None:
-                found.append(-1)
-                continue
             same = (c for c, b in enumerate(targets) if rank_one_range(np.stack([b, a], axis=1)) is not None)
-            found.append(next(same, len(targets)))
-            targets += [a] if found[-1] == len(targets) else []
+            c = -1 if a is None else next(same, len(targets))
+            if c == len(targets):
+                targets.append(a)
+            found.append(c)
         classes = np.array(found, dtype=int)
         classes.setflags(write=False)
         return classes
