@@ -535,19 +535,17 @@ class TestResetMerge:
                     assert np.abs(plain.sum(axis=0) - ops_ref.sum(axis=0)).max(initial=0.0) <= 1e-15
         assert outcomes == {"merged", "unmerged"}
 
-    @pytest.mark.parametrize("which", ["random-qutrit", "demo-coarse"])
+    @pytest.mark.parametrize("which", ["random-qutrit", "driven-damped-qubit"])
     def test_a_walk_with_no_two_branches_of_one_class_in_a_row_keeps_every_bit(self, which):
-        # the random instrument has no reset label; the demo walked one label per step has one branch per row
-        inst, rho0, records = TestTriePasses.table("random-qutrit" if which == "random-qutrit" else "driven-damped-qubit")
-        if which == "random-qutrit":
-            inst = inst.joint
-            options = {y: [(y, u) for u in sorted(names)] for y, names in ((y, ["0", "1"]) for y in ("0", "1"))}
-            sets = [[options[y] for y in r] for r in records]
-        else:
-            sets = [[[y] for y in r] for r in records]
+        # the random instrument has no reset label (joint view); the demo walked one label per step has
+        # one branch per row
+        inst, rho0, records = TestTriePasses.table(which)
+        options = {y: [(y, u) for u in sorted(inst.op(y).names)] for y in inst.outcome_labels}
+        walked, sets = (inst.joint, [[options[y] for y in r] for r in records]) if which == "random-qutrit" else (
+            inst, [[[y] for y in r] for r in records])
         initial, rank = purified_initial(rho0)
-        merged = walk_records(inst, initial, sets, dim_extra=rank, merge=True)
-        for got, want in zip(merged, walk_records(inst, initial, sets, dim_extra=rank)):
+        merged = walk_records(walked, initial, sets, dim_extra=rank, merge=True)
+        for got, want in zip(merged, walk_records(walked, initial, sets, dim_extra=rank), strict=True):
             assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
