@@ -419,7 +419,9 @@ def bob_posterior(prior: FilteredGlobalState, effect) -> np.ndarray:
     :class:`~retrosmooth.trajectory.Merged` entry) raises
     :class:`MissingClassicalRegister` too: that block sums every bob record
     that ended in one reset, so the register no longer tells those records
-    apart, and no block's weight is the posterior of one record.
+    apart, and no block's weight is the posterior of one record.  Build the
+    prior with ``merge=False`` (:func:`~retrosmooth.smoothers.build_prior`)
+    to read the posterior of every bob record.
     """
     if prior.kind not in ("gw", "gw-variant"):
         raise MissingClassicalRegister(

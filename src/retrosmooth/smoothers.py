@@ -149,7 +149,9 @@ def purified_initial(rho0, name: str = "rho0") -> tuple[np.ndarray, int]:
     return np.outer(psi, psi.conj()), psi.size // rho.shape[0]
 
 
-def build_priors(kind: str, instrument: Instrument, rho0, pasts, rho_fs, cap=DEFAULT_ENUMERATION_CAP, custom=None):
+def build_priors(
+    kind: str, instrument: Instrument, rho0, pasts, rho_fs, cap=DEFAULT_ENUMERATION_CAP, custom=None, *, merge=True
+):
     """The prior of ``kind`` for each of ``pasts``, or the error of its build.
 
     ``pf`` and ``clhs`` start from ``rho_fs``, the pasts' filtered states;
@@ -167,7 +169,8 @@ def build_priors(kind: str, instrument: Instrument, rho0, pasts, rho_fs, cap=DEF
     smoothed state is the sum of theirs.  A block that is one bob record
     keeps that record as its label.  So the register grows with the time
     since the last reset, not with the number of bob records, and the cap
-    counts merged branches.
+    counts merged branches.  ``merge=False`` keeps one block per bob record,
+    which :func:`~retrosmooth.retrodiction.bob_posterior` needs.
     """
     if kind in ("pf", "clhs"):
         return [_attempt(build_pf if kind == "pf" else build_clhs, rho_f) for rho_f in rho_fs]
@@ -177,7 +180,7 @@ def build_priors(kind: str, instrument: Instrument, rho0, pasts, rho_fs, cap=DEF
         raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
     partition, purified = REGISTERS[kind]
     initial, rank = purified_initial(rho0) if purified else (as_density(rho0, "rho0"), 1)
-    branches = _bob_branches(instrument, initial, pasts, rank, cap, partition, merge=True)
+    branches = _bob_branches(instrument, initial, pasts, rank, cap, partition, merge)
     return [_attempt(_register_state, found, instrument.dim, rank, kind) for found in branches]
 
 
@@ -230,6 +233,7 @@ def build_prior(
     instrument: Instrument,
     cap: int = DEFAULT_ENUMERATION_CAP,
     rho_f=None,
+    merge: bool = True,
 ) -> FilteredGlobalState:
     """The one-past case of :func:`build_priors`, raising the error of a failed build.
 
@@ -239,7 +243,7 @@ def build_prior(
     """
     if rho_f is None and kind in ("pf", "clhs"):
         rho_f, _ = filter_state(instrument, rho0, alice_past)
-    return _one(build_priors(kind, instrument, rho0, [alice_past], [rho_f], cap)[0])
+    return _one(build_priors(kind, instrument, rho0, [alice_past], [rho_f], cap, merge=merge)[0])
 
 
 def extend_ancilla(prior: FilteredGlobalState, isometry) -> FilteredGlobalState:

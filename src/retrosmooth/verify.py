@@ -195,8 +195,9 @@ def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
 def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
     """Record-register posterior must match exhaustive joint-record enumeration.
 
-    A prior that cannot be built for a possible past, or a joint-record
-    table beyond the enumeration cap, fails the check.
+    The posterior is read off each past's unmerged ``gw`` prior, one block
+    per bob record.  A prior that cannot be built for a possible past, or a
+    joint-record table beyond the enumeration cap, fails the check.
     """
     name = "record-register-posterior"
     sc, table = _setup(scenario)
@@ -214,12 +215,19 @@ def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
         num[alice][tuple(u for _, u in jrec)[:t]] += jp
     worst, errors = 0.0, []
     for s in _smoothed(sc, table, ("gw",), errors):
+        # one block per bob record, as bob_posterior needs; the pass's prior may merge them
+        try:
+            prior = build_prior("gw", rho0=sc.rho0, alice_past=s.past, instrument=sc.instrument,
+                                cap=sc.enumeration_cap, merge=False)
+        except EnumerationTooLarge as exc:
+            errors.append(f"{s.kind}@{sweeps.render(s.past)}: {exc}")
+            continue
         for (fut, p), effect in zip(s.futures, s.effects):
             if p <= 1e-9:
                 continue
-            probs = bob_posterior(s.prior, effect)
+            probs = bob_posterior(prior, effect)
             rec = s.past + fut
-            expected = np.array([num[rec][lbl] / den[rec] for lbl in s.prior.block_labels])
+            expected = np.array([num[rec][lbl] / den[rec] for lbl in prior.block_labels])
             worst = max(worst, float(np.abs(probs - expected).max()))
     passed = worst <= 1e-9 and not errors
     return CheckResult(name, passed, worst, 1e-9, _prior_errors(errors).strip())

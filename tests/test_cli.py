@@ -614,6 +614,14 @@ class TestVerifySuite:
         assert result.residual > 1e-4
         assert "injected-defect" in result.name
 
+    def test_register_checks_pass_on_a_chain_whose_register_merges(self):
+        # every transition of a chain resets, so the pass merges its gw branches; the posterior check
+        # reads unmerged priors, the mixture check compares merged with unmerged
+        sc = classical_demo_scenario(3, steps=3)
+        for check in (verify.check_bob_posterior, verify.check_branch_mixture):
+            result = check(sc)
+            assert result.passed and "prior errors" not in result.detail, result.line()
+
     def test_gw_checks_fail_beyond_cap(self):
         # the 4 alice records fit the cap; 16 bob branches per past and 64 joint records do not
         sc = Scenario.from_dict({**classical_demo_scenario(2, steps=2).raw, "enumeration_cap": 4})

@@ -486,6 +486,10 @@ class TestBobPosterior:
             assert len(prior.block_labels) == 1 and isinstance(prior.block_labels[0][0], Merged)
             with pytest.raises(MissingClassicalRegister, match="merges bob records"):
                 bob_posterior(prior, retrofilter(inst, ("0",)))
+            # unmerged, the register holds one block per bob record and has a posterior
+            unmerged = build_prior(kind, rho0=rho0, alice_past=("0", "0", "1"), instrument=inst, merge=False)
+            assert unmerged.block_labels == (("0", "0", "0"), ("1", "0", "0"))
+            np.testing.assert_allclose(bob_posterior(unmerged, retrofilter(inst, ("0",))).sum(), 1.0)
 
     def test_effect_dimension_mismatch(self):
         inst, rho0 = demo_pieces()
