@@ -182,7 +182,10 @@ def check_branch_mixture(scenario: Scenario | None = None) -> CheckResult:
         if not s.possible[live].all():
             raise ZeroProbabilityRecord(f"a future of {sweeps.render(s.past)!r} has vanishing probability")
         try:
-            refs = [branch_mixture_smooth(sc.instrument, sc.rho0, s.past, e, sc.enumeration_cap) for e in s.effects[live]]
+            refs = [
+                branch_mixture_smooth(sc.instrument, sc.rho0, s.past, effect, sc.enumeration_cap)
+                for effect in s.effects[live]
+            ]
         except EnumerationTooLarge as exc:
             errors.append(f"{s.kind}@{sweeps.render(s.past)}: {exc}")
             continue
@@ -217,8 +220,9 @@ def check_bob_posterior(scenario: Scenario | None = None) -> CheckResult:
     for s in _smoothed(sc, table, ("gw",), errors):
         # one block per bob record, as bob_posterior needs; the pass's prior may merge them
         try:
-            prior = build_prior("gw", rho0=sc.rho0, alice_past=s.past, instrument=sc.instrument,
-                                cap=sc.enumeration_cap, merge=False)
+            prior = build_prior(
+                "gw", rho0=sc.rho0, alice_past=s.past, instrument=sc.instrument, cap=sc.enumeration_cap, merge=False
+            )
         except EnumerationTooLarge as exc:
             errors.append(f"{s.kind}@{sweeps.render(s.past)}: {exc}")
             continue

@@ -89,7 +89,10 @@ def _run(argv: list[str]) -> str:
 
 
 def write_outputs(work: Path, root: Path = ROOT) -> None:
-    """Run every pinned command under ``work``, on the scenario files of ``root``; ``verify``'s stdout goes to :data:`VERIFY`."""
+    """Run every pinned command under ``work``, on the scenario files of ``root``.
+
+    ``verify``'s stdout goes to :data:`VERIFY`.
+    """
     for name in ("demo", *SCENARIOS):
         source = "demo" if name == "demo" else str(root / "scenarios" / f"{name}.json")
         _run(["smooth", "--scenario", source, "--enumerate", "--out", str(work / f"enumerate-{name}")])
@@ -239,8 +242,8 @@ def diff_outputs(old: Path, new: Path) -> str:
         lines += [f"{name}: removed row {key}" for key in sorted(rows_before - rows_after, key=str)]
         lines += [f"{name}: added row {key}" for key in sorted(rows_after - rows_before, key=str)]
         # a key added to or removed from a row that both trees hold
-        lines += [f"{name}: removed {cell}" for cell in sorted(before.keys() - after.keys(), key=str) if cell[0] in rows_after]
-        lines += [f"{name}: added {cell}" for cell in sorted(after.keys() - before.keys(), key=str) if cell[0] in rows_before]
+        lines += [f"{name}: removed {c}" for c in sorted(before.keys() - after.keys(), key=str) if c[0] in rows_after]
+        lines += [f"{name}: added {c}" for c in sorted(after.keys() - before.keys(), key=str) if c[0] in rows_before]
         groups = defaultdict(list)
         for cell in sorted(before.keys() & after.keys(), key=str):
             (key, column), a, b = cell, before[cell], after[cell]
@@ -264,7 +267,8 @@ def diff_outputs(old: Path, new: Path) -> str:
 
 def _tree(root: Path, csv_rows: list[str], doc: dict, verify: str) -> Path:
     (root / "run").mkdir(parents=True)
-    (root / "run" / "x_smooth.csv").write_text("\r\n".join(["scenario,prior,past,probability,status", *csv_rows]) + "\r\n")
+    header = "scenario,prior,past,probability,status"
+    (root / "run" / "x_smooth.csv").write_text("\r\n".join([header, *csv_rows]) + "\r\n")
     (root / "run" / "x_smooth.json").write_text(json.dumps(doc))
     (root / VERIFY).write_text(verify)
     return root

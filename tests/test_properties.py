@@ -31,13 +31,14 @@ from retrosmooth.linalg import (
     entropy_vn,
     fidelity,
     hermitian_part,
+    kraus_gram,
     partial_trace,
+    psd_sqrt,
     purity,
     tensor,
     trace_norm,
 )
 from retrosmooth.retrodiction import generalized_smooth
-from retrosmooth.linalg import kraus_gram, psd_sqrt
 from retrosmooth.sampling import random_density, random_instrument, random_isometry
 from retrosmooth.scenario import Scenario, classical_demo_scenario, demo_scenario, matrix_to_json
 from retrosmooth.smoothers import build_prior, extend_ancilla, purified_initial

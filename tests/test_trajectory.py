@@ -516,7 +516,8 @@ class TestResetMerge:
         if which == "demo-eta":
             inst = discretize(decay_spec(eta=0.5, omega=1.0, kappa_dt=0.05))
             rho0 = np.diag([0.3, 0.7])
-            records = [tuple(r) for r in np.random.default_rng(5).choice(["0", "1"], size=(30, 7), p=[0.8, 0.2]).tolist()]
+            drawn = np.random.default_rng(5).choice(["0", "1"], size=(30, 7), p=[0.8, 0.2])
+            records = [tuple(r) for r in drawn.tolist()]
         else:
             inst, rho0, records = TestTriePasses.table(which)
             records = records[:20] + records[-15:]  # sampled, impossible and repeated
@@ -540,9 +541,11 @@ class TestResetMerge:
         # the random instrument has no reset label (joint view); the demo walked one label per step has
         # one branch per row
         inst, rho0, records = TestTriePasses.table(which)
-        options = {y: [(y, u) for u in sorted(inst.op(y).names)] for y in inst.outcome_labels}
-        walked, sets = (inst.joint, [[options[y] for y in r] for r in records]) if which == "random-qutrit" else (
-            inst, [[[y] for y in r] for r in records])
+        if which == "random-qutrit":
+            options = {y: [(y, u) for u in sorted(inst.op(y).names)] for y in inst.outcome_labels}
+            walked, sets = inst.joint, [[options[y] for y in r] for r in records]
+        else:
+            walked, sets = inst, [[[y] for y in r] for r in records]
         initial, rank = purified_initial(rho0)
         merged = walk_records(walked, initial, sets, dim_extra=rank, merge=True)
         for got, want in zip(merged, walk_records(walked, initial, sets, dim_extra=rank), strict=True):
