@@ -33,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -377,8 +377,7 @@ def retrofilter_records(instrument, records) -> list[np.ndarray]:
     return found
 
 
-@dataclass(frozen=True)
-class Merged:
+class Merged(NamedTuple):
     """The first entry of a merged branch's record: the labels of one reset class at its last merge.
 
     The branch is the sum of every branch of its trie row that took one of
