@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import sweeps
-from . import verify as verify_suite
 from .entropy import no_universal_quantifier_demo
 from .errors import NotClassicalLimit, RetrosmoothError, ScenarioError
 from .linalg import entropy_vn, fidelity, purity, trace_norm
@@ -317,7 +316,9 @@ def cmd_classical_limit(scenario: Scenario, out_dir: Path, tol: float = 1e-9) ->
 
 def cmd_verify(seed: int = 2024) -> bool:
     """Run the built-in verification suite; returns overall success."""
-    results = verify_suite.run_all(seed)
+    from . import verify
+
+    results = verify.run_all(seed)
     for r in results:
         print(r.line())
     ok = all(r.passed for r in results)

@@ -23,10 +23,12 @@ classically correlated in the Z and X bases respectively, swap their
 ordering between Z and X measurements (see
 :func:`no_universal_quantifier_demo`).
 
-Both averages are evaluated per batch of same-shape triples (:func:`theorem1_batch`); the theorem-1
-sweep of ``entropy-scan`` runs one per shape group, and each row depends only on ``(seed, i)``.  The
-sweep hands in the square roots it built the extensions from (:func:`theorem1_from_roots`), and the
-eigenvalues that check each ``gamma`` as a state also give ``S(gamma)``, so no matrix is decomposed twice.
+Both averages are evaluated per batch of same-shape triples (:func:`theorem1_from_roots`), and one
+triple (:func:`theorem1_check`) is the batch of one row.  The theorem-1 sweep of ``entropy-scan`` runs
+one batch per shape group, and each row depends only on ``(seed, i)``.  The sweep hands in the square
+roots it built the extensions from, and the eigenvalues that check each ``gamma`` as a state also give
+``S(gamma)``, so no matrix is decomposed twice.  Every update here, the bridge map's included, is one
+call of the retrodictive update body of :mod:`retrosmooth.retrodiction`.
 """
 
 from __future__ import annotations
@@ -38,8 +40,19 @@ import numpy as np
 
 from .linalg import BOUND_SLACK, WEIGHT_FLOOR, as_density, as_povm, density_spectrum, entropy_shannon, entropy_vn
 from .linalg import psd_sqrt, spectrum_entropy, support_basis, support_basis_and_inv_sqrt, tensor
-from .retrodiction import ChannelRep, FilteredGlobalState, _marginals, _sandwich_marginal, _update, require_marginals
+from .retrodiction import ChannelRep, FilteredGlobalState, _marginals, _traced, _update, require_marginals
 from .smoothers import build_custom
+
+
+def _checked_pairs(gammas, marginals) -> tuple[np.ndarray, np.ndarray]:
+    """The validated states and their eigenvalues, each state the marginal of its extension.
+
+    One state and one marginal, or aligned stacks of them; the eigenvalues are the ones
+    the density check computed.
+    """
+    g, spectra = density_spectrum(gammas, "gamma")
+    require_marginals(marginals, g, "gamma")
+    return g, spectra
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,9 +64,8 @@ class ExtensionScenario:
     effects: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        g = as_density(self.gamma, "gamma")
+        g, _ = _checked_pairs(self.gamma, self.extension.marginal())
         object.__setattr__(self, "gamma", g)
-        self.extension.require_marginal(g, "gamma")
         object.__setattr__(self, "effects", tuple(as_povm(self.effects, g.shape[0])))
 
 
@@ -117,8 +129,7 @@ def sandwich_bound(rho_f, future_probs, avg_s: float) -> SandwichBound:
 
 def _bridge_support(extension: FilteredGlobalState, gamma) -> tuple[np.ndarray, np.ndarray]:
     """Support basis and inverse root of ``gamma``, validated as the extension's marginal."""
-    g = as_density(gamma, "gamma")
-    extension.require_marginal(g, "gamma")
+    g, _ = _checked_pairs(gamma, extension.marginal())
     return support_basis_and_inv_sqrt(g)
 
 
@@ -126,7 +137,7 @@ def lambda_apply(extension: FilteredGlobalState, gamma, y) -> np.ndarray:
     """Directly evaluate the trivial-to-extended bridge map on one operator."""
     _, w = _bridge_support(extension, gamma)
     x = w @ np.asarray(y, dtype=complex) @ w
-    return _sandwich_marginal(extension.roots, extension.block_dims, x)
+    return _traced(extension.roots, extension.block_dims, x, [extension.dim_a2])[0]
 
 
 def lambda_map(extension: FilteredGlobalState, gamma) -> ChannelRep:
@@ -153,14 +164,15 @@ def lambda_choi(extension: FilteredGlobalState, gamma) -> np.ndarray:
     """
     basis, w = _bridge_support(extension, gamma)
     d, r = basis.shape
-    # units[k, l] = |b_k><b_l| and choi[(i, k), (j, l)] = L(units[k, l])[i, j]
+    # units[k, l] = |b_k><b_l| and choi[(i, k), (j, l)] = L(units[k, l])[i, j]; each unit once per block
     units = basis.T[:, None, :, None] * basis.T.conj()[None, :, None, :]
-    y = _sandwich_marginal(extension.roots, extension.block_dims, w @ units.reshape(-1, d, d) @ w)
+    n = extension.dim_a2
+    x = np.repeat(w @ units.reshape(-1, d, d) @ w, n, axis=0)
+    y = _traced(np.tile(extension.roots, (r * r, 1, 1)), extension.block_dims, x, np.full(r * r, n))
     return y.reshape(r, r, d, d).transpose(2, 0, 3, 1).reshape(d * r, d * r)
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     """Both ends of the average-entropy sandwich for one extension."""
 
     avg_entropy_trivial: float
@@ -171,44 +183,19 @@ class Theorem1Report:
     ordering_holds: bool
 
 
-def theorem1_batch(gammas, blocks, dims: tuple[int, int], povms) -> list[Theorem1Report]:
+def theorem1_from_roots(gammas, gamma_roots, blocks, roots, dims: tuple[int, int], povms) -> list[Theorem1Report]:
     """Evaluate the extremal-bound chain for a batch of same-shape ``(gamma, Gamma, POVM)`` triples.
 
     ``gammas`` is ``(n, d, d)``, ``povms`` ``(n, k, d, d)``; the array ``blocks`` ``(n, b, D, D)``
     holds each valid extension as its register blocks on ``Q (x) A1``, ``dims = (d, dim_a1)``.
-    The states, marginals and POVMs are validated once for the batch; each row
-    has the bits of its one-row call.  The ordering holds up to ``BOUND_SLACK``.
+    ``gamma_roots`` and ``roots`` are the square roots of the states and blocks, the caller's,
+    so that no matrix is decomposed twice.  The states, marginals and POVMs are validated once
+    for the batch; each row has the bits of its one-row call (:func:`theorem1_check`).  The
+    ordering holds up to ``BOUND_SLACK``.
     """
-    g, spectra, effects = _checked_triples(gammas, blocks, dims, povms)
-    roots = psd_sqrt(blocks.reshape(-1, *blocks.shape[-2:])).reshape(blocks.shape)
-    return _theorem1_reports(g, spectra, psd_sqrt(g), roots, dims, effects)
-
-
-def theorem1_from_roots(gammas, gamma_roots, blocks, roots, dims: tuple[int, int], povms) -> list[Theorem1Report]:
-    """:func:`theorem1_batch`, given ``sqrt(gamma)`` of each state and the square roots of the blocks.
-
-    For a caller that built the extensions from those roots, so that no
-    matrix is decomposed twice.  The inputs are validated as there, and the
-    rows have the same bits.
-    """
-    g, spectra, effects = _checked_triples(gammas, blocks, dims, povms)
-    return _theorem1_reports(g, spectra, gamma_roots, roots, dims, effects)
-
-
-def _checked_triples(gammas, blocks, dims, povms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The validated states, their eigenvalues and the validated POVMs of theorem-1 triples.
-
-    Each state must be a density operator and each extension's marginal its
-    state; the eigenvalues are the ones the density check computed.
-    """
-    g, spectra = density_spectrum(gammas, "gamma")
     flat = blocks.reshape(-1, *blocks.shape[-2:])
-    require_marginals(_marginals(flat, dims, [blocks.shape[1]] * len(blocks)), g, "gamma")
-    return g, spectra, as_povm(povms, g.shape[-1])
-
-
-def _theorem1_reports(g, spectra, gamma_roots, roots, dims, effects) -> list[Theorem1Report]:
-    """Each row's report from its validated triple, the eigenvalues of ``gamma`` and the square roots."""
+    g, spectra = _checked_pairs(gammas, _marginals(flat, dims, [blocks.shape[1]] * len(blocks)))
+    effects = as_povm(povms, g.shape[-1])
     s_trivial = _avg_entropies(*_live_updates(g, gamma_roots[:, None], (g.shape[-1], 1), effects))
     s_ext = _avg_entropies(*_live_updates(g, roots, dims, effects))
     s_gamma = spectrum_entropy(spectra)
@@ -218,12 +205,13 @@ def _theorem1_reports(g, spectra, gamma_roots, roots, dims, effects) -> list[The
 
 
 def theorem1_check(gamma, extension: FilteredGlobalState, povm) -> Theorem1Report:
-    """Evaluate the extremal-bound chain for one triple: :func:`theorem1_batch` of one row."""
-    return theorem1_batch([gamma], extension.blocks[None], extension.block_dims, [povm])[0]
+    """Evaluate the extremal-bound chain for one triple: :func:`theorem1_from_roots` of one row."""
+    g = as_density([gamma], "gamma")
+    blocks, roots = extension.blocks[None], extension.roots[None]
+    return theorem1_from_roots(g, psd_sqrt(g), blocks, roots, extension.block_dims, [povm])[0]
 
 
-@dataclass(frozen=True)
-class QuantifierDemo:
+class QuantifierDemo(NamedTuple):
     """Average entropies of two classically correlated extensions under Z and X."""
 
     values: dict[tuple[str, str], float]

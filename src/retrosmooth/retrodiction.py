@@ -20,6 +20,13 @@ retrofiltered effect ``E_R``:
 where ``P`` is the filtered global state (the extended prior at the
 smoothing time) and ``rho_F = Tr_A[P]`` the ordinary filtered state.
 
+Every update here is one body, ``Tr_A[ sqrt(P) (X (x) I_A) sqrt(P) ]`` over a
+stack of priors (``_traced``), under a different prior and operator ``X``:
+smoothing takes ``X = E_R`` and symmetrizes and normalizes the result,
+:func:`extended_petz` takes the pulled-back evidence, and :func:`petz_map` is
+:func:`extended_petz` on the trivial one-block prior.  The bridge map and the
+per-outcome updates of :mod:`retrosmooth.entropy` are calls of it too.
+
 Filtered global states are stored as a block-diagonal family over an
 optional classical record register, since the square root of a
 block-diagonal matrix factorizes blockwise; this keeps the cost linear in
@@ -247,13 +254,14 @@ def _pull_back_evidence(channel: ChannelRep, gamma: np.ndarray, sigma) -> np.nda
 
 
 def petz_map(channel: ChannelRep, gamma, sigma) -> np.ndarray:
-    """Petz recovery of a prior ``gamma`` through ``channel``, given evidence ``sigma``."""
+    """Petz recovery of a prior ``gamma`` through ``channel``, given evidence ``sigma``.
+
+    The trivial extension's update: :func:`extended_petz` on the one-block prior ``gamma``.
+    """
     g = as_density(gamma, "prior")
     if g.shape[0] != channel.input_dim:
         raise InvalidFactorization("prior dimension does not match the channel input")
-    pulled = _pull_back_evidence(channel, g, sigma)
-    root = psd_sqrt(g)
-    return hermitian_part(root @ pulled @ root)
+    return extended_petz(channel, FilteredGlobalState(blocks=g[None], dim_q=len(g)), sigma)
 
 
 def extended_petz(channel: ChannelRep, prior: FilteredGlobalState, sigma) -> np.ndarray:
@@ -270,30 +278,23 @@ def extended_petz(channel: ChannelRep, prior: FilteredGlobalState, sigma) -> np.
             f"channel input dim {channel.input_dim} != system dim {prior.dim_q}"
         )
     pulled = _pull_back_evidence(channel, prior.marginal(), sigma)
-    return hermitian_part(_sandwich_marginal(prior.roots, prior.block_dims, pulled))
+    return hermitian_part(_traced(prior.roots, prior.block_dims, pulled, [prior.dim_a2])[0])
 
 
-def _sandwich_marginal(roots: np.ndarray, dims: tuple[int, int], x) -> np.ndarray:
-    """``Tr_A[ sqrt(P) (x (x) I_A) sqrt(P) ]`` over stacked block roots on ``Q (x) A1``.
+def _traced(roots: np.ndarray, dims: tuple[int, int], x, counts) -> np.ndarray:
+    """``Tr_A[ sqrt(P) (x (x) I_A) sqrt(P) ]`` of each prior ``P`` of a stack: the one body of the update.
 
-    ``dims`` is ``(dim_q, dim_a1)``; see :func:`_sandwich` for the shapes.
-    Linear in ``x`` (no symmetrization), so it is safe on matrix units.
+    Prior ``i`` owns the next ``counts[i]`` rows of ``roots``, its block roots on
+    ``Q (x) A1`` (``dims = (dim_q, dim_a1)``), and its blocks are summed in order.
+    ``x`` is one operator for every row or a stack aligned with the rows.  Linear in
+    ``x`` (no symmetrization), so it is safe on matrix units.
     """
-    return partial_trace(_sandwich(roots, dims[1], x), dims, "Q").sum(axis=-3)
+    return _sum_runs(partial_trace(_sandwich(roots, dims[1], x), dims, "Q"), counts)
 
 
 def _sandwich(roots: np.ndarray, dim_a1: int, x) -> np.ndarray:
-    """``sqrt(P_u) (x (x) I_A1) sqrt(P_u)`` for every block root ``sqrt(P_u)``, as a stack.
-
-    With the roots ``(n, D, D)`` of one prior, one operator ``x`` gives
-    ``(n, D, D)`` and a stack of ``k`` gives ``(k, n, D, D)``.  Roots
-    ``(k, n, D, D)``, one prior per operator of a stack ``x``, give the same
-    shape.
-    """
-    lifted = tensor(x, np.eye(dim_a1))
-    if lifted.ndim == 3:
-        lifted = lifted[:, None]
-    return roots @ lifted @ roots
+    """``sqrt(P_u) (x (x) I_A1) sqrt(P_u)`` for every block root of a stack: one ``x``, or one per root."""
+    return roots @ tensor(x, np.eye(dim_a1)) @ roots
 
 
 def _effect_and_norm(prior: FilteredGlobalState, effect) -> tuple[np.ndarray, float]:
@@ -374,12 +375,10 @@ def _smooth_priors(priors, effects: np.ndarray, futures) -> list[tuple[np.ndarra
 def _update(roots: np.ndarray, dims: tuple[int, int], effects: np.ndarray, counts, norms) -> np.ndarray:
     """``hermitian_part(Tr_A[sqrt(P) (E (x) I_A1) sqrt(P)]) / norm`` of each of a stack of (prior, effect) pairs.
 
-    Pair ``j`` owns the next ``counts[j]`` rows of ``roots``, its prior's block
-    roots on ``Q (x) A1`` (``dims = (dim_q, dim_a1)``), and of ``effects``, its
-    effect once per block; its blocks are summed in order, and ``norm = norms[j]``.
+    Pair ``j`` owns the next ``counts[j]`` rows of ``roots`` and of ``effects``, its
+    effect once per block (:func:`_traced`), and ``norm = norms[j]``.
     """
-    summed = _sum_runs(partial_trace(_sandwich(roots[:, None], dims[1], effects), dims, "Q")[:, 0], counts)
-    return hermitian_part(summed) / norms[:, None, None]
+    return hermitian_part(_traced(roots, dims, effects, counts)) / norms[:, None, None]
 
 
 def _group_roots(group: list[FilteredGlobalState], counts) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ command prints one line per check and fails the process if any check fails.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,10 +20,9 @@ from .entropy import (
     lambda_map,
     no_universal_quantifier_demo,
     smoothed_outcome_states,
-    support_basis,
 )
 from .errors import EnumerationTooLarge, ZeroProbabilityRecord
-from .linalg import partial_trace, psd_sqrt, purify, trace_norm
+from .linalg import partial_trace, psd_sqrt, purify, support_basis, trace_norm
 from .retrodiction import bob_posterior, generalized_smooth
 from .scenario import Scenario, classical_demo_scenario, demo_scenario
 from .smoothers import branch_mixture_smooth, build_custom, build_prior
@@ -32,8 +31,7 @@ from .trajectory import Instrument, enumerate_records, retrofilter
 PRIOR_CYCLE = ("pf", "gw", "gw-variant", "pf-variant", "clhs")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: float

@@ -33,6 +33,21 @@ from retrosmooth.trajectory import ConditionalOp, Instrument, enumerate_records
 LN2 = float(np.log(2.0))
 
 
+def run_python(script, *args):
+    """Run ``script`` in a fresh interpreter on this checkout's package; its last output line, parsed as JSON."""
+    import subprocess
+    import sys
+
+    import retrosmooth
+
+    src = str(Path(retrosmooth.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -961,11 +976,6 @@ class TestMainEntry:
 
     def test_no_command_imports_numpy_ma(self, tmp_path):
         # importing numpy.ma takes about 14 ms, paid by every command whose interpreter loads it
-        import subprocess
-        import sys
-
-        import retrosmooth
-
         out = str(tmp_path)
         record = str(tmp_path / "driven-damped-qubit_trajectories.jsonl")
         commands = [
@@ -983,15 +993,20 @@ class TestMainEntry:
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
         )
-        src = str(Path(retrosmooth.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(commands)],
-            capture_output=True, text=True, env=env, timeout=120, check=True,
-        )
-        codes, imported = json.loads(done.stdout.strip().splitlines()[-1])
+        codes, imported = run_python(script, json.dumps(commands))
         assert codes == [0] * len(commands)
         assert not imported
+
+    def test_only_verify_imports_the_verify_suite(self):
+        # the suite's module is compiled and run by the verify command alone, not at every start-up
+        script = (
+            "import json, sys\n"
+            "from retrosmooth.cli import main\n"
+            "before = 'retrosmooth.verify' in sys.modules\n"
+            "code = main(['verify', '--seed', '3'])\n"
+            "print(json.dumps([before, code, 'retrosmooth.verify' in sys.modules]))\n"
+        )
+        assert run_python(script) == [False, 0, True]
 
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--seed", "3"]) == 0

@@ -15,8 +15,8 @@ from retrosmooth.entropy import (
     sandwich_bound,
     smoothed_outcome_states,
     support_basis,
-    theorem1_batch,
     theorem1_check,
+    theorem1_from_roots,
 )
 from retrosmooth.errors import InvalidExtension, InvalidPOVM
 from retrosmooth.linalg import (
@@ -392,7 +392,8 @@ def reference_pass(draws):
     gamma = sampling.density_from(g)
     ext = as_density(reference_extension_from(gamma, psi), "extension")
     dims = (g.shape[-1], psi.shape[-1] // g.shape[-1])
-    return theorem1_batch(gamma, ext[:, None], dims, sampling.povm_from(e))
+    povm = sampling.povm_from(e)
+    return theorem1_from_roots(gamma, psd_sqrt(gamma), ext[:, None], psd_sqrt(ext)[:, None], dims, povm)
 
 
 def reference_theorem1_rows(scenario, seed):
@@ -432,7 +433,8 @@ def row_draw(rng, d_q, d_a, n_eff):
 
 class TestBatchedTheorem1:
     def test_no_rows_give_no_reports(self):
-        assert theorem1_batch(np.zeros((0, 2, 2)), np.zeros((0, 1, 4, 4)), (2, 2), np.zeros((0, 3, 2, 2))) == []
+        gammas, blocks = np.zeros((0, 2, 2)), np.zeros((0, 1, 4, 4))
+        assert theorem1_from_roots(gammas, gammas, blocks, blocks, (2, 2), np.zeros((0, 3, 2, 2))) == []
 
     def test_sweep_matches_row_by_row_on_every_default_shape_group(self):
         seed, n = 23, 400
@@ -568,7 +570,8 @@ class TestBatchedTheorem1:
             gammas.append(gamma)
             blocks.append(sampling.random_extension(gamma, 2, rng)[None])
             povms.append(povm)
-        reports = theorem1_batch(np.stack(gammas), np.stack(blocks), (3, 2), np.stack(povms))
+        g, b = np.stack(gammas), np.stack(blocks)
+        reports = theorem1_from_roots(g, psd_sqrt(g), b, psd_sqrt(b[:, 0])[:, None], (3, 2), np.stack(povms))
         for gamma, block, povm, got in zip(gammas, blocks, povms, reports, strict=True):
             ext = build_custom(block[0], (3, 2))
             assert bits(got) == bits(reference_report(gamma, ext, povm))
@@ -583,11 +586,13 @@ class TestBatchedTheorem1:
     def test_batch_validates_every_row(self):
         gamma = sampling.random_density(2, np.random.default_rng(3))
         ext = np.stack([tensor(gamma, np.diag([1.0, 0.0]))[None]] * 2)
+        roots = psd_sqrt(ext[:, 0])[:, None]
         gammas = np.stack([gamma, np.diag([0.5, 0.5])])
         with pytest.raises(InvalidExtension):
-            theorem1_batch(gammas, ext, (2, 2), np.stack([Z_POVM, Z_POVM]))
+            theorem1_from_roots(gammas, psd_sqrt(gammas), ext, roots, (2, 2), np.stack([Z_POVM, Z_POVM]))
+        gammas = np.stack([gamma] * 2)
         with pytest.raises(InvalidPOVM):
-            theorem1_batch(np.stack([gamma] * 2), ext, (2, 2), np.stack([Z_POVM, (proj(K0), proj(K0))]))
+            theorem1_from_roots(gammas, psd_sqrt(gammas), ext, roots, (2, 2), np.stack([Z_POVM, (proj(K0), proj(K0))]))
 
     def test_stacked_lambda_choi_matches_per_unit_loop(self):
         rng = np.random.default_rng(37)
