@@ -117,7 +117,7 @@ def cmd_smooth(
             live.append((s.states[s.possible], s.rho_f))
             if s.kind in register:
                 register[s.kind][s.past] = s.states, s.possible
-        units.append((s._replace(prior=None, effects=None, states=None), residual))
+        units.append((s._replace(priors=None, effects=None, states=None), residual))
     # then the metrics of every smoothed state in one call each
     empty = np.empty((0, scenario.dim, scenario.dim), complex)
     smoothed = np.concatenate([empty, *(states for states, _ in live)])

@@ -102,8 +102,13 @@ def _sum_runs(stack: np.ndarray, counts) -> np.ndarray:
 
 def require_finite(a: np.ndarray, name: str) -> None:
     """Raise :class:`InvalidMatrix` unless every entry of the complex array ``a`` is finite."""
-    if not np.isfinite(a.view(float)).all():
+    if not _isfinite(a).all():
         raise InvalidMatrix(f"{name} has non-finite entries")
+
+
+def _isfinite(a: np.ndarray) -> np.ndarray:
+    """Whether each matrix of an array (``ndim >= 2``) has only finite entries."""
+    return np.isfinite(a.view(float)).all(axis=(-2, -1))
 
 
 def as_square(m, name: str = "matrix") -> np.ndarray:
@@ -124,14 +129,19 @@ def as_hermitian(m, name: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndar
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
+    h, skew = hermitian_faults(a, tol)
+    if skew.any():
+        raise InvalidMatrix(f"{name} is not Hermitian within {tol:g}")
+    require_finite(h, f"{name}'s Hermitian part")
+    return h
+
+
+def hermitian_faults(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_part(a)``, and which of its matrices :func:`as_hermitian` finds further than ``tol`` from it."""
     # an infinite or NaN entry, or one that overflows here, leaves an infinite or NaN entry in h
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.abs(a - dag(a)).max(axis=(-2, -1), initial=0.0)
-        if (gap > tol * np.abs(a).max(axis=(-2, -1), initial=1.0)).any():
-            raise InvalidMatrix(f"{name} is not Hermitian within {tol:g}")
-        h = hermitian_part(a)
-    require_finite(h, f"{name}'s Hermitian part")
-    return h
+        return hermitian_part(a), gap > tol * np.abs(a).max(axis=(-2, -1), initial=1.0)
 
 
 def _as_unit_trace(m, name: str) -> np.ndarray:
@@ -385,11 +395,25 @@ def purify(rho) -> np.ndarray:
     ancilla dimension equals the rank.  The eigenvector phase convention of
     :func:`herm_eig` makes the output deterministic.
     """
-    w, v, keep = _support(as_density(rho))
-    rank = max(int(np.count_nonzero(keep)), 1)
-    amps = np.sqrt(np.clip(w[:rank], 0.0, None))
-    # psi[i * rank + k] = sqrt(w_k) v_k[i]: row-major reshape gives Q-first layout
-    return (v[:, :rank] * amps).reshape(-1)
+    ((_, psi),) = purifications(as_density(rho)[None]).values()
+    return psi[0]
+
+
+def purifications(rhos: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """:func:`purify` of each of a stack of validated density operators, by ancilla dimension.
+
+    Maps each rank ``r`` to the indices of the states of that rank and the
+    stack of their purifications, ``(n, d * r)``.
+    """
+    w, v, keep = _support(rhos)
+    ranks = np.maximum(np.count_nonzero(keep, axis=-1), 1)
+    found = {}
+    for rank in sorted(set(ranks.tolist())):
+        rows = np.flatnonzero(ranks == rank)
+        amps = np.sqrt(np.clip(w[rows, :rank], 0.0, None))
+        # psi[i * rank + k] = sqrt(w_k) v_k[i]: row-major reshape gives Q-first layout
+        found[rank] = rows, (v[rows, :, :rank] * amps[:, None, :]).reshape(len(rows), -1)
+    return found
 
 
 def entropy_vn(rho):

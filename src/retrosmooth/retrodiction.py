@@ -30,20 +30,18 @@ per-outcome updates of :mod:`retrosmooth.entropy` are calls of it too.
 Filtered global states are stored as a block-diagonal family over an
 optional classical record register, since the square root of a
 block-diagonal matrix factorizes blockwise; this keeps the cost linear in
-the number of record branches.  The blocks are one stacked array, and each
-smoothing update is a stacked sandwich ``sqrt(P_u) (E_R (x) I_A1) sqrt(P_u)``
-followed by one partial trace over ``A1`` and the register.  Since the
-update is linear in ``E_R``, every future of one past is smoothed in one
-call on a stack of effects, on the prior's square roots, taken once and
-cached.  A table of priors is smoothed in one call as well: the priors of
-one block shape take their square roots in one batched eigendecomposition
-of all their blocks, and every (prior, future) pair goes through one
-sandwich and one partial trace.
+the number of record branches.  One prior kind's states for a table of
+pasts are one :class:`PriorTable`, its blocks stacked per block shape, and a
+:class:`FilteredGlobalState` is a table of one row.  A table is smoothed in
+one call: each stack takes its square roots in one batched
+eigendecomposition, cached, and every (past, future) pair goes through one
+stacked sandwich ``sqrt(P_u) (E_R (x) I_A1) sqrt(P_u)`` and one partial
+trace over ``A1`` and the register.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,6 +60,7 @@ from .linalg import (
     MARGINAL_TOL,
     PROB_SUM_TOL,
     WEIGHT_FLOOR,
+    _isfinite,
     _ranges,
     _sum_runs,
     as_density,
@@ -71,6 +70,7 @@ from .linalg import (
     as_square,
     completeness_defect,
     dag,
+    hermitian_faults,
     hermitian_part,
     partial_trace,
     psd_sqrt,
@@ -128,13 +128,10 @@ class FilteredGlobalState:
     register, on ``Q (x) A1 (x) A2``.  Priors without a record register are a
     single block with the empty label.  Block traces must sum to one.
 
-    Any sequence of equal-shape matrices is accepted for ``blocks`` and
-    validated in one pass: finite entries, each block Hermitian within
-    ``BLOCK_HERMITIAN_TOL`` of its own scale, traces summing to one within
-    ``PROB_SUM_TOL``.
-    ``roots`` is the aligned stack of the blocks' square roots, computed on
-    first use and then reused by every smoothing update of this prior; the
-    marginal is likewise taken once.
+    Any sequence of equal-shape matrices is accepted for ``blocks``: the state
+    is the one-row :class:`PriorTable` ``table``, whose check it passes, and
+    ``roots`` (the blocks' square roots) and the marginal are that table's,
+    each taken once and reused by every update of this prior.
     """
 
     blocks: np.ndarray
@@ -142,6 +139,7 @@ class FilteredGlobalState:
     dim_a1: int = 1
     block_labels: tuple[tuple, ...] = ((),)
     kind: str = "custom"
+    table: PriorTable = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
@@ -159,20 +157,18 @@ class FilteredGlobalState:
             raise InvalidFactorization(
                 f"blocks of shape {stack.shape[1:]} do not match dims ({self.dim_q}, {self.dim_a1})"
             )
-        stack = as_hermitian(stack, "global-state block", tol=BLOCK_HERMITIAN_TOL)
-        total = float(np.trace(stack, axis1=1, axis2=2).real.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise InvalidMatrix(f"block traces sum to {total!r}, expected 1")
-        stack.flags.writeable = False
-        object.__setattr__(self, "blocks", stack)
-        object.__setattr__(self, "block_labels", tuple(tuple(l) for l in self.block_labels))
+        labels = tuple(tuple(l) for l in self.block_labels)
+        table = PriorTable.of(self.kind, self.dim_q, [None], [labels], {self.dim_a1: ([0], [len(stack)], stack)})
+        if table.errors[0] is not None:
+            raise table.errors[0]
+        object.__setattr__(self, "blocks", table.stacks[self.dim_a1])
+        object.__setattr__(self, "block_labels", labels)
+        object.__setattr__(self, "table", table)
 
-    @cached_property
+    @property
     def roots(self) -> np.ndarray:
         """``psd_sqrt`` of every block, as a read-only stack aligned with ``blocks``."""
-        roots = psd_sqrt(self.blocks)
-        roots.flags.writeable = False
-        return roots
+        return self.table.roots[self.dim_a1]
 
     @property
     def dim_a2(self) -> int:
@@ -193,9 +189,7 @@ class FilteredGlobalState:
 
     @cached_property
     def _marginal(self) -> np.ndarray:
-        (marginal,) = _marginals(self.blocks, self.block_dims, [len(self.blocks)])
-        marginal.flags.writeable = False
-        return marginal
+        return self.table.marginals[self.dim_a1][0]
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full matrix on ``Q (x) A1 (x) A2`` (register last)."""
@@ -209,12 +203,103 @@ class FilteredGlobalState:
         require_marginals(self.marginal(), rho, what)
 
 
+@dataclass(frozen=True, eq=False)
+class PriorTable:
+    """One prior kind's filtered global states for a table of pasts, one row per past.
+
+    Row ``i`` failed to build with ``errors[i]``, or it holds ``counts[i]``
+    blocks on ``Q (x) A1``, ``A1`` of dimension ``dim_a1[i]``, labelled
+    ``labels[i]``: rows ``starts[i]`` on of ``stacks[dim_a1[i]]``, the read-only
+    stack of every block of that shape in row order.  Only ``clhs`` has more
+    than one shape.  Each stack's roots and marginals are taken once, when read.
+    """
+
+    kind: str
+    dim_q: int
+    stacks: dict[int, np.ndarray]
+    dim_a1: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    labels: list
+    errors: list
+
+    @classmethod
+    def of(cls, kind: str, dim_q: int, errors: list, labels: list, shapes: dict) -> PriorTable:
+        """The table whose row ``i`` failed with ``errors[i]`` or, where that is ``None``, holds blocks.
+
+        ``shapes`` maps each ``dim_a1`` to that shape's rows, ascending, their
+        block counts and their blocks stacked in row order.  Each block must be
+        finite and Hermitian within ``BLOCK_HERMITIAN_TOL`` of its own scale,
+        and each row's traces, added as ``np.sum`` adds them, must sum to one
+        within ``PROB_SUM_TOL``: a row that fails takes that error.
+        """
+        errors, n, stacks = list(errors), len(errors), {}
+        dim_a1, counts, starts = np.zeros(n, int), np.zeros(n, int), np.zeros(n, int)
+        for a1, (rows, sizes, blocks) in shapes.items():
+            rows, sizes, blocks = np.asarray(rows, int), np.asarray(sizes, int), np.asarray(blocks, complex)
+            stack, skew = hermitian_faults(blocks, BLOCK_HERMITIAN_TOL)
+            with np.errstate(over="ignore", invalid="ignore"):
+                totals = _sum_runs(np.trace(stack, axis1=1, axis2=2).real, sizes)
+            failed, bad = np.abs(totals - 1.0) > PROB_SUM_TOL, skew | ~_isfinite(stack)
+            if bad.any():
+                failed |= np.bincount(np.repeat(np.arange(len(rows)), sizes)[bad], minlength=len(rows)) > 0
+            if failed.any():
+                lo = np.cumsum(sizes) - sizes
+                for i in np.flatnonzero(failed).tolist():
+                    errors[rows[i]] = _row_error(blocks[lo[i] : lo[i] + sizes[i]], float(totals[i]))
+                stack, rows, sizes = stack[np.repeat(~failed, sizes)], rows[~failed], sizes[~failed]
+            if len(rows):
+                stack.flags.writeable = False
+                stacks[a1] = stack
+                dim_a1[rows], counts[rows], starts[rows] = a1, sizes, np.cumsum(sizes) - sizes
+        return cls(kind, dim_q, stacks, dim_a1, counts, starts, labels, errors)
+
+    def rows(self, dim_a1: int) -> np.ndarray:
+        """The built rows whose blocks are ``stacks[dim_a1]``, in order."""
+        return np.flatnonzero(self.dim_a1 == dim_a1)
+
+    def prior(self, i: int) -> FilteredGlobalState:
+        """Row ``i`` as a :class:`FilteredGlobalState`, built when called; raises the row's error."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        a1, lo = int(self.dim_a1[i]), int(self.starts[i])
+        return FilteredGlobalState(self.stacks[a1][lo : lo + self.counts[i]], self.dim_q, a1, self.labels[i], self.kind)
+
+    @cached_property
+    def roots(self) -> dict[int, np.ndarray]:
+        """``psd_sqrt`` of each stack, read-only."""
+        return {a1: _read_only(psd_sqrt(stack)) for a1, stack in self.stacks.items()}
+
+    @cached_property
+    def marginals(self) -> dict[int, np.ndarray]:
+        """The system marginal of each built row, stacked per shape like ``stacks``, read-only."""
+        return {
+            a1: _read_only(_marginals(stack, (self.dim_q, a1), self.counts[self.rows(a1)]))
+            for a1, stack in self.stacks.items()
+        }
+
+
+def _row_error(blocks: np.ndarray, total: float) -> InvalidMatrix:
+    """The error of one prior's blocks that fail :meth:`PriorTable.of`'s check, their traces summing to ``total``."""
+    try:
+        as_hermitian(blocks, "global-state block", tol=BLOCK_HERMITIAN_TOL)
+    except InvalidMatrix as exc:
+        return exc
+    return InvalidMatrix(f"block traces sum to {total!r}, expected 1")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def require_marginals(marginals, rhos, what: str) -> None:
     """Raise :class:`InvalidExtension` unless each marginal is its state within ``MARGINAL_TOL``.
 
-    ``marginals`` and ``rhos`` are one matrix each or aligned stacks ``(n, d, d)``.
+    ``marginals`` and ``rhos`` are one matrix each, aligned stacks ``(n, d, d)``,
+    or one marginal for a stack of states.
     """
-    if np.shape(rhos) != np.shape(marginals):
+    if np.shape(rhos)[-2:] != np.shape(marginals)[-2:]:
         raise InvalidExtension(f"extension system dimension does not match {what}")
     gap = float(np.abs(marginals - np.asarray(rhos, dtype=complex)).max(initial=0.0))
     if gap > MARGINAL_TOL:
@@ -325,49 +410,47 @@ def generalized_smooth(prior, effect, futures=None):
     ``states[j]`` is then NaN instead of raising.  Each state has the bits of
     the single-effect call.
 
-    ``prior`` may also be a sequence of priors, with ``effect`` one stack of
-    effects and ``futures[i]`` the indices in it of prior ``i``'s effects:
-    the stack is validated once, and the result is each prior's
-    ``(states, possible)`` with the bits of its one-prior call.  The priors
-    of one block shape take one batched square root of all their blocks,
-    and all their (prior, effect) pairs one sandwich and one partial trace.
-    One prior is the one-group case, on its cached roots.
+    ``prior`` may also be a :class:`PriorTable`, with ``effect`` one stack of
+    effects and ``futures[i]`` the indices in it of row ``i``'s effects: the
+    stack is validated once, and the result is each row's ``(states,
+    possible)``, or ``None`` for a row that failed to build, with the bits of
+    its one-prior call.  Each block shape's rows take one batched square root
+    of their stack, and all their (row, effect) pairs one sandwich and one
+    partial trace.  One prior is the one-row table, on its cached roots.
     """
-    if not isinstance(prior, FilteredGlobalState):
+    if isinstance(prior, PriorTable):
         return _smooth_priors(prior, as_effect(effect), futures)
     if np.ndim(effect) == 3:
-        return _smooth_priors([prior], as_effect(effect), [np.arange(len(effect))])[0]
+        return _smooth_priors(prior.table, as_effect(effect), [np.arange(len(effect))])[0]
     e, _ = _effect_and_norm(prior, effect)
-    return _smooth_priors([prior], e[None], [[0]])[0][0][0]
+    return _smooth_priors(prior.table, e[None], [[0]])[0][0][0]
 
 
-def _smooth_priors(priors, effects: np.ndarray, futures) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`generalized_smooth` of priors on their futures' rows of a validated stack of effects.
+def _smooth_priors(table: PriorTable, effects: np.ndarray, futures) -> list:
+    """:func:`generalized_smooth` of a table's rows on their futures' rows of a validated stack of effects.
 
-    The possible (prior, future) pairs of one block shape are one
-    :func:`_update` call, one row per block of each pair.
+    The possible (row, future) pairs of one block shape are one :func:`_update`
+    call, one row per block of each pair, on the shape's stacked roots.
     """
-    if any(p.dim_q != effects.shape[-1] for p in priors):
+    if table.stacks and table.dim_q != effects.shape[-1]:
         raise InvalidFactorization("effect dimension does not match the system")
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(priors):
-        groups.setdefault(p.block_dims, []).append(i)
-    found: list = [None] * len(priors)
-    for dims, members in groups.items():
-        counts = np.array([len(priors[i].blocks) for i in members])
-        roots, marginals = _group_roots([priors[i] for i in members], counts)
-        # every (prior, future) pair of the group, prior-major
-        picks = [np.asarray(futures[i], dtype=int) for i in members]
+    found: list = [None] * len(table.errors)
+    for dim_a1 in table.stacks:
+        members, dims = table.rows(dim_a1), (table.dim_q, dim_a1)
+        counts = table.counts[members]
+        # every (row, future) pair of the shape, row-major
+        picks = [np.asarray(futures[i], dtype=int) for i in members.tolist()]
         lengths = [len(f) for f in picks]
         pair_prior, pair_effect = np.repeat(np.arange(len(members)), lengths), np.concatenate(picks)
-        norms = _norms(marginals[pair_prior], effects[pair_effect])
+        norms = _norms(table.marginals[dim_a1][pair_prior], effects[pair_effect])
         possible = norms > WEIGHT_FLOOR
         states = np.full((len(norms), *effects.shape[1:]), np.nan, dtype=complex)
         n = counts[pair_prior[possible]]
-        rows = _ranges((np.cumsum(counts) - counts)[pair_prior[possible]], n)
-        states[possible] = _update(roots[rows], dims, effects[np.repeat(pair_effect[possible], n)], n, norms[possible])
+        rows = _ranges(table.starts[members][pair_prior[possible]], n)
+        roots = table.roots[dim_a1][rows]
+        states[possible] = _update(roots, dims, effects[np.repeat(pair_effect[possible], n)], n, norms[possible])
         bounds = np.cumsum([0, *lengths])
-        for i, lo, hi in zip(members, bounds, bounds[1:]):
+        for i, lo, hi in zip(members.tolist(), bounds, bounds[1:]):
             found[i] = states[lo:hi], possible[lo:hi]
     return found
 
@@ -379,14 +462,6 @@ def _update(roots: np.ndarray, dims: tuple[int, int], effects: np.ndarray, count
     effect once per block (:func:`_traced`), and ``norm = norms[j]``.
     """
     return hermitian_part(_traced(roots, dims, effects, counts)) / norms[:, None, None]
-
-
-def _group_roots(group: list[FilteredGlobalState], counts) -> tuple[np.ndarray, np.ndarray]:
-    """The block roots and marginals of same-shape priors: one prior's cached ones, else one :func:`psd_sqrt` call."""
-    if len(group) == 1:
-        return group[0].roots, group[0].marginal()[None]
-    blocks = np.concatenate([p.blocks for p in group])
-    return psd_sqrt(blocks), _marginals(blocks, group[0].block_dims, counts)
 
 
 def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:

@@ -1,8 +1,7 @@
 """Builders for the filtered global states behind each smoothing flavor.
 
-Each builder returns a :class:`~retrosmooth.retrodiction.FilteredGlobalState`
-encoding what the agent credits about correlations with the system before the
-smoothing time:
+Each prior kind encodes what the agent credits about correlations with the
+system before the smoothing time:
 
 ``pf``
     No auxiliary at all: the prior is the filtered state itself, and
@@ -27,9 +26,12 @@ smoothing time:
 ``gw``, ``gw-variant`` and ``pf-variant`` are one classical register over
 what bob tells apart, and :data:`REGISTERS` maps each to bob's partition and
 whether ``rho0`` is purified.  :func:`build_priors` builds every kind for
-every past of a table, each register kind from one
+every past of a table as one :class:`~retrosmooth.retrodiction.PriorTable`,
+its blocks stacked and validated in one pass, each register kind from one
 :func:`~retrosmooth.trajectory.walk_records` pass over its bob branches;
-:func:`build_prior` is its one-past case.  Under the finest partition bob's
+:func:`build_prior` is row 0 of a one-past table, and :func:`build_pf`,
+:func:`build_clhs` and :func:`build_custom` give one
+:class:`~retrosmooth.retrodiction.FilteredGlobalState`.  Under the finest partition bob's
 options at an outcome are the sorted names of its Kraus operators, so every
 instrument has every prior; under the coarsest bob tells apart no more than
 alice, and the register has one branch.  The pass merges, exactly, the
@@ -46,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationTooLarge, InvalidFactorization, RetrosmoothError, ZeroProbabilityRecord
-from .linalg import ISOMETRY_TOL, WEIGHT_FLOOR, as_density, dag, hermitian_part, purify, tensor
-from .retrodiction import FilteredGlobalState
+from .linalg import ISOMETRY_TOL, WEIGHT_FLOOR, as_density, dag, hermitian_part, purifications, purify, tensor
+from .retrodiction import FilteredGlobalState, PriorTable
 from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, Merged, filter as filter_state, walk_records
 
 # each register kind's (bob's partition, whether rho0 is purified): bob tells apart every Kraus name
@@ -119,27 +121,21 @@ def enumerate_bob_branches(
     Branches with an exactly zero operator are left out.
     """
     records, ops = _one(_bob_branches(instrument, as_density(rho0, "rho0"), [alice_past], 1, cap)[0])
-    return [TrueStateBranch(r, op, w) for r, op, w in zip(records, ops, _weights(ops))]
+    return [TrueStateBranch(r, op, w) for r, op, w in zip(records, ops, _weights(ops).tolist())]
 
 
-def _weights(ops: np.ndarray) -> list[float]:
-    return [max(float(t), 0.0) for t in np.trace(ops, axis1=1, axis2=2).real]
+def _weights(ops: np.ndarray) -> np.ndarray:
+    return np.maximum(np.trace(ops, axis1=1, axis2=2).real, 0.0)
 
 
 def build_pf(rho_f) -> FilteredGlobalState:
     """Trivial extension: the filtered state with a one-dimensional auxiliary."""
-    rho = as_density(rho_f, "rho_f")
-    return FilteredGlobalState(
-        blocks=(rho,), dim_q=rho.shape[0], dim_a1=1, block_labels=((),), kind="pf"
-    )
+    return _filtered_priors("pf", [rho_f]).prior(0)
 
 
 def build_clhs(rho_f) -> FilteredGlobalState:
     """Purification of the filtered state; smoothing leaves the marginal fixed."""
-    block, rank = purified_initial(rho_f, "rho_f")
-    return FilteredGlobalState(
-        blocks=(block,), dim_q=len(block) // rank, dim_a1=rank, block_labels=((),), kind="clhs"
-    )
+    return _filtered_priors("clhs", [rho_f]).prior(0)
 
 
 def purified_initial(rho0, name: str = "rho0") -> tuple[np.ndarray, int]:
@@ -151,8 +147,8 @@ def purified_initial(rho0, name: str = "rho0") -> tuple[np.ndarray, int]:
 
 def build_priors(
     kind: str, instrument: Instrument, rho0, pasts, rho_fs, cap=DEFAULT_ENUMERATION_CAP, custom=None, *, merge=True
-):
-    """The prior of ``kind`` for each of ``pasts``, or the error of its build.
+) -> PriorTable:
+    """The :class:`~retrosmooth.retrodiction.PriorTable` of ``kind``: one row per past, its prior or its error.
 
     ``pf`` and ``clhs`` start from ``rho_fs``, the pasts' filtered states;
     ``custom`` is the built extension ``custom`` wherever its marginal is the
@@ -160,7 +156,9 @@ def build_priors(
     every past, from a purification of ``rho0`` where :data:`REGISTERS` says
     so and from ``rho0`` itself otherwise: each register branch holds the
     joint-record conditioned state of the system (and the purifying ancilla),
-    the weights normalized by the probability of the alice record.
+    the weights normalized by the probability of the alice record.  Every
+    kind is validated in stacked passes, and a row that fails takes the
+    error of its one-past build.
 
     The pass merges the branches of a past that end in one reset (see
     :func:`~retrosmooth.trajectory.walk_records`): a block is then the sum
@@ -173,43 +171,94 @@ def build_priors(
     which :func:`~retrosmooth.retrodiction.bob_posterior` needs.
     """
     if kind in ("pf", "clhs"):
-        return [_attempt(build_pf if kind == "pf" else build_clhs, rho_f) for rho_f in rho_fs]
+        return _filtered_priors(kind, rho_fs)
     if kind == "custom" and custom is not None:
-        return [_attempt(_extending, custom, rho_f) for rho_f in rho_fs]
+        return _extending(custom, rho_fs)
     if kind not in REGISTERS:
         raise InvalidFactorization(f"cannot build prior kind {kind!r} from a scenario")
     partition, purified = REGISTERS[kind]
     initial, rank = purified_initial(rho0) if purified else (as_density(rho0, "rho0"), 1)
     branches = _bob_branches(instrument, initial, pasts, rank, cap, partition, merge)
-    return [_attempt(_register_state, found, instrument.dim, rank, kind) for found in branches]
+    return _register_priors(kind, instrument.dim, rank, branches)
 
 
-def _attempt(build, *args):
-    """``build(*args)``, or the :class:`RetrosmoothError` it raises."""
+def _filtered_priors(kind: str, rho_fs) -> PriorTable:
+    """``pf`` or ``clhs`` for each filtered state of ``rho_fs``, validated as ``rho_f`` in one stacked call."""
+    found = _row_checks(lambda m: as_density(m, "rho_f"), list(rho_fs))
+    errors = [f if isinstance(f, RetrosmoothError) else None for f in found]
+    built = np.flatnonzero([e is None for e in errors])
+    shapes, dim_q = {}, 0
+    if len(built):
+        rhos = np.stack([found[i] for i in built.tolist()])
+        dim_q, ones = rhos.shape[-1], np.ones(len(built), dtype=int)
+        if kind == "pf":
+            shapes = {1: (built, ones, rhos)}
+        else:
+            pure = purifications(rhos).items()
+            shapes = {r: (built[rows], ones[rows], psi[:, :, None] * psi.conj()[:, None, :]) for r, (rows, psi) in pure}
+    return PriorTable.of(kind, dim_q, errors, [((),)] * len(found), shapes)
+
+
+def _row_checks(check, rows: list) -> list:
+    """``check`` of each of ``rows``, or the :class:`RetrosmoothError` it raises for that row alone.
+
+    The rows are checked as one stack, split in halves wherever a stacked call
+    raises, so a failing row is checked alone and the others keep the bits of
+    a stacked call.
+    """
+    if len(rows) <= 1:
+        try:
+            return [check(row) for row in rows]
+        except RetrosmoothError as exc:
+            return [exc]
     try:
-        return build(*args)
-    except RetrosmoothError as exc:
-        return exc
+        return list(check(np.stack(rows)))
+    except (RetrosmoothError, ValueError):
+        half = len(rows) // 2
+        return _row_checks(check, rows[:half]) + _row_checks(check, rows[half:])
 
 
-def _extending(prior: FilteredGlobalState, rho_f) -> FilteredGlobalState:
-    """``prior``, once its marginal is checked to be the filtered state ``rho_f``."""
-    prior.require_marginal(rho_f, "the filtered state")
-    return prior
+def _extending(custom: FilteredGlobalState, rho_fs) -> PriorTable:
+    """``custom`` for each filtered state of ``rho_fs`` that is its marginal, checked in one stacked call."""
+
+    def check(rhos):
+        custom.require_marginal(rhos, "the filtered state")
+        return rhos
+
+    errors = [f if isinstance(f, RetrosmoothError) else None for f in _row_checks(check, list(rho_fs))]
+    built = [i for i, e in enumerate(errors) if e is None]
+    shapes = {custom.dim_a1: (built, [custom.dim_a2] * len(built), np.tile(custom.blocks, (len(built), 1, 1)))}
+    return PriorTable.of("custom", custom.dim_q, errors, [custom.block_labels] * len(errors), shapes)
 
 
-def _register_state(found, dim_q, dim_a1, kind) -> FilteredGlobalState:
-    records, ops = _one(found)
-    total = sum(_weights(ops))
-    if total <= WEIGHT_FLOOR:
-        raise ZeroProbabilityRecord("record impossible under the instrument")
-    return FilteredGlobalState(
-        blocks=ops / total,
-        dim_q=dim_q,
-        dim_a1=dim_a1,
-        block_labels=tuple(records),
-        kind=kind,
-    )
+def _register_priors(kind: str, dim_q: int, rank: int, branches: list) -> PriorTable:
+    """A register kind's table from its bob-branch pass: each past's branches over their total weight.
+
+    A past whose weights, added in branch order, are at or below
+    ``WEIGHT_FLOOR`` is impossible.
+    """
+    errors = [found if isinstance(found, RetrosmoothError) else None for found in branches]
+    built = np.flatnonzero([e is None for e in errors])
+    d = dim_q * rank
+    ops = np.concatenate([np.empty((0, d, d), dtype=complex), *(branches[i][1] for i in built.tolist())])
+    counts = np.array([len(branches[i][1]) for i in built.tolist()], dtype=int)
+    totals = _ordered_sums(_weights(ops), counts)
+    impossible = totals <= WEIGHT_FLOOR
+    for i in built[impossible].tolist():
+        errors[i] = ZeroProbabilityRecord("record impossible under the instrument")
+    possible = ~impossible
+    blocks = ops[np.repeat(possible, counts)] / np.repeat(totals[possible], counts[possible])[:, None, None]
+    labels = [None if e is not None else tuple(found[0]) for found, e in zip(branches, errors)]
+    return PriorTable.of(kind, dim_q, errors, labels, {rank: (built[possible], counts[possible], blocks)})
+
+
+def _ordered_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``counts[i]`` consecutive values, added left to right as ``sum`` adds a list."""
+    sums, starts = np.zeros(len(counts)), np.cumsum(counts) - counts
+    for n in set(counts.tolist()) - {0}:
+        runs = np.flatnonzero(counts == n)
+        sums[runs] = np.cumsum(values[starts[runs, None] + np.arange(n)], axis=1)[:, -1]
+    return sums
 
 
 def build_custom(matrix, dims: tuple[int, int]) -> FilteredGlobalState:
@@ -235,7 +284,7 @@ def build_prior(
     rho_f=None,
     merge: bool = True,
 ) -> FilteredGlobalState:
-    """The one-past case of :func:`build_priors`, raising the error of a failed build.
+    """Row 0 of a one-past :func:`build_priors` table, raising the error of a failed build.
 
     ``pf`` and ``clhs`` start from the filtered state of ``alice_past``: the
     given ``rho_f``, or one :func:`~retrosmooth.trajectory.filter` call when
@@ -243,7 +292,7 @@ def build_prior(
     """
     if rho_f is None and kind in ("pf", "clhs"):
         rho_f, _ = filter_state(instrument, rho0, alice_past)
-    return _one(build_priors(kind, instrument, rho0, [alice_past], [rho_f], cap, merge=merge)[0])
+    return build_priors(kind, instrument, rho0, [alice_past], [rho_f], cap, merge=merge).prior(0)
 
 
 def extend_ancilla(prior: FilteredGlobalState, isometry) -> FilteredGlobalState:

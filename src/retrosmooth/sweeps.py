@@ -9,18 +9,21 @@ formats and writes them, ``verify`` holds them to tolerances.  One floor,
   prefix at the smoothing time, as ``past -> Past(rho_f, p, futures)``: each
   table filters its pasts in one pass over their prefix trie.
 * :func:`smooth_table` is the one smoothing pass: for each prior kind it
-  builds the priors of all the table's pasts in one
+  builds the priors of all the table's pasts as one stacked
+  :class:`~retrosmooth.retrodiction.PriorTable`, in one
   :func:`~retrosmooth.smoothers.build_priors` call (one bob-branch pass for
-  a register kind, the scenario's one built extension for ``custom``) and
-  smooths every (past, future) pair in one stacked call.  It retrofilters the
-  table's distinct futures in one pass over their suffix trie, shared by
-  every prior kind.  The sweeps below reduce it.
+  a register kind, the scenario's one built extension for ``custom``), and
+  smooths every (past, future) pair from it in one stacked call, building no
+  per-past prior object.  It retrofilters the table's distinct futures in one
+  pass over their suffix trie, shared by every prior kind.  The sweeps below
+  reduce it.
 * :func:`entropy_rows` holds the average smoothed entropy of each (prior
   kind, past) pair against the ``S(rho_F) - H(futures) <= avg <= S(rho_F)``
   sandwich.
 * :func:`classical_deviation` compares quantum smoothing of a classical chain
   with forward-backward smoothing at every split of every record: one table
-  holds every (record, split) as a (past, future), and one pass smooths it.
+  holds every (record, split) as a (past, future), one pass smooths it, and
+  each kind's states are compared with the stacked classical posteriors at once.
 * :func:`theorem1_sweep` checks the extremal entropy bounds on random
   extensions: the callers draw each triple on its own, as one vector of
   standard normals, so each row depends only on its own draw.  The sweep
@@ -41,7 +44,7 @@ from .classical import classical_smooth_all
 from .entropy import Theorem1Report, sandwich_bound, theorem1_from_roots
 from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, density_sqrt, entropy_vn, psd_sqrt, trace_norm
-from .retrodiction import FilteredGlobalState, generalized_smooth
+from .retrodiction import FilteredGlobalState, PriorTable, generalized_smooth
 from .sampling import density_from, extension_from, povm_from, triples_from
 from .smoothers import build_priors
 from .trajectory import enumerate_records, filter_records, retrofilter_records
@@ -116,9 +119,10 @@ class Smoothed(NamedTuple):
 
     ``futures`` is the table's ``[(future, probability)]`` for the past.  When
     ``error`` is ``None``, ``states[j]`` is future ``j`` smoothed under
-    ``prior`` from its retrofiltered effect ``effects[j]``, NaN where
-    ``possible[j]`` is false.  Otherwise ``error`` is :data:`ZERO_PAST` or the
-    exception of the failed prior build, and the prior and arrays are ``None``.
+    the past's prior, row ``row`` of the kind's ``priors``, from its
+    retrofiltered effect ``effects[j]``, NaN where ``possible[j]`` is false.
+    Otherwise ``error`` is :data:`ZERO_PAST` or the exception of the failed
+    prior build, and the priors and arrays are ``None``.
     """
 
     kind: str
@@ -126,11 +130,17 @@ class Smoothed(NamedTuple):
     futures: list[tuple[tuple, float]]
     p_past: float
     rho_f: np.ndarray | None = None
-    prior: FilteredGlobalState | None = None
+    priors: PriorTable | None = None
+    row: int = 0
     effects: np.ndarray | None = None
     states: np.ndarray | None = None
     possible: np.ndarray | None = None
     error: str | RetrosmoothError | None = None
+
+    @property
+    def prior(self) -> FilteredGlobalState | None:
+        """The past's prior, built from its row of ``priors`` when read."""
+        return None if self.priors is None else self.priors.prior(self.row)
 
     def residual(self) -> float:
         """Trace norm between the probability-weighted smoothed average and ``rho_F``."""
@@ -144,32 +154,33 @@ def smooth_table(scenario, table: dict[tuple, Past], kinds):
     """Every future of every (prior kind, past) of a table smoothed, as :class:`Smoothed`, kind-major.
 
     The table's distinct futures are retrofiltered in one pass, shared by
-    every prior kind.  Each kind's priors are built for all pasts at once
-    and smoothed in one stacked :func:`generalized_smooth` call.  A past at
-    or below :data:`PROB_FLOOR` is not smoothed.
+    every prior kind.  Each kind's priors are built for all pasts at once,
+    as one :class:`~retrosmooth.retrodiction.PriorTable`, and smoothed in one
+    stacked :func:`generalized_smooth` call.  A past at or below
+    :data:`PROB_FLOOR` is not smoothed.
     """
     if not table:
         return
     live = [past for past, entry in table.items() if entry.p > PROB_FLOOR]
+    row = {past: i for i, past in enumerate(live)}
     distinct = list(dict.fromkeys(fut for past in table.values() for fut, _ in past.futures))
     index = {fut: j for j, fut in enumerate(distinct)}
-    futures = {past: [index[fut] for fut, _ in table[past].futures] for past in live}
+    futures = [[index[fut] for fut, _ in table[past].futures] for past in live]
     effects = np.stack(retrofilter_records(scenario.instrument, distinct))
     rho_fs = [table[past].rho_f for past in live]
     for kind in kinds:
-        found = build_priors(kind, scenario.instrument, scenario.rho0, live, rho_fs, scenario.enumeration_cap,
-                             scenario.custom_prior)
-        priors = dict(zip(live, found))
-        built = [past for past, prior in priors.items() if isinstance(prior, FilteredGlobalState)]
-        smoothed = generalized_smooth([priors[past] for past in built], effects, [futures[past] for past in built])
-        smoothed = dict(zip(built, smoothed))
+        priors = build_priors(kind, scenario.instrument, scenario.rho0, live, rho_fs, scenario.enumeration_cap,
+                              scenario.custom_prior)
+        smoothed = generalized_smooth(priors, effects, futures)
         for past, (rho_f, p_past, futs) in table.items():
             if p_past <= PROB_FLOOR:
                 yield Smoothed(kind, past, futs, p_past, error=ZERO_PAST)
-            elif past not in smoothed:
-                yield Smoothed(kind, past, futs, p_past, rho_f, error=priors[past])
+                continue
+            i = row[past]
+            if priors.errors[i] is not None:
+                yield Smoothed(kind, past, futs, p_past, rho_f, error=priors.errors[i])
             else:
-                yield Smoothed(kind, past, futs, p_past, rho_f, priors[past], effects[futures[past]], *smoothed[past])
+                yield Smoothed(kind, past, futs, p_past, rho_f, priors, i, effects[futures[i]], *smoothed[i])
 
 
 def entropy_rows(scenario, table) -> list[dict]:
@@ -235,14 +246,22 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     for t, (rec, p) in itertools.product(range(steps + 1), records):
         grouped.setdefault(rec[:t], []).append((rec[t:], p))
     worst = dict.fromkeys(kinds, 0.0)
-    for s in smooth_table(scenario, _complete_table(inst, rho0, grouped), kinds):
-        if s.error is not None:
-            raise s.error
-        if not s.possible.all():
-            raise ZeroProbabilityRecord(f"a record of {render(s.past)!r} has vanishing probability")
-        classical = np.stack([expected[s.past + fut][len(s.past)] for fut, _ in s.futures])
-        deviation = np.abs(np.diagonal(s.states, axis1=1, axis2=2).real - classical).max()
-        worst[s.kind] = max(worst[s.kind], float(deviation))
+    if not records:
+        return worst, 0
+    table = _complete_table(inst, rho0, grouped)
+    # every (past, future) pair's classical posterior, in the order of each kind's pass
+    classical = np.stack([expected[past + fut][len(past)] for past, entry in table.items() for fut, _ in entry.futures])
+    passes = smooth_table(scenario, table, kinds)
+    for kind in kinds:
+        states = []
+        for s in itertools.islice(passes, len(table)):
+            if s.error is not None:
+                raise s.error
+            if not s.possible.all():
+                raise ZeroProbabilityRecord(f"a record of {render(s.past)!r} has vanishing probability")
+            states.append(s.states)
+        deviation = np.abs(np.diagonal(np.concatenate(states), axis1=1, axis2=2).real - classical).max()
+        worst[kind] = max(worst[kind], float(deviation))
     return worst, len(records)
 
 

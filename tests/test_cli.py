@@ -590,6 +590,8 @@ class TestClassicalLimit:
             (trajectory, "walk"),
         ]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        state = retrodiction.FilteredGlobalState
+        monkeypatch.setattr(state, "__post_init__", counting("FilteredGlobalState", state.__post_init__))
         sc = Scenario.from_file("scenarios/classical-2state.json")
         report = cmd_classical_limit(sc, tmp_path)
         assert report["passed"]
@@ -606,6 +608,8 @@ class TestClassicalLimit:
             "classical_smooth_all": report["n_records"],
         }
         assert report["n_records"] == 2**sc.steps
+        # each kind's priors are read from its stacked table: no per-past prior object is built
+        assert calls["FilteredGlobalState"] == 0
 
     def test_rejects_non_classical(self, tmp_path):
         with pytest.raises(NotClassicalLimit):

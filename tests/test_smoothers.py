@@ -201,13 +201,15 @@ class TestStructure:
         # the empty past, a repeated one and, on the demo qubit, an impossible one
         pasts += [(), pasts[0], *[("1", "1", "0")] * (system == "demo")]
         outcomes = set()
-        for past, got in zip(pasts, build_priors("pf-variant", inst, rho0, pasts, [None] * len(pasts))):
+        table = build_priors("pf-variant", inst, rho0, pasts, [None] * len(pasts))
+        for i, past in enumerate(pasts):
             try:
                 want = build_prior("pf-variant", rho0=rho0, alice_past=past, instrument=inst)
             except ZeroProbabilityRecord:
-                assert isinstance(got, ZeroProbabilityRecord), past
+                assert isinstance(table.errors[i], ZeroProbabilityRecord), past
                 outcomes.add("impossible")
                 continue
+            got = table.prior(i)
             assert (got.dim_q, got.dim_a1, got.block_labels) == (want.dim_q, want.dim_a1, want.block_labels)
             assert got.blocks.tobytes() == want.blocks.tobytes(), past
             outcomes.add("possible")
@@ -221,15 +223,17 @@ class TestStructure:
         rho_fs = [filter_state(inst, rho0, ("0",))[0], np.diag([1.0, -0.5]), rho0]
         for kind, build in (("pf", build_pf), ("clhs", build_clhs)):
             got = build_priors(kind, inst, rho0, pasts, rho_fs)
-            assert isinstance(got[1], RetrosmoothError)
+            assert isinstance(got.errors[1], RetrosmoothError)
             for i in (0, 2):
-                assert got[i].blocks.tobytes() == build(rho_fs[i]).blocks.tobytes()
+                assert got.prior(i).blocks.tobytes() == build(rho_fs[i]).blocks.tobytes()
         extension = build_custom(np.eye(4) / 4, (2, 2))
         got = build_priors("custom", inst, rho0, pasts, rho_fs, custom=extension)
-        assert got[2] is extension
-        for error in got[:2]:
+        row = got.prior(2)
+        assert got.errors[2] is None and row.blocks.tobytes() == extension.blocks.tobytes()
+        assert (row.dim_q, row.dim_a1, row.block_labels, row.kind) == (2, 2, extension.block_labels, "custom")
+        for error in got.errors[:2]:
             assert isinstance(error, InvalidExtension) and "deviates from the filtered state" in str(error)
-        assert got[0] is not got[1]
+        assert got.errors[0] is not got.errors[1]
         with pytest.raises(InvalidFactorization, match="'custom'"):
             build_priors("custom", inst, rho0, pasts, rho_fs)
         with pytest.raises(InvalidFactorization, match="'custom'"):
