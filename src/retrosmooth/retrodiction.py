@@ -209,9 +209,10 @@ class PriorTable:
 
     Row ``i`` failed to build with ``errors[i]``, or it holds ``counts[i]``
     blocks on ``Q (x) A1``, ``A1`` of dimension ``dim_a1[i]``, labelled
-    ``labels[i]``: rows ``starts[i]`` on of ``stacks[dim_a1[i]]``, the read-only
-    stack of every block of that shape in row order.  Only ``clhs`` has more
-    than one shape.  Each stack's roots and marginals are taken once, when read.
+    ``labels[i]``: the rows from ``starts[i]`` of ``stacks[dim_a1[i]]``, the
+    read-only stack of every block of that shape in row order.  Only ``clhs``
+    has more than one shape.  Each stack's roots and marginals are taken once,
+    when read.
     """
 
     kind: str

@@ -104,13 +104,6 @@ def _bob_record(joint_record) -> tuple:
     return tuple(Merged(tuple(u for _, u in y.labels)) if isinstance(y, Merged) else y[1] for y in joint_record)
 
 
-def _one(found):
-    """The single result of a one-past table build, raised if it is an error."""
-    if isinstance(found, RetrosmoothError):
-        raise found
-    return found
-
-
 def enumerate_bob_branches(
     instrument: Instrument, rho0, alice_past, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[TrueStateBranch]:
@@ -120,7 +113,10 @@ def enumerate_bob_branches(
     branch by its weight gives the state conditioned on both records.
     Branches with an exactly zero operator are left out.
     """
-    records, ops = _one(_bob_branches(instrument, as_density(rho0, "rho0"), [alice_past], 1, cap)[0])
+    found = _bob_branches(instrument, as_density(rho0, "rho0"), [alice_past], 1, cap)[0]
+    if isinstance(found, RetrosmoothError):
+        raise found
+    records, ops = found
     return [TrueStateBranch(r, op, w) for r, op, w in zip(records, ops, _weights(ops).tolist())]
 
 

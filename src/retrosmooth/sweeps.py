@@ -235,13 +235,12 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     Every record above the probability floor, split at every time, is one
     table (a past's length is its split) smoothed in one pass, so a failed
     prior build or a vanishing record raises in kind-major order.  Each
-    record's classical posteriors at every split take one forward-backward pass.
+    kind's states are compared with every pair's classical posterior at once.
     """
     if scenario.classical is None:
         raise NotClassicalLimit("scenario is not classical: classical-limit needs system.type == 'classical'")
     inst, rho0, steps = scenario.instrument, scenario.rho0, scenario.steps
     records = [(rec, p) for rec, p in enumerate_records(inst, rho0, steps, scenario.enumeration_cap) if p > PROB_FLOOR]
-    expected = {rec: classical_smooth_all(scenario.classical, np.diag(rho0).real, rec) for rec, _ in records}
     grouped: dict[tuple, list] = {}
     for t, (rec, p) in itertools.product(range(steps + 1), records):
         grouped.setdefault(rec[:t], []).append((rec[t:], p))
@@ -249,8 +248,7 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     if not records:
         return worst, 0
     table = _complete_table(inst, rho0, grouped)
-    # every (past, future) pair's classical posterior, in the order of each kind's pass
-    classical = np.stack([expected[past + fut][len(past)] for past, entry in table.items() for fut, _ in entry.futures])
+    classical = _classical_posteriors(scenario, [rec for rec, _ in records], table)
     passes = smooth_table(scenario, table, kinds)
     for kind in kinds:
         states = []
@@ -263,6 +261,16 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
         deviation = np.abs(np.diagonal(np.concatenate(states), axis1=1, axis2=2).real - classical).max()
         worst[kind] = max(worst[kind], float(deviation))
     return worst, len(records)
+
+
+def _classical_posteriors(scenario, records, table) -> np.ndarray:
+    """Every (past, future) pair's classical posterior at its split, stacked in the table's order.
+
+    Each record's posteriors at every split take one forward-backward pass.
+    """
+    prior = np.diag(scenario.rho0).real
+    expected = {rec: classical_smooth_all(scenario.classical, prior, rec) for rec in records}
+    return np.stack([expected[past + fut][len(past)] for past, entry in table.items() for fut, _ in entry.futures])
 
 
 def _theorem1_pass(shape: tuple[int, int, int], rows: list) -> list[Theorem1Report]:
