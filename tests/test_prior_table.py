@@ -128,9 +128,9 @@ def table_case(system):
     3-step past of a random qubit instrument with three Kraus operators per
     outcome, 27 bob records each, where the sum of a past's branch weights in a
     list and numpy's pairwise sum differ in the last bit.  In both, one filtered
-    state is replaced by a non-PSD matrix (and, on the demo, one doubled), and
-    the extension's marginal is the filtered state of the first of the pasts
-    it shares with others.
+    state is replaced by a non-PSD matrix; on the demo another is doubled and
+    the impossible past has none.  The extension's marginal is the filtered
+    state of ``("0",)``, a past that appears twice or more.
     """
     rng = np.random.default_rng(31)
     if system == "demo":
