@@ -161,8 +161,21 @@ class FilteredGlobalState:
         table = PriorTable.of(self.kind, self.dim_q, [None], [labels], {self.dim_a1: ([0], [len(stack)], stack)})
         if table.errors[0] is not None:
             raise table.errors[0]
+        self._hold(table)
+
+    @classmethod
+    def _of(cls, table: PriorTable) -> FilteredGlobalState:
+        """The state of a checked one-row table, not checked again."""
+        state = object.__new__(cls)
+        (dim_a1,) = table.stacks
+        for name, value in (("dim_q", table.dim_q), ("dim_a1", dim_a1), ("kind", table.kind)):
+            object.__setattr__(state, name, value)
+        state._hold(table)
+        return state
+
+    def _hold(self, table: PriorTable) -> None:
         object.__setattr__(self, "blocks", table.stacks[self.dim_a1])
-        object.__setattr__(self, "block_labels", labels)
+        object.__setattr__(self, "block_labels", table.labels[0])
         object.__setattr__(self, "table", table)
 
     @property
@@ -241,13 +254,16 @@ class PriorTable:
             stack, skew = hermitian_faults(blocks, BLOCK_HERMITIAN_TOL)
             with np.errstate(over="ignore", invalid="ignore"):
                 totals = _sum_runs(np.trace(stack, axis1=1, axis2=2).real, sizes)
-            failed, bad = np.abs(totals - 1.0) > PROB_SUM_TOL, skew | ~_isfinite(stack)
-            if bad.any():
-                failed |= np.bincount(np.repeat(np.arange(len(rows)), sizes)[bad], minlength=len(rows)) > 0
+            failed = (np.abs(totals - 1.0) > PROB_SUM_TOL) | (_sum_runs(skew | ~_isfinite(stack), sizes) > 0)
             if failed.any():
                 lo = np.cumsum(sizes) - sizes
                 for i in np.flatnonzero(failed).tolist():
-                    errors[rows[i]] = _row_error(blocks[lo[i] : lo[i] + sizes[i]], float(totals[i]))
+                    # the row's own check: a block's fault, else its trace total
+                    try:
+                        as_hermitian(blocks[lo[i] : lo[i] + sizes[i]], "global-state block", tol=BLOCK_HERMITIAN_TOL)
+                        errors[rows[i]] = InvalidMatrix(f"block traces sum to {float(totals[i])!r}, expected 1")
+                    except InvalidMatrix as exc:
+                        errors[rows[i]] = exc
                 stack, rows, sizes = stack[np.repeat(~failed, sizes)], rows[~failed], sizes[~failed]
             if len(rows):
                 stack.flags.writeable = False
@@ -260,11 +276,13 @@ class PriorTable:
         return np.flatnonzero(self.dim_a1 == dim_a1)
 
     def prior(self, i: int) -> FilteredGlobalState:
-        """Row ``i`` as a :class:`FilteredGlobalState`, built when called; raises the row's error."""
+        """Row ``i`` as a :class:`FilteredGlobalState`, built when called and not checked again; raises its error."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        a1, lo = int(self.dim_a1[i]), int(self.starts[i])
-        return FilteredGlobalState(self.stacks[a1][lo : lo + self.counts[i]], self.dim_q, a1, self.labels[i], self.kind)
+        a1, lo, n = int(self.dim_a1[i]), int(self.starts[i]), int(self.counts[i])
+        one = PriorTable(self.kind, self.dim_q, {a1: self.stacks[a1][lo : lo + n]}, np.array([a1]), np.array([n]),
+                         np.zeros(1, int), [self.labels[i]], [None])
+        return FilteredGlobalState._of(one)
 
     @cached_property
     def roots(self) -> dict[int, np.ndarray]:
@@ -278,15 +296,6 @@ class PriorTable:
             a1: _read_only(_marginals(stack, (self.dim_q, a1), self.counts[self.rows(a1)]))
             for a1, stack in self.stacks.items()
         }
-
-
-def _row_error(blocks: np.ndarray, total: float) -> InvalidMatrix:
-    """The error of one prior's blocks that fail :meth:`PriorTable.of`'s check, their traces summing to ``total``."""
-    try:
-        as_hermitian(blocks, "global-state block", tol=BLOCK_HERMITIAN_TOL)
-    except InvalidMatrix as exc:
-        return exc
-    return InvalidMatrix(f"block traces sum to {total!r}, expected 1")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -230,15 +230,16 @@ def _extending(custom: FilteredGlobalState, rho_fs) -> PriorTable:
 def _register_priors(kind: str, dim_q: int, rank: int, branches: list) -> PriorTable:
     """A register kind's table from its bob-branch pass: each past's branches over their total weight.
 
-    A past whose weights, added in branch order, are at or below
-    ``WEIGHT_FLOOR`` is impossible.
+    A past whose weights, added in branch order by ``sum`` as its one-past
+    build adds them, are at or below ``WEIGHT_FLOOR`` is impossible.
     """
     errors = [found if isinstance(found, RetrosmoothError) else None for found in branches]
     built = np.flatnonzero([e is None for e in errors])
     d = dim_q * rank
     ops = np.concatenate([np.empty((0, d, d), dtype=complex), *(branches[i][1] for i in built.tolist())])
     counts = np.array([len(branches[i][1]) for i in built.tolist()], dtype=int)
-    totals = _ordered_sums(_weights(ops), counts)
+    weights, ends = _weights(ops).tolist(), np.cumsum(counts).tolist()
+    totals = np.array([sum(weights[lo:hi]) for lo, hi in zip([0, *ends], ends)])
     impossible = totals <= WEIGHT_FLOOR
     for i in built[impossible].tolist():
         errors[i] = ZeroProbabilityRecord("record impossible under the instrument")
@@ -246,15 +247,6 @@ def _register_priors(kind: str, dim_q: int, rank: int, branches: list) -> PriorT
     blocks = ops[np.repeat(possible, counts)] / np.repeat(totals[possible], counts[possible])[:, None, None]
     labels = [None if e is not None else tuple(found[0]) for found, e in zip(branches, errors)]
     return PriorTable.of(kind, dim_q, errors, labels, {rank: (built[possible], counts[possible], blocks)})
-
-
-def _ordered_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The sum of each run of ``counts[i]`` consecutive values, added left to right as ``sum`` adds a list."""
-    sums, starts = np.zeros(len(counts)), np.cumsum(counts) - counts
-    for n in set(counts.tolist()) - {0}:
-        runs = np.flatnonzero(counts == n)
-        sums[runs] = np.cumsum(values[starts[runs, None] + np.arange(n)], axis=1)[:, -1]
-    return sums
 
 
 def build_custom(matrix, dims: tuple[int, int]) -> FilteredGlobalState:

@@ -214,11 +214,17 @@ def test_the_register_weights_are_added_in_branch_order():
     rng = np.random.default_rng(2)
     runs = [w for w in (rng.random(12) for _ in range(200)) if sum(w.tolist()) != w.sum()][:3]
     assert len(runs) == 3
-    counts = np.array([12, 0, 12, 5, 12])
-    values = np.concatenate([runs[0], runs[1], runs[0][:5], runs[2]])
-    got = smoothers._ordered_sums(values, counts)
-    assert got.tolist() == [sum(runs[0].tolist()), 0.0, sum(runs[1].tolist()), sum(runs[0][:5].tolist()),
-                            sum(runs[2].tolist())]
+    weights = [runs[0], runs[1], runs[0][:5], runs[2]]
+    branches = [([(str(u),) for u in range(len(w))], w[:, None, None] * np.eye(1, dtype=complex)) for w in weights]
+    branches.insert(1, ([], np.empty((0, 1, 1), dtype=complex)))
+    table = smoothers._register_priors("gw-variant", 1, 1, branches)
+    assert isinstance(table.errors[1], ZeroProbabilityRecord)
+    for i, (labels, ops) in enumerate(branches):
+        if i != 1:
+            want = ops / sum(ops[:, 0, 0].real.tolist())
+            assert table.prior(i).blocks.tobytes() == want.tobytes()
+            # numpy sums fewer than 8 values left to right too
+            assert (table.prior(i).blocks.tobytes() != (ops / ops[:, 0, 0].real.sum()).tobytes()) == (len(ops) == 12)
 
 
 def test_one_block_check_serves_the_table_and_the_state():
