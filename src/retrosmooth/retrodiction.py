@@ -174,6 +174,7 @@ class FilteredGlobalState:
         return state
 
     def _hold(self, table: PriorTable) -> None:
+        """Keep a checked one-row table and read the blocks and labels from it."""
         object.__setattr__(self, "blocks", table.stacks[self.dim_a1])
         object.__setattr__(self, "block_labels", table.labels[0])
         object.__setattr__(self, "table", table)
