@@ -395,25 +395,11 @@ def purify(rho) -> np.ndarray:
     ancilla dimension equals the rank.  The eigenvector phase convention of
     :func:`herm_eig` makes the output deterministic.
     """
-    ((_, psi),) = purifications(as_density(rho)[None]).values()
-    return psi[0]
-
-
-def purifications(rhos: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """:func:`purify` of each of a stack of validated density operators, by ancilla dimension.
-
-    Maps each rank ``r`` to the indices of the states of that rank and the
-    stack of their purifications, ``(n, d * r)``.
-    """
-    w, v, keep = _support(rhos)
-    ranks = np.maximum(np.count_nonzero(keep, axis=-1), 1)
-    found = {}
-    for rank in sorted(set(ranks.tolist())):
-        rows = np.flatnonzero(ranks == rank)
-        amps = np.sqrt(np.clip(w[rows, :rank], 0.0, None))
-        # psi[i * rank + k] = sqrt(w_k) v_k[i]: row-major reshape gives Q-first layout
-        found[rank] = rows, (v[rows, :, :rank] * amps[:, None, :]).reshape(len(rows), -1)
-    return found
+    w, v, keep = _support(as_density(rho))
+    rank = max(int(np.count_nonzero(keep)), 1)
+    amps = np.sqrt(np.clip(w[:rank], 0.0, None))
+    # psi[i * rank + k] = sqrt(w_k) v_k[i]: row-major reshape gives Q-first layout
+    return (v[:, :rank] * amps).reshape(-1)
 
 
 def entropy_vn(rho):

@@ -161,22 +161,8 @@ class FilteredGlobalState:
         table = PriorTable.of(self.kind, self.dim_q, [None], [labels], {self.dim_a1: ([0], [len(stack)], stack)})
         if table.errors[0] is not None:
             raise table.errors[0]
-        self._hold(table)
-
-    @classmethod
-    def _of(cls, table: PriorTable) -> FilteredGlobalState:
-        """The state of a checked one-row table, not checked again."""
-        state = object.__new__(cls)
-        (dim_a1,) = table.stacks
-        for name, value in (("dim_q", table.dim_q), ("dim_a1", dim_a1), ("kind", table.kind)):
-            object.__setattr__(state, name, value)
-        state._hold(table)
-        return state
-
-    def _hold(self, table: PriorTable) -> None:
-        """Keep a checked one-row table and read the blocks and labels from it."""
-        object.__setattr__(self, "blocks", table.stacks[self.dim_a1])
-        object.__setattr__(self, "block_labels", table.labels[0])
+        object.__setattr__(self, "blocks", table.shapes[self.dim_a1][2])
+        object.__setattr__(self, "block_labels", labels)
         object.__setattr__(self, "table", table)
 
     @property
@@ -212,44 +198,34 @@ class FilteredGlobalState:
         n = dq * da1 * da2
         return np.einsum("uiajb,uv->iaujbv", r, np.eye(da2)).reshape(n, n)
 
-    def require_marginal(self, rho, what: str) -> None:
-        """Raise :class:`InvalidExtension` unless the marginal is ``rho`` within ``MARGINAL_TOL``."""
-        require_marginals(self.marginal(), rho, what)
-
 
 @dataclass(frozen=True, eq=False)
 class PriorTable:
     """One prior kind's filtered global states for a table of pasts, one row per past.
 
-    Row ``i`` failed to build with ``errors[i]``, or it holds ``counts[i]``
-    blocks on ``Q (x) A1``, ``A1`` of dimension ``dim_a1[i]``, labelled
-    ``labels[i]``: the rows from ``starts[i]`` of ``stacks[dim_a1[i]]``, the
-    read-only stack of every block of that shape in row order.  Only ``clhs``
-    has more than one shape.  Each stack's roots and marginals are taken once,
-    when read.
+    Row ``i`` failed to build with ``errors[i]``, or its blocks, labelled
+    ``labels[i]``, are in ``shapes[dim_a1]``: ``(rows, counts, blocks)``, the
+    rows whose blocks on ``Q (x) A1`` have that ``A1`` dimension, ascending,
+    their block counts and all their blocks in row order, read-only.  Only
+    ``clhs`` has more than one shape.  Each stack's roots and marginals are
+    taken once, when read.
     """
 
     kind: str
     dim_q: int
-    stacks: dict[int, np.ndarray]
-    dim_a1: np.ndarray
-    counts: np.ndarray
-    starts: np.ndarray
+    shapes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     labels: list
     errors: list
 
     @classmethod
     def of(cls, kind: str, dim_q: int, errors: list, labels: list, shapes: dict) -> PriorTable:
-        """The table whose row ``i`` failed with ``errors[i]`` or, where that is ``None``, holds blocks.
+        """The table of ``shapes``, less the rows that fail the check, which take its error in ``errors``.
 
-        ``shapes`` maps each ``dim_a1`` to that shape's rows, ascending, their
-        block counts and their blocks stacked in row order.  Each block must be
-        finite and Hermitian within ``BLOCK_HERMITIAN_TOL`` of its own scale,
-        and each row's traces, added as ``np.sum`` adds them, must sum to one
-        within ``PROB_SUM_TOL``: a row that fails takes that error.
+        Each block must be finite and Hermitian within ``BLOCK_HERMITIAN_TOL``
+        of its own scale, and each row's traces, added as ``np.sum`` adds them,
+        must sum to one within ``PROB_SUM_TOL``.
         """
-        errors, n, stacks = list(errors), len(errors), {}
-        dim_a1, counts, starts = np.zeros(n, int), np.zeros(n, int), np.zeros(n, int)
+        errors, checked = list(errors), {}
         for a1, (rows, sizes, blocks) in shapes.items():
             rows, sizes, blocks = np.asarray(rows, int), np.asarray(sizes, int), np.asarray(blocks, complex)
             stack, skew = hermitian_faults(blocks, BLOCK_HERMITIAN_TOL)
@@ -267,36 +243,27 @@ class PriorTable:
                         errors[rows[i]] = exc
                 stack, rows, sizes = stack[np.repeat(~failed, sizes)], rows[~failed], sizes[~failed]
             if len(rows):
-                stack.flags.writeable = False
-                stacks[a1] = stack
-                dim_a1[rows], counts[rows], starts[rows] = a1, sizes, np.cumsum(sizes) - sizes
-        return cls(kind, dim_q, stacks, dim_a1, counts, starts, labels, errors)
-
-    def rows(self, dim_a1: int) -> np.ndarray:
-        """The built rows whose blocks are ``stacks[dim_a1]``, in order."""
-        return np.flatnonzero(self.dim_a1 == dim_a1)
+                checked[a1] = rows, sizes, _read_only(stack)
+        return cls(kind, dim_q, checked, labels, errors)
 
     def prior(self, i: int) -> FilteredGlobalState:
-        """Row ``i`` as a :class:`FilteredGlobalState`, built when called and not checked again; raises its error."""
+        """Row ``i`` as a :class:`FilteredGlobalState`, built when called; raises the row's error."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        a1, lo, n = int(self.dim_a1[i]), int(self.starts[i]), int(self.counts[i])
-        one = PriorTable(self.kind, self.dim_q, {a1: self.stacks[a1][lo : lo + n]}, np.array([a1]), np.array([n]),
-                         np.zeros(1, int), [self.labels[i]], [None])
-        return FilteredGlobalState._of(one)
+        a1, (rows, counts, blocks) = next((a1, shape) for a1, shape in self.shapes.items() if i in shape[0])
+        k = int(np.searchsorted(rows, i))
+        lo = int(counts[:k].sum())
+        return FilteredGlobalState(blocks[lo : lo + counts[k]], self.dim_q, a1, self.labels[i], self.kind)
 
     @cached_property
     def roots(self) -> dict[int, np.ndarray]:
-        """``psd_sqrt`` of each stack, read-only."""
-        return {a1: _read_only(psd_sqrt(stack)) for a1, stack in self.stacks.items()}
+        """``psd_sqrt`` of each shape's blocks, read-only."""
+        return {a1: _read_only(psd_sqrt(blocks)) for a1, (_, _, blocks) in self.shapes.items()}
 
     @cached_property
     def marginals(self) -> dict[int, np.ndarray]:
-        """The system marginal of each built row, stacked per shape like ``stacks``, read-only."""
-        return {
-            a1: _read_only(_marginals(stack, (self.dim_q, a1), self.counts[self.rows(a1)]))
-            for a1, stack in self.stacks.items()
-        }
+        """The system marginal of each row of each shape, read-only."""
+        return {a1: _read_only(_marginals(b, (self.dim_q, a1), n)) for a1, (_, n, b) in self.shapes.items()}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -307,10 +274,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def require_marginals(marginals, rhos, what: str) -> None:
     """Raise :class:`InvalidExtension` unless each marginal is its state within ``MARGINAL_TOL``.
 
-    ``marginals`` and ``rhos`` are one matrix each, aligned stacks ``(n, d, d)``,
-    or one marginal for a stack of states.
+    ``marginals`` and ``rhos`` are one matrix each or aligned stacks ``(n, d, d)``.
     """
-    if np.shape(rhos)[-2:] != np.shape(marginals)[-2:]:
+    if np.shape(rhos) != np.shape(marginals):
         raise InvalidExtension(f"extension system dimension does not match {what}")
     gap = float(np.abs(marginals - np.asarray(rhos, dtype=complex)).max(initial=0.0))
     if gap > MARGINAL_TOL:
@@ -443,12 +409,11 @@ def _smooth_priors(table: PriorTable, effects: np.ndarray, futures) -> list:
     The possible (row, future) pairs of one block shape are one :func:`_update`
     call, one row per block of each pair, on the shape's stacked roots.
     """
-    if table.stacks and table.dim_q != effects.shape[-1]:
+    if table.shapes and table.dim_q != effects.shape[-1]:
         raise InvalidFactorization("effect dimension does not match the system")
     found: list = [None] * len(table.errors)
-    for dim_a1 in table.stacks:
-        members, dims = table.rows(dim_a1), (table.dim_q, dim_a1)
-        counts = table.counts[members]
+    for dim_a1, (members, counts, _) in table.shapes.items():
+        dims = (table.dim_q, dim_a1)
         # every (row, future) pair of the shape, row-major
         picks = [np.asarray(futures[i], dtype=int) for i in members.tolist()]
         lengths = [len(f) for f in picks]
@@ -457,7 +422,7 @@ def _smooth_priors(table: PriorTable, effects: np.ndarray, futures) -> list:
         possible = norms > WEIGHT_FLOOR
         states = np.full((len(norms), *effects.shape[1:]), np.nan, dtype=complex)
         n = counts[pair_prior[possible]]
-        rows = _ranges(table.starts[members][pair_prior[possible]], n)
+        rows = _ranges((np.cumsum(counts) - counts)[pair_prior[possible]], n)
         roots = table.roots[dim_a1][rows]
         states[possible] = _update(roots, dims, effects[np.repeat(pair_effect[possible], n)], n, norms[possible])
         bounds = np.cumsum([0, *lengths])

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationTooLarge, InvalidFactorization, RetrosmoothError, ZeroProbabilityRecord
-from .linalg import ISOMETRY_TOL, WEIGHT_FLOOR, as_density, dag, hermitian_part, purifications, purify, tensor
-from .retrodiction import FilteredGlobalState, PriorTable
+from .linalg import ISOMETRY_TOL, WEIGHT_FLOOR, as_density, dag, hermitian_part, purify, tensor
+from .retrodiction import FilteredGlobalState, PriorTable, require_marginals
 from .trajectory import DEFAULT_ENUMERATION_CAP, Instrument, Merged, filter as filter_state, walk_records
 
 # each register kind's (bob's partition, whether rho0 is purified): bob tells apart every Kraus name
@@ -182,16 +182,12 @@ def _filtered_priors(kind: str, rho_fs) -> PriorTable:
     """``pf`` or ``clhs`` for each filtered state of ``rho_fs``, validated as ``rho_f`` in one stacked call."""
     found = _row_checks(lambda m: as_density(m, "rho_f"), list(rho_fs))
     errors = [f if isinstance(f, RetrosmoothError) else None for f in found]
-    built = np.flatnonzero([e is None for e in errors])
-    shapes, dim_q = {}, 0
-    if len(built):
-        rhos = np.stack([found[i] for i in built.tolist()])
-        dim_q, ones = rhos.shape[-1], np.ones(len(built), dtype=int)
-        if kind == "pf":
-            shapes = {1: (built, ones, rhos)}
-        else:
-            pure = purifications(rhos).items()
-            shapes = {r: (built[rows], ones[rows], psi[:, :, None] * psi.conj()[:, None, :]) for r, (rows, psi) in pure}
+    grouped: dict[int, list] = {}  # each A1 dimension's (row, block) pairs
+    for i in (i for i, e in enumerate(errors) if e is None):
+        block, a1 = (found[i], 1) if kind == "pf" else purified_initial(found[i], "rho_f")
+        grouped.setdefault(a1, []).append((i, block))
+    shapes = {a1: ([i for i, _ in pairs], [1] * len(pairs), [b for _, b in pairs]) for a1, pairs in grouped.items()}
+    dim_q = next((len(f) for f, e in zip(found, errors) if e is None), 0)
     return PriorTable.of(kind, dim_q, errors, [((),)] * len(found), shapes)
 
 
@@ -209,16 +205,18 @@ def _row_checks(check, rows: list) -> list:
             return [exc]
     try:
         return list(check(np.stack(rows)))
-    except (RetrosmoothError, ValueError):
+    except (RetrosmoothError, ValueError):  # a failing row, or rows that do not stack (a past with no state)
         half = len(rows) // 2
         return _row_checks(check, rows[:half]) + _row_checks(check, rows[half:])
 
 
 def _extending(custom: FilteredGlobalState, rho_fs) -> PriorTable:
     """``custom`` for each filtered state of ``rho_fs`` that is its marginal, checked in one stacked call."""
+    marginal = custom.marginal()
 
     def check(rhos):
-        custom.require_marginal(rhos, "the filtered state")
+        # the marginal once per state: a state of another shape fails as it does alone
+        require_marginals(np.broadcast_to(marginal, np.shape(rhos)[:-2] + marginal.shape), rhos, "the filtered state")
         return rhos
 
     errors = [f if isinstance(f, RetrosmoothError) else None for f in _row_checks(check, list(rho_fs))]

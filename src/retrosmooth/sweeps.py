@@ -44,7 +44,7 @@ from .classical import classical_smooth_all
 from .entropy import Theorem1Report, sandwich_bound, theorem1_from_roots
 from .errors import NotClassicalLimit, RetrosmoothError, ZeroProbabilityRecord
 from .linalg import WEIGHT_FLOOR, density_sqrt, entropy_vn, psd_sqrt, trace_norm
-from .retrodiction import FilteredGlobalState, PriorTable, generalized_smooth
+from .retrodiction import PriorTable, generalized_smooth
 from .sampling import density_from, extension_from, povm_from, triples_from
 from .smoothers import build_priors
 from .trajectory import enumerate_records, filter_records, retrofilter_records
@@ -136,11 +136,6 @@ class Smoothed(NamedTuple):
     states: np.ndarray | None = None
     possible: np.ndarray | None = None
     error: str | RetrosmoothError | None = None
-
-    @property
-    def prior(self) -> FilteredGlobalState | None:
-        """The past's prior, built from its row of ``priors`` when read."""
-        return None if self.priors is None else self.priors.prior(self.row)
 
     def residual(self) -> float:
         """Trace norm between the probability-weighted smoothed average and ``rho_F``."""
@@ -248,7 +243,10 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
     if not records:
         return worst, 0
     table = _complete_table(inst, rho0, grouped)
-    classical = _classical_posteriors(scenario, [rec for rec, _ in records], table)
+    # each record's posteriors at every split from one forward-backward pass, stacked in the table's order
+    expected = {rec: classical_smooth_all(scenario.classical, np.diag(rho0).real, rec) for rec, _ in records}
+    classical = np.stack([expected[past + fut][len(past)] for past, entry in table.items() for fut, _ in entry.futures])
+    del expected  # freed before the pass
     passes = smooth_table(scenario, table, kinds)
     for kind in kinds:
         states = []
@@ -261,16 +259,6 @@ def classical_deviation(scenario, kinds) -> tuple[dict[str, float], int]:
         deviation = np.abs(np.diagonal(np.concatenate(states), axis1=1, axis2=2).real - classical).max()
         worst[kind] = max(worst[kind], float(deviation))
     return worst, len(records)
-
-
-def _classical_posteriors(scenario, records, table) -> np.ndarray:
-    """Every (past, future) pair's classical posterior at its split, stacked in the table's order.
-
-    Each record's posteriors at every split take one forward-backward pass.
-    """
-    prior = np.diag(scenario.rho0).real
-    expected = {rec: classical_smooth_all(scenario.classical, prior, rec) for rec in records}
-    return np.stack([expected[past + fut][len(past)] for past, entry in table.items() for fut, _ in entry.futures])
 
 
 def _theorem1_pass(shape: tuple[int, int, int], rows: list) -> list[Theorem1Report]:

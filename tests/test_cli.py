@@ -592,8 +592,6 @@ class TestClassicalLimit:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         state = retrodiction.FilteredGlobalState
         monkeypatch.setattr(state, "__post_init__", counting("FilteredGlobalState", state.__post_init__))
-        # a table row's state skips __post_init__: count that path too
-        monkeypatch.setattr(state, "_of", classmethod(counting("FilteredGlobalState", state._of.__func__)))
         sc = Scenario.from_file("scenarios/classical-2state.json")
         report = cmd_classical_limit(sc, tmp_path)
         assert report["passed"]

@@ -74,6 +74,14 @@ class TestScenarioValidation:
         with pytest.raises(InvalidExtension):
             scenario(np.diag([0.7, 0.3]), GAMMA1, (2, 2), Z_POVM)
 
+    def test_stacked_gamma_is_not_one_state(self):
+        # every matrix of the stack is the extension's marginal, but a stack is not one system state
+        for gamma in (np.stack([MIXED] * 2), np.stack([MIXED] * 3)):
+            with pytest.raises(InvalidExtension, match="system dimension does not match gamma"):
+                scenario(gamma, GAMMA1, (2, 2), Z_POVM)
+            with pytest.raises(InvalidExtension, match="system dimension does not match gamma"):
+                lambda_map(build_custom(GAMMA1, (2, 2)), gamma)
+
     def test_povm_completeness(self):
         with pytest.raises(InvalidPOVM):
             scenario(MIXED, GAMMA1, (2, 2), (proj(K0),))

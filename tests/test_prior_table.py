@@ -154,9 +154,10 @@ def table_case(system):
 
 
 def row(table: PriorTable, i: int):
-    lo = table.starts[i]
-    a1 = int(table.dim_a1[i])
-    return slice(lo, lo + table.counts[i]), a1
+    """Row ``i``'s blocks in its shape's stack, and that shape's ``A1`` dimension."""
+    a1, (rows, counts, _) = next((a1, shape) for a1, shape in table.shapes.items() if i in shape[0])
+    lo = counts[: np.searchsorted(rows, i)].sum()
+    return slice(lo, lo + counts[np.searchsorted(rows, i)]), a1
 
 
 @pytest.mark.parametrize("merge", [True, False], ids=["merged", "unmerged"])
@@ -183,7 +184,7 @@ def test_the_table_has_the_bits_of_one_past_at_a_time(system, kind, merge):
         assert table.errors[i] is None, (kind, past, table.errors[i])
         rows, a1 = row(table, i)
         assert (table.dim_q, a1, table.labels[i]) == (dim_q, dim_a1, labels)
-        assert table.stacks[a1][rows].tobytes() == blocks.tobytes(), (kind, past)
+        assert table.shapes[a1][2][rows].tobytes() == blocks.tobytes(), (kind, past)
         roots = psd_sqrt(blocks)
         assert table.roots[a1][rows].tobytes() == roots.tobytes(), (kind, past)
         states, possible = reference_smooth(blocks, roots, (dim_q, dim_a1), effects[futures[i]])
@@ -251,16 +252,7 @@ def test_one_block_check_serves_the_table_and_the_state():
                 FilteredGlobalState(blocks, 2, 1, labels[i], "gw-variant")
             continue
         assert table.errors[i] is None
-        assert table.stacks[1][row(table, i)[0]].tobytes() == want.tobytes()
+        assert table.shapes[1][2][row(table, i)[0]].tobytes() == want.tobytes()
         assert FilteredGlobalState(blocks, 2, 1, labels[i], "gw-variant").blocks.tobytes() == want.tobytes()
     assert [e is None for e in table.errors] == [True, False, False, False, True, False]
 
-
-def test_purify_of_a_stack_has_the_bits_of_one_matrix():
-    rng = np.random.default_rng(8)
-    rhos = [sampling.random_density(3, rng, rank=r) for r in (1, 2, 3, 2, 1)]
-    found = linalg.purifications(np.stack([as_density(r) for r in rhos]))
-    assert sorted(found) == [1, 2, 3]
-    for rank, (rows, psi) in found.items():
-        for i, vector in zip(rows.tolist(), psi):
-            assert vector.tobytes() == reference_purify(rhos[i]).tobytes() == purify(rhos[i]).tobytes()

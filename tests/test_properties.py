@@ -131,7 +131,8 @@ def test_smoothing_does_not_depend_on_the_purifying_ancilla(sc, seed):
     for s in smooth_table(sc, future_table(sc), ("gw", "pf-variant", "clhs")):
         if s.error == ZERO_PAST:
             continue
-        moved = extend_ancilla(s.prior, random_isometry(s.prior.dim_a1, s.prior.dim_a1 + 2, rng))
+        prior = s.priors.prior(s.row)
+        moved = extend_ancilla(prior, random_isometry(prior.dim_a1, prior.dim_a1 + 2, rng))
         states, possible = generalized_smooth(moved, s.effects)
         assert possible.tobytes() == s.possible.tobytes(), (s.kind, s.past)
         # verify's tolerance for the same check on the demo
@@ -180,7 +181,7 @@ def test_merged_register_smoothing_is_smoothing_over_every_bob_record(sc):
         initial, rank = purified_initial(sc.rho0) if s.kind == "gw" else (sc.rho0, 1)
         (found,) = smoothers._bob_branches(sc.instrument, initial, [s.past], rank, sc.enumeration_cap)
         unmerged = smoothers._register_priors(s.kind, sc.dim, rank, [found]).prior(0)
-        assert len(s.prior.blocks) <= len(unmerged.blocks)
+        assert len(s.priors.prior(s.row).blocks) <= len(unmerged.blocks)
         states, possible = generalized_smooth(unmerged, s.effects)
         assert possible.tobytes() == s.possible.tobytes(), (s.kind, s.past)
         assert trace_norm(states[possible] - s.states[possible]).max(initial=0.0) <= 1e-12, (s.kind, s.past)
@@ -254,10 +255,11 @@ def test_the_table_pass_has_the_bits_of_one_past_at_a_time(case):
             outcomes.add(type(exc).__name__)
             continue
         assert s.error is None, (s.kind, s.past, s.error)
-        assert s.prior.blocks.tobytes() == prior.blocks.tobytes() and s.prior.block_labels == prior.block_labels
+        got = s.priors.prior(s.row)
+        assert got.blocks.tobytes() == prior.blocks.tobytes() and got.block_labels == prior.block_labels
         for states, possible in (generalized_smooth(prior, s.effects), one_prior_smooth(prior, s.effects)):
             assert s.states.tobytes() == states.tobytes() and s.possible.tobytes() == possible.tobytes()
-        shapes[s.kind].add(s.prior.block_dims)
+        shapes[s.kind].add(got.block_dims)
         outcomes.add("smoothed")
     # one batched square root per (kind, block shape), one bob-branch pass per register kind
     assert roots.call_count == sum(map(len, shapes.values()))
