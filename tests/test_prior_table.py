@@ -156,8 +156,8 @@ def table_case(system):
 def row(table: PriorTable, i: int):
     """Row ``i``'s blocks in its shape's stack, and that shape's ``A1`` dimension."""
     a1, (rows, counts, _) = next((a1, shape) for a1, shape in table.shapes.items() if i in shape[0])
-    lo = counts[: np.searchsorted(rows, i)].sum()
-    return slice(lo, lo + counts[np.searchsorted(rows, i)]), a1
+    k = np.searchsorted(rows, i)
+    return slice(counts[:k].sum(), counts[: k + 1].sum()), a1
 
 
 @pytest.mark.parametrize("merge", [True, False], ids=["merged", "unmerged"])
