@@ -8,15 +8,19 @@ and ``sum_y phi_y = D``.
 
 One forward recursion (normalized at every step, summing the record's
 log-likelihood) and one backward recursion (an all-ones effect through the
-transposed conditional maps) each keep every level, so one pass each way
-gives the posterior, their normalized entrywise product, at every split of a
-record (:func:`classical_smooth_all`, as in Rabiner's forward-backward
-algorithm).  :func:`classical_filter`, :func:`classical_retrofilter` and
+transposed conditional maps, each level held as a mantissa and a binary
+exponent) each keep every level, so one pass each way gives the posterior,
+their normalized entrywise product, at every split of a record
+(:func:`classical_smooth_all`, as in Rabiner's scaled forward-backward
+algorithm).  The backward scale is an exact power of two per level, so a
+long record's effect does not underflow, and an effect that does not
+underflow unscaled keeps its bits.  :func:`classical_filter`, :func:`classical_retrofilter` and
 :func:`classical_smooth` are their last-level and one-split cases.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,17 +107,30 @@ def _forward(model, prior, record) -> tuple[list[np.ndarray], float]:
     return posteriors, loglik
 
 
-def _backward(model, record) -> list[np.ndarray]:
-    """The backward recursion: the unnormalized effect of each suffix of ``record``, longest first."""
-    effects = [np.ones(model.n_states)]
-    for y in reversed(list(record)):
-        effects.append(conditional_map(model, y).T @ effects[-1])
-    return effects[::-1]
+def _backward(model, record) -> tuple[np.ndarray, np.ndarray]:
+    """The backward recursion: the effect of each suffix of ``record``, longest first, as mantissas and exponents.
+
+    Level ``t``'s effect is ``ldexp(mantissas[t], exponents[t])``.  Each level is scaled by the power of
+    two that brings its largest entry into ``[0.5, 1)``: Rabiner's scaled backward pass, made exact, so a
+    long record's effect does not underflow and every effect that does not underflow unscaled keeps its bits.
+    """
+    steps = list(record)[::-1]
+    maps = {y: conditional_map(model, y).T for y in dict.fromkeys(steps)}  # one per outcome, in traversal order
+    mantissas, exponents = [np.ones(model.n_states)], [0]
+    for y in steps:
+        v = maps[y] @ mantissas[-1]
+        e = math.frexp(v.max())[1]
+        mantissas.append(np.ldexp(v, -e))
+        exponents.append(exponents[-1] + e)
+    return np.stack(mantissas[::-1]), np.array(exponents[::-1])
 
 
-def _combine(posteriors, effects) -> np.ndarray:
-    """Row ``t`` is the normalized product of ``posteriors[t]`` and ``effects[t]``."""
-    s = np.stack(posteriors) * np.stack(effects)
+def _combine(posteriors, mantissas: np.ndarray) -> np.ndarray:
+    """Row ``t`` is the normalized product of ``posteriors[t]`` and level ``t``'s effect.
+
+    The effect's mantissa stands in for it: both factors of a row's ratio carry its one power of two.
+    """
+    s = np.stack(posteriors) * mantissas
     z = s.sum(axis=1, keepdims=True)
     if (z <= WEIGHT_FLOOR).any():
         raise ZeroProbabilityRecord("combined record has zero probability")
@@ -136,12 +153,13 @@ def classical_retrofilter(model, record) -> np.ndarray:
 
     The empty record gives the uninformative all-ones effect.
     """
-    return _backward(model, record)[0]
+    mantissas, exponents = _backward(model, record)
+    return np.ldexp(mantissas[0], exponents[0])
 
 
 def classical_smooth(model, prior, past, future) -> np.ndarray:
     """Posterior over states at the split time given past and future records."""
-    return _combine(_forward(model, prior, past)[0][-1:], _backward(model, future)[:1])[0]
+    return _combine(_forward(model, prior, past)[0][-1:], _backward(model, future)[0][:1])[0]
 
 
 def classical_smooth_all(model, prior, record) -> np.ndarray:
@@ -149,7 +167,7 @@ def classical_smooth_all(model, prior, record) -> np.ndarray:
 
     Row ``t`` has the bits of ``classical_smooth(model, prior, record[:t], record[t:])``.
     """
-    return _combine(_forward(model, prior, record)[0], _backward(model, record))
+    return _combine(_forward(model, prior, record)[0], _backward(model, record)[0])
 
 
 def sample_classical_trajectories(

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from retrosmooth.classical import (
     sample_classical_trajectories,
 )
 from retrosmooth.errors import InvalidMatrix, UnknownOutcome, ZeroProbabilityRecord
+from retrosmooth.scenario import Scenario
 
 # 2-state chain used throughout: measure, then hop.
 D2 = np.array([[0.9, 0.2], [0.1, 0.8]])
@@ -234,6 +236,65 @@ class TestEverySplit:
             classical_smooth(delta, [1.0, 0.0], ("0",), ("1",))
         with pytest.raises(UnknownOutcome):
             classical_smooth_all(model2(), [0.5, 0.5], ("0", "z"))
+
+
+def shipped_chain(name):
+    """A shipped classical scenario's model and initial distribution."""
+    sc = Scenario.from_file(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
+    return sc.classical, np.diag(sc.rho0).real
+
+
+def unscaled_levels(model, prior, record):
+    """Reference: the forward posterior and the unscaled backward effect at every split, one step at a time."""
+    posteriors = [np.clip(np.asarray(prior, dtype=float), 0.0, None)]
+    for y in record:
+        v = conditional_map(model, y) @ posteriors[-1]
+        posteriors.append(v / v.sum())
+    effects = [np.ones(model.n_states)]
+    for y in reversed(record):
+        effects.append(conditional_map(model, y).T @ effects[-1])
+    return posteriors, effects[::-1]
+
+
+def log_path_sums(model, prior, record):
+    """Reference: ``ln p(x_t, record)`` at every split, summed over every state path in log space.
+
+    Row ``t`` reduces the log weight of each path ``x_0..x_T`` over every step but ``t`` with
+    ``np.logaddexp``; it shares no recursion with the oracle.
+    """
+    with np.errstate(divide="ignore"):
+        log_d, logw = np.log(model.transition), np.log(np.asarray(prior, dtype=float))
+        log_like = {y: np.log(v) for y, v in model.likelihood.items()}
+    for y in record:
+        logw = (logw + log_like[y])[..., None] + log_d.T  # x_s emits y, then jumps to x_{s+1}
+    n = model.n_states
+    return np.array([np.logaddexp.reduce(np.moveaxis(logw, t, 0).reshape(n, -1), axis=1) for t in range(len(record) + 1)])
+
+
+class TestScaledBackward:
+    @pytest.mark.parametrize("steps", [5, 12])
+    def test_every_record_keeps_the_bits_of_the_unscaled_recursion(self, steps):
+        model, prior = shipped_chain("classical-2state")
+        for record in itertools.product(model.outcome_labels, repeat=steps):
+            posteriors, effects = unscaled_levels(model, prior, record)
+            s = np.stack(posteriors) * np.stack(effects)
+            every = classical_smooth_all(model, prior, record)
+            assert every.tobytes() == (s / s.sum(axis=1, keepdims=True)).tobytes(), record
+            assert classical_retrofilter(model, record).tobytes() == effects[0].tobytes(), record
+
+    @pytest.mark.parametrize("name", ["classical-2state", "classical-3state"])
+    def test_agrees_with_a_log_space_sum_over_state_paths(self, name):
+        model, prior = shipped_chain(name)
+        (sampled,) = sample_classical_trajectories(model, prior, 12, 1, 7)[1]
+        for record in [sampled[:steps] for steps in (0, 1, 4, 8, 12)]:
+            logs = log_path_sums(model, prior, record)
+            total = np.logaddexp.reduce(logs[0])
+            every = classical_smooth_all(model, prior, record)
+            assert np.abs(every - np.exp(logs - total)).max() <= 1e-12, record
+            # p(record | x_0) = p(x_0, record) / prior(x_0)
+            expected = np.exp(logs[0] - np.log(prior))
+            np.testing.assert_allclose(classical_retrofilter(model, record), expected, rtol=1e-12, atol=0)
+            assert abs(classical_filter(model, prior, record)[1] - total) <= 1e-12
 
 
 def sequential_trajectory(model, prior, steps, gen):

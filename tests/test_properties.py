@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from retrosmooth import retrodiction, smoothers
 from retrosmooth.cli import main
 from retrosmooth.classical import classical_smooth_all, sample_classical_trajectories
-from retrosmooth.errors import EnumerationTooLarge, RetrosmoothError, ZeroProbabilityRecord
+from retrosmooth.errors import EnumerationTooLarge, RetrosmoothError
 from retrosmooth.linalg import (
     BOUND_SLACK,
     PSD_CLAMP,
@@ -463,15 +463,10 @@ def test_quantum_smoothing_of_a_classical_chain_is_forward_backward_smoothing(sc
     assert max(worst.values()) <= 1e-9, worst
 
 
-@pytest.mark.xfail(
-    raises=ZeroProbabilityRecord,
-    strict=True,
-    reason="the classical recursions are unscaled: a 200-step record's normalizer falls under WEIGHT_FLOOR",
-)
 @pytest.mark.parametrize("seed", [5, 11, 2024])
 def test_the_classical_oracle_smooths_long_sampled_records(seed):
-    # every sampled record is possible, so its posterior at every split exists; 20 of 20 records of 200
-    # steps raise today, and this property holds once the forward-backward recursions carry a scale
+    # every sampled record is possible, so its posterior at every split exists: the backward recursion's
+    # power-of-two scale keeps a 200-step record's normalizer clear of WEIGHT_FLOOR
     sc = Scenario.from_file(Path(__file__).resolve().parents[1] / "scenarios" / "classical-2state.json")
     prior = np.diag(sc.rho0).real
     _, records = sample_classical_trajectories(sc.classical, prior, 200, 20, seed)
