@@ -37,7 +37,7 @@ def as_distribution(p, name: str = "distribution") -> np.ndarray:
     if q.min() < -STOCHASTIC_TOL:
         raise InvalidDistribution(f"{name} has negative entry {q.min():g}")
     if abs(q.sum() - 1.0) > UNIT_TRACE_TOL:
-        raise InvalidDistribution(f"{name} sums to {q.sum()!r}")
+        raise InvalidDistribution(f"{name} sums to {float(q.sum())!r}")
     return np.clip(q, 0.0, None)
 
 

@@ -31,8 +31,9 @@ Filtered global states are stored as a block-diagonal family over an
 optional classical record register, since the square root of a
 block-diagonal matrix factorizes blockwise; this keeps the cost linear in
 the number of record branches.  One prior kind's states for a table of
-pasts are one :class:`PriorTable`, its blocks stacked per block shape, and a
-:class:`FilteredGlobalState` is a table of one row.  A table is smoothed in
+pasts are one :class:`PriorTable`, which owns their blocks, stacked per
+block shape and checked once by :meth:`PriorTable.of`; a
+:class:`FilteredGlobalState` is a view of one row.  A table is smoothed in
 one call: each stack takes its square roots in one batched
 eigendecomposition, cached, and every (past, future) pair goes through one
 stacked sandwich ``sqrt(P_u) (E_R (x) I_A1) sqrt(P_u)`` and one partial
@@ -119,7 +120,7 @@ class ChannelRep:
 
 @dataclass(frozen=True, eq=False)
 class FilteredGlobalState:
-    """Joint state of the system and the auxiliary reference the agent credits.
+    """Joint state of the system and the auxiliary reference the agent credits: row ``row`` of ``table``.
 
     ``blocks`` is a read-only stack ``(n, D, D)`` with ``D = dim_q * dim_a1``:
     ``blocks[u]`` lives on ``Q (x) A1`` and is the branch tied to value ``u``
@@ -128,47 +129,66 @@ class FilteredGlobalState:
     register, on ``Q (x) A1 (x) A2``.  Priors without a record register are a
     single block with the empty label.  Block traces must sum to one.
 
-    Any sequence of equal-shape matrices is accepted for ``blocks``: the state
-    is the one-row :class:`PriorTable` ``table``, whose check it passes, and
-    ``roots`` (the blocks' square roots) and the marginal are that table's,
-    each taken once and reused by every update of this prior.
+    The state is a view: its blocks, labels, dimensions and kind, its
+    ``roots`` (the blocks' square roots) and its marginal are read from the
+    table, which checked them and takes the roots and marginals once, for
+    every update of the row.  :meth:`of` builds one from raw blocks, and
+    :meth:`PriorTable.prior` gives a table's row.
     """
 
-    blocks: np.ndarray
-    dim_q: int
-    dim_a1: int = 1
-    block_labels: tuple[tuple, ...] = ((),)
-    kind: str = "custom"
-    table: PriorTable = field(init=False, repr=False)
+    table: PriorTable = field(repr=False)
+    row: int
 
-    def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
-            raise InvalidMatrix(f"unknown prior kind {self.kind!r}")
-        if len(self.blocks) != len(self.block_labels):
+    @classmethod
+    def of(cls, blocks, dim_q: int, dim_a1: int = 1, block_labels=((),), kind: str = "custom") -> FilteredGlobalState:
+        """The prior of ``blocks``, any sequence of equal-shape matrices: the row of its one-row, checked table."""
+        if kind not in PRIOR_KINDS:
+            raise InvalidMatrix(f"unknown prior kind {kind!r}")
+        if len(blocks) != len(block_labels):
             raise InvalidMatrix("one label per block required")
-        if not len(self.blocks):
+        if not len(blocks):
             raise InvalidMatrix("at least one block required")
-        d = self.dim_q * self.dim_a1
         try:
-            stack = np.asarray(self.blocks, dtype=complex)
+            stack = np.asarray(blocks, dtype=complex)
         except ValueError:
             raise InvalidFactorization("blocks do not share one shape") from None
-        if stack.shape[1:] != (d, d):
-            raise InvalidFactorization(
-                f"blocks of shape {stack.shape[1:]} do not match dims ({self.dim_q}, {self.dim_a1})"
-            )
-        labels = tuple(tuple(l) for l in self.block_labels)
-        table = PriorTable.of(self.kind, self.dim_q, [None], [labels], {self.dim_a1: ([0], [len(stack)], stack)})
-        if table.errors[0] is not None:
-            raise table.errors[0]
-        object.__setattr__(self, "blocks", table.shapes[self.dim_a1][2])
-        object.__setattr__(self, "block_labels", labels)
-        object.__setattr__(self, "table", table)
+        if stack.shape[1:] != (dim_q * dim_a1,) * 2:
+            raise InvalidFactorization(f"blocks of shape {stack.shape[1:]} do not match dims ({dim_q}, {dim_a1})")
+        labels = tuple(tuple(label) for label in block_labels)
+        return PriorTable.of(kind, dim_q, [None], [labels], {dim_a1: ([0], [len(stack)], stack)}).prior(0)
+
+    @cached_property
+    def _place(self) -> tuple[int, int, slice]:
+        """The row's ``A1`` dimension, its index among that shape's rows and its blocks' slice of the stack."""
+        a1, (rows, counts, _) = next((a1, shape) for a1, shape in self.table.shapes.items() if self.row in shape[0])
+        k = int(np.searchsorted(rows, self.row))
+        lo = int(counts[:k].sum())
+        return a1, k, slice(lo, lo + int(counts[k]))
 
     @property
+    def kind(self) -> str:
+        return self.table.kind
+
+    @property
+    def dim_q(self) -> int:
+        return self.table.dim_q
+
+    @property
+    def dim_a1(self) -> int:
+        return self._place[0]
+
+    @property
+    def block_labels(self) -> tuple[tuple, ...]:
+        return self.table.labels[self.row]
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        return self.table.shapes[self.dim_a1][2][self._place[2]]
+
+    @cached_property
     def roots(self) -> np.ndarray:
         """``psd_sqrt`` of every block, as a read-only stack aligned with ``blocks``."""
-        return self.table.roots[self.dim_a1]
+        return self.table.roots[self.dim_a1][self._place[2]]
 
     @property
     def dim_a2(self) -> int:
@@ -189,7 +209,7 @@ class FilteredGlobalState:
 
     @cached_property
     def _marginal(self) -> np.ndarray:
-        return self.table.marginals[self.dim_a1][0]
+        return self.table.marginals[self.dim_a1][self._place[1]]
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full matrix on ``Q (x) A1 (x) A2`` (register last)."""
@@ -247,13 +267,10 @@ class PriorTable:
         return cls(kind, dim_q, checked, labels, errors)
 
     def prior(self, i: int) -> FilteredGlobalState:
-        """Row ``i`` as a :class:`FilteredGlobalState`, built when called; raises the row's error."""
+        """Row ``i`` as a :class:`FilteredGlobalState`, a view of the checked row; raises the row's error."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        a1, (rows, counts, blocks) = next((a1, shape) for a1, shape in self.shapes.items() if i in shape[0])
-        k = int(np.searchsorted(rows, i))
-        lo = int(counts[:k].sum())
-        return FilteredGlobalState(blocks[lo : lo + counts[k]], self.dim_q, a1, self.labels[i], self.kind)
+        return FilteredGlobalState(self, i)
 
     @cached_property
     def roots(self) -> dict[int, np.ndarray]:
@@ -323,7 +340,7 @@ def petz_map(channel: ChannelRep, gamma, sigma) -> np.ndarray:
     g = as_density(gamma, "prior")
     if g.shape[0] != channel.input_dim:
         raise InvalidFactorization("prior dimension does not match the channel input")
-    return extended_petz(channel, FilteredGlobalState(blocks=g[None], dim_q=len(g)), sigma)
+    return extended_petz(channel, FilteredGlobalState.of(g[None], len(g)), sigma)
 
 
 def extended_petz(channel: ChannelRep, prior: FilteredGlobalState, sigma) -> np.ndarray:
@@ -379,28 +396,24 @@ def generalized_smooth(prior, effect, futures=None):
 
     Computes ``Tr_A[sqrt(P) (E_R (x) I_A) sqrt(P)] / Tr[rho_F E_R]``.  The
     output is PSD with unit trace whenever the record has nonvanishing
-    probability; otherwise :class:`ZeroProbabilityRecord` is raised.
-
-    A stack ``(k, d, d)`` of effects is validated and smoothed in one pass
-    and returns ``(states, possible)``: ``possible[j]`` is false where the
-    normalizer of effect ``j`` is at or below ``WEIGHT_FLOOR``, and
-    ``states[j]`` is then NaN instead of raising.  Each state has the bits of
-    the single-effect call.
+    probability; otherwise :class:`ZeroProbabilityRecord` is raised.  One
+    prior takes one effect, and its update runs on the prior's cached roots.
 
     ``prior`` may also be a :class:`PriorTable`, with ``effect`` one stack of
     effects and ``futures[i]`` the indices in it of row ``i``'s effects: the
     stack is validated once, and the result is each row's ``(states,
-    possible)``, or ``None`` for a row that failed to build, with the bits of
-    its one-prior call.  Each block shape's rows take one batched square root
-    of their stack, and all their (row, effect) pairs one sandwich and one
-    partial trace.  One prior is the one-row table, on its cached roots.
+    possible)``, or ``None`` for a row that failed to build.
+    ``possible[j]`` is false where the normalizer of the row's effect ``j``
+    is at or below ``WEIGHT_FLOOR``, and ``states[j]`` is then NaN instead of
+    raising; every other state has the bits of the one-prior call.  Each
+    block shape's rows take one batched square root of their stack, and all
+    their (row, effect) pairs one sandwich and one partial trace.
     """
     if isinstance(prior, PriorTable):
         return _smooth_priors(prior, as_effect(effect), futures)
-    if np.ndim(effect) == 3:
-        return _smooth_priors(prior.table, as_effect(effect), [np.arange(len(effect))])[0]
-    e, _ = _effect_and_norm(prior, effect)
-    return _smooth_priors(prior.table, e[None], [[0]])[0][0][0]
+    e, norm = _effect_and_norm(prior, effect)
+    n = prior.dim_a2
+    return _update(prior.roots, prior.block_dims, np.repeat(e[None], n, axis=0), [n], np.array([norm]))[0]
 
 
 def _smooth_priors(table: PriorTable, effects: np.ndarray, futures) -> list:
@@ -448,13 +461,8 @@ def smoothed_global(prior: FilteredGlobalState, effect) -> FilteredGlobalState:
     system state.
     """
     e, norm = _effect_and_norm(prior, effect)
-    return FilteredGlobalState(
-        blocks=_sandwich(prior.roots, prior.dim_a1, e) / norm,
-        dim_q=prior.dim_q,
-        dim_a1=prior.dim_a1,
-        block_labels=prior.block_labels,
-        kind=prior.kind,
-    )
+    blocks = _sandwich(prior.roots, prior.dim_a1, e) / norm
+    return FilteredGlobalState.of(blocks, prior.dim_q, prior.dim_a1, prior.block_labels, prior.kind)
 
 
 def bob_posterior(prior: FilteredGlobalState, effect) -> np.ndarray:

@@ -194,20 +194,22 @@ def _filtered_priors(kind: str, rho_fs) -> PriorTable:
 def _row_checks(check, rows: list) -> list:
     """``check`` of each of ``rows``, or the :class:`RetrosmoothError` it raises for that row alone.
 
-    The rows are checked as one stack, split in halves wherever a stacked call
-    raises, so a failing row is checked alone and the others keep the bits of
-    a stacked call.
+    The rows are checked as one stack.  If that raises, for a failing row or
+    rows that do not stack (a past with no state), each row is checked alone,
+    so a failing row gets the message of its one-past check; a check's rows
+    have the same bits either way.
     """
-    if len(rows) <= 1:
-        try:
-            return [check(row) for row in rows]
-        except RetrosmoothError as exc:
-            return [exc]
     try:
         return list(check(np.stack(rows)))
-    except (RetrosmoothError, ValueError):  # a failing row, or rows that do not stack (a past with no state)
-        half = len(rows) // 2
-        return _row_checks(check, rows[:half]) + _row_checks(check, rows[half:])
+    except (RetrosmoothError, ValueError):
+        return [_checked(check, row) for row in rows]
+
+
+def _checked(check, row):
+    try:
+        return check(row)
+    except RetrosmoothError as exc:
+        return exc
 
 
 def _extending(custom: FilteredGlobalState, rho_fs) -> PriorTable:
@@ -255,9 +257,7 @@ def build_custom(matrix, dims: tuple[int, int]) -> FilteredGlobalState:
         raise InvalidFactorization(
             f"matrix of dimension {state.shape[0]} does not factor as {dims}"
         )
-    return FilteredGlobalState(
-        blocks=(state,), dim_q=d_q, dim_a1=d_a, block_labels=((),), kind="custom"
-    )
+    return FilteredGlobalState.of((state,), d_q, d_a)
 
 
 def build_prior(
@@ -267,17 +267,14 @@ def build_prior(
     alice_past,
     instrument: Instrument,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    rho_f=None,
     merge: bool = True,
 ) -> FilteredGlobalState:
     """Row 0 of a one-past :func:`build_priors` table, raising the error of a failed build.
 
-    ``pf`` and ``clhs`` start from the filtered state of ``alice_past``: the
-    given ``rho_f``, or one :func:`~retrosmooth.trajectory.filter` call when
-    it is ``None``.
+    ``pf`` and ``clhs`` start from the filtered state of ``alice_past``, from
+    one :func:`~retrosmooth.trajectory.filter` call.
     """
-    if rho_f is None and kind in ("pf", "clhs"):
-        rho_f, _ = filter_state(instrument, rho0, alice_past)
+    rho_f = filter_state(instrument, rho0, alice_past)[0] if kind in ("pf", "clhs") else None
     return build_priors(kind, instrument, rho0, [alice_past], [rho_f], cap, merge=merge).prior(0)
 
 
@@ -295,13 +292,8 @@ def extend_ancilla(prior: FilteredGlobalState, isometry) -> FilteredGlobalState:
     if np.abs(dag(v) @ v - np.eye(prior.dim_a1)).max() > ISOMETRY_TOL:
         raise InvalidFactorization("map is not an isometry")
     lift = tensor(np.eye(prior.dim_q), v)
-    return FilteredGlobalState(
-        blocks=lift @ prior.blocks @ dag(lift),
-        dim_q=prior.dim_q,
-        dim_a1=v.shape[0],
-        block_labels=prior.block_labels,
-        kind=prior.kind,
-    )
+    blocks = lift @ prior.blocks @ dag(lift)
+    return FilteredGlobalState.of(blocks, prior.dim_q, v.shape[0], prior.block_labels, prior.kind)
 
 
 def branch_mixture_smooth(

@@ -1,4 +1,5 @@
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from retrosmooth.classical import (
     conditional_map,
     sample_classical_trajectories,
 )
-from retrosmooth.errors import InvalidMatrix, UnknownOutcome, ZeroProbabilityRecord
+from retrosmooth.errors import InvalidDistribution, InvalidMatrix, UnknownOutcome, ZeroProbabilityRecord
 from retrosmooth.scenario import Scenario
 
 # 2-state chain used throughout: measure, then hop.
@@ -111,6 +112,21 @@ class TestFilter:
         )
         with pytest.raises(ZeroProbabilityRecord):
             classical_filter(model, [1.0, 0.0], ["1"])
+
+
+    @pytest.mark.parametrize(
+        "prior, message",
+        [
+            ([], "prior must be a nonempty vector"),
+            ([[0.5, 0.5]], "prior must be a nonempty vector"),
+            ([1.2, -0.2], "prior has negative entry -0.2"),
+            ([0.5, 0.6], "prior sums to 1.1"),
+        ],
+        ids=["empty", "matrix", "negative-entry", "bad-sum"],
+    )
+    def test_invalid_prior(self, prior, message):
+        with pytest.raises(InvalidDistribution, match=f"^{re.escape(message)}"):
+            classical_filter(model2(), prior, ["0"])
 
 
 class TestRetrofilter:

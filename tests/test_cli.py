@@ -591,7 +591,7 @@ class TestClassicalLimit:
         ]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         state = retrodiction.FilteredGlobalState
-        monkeypatch.setattr(state, "__post_init__", counting("FilteredGlobalState", state.__post_init__))
+        monkeypatch.setattr(state, "__init__", counting("FilteredGlobalState", state.__init__))
         sc = Scenario.from_file("scenarios/classical-2state.json")
         report = cmd_classical_limit(sc, tmp_path)
         assert report["passed"]
@@ -669,6 +669,12 @@ def _classical_doc_with_list_likelihood() -> dict:
     return doc
 
 
+def _classical_doc_with_no_outcomes() -> dict:
+    doc = json.loads(Path("scenarios/classical-2state.json").read_text())
+    doc["system"]["likelihood"] = {}
+    return doc
+
+
 def _rho0(real) -> dict:
     return {"real": real, "imag": [[0.0, 0.0], [0.0, 0.0]]}
 
@@ -722,6 +728,7 @@ MALFORMED_SCENARIOS = {
     ),
     "n-trajectories-not-integer": (lambda: _demo_doc(n_trajectories="x"), "n_trajectories:"),
     "likelihood-as-list": (_classical_doc_with_list_likelihood, "system.likelihood:"),
+    "likelihood-empty": (_classical_doc_with_no_outcomes, "system: model needs at least one outcome"),
     "rho0-trace-1.8": (lambda: _demo_doc(rho0=_rho0([[0.9, 0.0], [0.0, 0.9]])), "trace 1.8,"),
     "rho0-negative-eigenvalue": (
         lambda: _demo_doc(rho0=_rho0([[2.0, 0.0], [0.0, -1.0]])),

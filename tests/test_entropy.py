@@ -266,7 +266,7 @@ class TestLambdaMap:
 
         rng = np.random.default_rng(21)
         blocks = [0.4 * sampling.random_density(4, rng), 0.6 * sampling.random_density(4, rng)]
-        ext = FilteredGlobalState(
+        ext = FilteredGlobalState.of(
             blocks=tuple(blocks),
             dim_q=2,
             dim_a1=2,
@@ -340,7 +340,7 @@ def reference_report(gamma, ext, povm):
             total += float(p) * s
         return total
 
-    s_t = avg(FilteredGlobalState(blocks=(gamma,), dim_q=gamma.shape[0]))
+    s_t = avg(FilteredGlobalState.of(blocks=(gamma,), dim_q=gamma.shape[0]))
     s_e, s_g = avg(ext), entropy_vn(gamma)
     holds = s_t - BOUND_SLACK <= s_e <= s_g + BOUND_SLACK
     return Theorem1Report(s_t, s_e, s_g, s_e - s_t, s_g - s_e, holds)
@@ -612,7 +612,7 @@ class TestBatchedTheorem1:
         cases.append((build_custom(GAMMA1, (2, 2)), MIXED))
         blocks = (0.4 * sampling.random_density(4, rng), 0.6 * sampling.random_density(4, rng))
         labels = (("a",), ("b",))
-        ext = FilteredGlobalState(blocks=blocks, dim_q=2, dim_a1=2, block_labels=labels, kind="gw")
+        ext = FilteredGlobalState.of(blocks=blocks, dim_q=2, dim_a1=2, block_labels=labels, kind="gw")
         cases.append((ext, ext.marginal()))
         for ext, gamma in cases:
             got, expected = lambda_choi(ext, gamma), reference_choi(ext, gamma)

@@ -10,14 +10,16 @@ smoothed states must match them bit for bit, and every failing row must raise
 the reference's error with its message.
 """
 
+import inspect
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from retrosmooth import linalg, sampling, smoothers
-from retrosmooth.errors import InvalidMatrix, RetrosmoothError, ZeroProbabilityRecord
+from retrosmooth.errors import InvalidFactorization, InvalidMatrix, RetrosmoothError, ZeroProbabilityRecord
 from retrosmooth.linalg import (
     BLOCK_HERMITIAN_TOL,
     PROB_SUM_TOL,
@@ -32,7 +34,15 @@ from retrosmooth.linalg import (
 )
 from retrosmooth.retrodiction import FilteredGlobalState, PriorTable, generalized_smooth, require_marginals
 from retrosmooth.scenario import demo_scenario
-from retrosmooth.smoothers import REGISTERS, build_custom, build_prior, build_priors, purified_initial
+from retrosmooth.smoothers import (
+    REGISTERS,
+    build_clhs,
+    build_custom,
+    build_pf,
+    build_prior,
+    build_priors,
+    purified_initial,
+)
 from retrosmooth.trajectory import filter as filter_state
 from retrosmooth.trajectory import retrofilter_records
 
@@ -249,10 +259,48 @@ def test_one_block_check_serves_the_table_and_the_state():
         except InvalidMatrix as exc:
             assert (type(table.errors[i]), str(table.errors[i])) == (InvalidMatrix, str(exc))
             with pytest.raises(InvalidMatrix, match=f"^{re.escape(str(exc))}$"):
-                FilteredGlobalState(blocks, 2, 1, labels[i], "gw-variant")
+                FilteredGlobalState.of(blocks, 2, 1, labels[i], "gw-variant")
             continue
         assert table.errors[i] is None
         assert table.shapes[1][2][row(table, i)[0]].tobytes() == want.tobytes()
-        assert FilteredGlobalState(blocks, 2, 1, labels[i], "gw-variant").blocks.tobytes() == want.tobytes()
+        assert FilteredGlobalState.of(blocks, 2, 1, labels[i], "gw-variant").blocks.tobytes() == want.tobytes()
     assert [e is None for e in table.errors] == [True, False, False, False, True, False]
 
+
+
+def test_each_prior_is_checked_once_by_its_table():
+    # PriorTable.of is the one prior check: each one-past builder runs it once, and a table's row is a
+    # view that runs it no more
+    inst, rho0 = demo_scenario().instrument, np.diag([0.7, 0.3]).astype(complex)
+    past = ("0", "0")
+    rho_f = filter_state(inst, rho0, past)[0]
+    custom = build_custom(np.kron(rho_f, np.eye(2) / 2), (2, 2))
+    one_past = {
+        "build_pf": lambda: build_pf(rho_f),
+        "build_clhs": lambda: build_clhs(rho_f),
+        "FilteredGlobalState.of": lambda: FilteredGlobalState.of((0.5 * rho_f, 0.5 * rho_f), 2, 1, (("a",), ("b",))),
+        **{
+            kind: lambda kind=kind: build_prior(kind, rho0=rho0, alice_past=past, instrument=inst)
+            for kind in KINDS
+            if kind != "custom"
+        },
+        # build_prior takes no extension: custom's one-past build is the one-row table of build_priors
+        "custom": lambda: build_priors("custom", inst, rho0, [past], [rho_f], custom=custom).prior(0),
+    }
+    table = build_priors("gw", inst, rho0, [(), past, ("0",)], [None] * 3)
+    with mock.patch.object(PriorTable, "of", wraps=PriorTable.of) as check:
+        for name, build in one_past.items():
+            check.reset_mock()
+            prior = build()
+            assert isinstance(prior, FilteredGlobalState) and check.call_count == 1, name
+        check.reset_mock()
+        rows = [table.prior(i) for i in range(3)]
+        assert check.call_count == 0
+        with pytest.raises(InvalidFactorization, match="cannot build prior kind 'custom'"):
+            build_prior("custom", rho0=rho0, alice_past=past, instrument=inst)
+        assert check.call_count == 0
+    assert [r.blocks.tobytes() for r in rows] == [table.prior(i).blocks.tobytes() for i in range(3)]
+    assert "rho_f" not in inspect.signature(build_prior).parameters
+    effects = np.stack([np.eye(2), np.diag([0.0, 1.0])]).astype(complex)
+    with pytest.raises(InvalidMatrix, match="must be square"):
+        generalized_smooth(build_pf(rho_f), effects)

@@ -133,7 +133,7 @@ def test_smoothing_does_not_depend_on_the_purifying_ancilla(sc, seed):
             continue
         prior = s.priors.prior(s.row)
         moved = extend_ancilla(prior, random_isometry(prior.dim_a1, prior.dim_a1 + 2, rng))
-        states, possible = generalized_smooth(moved, s.effects)
+        states, possible = generalized_smooth(moved.table, s.effects, [np.arange(len(s.effects))])[0]
         assert possible.tobytes() == s.possible.tobytes(), (s.kind, s.past)
         # verify's tolerance for the same check on the demo
         assert trace_norm(states[possible] - s.states[possible]).max(initial=0.0) <= 1e-9, (s.kind, s.past)
@@ -182,7 +182,7 @@ def test_merged_register_smoothing_is_smoothing_over_every_bob_record(sc):
         (found,) = smoothers._bob_branches(sc.instrument, initial, [s.past], rank, sc.enumeration_cap)
         unmerged = smoothers._register_priors(s.kind, sc.dim, rank, [found]).prior(0)
         assert len(s.priors.prior(s.row).blocks) <= len(unmerged.blocks)
-        states, possible = generalized_smooth(unmerged, s.effects)
+        states, possible = generalized_smooth(unmerged.table, s.effects, [np.arange(len(s.effects))])[0]
         assert possible.tobytes() == s.possible.tobytes(), (s.kind, s.past)
         assert trace_norm(states[possible] - s.states[possible]).max(initial=0.0) <= 1e-12, (s.kind, s.past)
 
@@ -257,7 +257,10 @@ def test_the_table_pass_has_the_bits_of_one_past_at_a_time(case):
         assert s.error is None, (s.kind, s.past, s.error)
         got = s.priors.prior(s.row)
         assert got.blocks.tobytes() == prior.blocks.tobytes() and got.block_labels == prior.block_labels
-        for states, possible in (generalized_smooth(prior, s.effects), one_prior_smooth(prior, s.effects)):
+        for states, possible in (
+            generalized_smooth(prior.table, s.effects, [np.arange(len(s.effects))])[0],
+            one_prior_smooth(prior, s.effects),
+        ):
             assert s.states.tobytes() == states.tobytes() and s.possible.tobytes() == possible.tobytes()
         shapes[s.kind].add(got.block_dims)
         outcomes.add("smoothed")

@@ -165,7 +165,7 @@ class TestExtendedPetz:
         g1 = sampling.random_density(2, rng)
         g2 = sampling.random_density(2, rng)
         p1 = 0.3
-        prior = FilteredGlobalState(
+        prior = FilteredGlobalState.of(
             blocks=(p1 * g1, (1 - p1) * g2),
             dim_q=2,
             dim_a1=1,
@@ -197,7 +197,7 @@ class TestFilteredGlobalState:
     @staticmethod
     def make(blocks, dim_a1=1):
         labels = tuple((str(i),) for i in range(len(blocks)))
-        return FilteredGlobalState(
+        return FilteredGlobalState.of(
             blocks=blocks, dim_q=2, dim_a1=dim_a1, block_labels=labels, kind="gw-variant"
         )
 
@@ -363,7 +363,7 @@ class TestStackedSmooth:
         return np.stack([retrofilter(inst, fut) for fut in futures])
 
     def assert_matches_loop(self, prior, effects):
-        states, possible = generalized_smooth(prior, effects)
+        states, possible = generalized_smooth(prior.table, effects, [np.arange(len(effects))])[0]
         assert states.shape == effects.shape and possible.shape == (len(effects),)
         for state, ok, effect in zip(states, possible, effects):
             expected = per_effect_smooth(prior, effect)
@@ -412,17 +412,17 @@ class TestStackedSmooth:
         with pytest.raises(InvalidFactorization):
             generalized_smooth(build_pf(G), np.eye(3))
         with pytest.raises(InvalidFactorization):
-            generalized_smooth(build_pf(G), np.stack([np.eye(3), np.eye(3)]))
+            generalized_smooth(build_pf(G).table, np.stack([np.eye(3), np.eye(3)]), [[0, 1]])
 
     def test_stack_with_non_psd_effect(self):
         effects = np.stack([np.eye(2), G, np.diag([1.0, -1e-3])]).astype(complex)
         with pytest.raises(NotPSD):
-            generalized_smooth(build_pf(np.eye(2) / 2), effects)
+            generalized_smooth(build_pf(np.eye(2) / 2).table, effects, [np.arange(len(effects))])
 
     def test_stack_with_non_hermitian_effect(self):
         effects = np.stack([np.eye(2), SM + G]).astype(complex)
         with pytest.raises(InvalidMatrix):
-            generalized_smooth(build_pf(np.eye(2) / 2), effects)
+            generalized_smooth(build_pf(np.eye(2) / 2).table, effects, [np.arange(len(effects))])
 
 
 class TestSmoothedGlobal:

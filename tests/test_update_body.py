@@ -64,7 +64,7 @@ def split_prior(gamma, dim_a1, n_blocks, rng):
     d = d_q * dim_a1
     blocks = np.einsum("iaujbu->uiajb", r).reshape(n_blocks, d, d)
     labels = [(str(u),) for u in range(n_blocks)]
-    return FilteredGlobalState(blocks=blocks, dim_q=d_q, dim_a1=dim_a1, block_labels=labels, kind="gw")
+    return FilteredGlobalState.of(blocks=blocks, dim_q=d_q, dim_a1=dim_a1, block_labels=labels, kind="gw")
 
 
 def cases(seed):
@@ -119,7 +119,7 @@ def test_cases_cover_rank_deficient_states():
 def test_smoothing_has_the_retired_bits(seed):
     for gamma, prior, rng in cases(seed):
         effects = sampling.random_povm(len(gamma), 3, rng)
-        states, possible = generalized_smooth(prior, effects)
+        states, possible = generalized_smooth(prior.table, effects, [np.arange(len(effects))])[0]
         for e, state, live in zip(effects, states, possible, strict=True):
             norm = float(np.trace(prior.marginal() @ e).real)
             assert live and generalized_smooth(prior, e).tobytes() == state.tobytes()
