@@ -23,22 +23,22 @@ system before the smoothing time:
 ``custom``
     Any explicit extension with the right marginal (used for bound sweeps).
 
-``gw``, ``gw-variant`` and ``pf-variant`` are one classical register over
-what bob tells apart, and :data:`REGISTERS` maps each to bob's partition and
+``gw``, ``gw-variant`` and ``pf-variant`` are one classical register over what
+bob tells apart, and :data:`REGISTERS` maps each to bob's partition and
 whether ``rho0`` is purified.  :func:`build_priors` builds every kind for
 every past of a table as one :class:`~retrosmooth.retrodiction.PriorTable`,
 its blocks stacked and validated in one pass, each register kind from one
 :func:`~retrosmooth.trajectory.walk_records` pass over its bob branches;
 :func:`build_prior` is row 0 of a one-past table, and :func:`build_pf`,
 :func:`build_clhs` and :func:`build_custom` give one
-:class:`~retrosmooth.retrodiction.FilteredGlobalState`.  Under the finest partition bob's
-options at an outcome are the sorted names of its Kraus operators, so every
-instrument has every prior; under the coarsest bob tells apart no more than
-alice, and the register has one branch.  The pass merges, exactly, the
-branches of a past that end in one reset, so a register block is one bob
-record or the sum of every record that ended in one reset;
-:func:`enumerate_bob_branches` and :func:`branch_mixture_smooth` walk every
-bob record.
+:class:`~retrosmooth.retrodiction.FilteredGlobalState`, the view of a one-row
+table, checked once.  Under the finest partition bob's options at an outcome
+are the sorted names of its Kraus operators, so every instrument has every
+prior; under the coarsest bob tells apart no more than alice, and the register
+has one branch.  The pass merges, exactly, the branches of a past that end in
+one reset, so a register block is one bob record or the sum of every record
+that ended in one reset; :func:`enumerate_bob_branches` and
+:func:`branch_mixture_smooth` walk every bob record.
 """
 
 from __future__ import annotations
