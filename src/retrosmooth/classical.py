@@ -14,8 +14,9 @@ their normalized entrywise product, at every split of a record
 (:func:`classical_smooth_all`, as in Rabiner's scaled forward-backward
 algorithm).  The backward scale is an exact power of two per level, so a
 long record's effect does not underflow, and an effect that does not
-underflow unscaled keeps its bits.  :func:`classical_filter`, :func:`classical_retrofilter` and
-:func:`classical_smooth` are their last-level and one-split cases.
+underflow unscaled keeps its bits.  :func:`classical_filter`,
+:func:`classical_retrofilter` and :func:`classical_smooth` are their
+last-level and one-split cases.
 """
 
 from __future__ import annotations

@@ -113,7 +113,6 @@ class TestFilter:
         with pytest.raises(ZeroProbabilityRecord):
             classical_filter(model, [1.0, 0.0], ["1"])
 
-
     @pytest.mark.parametrize(
         "prior, message",
         [
@@ -283,8 +282,8 @@ def log_path_sums(model, prior, record):
         log_like = {y: np.log(v) for y, v in model.likelihood.items()}
     for y in record:
         logw = (logw + log_like[y])[..., None] + log_d.T  # x_s emits y, then jumps to x_{s+1}
-    n = model.n_states
-    return np.array([np.logaddexp.reduce(np.moveaxis(logw, t, 0).reshape(n, -1), axis=1) for t in range(len(record) + 1)])
+    splits = [np.moveaxis(logw, t, 0).reshape(model.n_states, -1) for t in range(len(record) + 1)]
+    return np.array([np.logaddexp.reduce(paths, axis=1) for paths in splits])
 
 
 class TestScaledBackward:

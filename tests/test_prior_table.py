@@ -267,7 +267,6 @@ def test_one_block_check_serves_the_table_and_the_state():
     assert [e is None for e in table.errors] == [True, False, False, False, True, False]
 
 
-
 def test_each_prior_is_checked_once_by_its_table():
     # PriorTable.of is the one prior check: each one-past builder runs it once, and a table's row is a
     # view that runs it no more
@@ -299,7 +298,8 @@ def test_each_prior_is_checked_once_by_its_table():
         with pytest.raises(InvalidFactorization, match="cannot build prior kind 'custom'"):
             build_prior("custom", rho0=rho0, alice_past=past, instrument=inst)
         assert check.call_count == 0
-    assert [r.blocks.tobytes() for r in rows] == [table.prior(i).blocks.tobytes() for i in range(3)]
+    # a row holds no blocks of its own
+    assert all(np.shares_memory(r.blocks, table.shapes[r.dim_a1][2]) for r in rows)
     assert "rho_f" not in inspect.signature(build_prior).parameters
     effects = np.stack([np.eye(2), np.diag([0.0, 1.0])]).astype(complex)
     with pytest.raises(InvalidMatrix, match="must be square"):
